@@ -99,7 +99,7 @@ void bm_serve_batch(benchmark::State& state) {
     if (store_backed) {
       state.PauseTiming();  // the offline phase happens ahead of serving
       store = wl.preprocess(kBatch, 4);
-      wl.use_store(&store, off::ExhaustionPolicy::Throw);
+      wl.use_store(&store);
       state.ResumeTiming();
     }
     const auto out = wl.run(f.queries);
@@ -136,7 +136,7 @@ void bm_offline_online_smoke(benchmark::State& state) {
     std::stringstream wire;  // exercise the producer->server file format
     produced.save(wire);
     off::TripleStore store = off::TripleStore::load(wire);
-    wl.use_store(&store, off::ExhaustionPolicy::Throw);
+    wl.use_store(&store);
     const auto online = wl.run(queries).logits;
 
     for (std::size_t q = 0; q < queries.size(); ++q) {

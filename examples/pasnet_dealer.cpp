@@ -2,9 +2,9 @@
 // TripleStore (pregenerate one with `party_client --preprocess=N
 // --store=...`) and serves atomic bundle claims to party processes over
 // TCP.  Each party receives only its own share halves; a client whose
-// plan fingerprint does not match the store is refused at hello.  The
-// store's Throw/Refill exhaustion policy applies to claims past the
-// pregenerated range exactly as it does in process.  Batched parties
+// plan fingerprint does not match the store is refused at hello.  A
+// claim past the pregenerated range is the store's typed exhaustion
+// error, exactly as it is in process.  Batched parties
 // (--batch=K) claim K bundles per chunk; claims are position-addressed,
 // so the daemon serves any lane layout without configuration.
 //
@@ -40,8 +40,6 @@ int main(int argc, char** argv) {
   flags.define_int("port", 7748, "TCP port");
   flags.define_string("bind", "127.0.0.1",
                       "listen address (0.0.0.0 accepts cross-machine parties)");
-  flags.define_string("policy", "throw",
-                      "exhaustion policy for claims past the store (throw, refill)");
   flags.define_int("sessions", 2, "client sessions to serve before exiting (a two-party run is 2)");
   flags.define_int("timeout-ms", 30000, "socket accept/io timeout");
   flags.define_int("stats-interval", 0,
@@ -76,14 +74,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "pasnet_dealer: cannot load %s: %s\n", path.c_str(), e.what());
     return 2;
   }
-  const std::string policy_name = flags.get_string("policy");
-  const auto policy = policy_name == "refill" ? offline::ExhaustionPolicy::Refill
-                                              : offline::ExhaustionPolicy::Throw;
-  if (policy_name != "refill" && policy_name != "throw") {
-    std::fprintf(stderr, "pasnet_dealer: unknown --policy '%s' (throw, refill)\n",
-                 policy_name.c_str());
-    return 2;
-  }
 
   net::TransportOptions topts;
   topts.connect_timeout = std::chrono::milliseconds(flags.get_int("timeout-ms"));
@@ -91,7 +81,7 @@ int main(int argc, char** argv) {
 
   const std::uint64_t queries = store.num_queries();
   const std::uint64_t fingerprint = store.plan_fingerprint();
-  net::DealerServer server(std::move(store), policy);
+  net::DealerServer server(std::move(store));
 
   // Claim-latency percentiles come from the tracer's histogram, so the
   // tracer is live whenever any observability surface is on.
@@ -196,11 +186,11 @@ int main(int argc, char** argv) {
   try {
     net::Listener listener(static_cast<std::uint16_t>(flags.get_int("port")),
                            flags.get_string("bind"));
-    std::printf("pasnet_dealer: serving %llu queries [fingerprint %016llx, policy %s] on "
-                "%s:%u for %lld sessions\n",
+    std::printf("pasnet_dealer: serving %llu queries [fingerprint %016llx] on %s:%u for %lld "
+                "sessions\n",
                 static_cast<unsigned long long>(queries),
-                static_cast<unsigned long long>(fingerprint), policy_name.c_str(),
-                flags.get_string("bind").c_str(), listener.port(), flags.get_int("sessions"));
+                static_cast<unsigned long long>(fingerprint), flags.get_string("bind").c_str(),
+                listener.port(), flags.get_int("sessions"));
     std::fflush(stdout);
     server.serve(listener, static_cast<int>(flags.get_int("sessions")), topts);
   } catch (const std::exception& e) {

@@ -223,7 +223,7 @@ int main(int argc, char** argv) {
         }
       }
 
-      online_wl.use_store(&store, off::ExhaustionPolicy::Throw);
+      online_wl.use_store(&store);
       const auto t0 = std::chrono::steady_clock::now();
       const auto online = online_wl.run(queries).logits;
       const auto t1 = std::chrono::steady_clock::now();

@@ -57,24 +57,10 @@ inline proto::SecureConfig config_from_flags(const FlagSet& flags) {
     std::fprintf(stderr, "unknown --schedule '%s' (coalesced, eager)\n", schedule.c_str());
     std::exit(2);
   }
-  const std::string ot = flags.get_string("ot");
-  if (ot == "dh") {
-    cfg.ot_mode = crypto::OtMode::dh_masked;
-  } else if (ot == "correlated") {
-    cfg.ot_mode = crypto::OtMode::correlated;
-  } else {
-    std::fprintf(stderr, "unknown --ot '%s' (dh, correlated)\n", ot.c_str());
-    std::exit(2);
-  }
+  // Two real processes always run the masked-DH OT: the ideal OT is a
+  // single-process simulation, refused across processes.
+  cfg.ot_mode = crypto::OtMode::dh_masked;
   return cfg;
-}
-
-inline offline::ExhaustionPolicy policy_from_flags(const FlagSet& flags) {
-  const std::string policy = flags.get_string("policy");
-  if (policy == "refill") return offline::ExhaustionPolicy::Refill;
-  if (policy == "throw") return offline::ExhaustionPolicy::Throw;
-  std::fprintf(stderr, "unknown --policy '%s' (throw, refill)\n", policy.c_str());
-  std::exit(2);
 }
 
 /// Deterministic query input: both --verify and the remote run derive the
@@ -102,23 +88,6 @@ struct CompiledExample {
   }
 };
 
-/// In-process reference for query q: a fresh lockstep context with the
-/// canonical per-query seed — the transcript every serving mode (fused,
-/// store, networked dealer, and the two-process session) reproduces bit
-/// for bit.  Returns the result and the reference TrafficStats.
-inline ir::ExecResult reference_query(proto::SecureNetwork& snet, const ir::SecureProgram& program,
-                                      std::size_t q, const nn::Tensor& input,
-                                      const proto::SecureConfig& cfg,
-                                      crypto::TrafficStats* stats_out) {
-  crypto::TwoPartyContext qctx(crypto::RingConfig{},
-                               proto::SecureNetwork::query_context_seed(q));
-  ir::ExecOptions opts;
-  opts.cfg = cfg;
-  ir::ExecResult res = ir::execute(program, snet.params(), qctx, input, opts);
-  if (stats_out != nullptr) *stats_out = qctx.stats();
-  return res;
-}
-
 /// The whole party process: compile, connect, serve/run --queries queries.
 /// Returns the process exit code (nonzero when --verify finds any drift).
 inline int run_party(int party, int argc, char** argv) {
@@ -139,13 +108,6 @@ inline int run_party(int party, int argc, char** argv) {
   flags.define_string("bind", "127.0.0.1",
                       "listen address (server only; 0.0.0.0 accepts cross-machine peers)");
   flags.define_string("schedule", "coalesced", "round schedule (coalesced, eager)");
-  flags.define_string("ot", "dh",
-                      "online OT instantiation (dh: real masked-DH OT; correlated: ideal-"
-                      "functionality simulation, refused across processes without "
-                      "--allow-ideal-ot)");
-  flags.define_switch("allow-ideal-ot",
-                      "test-only escape hatch: let --ot=correlated run across two real "
-                      "processes despite its dealer-grade trust assumption");
   flags.define_string("triples", "dealer",
                       "who produces the correlated randomness: 'dealer' trusts a third party "
                       "(--source picks fused/store/dealer-daemon delivery), 'ot-ext' makes the "
@@ -158,7 +120,6 @@ inline int run_party(int party, int argc, char** argv) {
   flags.define_string("store", "", "TripleStore file (--source=store, or --preprocess output)");
   flags.define_string("dealer-host", "127.0.0.1", "pasnet_dealer host (--source=dealer)");
   flags.define_int("dealer-port", 7748, "pasnet_dealer port (--source=dealer)");
-  flags.define_string("policy", "throw", "store exhaustion policy (throw, refill)");
   flags.define_switch("label-only", "run the argmax-terminated classify program");
   flags.define_switch("verify",
                       "recompute every query in-process and require bit-identical outputs "
@@ -258,8 +219,6 @@ inline int run_party(int party, int argc, char** argv) {
   // Correlated-randomness source.
   net::RemoteSessionOptions ropts;
   ropts.cfg = cfg;
-  ropts.policy = policy_from_flags(flags);
-  ropts.allow_ideal_ot = flags.get_switch("allow-ideal-ot");
   offline::TripleStore store;
   std::unique_ptr<net::DealerClient> dealer;
   const std::string triples = flags.get_string("triples");
@@ -270,11 +229,6 @@ inline int run_party(int party, int argc, char** argv) {
   }
   const std::string source = flags.get_string("source");
   if (ot_ext) {
-    if (ropts.policy == offline::ExhaustionPolicy::Refill) {
-      std::fprintf(stderr, "--policy=refill is incompatible with --triples=ot-ext (the "
-                   "refill path serves shared-seed dealer triples); use --policy=throw\n");
-      return 2;
-    }
     ropts.source = net::TripleSourceKind::ot_ext;
     ropts.plan = &plan;
     std::printf("triples: in-session IKNP OT extension (no dealer trust, "
@@ -292,9 +246,8 @@ inline int run_party(int party, int argc, char** argv) {
     dealer = std::make_unique<net::DealerClient>(
         flags.get_string("dealer-host"), static_cast<std::uint16_t>(flags.get_int("dealer-port")),
         party, plan.fingerprint(), topts);
-    std::printf("dealer serves %llu pregenerated queries (policy %s)\n",
-                static_cast<unsigned long long>(dealer->info().num_queries),
-                dealer->info().policy == offline::ExhaustionPolicy::Refill ? "refill" : "throw");
+    std::printf("dealer serves %llu pregenerated queries\n",
+                static_cast<unsigned long long>(dealer->info().num_queries));
     ropts.dealer = dealer.get();
   } else if (source != "fused") {
     std::fprintf(stderr, "unknown --source '%s' (fused, store, dealer)\n", source.c_str());

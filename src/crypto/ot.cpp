@@ -132,8 +132,7 @@ std::vector<std::uint8_t> ot_ideal(TwoPartyContext& ctx, int sender,
     // Backstop for callers that bypassed the context-construction refusal
     // (e.g. a remote context declared dh_masked but handed correlated-mode
     // requests): the simulation must never run between real endpoints.
-    throw IdealOtError("ot_1of4: OtMode::correlated refused in a remote context "
-                       "(construct with allow_ideal_ot to override in tests)");
+    throw IdealOtError("ot_1of4: OtMode::correlated refused in a remote context");
   }
   const int receiver = 1 - sender;
   const std::size_t n = tables.size();

@@ -11,8 +11,7 @@
 //  * `correlated` — an ideal-functionality fast path that produces the same
 //    transcript sizes (for traffic accounting) without the modular
 //    exponentiation; used when simulating large tensors.  Refused in a
-//    remote two-process context unless the context was constructed with
-//    the allow_ideal_ot escape hatch (see RemoteContextOptions).
+//    remote two-process context (see RemoteContextOptions).
 //
 // Both modes produce identical protocol results and identical byte counts.
 // The OtMode selector itself lives in crypto/party.hpp so the context can

@@ -205,16 +205,16 @@ TwoPartyContext::TwoPartyContext(RingConfig rc, std::uint64_t seed, int local_pa
       round_delay_(0), dealer_(rc, splitmix64(seed)), dealer_source_(dealer_, rc),
       prng0_(splitmix64(seed ^ 1)), prng1_(splitmix64(seed ^ 2)),
       ot_prng0_(splitmix64(seed ^ 3)), ot_prng1_(splitmix64(seed ^ 4)),
-      role_prng_(entropy_seed()), allow_ideal_ot_(options.allow_ideal_ot), opens_(*this),
+      role_prng_(entropy_seed()), opens_(*this),
       ots_(std::make_unique<OtBuffer>(*this)), bit_opens_(std::make_unique<BitOpenBuffer>(*this)) {
   if (local_party != 0 && local_party != 1) {
     throw std::invalid_argument("TwoPartyContext: local_party must be 0 or 1");
   }
-  if (options.ot_mode == OtMode::correlated && !options.allow_ideal_ot) {
+  if (options.ot_mode == OtMode::correlated) {
     throw IdealOtError(
         "TwoPartyContext: OtMode::correlated is an ideal-functionality simulation "
         "(choices cross the wire in the clear) and is refused between two real "
-        "processes; use OtMode::dh_masked, or set allow_ideal_ot in tests");
+        "processes; use OtMode::dh_masked");
   }
   // Only the borrowed local endpoint is addressable; chan() on the peer
   // slot throws.  Both parties' transcript-shaping PRNGs and the dealer

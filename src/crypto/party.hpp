@@ -87,13 +87,13 @@ enum class ExecMode { lockstep, threaded };
 ///  * correlated — an ideal-functionality simulation with the DH mode's
 ///    exact transcript shape and byte counts; choices cross the wire in
 ///    the clear, so it is only meaningful when one process plays both
-///    parties (or in tests that opt in explicitly).
+///    parties.
 enum class OtMode { dh_masked, correlated };
 
 /// Thrown when an ideal-functionality simulation path (OtMode::correlated)
-/// is requested in a remote two-process context without the explicit
-/// test-only escape hatch: the simulation provides no obliviousness, so
-/// running it between real endpoints would silently void the threat model.
+/// is requested in a remote two-process context: the simulation provides
+/// no obliviousness, so running it between real endpoints would silently
+/// void the threat model.
 class IdealOtError : public std::logic_error {
  public:
   using std::logic_error::logic_error;
@@ -102,10 +102,9 @@ class IdealOtError : public std::logic_error {
 /// Security-relevant knobs of a remote (two-process) context.  The OT mode
 /// the protocols will run with must be declared up front so the context can
 /// refuse ideal-functionality simulation between real endpoints at
-/// construction time (`allow_ideal_ot` is the test-only escape hatch).
+/// construction time.
 struct RemoteContextOptions {
   OtMode ot_mode = OtMode::dh_masked;
-  bool allow_ideal_ot = false;
 };
 
 /// A pair of long-lived party executor threads.  `run` dispatches one
@@ -186,8 +185,8 @@ class TwoPartyContext {
   /// Both processes must construct with the same ring and seed so their
   /// transcript-shaping PRNG/dealer streams stay aligned; role-secret
   /// draws go through role_prng(), which is private per process.  Throws
-  /// IdealOtError when `options` declares OtMode::correlated without the
-  /// allow_ideal_ot escape hatch (see RemoteContextOptions).
+  /// IdealOtError when `options` declares OtMode::correlated (see
+  /// RemoteContextOptions).
   TwoPartyContext(RingConfig rc, std::uint64_t seed, int local_party, Channel& channel,
                   RemoteContextOptions options = {});
   ~TwoPartyContext();
@@ -277,11 +276,8 @@ class TwoPartyContext {
     return role_prng_;
   }
   /// Whether the ideal-functionality OT simulation may run on this
-  /// context: always in the in-process simulation modes, only with the
-  /// explicit RemoteContextOptions::allow_ideal_ot hatch in a remote one.
-  [[nodiscard]] bool ideal_ot_allowed() const noexcept {
-    return local_party_ < 0 || allow_ideal_ot_;
-  }
+  /// context: only in the in-process simulation modes.
+  [[nodiscard]] bool ideal_ot_allowed() const noexcept { return local_party_ < 0; }
   [[nodiscard]] ExecMode mode() const noexcept { return mode_; }
   [[nodiscard]] std::chrono::microseconds round_delay() const noexcept { return round_delay_; }
 
@@ -367,7 +363,6 @@ class TwoPartyContext {
   Prng ot_prng0_;
   Prng ot_prng1_;
   Prng role_prng_{0};  // remote contexts only: entropy-seeded, peer-private
-  bool allow_ideal_ot_ = false;
   Prng* prng_override0_ = nullptr;  // non-owning; see set_prng_override
   Prng* prng_override1_ = nullptr;
   OpenBuffer opens_;

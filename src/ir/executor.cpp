@@ -414,7 +414,6 @@ ExecResult execute(const SecureProgram& p, const CompiledParams& params,
       hook(idx, t);
     };
   }
-  if (opts.input_shares != nullptr) bopts.input_shares = {opts.input_shares};
   BatchExecResult batch = execute_batch(p, params, ctx, {input}, bopts);
   ExecResult result;
   if (!batch.logits.empty()) result.logits = std::move(batch.logits[0]);

@@ -50,14 +50,6 @@ struct ExecOptions {
   /// request-for-request between schedules; argmax terminals (label
   /// outputs) are not reported.
   std::function<void(std::size_t, const proto::SecureTensor&)> op_hook;
-  /// Pre-shared input (non-owning; must outlive the call).  When set, the
-  /// input op delivers a copy of these shares instead of sharing the
-  /// plaintext input tensor with the canonical client PRG — the remote
-  /// (two-process) path, where the model-serving party holds only its
-  /// input-share half and never sees the plaintext.  The client computes
-  /// the sharing with the same canonical PRG, so both entry points produce
-  /// identical share values and bit-identical logits.
-  const proto::SecureTensor* input_shares = nullptr;
 };
 
 /// What a program run reveals to the client.
@@ -100,7 +92,9 @@ struct BatchExecOptions {
   std::vector<std::pair<crypto::Prng*, crypto::Prng*>> lane_prngs;
   /// Per-lane pre-shared inputs (non-owning; must outlive the call).  When
   /// set (size K), lane q's input op delivers a copy of *input_shares[q]
-  /// instead of sharing inputs[q] — the remote (two-process) path.
+  /// instead of sharing inputs[q] — the remote (two-process) path, where
+  /// the model-serving party never sees the plaintext.  The client shares
+  /// with the same canonical PRG, so both paths give bit-identical logits.
   std::vector<const proto::SecureTensor*> input_shares;
 };
 

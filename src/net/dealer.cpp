@@ -12,7 +12,6 @@ namespace {
 
 // Dealer-layer status and op codes.
 constexpr std::uint8_t kStatusOk = 0;
-constexpr std::uint8_t kStatusRefill = 1;
 constexpr std::uint8_t kStatusExhausted = 2;
 constexpr std::uint8_t kStatusError = 3;
 constexpr std::uint8_t kOpClaim = 1;
@@ -45,18 +44,15 @@ offline::QueryBundle deserialize_bundle(const std::vector<std::uint8_t>& bytes) 
 class DealerServer::Impl {
  public:
   std::mutex m;
-  // claimed[p][q]: party p already took bundle q.  A party-2 (both-halves)
-  // client consumes both slots — it IS both parties material-wise.
+  // claimed[p][q]: party p already took bundle q.
   std::vector<std::uint8_t> claimed[2];
   std::uint64_t served = 0;
   std::uint64_t bundle_bytes = 0;
   int open_sessions = 0;
 };
 
-DealerServer::DealerServer(offline::TripleStore store, offline::ExhaustionPolicy policy,
-                           bool allow_both_halves)
-    : store_(std::move(store)), policy_(policy), allow_both_halves_(allow_both_halves),
-      impl_(std::make_unique<Impl>()) {
+DealerServer::DealerServer(offline::TripleStore store)
+    : store_(std::move(store)), impl_(std::make_unique<Impl>()) {
   impl_->claimed[0].assign(store_.num_queries(), 0);
   impl_->claimed[1].assign(store_.num_queries(), 0);
 }
@@ -124,17 +120,11 @@ void DealerServer::serve_session(std::unique_ptr<TcpTransport> transport) {
   hr.expect_end();
 
   WireWriter info;
-  if (party != 0 && party != 1 && party != 2) {
-    info.put_u8(kStatusError);
-    info.put_string("dealer: invalid party id in hello");
-    transport->send_frame(info.take());
-    return;
-  }
-  if (party == 2 && !allow_both_halves_) {
+  if (party != 0 && party != 1) {
     // A network client's party id is self-declared; handing a computing
-    // party BOTH halves would let it reconstruct every mask.
+    // party BOTH halves (party 2) would let it reconstruct every mask.
     info.put_u8(kStatusError);
-    info.put_string("dealer: both-halves (party 2) claims are disabled on this daemon");
+    info.put_string("dealer: invalid party id in hello (both-halves claims are refused)");
     transport->send_frame(info.take());
     return;
   }
@@ -151,7 +141,6 @@ void DealerServer::serve_session(std::unique_ptr<TcpTransport> transport) {
   info.put_u64(static_cast<std::uint64_t>(store_.ring().frac_bits));
   info.put_u64(static_cast<std::uint64_t>(store_.ring().wire_bits));
   info.put_u64(store_.num_queries());
-  info.put_u8(static_cast<std::uint8_t>(policy_));
   transport->send_frame(info.take());
 
   for (;;) {
@@ -170,36 +159,24 @@ void DealerServer::serve_session(std::unique_ptr<TcpTransport> transport) {
 
     WireWriter resp;
     if (index >= store_.num_queries()) {
-      // Past the pregenerated material: the store's exhaustion policy
-      // decides, exactly like the in-process StoreTripleSource.
-      if (policy_ == offline::ExhaustionPolicy::Refill) {
-        resp.put_u8(kStatusRefill);
-      } else {
-        resp.put_u8(kStatusExhausted);
-        resp.put_string("TripleStore exhausted: pregenerate more queries or serve with "
-                        "ExhaustionPolicy::Refill");
-      }
+      // Past the pregenerated material: the store's typed exhaustion, as
+      // TripleStore::claim_next raises it in process.
+      resp.put_u8(kStatusExhausted);
+      resp.put_string("TripleStore exhausted: pregenerate more queries");
       transport->send_frame(resp.take());
       continue;
     }
     {
       // Atomic claim: each (party, index) is handed out exactly once.
       std::lock_guard<std::mutex> lk(impl_->m);
-      const bool taken = party == 2
-                             ? (impl_->claimed[0][index] != 0 || impl_->claimed[1][index] != 0)
-                             : impl_->claimed[party][index] != 0;
-      if (taken) {
+      if (impl_->claimed[party][index] != 0) {
         resp.put_u8(kStatusError);
         resp.put_string("dealer: bundle " + std::to_string(index) +
                         " already claimed for this party");
         transport->send_frame(resp.take());
         continue;
       }
-      if (party == 2) {
-        impl_->claimed[0][index] = impl_->claimed[1][index] = 1;
-      } else {
-        impl_->claimed[party][index] = 1;
-      }
+      impl_->claimed[party][index] = 1;
       ++impl_->served;
     }
     resp.put_u8(kStatusOk);
@@ -243,13 +220,12 @@ DealerClient::DealerClient(const std::string& host, std::uint16_t port, int part
   info_.ring.frac_bits = static_cast<int>(ir.get_u64());
   info_.ring.wire_bits = static_cast<int>(ir.get_u64());
   info_.num_queries = ir.get_u64();
-  info_.policy = static_cast<offline::ExhaustionPolicy>(ir.get_u8());
   ir.expect_end();
 }
 
 DealerClient::~DealerClient() { bye(); }
 
-std::optional<offline::QueryBundle> DealerClient::claim(std::uint64_t index) {
+offline::QueryBundle DealerClient::claim(std::uint64_t index) {
   WireWriter req;
   req.put_u8(kOpClaim);
   req.put_u64(index);
@@ -264,8 +240,6 @@ std::optional<offline::QueryBundle> DealerClient::claim(std::uint64_t index) {
       if (got != index) throw DealerError("dealer: claim index mismatch in response");
       return deserialize_bundle(rr.get_bytes());
     }
-    case kStatusRefill:
-      return std::nullopt;
     case kStatusExhausted:
       throw offline::TripleStoreExhausted(rr.get_string());
     default:

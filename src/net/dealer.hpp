@@ -8,14 +8,12 @@
 // SessionKind::dealer; the TCP-level handshake has already pinned magic
 // and protocol version):
 //
-//   client HELLO   u8 party (0 / 1 / 2 = both halves) | u64 plan_fingerprint
+//   client HELLO   u8 party (0 / 1) | u64 plan_fingerprint
 //   server INFO    u8 status | on ok: u64 fingerprint, u64 ring bits,
-//                  u64 frac_bits, u64 wire_bits, u64 num_queries,
-//                  u8 policy | on error: string reason
+//                  u64 frac_bits, u64 wire_bits, u64 num_queries
+//                  | on error: string reason
 //   client CLAIM   u8 op=1 | u64 query_index
 //   server BUNDLE  u8 status | u64 index | bundle bytes   (status ok)
-//                  u8 status                              (refill: client
-//                  falls back to its canonically-seeded local dealer)
 //                  u8 status | string reason              (error/exhausted)
 //   client BYE     u8 op=2  (or clean EOF)
 //
@@ -24,11 +22,9 @@
 // bundle k, which is what keeps a two-process store-served run's dealer
 // stream identical to the in-process claim_next() order.  The served
 // bytes are party-sliced (slice_bundle_for_party), so neither party ever
-// receives the other's share halves.  The store's Throw/Refill exhaustion
-// policies are preserved: a claim past the last pregenerated bundle is a
-// typed TripleStoreExhausted under Throw and a "refill" verdict under
-// Refill (the client regenerates from the query's canonical seed, exactly
-// like the in-process fallback).
+// receives the other's share halves; a hello declaring any other party id
+// (2 would mean both halves) is refused.  A claim past the last
+// pregenerated bundle is the store's typed TripleStoreExhausted.
 //
 // The fingerprint in HELLO is checked against the store's — a client
 // compiled for a different model/plan (including the label-only classify
@@ -38,7 +34,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -60,7 +55,6 @@ struct DealerInfo {
   crypto::RingConfig ring;
   std::uint64_t fingerprint = 0;
   std::uint64_t num_queries = 0;
-  offline::ExhaustionPolicy policy = offline::ExhaustionPolicy::Throw;
 };
 
 /// Live serving statistics, safe to read from any thread while serve()
@@ -75,14 +69,7 @@ struct DealerStats {
 /// one thread per accepted session (serve() joins them all).
 class DealerServer {
  public:
-  /// `allow_both_halves` gates party-2 claims (the full, unsliced bundle).
-  /// OFF by default: a networked client self-declares its party id, so a
-  /// both-halves claim would let one computing party pull the other's
-  /// share halves and reconstruct every mask.  Enable only for trusted
-  /// single-process consumers (e.g. an in-process serving tier drawing
-  /// from a remote dealer).
-  DealerServer(offline::TripleStore store, offline::ExhaustionPolicy policy,
-               bool allow_both_halves = false);
+  explicit DealerServer(offline::TripleStore store);
   ~DealerServer();
 
   /// Accepts and serves exactly `sessions` client sessions (a two-party
@@ -123,8 +110,6 @@ class DealerServer {
   void serve_session(std::unique_ptr<TcpTransport> transport);
 
   offline::TripleStore store_;
-  offline::ExhaustionPolicy policy_;
-  bool allow_both_halves_;
   std::uint64_t bundles_served_ = 0;
   std::unique_ptr<Impl> impl_;
   obs::Tracer* tracer_ = nullptr;  // non-owning; see set_tracer
@@ -134,22 +119,19 @@ class DealerServer {
 /// One party's connection to the dealer daemon.
 class DealerClient {
  public:
-  /// Dials the daemon, runs the transport handshake and the dealer hello.
-  /// `party` is 0/1 for a remote party process or 2 for an in-process
-  /// consumer wanting both halves.  Throws DealerError if the daemon's
-  /// store was generated for a different plan fingerprint.
+  /// Dials the daemon, runs the transport handshake and the dealer hello
+  /// as party 0 or 1.  Throws DealerError if the daemon's store was
+  /// generated for a different plan fingerprint.
   DealerClient(const std::string& host, std::uint16_t port, int party,
                std::uint64_t plan_fingerprint, TransportOptions opts = TransportOptions{});
   ~DealerClient();
 
   [[nodiscard]] const DealerInfo& info() const noexcept { return info_; }
 
-  /// Claims bundle `index`.  Returns the party-sliced bundle, or
-  /// std::nullopt when the store is exhausted under Refill (the caller
-  /// falls back to its canonically-seeded local dealer).  Under Throw,
-  /// exhaustion raises offline::TripleStoreExhausted; a double claim or
-  /// other refusal raises DealerError.
-  [[nodiscard]] std::optional<offline::QueryBundle> claim(std::uint64_t index);
+  /// Claims bundle `index` and returns its party-sliced copy.  Exhaustion
+  /// raises offline::TripleStoreExhausted; a double claim or other refusal
+  /// raises DealerError.
+  [[nodiscard]] offline::QueryBundle claim(std::uint64_t index);
 
   /// Polite goodbye (also sent by the destructor).
   void bye() noexcept;

@@ -1,8 +1,11 @@
 #include "net/party_session.hpp"
 
+#include <string>
+
 #include "net/wire.hpp"
 #include "offline/ot_triple_source.hpp"
 #include "proto/secure_network.hpp"
+#include "proto/workload.hpp"
 
 namespace pasnet::net {
 
@@ -16,6 +19,17 @@ struct DetachChanTracer {
     if (chan != nullptr) chan->set_tracer(nullptr);
   }
 };
+
+/// "[0,1]": the stream positions a position-mismatch error names — at
+/// most the first 8, since one of the lists comes from the peer.
+std::string position_list(const std::vector<std::uint64_t>& positions) {
+  constexpr std::size_t kShown = 8;
+  std::string s;
+  for (std::size_t i = 0; i < positions.size() && i < kShown; ++i) {
+    s += (i == 0 ? "" : ",") + std::to_string(positions[i]);
+  }
+  return "[" + s + (positions.size() > kShown ? ",...]" : "]");
+}
 
 }  // namespace
 
@@ -99,26 +113,6 @@ void PartySession::verify_plan(const offline::PreprocessingPlan& plan) {
   }
 }
 
-ir::ExecResult PartySession::run_query(const ir::SecureProgram& program,
-                                       const ir::CompiledParams& params, std::size_t q,
-                                       const nn::Tensor* input,
-                                       const RemoteSessionOptions& opts,
-                                       crypto::TrafficStats* stats_out) {
-  std::vector<nn::Tensor> inputs;
-  if (party_ == 0) {
-    if (input == nullptr) {
-      throw std::invalid_argument("PartySession::run_query: party 0 owns the input");
-    }
-    inputs.push_back(*input);
-  }
-  ir::BatchExecResult batch = run_batch(program, params, q, party_ == 0 ? &inputs : nullptr,
-                                        /*lanes=*/1, opts, stats_out);
-  ir::ExecResult res;
-  if (!batch.logits.empty()) res.logits = std::move(batch.logits[0]);
-  if (!batch.labels.empty()) res.labels = std::move(batch.labels[0]);
-  return res;
-}
-
 ir::BatchExecResult PartySession::run_batch(const ir::SecureProgram& program,
                                             const ir::CompiledParams& params, std::size_t q,
                                             const std::vector<nn::Tensor>* inputs,
@@ -127,42 +121,25 @@ ir::BatchExecResult PartySession::run_batch(const ir::SecureProgram& program,
                                             crypto::TrafficStats* stats_out,
                                             obs::CounterSnapshot* trace_out) {
   if (lanes == 0) return ir::BatchExecResult{};
+  if (party_ == 0 && (inputs == nullptr || inputs->size() != lanes)) {
+    throw std::invalid_argument("PartySession::run_batch: party 0 owns one input per lane");
+  }
   // Per-chunk tracer: counters recorded here become the chunk's trace
   // witness; merged into the session tracer at the end.
   const bool tracing = tracer_ != nullptr && tracer_->enabled();
   obs::Tracer chunk_tracer(tracing);
   const std::uint64_t chunk_begin = tracing ? obs::Tracer::now_us() : 0;
-  // --- setup frames (outside the metered window) ---------------------------
-  // One input-share frame per lane, each computed with the executor's
-  // canonical per-lane client PRG: identical share values to the
-  // in-process batched input op, so logits stay bit-identical.
-  std::vector<proto::SecureTensor> input_shares(lanes);
-  if (party_ == 0) {
-    if (inputs == nullptr || inputs->size() != lanes) {
-      throw std::invalid_argument("PartySession::run_batch: party 0 owns one input per lane");
-    }
-    for (std::size_t j = 0; j < lanes; ++j) {
-      crypto::Prng input_prng(0xC11E47ULL);
-      input_shares[j] = proto::share_tensor((*inputs)[j], input_prng, rc_);
-      send_tensor_share(chan_, input_shares[j], /*for_party=*/1);
-    }
-  } else {
-    for (std::size_t j = 0; j < lanes; ++j) {
-      input_shares[j] = recv_tensor_share(chan_, /*local_party=*/1);
-    }
-  }
 
   // --- per-lane triple sourcing ---------------------------------------------
   // Lane j's canonical stream position follows the in-process Workload
-  // path: store claims decide it under TripleSourceKind::store, the
-  // explicit claim index q + j under dealer, the stream position q + j
-  // under fused.  Both processes derive the same positions, so their
-  // per-lane dealer/PRNG streams — the shared trusted setup — coincide.
-  std::vector<std::optional<offline::QueryBundle>> dealer_bundles(lanes);
-  std::vector<offline::QueryBundle*> bundles(lanes, nullptr);
-  std::vector<std::size_t> seed_idx(lanes);
+  // path: store claims decide it under TripleSourceKind::store, the stream
+  // position q + j under every other source.  When both processes derive
+  // the same positions, their per-lane dealer/PRNG streams — the shared
+  // trusted setup — coincide; the setup frames below check that they do.
+  std::vector<proto::ChunkLane> chunk_lanes(lanes);
+  std::vector<offline::QueryBundle> owned(lanes);  // dealer and ot_ext material
   for (std::size_t j = 0; j < lanes; ++j) {
-    seed_idx[j] = q + j;
+    chunk_lanes[j].position = q + j;
     switch (opts.source) {
       case TripleSourceKind::fused:
       case TripleSourceKind::ot_ext:
@@ -172,8 +149,8 @@ ir::BatchExecResult PartySession::run_batch(const ir::SecureProgram& program,
           throw std::invalid_argument("PartySession::run_batch: store source without a store");
         }
         const auto [idx, b] = opts.store->claim_next();
-        seed_idx[j] = idx;
-        bundles[j] = b;
+        chunk_lanes[j] = proto::ChunkLane{idx, b};
+        chunk_tracer.add(obs::Counter::store_claims, 1);
         break;
       }
       case TripleSourceKind::dealer: {
@@ -181,15 +158,52 @@ ir::BatchExecResult PartySession::run_batch(const ir::SecureProgram& program,
           throw std::invalid_argument("PartySession::run_batch: dealer source without a client");
         }
         const std::uint64_t claim_begin = tracing ? obs::Tracer::now_us() : 0;
-        dealer_bundles[j] = opts.dealer->claim(q + j);
+        owned[j] = opts.dealer->claim(q + j);
+        chunk_lanes[j].bundle = &owned[j];
         if (tracing) {
           chunk_tracer.add(obs::Counter::dealer_claims, 1);
           chunk_tracer.sample(obs::Sample::dealer_claim_us,
                               obs::Tracer::now_us() - claim_begin);
         }
-        if (dealer_bundles[j].has_value()) bundles[j] = &*dealer_bundles[j];
         break;
       }
+    }
+  }
+
+  // --- setup frames (outside the metered window) ---------------------------
+  // Party 0 leads with its lanes' stream positions, then sends one
+  // input-share frame per lane, each computed with the executor's canonical
+  // per-lane client PRG: identical share values to the in-process batched
+  // input op, so logits stay bit-identical.  Party 1 refuses positions that
+  // differ from its own — the two processes would otherwise run mismatched
+  // shared streams and reveal garbage without any error.
+  std::vector<std::uint64_t> positions(lanes);
+  for (std::size_t j = 0; j < lanes; ++j) positions[j] = chunk_lanes[j].position;
+  std::vector<proto::SecureTensor> input_shares(lanes);
+  if (party_ == 0) {
+    WireWriter w;
+    w.put_ring_vec(positions);  // the u64-vector encoding
+    chan_.send_bytes(w.take());
+    for (std::size_t j = 0; j < lanes; ++j) {
+      crypto::Prng input_prng(0xC11E47ULL);
+      input_shares[j] = proto::share_tensor((*inputs)[j], input_prng, rc_);
+      send_tensor_share(chan_, input_shares[j], /*for_party=*/1);
+    }
+  } else {
+    const std::vector<std::uint8_t> msg = chan_.recv_bytes();
+    WireReader r(msg);
+    const std::vector<std::uint64_t> peer = r.get_ring_vec();
+    r.expect_end();
+    if (peer != positions) {
+      // The unread input shares leave the session out of step: hang up so
+      // party 0 fails now instead of at its io timeout.
+      chan_.close();
+      throw HandshakeError("session: the parties disagree on the chunk's stream positions "
+                           "(party 0 at " + position_list(peer) + ", party 1 at " +
+                           position_list(positions) + ")");
+    }
+    for (std::size_t j = 0; j < lanes; ++j) {
+      input_shares[j] = recv_tensor_share(chan_, /*local_party=*/1);
     }
   }
 
@@ -204,37 +218,27 @@ ir::BatchExecResult PartySession::run_batch(const ir::SecureProgram& program,
   // traffic and trace witnesses are exactly what the other serving modes
   // measure; the offline traffic has its own analytic witness,
   // ot_ext_generation_cost.
-  std::vector<offline::QueryBundle> ot_bundles;
   if (opts.source == TripleSourceKind::ot_ext) {
     if (opts.plan == nullptr) {
       throw std::invalid_argument("PartySession::run_batch: ot_ext source without a plan");
-    }
-    if (opts.policy == offline::ExhaustionPolicy::Refill) {
-      // Refill regenerates exhausted bundles from the canonical shared-seed
-      // dealer stream — silently swapping role-private material for
-      // peer-derivable material.  Refuse rather than void the trust model.
-      throw std::invalid_argument(
-          "PartySession::run_batch: ExhaustionPolicy::Refill is incompatible with "
-          "ot_ext (the refill path serves shared-seed dealer triples); use Throw");
     }
     chan_.reset_stats();
     obs::Tracer offline_tracer(tracing);
     const std::uint64_t offline_begin = tracing ? obs::Tracer::now_us() : 0;
     {
       const DetachChanTracer offline_detach{tracing ? &chan_ : nullptr};
-      crypto::TwoPartyContext gen_ctx(
-          rc_, proto::SecureNetwork::query_context_seed(seed_idx[0]), party_, chan_);
+      crypto::TwoPartyContext gen_ctx(rc_, proto::SecureNetwork::query_context_seed(positions[0]),
+                                      party_, chan_);
       if (tracing) gen_ctx.set_tracer(&offline_tracer);
       // The per-lane seeds only size the generation in a remote context
       // (halves come from role_prng there); passing the canonical values
       // keeps the call shape identical to the simulation paths.
       std::vector<std::uint64_t> seeds(lanes);
       for (std::size_t j = 0; j < lanes; ++j) {
-        seeds[j] = proto::SecureNetwork::query_dealer_seed(seed_idx[j]);
+        seeds[j] = proto::SecureNetwork::query_dealer_seed(positions[j]);
       }
-      ot_bundles.resize(lanes);
-      offline::generate_bundles_ot_ext(*opts.plan, gen_ctx, seeds, ot_bundles.data());
-      for (std::size_t j = 0; j < lanes; ++j) bundles[j] = &ot_bundles[j];
+      offline::generate_bundles_ot_ext(*opts.plan, gen_ctx, seeds, owned.data());
+      for (std::size_t j = 0; j < lanes; ++j) chunk_lanes[j].bundle = &owned[j];
     }
     if (opts.offline_stats_out != nullptr) *opts.offline_stats_out = chan_.stats_snapshot();
     if (tracing) {
@@ -247,57 +251,23 @@ ir::BatchExecResult PartySession::run_batch(const ir::SecureProgram& program,
 
   // --- the metered chunk ----------------------------------------------------
   // One remote context for the whole chunk, seeded with lane 0's canonical
-  // context seed (matching Workload::run); every lane draws triples from
-  // its own canonically seeded dealer stream and share randomness from its
-  // own canonically seeded PRNG pair, exactly like the in-process batch.
-  chan_.reset_stats();
-  crypto::RemoteContextOptions ctx_opts;
-  ctx_opts.ot_mode = opts.cfg.ot_mode;
-  ctx_opts.allow_ideal_ot = opts.allow_ideal_ot;
-  crypto::TwoPartyContext ctx(rc_, proto::SecureNetwork::query_context_seed(seed_idx[0]),
-                              party_, chan_, ctx_opts);
-  // Attach the chunk tracer only now — the metered window.
-  const DetachChanTracer detach{tracing ? &chan_ : nullptr};
-  if (tracing) ctx.set_tracer(&chunk_tracer);
-  std::vector<std::unique_ptr<crypto::TripleDealer>> lane_dealers;
-  std::vector<std::unique_ptr<crypto::TripleSource>> owned_sources;
-  std::vector<std::unique_ptr<crypto::Prng>> owned_prngs;
+  // context seed, run by the same chunk runner as Workload::run.
+  crypto::TwoPartyContext ctx(rc_, proto::SecureNetwork::query_context_seed(positions[0]),
+                              party_, chan_, crypto::RemoteContextOptions{opts.cfg.ot_mode});
   ir::BatchExecOptions bopts;
   bopts.cfg = opts.cfg;
-  bopts.lane_sources.resize(lanes);
-  bopts.lane_prngs.resize(lanes);
-  bopts.input_shares.resize(lanes);
-  lane_dealers.reserve(lanes);
-  owned_sources.reserve(lanes);
-  owned_prngs.reserve(2 * lanes);
-  for (std::size_t j = 0; j < lanes; ++j) {
-    lane_dealers.push_back(std::make_unique<crypto::TripleDealer>(
-        rc_, proto::SecureNetwork::query_dealer_seed(seed_idx[j])));
-    if (opts.source == TripleSourceKind::fused) {
-      owned_sources.push_back(
-          std::make_unique<crypto::DealerTripleSource>(*lane_dealers.back(), rc_));
-    } else {
-      owned_sources.push_back(std::make_unique<offline::StoreTripleSource>(
-          bundles[j], *lane_dealers.back(), opts.policy));
-    }
-    bopts.lane_sources[j] = owned_sources.back().get();
-    const std::uint64_t cseed = proto::SecureNetwork::query_context_seed(seed_idx[j]);
-    owned_prngs.push_back(std::make_unique<crypto::Prng>(crypto::splitmix64(cseed ^ 1)));
-    bopts.lane_prngs[j].first = owned_prngs.back().get();
-    owned_prngs.push_back(std::make_unique<crypto::Prng>(crypto::splitmix64(cseed ^ 2)));
-    bopts.lane_prngs[j].second = owned_prngs.back().get();
-    bopts.input_shares[j] = &input_shares[j];
-  }
-  ir::BatchExecResult res = ir::execute_batch(program, params, ctx, {}, bopts);
-  if (stats_out != nullptr) *stats_out = chan_.stats_snapshot();
+  for (const proto::SecureTensor& share : input_shares) bopts.input_shares.push_back(&share);
+  proto::ChunkRun run = proto::run_chunk(ctx, program, params, chunk_lanes, {}, bopts,
+                                         tracing ? &chunk_tracer : nullptr);
+  if (stats_out != nullptr) *stats_out = run.traffic;
   if (tracing) {
     chunk_tracer.complete_span("net", "run_batch", chunk_begin,
                                static_cast<std::int64_t>(lanes));
     chunk_tracer.sample(obs::Sample::chunk_us, obs::Tracer::now_us() - chunk_begin);
-    if (trace_out != nullptr) *trace_out = chunk_tracer.snapshot();
+    if (trace_out != nullptr) *trace_out = run.trace;
     tracer_->merge_from(chunk_tracer);
   }
-  return res;
+  return std::move(run.results);
 }
 
 }  // namespace pasnet::net

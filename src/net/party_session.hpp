@@ -5,7 +5,7 @@
 //
 // Topology: party 1 (the model-serving side) listens, party 0 (the input-
 // owning client) dials.  One TCP connection carries the whole session;
-// each query runs on a fresh remote TwoPartyContext borrowed over it,
+// each chunk runs on a fresh remote TwoPartyContext borrowed over it,
 // seeded with the SAME canonical per-query seeds the in-process batch and
 // store paths use — which is what makes two-process logits bit-identical
 // to the in-process transcripts, query for query, for the fused / store /
@@ -14,14 +14,15 @@
 // canonical transcripts only up to truncation-LSB noise (see
 // offline/ot_triple_source.hpp).
 //
-// Per query: party 0 computes the input sharing with the executor's
-// canonical client PRG and ships party 1's half as a setup frame (party 1
-// never sees the plaintext input); channel stats reset; the IR program
-// executes over the wire; the terminal opening reveals logits (or argmax
-// labels) to both sides.  Setup frames ride outside the metered window,
-// so TrafficStats cover exactly what the in-process meter covers.
-
-#include <optional>
+// Per chunk: party 0 sends its lanes' stream positions (party 1 refuses a
+// chunk whose positions differ from its own), then computes each input
+// sharing with the executor's canonical client PRG and ships party 1's
+// half as a setup frame (party 1 never sees the plaintext input); the
+// chunk then runs through proto::run_chunk — the runner Workload::run
+// uses — which resets the meter and executes the IR program over the
+// wire; the terminal opening reveals logits (or argmax labels) to both
+// sides.  Setup frames ride outside the metered window, so TrafficStats
+// cover exactly what the in-process meter covers.
 
 #include "ir/executor.hpp"
 #include "net/dealer.hpp"
@@ -64,16 +65,11 @@ struct RemoteSessionOptions {
   TripleSourceKind source = TripleSourceKind::fused;
   offline::TripleStore* store = nullptr;  ///< TripleSourceKind::store (borrowed)
   DealerClient* dealer = nullptr;         ///< TripleSourceKind::dealer (borrowed)
-  offline::ExhaustionPolicy policy = offline::ExhaustionPolicy::Throw;
   /// TripleSourceKind::ot_ext: the compiled preprocessing plan whose
   /// request sequence the per-lane OT-extension offline phase replays
   /// (borrowed; both processes must hold the same plan — verify_plan
   /// checks the fingerprint).
   const offline::PreprocessingPlan* plan = nullptr;
-  /// Test-only escape hatch: lets cfg.ot_mode == correlated (an ideal-
-  /// functionality simulation) run across two real processes.  Without it
-  /// the per-query remote context refuses with crypto::IdealOtError.
-  bool allow_ideal_ot = false;
   /// TripleSourceKind::ot_ext out-params (optional, borrowed).  The offline
   /// generation runs in its OWN metered window — stats reset before and
   /// after — so the online window's three-witness is untouched; these
@@ -95,16 +91,6 @@ class PartySession {
   /// before the first query.
   void verify_plan(const offline::PreprocessingPlan& plan);
 
-  /// Runs query `q`.  Party 0 passes the plaintext input; party 1 passes
-  /// nullptr and receives its input-share half over the session.  Returns
-  /// the jointly opened result (logits, or labels for argmax programs);
-  /// `stats_out`, when set, receives the query's metered traffic.
-  [[nodiscard]] ir::ExecResult run_query(const ir::SecureProgram& program,
-                                         const ir::CompiledParams& params, std::size_t q,
-                                         const nn::Tensor* input,
-                                         const RemoteSessionOptions& opts,
-                                         crypto::TrafficStats* stats_out = nullptr);
-
   /// Runs `lanes` queries batched inside ONE remote context (the
   /// two-process face of ir::execute_batch): every round group is shared
   /// across the lanes, so the chunk pays the comparison rounds of one
@@ -113,7 +99,8 @@ class PartySession {
   /// j's canonical seeds from stream position q + j (store claims decide
   /// positions under TripleSourceKind::store), so batched remote logits
   /// are bit-identical to the same queries run one at a time — local or
-  /// remote.
+  /// remote.  Party 1 raises HandshakeError (and hangs up) when party 0's
+  /// positions differ from its own; party 0 then fails with a NetError.
   /// `trace_out`, when set and a tracer is attached, receives the chunk's
   /// trace-counter totals — recorded over exactly the metered window, so
   /// its rounds/bytes must equal `stats_out`'s.
@@ -132,7 +119,8 @@ class PartySession {
   /// channel only inside the metered window, so trace rounds/bytes mirror
   /// the chunk's TrafficStats exactly (setup frames stay outside both) —
   /// then merges spans, samples and counters into the attached tracer.
-  /// Dealer claims are timed as obs::Sample::dealer_claim_us.
+  /// Store and dealer claims count once per lane; dealer claims are timed
+  /// as obs::Sample::dealer_claim_us.
   void set_tracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }
   [[nodiscard]] obs::Tracer* tracer() const noexcept { return tracer_; }
 

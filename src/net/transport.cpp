@@ -9,7 +9,7 @@ namespace pasnet::net {
 
 namespace {
 
-/// 24-byte v2 hello payload: magic, version, party, kind, 128-bit trace id.
+/// 24-byte hello payload (the v2 layout): magic, version, party, kind, 128-bit trace id.
 /// The accepting side presents the zero id (it adopts the connector's).
 std::vector<std::uint8_t> hello_payload(int party, SessionKind kind, obs::TraceId trace_id) {
   std::vector<std::uint8_t> h(kHelloBytes, 0);

@@ -22,7 +22,7 @@
 // exchange frames through full socket buffers make progress instead of
 // deadlocking until the watchdog.
 //
-// Handshake frame payload (protocol v2):
+// Handshake frame payload (protocol v2 and later):
 //   u32 magic 'PASN' | u16 version | u8 party_id | u8 kind |
 //   u64 trace_id_hi | u64 trace_id_lo                      (24 bytes)
 // `kind` separates party-to-party channels from dealer sessions so a
@@ -57,7 +57,9 @@ enum class SessionKind : std::uint8_t { party_channel = 0, dealer = 1 };
 
 inline constexpr std::uint32_t kMagic = 0x5041534EU;  // 'PASN'
 /// v2: 24-byte hello carrying the run trace id + handshake clock sync.
-inline constexpr std::uint16_t kProtocolVersion = 2;
+/// v3: same hello; the dealer INFO frame has no policy byte and every
+/// party-channel chunk opens with a lane-position setup frame.
+inline constexpr std::uint16_t kProtocolVersion = 3;
 inline constexpr std::size_t kHelloBytes = 24;
 /// Clock-sync ping rounds run by the connector after the hello; the
 /// minimum-RTT sample wins.

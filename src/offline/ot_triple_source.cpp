@@ -686,27 +686,4 @@ void generate_bundles_ot_ext(const PreprocessingPlan& plan, crypto::TwoPartyCont
   run_direction(ctx, io);
 }
 
-OtExtTripleSource::OtExtTripleSource(const PreprocessingPlan& plan,
-                                     crypto::TwoPartyContext& ctx, std::uint64_t dealer_seed)
-    : serve_(&bundle_, ctx.dealer(), ExhaustionPolicy::Throw) {
-  generate_bundles_ot_ext(plan, ctx, {dealer_seed}, &bundle_);
-}
-
-crypto::ElemTriple OtExtTripleSource::do_elem_triple(std::size_t n) {
-  return serve_.elem_triple(n);
-}
-crypto::SquarePair OtExtTripleSource::do_square_pair(std::size_t n) {
-  return serve_.square_pair(n);
-}
-crypto::MatmulTriple OtExtTripleSource::do_matmul_triple(std::size_t m, std::size_t k,
-                                                         std::size_t n) {
-  return serve_.matmul_triple(m, k, n);
-}
-crypto::BitTriple OtExtTripleSource::do_bit_triple(std::size_t n) {
-  return serve_.bit_triple(n);
-}
-crypto::BilinearTriple OtExtTripleSource::do_bilinear_triple(const crypto::BilinearSpec& spec) {
-  return serve_.bilinear_triple(spec);
-}
-
 }  // namespace pasnet::offline

@@ -83,24 +83,4 @@ void generate_bundles_ot_ext(const PreprocessingPlan& plan, crypto::TwoPartyCont
                              const std::vector<std::uint64_t>& dealer_seeds,
                              QueryBundle* bundles);
 
-/// Online-capable TripleSource: generates one query's bundle through the
-/// OT-extension protocol at construction, then serves requests from it in
-/// plan order (strict accounting — a draw past the plan throws).
-class OtExtTripleSource final : public crypto::TripleSource {
- public:
-  OtExtTripleSource(const PreprocessingPlan& plan, crypto::TwoPartyContext& ctx,
-                    std::uint64_t dealer_seed);
-
- protected:
-  crypto::ElemTriple do_elem_triple(std::size_t n) override;
-  crypto::SquarePair do_square_pair(std::size_t n) override;
-  crypto::MatmulTriple do_matmul_triple(std::size_t m, std::size_t k, std::size_t n) override;
-  crypto::BitTriple do_bit_triple(std::size_t n) override;
-  crypto::BilinearTriple do_bilinear_triple(const crypto::BilinearSpec& spec) override;
-
- private:
-  QueryBundle bundle_;
-  StoreTripleSource serve_;
-};
-
 }  // namespace pasnet::offline

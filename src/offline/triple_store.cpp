@@ -127,13 +127,17 @@ const char* provenance_name(TripleProvenance p) noexcept {
 
 std::size_t TripleStore::remaining_queries() const {
   std::lock_guard<std::mutex> lk(mu_);
-  return next_ >= bundles_.size() ? 0 : bundles_.size() - next_;
+  return bundles_.size() - next_;
 }
 
 std::pair<std::size_t, QueryBundle*> TripleStore::claim_next() {
   std::lock_guard<std::mutex> lk(mu_);
+  if (next_ == bundles_.size()) {
+    throw TripleStoreExhausted("TripleStore exhausted: all " + std::to_string(next_) +
+                               " pregenerated queries are claimed");
+  }
   const std::size_t idx = next_++;
-  return {idx, idx < bundles_.size() ? &bundles_[idx] : nullptr};
+  return {idx, &bundles_[idx]};
 }
 
 std::uint64_t TripleStore::material_bytes() const noexcept {
@@ -250,11 +254,10 @@ QueryBundle read_bundle(std::istream& is) {
 }
 
 QueryBundle slice_bundle_for_party(const QueryBundle& bundle, int party) {
-  if (party != 0 && party != 1 && party != 2) {
-    throw std::invalid_argument("slice_bundle_for_party: party must be 0, 1, or 2 (both)");
+  if (party != 0 && party != 1) {
+    throw std::invalid_argument("slice_bundle_for_party: party must be 0 or 1");
   }
   QueryBundle out = bundle;
-  if (party == 2) return out;
   const auto wipe = [party](crypto::Shared& s) {
     crypto::RingVec& peer = party == 0 ? s.s1 : s.s0;
     std::fill(peer.begin(), peer.end(), 0);
@@ -356,16 +359,12 @@ TripleStore TripleStore::load(const std::string& path) {
 
 void StoreTripleSource::throw_exhausted(const char* pool) const {
   throw TripleStoreExhausted(std::string("TripleStore exhausted (") + pool +
-                             " pool): pregenerate more queries or serve with "
-                             "ExhaustionPolicy::Refill");
+                             " pool): pregenerate more queries");
 }
 
 crypto::ElemTriple StoreTripleSource::do_elem_triple(std::size_t n) {
-  if (bundle_ == nullptr || elem_next_ >= bundle_->elem.size()) {
-    if (policy_ == ExhaustionPolicy::Throw) throw_exhausted("elem");
-    return fallback_.elem_triple(n);
-  }
-  crypto::ElemTriple t = std::move(bundle_->elem[elem_next_++]);
+  if (elem_next_ >= bundle_.elem.size()) throw_exhausted("elem");
+  crypto::ElemTriple t = std::move(bundle_.elem[elem_next_++]);
   if (t.a.size() != n) {
     throw std::logic_error("TripleStore: elem triple size mismatch (store/plan drift)");
   }
@@ -373,11 +372,8 @@ crypto::ElemTriple StoreTripleSource::do_elem_triple(std::size_t n) {
 }
 
 crypto::SquarePair StoreTripleSource::do_square_pair(std::size_t n) {
-  if (bundle_ == nullptr || square_next_ >= bundle_->square.size()) {
-    if (policy_ == ExhaustionPolicy::Throw) throw_exhausted("square");
-    return fallback_.square_pair(n);
-  }
-  crypto::SquarePair p = std::move(bundle_->square[square_next_++]);
+  if (square_next_ >= bundle_.square.size()) throw_exhausted("square");
+  crypto::SquarePair p = std::move(bundle_.square[square_next_++]);
   if (p.a.size() != n) {
     throw std::logic_error("TripleStore: square pair size mismatch (store/plan drift)");
   }
@@ -386,11 +382,8 @@ crypto::SquarePair StoreTripleSource::do_square_pair(std::size_t n) {
 
 crypto::MatmulTriple StoreTripleSource::do_matmul_triple(std::size_t m, std::size_t k,
                                                          std::size_t n) {
-  if (bundle_ == nullptr || matmul_next_ >= bundle_->matmul.size()) {
-    if (policy_ == ExhaustionPolicy::Throw) throw_exhausted("matmul");
-    return fallback_.matmul_triple(m, k, n);
-  }
-  crypto::MatmulTriple t = std::move(bundle_->matmul[matmul_next_++]);
+  if (matmul_next_ >= bundle_.matmul.size()) throw_exhausted("matmul");
+  crypto::MatmulTriple t = std::move(bundle_.matmul[matmul_next_++]);
   if (t.m != m || t.k != k || t.n != n) {
     throw std::logic_error("TripleStore: matmul triple shape mismatch (store/plan drift)");
   }
@@ -398,11 +391,8 @@ crypto::MatmulTriple StoreTripleSource::do_matmul_triple(std::size_t m, std::siz
 }
 
 crypto::BitTriple StoreTripleSource::do_bit_triple(std::size_t n) {
-  if (bundle_ == nullptr || bit_next_ >= bundle_->bit.size()) {
-    if (policy_ == ExhaustionPolicy::Throw) throw_exhausted("bit");
-    return fallback_.bit_triple(n);
-  }
-  crypto::BitTriple t = std::move(bundle_->bit[bit_next_++]);
+  if (bit_next_ >= bundle_.bit.size()) throw_exhausted("bit");
+  crypto::BitTriple t = std::move(bundle_.bit[bit_next_++]);
   if (t.a0.size() != n) {
     throw std::logic_error("TripleStore: bit triple size mismatch (store/plan drift)");
   }
@@ -410,11 +400,8 @@ crypto::BitTriple StoreTripleSource::do_bit_triple(std::size_t n) {
 }
 
 crypto::BilinearTriple StoreTripleSource::do_bilinear_triple(const crypto::BilinearSpec& spec) {
-  if (bundle_ == nullptr || bilinear_next_ >= bundle_->bilinear.size()) {
-    if (policy_ == ExhaustionPolicy::Throw) throw_exhausted("bilinear");
-    return fallback_.bilinear_triple(spec);
-  }
-  crypto::BilinearTriple t = std::move(bundle_->bilinear[bilinear_next_++]);
+  if (bilinear_next_ >= bundle_.bilinear.size()) throw_exhausted("bilinear");
+  crypto::BilinearTriple t = std::move(bundle_.bilinear[bilinear_next_++]);
   if (t.a.size() != spec.na() || t.b.size() != spec.nb() || t.z.size() != spec.nz()) {
     throw std::logic_error("TripleStore: bilinear triple shape mismatch (store/plan drift)");
   }

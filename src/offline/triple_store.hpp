@@ -9,14 +9,9 @@
 // every query still gets *its* deterministic slice — the property that
 // keeps store-backed logits bit-identical to the dealer path.
 //
-// Exhaustion policies:
-//  - Throw: strict offline accounting.  Running past the pregenerated
-//    queries raises TripleStoreExhausted (the serving process should have
-//    provisioned enough material).
-//  - Refill: graceful degradation.  A query beyond the store falls back to
-//    the query context's own dealer — which is seeded with the same
-//    canonical per-query seed the generator would have used, so even the
-//    fallback reproduces the dealer path bit for bit.
+// Accounting is strict: running past the pregenerated queries raises
+// TripleStoreExhausted (the serving process should have provisioned
+// enough material).
 //
 // Binary (de)serialization lets a producer process generate material once
 // (`OfflineGenerator` + save) and a serving process load it at startup.
@@ -33,10 +28,7 @@
 
 namespace pasnet::offline {
 
-/// What a store-backed source does when the pregenerated material runs out.
-enum class ExhaustionPolicy : std::uint8_t { Throw, Refill };
-
-/// Raised under ExhaustionPolicy::Throw when a query has no bundle left.
+/// Raised when a query has no bundle left.
 class TripleStoreExhausted : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -59,11 +51,11 @@ struct QueryBundle {
 void write_bundle(std::ostream& os, const QueryBundle& bundle);
 [[nodiscard]] QueryBundle read_bundle(std::istream& is);
 
-/// A copy of `bundle` holding only `party`'s share halves (the peer's are
-/// zeroed), or the full bundle for party 2 ("both", the in-process modes).
-/// Online recombination only ever touches a party's own halves, so a
-/// party-sliced bundle serves a remote process bit-identically while the
-/// dealer never ships one party's randomness to the other.
+/// A copy of `bundle` holding only `party`'s (0 or 1) share halves (the
+/// peer's are zeroed).  Online recombination only ever touches a party's
+/// own halves, so a party-sliced bundle serves a remote process
+/// bit-identically while the dealer never ships one party's randomness to
+/// the other.
 [[nodiscard]] QueryBundle slice_bundle_for_party(const QueryBundle& bundle, int party);
 
 /// Which machinery realized the triple functionality that filled a store:
@@ -104,9 +96,8 @@ class TripleStore {
   [[nodiscard]] QueryBundle& bundle(std::size_t q) { return bundles_[q]; }
   [[nodiscard]] const QueryBundle& bundle(std::size_t q) const { return bundles_[q]; }
 
-  /// Atomically claims the next unconsumed bundle.  Returns {index, bundle};
-  /// past the end the bundle is nullptr but the index keeps advancing, so a
-  /// Refill fallback still knows its canonical query index (and hence seed).
+  /// Atomically claims the next unconsumed bundle and returns {index,
+  /// bundle}; raises TripleStoreExhausted once every bundle is claimed.
   /// Thread-safe; each bundle is handed out exactly once and is then owned
   /// by the claiming worker.
   [[nodiscard]] std::pair<std::size_t, QueryBundle*> claim_next();
@@ -144,16 +135,11 @@ class TripleStore {
 
 /// TripleSource serving one query from its claimed bundle.  Pops are
 /// validated against the requested shapes (a mismatch means the store was
-/// generated for a different plan and is a logic error); once a pool runs
-/// dry — or when the bundle is null because the store was exhausted — the
-/// policy decides between TripleStoreExhausted and dealer fallback.
+/// generated for a different plan and is a logic error); a draw from a dry
+/// pool raises TripleStoreExhausted.
 class StoreTripleSource final : public crypto::TripleSource {
  public:
-  /// `fallback` must be the query context's own dealer (canonically seeded)
-  /// for Refill to reproduce the dealer path exactly.
-  StoreTripleSource(QueryBundle* bundle, crypto::TripleDealer& fallback,
-                    ExhaustionPolicy policy)
-      : bundle_(bundle), fallback_(fallback, fallback.ring()), policy_(policy) {}
+  explicit StoreTripleSource(QueryBundle& bundle) : bundle_(bundle) {}
 
  protected:
   crypto::ElemTriple do_elem_triple(std::size_t n) override;
@@ -165,9 +151,7 @@ class StoreTripleSource final : public crypto::TripleSource {
  private:
   [[noreturn]] void throw_exhausted(const char* pool) const;
 
-  QueryBundle* bundle_;
-  crypto::DealerTripleSource fallback_;
-  ExhaustionPolicy policy_;
+  QueryBundle& bundle_;
   std::size_t elem_next_ = 0, square_next_ = 0, matmul_next_ = 0, bit_next_ = 0,
               bilinear_next_ = 0;
 };

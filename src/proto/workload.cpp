@@ -33,14 +33,67 @@ offline::TripleStore Workload::preprocess(std::size_t queries, int threads,
       report);
 }
 
-void Workload::use_store(offline::TripleStore* store, offline::ExhaustionPolicy policy) {
+void Workload::use_store(offline::TripleStore* store) {
   if (store != nullptr && store->plan_fingerprint() != plan_.fingerprint()) {
     throw std::invalid_argument(
         "Workload::use_store: store fingerprint does not match this workload's plan "
         "(different model, or a logits store offered to a classify workload / vice versa)");
   }
   store_ = store;
-  policy_ = policy;
+}
+
+ChunkRun run_chunk(crypto::TwoPartyContext& ctx, const ir::SecureProgram& program,
+                   const ir::CompiledParams& params, const std::vector<ChunkLane>& lanes,
+                   const std::vector<nn::Tensor>& inputs, ir::BatchExecOptions opts,
+                   obs::Tracer* tracer) {
+  const crypto::RingConfig& rc = ctx.ring();
+  // Every lane draws correlated randomness from its OWN stream — its
+  // bundle, or its position's canonical dealer — and share randomness from
+  // a PRNG pair seeded exactly like the fresh per-query context an
+  // independent run of that position constructs.  That is what pins each
+  // lane's share splits (and truncation noise) to that run's.
+  std::vector<std::unique_ptr<crypto::TripleDealer>> dealers;
+  std::vector<std::unique_ptr<crypto::TripleSource>> sources;
+  std::vector<crypto::Prng> prngs;
+  prngs.reserve(2 * lanes.size());
+  for (const ChunkLane& lane : lanes) {
+    if (lane.bundle != nullptr) {
+      sources.push_back(std::make_unique<offline::StoreTripleSource>(*lane.bundle));
+    } else {
+      dealers.push_back(std::make_unique<crypto::TripleDealer>(
+          rc, SecureNetwork::query_dealer_seed(lane.position)));
+      sources.push_back(std::make_unique<crypto::DealerTripleSource>(*dealers.back(), rc));
+    }
+    opts.lane_sources.push_back(sources.back().get());
+    const std::uint64_t cseed = SecureNetwork::query_context_seed(lane.position);
+    crypto::Prng& share0 = prngs.emplace_back(crypto::splitmix64(cseed ^ 1));
+    crypto::Prng& share1 = prngs.emplace_back(crypto::splitmix64(cseed ^ 2));
+    opts.lane_prngs.emplace_back(&share0, &share1);  // stable: reserved above
+  }
+
+  // The metered window: the tracer mirrors exactly what the meter counts,
+  // and is detached again even on a throw (a remote context borrows a
+  // session-long channel).
+  struct Detach {
+    crypto::TwoPartyContext& ctx;
+    ~Detach() { ctx.set_tracer(nullptr); }
+  };
+  ctx.reset_stats();
+  ctx.set_tracer(tracer);
+  const Detach detach{ctx};
+  ChunkRun run;
+  run.results = ir::execute_batch(program, params, ctx, inputs, opts);
+  run.traffic = ctx.stats();
+  for (const auto& src : sources) {
+    const crypto::TripleCounters& tc = src->counters();
+    run.triples.elem_triples += tc.elem_triples;
+    run.triples.square_pairs += tc.square_pairs;
+    run.triples.matmul_triple_elems += tc.matmul_triple_elems;
+    run.triples.bilinear_triple_elems += tc.bilinear_triple_elems;
+    run.triples.bit_triples += tc.bit_triples;
+  }
+  if (tracer != nullptr) run.trace = tracer->snapshot();
+  return run;
 }
 
 WorkloadResult Workload::run(const std::vector<nn::Tensor>& inputs) {
@@ -58,16 +111,15 @@ WorkloadResult Workload::run(const std::vector<nn::Tensor>& inputs) {
   // ordered, so the q-th query of this call maps to the store's next
   // unclaimed index — on a fresh store that is exactly the canonical
   // stream position the dealer path would use.
-  const bool tracing = tracer_ != nullptr && tracer_->enabled();
-  std::vector<std::pair<std::size_t, offline::QueryBundle*>> claims;
-  if (store_ != nullptr) {
-    claims.reserve(n);
-    for (std::size_t q = 0; q < n; ++q) claims.push_back(store_->claim_next());
-    if (tracing) tracer_->add(obs::Counter::store_claims, n);
+  std::vector<ChunkLane> lanes(n);
+  for (std::size_t q = 0; q < n; ++q) {
+    if (store_ != nullptr) {
+      const auto [idx, bundle] = store_->claim_next();
+      lanes[q] = ChunkLane{idx, bundle};
+    } else {
+      lanes[q].position = base + q;
+    }
   }
-  const auto stream_position = [&](std::size_t q) {
-    return store_ != nullptr ? claims[q].first : base + q;
-  };
 
   if (opts_.kind == WorkloadKind::logits) {
     out.logits.resize(n);
@@ -76,92 +128,54 @@ WorkloadResult Workload::run(const std::vector<nn::Tensor>& inputs) {
   }
   chunk_stats_.resize(num_chunks);
 
-  const auto run_chunk = [&](std::size_t c) {
+  const bool tracing = tracer_ != nullptr && tracer_->enabled();
+  const auto run_one = [&](std::size_t c) {
     const std::size_t lo = c * lanes_per_chunk;
     const std::size_t hi = std::min(n, lo + lanes_per_chunk);
-    const std::size_t lanes = hi - lo;
+    const std::vector<ChunkLane> chunk(lanes.begin() + static_cast<long>(lo),
+                                       lanes.begin() + static_cast<long>(hi));
     // One fresh context per chunk, seeded with lane 0's canonical context
-    // seed; every lane draws correlated randomness from its OWN stream
-    // (its query's canonical dealer seed), which is what pins each lane's
-    // output to the independent single-query run of the same position.
+    // seed.
     crypto::TwoPartyContext cctx(net_.ring(),
-                                 SecureNetwork::query_context_seed(stream_position(lo)),
+                                 SecureNetwork::query_context_seed(chunk[0].position),
                                  net_.exec_mode(), net_.round_delay());
     // Per-chunk tracer: the chunk's counters become its ChunkStats::trace
     // witness, then merge into the workload tracer (concurrent chunk
     // workers each own their tracer, so there is no cross-chunk tearing).
     obs::Tracer chunk_tracer(tracing);
-    if (tracing) cctx.set_tracer(&chunk_tracer);
     const std::uint64_t chunk_begin = tracing ? obs::Tracer::now_us() : 0;
-    std::vector<std::unique_ptr<crypto::TripleDealer>> lane_dealers;
-    std::vector<std::unique_ptr<crypto::TripleSource>> owned_sources;
-    std::vector<crypto::TripleSource*> lane_sources(lanes);
-    std::vector<std::unique_ptr<crypto::Prng>> owned_prngs;
-    std::vector<std::pair<crypto::Prng*, crypto::Prng*>> lane_prngs(lanes);
-    lane_dealers.reserve(lanes);
-    owned_sources.reserve(lanes);
-    owned_prngs.reserve(2 * lanes);
-    for (std::size_t j = 0; j < lanes; ++j) {
-      const std::size_t idx = stream_position(lo + j);
-      lane_dealers.push_back(std::make_unique<crypto::TripleDealer>(
-          net_.ring(), SecureNetwork::query_dealer_seed(idx)));
-      if (store_ != nullptr) {
-        owned_sources.push_back(std::make_unique<offline::StoreTripleSource>(
-            claims[lo + j].second, *lane_dealers.back(), policy_));
-      } else {
-        owned_sources.push_back(
-            std::make_unique<crypto::DealerTripleSource>(*lane_dealers.back(), net_.ring()));
-      }
-      lane_sources[j] = owned_sources.back().get();
-      // Per-lane share-randomness streams, seeded exactly like the fresh
-      // per-query context an independent run of position idx constructs —
-      // this is what pins each lane's share splits (and truncation noise)
-      // to that run's.
-      const std::uint64_t cseed = SecureNetwork::query_context_seed(idx);
-      owned_prngs.push_back(std::make_unique<crypto::Prng>(crypto::splitmix64(cseed ^ 1)));
-      lane_prngs[j].first = owned_prngs.back().get();
-      owned_prngs.push_back(std::make_unique<crypto::Prng>(crypto::splitmix64(cseed ^ 2)));
-      lane_prngs[j].second = owned_prngs.back().get();
-    }
-
-    cctx.reset_stats();
+    if (store_ != nullptr) chunk_tracer.add(obs::Counter::store_claims, chunk.size());
     ir::BatchExecOptions bopts;
     bopts.cfg = net_.config();
-    bopts.lane_sources = lane_sources;
-    bopts.lane_prngs = lane_prngs;
-    const std::vector<nn::Tensor> chunk_inputs(inputs.begin() + static_cast<long>(lo),
-                                               inputs.begin() + static_cast<long>(hi));
-    ir::BatchExecResult br =
-        ir::execute_batch(program(), net_.params(), cctx, chunk_inputs, bopts);
-    for (std::size_t j = 0; j < lanes; ++j) {
+    ChunkRun run = run_chunk(cctx, program(), net_.params(), chunk,
+                             {inputs.begin() + static_cast<long>(lo),
+                              inputs.begin() + static_cast<long>(hi)},
+                             bopts, tracing ? &chunk_tracer : nullptr);
+    for (std::size_t j = 0; j < chunk.size(); ++j) {
       if (opts_.kind == WorkloadKind::logits) {
-        out.logits[lo + j] = std::move(br.logits[j]);
+        out.logits[lo + j] = std::move(run.results.logits[j]);
       } else {
-        out.labels[lo + j] = std::move(br.labels[j]);
+        out.labels[lo + j] = std::move(run.results.labels[j]);
       }
     }
 
     ChunkStats& cs = chunk_stats_[c];
-    cs.first_query = stream_position(lo);
-    cs.queries = lanes;
-    const auto& chan = cctx.stats();
-    cs.totals.comm_bytes = chan.total_bytes();
+    cs.first_query = chunk[0].position;
+    cs.queries = chunk.size();
+    cs.totals.comm_bytes = run.traffic.total_bytes();
     cs.totals.weight_open_bytes = net_.weight_open_bytes();
-    cs.totals.messages = chan.messages;
-    cs.totals.rounds = chan.rounds;
-    for (const crypto::TripleSource* src : lane_sources) {
-      const crypto::TripleCounters& tc = src->counters();
-      cs.totals.elem_triples += tc.elem_triples;
-      cs.totals.square_pairs += tc.square_pairs;
-      cs.totals.matmul_triple_elems += tc.matmul_triple_elems;
-      cs.totals.bilinear_triple_elems += tc.bilinear_triple_elems;
-      cs.totals.bit_triples += tc.bit_triples;
-    }
+    cs.totals.messages = run.traffic.messages;
+    cs.totals.rounds = run.traffic.rounds;
+    cs.totals.elem_triples = run.triples.elem_triples;
+    cs.totals.square_pairs = run.triples.square_pairs;
+    cs.totals.matmul_triple_elems = run.triples.matmul_triple_elems;
+    cs.totals.bilinear_triple_elems = run.triples.bilinear_triple_elems;
+    cs.totals.bit_triples = run.triples.bit_triples;
+    cs.trace = run.trace;
     if (tracing) {
       chunk_tracer.complete_span("proto", "chunk", chunk_begin,
-                                 static_cast<std::int64_t>(lanes));
+                                 static_cast<std::int64_t>(chunk.size()));
       chunk_tracer.sample(obs::Sample::chunk_us, obs::Tracer::now_us() - chunk_begin);
-      cs.trace = chunk_tracer.snapshot();
       tracer_->merge_from(chunk_tracer);
     }
   };
@@ -176,7 +190,7 @@ WorkloadResult Workload::run(const std::vector<nn::Tensor>& inputs) {
       const std::size_t c = next.fetch_add(1);
       if (c >= num_chunks) break;
       try {
-        run_chunk(c);
+        run_one(c);
       } catch (...) {
         std::lock_guard<std::mutex> lk(err_mutex);
         if (!first_error) first_error = std::current_exception();

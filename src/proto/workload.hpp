@@ -15,10 +15,16 @@
 // independent single-query run of the same stream position — batched,
 // worker-sharded, store-backed and dealer-backed serving all produce the
 // same bits.
+//
+// run_chunk() is the one chunk runner: Workload::run drives it in process
+// and net::PartySession::run_batch drives it for one party of a
+// two-process session, so both execute the same lane setup, meter window
+// and trace window.
 
 #include <cstddef>
 #include <vector>
 
+#include "ir/executor.hpp"
 #include "obs/tracer.hpp"
 #include "offline/offline_generator.hpp"
 #include "offline/preprocessing_plan.hpp"
@@ -51,6 +57,38 @@ struct WorkloadResult {
   std::vector<std::vector<int>> labels;  ///< one per query (classify workloads)
 };
 
+/// One lane of a chunk, as the caller decided it.
+struct ChunkLane {
+  /// Canonical stream position: seeds the lane's dealer stream and its
+  /// share-randomness PRNG pair, which pins the lane's output to an
+  /// independent single-query run of the same position.
+  std::size_t position = 0;
+  /// Pregenerated material serving the lane (a store, dealer-daemon or
+  /// ot-ext bundle), or nullptr to draw from the position's dealer stream.
+  offline::QueryBundle* bundle = nullptr;
+};
+
+/// What one chunk produced.
+struct ChunkRun {
+  ir::BatchExecResult results;
+  crypto::TrafficStats traffic;    ///< the chunk's metered window
+  crypto::TripleCounters triples;  ///< summed over the lanes' sources
+  obs::CounterSnapshot trace;      ///< the chunk tracer's totals (zero when untraced)
+};
+
+/// Runs one chunk on a context the caller built (in process, or one party
+/// of a remote pair) and seeded with lane 0's canonical context seed.
+/// Builds each lane's triple source and PRNG pair, resets the meter,
+/// attaches `tracer` (nullable; the caller's per-chunk tracer) for exactly
+/// the metered window and runs ir::execute_batch.  `opts` carries the
+/// config and, on the remote path, the per-lane input shares (with
+/// `inputs` empty); its lane sources and PRNGs are filled in here.
+[[nodiscard]] ChunkRun run_chunk(crypto::TwoPartyContext& ctx, const ir::SecureProgram& program,
+                                 const ir::CompiledParams& params,
+                                 const std::vector<ChunkLane>& lanes,
+                                 const std::vector<nn::Tensor>& inputs, ir::BatchExecOptions opts,
+                                 obs::Tracer* tracer);
+
 /// Per-chunk statistics: communication/round totals are chunk-level (the
 /// chunk's lanes share every exchange — that is the point), triple
 /// counters are exact sums over the chunk's per-lane sources.
@@ -60,7 +98,8 @@ struct ChunkStats {
   InferenceStats totals;
   /// Trace-counter totals of this chunk (all zero unless a tracer was
   /// attached) — the chunk's independently recorded witness of `totals`:
-  /// trace rounds/bytes must equal the channel meter's exactly.
+  /// trace rounds/bytes must equal the channel meter's exactly.  Store
+  /// claims count here, one per lane.
   obs::CounterSnapshot trace;
 };
 
@@ -94,10 +133,11 @@ class Workload {
 
   /// Serves subsequent run() calls from pregenerated material (non-owning;
   /// the store must outlive serving).  The store fingerprint must match
-  /// plan() — there is exactly one fingerprint family per workload.  Pass
-  /// nullptr to detach and serve the dealer path again.
-  void use_store(offline::TripleStore* store,
-                 offline::ExhaustionPolicy policy = offline::ExhaustionPolicy::Throw);
+  /// plan() — there is exactly one fingerprint family per workload.  A
+  /// run() needing more queries than the store has left raises
+  /// offline::TripleStoreExhausted before any chunk runs.  Pass nullptr to
+  /// detach and serve the dealer path again.
+  void use_store(offline::TripleStore* store);
   [[nodiscard]] offline::TripleStore* store() const noexcept { return store_; }
 
   /// Runs the queries in K-lane batched chunks, sharded across
@@ -131,7 +171,6 @@ class Workload {
   const ir::SecureProgram* program_;  // owned by net_
   offline::PreprocessingPlan plan_;
   offline::TripleStore* store_ = nullptr;  // non-owning; see use_store
-  offline::ExhaustionPolicy policy_ = offline::ExhaustionPolicy::Throw;
   std::size_t next_query_ = 0;
   InferenceStats stats_;
   std::vector<ChunkStats> chunk_stats_;

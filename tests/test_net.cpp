@@ -464,7 +464,7 @@ struct DealerFixture {
 
 TEST(Dealer, RefusesFingerprintMismatch) {
   DealerFixture f;
-  net::DealerServer server(std::move(f.store), off::ExhaustionPolicy::Throw);
+  net::DealerServer server(std::move(f.store));
   net::Listener listener(0);
   std::thread serve([&] { server.serve(listener, 1, short_opts()); });
   EXPECT_THROW(net::DealerClient("127.0.0.1", listener.port(), 0, f.fingerprint ^ 1,
@@ -476,54 +476,38 @@ TEST(Dealer, RefusesFingerprintMismatch) {
 TEST(Dealer, ServesAtomicPartySlicedClaimsAndRefusesDoubleClaims) {
   DealerFixture f(2);
   const off::QueryBundle reference = off::slice_bundle_for_party(f.store.bundle(0), 0);
-  net::DealerServer server(std::move(f.store), off::ExhaustionPolicy::Throw);
+  net::DealerServer server(std::move(f.store));
   net::Listener listener(0);
   std::thread serve([&] { server.serve(listener, 2, short_opts()); });
   {
     net::DealerClient c0("127.0.0.1", listener.port(), 0, f.fingerprint, short_opts());
     EXPECT_EQ(c0.info().num_queries, 2u);
-    const auto bundle = c0.claim(0);
-    ASSERT_TRUE(bundle.has_value());
-    ASSERT_EQ(bundle->elem.size(), reference.elem.size());
-    ASSERT_FALSE(bundle->elem.empty());
-    EXPECT_EQ(bundle->elem[0].a.s0, reference.elem[0].a.s0);
-    for (const auto v : bundle->elem[0].a.s1) EXPECT_EQ(v, 0u);  // peer half withheld
-    EXPECT_THROW((void)c0.claim(0), net::DealerError);           // atomic per (party, index)
-    // Exhaustion under Throw is the store's typed error.
+    const off::QueryBundle bundle = c0.claim(0);
+    ASSERT_EQ(bundle.elem.size(), reference.elem.size());
+    ASSERT_FALSE(bundle.elem.empty());
+    EXPECT_EQ(bundle.elem[0].a.s0, reference.elem[0].a.s0);
+    for (const auto v : bundle.elem[0].a.s1) EXPECT_EQ(v, 0u);  // peer half withheld
+    EXPECT_THROW((void)c0.claim(0), net::DealerError);          // atomic per (party, index)
+    // Exhaustion is the store's typed error.
     EXPECT_THROW((void)c0.claim(7), off::TripleStoreExhausted);
   }
   {
     // The other party may still claim the same index — its own half.
     net::DealerClient c1("127.0.0.1", listener.port(), 1, f.fingerprint, short_opts());
-    const auto bundle = c1.claim(0);
-    ASSERT_TRUE(bundle.has_value());
-    for (const auto v : bundle->elem[0].a.s0) EXPECT_EQ(v, 0u);
+    const off::QueryBundle bundle = c1.claim(0);
+    for (const auto v : bundle.elem[0].a.s0) EXPECT_EQ(v, 0u);
   }
   serve.join();
 }
 
 TEST(Dealer, BothHalvesClaimsAreRefusedByDefault) {
   // A network client's party id is self-declared; a party-2 hello (both
-  // share halves) must be refused unless the server explicitly opts in.
+  // share halves) must be refused.
   DealerFixture f(1);
-  net::DealerServer server(std::move(f.store), off::ExhaustionPolicy::Throw);
+  net::DealerServer server(std::move(f.store));
   net::Listener listener(0);
   std::thread serve([&] { server.serve(listener, 1, short_opts()); });
   EXPECT_THROW(net::DealerClient("127.0.0.1", listener.port(), 2, f.fingerprint, short_opts()),
                net::DealerError);
-  serve.join();
-}
-
-TEST(Dealer, RefillPolicySignalsFallbackInsteadOfThrowing) {
-  DealerFixture f(1);
-  net::DealerServer server(std::move(f.store), off::ExhaustionPolicy::Refill);
-  net::Listener listener(0);
-  std::thread serve([&] { server.serve(listener, 1, short_opts()); });
-  {
-    net::DealerClient c0("127.0.0.1", listener.port(), 0, f.fingerprint, short_opts());
-    EXPECT_EQ(c0.info().policy, off::ExhaustionPolicy::Refill);
-    EXPECT_FALSE(c0.claim(5).has_value());  // refill: regenerate locally
-    EXPECT_TRUE(c0.claim(0).has_value());
-  }
   serve.join();
 }

@@ -112,7 +112,7 @@ TEST(TripleStore, StoreBackedBatchMatchesDealerPathAcrossWorkerCounts) {
   for (const int workers : {1, 4}) {
     proto::Workload wl(snet, {proto::WorkloadKind::logits, /*batch=*/1, workers});
     off::TripleStore store = wl.preprocess(f.queries.size(), /*threads=*/2);
-    wl.use_store(&store, off::ExhaustionPolicy::Throw);
+    wl.use_store(&store);
     const auto store_logits = wl.run(f.queries).logits;
     expect_bit_identical(dealer_logits, store_logits);
     // The online phase consumed exactly the same correlated randomness.
@@ -137,7 +137,7 @@ TEST(TripleStore, StoreBackedServingOnThreadedMasterContextMatchesDealerPath) {
   proto::SecureNetwork snet(f.md, *f.graph, f.node_of_layer, threaded_ctx);
   proto::Workload wl(snet, {proto::WorkloadKind::logits, /*batch=*/1, /*worker_pairs=*/4});
   off::TripleStore store = wl.preprocess(f.queries.size(), 2);
-  wl.use_store(&store, off::ExhaustionPolicy::Throw);
+  wl.use_store(&store);
   const auto store_logits = wl.run(f.queries).logits;
   expect_bit_identical(dealer_logits, store_logits);
 }
@@ -186,24 +186,8 @@ TEST(TripleStore, ThrowPolicyRaisesOnExhaustion) {
   proto::SecureNetwork snet(f.md, *f.graph, f.node_of_layer, ctx);
   proto::Workload wl(snet);
   off::TripleStore store = wl.preprocess(1);
-  wl.use_store(&store, off::ExhaustionPolicy::Throw);
+  wl.use_store(&store);
   EXPECT_THROW((void)wl.run(f.queries), off::TripleStoreExhausted);
-}
-
-TEST(TripleStore, RefillPolicyFallsBackToDealerBitIdentically) {
-  SecureFixture f;
-  pc::TwoPartyContext ctx;
-  proto::SecureNetwork snet(f.md, *f.graph, f.node_of_layer, ctx);
-  const auto dealer_logits = proto::Workload(snet).run(f.queries).logits;
-
-  // Only 1 of 3 queries pregenerated: the rest refill from each query
-  // context's canonically seeded dealer, so even the fallback reproduces
-  // the dealer path exactly.
-  proto::Workload wl(snet, {proto::WorkloadKind::logits, /*batch=*/1, /*worker_pairs=*/2});
-  off::TripleStore store = wl.preprocess(1);
-  wl.use_store(&store, off::ExhaustionPolicy::Refill);
-  const auto mixed_logits = wl.run(f.queries).logits;
-  expect_bit_identical(dealer_logits, mixed_logits);
 }
 
 TEST(TripleStore, SerializationRoundTripServesIdentically) {
@@ -222,7 +206,7 @@ TEST(TripleStore, SerializationRoundTripServesIdentically) {
   EXPECT_EQ(loaded.plan_fingerprint(), produced.plan_fingerprint());
   EXPECT_EQ(loaded.num_queries(), produced.num_queries());
 
-  wl.use_store(&loaded, off::ExhaustionPolicy::Throw);
+  wl.use_store(&loaded);
   const auto logits = wl.run(f.queries).logits;
   expect_bit_identical(dealer_logits, logits);
 }
@@ -310,7 +294,7 @@ TEST(OfflineGenerator, OtExtBackendProducesIdenticalMaterialTaggedWithItsProvena
   off::TripleStore loaded = off::TripleStore::load(b);
   EXPECT_EQ(loaded.provenance(), off::TripleProvenance::ot_ext);
   const auto dealer_logits = proto::Workload(snet).run(f.queries).logits;
-  wl.use_store(&loaded, off::ExhaustionPolicy::Throw);
+  wl.use_store(&loaded);
   expect_bit_identical(dealer_logits, wl.run(f.queries).logits);
 }
 

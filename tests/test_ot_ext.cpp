@@ -513,9 +513,7 @@ TEST(IdealOtRefusal, RemoteContextRefusesCorrelatedModeWithoutHatch) {
   opts.ot_mode = pc::OtMode::correlated;
   EXPECT_THROW(pc::TwoPartyContext(pc::RingConfig{}, 42, 0, *c0, opts), pc::IdealOtError);
   EXPECT_THROW(pc::TwoPartyContext(pc::RingConfig{}, 42, 1, *c1, opts), pc::IdealOtError);
-  // The test-only hatch lets it through, and dh_masked is always fine.
-  opts.allow_ideal_ot = true;
-  EXPECT_NO_THROW(pc::TwoPartyContext(pc::RingConfig{}, 42, 0, *c0, opts));
+  // dh_masked is always fine.
   pc::RemoteContextOptions dh;
   EXPECT_NO_THROW(pc::TwoPartyContext(pc::RingConfig{}, 42, 1, *c1, dh));
   // In-process contexts are simulations by definition: always allowed.
@@ -526,7 +524,9 @@ TEST(IdealOtRefusal, RemoteContextRefusesCorrelatedModeWithoutHatch) {
 TEST(OtExtTriples, OnlineSourceServesPlanOrderAndThrowsWhenDry) {
   const off::PreprocessingPlan plan = all_kinds_plan();
   pc::TwoPartyContext ctx;
-  off::OtExtTripleSource src(plan, ctx, 0xD00DULL);
+  off::QueryBundle bundle;
+  off::generate_bundles_ot_ext(plan, ctx, {0xD00DULL}, &bundle);
+  off::StoreTripleSource src(bundle);
   const off::QueryBundle want = dealer_bundle(plan, 0xD00DULL);
   const pc::ElemTriple e = src.elem_triple(5);
   EXPECT_EQ(e.z.s0, want.elem[0].z.s0);

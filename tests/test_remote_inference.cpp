@@ -15,10 +15,12 @@
 #include <future>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <thread>
 
 #include "net/party_session.hpp"
 #include "offline/ot_triple_source.hpp"
+#include "offline/triple_store.hpp"
 #include "proto/secure_network.hpp"
 #include "proto/workload.hpp"
 #include "support/test_models.hpp"
@@ -69,9 +71,10 @@ struct PartyOutcome {
   std::vector<pc::TrafficStats> stats;
 };
 
-/// Runs both parties over localhost TCP.  `make_opts(party)` builds each
-/// side's serving options (store/dealer handles must be per party, like
-/// two real processes each owning their own resources).
+/// Runs both parties over localhost TCP, one single-lane chunk per query.
+/// `make_opts(party)` builds each side's serving options (store/dealer
+/// handles must be per party, like two real processes each owning their
+/// own resources).
 std::pair<PartyOutcome, PartyOutcome> run_remote(
     const RemoteFixture& f, const ir::SecureProgram& program,
     const std::function<net::RemoteSessionOptions(int)>& make_opts) {
@@ -86,9 +89,13 @@ std::pair<PartyOutcome, PartyOutcome> run_remote(
     const net::RemoteSessionOptions ropts = make_opts(party);
     for (std::size_t q = 0; q < f.queries.size(); ++q) {
       pc::TrafficStats stats;
-      out.results.push_back(session.run_query(program, f.snet->params(), q,
-                                              party == 0 ? &f.queries[q] : nullptr, ropts,
-                                              &stats));
+      const std::vector<nn::Tensor> input{f.queries[q]};
+      ir::BatchExecResult res = session.run_batch(program, f.snet->params(), q,
+                                                  party == 0 ? &input : nullptr, 1, ropts, &stats);
+      ir::ExecResult one;
+      if (!res.logits.empty()) one.logits = std::move(res.logits[0]);
+      if (!res.labels.empty()) one.labels = std::move(res.labels[0]);
+      out.results.push_back(std::move(one));
       out.stats.push_back(stats);
     }
     return out;
@@ -161,13 +168,17 @@ void expect_remote_matches_reference(const RemoteFixture& f, const ir::SecurePro
   }
 }
 
+/// Real endpoints run the masked-DH OT (the ideal OT is refused across
+/// processes).  It reveals the same bits over the same transcript shape as
+/// the ideal OT the in-process references default to.
+proto::SecureConfig over_the_wire(proto::SecureConfig cfg) {
+  cfg.ot_mode = pc::OtMode::dh_masked;
+  return cfg;
+}
+
 net::RemoteSessionOptions fused_opts(proto::SecureConfig cfg) {
   net::RemoteSessionOptions o;
-  o.cfg = cfg;
-  // These loopback suites default to the ideal-functionality OT fast path
-  // (both "processes" live in this test binary); real deployments use
-  // dh_masked or must opt in explicitly.
-  o.allow_ideal_ot = true;
+  o.cfg = over_the_wire(cfg);
   return o;
 }
 
@@ -224,8 +235,7 @@ TEST(RemoteInference, StoreServedTwoProcessMatches) {
   }
   const auto outcome = run_remote(f, f.snet->program(), [&](int party) {
     net::RemoteSessionOptions o;
-    o.cfg = cfg;
-    o.allow_ideal_ot = true;
+    o.cfg = over_the_wire(cfg);
     o.source = net::TripleSourceKind::store;
     o.store = &copy[party];
     return o;
@@ -287,9 +297,9 @@ TEST(RemoteInference, OtExtServedTwoProcessMatchesWithNoIdealOtHatch) {
 
 TEST(RemoteInference, OtExtInProcessLockstepAndThreadedMatchDealerPath) {
   // The same OT-ext material serves the in-process execution modes too:
-  // per-query contexts with an OtExtTripleSource installed reproduce the
-  // fused dealer path's logits in lockstep AND threaded mode, for both the
-  // ReLU and the polynomial test models.
+  // per-query contexts serving their generated bundle through a
+  // StoreTripleSource reproduce the fused dealer path's logits in lockstep
+  // AND threaded mode, for both the ReLU and the polynomial test models.
   for (const bool poly : {false, true}) {
     RemoteFixture f(poly ? nn::OpKind::x2act : nn::OpKind::relu,
                     poly ? nn::OpKind::avgpool : nn::OpKind::maxpool, 2);
@@ -301,8 +311,10 @@ TEST(RemoteInference, OtExtInProcessLockstepAndThreadedMatchDealerPath) {
       for (const pc::ExecMode mode : {pc::ExecMode::lockstep, pc::ExecMode::threaded}) {
         pc::TwoPartyContext qctx(pc::RingConfig{}, proto::SecureNetwork::query_context_seed(q),
                                  mode);
-        off::OtExtTripleSource src(plan, qctx,
-                                   proto::SecureNetwork::query_dealer_seed(q));
+        off::QueryBundle bundle;
+        off::generate_bundles_ot_ext(plan, qctx, {proto::SecureNetwork::query_dealer_seed(q)},
+                                     &bundle);
+        off::StoreTripleSource src(bundle);
         qctx.set_triple_source(&src);
         ir::ExecOptions opts;
         opts.cfg = cfg;
@@ -315,11 +327,10 @@ TEST(RemoteInference, OtExtInProcessLockstepAndThreadedMatchDealerPath) {
   }
 }
 
-TEST(RemoteInference, DealerServedTwoProcessMatchesIncludingRefillFallback) {
-  RemoteFixture f;  // 2 queries; the dealer only pregenerated 1 -> query 1 refills
+TEST(RemoteInference, DealerServedTwoProcessMatches) {
+  RemoteFixture f;  // 2 queries, both pregenerated
   const proto::SecureConfig cfg;
-  net::DealerServer server(proto::Workload(*f.snet).preprocess(1),
-                           off::ExhaustionPolicy::Refill);
+  net::DealerServer server(proto::Workload(*f.snet).preprocess(2));
   net::Listener dealer_listener(0);
   const std::uint16_t dealer_port = dealer_listener.port();
   std::thread dealer_thread([&] { server.serve(dealer_listener, 2, test_opts()); });
@@ -333,17 +344,15 @@ TEST(RemoteInference, DealerServedTwoProcessMatchesIncludingRefillFallback) {
         net::DealerClient("127.0.0.1", dealer_port, 1, fp, test_opts())};
     const auto outcome = run_remote(f, f.snet->program(), [&](int party) {
       net::RemoteSessionOptions o;
-      o.cfg = cfg;
-      o.allow_ideal_ot = true;
+      o.cfg = over_the_wire(cfg);
       o.source = net::TripleSourceKind::dealer;
       o.dealer = &clients[party];
-      o.policy = off::ExhaustionPolicy::Refill;
       return o;
     });
     expect_remote_matches_reference(f, f.snet->program(), cfg, outcome);
   }
   dealer_thread.join();
-  EXPECT_EQ(server.bundles_served(), 2u);  // bundle 0 to each party; query 1 refilled
+  EXPECT_EQ(server.bundles_served(), 4u);  // 2 queries x both parties
 }
 
 TEST(RemoteInference, LabelOnlyClassifyProgramMatches) {
@@ -417,8 +426,7 @@ TEST(RemoteInference, BatchedRemoteStoreServedMatchesIndependentRuns) {
   }
   const auto [p0, p1] = run_remote_batch(f, f.snet->program(), [&](int party) {
     net::RemoteSessionOptions o;
-    o.cfg = cfg;
-    o.allow_ideal_ot = true;
+    o.cfg = over_the_wire(cfg);
     o.source = net::TripleSourceKind::store;
     o.store = &copy[party];
     return o;
@@ -434,8 +442,7 @@ TEST(RemoteInference, BatchedRemoteStoreServedMatchesIndependentRuns) {
 TEST(RemoteInference, BatchedRemoteDealerServedMatchesIndependentRuns) {
   RemoteFixture f(nn::OpKind::relu, nn::OpKind::maxpool, /*num_queries=*/2);
   const proto::SecureConfig cfg;
-  net::DealerServer server(proto::Workload(*f.snet).preprocess(2),
-                           off::ExhaustionPolicy::Throw);
+  net::DealerServer server(proto::Workload(*f.snet).preprocess(2));
   net::Listener dealer_listener(0);
   const std::uint16_t dealer_port = dealer_listener.port();
   std::thread dealer_thread([&] { server.serve(dealer_listener, 2, test_opts()); });
@@ -446,8 +453,7 @@ TEST(RemoteInference, BatchedRemoteDealerServedMatchesIndependentRuns) {
         net::DealerClient("127.0.0.1", dealer_port, 1, fp, test_opts())};
     const auto [p0, p1] = run_remote_batch(f, f.snet->program(), [&](int party) {
       net::RemoteSessionOptions o;
-      o.cfg = cfg;
-      o.allow_ideal_ot = true;
+      o.cfg = over_the_wire(cfg);
       o.source = net::TripleSourceKind::dealer;
       o.dealer = &clients[party];
       return o;
@@ -515,4 +521,40 @@ TEST(RemoteInference, SessionRefusesMismatchedPrograms) {
   net::PartySession session(0, *chan, pc::RingConfig{});
   EXPECT_THROW(session.verify_plan(logits_workload.plan()), net::HandshakeError);
   EXPECT_THROW(side1.get(), net::HandshakeError);
+}
+
+TEST(RemoteInference, ChunkPositionMismatchIsRefusedOnBothSides) {
+  // Party 0 at stream position 0 against party 1 at 1, then 1 lane against
+  // 2: party 1 refuses the chunk naming both sides' positions, party 0
+  // fails with a typed net error, and neither side returns results.
+  RemoteFixture f(nn::OpKind::relu, nn::OpKind::maxpool, 2);
+  const proto::SecureConfig cfg;
+  struct Case {
+    std::size_t q0, lanes0, q1, lanes1;
+    const char* names;
+  };
+  for (const Case c : {Case{0, 1, 1, 1, "party 0 at [0], party 1 at [1]"},
+                       Case{0, 1, 0, 2, "party 0 at [0], party 1 at [0,1]"}}) {
+    net::Listener listener(0);
+    const std::uint16_t port = listener.port();
+    auto side1 = std::async(std::launch::async, [&] {
+      auto chan = net::serve_party_channel(listener, 1, test_opts());
+      net::PartySession session(1, *chan, pc::RingConfig{});
+      return session.run_batch(f.snet->program(), f.snet->params(), c.q1, nullptr, c.lanes1,
+                               fused_opts(cfg));
+    });
+    auto chan = net::dial_party_channel("127.0.0.1", port, 0, test_opts());
+    net::PartySession session(0, *chan, pc::RingConfig{});
+    const std::vector<nn::Tensor> inputs(f.queries.begin(),
+                                         f.queries.begin() + static_cast<long>(c.lanes0));
+    EXPECT_THROW((void)session.run_batch(f.snet->program(), f.snet->params(), c.q0, &inputs,
+                                         c.lanes0, fused_opts(cfg)),
+                 net::NetError);
+    try {
+      (void)side1.get();
+      ADD_FAILURE() << "party 1 returned results for a mismatched chunk";
+    } catch (const net::HandshakeError& e) {
+      EXPECT_NE(std::string(e.what()).find(c.names), std::string::npos) << e.what();
+    }
+  }
 }

@@ -140,65 +140,86 @@ TEST(TraceWitness, PartyChannelSharesOneMintedTraceIdAcrossEndpoints) {
 
 TEST(TraceWitness, RemoteLoopbackBatchSatisfiesThreeWitnessOnBothEndpoints) {
   WitnessFixture f(2);
-
-  // In-process reference chunk of the same 2 queries, with its trace.
-  proto::WorkloadOptions wopts;
-  wopts.batch = 2;
-  proto::Workload wl(*f.snet, wopts);
-  obs::Tracer ref_tracer;
-  wl.set_tracer(&ref_tracer);
-  const auto ref_out = wl.run(f.queries);
-  ASSERT_EQ(wl.chunk_stats().size(), 1u);
-  const obs::CounterSnapshot ref_trace = wl.chunk_stats()[0].trace;
-
-  // Both parties over localhost TCP, one 2-lane chunk each, traced.
-  net::Listener listener(0);
-  const std::uint16_t port = listener.port();
-  struct Side {
-    ir::BatchExecResult res;
-    pc::TrafficStats stats;
-    obs::CounterSnapshot trace;
-  };
-  const auto run_side = [&](int party) {
-    Side side;
-    std::unique_ptr<net::TransportChannel> chan =
-        party == 1 ? net::serve_party_channel(listener, 1, test_opts())
-                   : net::dial_party_channel("127.0.0.1", port, 0, test_opts());
-    net::PartySession session(party, *chan, pc::RingConfig{});
-    obs::Tracer tracer;
-    session.set_tracer(&tracer);
-    net::RemoteSessionOptions ropts;
-    ropts.allow_ideal_ot = true;  // loopback test: both parties in-process
-    side.res = session.run_batch(f.snet->program(), f.snet->params(), 0,
-                                 party == 0 ? &f.queries : nullptr, f.queries.size(),
-                                 ropts, &side.stats, &side.trace);
-    return side;
-  };
-  auto side1 = std::async(std::launch::async, run_side, 1);
-  const Side p0 = run_side(0);
-  const Side p1 = side1.get();
-
-  const perf::ProgramCost cost = f.analytic(static_cast<int>(f.queries.size()));
-  for (const Side* side : {&p0, &p1}) {
-    const obs::WitnessReport report =
-        obs::three_witness(side->trace, side->stats, static_cast<std::uint64_t>(cost.total.rounds),
-                           cost.wire_bytes);
-    EXPECT_TRUE(report.ok()) << report.describe();
-    // Counter-total determinism across deployment modes: the remote
-    // endpoint's trace equals the in-process chunk's, wait times aside.
-    const obs::CounterSnapshot remote = normalized(side->trace);
-    const obs::CounterSnapshot local = normalized(ref_trace);
-    for (int i = 0; i < obs::kCounterCount; ++i) {
-      EXPECT_EQ(remote.values[i], local.values[i])
-          << obs::counter_name(static_cast<obs::Counter>(i));
+  const std::size_t lanes = f.queries.size();
+  for (const bool store_served : {false, true}) {
+    SCOPED_TRACE(store_served ? "store-served" : "fused");
+    // In-process reference chunk of the same 2 queries, with its trace.
+    proto::WorkloadOptions wopts;
+    wopts.batch = 2;
+    proto::Workload wl(*f.snet, wopts);
+    // Each party owns its copy of the store, like two real processes.
+    pasnet::offline::TripleStore stores[3];
+    if (store_served) {
+      for (auto& s : stores) s = wl.preprocess(lanes);
+      wl.use_store(&stores[2]);
     }
-  }
-  // Same bits as the in-process run, for good measure.
-  for (std::size_t q = 0; q < f.queries.size(); ++q) {
-    ASSERT_EQ(p0.res.logits[q].size(), ref_out.logits[q].size());
-    for (std::size_t i = 0; i < ref_out.logits[q].size(); ++i) {
-      ASSERT_EQ(p0.res.logits[q][i], ref_out.logits[q][i]) << "query " << q;
-      ASSERT_EQ(p1.res.logits[q][i], ref_out.logits[q][i]) << "query " << q;
+    obs::Tracer ref_tracer;
+    wl.set_tracer(&ref_tracer);
+    const auto ref_out = wl.run(f.queries);
+    ASSERT_EQ(wl.chunk_stats().size(), 1u);
+    const obs::CounterSnapshot ref_trace = wl.chunk_stats()[0].trace;
+
+    // Both parties over localhost TCP, one 2-lane chunk each, traced.
+    net::Listener listener(0);
+    const std::uint16_t port = listener.port();
+    struct Side {
+      ir::BatchExecResult res;
+      pc::TrafficStats stats;
+      obs::CounterSnapshot trace;
+      obs::CounterSnapshot session;  ///< the session tracer after the chunk
+    };
+    const auto run_side = [&](int party) {
+      Side side;
+      std::unique_ptr<net::TransportChannel> chan =
+          party == 1 ? net::serve_party_channel(listener, 1, test_opts())
+                     : net::dial_party_channel("127.0.0.1", port, 0, test_opts());
+      net::PartySession session(party, *chan, pc::RingConfig{});
+      obs::Tracer tracer;
+      session.set_tracer(&tracer);
+      net::RemoteSessionOptions ropts;
+      ropts.cfg.ot_mode = pc::OtMode::dh_masked;  // real endpoints: no ideal OT
+      if (store_served) {
+        ropts.source = net::TripleSourceKind::store;
+        ropts.store = &stores[party];
+      }
+      side.res = session.run_batch(f.snet->program(), f.snet->params(), 0,
+                                   party == 0 ? &f.queries : nullptr, lanes, ropts, &side.stats,
+                                   &side.trace);
+      side.session = tracer.snapshot();
+      return side;
+    };
+    auto side1 = std::async(std::launch::async, run_side, 1);
+    const Side p0 = run_side(0);
+    const Side p1 = side1.get();
+
+    // Store claims count once per lane, inside the chunk, on every path.
+    const std::uint64_t claims = store_served ? lanes : 0;
+    EXPECT_EQ(ref_trace[obs::Counter::store_claims], claims);
+    EXPECT_EQ(ref_tracer.snapshot()[obs::Counter::store_claims], claims);
+    const perf::ProgramCost cost = f.analytic(static_cast<int>(lanes));
+    for (const Side* side : {&p0, &p1}) {
+      EXPECT_EQ(side->trace[obs::Counter::store_claims], claims);
+      EXPECT_EQ(side->session[obs::Counter::store_claims], claims);
+      const obs::WitnessReport report = obs::three_witness(
+          side->trace, side->stats, static_cast<std::uint64_t>(cost.total.rounds),
+          cost.wire_bytes);
+      EXPECT_TRUE(report.ok()) << report.describe();
+      // Counter-total determinism across deployment modes: the remote
+      // endpoint's trace equals the in-process chunk's, wait times aside.
+      const obs::CounterSnapshot remote = normalized(side->trace);
+      const obs::CounterSnapshot local = normalized(ref_trace);
+      for (int i = 0; i < obs::kCounterCount; ++i) {
+        EXPECT_EQ(remote.values[i], local.values[i])
+            << obs::counter_name(static_cast<obs::Counter>(i));
+      }
+    }
+    // Same bits as the in-process run, for good measure.
+    for (std::size_t q = 0; q < lanes; ++q) {
+      ASSERT_EQ(p0.res.logits[q].size(), ref_out.logits[q].size());
+      for (std::size_t i = 0; i < ref_out.logits[q].size(); ++i) {
+        ASSERT_EQ(p0.res.logits[q][i], ref_out.logits[q][i]) << "query " << q;
+        ASSERT_EQ(p1.res.logits[q][i], ref_out.logits[q][i]) << "query " << q;
+      }
     }
   }
 }
