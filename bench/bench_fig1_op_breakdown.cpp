@@ -130,7 +130,7 @@ RoundRow measure_rounds(const char* name, nn::ModelDescriptor md, std::uint64_t 
                   wl_e.stats().rounds,
                   wl_c.stats().rounds,
                   cost.total.rounds,
-                  wl_b.chunk_stats().front().totals.rounds,
+                  wl_b.chunk_stats().front().counters[pasnet::obs::Counter::rounds],
                   bcost.total.rounds};
 }
 

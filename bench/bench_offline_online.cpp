@@ -109,8 +109,8 @@ void bm_serve_batch(benchmark::State& state) {
       wl.use_store(nullptr);
       state.ResumeTiming();
     }
-    per_query_bytes = wl.chunk_stats().front().totals.comm_bytes;
-    online_bytes = wl.chunk_stats().front().totals.online_bytes();
+    per_query_bytes = wl.stats().comm_bytes / kBatch;
+    online_bytes = wl.stats().online_bytes() / kBatch;
   }
   state.SetItemsProcessed(state.iterations() * kBatch);
   state.counters["qps"] = benchmark::Counter(
@@ -152,7 +152,7 @@ void bm_offline_online_smoke(benchmark::State& state) {
     }
     state.counters["offline_MB"] = static_cast<double>(rep.store_bytes) / (1024.0 * 1024.0);
     state.counters["online_KB_per_query"] =
-        static_cast<double>(wl.chunk_stats().front().totals.online_bytes()) / 1024.0;
+        static_cast<double>(wl.stats().online_bytes() / queries.size()) / 1024.0;
   }
 }
 

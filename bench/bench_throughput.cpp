@@ -74,7 +74,7 @@ void bm_infer_batch(benchmark::State& state) {
   for (auto _ : state) {
     const auto out = wl.run(f.queries);
     benchmark::DoNotOptimize(out.logits.front()[0]);
-    per_query_bytes = wl.chunk_stats().front().totals.comm_bytes;
+    per_query_bytes = wl.chunk_stats().front().counters.total_bytes();
   }
   state.SetItemsProcessed(state.iterations() * kBatch);
   state.counters["qps"] =
@@ -128,8 +128,8 @@ void bm_single_context_batch(benchmark::State& state) {
   for (auto _ : state) {
     const auto out = wl.run(queries);
     benchmark::DoNotOptimize(out.logits.front()[0]);
-    chunk_rounds = wl.chunk_stats().front().totals.rounds;
-    chunk_bytes = wl.chunk_stats().front().totals.comm_bytes;
+    chunk_rounds = wl.chunk_stats().front().counters[pasnet::obs::Counter::rounds];
+    chunk_bytes = wl.chunk_stats().front().counters.total_bytes();
   }
   state.SetItemsProcessed(state.iterations() * k);
   state.counters["qps"] = benchmark::Counter(

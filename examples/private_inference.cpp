@@ -123,13 +123,14 @@ int main(int argc, char** argv) {
   const auto logits = std::move(workload.run({qx}).logits[0]);
   std::printf("functional 2PC run (scaled model, in-process simulation):\n");
   std::printf("  prediction: class %d (true label %d)\n", nn::argmax_rows(logits)[0], qy[0]);
-  std::printf("  traffic:    %.1f KB total, %.1f KB online (weight openings amortize), %llu rounds\n",
+  std::printf("  traffic:    %.1f KB total, %.1f KB query-dependent (the rest re-opens "
+              "weight-shaped masks every query), %llu rounds\n",
               workload.stats().comm_bytes / 1024.0, workload.stats().online_bytes() / 1024.0,
               static_cast<unsigned long long>(workload.stats().rounds));
-  std::printf("  offline:    %llu matmul-triple elems, %llu square pairs, %llu bit triples\n\n",
-              static_cast<unsigned long long>(workload.stats().matmul_triple_elems),
-              static_cast<unsigned long long>(workload.stats().square_pairs),
-              static_cast<unsigned long long>(workload.stats().bit_triples));
+  std::printf("  offline:    %zu triple draws per query: %llu ring elems, %llu bit triples\n\n",
+              workload.plan().requests.size(),
+              static_cast<unsigned long long>(workload.plan().material_elems_per_query()),
+              static_cast<unsigned long long>(workload.plan().bit_triples_per_query()));
 
   if (batch > 0) {
     // Batched serving mode: a queue of client queries served in K-lane
@@ -155,7 +156,9 @@ int main(int argc, char** argv) {
       const auto t1 = std::chrono::steady_clock::now();
       const double secs = std::chrono::duration<double>(t1 - t0).count();
       double rounds = 0;
-      for (const auto& cs : wl.chunk_stats()) rounds += static_cast<double>(cs.totals.rounds);
+      for (const auto& cs : wl.chunk_stats()) {
+        rounds += static_cast<double>(cs.counters[obs::Counter::rounds]);
+      }
       std::printf(
           "  K=%-3d x %d worker pair%s: %6.1f queries/sec "
           "(%.0f ms total, %.1f rounds/query, %.1f KB/query)\n",
@@ -229,12 +232,14 @@ int main(int argc, char** argv) {
       const auto t1 = std::chrono::steady_clock::now();
       const double secs = std::chrono::duration<double>(t1 - t0).count();
       const auto& cs = online_wl.chunk_stats()[0];
+      const auto first = proto::InferenceStats::of(cs.counters, cs.queries,
+                                                   batch_snet.weight_open_bytes());
       std::printf("online phase (K=%d lanes, %d workers, dealer never touched):\n",
                   used_lanes, used_workers);
       std::printf("  %6.1f queries/sec (%.0f ms total)\n", batch / secs, secs * 1e3);
       std::printf("  first chunk (%zu lanes): %.1f KB on the wire, of which %.1f KB is "
                   "query-dependent\n",
-                  cs.queries, cs.totals.comm_bytes / 1024.0, cs.totals.online_bytes() / 1024.0);
+                  cs.queries, first.comm_bytes / 1024.0, first.online_bytes() / 1024.0);
       std::printf("  sample prediction: class %d\n\n", nn::argmax_rows(online[0])[0]);
     }
   }

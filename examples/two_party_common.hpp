@@ -130,12 +130,13 @@ inline int run_party(int party, int argc, char** argv) {
   flags.define_int("timeout-ms", 30000, "socket connect/io timeout");
   flags.define_string("trace", "",
                       "write this party's protocol timeline (Chrome trace event JSON, loads "
-                      "in Perfetto) to this path; every chunk is also cross-checked against "
-                      "TrafficStats and the analytic cost model (exit 1 on mismatch)");
+                      "in Perfetto) to this path; every chunk's measured traffic is also "
+                      "cross-checked against the analytic cost model (exit 1 on mismatch)");
   flags.define_int("metrics-port", 0,
                    "serve live /metrics (Prometheus text) and /healthz (JSON) on this port "
-                   "while the party runs (0 = off); with --verify the scraped totals become "
-                   "a fourth witness that must equal trace/TrafficStats/analytic");
+                   "while the party runs (0 = off); with --verify the scraped totals must "
+                   "equal the tracer's, the summed chunk measurements and the analytic "
+                   "model's");
   flags.define_string("metrics-bind", "127.0.0.1",
                       "metrics listen address (loopback by default: the endpoints expose "
                       "unauthenticated operational metadata)");
@@ -196,9 +197,8 @@ inline int run_party(int party, int argc, char** argv) {
   net::PartySession session(party, *chan, crypto::RingConfig{});
   // Observability: one tracer for the whole session, live whenever --trace
   // or --metrics-port asks for it; each chunk merges its per-chunk records
-  // in, and under --trace the chunk's counter totals are checked against
-  // BOTH the channel meter and the analytic cost model (the three-witness
-  // invariant) before anything is written out.
+  // in, and under --trace each chunk's measured traffic is checked against
+  // the analytic cost model before anything is written out.
   const std::string trace_path = flags.get_string("trace");
   const bool tracing = !trace_path.empty();
   const long long metrics_port_flag = flags.get_int("metrics-port");
@@ -289,8 +289,8 @@ inline int run_party(int party, int argc, char** argv) {
     std::fflush(stdout);
   }
 
-  // Four-witness accumulators: whole-run totals of the channel meter and
-  // the analytic model (ot-ext offline windows included — the session
+  // Run-level accumulators: whole-run totals of the per-chunk measurements
+  // and the analytic model (ot-ext offline windows included — the session
   // tracer absorbs those too), compared after the last chunk against the
   // tracer counters AND a real scrape of our own /metrics endpoint.
   std::uint64_t meter_rounds = 0, meter_bytes = 0;
@@ -318,16 +318,15 @@ inline int run_party(int party, int argc, char** argv) {
     for (std::size_t j = 0; j < lanes; ++j) inputs.push_back(query_input(ex.md, seed, q0 + j));
     crypto::TrafficStats stats;
     crypto::TrafficStats offline_stats;
-    obs::CounterSnapshot chunk_trace;
     if (ot_ext) ropts.offline_stats_out = &offline_stats;
     const ir::BatchExecResult res =
         session.run_batch(program, ex.snet->params(), q0, party == 0 ? &inputs : nullptr,
-                          lanes, ropts, &stats, tracing ? &chunk_trace : nullptr);
+                          lanes, ropts, &stats);
     if (ot_ext) {
       // Offline witness: the OT-extension generation runs in its own
       // metered window, and its measured traffic must EXACTLY equal the
       // analytic offline cost model — the offline analog of the online
-      // three-witness check.
+      // check.
       const offline::OtExtCost ocost = offline::ot_ext_generation_cost(plan, lanes);
       std::printf("chunk %zu offline (ot-ext): %llu bytes, %llu rounds, %llu base OTs, "
                   "%llu ext COTs\n",
@@ -385,11 +384,10 @@ inline int run_party(int party, int argc, char** argv) {
         analytic_bytes += ocost.total_bytes();
       }
       if (tracing) {
-        // Three-witness self-check: the tracer's independently mirrored
-        // counters, the channel meter, and the static cost model must
-        // agree on this chunk's rounds and wire bytes exactly.
-        const obs::WitnessReport report = obs::three_witness(
-            chunk_trace, stats, static_cast<std::uint64_t>(cost.total.rounds), cost.wire_bytes);
+        // Per-chunk witness: the measured traffic and the static cost model
+        // must agree on this chunk's rounds and wire bytes exactly.
+        const obs::WitnessReport report = obs::check_witness(
+            stats, static_cast<std::uint64_t>(cost.total.rounds), cost.wire_bytes);
         std::printf("chunk %zu: %s\n", chunk, report.describe().c_str());
         last_witness.store(report.ok() ? 1 : 0, std::memory_order_relaxed);
         if (!report.ok()) drift = 1;
@@ -423,15 +421,15 @@ inline int run_party(int party, int argc, char** argv) {
                        "workload\n", q0 + j);
         }
       }
-      const proto::InferenceStats& rc = ref_chunks[chunk].totals;
-      if (stats.total_bytes() != rc.comm_bytes || stats.rounds != rc.rounds ||
+      const crypto::TrafficStats rc = crypto::TrafficStats::of(ref_chunks[chunk].counters);
+      if (stats.total_bytes() != rc.total_bytes() || stats.rounds != rc.rounds ||
           stats.messages != rc.messages) {
         std::fprintf(stderr,
                      "chunk %zu: TrafficStats drift (tcp %llu B / %llu rds vs in-process "
                      "%llu B / %llu rds)\n",
                      chunk, static_cast<unsigned long long>(stats.total_bytes()),
                      static_cast<unsigned long long>(stats.rounds),
-                     static_cast<unsigned long long>(rc.comm_bytes),
+                     static_cast<unsigned long long>(rc.total_bytes()),
                      static_cast<unsigned long long>(rc.rounds));
         ok = false;
       }
@@ -466,10 +464,10 @@ inline int run_party(int party, int argc, char** argv) {
   }
   if (metrics) {
     if (flags.get_switch("verify")) {
-      // Fourth witness: scrape our own /metrics endpoint over a real HTTP
-      // GET and require the exported round/byte totals to equal the tracer
-      // counters, the TrafficStats meter and the analytic model — whole-run
-      // totals, ot-ext offline windows included.
+      // Run-level witness: scrape our own /metrics endpoint over a real
+      // HTTP GET and require the exported round/byte totals to equal the
+      // tracer counters, the summed per-chunk measurements and the analytic
+      // model — whole-run totals, ot-ext offline windows included.
       const obs::CounterSnapshot totals = tracer.snapshot();
       const std::uint64_t trace_rounds = totals[obs::Counter::rounds];
       const std::uint64_t trace_bytes = totals.total_bytes();
@@ -493,12 +491,12 @@ inline int run_party(int party, int argc, char** argv) {
       } catch (const std::exception& e) {
         std::fprintf(stderr, "metrics self-scrape failed: %s\n", e.what());
       }
-      const bool four_ok = scraped && scraped_rounds == trace_rounds &&
-                           scraped_bytes == trace_bytes && trace_rounds == meter_rounds &&
-                           trace_bytes == meter_bytes && meter_rounds == analytic_rounds &&
-                           meter_bytes == analytic_bytes;
-      std::printf("four-witness: scrape %llu rds / %llu B, trace %llu / %llu, stats %llu / "
-                  "%llu, analytic %llu / %llu -> %s\n",
+      const bool run_ok = scraped && scraped_rounds == trace_rounds &&
+                          scraped_bytes == trace_bytes && trace_rounds == meter_rounds &&
+                          trace_bytes == meter_bytes && meter_rounds == analytic_rounds &&
+                          meter_bytes == analytic_bytes;
+      std::printf("run witness: scrape %llu rds / %llu B, tracer %llu / %llu, summed chunks "
+                  "%llu / %llu, analytic %llu / %llu -> %s\n",
                   static_cast<unsigned long long>(scraped_rounds),
                   static_cast<unsigned long long>(scraped_bytes),
                   static_cast<unsigned long long>(trace_rounds),
@@ -507,9 +505,9 @@ inline int run_party(int party, int argc, char** argv) {
                   static_cast<unsigned long long>(meter_bytes),
                   static_cast<unsigned long long>(analytic_rounds),
                   static_cast<unsigned long long>(analytic_bytes),
-                  four_ok ? "all equal" : "MISMATCH");
-      last_witness.store(four_ok ? 1 : 0, std::memory_order_relaxed);
-      if (!four_ok) drift = 1;
+                  run_ok ? "all equal" : "MISMATCH");
+      last_witness.store(run_ok ? 1 : 0, std::memory_order_relaxed);
+      if (!run_ok) drift = 1;
     }
     std::fflush(stdout);
     const long long linger = flags.get_int("metrics-linger-ms");

@@ -89,7 +89,6 @@ ElemTriple TripleDealer::elem_triple(std::size_t n) {
   t.b = Shared{h0.b, h1.b};
   t.z = Shared{complete_half(mul_vec(a, h0.b, rc_), h0.x, h1.x, rc_),
                complete_half(mul_vec(a, h1.b, rc_), h1.x, h0.x, rc_)};
-  counters_.elem_triples += n;
   return t;
 }
 
@@ -109,7 +108,6 @@ SquarePair TripleDealer::square_pair(std::size_t n) {
   SquarePair p;
   p.a = Shared{h0.a, h1.a};
   p.z = Shared{std::move(z0), std::move(z1)};
-  counters_.square_pairs += n;
   return p;
 }
 
@@ -125,7 +123,6 @@ MatmulTriple TripleDealer::matmul_triple(std::size_t m, std::size_t k, std::size
   t.b = Shared{h0.b, h1.b};
   t.z = Shared{complete_half(ring_matmul(a, h0.b, m, k, n, rc_), h0.x, h1.x, rc_),
                complete_half(ring_matmul(a, h1.b, m, k, n, rc_), h1.x, h0.x, rc_)};
-  counters_.matmul_triple_elems += m * k + k * n + m * n;
   return t;
 }
 
@@ -145,7 +142,6 @@ BitTriple TripleDealer::bit_triple(std::size_t n) {
     t.c0[i] = (h0.a[i] & h0.b[i]) ^ h0.x[i] ^ (h0.b[i] & h1.a[i]) ^ h1.x[i];
     t.c1[i] = (h1.a[i] & h1.b[i]) ^ h1.x[i] ^ (h1.b[i] & h0.a[i]) ^ h0.x[i];
   }
-  counters_.bit_triples += n;
   return t;
 }
 

@@ -25,9 +25,6 @@
 // bit-identity for genuine secrecy.  TripleDealer is the trusted-dealer
 // *simulation* of the functionality: it holds both half streams and
 // evaluates the cross terms directly.
-//
-// `TripleCounters` records how much offline material the online protocols
-// consumed so experiments can report offline cost.
 
 #include <cstdint>
 #include <vector>
@@ -66,16 +63,6 @@ struct BitTriple {
 /// static model).
 struct BilinearTriple {
   Shared a, b, z;
-};
-
-/// Offline-phase consumption counters.
-struct TripleCounters {
-  std::uint64_t elem_triples = 0;
-  std::uint64_t square_pairs = 0;
-  std::uint64_t matmul_triple_elems = 0;  // m*k + k*n + m*n
-  std::uint64_t bilinear_triple_elems = 0;
-  std::uint64_t bit_triples = 0;
-  void reset() noexcept { *this = TripleCounters{}; }
 };
 
 // --- Role-private half streams -------------------------------------------
@@ -153,13 +140,9 @@ class TripleDealer {
     for (std::size_t i = 0; i < na; ++i) a[i] = (h0.a[i] + h1.a[i]) & rc_.mask();
     const RingVec f0 = f(a, h0.b);
     const RingVec f1 = f(a, h1.b);
-    BilinearTriple t = assemble_bilinear(h0, h1, f0, f1, nz);
-    counters_.bilinear_triple_elems += na + nb + nz;
-    return t;
+    return assemble_bilinear(h0, h1, f0, f1, nz);
   }
 
-  [[nodiscard]] const TripleCounters& counters() const noexcept { return counters_; }
-  void reset_counters() noexcept { counters_.reset(); }
   [[nodiscard]] const RingConfig& ring() const noexcept { return rc_; }
 
  private:
@@ -171,7 +154,6 @@ class TripleDealer {
   RingConfig rc_;
   Prng prng0_;
   Prng prng1_;
-  TripleCounters counters_;
 };
 
 /// Plain row-major ring matrix product (local helper, no protocol).

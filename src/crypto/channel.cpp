@@ -53,7 +53,7 @@ struct Message {
 };
 
 /// The historical simulated pair: two endpoints over a shared pair of
-/// bounded byte queues plus one shared meter.
+/// bounded byte queues plus one shared counter block.
 class LocalChannel final : public Channel {
  public:
   struct Shared {
@@ -72,14 +72,12 @@ class LocalChannel final : public Channel {
     int last_sender = -1;   // for round counting outside brackets
     bool in_round = false;  // begin_round/end_round bracket open
     bool round_counted = false;
-    /// Pair-wide tracer (like the meter): attaching through either
-    /// endpoint covers both, and the round rule fires exactly once.
-    obs::Tracer* tracer = nullptr;
   };
 
-  LocalChannel(int party, std::shared_ptr<Shared> shared, std::shared_ptr<TrafficStats> stats)
+  LocalChannel(int party, std::shared_ptr<Shared> shared,
+               std::shared_ptr<obs::CounterBlock> counters)
       : party_(party), shared_(std::move(shared)) {
-    stats_ = std::move(stats);
+    counters_ = std::move(counters);
   }
 
   void begin_round() override {
@@ -107,40 +105,27 @@ class LocalChannel final : public Channel {
     }
   }
 
-  [[nodiscard]] TrafficStats stats_snapshot() const override {
-    std::lock_guard<std::mutex> lk(shared_->m);
-    return *stats_;
-  }
-
   void reset_stats() noexcept override {
     std::lock_guard<std::mutex> lk(shared_->m);
-    stats_->reset();
+    counters_->reset();
     shared_->last_sender = -1;
     shared_->round_counted = false;
   }
 
   [[nodiscard]] ChannelMode mode() const noexcept override { return shared_->mode; }
 
-  void set_tracer(obs::Tracer* tracer) noexcept override {
-    std::lock_guard<std::mutex> lk(shared_->m);
-    tracer_ = tracer;
-    shared_->tracer = tracer;
-  }
-
  protected:
   void do_send(std::vector<std::uint8_t>&& data, std::uint64_t wire_bytes) override {
     const int peer = 1 - party_;
     std::unique_lock<std::mutex> lk(shared_->m);
-    obs::Tracer* const tr =
-        (shared_->tracer && shared_->tracer->enabled()) ? shared_->tracer : nullptr;
     if (shared_->mode == ChannelMode::threaded) {
       const bool back_pressured = shared_->inbox[peer].size() >= shared_->capacity;
-      const std::uint64_t wait_begin = (tr && back_pressured) ? obs::Tracer::now_us() : 0;
+      const std::uint64_t wait_begin = back_pressured ? obs::Tracer::now_us() : 0;
       const bool ok = shared_->not_full[peer].wait_for(lk, shared_->timeout, [&] {
         return shared_->closed || shared_->inbox[peer].size() < shared_->capacity;
       });
-      if (tr && back_pressured) {
-        tr->add(obs::Counter::send_wait_us, obs::Tracer::now_us() - wait_begin);
+      if (back_pressured) {
+        counters_->add(obs::Counter::send_wait_us, obs::Tracer::now_us() - wait_begin);
       }
       if (shared_->closed) throw ChannelClosed("Channel::send: channel closed");
       if (!ok) throw ChannelTimeout("Channel::send: peer inbox full past timeout (deadlock?)");
@@ -155,28 +140,18 @@ class LocalChannel final : public Channel {
     msg.due = shared_->round_delay.count() > 0 ? Clock::now() + shared_->round_delay
                                                : Clock::time_point{};
     shared_->inbox[peer].push_back(std::move(msg));
-    // Every meter update is mirrored into the tracer at the same site, so
-    // the trace counters are an independent witness of TrafficStats.
-    if (party_ == 0) {
-      stats_->bytes_p0_to_p1 += wire_bytes;
-      if (tr) tr->add(obs::Counter::bytes_p0_to_p1, wire_bytes);
-    } else {
-      stats_->bytes_p1_to_p0 += wire_bytes;
-      if (tr) tr->add(obs::Counter::bytes_p1_to_p0, wire_bytes);
-    }
-    ++stats_->messages;
-    if (tr) tr->add(obs::Counter::messages, 1);
+    counters_->add(party_ == 0 ? obs::Counter::bytes_p0_to_p1 : obs::Counter::bytes_p1_to_p0,
+                   wire_bytes);
+    counters_->add(obs::Counter::messages, 1);
     if (shared_->in_round) {
       // All messages of a bracketed symmetric exchange are one round.
       if (!shared_->round_counted) {
-        ++stats_->rounds;
-        if (tr) tr->add(obs::Counter::rounds, 1);
+        counters_->add(obs::Counter::rounds, 1);
         shared_->round_counted = true;
       }
       shared_->last_sender = party_;
     } else if (shared_->last_sender != party_) {
-      ++stats_->rounds;
-      if (tr) tr->add(obs::Counter::rounds, 1);
+      counters_->add(obs::Counter::rounds, 1);
       shared_->last_sender = party_;
     }
     lk.unlock();
@@ -185,8 +160,6 @@ class LocalChannel final : public Channel {
 
   [[nodiscard]] std::vector<std::uint8_t> do_recv() override {
     std::unique_lock<std::mutex> lk(shared_->m);
-    obs::Tracer* const tr =
-        (shared_->tracer && shared_->tracer->enabled()) ? shared_->tracer : nullptr;
     auto& inbox = shared_->inbox[party_];
     if (shared_->mode == ChannelMode::lockstep) {
       if (shared_->closed && inbox.empty()) {
@@ -197,10 +170,10 @@ class LocalChannel final : public Channel {
       }
     } else {
       const bool blocked = inbox.empty();
-      const std::uint64_t wait_begin = (tr && blocked) ? obs::Tracer::now_us() : 0;
+      const std::uint64_t wait_begin = blocked ? obs::Tracer::now_us() : 0;
       const bool ok = shared_->not_empty[party_].wait_for(
           lk, shared_->timeout, [&] { return shared_->closed || !inbox.empty(); });
-      if (tr && blocked) tr->add(obs::Counter::recv_wait_us, obs::Tracer::now_us() - wait_begin);
+      if (blocked) counters_->add(obs::Counter::recv_wait_us, obs::Tracer::now_us() - wait_begin);
       if (inbox.empty()) {
         if (shared_->closed) throw ChannelClosed("Channel::recv_bytes: channel closed");
         if (!ok) throw ChannelTimeout("Channel::recv_bytes: no message past timeout (deadlock?)");
@@ -218,12 +191,10 @@ class LocalChannel final : public Channel {
       const auto now = Clock::now();
       if (now < msg.due) {
         std::this_thread::sleep_until(msg.due);
-        if (tr) {
-          tr->add(obs::Counter::recv_wait_us,
-                  static_cast<std::uint64_t>(
-                      std::chrono::duration_cast<std::chrono::microseconds>(msg.due - now)
-                          .count()));
-        }
+        counters_->add(obs::Counter::recv_wait_us,
+                       static_cast<std::uint64_t>(
+                           std::chrono::duration_cast<std::chrono::microseconds>(msg.due - now)
+                               .count()));
       }
     }
     return msg.data;
@@ -252,9 +223,9 @@ std::pair<std::unique_ptr<Channel>, std::unique_ptr<Channel>> Channel::make_pair
   shared->capacity = options.capacity > 0 ? options.capacity : 1;
   shared->timeout = options.timeout;
   shared->round_delay = options.round_delay;
-  auto stats = std::make_shared<TrafficStats>();
-  auto c0 = std::unique_ptr<Channel>(new LocalChannel(0, shared, stats));
-  auto c1 = std::unique_ptr<Channel>(new LocalChannel(1, shared, stats));
+  auto counters = std::make_shared<obs::CounterBlock>();
+  auto c0 = std::unique_ptr<Channel>(new LocalChannel(0, shared, counters));
+  auto c1 = std::unique_ptr<Channel>(new LocalChannel(1, shared, counters));
   return {std::move(c0), std::move(c1)};
 }
 

@@ -2,17 +2,20 @@
 // Duplex channel endpoints between the two computing parties.
 //
 // `Channel` is the endpoint API every protocol talks to: framed byte
-// messages, ring-vector conveniences, round bracketing, and a TrafficStats
-// meter that records every byte, message, and communication round.  The
-// meter is what lets integration tests cross-check the measured traffic of
-// the real protocol stack against the analytical communication model of
-// src/perf (DESIGN.md E6) — and, since PR 5, what makes bytes/rounds
-// measured over a real TCP connection directly comparable to the
-// simulation.
+// messages, ring-vector conveniences, round bracketing, and the endpoint's
+// always-on obs::CounterBlock.  The backends count every byte, message,
+// communication round and blocked send/recv wait there, and the context
+// above counts the protocol events (OT batches, AND levels, openings,
+// triple claims, kernel deliveries) into the same block — each event
+// exactly once, traced or not.  TrafficStats is the block's traffic
+// projection: it is what lets integration tests cross-check the measured
+// traffic of the real protocol stack against the analytical communication
+// model of src/perf, over the in-process pair and over a real TCP
+// connection alike.
 //
 // Two backends:
 //  - the in-process pair (Channel::make_pair): two endpoints over a shared
-//    pair of bounded byte queues.  Modes:
+//    pair of bounded byte queues and one shared counter block.  Modes:
 //     * lockstep: the historical single-threaded mode.  Both parties run on
 //       one thread in protocol order; `recv` on an empty inbox is a protocol
 //       ordering bug and throws immediately.  Fully deterministic (used by
@@ -23,7 +26,7 @@
 //       may be driven from different threads; a watchdog timeout turns a
 //       deadlocked protocol into a loud ChannelTimeout instead of a hang.
 //  - net::TransportChannel (src/net): the same endpoint API over a real
-//    socket transport, one endpoint per OS process.  Each endpoint's meter
+//    socket transport, one endpoint per OS process.  Each endpoint's block
 //    accounts both directions (own sends at send time, the peer's at recv
 //    time), so a remote endpoint's TrafficStats equal the simulated pair's
 //    for the same protocol run.
@@ -40,7 +43,7 @@
 
 namespace pasnet::crypto {
 
-/// Aggregate traffic statistics for one party-pair.
+/// Traffic of one party-pair: the counter block's wire/round projection.
 struct TrafficStats {
   std::uint64_t bytes_p0_to_p1 = 0;
   std::uint64_t bytes_p1_to_p0 = 0;
@@ -58,7 +61,11 @@ struct TrafficStats {
   [[nodiscard]] std::uint64_t total_bytes() const noexcept {
     return bytes_p0_to_p1 + bytes_p1_to_p0;
   }
-  void reset() noexcept { *this = TrafficStats{}; }
+  /// The one place a TrafficStats is filled.
+  [[nodiscard]] static TrafficStats of(const obs::CounterSnapshot& c) noexcept {
+    return {c[obs::Counter::bytes_p0_to_p1], c[obs::Counter::bytes_p1_to_p0],
+            c[obs::Counter::messages], c[obs::Counter::rounds]};
+  }
 };
 
 /// Queueing discipline of a channel endpoint (see file comment).  Transport
@@ -83,7 +90,7 @@ class ChannelClosed : public std::runtime_error {
 
 /// One endpoint of a duplex channel.  The convenience send/recv helpers are
 /// implemented over the backend primitives do_send/do_recv; backends also
-/// own round bracketing, close semantics, and the stats meter.
+/// own round bracketing, close semantics, and the counter block.
 class Channel {
  public:
   /// Default bounded-queue depth and watchdog timeout for an in-process
@@ -129,26 +136,18 @@ class Channel {
   /// ChannelClosed, as do later blocking operations that would wait.
   virtual void close() = 0;
 
-  /// Traffic stats of the endpoint (shared by both endpoints of an
-  /// in-process pair).  The reference is stable; read it only while no
-  /// transfer is in flight (use stats_snapshot() for a consistent copy
-  /// during concurrent traffic).
-  [[nodiscard]] const TrafficStats& stats() const noexcept { return *stats_; }
-  /// Locked copy of the stats, safe to take concurrently with transfers.
-  [[nodiscard]] virtual TrafficStats stats_snapshot() const = 0;
+  /// The endpoint's always-on counter block (shared by both endpoints of
+  /// an in-process pair).  Safe to read and bump from any thread.
+  [[nodiscard]] obs::CounterBlock& counters() const noexcept { return *counters_; }
+  /// The block's traffic projection.
+  [[nodiscard]] TrafficStats stats() const noexcept {
+    return TrafficStats::of(counters_->snapshot());
+  }
+  /// Zeroes the block and restarts round counting: the start of a metered
+  /// window.
   virtual void reset_stats() noexcept = 0;
 
   [[nodiscard]] virtual ChannelMode mode() const noexcept = 0;
-
-  /// Attaches a tracer (nullptr detaches).  The endpoint mirrors every
-  /// meter update into the tracer's counters — rounds, per-direction wire
-  /// bytes, messages — and accumulates blocked send/recv time, which is
-  /// what makes the trace an independent witness of TrafficStats.  For an
-  /// in-process pair the tracer is shared pair-wide (attaching through
-  /// either endpoint covers both), matching the shared meter.  The caller
-  /// keeps ownership; the tracer must outlive the attachment.
-  virtual void set_tracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }
-  [[nodiscard]] obs::Tracer* tracer() const noexcept { return tracer_; }
 
   /// Creates a connected in-process pair of endpoints: first element is
   /// party 0's.
@@ -163,17 +162,14 @@ class Channel {
 
   /// Backend primitive: delivers one framed message to the peer, crediting
   /// `wire_bytes` (the modeled on-wire size, which may differ from
-  /// data.size()) to the meter.
+  /// data.size()) to the counter block.
   virtual void do_send(std::vector<std::uint8_t>&& data, std::uint64_t wire_bytes) = 0;
   /// Backend primitive: receives the next framed message.
   [[nodiscard]] virtual std::vector<std::uint8_t> do_recv() = 0;
 
-  /// The endpoint's meter; backends allocate it (pair-shared in process,
-  /// per-endpoint over a transport).
-  std::shared_ptr<TrafficStats> stats_;
-  /// Attached tracer, or nullptr.  Backends test it at their accounting
-  /// sites; when attached and enabled they mirror the meter update.
-  obs::Tracer* tracer_ = nullptr;
+  /// The endpoint's counter block; backends allocate it (pair-shared in
+  /// process, per-endpoint over a transport).
+  std::shared_ptr<obs::CounterBlock> counters_;
 };
 
 /// Construction knobs for an in-process channel pair.

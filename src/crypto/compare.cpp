@@ -101,7 +101,7 @@ void BitOpenBuffer::open_batch(const Pending* batch, std::size_t count) {
   //
   // Each batch is one coalesced AND-tree level opening (or one immediate
   // bit opening) — the protocol event the and_levels counter tracks.
-  if (obs::Tracer* const t = ctx_.tracer()) t->add(obs::Counter::and_levels, 1);
+  ctx_.counters().add(obs::Counter::and_levels, 1);
   std::vector<std::uint8_t> msg0, msg1;
   for (std::size_t i = 0; i < count; ++i) {
     const auto p0 = pack_bits(batch[i].x.b0);
@@ -182,7 +182,7 @@ BitShared AndRound::finish() {
 BitShared and_bits(TwoPartyContext& ctx, const BitShared& x, const BitShared& y) {
   if (x.size() != y.size()) throw std::invalid_argument("and_bits: size mismatch");
   AndRound r;
-  r.stage(ctx, x, y, ctx.triples().bit_triple(x.size()));
+  r.stage(ctx, x, y, ctx.bit_triple(x.size()));
   ctx.bit_opens().flush();
   return r.finish();
 }
@@ -221,7 +221,7 @@ MillionaireMaterial draw_millionaire_material(TwoPartyContext& ctx, std::size_t 
     mat.r_eq[idx] = (rnd >> 1) & 1;
   }
   for (const int mult : millionaire_and_level_multipliers(nbits)) {
-    mat.levels.push_back(ctx.triples().bit_triple(static_cast<std::size_t>(mult) * n));
+    mat.levels.push_back(ctx.bit_triple(static_cast<std::size_t>(mult) * n));
   }
   return mat;
 }
@@ -408,8 +408,8 @@ void StagedDrelu::step(TwoPartyContext& ctx) {
 DreluMuxMaterial draw_drelu_mux_material(TwoPartyContext& ctx, std::size_t n) {
   DreluMuxMaterial mat;
   mat.mill = draw_drelu_material(ctx, n);
-  mat.b2a = ctx.triples().elem_triple(n);
-  mat.mux = ctx.triples().elem_triple(n);
+  mat.b2a = ctx.elem_triple(n);
+  mat.mux = ctx.elem_triple(n);
   return mat;
 }
 
@@ -508,7 +508,7 @@ Shared B2aRound::finish(const RingConfig& rc) {
 
 Shared b2a(TwoPartyContext& ctx, const BitShared& v) {
   B2aRound r;
-  r.stage(ctx, v, ctx.triples().elem_triple(v.size()));
+  r.stage(ctx, v, ctx.elem_triple(v.size()));
   ctx.opens().flush();
   return r.finish(ctx.ring());
 }

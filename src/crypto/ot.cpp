@@ -182,12 +182,10 @@ std::vector<std::uint8_t> ot_1of4(TwoPartyContext& ctx, int sender,
     if (c >= kOtFanIn) throw std::invalid_argument("ot_1of4: choice out of range");
   }
   if (tables.empty()) return {};
-  if (obs::Tracer* const t = ctx.tracer()) {
-    // One batch = one two-message OT dance; every staged instance inside
-    // it is one ot_message (merged flushes credit the whole run here).
-    t->add(obs::Counter::ot_batches, 1);
-    t->add(obs::Counter::ot_messages, tables.size());
-  }
+  // One batch = one two-message OT dance; every staged instance inside it
+  // is one ot_message (merged flushes credit the whole run here).
+  ctx.counters().add(obs::Counter::ot_batches, 1);
+  ctx.counters().add(obs::Counter::ot_messages, tables.size());
   return mode == OtMode::dh_masked ? ot_dh(ctx, sender, tables, choices)
                                    : ot_ideal(ctx, sender, tables, choices);
 }

@@ -315,10 +315,8 @@ void TwoPartyContext::exchange(const std::function<void()>& send0,
 
 void OpenBuffer::stage(Shared x, RingVec* out) {
   if (!coalescing_) {
-    if (obs::Tracer* const t = ctx_.tracer()) {
-      t->add(obs::Counter::openings, 1);
-      t->add(obs::Counter::open_flushes, 1);
-    }
+    ctx_.counters().add(obs::Counter::openings, 1);
+    ctx_.counters().add(obs::Counter::open_flushes, 1);
     *out = open(ctx_, x);
     return;
   }
@@ -327,10 +325,8 @@ void OpenBuffer::stage(Shared x, RingVec* out) {
 
 void OpenBuffer::flush() {
   if (pending_.empty()) return;
-  if (obs::Tracer* const t = ctx_.tracer()) {
-    t->add(obs::Counter::openings, pending_.size());
-    t->add(obs::Counter::open_flushes, 1);
-  }
+  ctx_.counters().add(obs::Counter::openings, pending_.size());
+  ctx_.counters().add(obs::Counter::open_flushes, 1);
   if (pending_.size() == 1) {
     *pending_[0].out = open(ctx_, pending_[0].x);
     pending_.clear();
@@ -386,7 +382,7 @@ RingVec open(TwoPartyContext& ctx, const Shared& x) {
 
 void MulRound::stage(TwoPartyContext& ctx, Shared x, Shared y) {
   if (x.size() != y.size()) throw std::invalid_argument("mul_elem: size mismatch");
-  ElemTriple t = ctx.triples().elem_triple(x.size());
+  ElemTriple t = ctx.elem_triple(x.size());
   stage(ctx, std::move(x), std::move(y), std::move(t));
 }
 
@@ -418,7 +414,7 @@ Shared MulRound::finish(const RingConfig& rc) {
 }
 
 void SquareRound::stage(TwoPartyContext& ctx, const Shared& x) {
-  p_ = ctx.triples().square_pair(x.size());
+  p_ = ctx.square_pair(x.size());
   ctx.opens().stage(sub(x, p_.a, ctx.ring()), &e_);
 }
 
@@ -442,7 +438,7 @@ void MatmulRound::stage(TwoPartyContext& ctx, Shared x, Shared y, std::size_t m,
     throw std::invalid_argument("matmul: shape mismatch");
   }
   const RingConfig& rc = ctx.ring();
-  t_ = ctx.triples().matmul_triple(m, k, n);
+  t_ = ctx.matmul_triple(m, k, n);
   x_ = std::move(x);
   y_ = std::move(y);
   m_ = m;
@@ -474,7 +470,7 @@ void BilinearRound::stage(TwoPartyContext& ctx, const Shared& x, const Shared& w
                           const BilinearSpec& spec) {
   const RingConfig& rc = ctx.ring();
   map_ = build_bilinear_map(spec, rc);
-  t_ = ctx.triples().bilinear_triple(spec);
+  t_ = ctx.bilinear_triple(spec);
   // E = W - B opens in weight space (offline-able for a static model) and
   // F = X - A opens in *input* space — the paper's COMM_conv term.
   ctx.opens().stage(sub(weight, t_.b, rc), &e_);

@@ -196,19 +196,24 @@ class TwoPartyContext {
   [[nodiscard]] const RingConfig& ring() const noexcept { return rc_; }
   [[nodiscard]] TripleDealer& dealer() noexcept { return dealer_; }
 
-  /// Where the online protocols pull correlated randomness from.  Defaults
-  /// to the context's own dealer (fused baseline); a preprocessing layer
-  /// installs a store-backed source instead.
-  [[nodiscard]] TripleSource& triples() noexcept { return *triple_source_; }
+  /// Correlated-randomness draws from the installed source (the context's
+  /// own dealer by default — the fused baseline; a preprocessing layer
+  /// installs a store-backed source instead).  Every draw counts one
+  /// obs::Counter::triple_claims.
+  [[nodiscard]] ElemTriple elem_triple(std::size_t n) { return claim().elem_triple(n); }
+  [[nodiscard]] SquarePair square_pair(std::size_t n) { return claim().square_pair(n); }
+  [[nodiscard]] MatmulTriple matmul_triple(std::size_t m, std::size_t k, std::size_t n) {
+    return claim().matmul_triple(m, k, n);
+  }
+  [[nodiscard]] BitTriple bit_triple(std::size_t n) { return claim().bit_triple(n); }
+  [[nodiscard]] BilinearTriple bilinear_triple(const BilinearSpec& spec) {
+    return claim().bilinear_triple(spec);
+  }
   /// Installs an external triple source (non-owning; must outlive its use).
   /// Pass nullptr to revert to the dealer-backed default.  Not thread-safe
   /// against in-flight protocol steps — set it between queries.
   void set_triple_source(TripleSource* source) noexcept {
     triple_source_ = source != nullptr ? source : &dealer_source_;
-    // A traced context traces whatever source is installed on it — this is
-    // what keeps per-lane sources (swapped in by the batched executor)
-    // feeding the same tracer.
-    if (tracer_ != nullptr) triple_source_->set_tracer(tracer_);
   }
   /// The source installed via set_triple_source, or nullptr when the
   /// context serves from its own dealer (the default).  Lets a caller
@@ -324,26 +329,30 @@ class TwoPartyContext {
   /// Modeled on-wire bytes per ring element (4 for the paper's 32-bit ring).
   [[nodiscard]] int wire_bytes() const noexcept { return (rc_.wire_bits + 7) / 8; }
 
-  [[nodiscard]] const TrafficStats& stats() const noexcept { return local_chan().stats(); }
+  /// The metered endpoint's always-on counter block: the channel counts
+  /// wire traffic and wait time there, and the protocol layers on this
+  /// context count their events (OT batches, AND levels, openings, triple
+  /// claims, kernel deliveries) there too — traced or not.
+  [[nodiscard]] obs::CounterBlock& counters() const noexcept { return local_chan().counters(); }
+  [[nodiscard]] TrafficStats stats() const noexcept { return local_chan().stats(); }
+  /// Starts a metered window (see Channel::reset_stats).
   void reset_stats() { local_chan().reset_stats(); }
 
-  /// Attaches a tracer (nullptr detaches): the context records exchange
-  /// round spans and the staged buffers their flush counters, and the
-  /// attachment is forwarded to the metered channel so wire bytes, rounds
-  /// and wait time land in the same tracer.  Non-owning; the tracer must
-  /// outlive the attachment and is shared with every protocol layer on
-  /// this context — obs::Tracer is thread-safe.
-  void set_tracer(obs::Tracer* tracer) noexcept {
-    tracer_ = tracer;
-    local_chan().set_tracer(tracer);
-    triple_source_->set_tracer(tracer);
-  }
+  /// Attaches a tracer for spans (nullptr detaches): exchange rounds and
+  /// the executor's op and round-group spans record into it.  Non-owning;
+  /// the tracer must outlive the attachment — obs::Tracer is thread-safe.
+  void set_tracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }
   [[nodiscard]] obs::Tracer* tracer() const noexcept { return tracer_; }
 
  private:
+  [[nodiscard]] TripleSource& claim() {
+    counters().add(obs::Counter::triple_claims, 1);
+    return *triple_source_;
+  }
+
   /// The endpoint this context meters: party 0's for the in-process modes
-  /// (the pair shares one meter), the borrowed endpoint for a remote
-  /// context.
+  /// (the pair shares one counter block), the borrowed endpoint for a
+  /// remote context.
   [[nodiscard]] Channel& local_chan() const noexcept {
     return remote_chan_ != nullptr ? *remote_chan_ : *chan0_;
   }

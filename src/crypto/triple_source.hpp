@@ -25,7 +25,6 @@
 
 #include "crypto/beaver.hpp"
 #include "crypto/ring.hpp"
-#include "obs/tracer.hpp"
 
 namespace pasnet::crypto {
 
@@ -76,63 +75,19 @@ using BilinearMap = std::function<RingVec(const RingVec&, const RingVec&)>;
 /// what secure_conv2d evaluates online.
 [[nodiscard]] BilinearMap build_bilinear_map(const BilinearSpec& spec, const RingConfig& rc);
 
-/// Where the online protocols get their correlated randomness.  The public
-/// methods record consumption in the source's TripleCounters (the same
-/// accounting TripleDealer keeps) and delegate to the backend.
+/// Where the online protocols get their correlated randomness.  Protocol
+/// code draws through TwoPartyContext, which counts every draw as one
+/// obs::Counter::triple_claims on its counter block.
 class TripleSource {
  public:
   virtual ~TripleSource() = default;
 
-  [[nodiscard]] ElemTriple elem_triple(std::size_t n) {
-    counters_.elem_triples += n;
-    claimed();
-    return do_elem_triple(n);
-  }
-  [[nodiscard]] SquarePair square_pair(std::size_t n) {
-    counters_.square_pairs += n;
-    claimed();
-    return do_square_pair(n);
-  }
-  [[nodiscard]] MatmulTriple matmul_triple(std::size_t m, std::size_t k, std::size_t n) {
-    counters_.matmul_triple_elems += m * k + k * n + m * n;
-    claimed();
-    return do_matmul_triple(m, k, n);
-  }
-  [[nodiscard]] BitTriple bit_triple(std::size_t n) {
-    counters_.bit_triples += n;
-    claimed();
-    return do_bit_triple(n);
-  }
-  [[nodiscard]] BilinearTriple bilinear_triple(const BilinearSpec& spec) {
-    counters_.bilinear_triple_elems += spec.na() + spec.nb() + spec.nz();
-    claimed();
-    return do_bilinear_triple(spec);
-  }
-
-  [[nodiscard]] const TripleCounters& counters() const noexcept { return counters_; }
-  void reset_counters() noexcept { counters_.reset(); }
-
-  /// Attaches a tracer that counts every correlated-randomness request
-  /// (obs::Counter::triple_claims).  Non-owning; nullptr detaches.
-  /// TwoPartyContext::set_triple_source propagates its own attachment, so
-  /// sources installed on a traced context are traced automatically.
-  void set_tracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }
-  [[nodiscard]] obs::Tracer* tracer() const noexcept { return tracer_; }
-
- protected:
-  virtual ElemTriple do_elem_triple(std::size_t n) = 0;
-  virtual SquarePair do_square_pair(std::size_t n) = 0;
-  virtual MatmulTriple do_matmul_triple(std::size_t m, std::size_t k, std::size_t n) = 0;
-  virtual BitTriple do_bit_triple(std::size_t n) = 0;
-  virtual BilinearTriple do_bilinear_triple(const BilinearSpec& spec) = 0;
-
- private:
-  void claimed() noexcept {
-    if (tracer_) tracer_->add(obs::Counter::triple_claims, 1);
-  }
-
-  TripleCounters counters_;
-  obs::Tracer* tracer_ = nullptr;  // non-owning; see set_tracer
+  [[nodiscard]] virtual ElemTriple elem_triple(std::size_t n) = 0;
+  [[nodiscard]] virtual SquarePair square_pair(std::size_t n) = 0;
+  [[nodiscard]] virtual MatmulTriple matmul_triple(std::size_t m, std::size_t k,
+                                                   std::size_t n) = 0;
+  [[nodiscard]] virtual BitTriple bit_triple(std::size_t n) = 0;
+  [[nodiscard]] virtual BilinearTriple bilinear_triple(const BilinearSpec& spec) = 0;
 };
 
 /// The fused offline+online baseline: every request generated inline by the
@@ -141,14 +96,13 @@ class DealerTripleSource final : public TripleSource {
  public:
   DealerTripleSource(TripleDealer& dealer, const RingConfig& rc) : dealer_(dealer), rc_(rc) {}
 
- protected:
-  ElemTriple do_elem_triple(std::size_t n) override { return dealer_.elem_triple(n); }
-  SquarePair do_square_pair(std::size_t n) override { return dealer_.square_pair(n); }
-  MatmulTriple do_matmul_triple(std::size_t m, std::size_t k, std::size_t n) override {
+  ElemTriple elem_triple(std::size_t n) override { return dealer_.elem_triple(n); }
+  SquarePair square_pair(std::size_t n) override { return dealer_.square_pair(n); }
+  MatmulTriple matmul_triple(std::size_t m, std::size_t k, std::size_t n) override {
     return dealer_.matmul_triple(m, k, n);
   }
-  BitTriple do_bit_triple(std::size_t n) override { return dealer_.bit_triple(n); }
-  BilinearTriple do_bilinear_triple(const BilinearSpec& spec) override {
+  BitTriple bit_triple(std::size_t n) override { return dealer_.bit_triple(n); }
+  BilinearTriple bilinear_triple(const BilinearSpec& spec) override {
     return dealer_.bilinear_triple(spec.na(), spec.nb(), spec.nz(),
                                    build_bilinear_map(spec, rc_));
   }

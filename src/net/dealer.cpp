@@ -160,7 +160,7 @@ void DealerServer::serve_session(std::unique_ptr<TcpTransport> transport) {
     WireWriter resp;
     if (index >= store_.num_queries()) {
       // Past the pregenerated material: the store's typed exhaustion, as
-      // TripleStore::claim_next raises it in process.
+      // TripleStore::claim raises it in process.
       resp.put_u8(kStatusExhausted);
       resp.put_string("TripleStore exhausted: pregenerate more queries");
       transport->send_frame(resp.take());

@@ -20,7 +20,7 @@
 // Claims are atomic by (party, index): each party may claim each bundle
 // exactly once — party 0's k-th query and party 1's k-th query both map to
 // bundle k, which is what keeps a two-process store-served run's dealer
-// stream identical to the in-process claim_next() order.  The served
+// stream identical to the in-process TripleStore::claim order.  The served
 // bytes are party-sliced (slice_bundle_for_party), so neither party ever
 // receives the other's share halves; a hello declaring any other party id
 // (2 would mean both halves) is refused.  A claim past the last

@@ -11,15 +11,6 @@ namespace pasnet::net {
 
 namespace {
 
-/// Scope guard: a borrowed (session-persistent) channel must never outlive
-/// a metered window with a dangling tracer attachment, even on throw.
-struct DetachChanTracer {
-  crypto::Channel* chan;
-  ~DetachChanTracer() {
-    if (chan != nullptr) chan->set_tracer(nullptr);
-  }
-};
-
 /// "[0,1]": the stream positions a position-mismatch error names — at
 /// most the first 8, since one of the lists comes from the peer.
 std::string position_list(const std::vector<std::uint64_t>& positions) {
@@ -118,14 +109,12 @@ ir::BatchExecResult PartySession::run_batch(const ir::SecureProgram& program,
                                             const std::vector<nn::Tensor>* inputs,
                                             std::size_t lanes,
                                             const RemoteSessionOptions& opts,
-                                            crypto::TrafficStats* stats_out,
-                                            obs::CounterSnapshot* trace_out) {
+                                            crypto::TrafficStats* stats_out) {
   if (lanes == 0) return ir::BatchExecResult{};
   if (party_ == 0 && (inputs == nullptr || inputs->size() != lanes)) {
     throw std::invalid_argument("PartySession::run_batch: party 0 owns one input per lane");
   }
-  // Per-chunk tracer: counters recorded here become the chunk's trace
-  // witness; merged into the session tracer at the end.
+  // Per-chunk tracer, merged into the session tracer at the end.
   const bool tracing = tracer_ != nullptr && tracer_->enabled();
   obs::Tracer chunk_tracer(tracing);
   const std::uint64_t chunk_begin = tracing ? obs::Tracer::now_us() : 0;
@@ -138,34 +127,28 @@ ir::BatchExecResult PartySession::run_batch(const ir::SecureProgram& program,
   // trusted setup — coincide; the setup frames below check that they do.
   std::vector<proto::ChunkLane> chunk_lanes(lanes);
   std::vector<offline::QueryBundle> owned(lanes);  // dealer and ot_ext material
+  std::size_t first = q;
+  if (opts.source == TripleSourceKind::store) {
+    if (opts.store == nullptr) {
+      throw std::invalid_argument("PartySession::run_batch: store source without a store");
+    }
+    first = opts.store->claim(lanes);
+    chunk_tracer.add(obs::Counter::store_claims, lanes);
+  }
+  if (opts.source == TripleSourceKind::dealer && opts.dealer == nullptr) {
+    throw std::invalid_argument("PartySession::run_batch: dealer source without a client");
+  }
   for (std::size_t j = 0; j < lanes; ++j) {
-    chunk_lanes[j].position = q + j;
-    switch (opts.source) {
-      case TripleSourceKind::fused:
-      case TripleSourceKind::ot_ext:
-        break;
-      case TripleSourceKind::store: {
-        if (opts.store == nullptr) {
-          throw std::invalid_argument("PartySession::run_batch: store source without a store");
-        }
-        const auto [idx, b] = opts.store->claim_next();
-        chunk_lanes[j] = proto::ChunkLane{idx, b};
-        chunk_tracer.add(obs::Counter::store_claims, 1);
-        break;
-      }
-      case TripleSourceKind::dealer: {
-        if (opts.dealer == nullptr) {
-          throw std::invalid_argument("PartySession::run_batch: dealer source without a client");
-        }
-        const std::uint64_t claim_begin = tracing ? obs::Tracer::now_us() : 0;
-        owned[j] = opts.dealer->claim(q + j);
-        chunk_lanes[j].bundle = &owned[j];
-        if (tracing) {
-          chunk_tracer.add(obs::Counter::dealer_claims, 1);
-          chunk_tracer.sample(obs::Sample::dealer_claim_us,
-                              obs::Tracer::now_us() - claim_begin);
-        }
-        break;
+    chunk_lanes[j].position = first + j;
+    if (opts.source == TripleSourceKind::store) {
+      chunk_lanes[j].bundle = &opts.store->bundle(first + j);
+    } else if (opts.source == TripleSourceKind::dealer) {
+      const std::uint64_t claim_begin = tracing ? obs::Tracer::now_us() : 0;
+      owned[j] = opts.dealer->claim(q + j);
+      chunk_lanes[j].bundle = &owned[j];
+      if (tracing) {
+        chunk_tracer.add(obs::Counter::dealer_claims, 1);
+        chunk_tracer.sample(obs::Sample::dealer_claim_us, obs::Tracer::now_us() - claim_begin);
       }
     }
   }
@@ -214,38 +197,33 @@ ir::BatchExecResult PartySession::run_batch(const ir::SecureProgram& program,
   // reconstruct) — so unlike every other serving mode the triple material
   // here is NOT the canonical shared-seed stream, and logits match the
   // dealer path only up to truncation-LSB noise.  The window is metered
-  // separately (stats reset on both sides of it) so the ONLINE window's
-  // traffic and trace witnesses are exactly what the other serving modes
-  // measure; the offline traffic has its own analytic witness,
-  // ot_ext_generation_cost.
+  // separately (the block resets on both sides of it) so the ONLINE
+  // window counts exactly what the other serving modes count; the offline
+  // traffic has its own analytic witness, ot_ext_generation_cost.  Its
+  // block folds into the chunk tracer once, when the window ends.
   if (opts.source == TripleSourceKind::ot_ext) {
     if (opts.plan == nullptr) {
       throw std::invalid_argument("PartySession::run_batch: ot_ext source without a plan");
     }
     chan_.reset_stats();
-    obs::Tracer offline_tracer(tracing);
     const std::uint64_t offline_begin = tracing ? obs::Tracer::now_us() : 0;
-    {
-      const DetachChanTracer offline_detach{tracing ? &chan_ : nullptr};
-      crypto::TwoPartyContext gen_ctx(rc_, proto::SecureNetwork::query_context_seed(positions[0]),
-                                      party_, chan_);
-      if (tracing) gen_ctx.set_tracer(&offline_tracer);
-      // The per-lane seeds only size the generation in a remote context
-      // (halves come from role_prng there); passing the canonical values
-      // keeps the call shape identical to the simulation paths.
-      std::vector<std::uint64_t> seeds(lanes);
-      for (std::size_t j = 0; j < lanes; ++j) {
-        seeds[j] = proto::SecureNetwork::query_dealer_seed(positions[j]);
-      }
-      offline::generate_bundles_ot_ext(*opts.plan, gen_ctx, seeds, owned.data());
-      for (std::size_t j = 0; j < lanes; ++j) chunk_lanes[j].bundle = &owned[j];
+    crypto::TwoPartyContext gen_ctx(rc_, proto::SecureNetwork::query_context_seed(positions[0]),
+                                    party_, chan_);
+    if (tracing) gen_ctx.set_tracer(&chunk_tracer);
+    // The per-lane seeds only size the generation in a remote context
+    // (halves come from role_prng there); passing the canonical values
+    // keeps the call shape identical to the simulation paths.
+    std::vector<std::uint64_t> seeds(lanes);
+    for (std::size_t j = 0; j < lanes; ++j) {
+      seeds[j] = proto::SecureNetwork::query_dealer_seed(positions[j]);
     }
-    if (opts.offline_stats_out != nullptr) *opts.offline_stats_out = chan_.stats_snapshot();
+    offline::generate_bundles_ot_ext(*opts.plan, gen_ctx, seeds, owned.data());
+    for (std::size_t j = 0; j < lanes; ++j) chunk_lanes[j].bundle = &owned[j];
+    if (opts.offline_stats_out != nullptr) *opts.offline_stats_out = chan_.stats();
     if (tracing) {
-      offline_tracer.complete_span("offline", "ot_ext_generate", offline_begin,
-                                   static_cast<std::int64_t>(lanes));
-      if (opts.offline_trace_out != nullptr) *opts.offline_trace_out = offline_tracer.snapshot();
-      tracer_->merge_from(offline_tracer);
+      chunk_tracer.add(chan_.counters().snapshot());
+      chunk_tracer.complete_span("offline", "ot_ext_generate", offline_begin,
+                                 static_cast<std::int64_t>(lanes));
     }
   }
 
@@ -259,12 +237,11 @@ ir::BatchExecResult PartySession::run_batch(const ir::SecureProgram& program,
   for (const proto::SecureTensor& share : input_shares) bopts.input_shares.push_back(&share);
   proto::ChunkRun run = proto::run_chunk(ctx, program, params, chunk_lanes, {}, bopts,
                                          tracing ? &chunk_tracer : nullptr);
-  if (stats_out != nullptr) *stats_out = run.traffic;
+  if (stats_out != nullptr) *stats_out = crypto::TrafficStats::of(run.counters);
   if (tracing) {
     chunk_tracer.complete_span("net", "run_batch", chunk_begin,
                                static_cast<std::int64_t>(lanes));
     chunk_tracer.sample(obs::Sample::chunk_us, obs::Tracer::now_us() - chunk_begin);
-    if (trace_out != nullptr) *trace_out = run.trace;
     tracer_->merge_from(chunk_tracer);
   }
   return std::move(run.results);

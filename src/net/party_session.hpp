@@ -19,10 +19,14 @@
 // sharing with the executor's canonical client PRG and ships party 1's
 // half as a setup frame (party 1 never sees the plaintext input); the
 // chunk then runs through proto::run_chunk — the runner Workload::run
-// uses — which resets the meter and executes the IR program over the
-// wire; the terminal opening reveals logits (or argmax labels) to both
-// sides.  Setup frames ride outside the metered window, so TrafficStats
-// cover exactly what the in-process meter covers.
+// uses — which resets the channel's counter block and executes the IR
+// program over the wire; the terminal opening reveals logits (or argmax
+// labels) to both sides.  Setup frames ride outside the metered window, so
+// the chunk's counts cover exactly what the in-process chunk counts.  With
+// a tracer attached, each metered window (the chunk, and under
+// TripleSourceKind::ot_ext its offline window) folds its block into the
+// chunk's tracer once, when it ends; the chunk tracer then merges into the
+// session tracer.
 
 #include "ir/executor.hpp"
 #include "net/dealer.hpp"
@@ -51,7 +55,7 @@ void send_tensor_share(crypto::Channel& chan, const proto::SecureTensor& t, int 
 /// Where a remote session's correlated randomness comes from.
 enum class TripleSourceKind {
   fused,   ///< per-query context dealer (the canonical shared-seed setup)
-  store,   ///< a locally loaded TripleStore file (claim_next order)
+  store,   ///< a locally loaded TripleStore file (claim order)
   dealer,  ///< bundle claims from a pasnet_dealer daemon
   ot_ext,  ///< generated in-session by the two parties over IKNP OT
            ///< extension — no dealer daemon; triple halves are drawn from
@@ -70,13 +74,12 @@ struct RemoteSessionOptions {
   /// (borrowed; both processes must hold the same plan — verify_plan
   /// checks the fingerprint).
   const offline::PreprocessingPlan* plan = nullptr;
-  /// TripleSourceKind::ot_ext out-params (optional, borrowed).  The offline
-  /// generation runs in its OWN metered window — stats reset before and
-  /// after — so the online window's three-witness is untouched; these
-  /// receive the offline window's traffic and trace counters, which tests
-  /// pin against offline::ot_ext_generation_cost (the offline witness).
+  /// TripleSourceKind::ot_ext out-param (optional, borrowed).  The offline
+  /// generation runs in its OWN metered window — the block resets before
+  /// and after — so the online window's counts are untouched; this
+  /// receives the offline window's traffic, which tests pin against
+  /// offline::ot_ext_generation_cost (the offline witness).
   crypto::TrafficStats* offline_stats_out = nullptr;
-  obs::CounterSnapshot* offline_trace_out = nullptr;
 };
 
 /// One party's side of a two-process inference session.
@@ -101,26 +104,22 @@ class PartySession {
   /// are bit-identical to the same queries run one at a time — local or
   /// remote.  Party 1 raises HandshakeError (and hangs up) when party 0's
   /// positions differ from its own; party 0 then fails with a NetError.
-  /// `trace_out`, when set and a tracer is attached, receives the chunk's
-  /// trace-counter totals — recorded over exactly the metered window, so
-  /// its rounds/bytes must equal `stats_out`'s.
+  /// `stats_out`, when set, receives the chunk's metered traffic.
   [[nodiscard]] ir::BatchExecResult run_batch(const ir::SecureProgram& program,
                                               const ir::CompiledParams& params, std::size_t q,
                                               const std::vector<nn::Tensor>* inputs,
                                               std::size_t lanes,
                                               const RemoteSessionOptions& opts,
-                                              crypto::TrafficStats* stats_out = nullptr,
-                                              obs::CounterSnapshot* trace_out = nullptr);
+                                              crypto::TrafficStats* stats_out = nullptr);
 
   [[nodiscard]] int party() const noexcept { return party_; }
 
   /// Attaches a tracer (non-owning; nullptr detaches).  Each run_batch
-  /// chunk records under its own per-chunk tracer — attached to the
-  /// channel only inside the metered window, so trace rounds/bytes mirror
-  /// the chunk's TrafficStats exactly (setup frames stay outside both) —
-  /// then merges spans, samples and counters into the attached tracer.
-  /// Store and dealer claims count once per lane; dealer claims are timed
-  /// as obs::Sample::dealer_claim_us.
+  /// chunk records under its own per-chunk tracer — spans from the chunk
+  /// context, counters folded from each metered window's block (setup
+  /// frames stay outside) — then merges spans, samples and counters into
+  /// the attached tracer.  Store and dealer claims count once per lane;
+  /// dealer claims are timed as obs::Sample::dealer_claim_us.
   void set_tracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }
   [[nodiscard]] obs::Tracer* tracer() const noexcept { return tracer_; }
 

@@ -1,6 +1,5 @@
 #include "net/transport_channel.hpp"
 
-#include <chrono>
 #include <cstring>
 
 #include "net/errors.hpp"
@@ -16,23 +15,22 @@ TransportChannel::TransportChannel(std::unique_ptr<Transport> transport, int loc
   if (transport_ == nullptr) {
     throw std::invalid_argument("TransportChannel: null transport");
   }
-  stats_ = std::make_shared<crypto::TrafficStats>();
+  counters_ = std::make_shared<obs::CounterBlock>();
 }
 
-void TransportChannel::note_message(int sender) noexcept {
-  // Mirror every round increment into the tracer at the exact meter site,
-  // so the trace witness stays an independent copy of TrafficStats.
+void TransportChannel::note_message(int sender, std::uint64_t wire_bytes) noexcept {
+  counters_->add(sender == 0 ? obs::Counter::bytes_p0_to_p1 : obs::Counter::bytes_p1_to_p0,
+                 wire_bytes);
+  counters_->add(obs::Counter::messages, 1);
   if (in_round_) {
     if (!round_counted_) {
-      ++stats_->rounds;
+      counters_->add(obs::Counter::rounds, 1);
       round_counted_ = true;
-      if (tracer_ != nullptr) tracer_->add(obs::Counter::rounds, 1);
     }
     last_sender_ = sender;
   } else if (last_sender_ != sender) {
-    ++stats_->rounds;
+    counters_->add(obs::Counter::rounds, 1);
     last_sender_ = sender;
-    if (tracer_ != nullptr) tracer_->add(obs::Counter::rounds, 1);
   }
 }
 
@@ -49,15 +47,7 @@ void TransportChannel::do_send(std::vector<std::uint8_t>&& data, std::uint64_t w
   if (!data.empty()) std::memcpy(frame.data() + 8, data.data(), data.size());
   transport_->send_frame(frame);
   std::lock_guard<std::mutex> lk(m_);
-  (local_party_ == 0 ? stats_->bytes_p0_to_p1 : stats_->bytes_p1_to_p0) += wire_bytes;
-  ++stats_->messages;
-  if (tracer_ != nullptr) {
-    tracer_->add(local_party_ == 0 ? obs::Counter::bytes_p0_to_p1
-                                   : obs::Counter::bytes_p1_to_p0,
-                 wire_bytes);
-    tracer_->add(obs::Counter::messages, 1);
-  }
-  note_message(local_party_);
+  note_message(local_party_, wire_bytes);
 }
 
 std::vector<std::uint8_t> TransportChannel::do_recv() {
@@ -68,16 +58,9 @@ std::vector<std::uint8_t> TransportChannel::do_recv() {
   // Time the blocking wire wait: over TCP every recv is a wait, so the
   // whole recv_frame call counts as recv_wait_us (deserialization above
   // the channel is negligible next to the wire).
-  const bool timed = tracer_ != nullptr && tracer_->enabled();
-  const auto wait_begin =
-      timed ? std::chrono::steady_clock::now() : std::chrono::steady_clock::time_point{};
+  const std::uint64_t wait_begin = obs::Tracer::now_us();
   const std::vector<std::uint8_t> frame = transport_->recv_frame();
-  if (timed) {
-    tracer_->add(obs::Counter::recv_wait_us,
-                 static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(
-                                                std::chrono::steady_clock::now() - wait_begin)
-                                                .count()));
-  }
+  counters_->add(obs::Counter::recv_wait_us, obs::Tracer::now_us() - wait_begin);
   if (frame.size() < 8) {
     throw FrameError("TransportChannel::recv: frame shorter than its sub-header");
   }
@@ -89,16 +72,8 @@ std::vector<std::uint8_t> TransportChannel::do_recv() {
     throw FrameError("TransportChannel::recv: implausible wire-byte accounting in sub-header");
   }
   std::vector<std::uint8_t> data(frame.begin() + 8, frame.end());
-  const int peer = 1 - local_party_;
   std::lock_guard<std::mutex> lk(m_);
-  (peer == 0 ? stats_->bytes_p0_to_p1 : stats_->bytes_p1_to_p0) += wire_bytes;
-  ++stats_->messages;
-  if (tracer_ != nullptr) {
-    tracer_->add(peer == 0 ? obs::Counter::bytes_p0_to_p1 : obs::Counter::bytes_p1_to_p0,
-                 wire_bytes);
-    tracer_->add(obs::Counter::messages, 1);
-  }
-  note_message(peer);
+  note_message(1 - local_party_, wire_bytes);
   return data;
 }
 
@@ -124,14 +99,9 @@ void TransportChannel::close() {
   transport_->close();
 }
 
-crypto::TrafficStats TransportChannel::stats_snapshot() const {
-  std::lock_guard<std::mutex> lk(m_);
-  return *stats_;
-}
-
 void TransportChannel::reset_stats() noexcept {
   std::lock_guard<std::mutex> lk(m_);
-  stats_->reset();
+  counters_->reset();
   last_sender_ = -1;
   round_counted_ = false;
 }

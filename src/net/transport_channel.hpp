@@ -3,16 +3,17 @@
 // the in-process 2PC simulation into a real two-process deployment.
 //
 // Each party process owns ONE TransportChannel; the protocol stack above
-// it is unchanged.  The meter is kept pair-equivalent: a send credits the
-// local->peer direction at send time, a recv credits the peer->local
-// direction with the byte count the PEER accounted (carried in a per-
-// message sub-header, so modeled wire widths — e.g. 4 bytes per ring
-// element on a 32-bit wire — survive the hop).  Round counting replays
+// it is unchanged.  The counter block is kept pair-equivalent: a send
+// credits the local->peer direction at send time, a recv credits the
+// peer->local direction with the byte count the PEER accounted (carried in
+// a per-message sub-header, so modeled wire widths — e.g. 4 bytes per ring
+// element on a 32-bit wire — survive the hop), and every recv counts its
+// blocking wire wait as recv_wait_us.  Round counting replays
 // the simulated pair's rule on the locally observed message order: inside
 // a begin_round/end_round bracket everything is one round; outside, a
 // round increments whenever the message direction flips.  Our protocols
 // are strictly alternating outside brackets, so every process observes
-// the same flip sequence the shared simulated meter counts — which is
+// the same flip sequence the shared simulated block counts — which is
 // what makes TrafficStats bytes/rounds measured over TCP EQUAL to the
 // in-process channel's for the same program (the acceptance bar the
 // loopback self-test pins).
@@ -36,7 +37,6 @@ class TransportChannel final : public crypto::Channel {
   void begin_round() override;
   void end_round() override;
   void close() override;
-  [[nodiscard]] crypto::TrafficStats stats_snapshot() const override;
   void reset_stats() noexcept override;
   /// Blocking semantics: recv waits on the wire, like the threaded pair.
   [[nodiscard]] crypto::ChannelMode mode() const noexcept override {
@@ -56,10 +56,10 @@ class TransportChannel final : public crypto::Channel {
   [[nodiscard]] std::vector<std::uint8_t> do_recv() override;
 
  private:
-  /// The simulated pair's round rule applied to the local view: `sender`
-  /// is the party whose message was just observed (local on send, peer on
-  /// recv).  Caller holds m_.
-  void note_message(int sender) noexcept;
+  /// Counts one observed message of `sender` (local on send, peer on
+  /// recv) with the simulated pair's round rule applied to the local view.
+  /// Caller holds m_.
+  void note_message(int sender, std::uint64_t wire_bytes) noexcept;
 
   std::unique_ptr<Transport> transport_;
   int local_party_;

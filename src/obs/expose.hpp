@@ -22,10 +22,10 @@
 //    metadata (counts, timings) with no authentication, so exposing them
 //    beyond loopback is an explicit operator decision (--metrics-bind).
 //
-// The fourth witness: /metrics renders the SAME counters the three-witness
-// invariant checks (trace == TrafficStats == analytic), read back over a
+// A run-level witness: /metrics renders the tracer's counter totals over a
 // real scrape path.  two_party_common's --verify scrapes its own endpoint
-// and requires the returned round/byte totals to equal the other three.
+// and requires the returned round/byte totals to equal the tracer's, the
+// summed per-chunk measurements and the summed analytic figures.
 
 #include <atomic>
 #include <chrono>
@@ -116,7 +116,7 @@ class ExpositionServer {
   std::chrono::steady_clock::time_point started_;
 };
 
-/// Minimal HTTP/1.0 GET for scraping the endpoints (the fourth-witness
+/// Minimal HTTP/1.0 GET for scraping the endpoints (the run-level witness
 /// self-scrape and the tests).  Returns the response body on 200; throws
 /// ExposeError on any other status or a malformed response, net errors on
 /// transport failure.

@@ -122,14 +122,6 @@ const char* counter_name(Counter c) noexcept { return kCounterNames[static_cast<
 
 const char* sample_name(Sample s) noexcept { return kSampleNames[static_cast<int>(s)]; }
 
-CounterSnapshot Tracer::snapshot() const noexcept {
-  CounterSnapshot s;
-  for (int i = 0; i < kCounterCount; ++i) {
-    s.values[i] = counters_[i].load(std::memory_order_relaxed);
-  }
-  return s;
-}
-
 std::uint64_t Tracer::now_us() noexcept {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - process_epoch())
@@ -216,10 +208,7 @@ std::int64_t Tracer::clock_offset_us() const {
 }
 
 void Tracer::merge_from(const Tracer& other) {
-  const CounterSnapshot cs = other.snapshot();
-  for (int i = 0; i < kCounterCount; ++i) {
-    counters_[i].fetch_add(cs.values[i], std::memory_order_relaxed);
-  }
+  counters_.add(other.snapshot());
   // Copy the other tracer's records under its lock, then append under ours
   // (never hold both: callers may merge in either direction).
   std::vector<TraceEvent> evs;

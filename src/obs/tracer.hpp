@@ -1,20 +1,27 @@
 #pragma once
 // Protocol tracing and metrics (the observability layer).
 //
-// obs::Tracer is a thread-safe recorder the protocol stack reports into:
-// timestamped *spans* (a named interval with a category and an optional
-// lane count — one round, one IR op, one dealer claim), monotonic
-// *counters* (rounds, wire bytes, OT messages, AND levels, openings,
-// triple/store/dealer claims, accumulated socket-wait time) and *samples*
-// (latency values a percentile can be taken over, e.g. dealer claim
-// latency p50/p99).
+// Counting is always on and lives outside the tracer: every metered
+// channel endpoint owns one obs::CounterBlock (shared by both endpoints of
+// an in-process pair), and each protocol event — a message, a round, an OT
+// batch, an AND level, an opening, a triple claim, a kernel delivery,
+// blocked send/recv time — is counted there exactly once, traced or not.
+//
+// obs::Tracer is what a traced run adds on top: timestamped *spans* (a
+// named interval with a category and an optional lane count — one round,
+// one IR op, one dealer claim), *samples* (latency values a percentile can
+// be taken over, e.g. dealer claim latency p50/p99), and counter totals
+// that the chunk runner and the ot-ext offline window fold in from the
+// block once per metered window.  The only counts a tracer takes directly
+// are the claims made outside any channel window (store claims, dealer
+// claims and dealer bytes).
 //
 // Attachment is a raw pointer threaded through the existing objects
-// (TwoPartyContext::set_tracer, Channel::set_tracer, Workload, dealer,
-// PartySession): a nullptr means "not attached" and every hot-path hook is
-// a single pointer test.  An attached-but-disabled tracer records nothing
-// and allocates nothing — the overhead-guard test pins that a disabled
-// tracer adds zero heap allocations to a secure inference.
+// (TwoPartyContext::set_tracer for spans, Workload, dealer, PartySession):
+// a nullptr means "not attached" and every hot-path hook is a single
+// pointer test.  An attached-but-disabled tracer records nothing and
+// allocates nothing — the overhead-guard test pins that a disabled tracer
+// adds zero heap allocations to a secure inference.
 //
 // Two export shapes:
 //  - write_chrome_trace(): the Chrome trace event format (a JSON object
@@ -22,8 +29,7 @@
 //    Perfetto / chrome://tracing load directly, plus `pasnetCounters` and
 //    `pasnetSamples` objects carrying the counter totals and latency
 //    percentiles for machine consumption.
-//  - snapshot(): the raw counter totals, compared by obs::three_witness
-//    (src/obs/witness) against TrafficStats and the analytic cost model.
+//  - snapshot(): the raw counter totals (what /metrics renders).
 //
 // All tracers share one process-wide steady-clock epoch, so spans recorded
 // by different tracer instances (per-chunk workers) stay on one timeline
@@ -67,11 +73,10 @@ struct TraceId {
   [[nodiscard]] static std::optional<TraceId> from_hex(const std::string& s);
 };
 
-/// The fixed counter set.  Wire/round counters are incremented at the same
-/// program points that update crypto::TrafficStats, which is what makes
-/// the trace an independent witness of the same quantities.
+/// The fixed counter set: the slots of a CounterBlock and of a tracer's
+/// totals.
 enum class Counter : int {
-  rounds = 0,          ///< communication rounds (same rule as TrafficStats)
+  rounds = 0,          ///< communication rounds (see crypto::TrafficStats::rounds)
   bytes_p0_to_p1,      ///< accounted wire bytes, party 0 -> party 1
   bytes_p1_to_p0,      ///< accounted wire bytes, party 1 -> party 0
   messages,            ///< framed channel messages
@@ -81,7 +86,7 @@ enum class Counter : int {
   openings,            ///< staged ring-share openings delivered (OpenBuffer stages)
   open_flushes,        ///< coalesced opening exchanges (OpenBuffer flushes)
   triple_claims,       ///< TripleSource draws (any backend)
-  store_claims,        ///< TripleStore bundle claims (claim_next / claim)
+  store_claims,        ///< TripleStore bundle claims
   dealer_claims,       ///< bundle claims served by a DealerServer
   dealer_bytes,        ///< bundle payload bytes served by a DealerServer
   recv_wait_us,        ///< accumulated microseconds blocked in recv (socket/queue wait)
@@ -110,6 +115,37 @@ struct CounterSnapshot {
     for (int i = 0; i < kCounterCount; ++i) values[i] += o.values[i];
     return *this;
   }
+};
+
+/// The always-on counter block: one relaxed atomic total per Counter, safe
+/// to bump from any thread (the party threads of a threaded context and
+/// its coordinating thread share one).
+class CounterBlock {
+ public:
+  void add(Counter c, std::uint64_t v) noexcept {
+    totals_[static_cast<int>(c)].fetch_add(v, std::memory_order_relaxed);
+  }
+  void add(const CounterSnapshot& s) noexcept {
+    for (int i = 0; i < kCounterCount; ++i) {
+      totals_[i].fetch_add(s.values[i], std::memory_order_relaxed);
+    }
+  }
+  [[nodiscard]] std::uint64_t operator[](Counter c) const noexcept {
+    return totals_[static_cast<int>(c)].load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] CounterSnapshot snapshot() const noexcept {
+    CounterSnapshot s;
+    for (int i = 0; i < kCounterCount; ++i) {
+      s.values[i] = totals_[i].load(std::memory_order_relaxed);
+    }
+    return s;
+  }
+  void reset() noexcept {
+    for (auto& t : totals_) t.store(0, std::memory_order_relaxed);
+  }
+
+ private:
+  std::array<std::atomic<std::uint64_t>, kCounterCount> totals_{};
 };
 
 /// Latency-value streams percentiles are taken over.  Backed by
@@ -150,14 +186,16 @@ class Tracer {
 
   // -- counters (atomic; safe from any thread; no allocation) --------------
 
+  /// A claim counted outside any channel window (store, dealer).
   void add(Counter c, std::uint64_t v) noexcept {
-    if (!enabled()) return;
-    counters_[static_cast<int>(c)].fetch_add(v, std::memory_order_relaxed);
+    if (enabled()) counters_.add(c, v);
   }
-  [[nodiscard]] std::uint64_t total(Counter c) const noexcept {
-    return counters_[static_cast<int>(c)].load(std::memory_order_relaxed);
+  /// Folds one metered window's counter block in, once, when it ends.
+  void add(const CounterSnapshot& window) noexcept {
+    if (enabled()) counters_.add(window);
   }
-  [[nodiscard]] CounterSnapshot snapshot() const noexcept;
+  [[nodiscard]] std::uint64_t total(Counter c) const noexcept { return counters_[c]; }
+  [[nodiscard]] CounterSnapshot snapshot() const noexcept { return counters_.snapshot(); }
 
   // -- spans ----------------------------------------------------------------
 
@@ -221,7 +259,7 @@ class Tracer {
   [[nodiscard]] static std::uint32_t thread_tid();
 
   std::atomic<bool> enabled_;
-  std::array<std::atomic<std::uint64_t>, kCounterCount> counters_{};
+  CounterBlock counters_;
 
   mutable std::mutex m_;
   std::vector<TraceEvent> events_;

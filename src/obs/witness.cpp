@@ -7,39 +7,19 @@ namespace pasnet::obs {
 std::string WitnessReport::describe() const {
   std::ostringstream out;
   if (ok()) {
-    out << "three-witness OK: rounds=" << stats.rounds << " bytes=" << stats.bytes
-        << " (trace == TrafficStats == analytic)";
+    out << "witness OK: rounds=" << measured.rounds << " bytes=" << measured.bytes
+        << " (measured == analytic)";
     return out.str();
   }
-  out << "three-witness MISMATCH:";
-  out << " trace={rounds=" << trace.rounds << ", bytes=" << trace.bytes << "}";
-  out << " stats={rounds=" << stats.rounds << ", bytes=" << stats.bytes << "}";
+  out << "witness MISMATCH:";
+  out << " measured={rounds=" << measured.rounds << ", bytes=" << measured.bytes << "}";
   out << " analytic={rounds=" << analytic.rounds << ", bytes=" << analytic.bytes << "}";
   return out.str();
 }
 
-Witness witness_of(const CounterSnapshot& trace) noexcept {
-  Witness w;
-  w.rounds = trace[Counter::rounds];
-  w.bytes = trace.total_bytes();
-  return w;
-}
-
-Witness witness_of(const crypto::TrafficStats& stats) noexcept {
-  Witness w;
-  w.rounds = stats.rounds;
-  w.bytes = stats.total_bytes();
-  return w;
-}
-
-WitnessReport three_witness(const CounterSnapshot& trace, const crypto::TrafficStats& stats,
-                            std::uint64_t analytic_rounds, std::uint64_t analytic_bytes) noexcept {
-  WitnessReport r;
-  r.trace = witness_of(trace);
-  r.stats = witness_of(stats);
-  r.analytic.rounds = analytic_rounds;
-  r.analytic.bytes = analytic_bytes;
-  return r;
+WitnessReport check_witness(const crypto::TrafficStats& measured, std::uint64_t analytic_rounds,
+                            std::uint64_t analytic_bytes) noexcept {
+  return {{measured.rounds, measured.total_bytes()}, {analytic_rounds, analytic_bytes}};
 }
 
 }  // namespace pasnet::obs

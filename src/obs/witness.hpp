@@ -1,27 +1,22 @@
 #pragma once
-// The three-witness invariant: one protocol run's rounds and wire bytes as
-// recorded by three independent mechanisms —
-//
-//   trace    — obs::Tracer counters, incremented next to the channel's
-//              accounting sites,
-//   stats    — crypto::TrafficStats, the channel meter itself,
-//   analytic — perf::profile_program's static prediction from the IR,
-//
-// must be EXACTLY equal.  The round/byte CI guard already pins
-// stats == analytic; the tracer adds a third, independently-recorded
-// witness and this helper is the single place all three are compared
-// (the --trace + --verify path of the party binaries, the metrics report,
-// and the trace tests all call it).
+// The witness invariant: one metered window's rounds and wire bytes as
+// counted by the channel's counter block (read through its TrafficStats
+// projection) must EXACTLY equal perf::profile_program's static prediction
+// from the IR.  The tracer is no independent witness — it folds the same
+// block once per window — so per run the party binaries check a different
+// chain instead: the scraped /metrics totals == the tracer's == the summed
+// per-chunk measurements == the summed analytic figures.  This helper is
+// the single per-window comparison (the party binaries and the trace
+// tests call it).
 
 #include <cstdint>
 #include <string>
 
 #include "crypto/channel.hpp"
-#include "obs/tracer.hpp"
 
 namespace pasnet::obs {
 
-/// One witness's view of a run (or one chunk of a run).
+/// One witness's view of a window.
 struct Witness {
   std::uint64_t rounds = 0;
   std::uint64_t bytes = 0;  ///< accounted wire bytes, both directions
@@ -32,24 +27,19 @@ struct Witness {
 };
 
 struct WitnessReport {
-  Witness trace;
-  Witness stats;
+  Witness measured;
   Witness analytic;
 
-  [[nodiscard]] bool ok() const noexcept { return trace == stats && stats == analytic; }
-  /// Human-readable one/three-line summary ("trace == stats == analytic"
-  /// or the mismatching values).
+  [[nodiscard]] bool ok() const noexcept { return measured == analytic; }
+  /// Human-readable one-line summary ("measured == analytic" or the
+  /// mismatching values).
   [[nodiscard]] std::string describe() const;
 };
-
-[[nodiscard]] Witness witness_of(const CounterSnapshot& trace) noexcept;
-[[nodiscard]] Witness witness_of(const crypto::TrafficStats& stats) noexcept;
 
 /// Assembles the report; the analytic witness comes from
 /// perf::profile_program (total.rounds, wire_bytes) — passed as plain
 /// numbers so this header does not pull in the latency model.
-[[nodiscard]] WitnessReport three_witness(const CounterSnapshot& trace,
-                                          const crypto::TrafficStats& stats,
+[[nodiscard]] WitnessReport check_witness(const crypto::TrafficStats& measured,
                                           std::uint64_t analytic_rounds,
                                           std::uint64_t analytic_bytes) noexcept;
 

@@ -555,10 +555,8 @@ void run_direction(crypto::TwoPartyContext& ctx, const WalkIo& io) {
   const int S = io.sender, R = 1 - io.sender;
   const int wire = (plan.ring.wire_bits + 7) / 8;
   const std::uint64_t mask = plan.ring.mask();
-  if (obs::Tracer* tr = ctx.tracer(); tr != nullptr && tr->enabled()) {
-    tr->add(obs::Counter::ot_ext_base, crypto::otx::kBaseOts);
-    tr->add(obs::Counter::ot_ext_cots, m);
-  }
+  ctx.counters().add(obs::Counter::ot_ext_base, crypto::otx::kBaseOts);
+  ctx.counters().add(obs::Counter::ot_ext_cots, m);
   std::optional<crypto::otx::ExtSender> es;
   std::optional<crypto::otx::ExtReceiver> er;
   // Round 1: S's base-OT chooser frame (S plays base-OT chooser with its

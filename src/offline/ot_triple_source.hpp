@@ -78,7 +78,7 @@ struct OtExtCost {
 /// they are drawn from role_prng — dealer_seeds then only sets the lane
 /// count; see the file comment for why remote bundles are role-private
 /// rather than dealer-identical.
-/// Counts obs::Counter::ot_ext_base / ot_ext_cots on ctx's tracer.
+/// Counts obs::Counter::ot_ext_base / ot_ext_cots on ctx's counter block.
 void generate_bundles_ot_ext(const PreprocessingPlan& plan, crypto::TwoPartyContext& ctx,
                              const std::vector<std::uint64_t>& dealer_seeds,
                              QueryBundle* bundles);

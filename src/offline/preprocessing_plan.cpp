@@ -96,7 +96,7 @@ std::vector<LayerTripleSummary> PreprocessingPlan::layer_summaries() const {
   return out;
 }
 
-crypto::ElemTriple RecordingTripleSource::do_elem_triple(std::size_t n) {
+crypto::ElemTriple RecordingTripleSource::elem_triple(std::size_t n) {
   TripleRequest r;
   r.kind = TripleKind::elem;
   r.layer = layer_;
@@ -105,7 +105,7 @@ crypto::ElemTriple RecordingTripleSource::do_elem_triple(std::size_t n) {
   return dealer_.elem_triple(n);
 }
 
-crypto::SquarePair RecordingTripleSource::do_square_pair(std::size_t n) {
+crypto::SquarePair RecordingTripleSource::square_pair(std::size_t n) {
   TripleRequest r;
   r.kind = TripleKind::square;
   r.layer = layer_;
@@ -114,8 +114,8 @@ crypto::SquarePair RecordingTripleSource::do_square_pair(std::size_t n) {
   return dealer_.square_pair(n);
 }
 
-crypto::MatmulTriple RecordingTripleSource::do_matmul_triple(std::size_t m, std::size_t k,
-                                                             std::size_t n) {
+crypto::MatmulTriple RecordingTripleSource::matmul_triple(std::size_t m, std::size_t k,
+                                                          std::size_t n) {
   TripleRequest r;
   r.kind = TripleKind::matmul;
   r.layer = layer_;
@@ -126,7 +126,7 @@ crypto::MatmulTriple RecordingTripleSource::do_matmul_triple(std::size_t m, std:
   return dealer_.matmul_triple(m, k, n);
 }
 
-crypto::BitTriple RecordingTripleSource::do_bit_triple(std::size_t n) {
+crypto::BitTriple RecordingTripleSource::bit_triple(std::size_t n) {
   TripleRequest r;
   r.kind = TripleKind::bit;
   r.layer = layer_;
@@ -135,8 +135,7 @@ crypto::BitTriple RecordingTripleSource::do_bit_triple(std::size_t n) {
   return dealer_.bit_triple(n);
 }
 
-crypto::BilinearTriple RecordingTripleSource::do_bilinear_triple(
-    const crypto::BilinearSpec& spec) {
+crypto::BilinearTriple RecordingTripleSource::bilinear_triple(const crypto::BilinearSpec& spec) {
   TripleRequest r;
   r.kind = TripleKind::bilinear;
   r.layer = layer_;

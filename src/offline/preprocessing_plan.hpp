@@ -105,12 +105,11 @@ class RecordingTripleSource final : public crypto::TripleSource {
   void begin_layer(int layer) noexcept { layer_ = layer; }
   [[nodiscard]] PreprocessingPlan take_plan() { return std::move(plan_); }
 
- protected:
-  crypto::ElemTriple do_elem_triple(std::size_t n) override;
-  crypto::SquarePair do_square_pair(std::size_t n) override;
-  crypto::MatmulTriple do_matmul_triple(std::size_t m, std::size_t k, std::size_t n) override;
-  crypto::BitTriple do_bit_triple(std::size_t n) override;
-  crypto::BilinearTriple do_bilinear_triple(const crypto::BilinearSpec& spec) override;
+  crypto::ElemTriple elem_triple(std::size_t n) override;
+  crypto::SquarePair square_pair(std::size_t n) override;
+  crypto::MatmulTriple matmul_triple(std::size_t m, std::size_t k, std::size_t n) override;
+  crypto::BitTriple bit_triple(std::size_t n) override;
+  crypto::BilinearTriple bilinear_triple(const crypto::BilinearSpec& spec) override;
 
  private:
   crypto::DealerTripleSource dealer_;

@@ -130,14 +130,16 @@ std::size_t TripleStore::remaining_queries() const {
   return bundles_.size() - next_;
 }
 
-std::pair<std::size_t, QueryBundle*> TripleStore::claim_next() {
+std::size_t TripleStore::claim(std::size_t n) {
   std::lock_guard<std::mutex> lk(mu_);
-  if (next_ == bundles_.size()) {
-    throw TripleStoreExhausted("TripleStore exhausted: all " + std::to_string(next_) +
-                               " pregenerated queries are claimed");
+  if (n > bundles_.size() - next_) {
+    throw TripleStoreExhausted("TripleStore exhausted: " + std::to_string(n) +
+                               " queries asked for, " + std::to_string(bundles_.size() - next_) +
+                               " of " + std::to_string(bundles_.size()) + " left");
   }
-  const std::size_t idx = next_++;
-  return {idx, &bundles_[idx]};
+  const std::size_t first = next_;
+  next_ += n;
+  return first;
 }
 
 std::uint64_t TripleStore::material_bytes() const noexcept {
@@ -362,7 +364,7 @@ void StoreTripleSource::throw_exhausted(const char* pool) const {
                              " pool): pregenerate more queries");
 }
 
-crypto::ElemTriple StoreTripleSource::do_elem_triple(std::size_t n) {
+crypto::ElemTriple StoreTripleSource::elem_triple(std::size_t n) {
   if (elem_next_ >= bundle_.elem.size()) throw_exhausted("elem");
   crypto::ElemTriple t = std::move(bundle_.elem[elem_next_++]);
   if (t.a.size() != n) {
@@ -371,7 +373,7 @@ crypto::ElemTriple StoreTripleSource::do_elem_triple(std::size_t n) {
   return t;
 }
 
-crypto::SquarePair StoreTripleSource::do_square_pair(std::size_t n) {
+crypto::SquarePair StoreTripleSource::square_pair(std::size_t n) {
   if (square_next_ >= bundle_.square.size()) throw_exhausted("square");
   crypto::SquarePair p = std::move(bundle_.square[square_next_++]);
   if (p.a.size() != n) {
@@ -380,8 +382,8 @@ crypto::SquarePair StoreTripleSource::do_square_pair(std::size_t n) {
   return p;
 }
 
-crypto::MatmulTriple StoreTripleSource::do_matmul_triple(std::size_t m, std::size_t k,
-                                                         std::size_t n) {
+crypto::MatmulTriple StoreTripleSource::matmul_triple(std::size_t m, std::size_t k,
+                                                      std::size_t n) {
   if (matmul_next_ >= bundle_.matmul.size()) throw_exhausted("matmul");
   crypto::MatmulTriple t = std::move(bundle_.matmul[matmul_next_++]);
   if (t.m != m || t.k != k || t.n != n) {
@@ -390,7 +392,7 @@ crypto::MatmulTriple StoreTripleSource::do_matmul_triple(std::size_t m, std::siz
   return t;
 }
 
-crypto::BitTriple StoreTripleSource::do_bit_triple(std::size_t n) {
+crypto::BitTriple StoreTripleSource::bit_triple(std::size_t n) {
   if (bit_next_ >= bundle_.bit.size()) throw_exhausted("bit");
   crypto::BitTriple t = std::move(bundle_.bit[bit_next_++]);
   if (t.a0.size() != n) {
@@ -399,7 +401,7 @@ crypto::BitTriple StoreTripleSource::do_bit_triple(std::size_t n) {
   return t;
 }
 
-crypto::BilinearTriple StoreTripleSource::do_bilinear_triple(const crypto::BilinearSpec& spec) {
+crypto::BilinearTriple StoreTripleSource::bilinear_triple(const crypto::BilinearSpec& spec) {
   if (bilinear_next_ >= bundle_.bilinear.size()) throw_exhausted("bilinear");
   crypto::BilinearTriple t = std::move(bundle_.bilinear[bilinear_next_++]);
   if (t.a.size() != spec.na() || t.b.size() != spec.nb() || t.z.size() != spec.nz()) {

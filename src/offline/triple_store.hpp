@@ -96,11 +96,11 @@ class TripleStore {
   [[nodiscard]] QueryBundle& bundle(std::size_t q) { return bundles_[q]; }
   [[nodiscard]] const QueryBundle& bundle(std::size_t q) const { return bundles_[q]; }
 
-  /// Atomically claims the next unconsumed bundle and returns {index,
-  /// bundle}; raises TripleStoreExhausted once every bundle is claimed.
-  /// Thread-safe; each bundle is handed out exactly once and is then owned
-  /// by the claiming worker.
-  [[nodiscard]] std::pair<std::size_t, QueryBundle*> claim_next();
+  /// Atomically claims the next n unconsumed bundles and returns the index
+  /// of the first; raises TripleStoreExhausted, having claimed none, when
+  /// fewer than n are left.  Thread-safe; each bundle is handed out exactly
+  /// once and is then owned by the claimant (bundle(first + j)).
+  [[nodiscard]] std::size_t claim(std::size_t n);
 
   /// Serialized size in bytes (header + all bundles), for reporting.
   [[nodiscard]] std::uint64_t material_bytes() const noexcept;
@@ -141,12 +141,11 @@ class StoreTripleSource final : public crypto::TripleSource {
  public:
   explicit StoreTripleSource(QueryBundle& bundle) : bundle_(bundle) {}
 
- protected:
-  crypto::ElemTriple do_elem_triple(std::size_t n) override;
-  crypto::SquarePair do_square_pair(std::size_t n) override;
-  crypto::MatmulTriple do_matmul_triple(std::size_t m, std::size_t k, std::size_t n) override;
-  crypto::BitTriple do_bit_triple(std::size_t n) override;
-  crypto::BilinearTriple do_bilinear_triple(const crypto::BilinearSpec& spec) override;
+  crypto::ElemTriple elem_triple(std::size_t n) override;
+  crypto::SquarePair square_pair(std::size_t n) override;
+  crypto::MatmulTriple matmul_triple(std::size_t m, std::size_t k, std::size_t n) override;
+  crypto::BitTriple bit_triple(std::size_t n) override;
+  crypto::BilinearTriple bilinear_triple(const crypto::BilinearSpec& spec) override;
 
  private:
   [[noreturn]] void throw_exhausted(const char* pool) const;

@@ -16,12 +16,13 @@
 
 namespace pasnet::proto {
 
-/// Per-inference protocol statistics.
+/// Per-inference protocol statistics: a value projection of a counter
+/// block.
 struct InferenceStats {
   std::uint64_t comm_bytes = 0;
-  /// Bytes spent opening weight-shaped E = W - B values.  For a static
-  /// model these openings happen once offline and amortize across queries;
-  /// online traffic is comm_bytes - weight_open_bytes.
+  /// Bytes spent opening weight-shaped E = W - B values.  Every query
+  /// re-sends them (no fixed-weight-mask preprocessing yet); online
+  /// traffic is comm_bytes - weight_open_bytes.
   std::uint64_t weight_open_bytes = 0;
   std::uint64_t messages = 0;
   /// Latency-critical message exchanges.  A coalesced multi-open exchange
@@ -33,23 +34,14 @@ struct InferenceStats {
   [[nodiscard]] std::uint64_t online_bytes() const noexcept {
     return comm_bytes - weight_open_bytes;
   }
-  std::uint64_t elem_triples = 0;
-  std::uint64_t square_pairs = 0;
-  std::uint64_t matmul_triple_elems = 0;
-  std::uint64_t bilinear_triple_elems = 0;
-  std::uint64_t bit_triples = 0;
 
-  /// Accumulates another query's statistics into this one.
-  void merge(const InferenceStats& other) noexcept {
-    comm_bytes += other.comm_bytes;
-    weight_open_bytes += other.weight_open_bytes;
-    messages += other.messages;
-    rounds += other.rounds;
-    elem_triples += other.elem_triples;
-    square_pairs += other.square_pairs;
-    matmul_triple_elems += other.matmul_triple_elems;
-    bilinear_triple_elems += other.bilinear_triple_elems;
-    bit_triples += other.bit_triples;
+  /// The one place an InferenceStats is filled: the block `c` of a window
+  /// that served `queries` queries, each opening `weight_open_bytes` of
+  /// weight-shaped E.
+  [[nodiscard]] static InferenceStats of(const obs::CounterSnapshot& c, std::size_t queries,
+                                         std::uint64_t weight_open_bytes) noexcept {
+    return {c.total_bytes(), weight_open_bytes * queries, c[obs::Counter::messages],
+            c[obs::Counter::rounds]};
   }
 };
 
@@ -101,8 +93,8 @@ class SecureNetwork {
   /// invariant).
   [[nodiscard]] crypto::ExecMode exec_mode() const noexcept { return ctx_.mode(); }
   [[nodiscard]] const SecureConfig& config() const noexcept { return cfg_; }
-  /// Bytes of the weight-shaped E openings — a model constant that
-  /// amortizes offline for a static model (see InferenceStats).
+  /// Bytes of one query's weight-shaped E openings — a model constant
+  /// (see InferenceStats).
   [[nodiscard]] std::uint64_t weight_open_bytes() const noexcept { return weight_open_bytes_; }
 
  private:

@@ -499,9 +499,9 @@ std::vector<int> secure_argmax(TwoPartyContext& ctx, const SecureTensor& logits,
     // Level material in plan order: DReLU AND-tree, B2A, value selector,
     // index selector (ir::derive_plan emits the same stream).
     crypto::MillionaireMaterial mill = crypto::draw_drelu_material(ctx, lvl_n);
-    crypto::ElemTriple t_b2a = ctx.triples().elem_triple(lvl_n);
-    crypto::ElemTriple t_vsel = ctx.triples().elem_triple(lvl_n);
-    crypto::ElemTriple t_isel = ctx.triples().elem_triple(lvl_n);
+    crypto::ElemTriple t_b2a = ctx.elem_triple(lvl_n);
+    crypto::ElemTriple t_vsel = ctx.elem_triple(lvl_n);
+    crypto::ElemTriple t_isel = ctx.elem_triple(lvl_n);
     // [a >= b]: on ties the lower-index (a) side wins.
     crypto::StagedDrelu sd;
     sd.begin(ctx, vdiff, cfg.ot_mode, std::move(mill));

@@ -71,28 +71,14 @@ ChunkRun run_chunk(crypto::TwoPartyContext& ctx, const ir::SecureProgram& progra
     opts.lane_prngs.emplace_back(&share0, &share1);  // stable: reserved above
   }
 
-  // The metered window: the tracer mirrors exactly what the meter counts,
-  // and is detached again even on a throw (a remote context borrows a
-  // session-long channel).
-  struct Detach {
-    crypto::TwoPartyContext& ctx;
-    ~Detach() { ctx.set_tracer(nullptr); }
-  };
+  // The metered window: everything the chunk counts lands in the block,
+  // which folds into the tracer once, when the window ends.
   ctx.reset_stats();
   ctx.set_tracer(tracer);
-  const Detach detach{ctx};
   ChunkRun run;
   run.results = ir::execute_batch(program, params, ctx, inputs, opts);
-  run.traffic = ctx.stats();
-  for (const auto& src : sources) {
-    const crypto::TripleCounters& tc = src->counters();
-    run.triples.elem_triples += tc.elem_triples;
-    run.triples.square_pairs += tc.square_pairs;
-    run.triples.matmul_triple_elems += tc.matmul_triple_elems;
-    run.triples.bilinear_triple_elems += tc.bilinear_triple_elems;
-    run.triples.bit_triples += tc.bit_triples;
-  }
-  if (tracer != nullptr) run.trace = tracer->snapshot();
+  run.counters = ctx.counters().snapshot();
+  if (tracer != nullptr) tracer->add(run.counters);
   return run;
 }
 
@@ -102,24 +88,20 @@ WorkloadResult Workload::run(const std::vector<nn::Tensor>& inputs) {
   stats_ = InferenceStats{};
   chunk_stats_.clear();
   if (n == 0) return out;
-  const std::size_t base = next_query_;
-  next_query_ += n;
   const auto lanes_per_chunk = static_cast<std::size_t>(opts_.batch);
   const std::size_t num_chunks = (n + lanes_per_chunk - 1) / lanes_per_chunk;
 
-  // Store-backed serving claims one bundle per query up front: claims are
-  // ordered, so the q-th query of this call maps to the store's next
-  // unclaimed index — on a fresh store that is exactly the canonical
-  // stream position the dealer path would use.
+  // Store-backed serving claims this call's bundles up front, all or none.
+  // Claims are ordered, so query q of this call is served by bundle
+  // first + q — on a fresh store exactly the canonical stream position the
+  // dealer path would use.
   std::vector<ChunkLane> lanes(n);
+  const std::size_t first = store_ != nullptr ? store_->claim(n) : next_query_;
   for (std::size_t q = 0; q < n; ++q) {
-    if (store_ != nullptr) {
-      const auto [idx, bundle] = store_->claim_next();
-      lanes[q] = ChunkLane{idx, bundle};
-    } else {
-      lanes[q].position = base + q;
-    }
+    lanes[q].position = first + q;
+    if (store_ != nullptr) lanes[q].bundle = &store_->bundle(first + q);
   }
+  next_query_ += n;
 
   if (opts_.kind == WorkloadKind::logits) {
     out.logits.resize(n);
@@ -134,17 +116,16 @@ WorkloadResult Workload::run(const std::vector<nn::Tensor>& inputs) {
     const std::size_t hi = std::min(n, lo + lanes_per_chunk);
     const std::vector<ChunkLane> chunk(lanes.begin() + static_cast<long>(lo),
                                        lanes.begin() + static_cast<long>(hi));
+    // Per-chunk tracer, merged into the workload tracer at the end
+    // (concurrent chunk workers each own their tracer, so there is no
+    // cross-chunk tearing).  It outlives the context it is attached to.
+    obs::Tracer chunk_tracer(tracing);
     // One fresh context per chunk, seeded with lane 0's canonical context
     // seed.
     crypto::TwoPartyContext cctx(net_.ring(),
                                  SecureNetwork::query_context_seed(chunk[0].position),
                                  net_.exec_mode(), net_.round_delay());
-    // Per-chunk tracer: the chunk's counters become its ChunkStats::trace
-    // witness, then merge into the workload tracer (concurrent chunk
-    // workers each own their tracer, so there is no cross-chunk tearing).
-    obs::Tracer chunk_tracer(tracing);
     const std::uint64_t chunk_begin = tracing ? obs::Tracer::now_us() : 0;
-    if (store_ != nullptr) chunk_tracer.add(obs::Counter::store_claims, chunk.size());
     ir::BatchExecOptions bopts;
     bopts.cfg = net_.config();
     ChunkRun run = run_chunk(cctx, program(), net_.params(), chunk,
@@ -162,16 +143,12 @@ WorkloadResult Workload::run(const std::vector<nn::Tensor>& inputs) {
     ChunkStats& cs = chunk_stats_[c];
     cs.first_query = chunk[0].position;
     cs.queries = chunk.size();
-    cs.totals.comm_bytes = run.traffic.total_bytes();
-    cs.totals.weight_open_bytes = net_.weight_open_bytes();
-    cs.totals.messages = run.traffic.messages;
-    cs.totals.rounds = run.traffic.rounds;
-    cs.totals.elem_triples = run.triples.elem_triples;
-    cs.totals.square_pairs = run.triples.square_pairs;
-    cs.totals.matmul_triple_elems = run.triples.matmul_triple_elems;
-    cs.totals.bilinear_triple_elems = run.triples.bilinear_triple_elems;
-    cs.totals.bit_triples = run.triples.bit_triples;
-    cs.trace = run.trace;
+    cs.counters = run.counters;
+    if (store_ != nullptr) {
+      // Claimed up front, outside the metered window: one per lane.
+      cs.counters.values[static_cast<int>(obs::Counter::store_claims)] = chunk.size();
+      chunk_tracer.add(obs::Counter::store_claims, chunk.size());
+    }
     if (tracing) {
       chunk_tracer.complete_span("proto", "chunk", chunk_begin,
                                  static_cast<std::int64_t>(chunk.size()));
@@ -208,7 +185,9 @@ WorkloadResult Workload::run(const std::vector<nn::Tensor>& inputs) {
     for (auto& t : pool) t.join();
   }
   if (first_error) std::rethrow_exception(first_error);
-  for (const ChunkStats& cs : chunk_stats_) stats_.merge(cs.totals);
+  obs::CounterSnapshot total;
+  for (const ChunkStats& cs : chunk_stats_) total += cs.counters;
+  stats_ = InferenceStats::of(total, n, net_.weight_open_bytes());
   return out;
 }
 

@@ -18,8 +18,9 @@
 //
 // run_chunk() is the one chunk runner: Workload::run drives it in process
 // and net::PartySession::run_batch drives it for one party of a
-// two-process session, so both execute the same lane setup, meter window
-// and trace window.
+// two-process session, so both execute the same lane setup and the same
+// metered window, whose counter block folds into the chunk's tracer once
+// when the window ends.
 
 #include <cstddef>
 #include <vector>
@@ -71,36 +72,31 @@ struct ChunkLane {
 /// What one chunk produced.
 struct ChunkRun {
   ir::BatchExecResult results;
-  crypto::TrafficStats traffic;    ///< the chunk's metered window
-  crypto::TripleCounters triples;  ///< summed over the lanes' sources
-  obs::CounterSnapshot trace;      ///< the chunk tracer's totals (zero when untraced)
+  obs::CounterSnapshot counters;  ///< the chunk's metered window, traced or not
 };
 
 /// Runs one chunk on a context the caller built (in process, or one party
 /// of a remote pair) and seeded with lane 0's canonical context seed.
-/// Builds each lane's triple source and PRNG pair, resets the meter,
-/// attaches `tracer` (nullable; the caller's per-chunk tracer) for exactly
-/// the metered window and runs ir::execute_batch.  `opts` carries the
-/// config and, on the remote path, the per-lane input shares (with
-/// `inputs` empty); its lane sources and PRNGs are filled in here.
+/// Builds each lane's triple source and PRNG pair, resets the counter
+/// block (the metered window starts), runs ir::execute_batch with
+/// `tracer` (nullable; the caller's per-chunk tracer) attached for spans,
+/// and folds the window's block into `tracer` once at the end.  `opts`
+/// carries the config and, on the remote path, the per-lane input shares
+/// (with `inputs` empty); its lane sources and PRNGs are filled in here.
 [[nodiscard]] ChunkRun run_chunk(crypto::TwoPartyContext& ctx, const ir::SecureProgram& program,
                                  const ir::CompiledParams& params,
                                  const std::vector<ChunkLane>& lanes,
                                  const std::vector<nn::Tensor>& inputs, ir::BatchExecOptions opts,
                                  obs::Tracer* tracer);
 
-/// Per-chunk statistics: communication/round totals are chunk-level (the
-/// chunk's lanes share every exchange — that is the point), triple
-/// counters are exact sums over the chunk's per-lane sources.
+/// Per-chunk statistics: the totals are chunk-level (the chunk's lanes
+/// share every exchange — that is the point).
 struct ChunkStats {
   std::size_t first_query = 0;  ///< canonical stream position of lane 0
   std::size_t queries = 0;      ///< lanes in this chunk
-  InferenceStats totals;
-  /// Trace-counter totals of this chunk (all zero unless a tracer was
-  /// attached) — the chunk's independently recorded witness of `totals`:
-  /// trace rounds/bytes must equal the channel meter's exactly.  Store
-  /// claims count here, one per lane.
-  obs::CounterSnapshot trace;
+  /// The chunk's counter block, traced or not: its metered window plus
+  /// one store claim per lane when store-served.
+  obs::CounterSnapshot counters;
 };
 
 class Workload {
@@ -135,8 +131,9 @@ class Workload {
   /// the store must outlive serving).  The store fingerprint must match
   /// plan() — there is exactly one fingerprint family per workload.  A
   /// run() needing more queries than the store has left raises
-  /// offline::TripleStoreExhausted before any chunk runs.  Pass nullptr to
-  /// detach and serve the dealer path again.
+  /// offline::TripleStoreExhausted before any chunk runs, having claimed
+  /// nothing and advanced no stream position.  Pass nullptr to detach and
+  /// serve the dealer path again.
   void use_store(offline::TripleStore* store);
   [[nodiscard]] offline::TripleStore* store() const noexcept { return store_; }
 
@@ -147,7 +144,7 @@ class Workload {
   /// same bits as one call.
   [[nodiscard]] WorkloadResult run(const std::vector<nn::Tensor>& inputs);
 
-  /// Merged totals across the last run() call's chunks.
+  /// Totals across the last run() call's chunks.
   [[nodiscard]] const InferenceStats& stats() const noexcept { return stats_; }
   /// Per-chunk breakdown of the last run() call.
   [[nodiscard]] const std::vector<ChunkStats>& chunk_stats() const noexcept {
@@ -157,11 +154,11 @@ class Workload {
   [[nodiscard]] std::size_t queries_served() const noexcept { return next_query_; }
 
   /// Attaches a tracer (non-owning; nullptr detaches).  Each chunk runs
-  /// under its own per-chunk tracer (attached to the chunk context, its
-  /// channel and its per-lane triple sources), whose counter totals land
-  /// in that chunk's ChunkStats::trace; spans, samples and counters are
-  /// then merged into the attached tracer, so concurrent chunk workers
-  /// aggregate into one timeline.
+  /// under its own per-chunk tracer (attached to the chunk context for
+  /// spans; its counters are the chunk's block, folded in at the end of
+  /// the window); spans, samples and counters are then merged into the
+  /// attached tracer, so concurrent chunk workers aggregate into one
+  /// timeline.
   void set_tracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }
   [[nodiscard]] obs::Tracer* tracer() const noexcept { return tracer_; }
 

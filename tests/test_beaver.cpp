@@ -43,21 +43,6 @@ TEST(Beaver, DealerBitTripleIsConsistent) {
   }
 }
 
-TEST(Beaver, CountersTrackConsumption) {
-  pc::RingConfig rc{32, 12};
-  pc::TripleDealer dealer(rc, 5);
-  (void)dealer.elem_triple(10);
-  (void)dealer.square_pair(7);
-  (void)dealer.matmul_triple(2, 3, 4);
-  (void)dealer.bit_triple(5);
-  EXPECT_EQ(dealer.counters().elem_triples, 10u);
-  EXPECT_EQ(dealer.counters().square_pairs, 7u);
-  EXPECT_EQ(dealer.counters().matmul_triple_elems, 2u * 3 + 3u * 4 + 2u * 4);
-  EXPECT_EQ(dealer.counters().bit_triples, 5u);
-  dealer.reset_counters();
-  EXPECT_EQ(dealer.counters().elem_triples, 0u);
-}
-
 TEST(Beaver, RingMatmulMatchesNaive) {
   pc::RingConfig rc{16, 0};
   // 2x3 · 3x2 with known answer (mod 2^16).

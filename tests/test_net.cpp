@@ -382,9 +382,9 @@ TEST(TransportChannel, MetersMatchTheSimulatedPair) {
   t0.end_round();
   peer.join();
 
-  const pc::TrafficStats sim = l0->stats_snapshot();
-  const pc::TrafficStats tcp0 = t0.stats_snapshot();
-  const pc::TrafficStats tcp1 = t1.stats_snapshot();
+  const pc::TrafficStats sim = l0->stats();
+  const pc::TrafficStats tcp0 = t0.stats();
+  const pc::TrafficStats tcp1 = t1.stats();
   EXPECT_EQ(tcp0.bytes_p0_to_p1, sim.bytes_p0_to_p1);
   EXPECT_EQ(tcp0.bytes_p1_to_p0, sim.bytes_p1_to_p0);
   EXPECT_EQ(tcp0.messages, sim.messages);
@@ -419,8 +419,8 @@ TEST(TransportChannel, LargeSymmetricExchangeDoesNotDeadlockOnFullSocketBuffers)
   peer.join();
   ASSERT_EQ(got.size(), big.size());
   EXPECT_EQ(got, big);
-  EXPECT_EQ(c0.stats_snapshot().rounds, 1u);
-  EXPECT_EQ(c0.stats_snapshot().total_bytes(), 2 * big.size());
+  EXPECT_EQ(c0.stats().rounds, 1u);
+  EXPECT_EQ(c0.stats().total_bytes(), 2 * big.size());
 }
 
 TEST(TransportChannel, ImplausibleWireAccountingSubHeaderIsRejected) {

@@ -1,7 +1,8 @@
 // The observability layer itself: counter/span/sample recording, merge
 // aggregation, the Chrome-trace JSON schema (validated with the in-tree
 // obs::json reader), span nesting over a real secure inference, counter
-// determinism across exec modes, and the overhead guard — an attached but
+// determinism across exec modes and with no tracer attached at all (the
+// always-on counter block), and the overhead guard — an attached but
 // DISABLED tracer must add zero heap allocations to a secure inference
 // (the hot-path hooks are a pointer test and nothing else).
 
@@ -20,7 +21,7 @@
 #include "obs/histogram.hpp"
 #include "obs/json.hpp"
 #include "obs/tracer.hpp"
-#include "obs/witness.hpp"
+#include "perf/ir_cost.hpp"
 #include "proto/secure_network.hpp"
 #include "proto/workload.hpp"
 #include "support/test_models.hpp"
@@ -28,6 +29,7 @@
 namespace nn = pasnet::nn;
 namespace obs = pasnet::obs;
 namespace pc = pasnet::crypto;
+namespace perf = pasnet::perf;
 namespace proto = pasnet::proto;
 
 // -- global allocation counting (for the overhead guard) ---------------------
@@ -234,19 +236,39 @@ TEST(ObsTracer, SecureInferenceSpansNestPerThread) {
 
 TEST(ObsTracer, CounterTotalsDeterministicAcrossExecModes) {
   ObsFixture f;
-  const auto run_mode = [&](pc::ExecMode mode) {
+  // The attached tracer's totals — or, untraced (no tracer anywhere), the
+  // chunks' summed counter blocks, each chunk checked on the way.
+  const auto run_mode = [&](pc::ExecMode mode, bool traced) {
     pc::TwoPartyContext ctx(pc::RingConfig{}, 42, mode);
     proto::SecureNetwork snet(f.md, *f.graph, f.node_of_layer, ctx);
     proto::WorkloadOptions wopts;
     wopts.batch = 2;
     proto::Workload wl(snet, wopts);
     obs::Tracer tracer;
-    wl.set_tracer(&tracer);
+    if (traced) wl.set_tracer(&tracer);
     (void)wl.run(f.queries(3));
-    return tracer.snapshot();
+    if (traced) return tracer.snapshot();
+    obs::CounterSnapshot summed;
+    for (const proto::ChunkStats& cs : wl.chunk_stats()) {
+      // Counting is always on: an untraced chunk counts every event...
+      for (const obs::Counter c : {obs::Counter::ot_batches, obs::Counter::and_levels,
+                                   obs::Counter::openings, obs::Counter::triple_claims,
+                                   obs::Counter::kernel_elems}) {
+        EXPECT_GT(cs.counters[c], 0u) << obs::counter_name(c);
+      }
+      // ...and its traffic is the analytic model's.
+      const perf::ProgramCost cost = perf::profile_program(
+          perf::LatencyModel(perf::HardwareConfig::zcu104(), perf::NetworkConfig::lan_1gbps()),
+          snet.program(), ctx.ring().bits, ctx.ring().wire_bits, static_cast<int>(cs.queries));
+      EXPECT_EQ(cs.counters[obs::Counter::rounds], static_cast<std::uint64_t>(cost.total.rounds));
+      EXPECT_EQ(cs.counters.total_bytes(), cost.wire_bytes);
+      summed += cs.counters;
+    }
+    return summed;
   };
-  const obs::CounterSnapshot lockstep = normalized(run_mode(pc::ExecMode::lockstep));
-  const obs::CounterSnapshot threaded = normalized(run_mode(pc::ExecMode::threaded));
+  const obs::CounterSnapshot lockstep = normalized(run_mode(pc::ExecMode::lockstep, true));
+  const obs::CounterSnapshot threaded = normalized(run_mode(pc::ExecMode::threaded, true));
+  const obs::CounterSnapshot untraced = normalized(run_mode(pc::ExecMode::lockstep, false));
   ASSERT_GT(lockstep[obs::Counter::rounds], 0u);
   ASSERT_GT(lockstep[obs::Counter::ot_batches], 0u);
   ASSERT_GT(lockstep[obs::Counter::and_levels], 0u);
@@ -254,6 +276,8 @@ TEST(ObsTracer, CounterTotalsDeterministicAcrossExecModes) {
   ASSERT_GT(lockstep[obs::Counter::triple_claims], 0u);
   for (int i = 0; i < obs::kCounterCount; ++i) {
     EXPECT_EQ(lockstep.values[i], threaded.values[i])
+        << obs::counter_name(static_cast<obs::Counter>(i));
+    EXPECT_EQ(lockstep.values[i], untraced.values[i])
         << obs::counter_name(static_cast<obs::Counter>(i));
   }
 }

@@ -323,26 +323,19 @@ TEST(OtExtTriples, MeasuredTrafficMatchesAnalyticCost) {
   for (const std::size_t lanes : {std::size_t{1}, std::size_t{3}}) {
     SCOPED_TRACE(lanes);
     pc::TwoPartyContext ctx;
-    obs::Tracer tracer(true);
-    ctx.set_tracer(&tracer);
     std::vector<off::QueryBundle> bundles(lanes);
     std::vector<std::uint64_t> seeds(lanes);
     for (std::size_t l = 0; l < lanes; ++l) seeds[l] = 0x9000 + l;
     off::generate_bundles_ot_ext(plan, ctx, seeds, bundles.data());
     const off::OtExtCost cost = off::ot_ext_generation_cost(plan, lanes);
-    const pc::TrafficStats& st = ctx.stats();
+    const pc::TrafficStats st = ctx.stats();
     EXPECT_EQ(st.bytes_p0_to_p1, cost.bytes_p0_to_p1);
     EXPECT_EQ(st.bytes_p1_to_p0, cost.bytes_p1_to_p0);
     EXPECT_EQ(st.messages, cost.messages);
     EXPECT_EQ(st.rounds, cost.rounds);
-    // The trace is an independent witness of the same quantities, plus the
-    // OT-extension work counters.
-    const obs::CounterSnapshot tr = tracer.snapshot();
-    EXPECT_EQ(tr[obs::Counter::bytes_p0_to_p1], cost.bytes_p0_to_p1);
-    EXPECT_EQ(tr[obs::Counter::bytes_p1_to_p0], cost.bytes_p1_to_p0);
-    EXPECT_EQ(tr[obs::Counter::rounds], cost.rounds);
-    EXPECT_EQ(tr[obs::Counter::ot_ext_base], cost.base_ots);
-    EXPECT_EQ(tr[obs::Counter::ot_ext_cots], cost.ext_cots);
+    // The same counter block carries the OT-extension work counters.
+    EXPECT_EQ(ctx.counters()[obs::Counter::ot_ext_base], cost.base_ots);
+    EXPECT_EQ(ctx.counters()[obs::Counter::ot_ext_cots], cost.ext_cots);
     EXPECT_EQ(cost.base_ots, 2u * otx::kBaseOts);  // both directions active
     EXPECT_GT(cost.ext_cots, 0u);
   }

@@ -21,6 +21,7 @@
 
 namespace ir = pasnet::ir;
 namespace nn = pasnet::nn;
+namespace obs = pasnet::obs;
 namespace pc = pasnet::crypto;
 namespace perf = pasnet::perf;
 namespace proto = pasnet::proto;
@@ -58,8 +59,8 @@ void expect_measured_equals_analytic(nn::ModelDescriptor md, std::uint64_t seed,
   }
   (void)workload.run(queries);
   ASSERT_EQ(workload.chunk_stats().size(), 1u) << md.name;
-  const std::uint64_t measured = workload.chunk_stats()[0].totals.rounds;
-  const std::uint64_t measured_bytes = workload.chunk_stats()[0].totals.comm_bytes;
+  const std::uint64_t measured = workload.chunk_stats()[0].counters[obs::Counter::rounds];
+  const std::uint64_t measured_bytes = workload.chunk_stats()[0].counters.total_bytes();
 
   const auto m = model();
   const perf::ProgramCost cost = perf::profile_program(m, snet.program(), ctx.ring().bits,
@@ -147,7 +148,9 @@ TEST(RoundGuard, BatchedResNetProxyMeetsRoundReductionTarget) {
   proto::Workload unit(snet);
   const auto unit_res = unit.run(queries);
   std::uint64_t independent_rounds = 0;
-  for (const auto& cs : unit.chunk_stats()) independent_rounds += cs.totals.rounds;
+  for (const auto& cs : unit.chunk_stats()) {
+    independent_rounds += cs.counters[obs::Counter::rounds];
+  }
 
   // One 16-lane chunk.
   proto::WorkloadOptions wopts;
@@ -155,7 +158,7 @@ TEST(RoundGuard, BatchedResNetProxyMeetsRoundReductionTarget) {
   proto::Workload batched(snet, wopts);
   const auto batched_res = batched.run(queries);
   ASSERT_EQ(batched.chunk_stats().size(), 1u);
-  const std::uint64_t batched_rounds = batched.chunk_stats()[0].totals.rounds;
+  const std::uint64_t batched_rounds = batched.chunk_stats()[0].counters[obs::Counter::rounds];
 
   EXPECT_LE(batched_rounds * 8, independent_rounds)
       << "a K=16 chunk must spend at most 1/8 the rounds of 16 independent runs "

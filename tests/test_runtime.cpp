@@ -16,6 +16,7 @@
 #include "support/test_models.hpp"
 
 namespace nn = pasnet::nn;
+namespace obs = pasnet::obs;
 namespace pc = pasnet::crypto;
 namespace proto = pasnet::proto;
 
@@ -82,7 +83,7 @@ TEST(ThreadedChannel, StressManySmallSendsBothDirectionsBoundedQueue) {
       });
   EXPECT_TRUE(order0);  // FIFO preserved p1 -> p0
   EXPECT_TRUE(order1);  // FIFO preserved p0 -> p1
-  const auto stats = c0->stats_snapshot();
+  const auto stats = c0->stats();
   EXPECT_EQ(stats.bytes_p0_to_p1, kMessages * 4ull);
   EXPECT_EQ(stats.bytes_p1_to_p0, kMessages * 4ull);
   EXPECT_EQ(stats.messages, 2ull * kMessages);
@@ -385,8 +386,9 @@ TEST(SecureRuntime, InferBatchMatchesSequentialBaselineExactly) {
       EXPECT_EQ(sequential[q][i], parallel[q][i]) << "query " << q << " logit " << i;
     }
     // Per-query protocol transcript is identical at any worker count.
-    EXPECT_EQ(seq_stats[q].totals.comm_bytes, par_wl.chunk_stats()[q].totals.comm_bytes);
-    EXPECT_EQ(seq_stats[q].totals.rounds, par_wl.chunk_stats()[q].totals.rounds);
+    EXPECT_EQ(seq_stats[q].counters.total_bytes(), par_wl.chunk_stats()[q].counters.total_bytes());
+    EXPECT_EQ(seq_stats[q].counters[obs::Counter::rounds],
+              par_wl.chunk_stats()[q].counters[obs::Counter::rounds]);
   }
 }
 
@@ -414,11 +416,11 @@ TEST(SecureRuntime, InferBatchMatchesSingleInferUpToTruncationNoise) {
     // Different dealer randomness => only ±1-LSB local truncation noise.
     EXPECT_LT(max_abs_diff(batched[q], single), 0.05f) << "query " << q;
     // Per-query traffic is shape-deterministic: batching changes nothing.
-    EXPECT_EQ(per_query[q].totals.comm_bytes, single_wl.stats().comm_bytes) << "query " << q;
+    EXPECT_EQ(per_query[q].counters.total_bytes(), single_wl.stats().comm_bytes) << "query " << q;
   }
   // Merged totals are the sum of the per-query stats.
   std::uint64_t sum = 0;
-  for (const auto& qs : per_query) sum += qs.totals.comm_bytes;
+  for (const auto& qs : per_query) sum += qs.counters.total_bytes();
   EXPECT_EQ(batch_comm, sum);
 }
 

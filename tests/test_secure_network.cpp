@@ -117,12 +117,18 @@ TEST(SecureNetwork, StatsArepopulated) {
   pc::TwoPartyContext ctx;
   proto::SecureNetwork snet(md, *g, node_of_layer, ctx);
   pc::Prng dprng(16);
-  proto::InferenceStats stats;
-  (void)infer_one(snet, nn::Tensor::randn({1, 2, 8, 8}, dprng, 1.0f), &stats);
+  proto::Workload workload(snet);
+  (void)workload.run({nn::Tensor::randn({1, 2, 8, 8}, dprng, 1.0f)});
+  const proto::InferenceStats& stats = workload.stats();
   EXPECT_GT(stats.comm_bytes, 0u);
   EXPECT_GT(stats.rounds, 0u);
-  EXPECT_GT(stats.matmul_triple_elems, 0u);  // conv consumed triples
-  EXPECT_GT(stats.bit_triples, 0u);          // relu/maxpool comparisons
+  EXPECT_EQ(stats.weight_open_bytes, snet.weight_open_bytes());
+  EXPECT_GT(stats.online_bytes(), 0u);
+  // Every planned draw was claimed: conv triples and the relu/maxpool
+  // comparisons' bit triples among them.
+  EXPECT_EQ(workload.chunk_stats()[0].counters[pasnet::obs::Counter::triple_claims],
+            workload.plan().requests.size());
+  EXPECT_GT(workload.plan().bit_triples_per_query(), 0u);
 }
 
 TEST(SecureNetwork, ResidualNetworkEndToEnd) {

@@ -1,9 +1,10 @@
-// The three-witness invariant, end to end: one run's rounds and wire
-// bytes as recorded by the tracer's counters, by the channel meter
-// (TrafficStats), and by perf::profile_program's static prediction must be
-// EXACTLY equal — per chunk, in process and over a real localhost TCP
-// session on BOTH endpoints.  This is the test the --trace + --verify path
-// of the party binaries leans on.
+// The witness invariant, end to end: one chunk's rounds and wire bytes as
+// counted by the channel's counter block and as predicted by
+// perf::profile_program must be EXACTLY equal — per chunk, in process and
+// over a real localhost TCP session on BOTH endpoints — and the tracer,
+// which folds each chunk's block once, must hold exactly those totals.
+// This is the test the --trace + --verify path of the party binaries
+// leans on.
 
 #include <gtest/gtest.h>
 
@@ -79,7 +80,7 @@ obs::CounterSnapshot normalized(obs::CounterSnapshot s) {
 
 TEST(TraceWitness, InProcessChunksMatchMeterAndAnalyticExactly) {
   // 3 queries at K=2: a full chunk and a 1-lane remainder chunk, each with
-  // its own trace witness and its own analytic prediction.
+  // its own counter block and its own analytic prediction.
   WitnessFixture f(3);
   proto::WorkloadOptions wopts;
   wopts.batch = 2;
@@ -91,18 +92,15 @@ TEST(TraceWitness, InProcessChunksMatchMeterAndAnalyticExactly) {
   ASSERT_EQ(wl.chunk_stats().size(), 2u);
   obs::CounterSnapshot summed;
   for (const proto::ChunkStats& cs : wl.chunk_stats()) {
+    // measured == analytic, per chunk.
     const perf::ProgramCost cost = f.analytic(static_cast<int>(cs.queries));
-    // trace == meter, per chunk...
-    EXPECT_EQ(cs.trace[obs::Counter::rounds], cs.totals.rounds) << cs.first_query;
-    EXPECT_EQ(cs.trace.total_bytes(), cs.totals.comm_bytes) << cs.first_query;
-    EXPECT_EQ(cs.trace[obs::Counter::messages], cs.totals.messages) << cs.first_query;
-    // ...and meter == analytic, so all three witnesses agree.
-    EXPECT_EQ(cs.totals.rounds, static_cast<std::uint64_t>(cost.total.rounds))
-        << cs.first_query;
-    EXPECT_EQ(cs.totals.comm_bytes, cost.wire_bytes) << cs.first_query;
-    summed += cs.trace;
+    const obs::WitnessReport report =
+        obs::check_witness(pc::TrafficStats::of(cs.counters),
+                           static_cast<std::uint64_t>(cost.total.rounds), cost.wire_bytes);
+    EXPECT_TRUE(report.ok()) << report.describe() << " (chunk at " << cs.first_query << ")";
+    summed += cs.counters;
   }
-  // The workload tracer holds exactly the merged chunk counters.
+  // The workload tracer holds exactly the folded chunk blocks.
   const obs::CounterSnapshot total = tracer.snapshot();
   for (int i = 0; i < obs::kCounterCount; ++i) {
     EXPECT_EQ(total.values[i], summed.values[i])
@@ -143,7 +141,7 @@ TEST(TraceWitness, RemoteLoopbackBatchSatisfiesThreeWitnessOnBothEndpoints) {
   const std::size_t lanes = f.queries.size();
   for (const bool store_served : {false, true}) {
     SCOPED_TRACE(store_served ? "store-served" : "fused");
-    // In-process reference chunk of the same 2 queries, with its trace.
+    // In-process reference chunk of the same 2 queries, traced.
     proto::WorkloadOptions wopts;
     wopts.batch = 2;
     proto::Workload wl(*f.snet, wopts);
@@ -157,7 +155,7 @@ TEST(TraceWitness, RemoteLoopbackBatchSatisfiesThreeWitnessOnBothEndpoints) {
     wl.set_tracer(&ref_tracer);
     const auto ref_out = wl.run(f.queries);
     ASSERT_EQ(wl.chunk_stats().size(), 1u);
-    const obs::CounterSnapshot ref_trace = wl.chunk_stats()[0].trace;
+    const obs::CounterSnapshot ref_counters = wl.chunk_stats()[0].counters;
 
     // Both parties over localhost TCP, one 2-lane chunk each, traced.
     net::Listener listener(0);
@@ -165,7 +163,6 @@ TEST(TraceWitness, RemoteLoopbackBatchSatisfiesThreeWitnessOnBothEndpoints) {
     struct Side {
       ir::BatchExecResult res;
       pc::TrafficStats stats;
-      obs::CounterSnapshot trace;
       obs::CounterSnapshot session;  ///< the session tracer after the chunk
     };
     const auto run_side = [&](int party) {
@@ -183,8 +180,7 @@ TEST(TraceWitness, RemoteLoopbackBatchSatisfiesThreeWitnessOnBothEndpoints) {
         ropts.store = &stores[party];
       }
       side.res = session.run_batch(f.snet->program(), f.snet->params(), 0,
-                                   party == 0 ? &f.queries : nullptr, lanes, ropts, &side.stats,
-                                   &side.trace);
+                                   party == 0 ? &f.queries : nullptr, lanes, ropts, &side.stats);
       side.session = tracer.snapshot();
       return side;
     };
@@ -192,22 +188,23 @@ TEST(TraceWitness, RemoteLoopbackBatchSatisfiesThreeWitnessOnBothEndpoints) {
     const Side p0 = run_side(0);
     const Side p1 = side1.get();
 
-    // Store claims count once per lane, inside the chunk, on every path.
+    // Store claims count once per lane, on every path.
     const std::uint64_t claims = store_served ? lanes : 0;
-    EXPECT_EQ(ref_trace[obs::Counter::store_claims], claims);
+    EXPECT_EQ(ref_counters[obs::Counter::store_claims], claims);
     EXPECT_EQ(ref_tracer.snapshot()[obs::Counter::store_claims], claims);
     const perf::ProgramCost cost = f.analytic(static_cast<int>(lanes));
     for (const Side* side : {&p0, &p1}) {
-      EXPECT_EQ(side->trace[obs::Counter::store_claims], claims);
       EXPECT_EQ(side->session[obs::Counter::store_claims], claims);
-      const obs::WitnessReport report = obs::three_witness(
-          side->trace, side->stats, static_cast<std::uint64_t>(cost.total.rounds),
-          cost.wire_bytes);
+      const obs::WitnessReport report = obs::check_witness(
+          side->stats, static_cast<std::uint64_t>(cost.total.rounds), cost.wire_bytes);
       EXPECT_TRUE(report.ok()) << report.describe();
+      // The session tracer folded exactly the measured window.
+      EXPECT_EQ(side->session[obs::Counter::rounds], side->stats.rounds);
+      EXPECT_EQ(side->session.total_bytes(), side->stats.total_bytes());
       // Counter-total determinism across deployment modes: the remote
-      // endpoint's trace equals the in-process chunk's, wait times aside.
-      const obs::CounterSnapshot remote = normalized(side->trace);
-      const obs::CounterSnapshot local = normalized(ref_trace);
+      // endpoint's counts equal the in-process chunk's, wait times aside.
+      const obs::CounterSnapshot remote = normalized(side->session);
+      const obs::CounterSnapshot local = normalized(ref_counters);
       for (int i = 0; i < obs::kCounterCount; ++i) {
         EXPECT_EQ(remote.values[i], local.values[i])
             << obs::counter_name(static_cast<obs::Counter>(i));

@@ -19,6 +19,7 @@
 
 namespace ir = pasnet::ir;
 namespace nn = pasnet::nn;
+namespace obs = pasnet::obs;
 namespace off = pasnet::offline;
 namespace pc = pasnet::crypto;
 namespace proto = pasnet::proto;
@@ -187,9 +188,10 @@ TEST(Workload, WorkerShardingDoesNotChangeBits) {
     expect_bit_identical(got.logits[q], ref.logits[q], "sharded", q);
   }
   for (std::size_t c = 0; c < serial.chunk_stats().size(); ++c) {
-    EXPECT_EQ(serial.chunk_stats()[c].totals.rounds, sharded.chunk_stats()[c].totals.rounds);
-    EXPECT_EQ(serial.chunk_stats()[c].totals.comm_bytes,
-              sharded.chunk_stats()[c].totals.comm_bytes);
+    EXPECT_EQ(serial.chunk_stats()[c].counters[obs::Counter::rounds],
+              sharded.chunk_stats()[c].counters[obs::Counter::rounds]);
+    EXPECT_EQ(serial.chunk_stats()[c].counters.total_bytes(),
+              sharded.chunk_stats()[c].counters.total_bytes());
   }
 }
 
@@ -361,4 +363,26 @@ TEST(Workload, BatchedChunkSpendsSingleQueryComparisonRounds) {
   // spends exactly the single-query round count.
   EXPECT_EQ(batched.stats().rounds, single_rounds);
   EXPECT_GT(batched.stats().comm_bytes, unit.stats().comm_bytes);
+}
+
+TEST(Workload, OnlineBytesDoNotDependOnBatchWidth) {
+  // Every lane opens its own weight-shaped E = W - B, so the query-
+  // dependent share of a K-lane chunk is K single queries' (an
+  // all-polynomial model: no OT framing for batching to amortize).
+  auto t = train(tiny_cnn(nn::OpKind::x2act, nn::OpKind::avgpool), 35);
+  pc::TwoPartyContext ctx;
+  proto::SecureNetwork snet(t.md, *t.graph, t.node_of_layer, ctx);
+  const auto inputs = make_inputs(t.md, 4, 86);
+
+  proto::Workload unit(snet);
+  (void)unit.run(inputs);
+  proto::WorkloadOptions opts;
+  opts.batch = 4;
+  proto::Workload batched(snet, opts);
+  (void)batched.run(inputs);
+  ASSERT_EQ(batched.chunk_stats().size(), 1u);
+  ASSERT_GT(snet.weight_open_bytes(), 0u);
+  EXPECT_EQ(batched.stats().comm_bytes, unit.stats().comm_bytes);
+  EXPECT_EQ(batched.stats().weight_open_bytes, 4 * snet.weight_open_bytes());
+  EXPECT_EQ(batched.stats().online_bytes(), unit.stats().online_bytes());
 }
