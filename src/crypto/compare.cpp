@@ -405,23 +405,27 @@ void StagedDrelu::step(TwoPartyContext& ctx) {
   }
 }
 
-DreluMuxMaterial draw_drelu_mux_material(TwoPartyContext& ctx, std::size_t n) {
+DreluMuxMaterial draw_drelu_mux_material(TwoPartyContext& ctx, std::size_t n,
+                                         std::size_t payloads) {
   DreluMuxMaterial mat;
   mat.mill = draw_drelu_material(ctx, n);
   mat.b2a = ctx.elem_triple(n);
-  mat.mux = ctx.elem_triple(n);
+  for (std::size_t p = 0; p < payloads; ++p) mat.mux.push_back(ctx.elem_triple(n));
   return mat;
 }
 
-void StagedDreluMux::begin(TwoPartyContext& ctx, Shared v, OtMode mode,
+void StagedDreluMux::begin(TwoPartyContext& ctx, std::vector<Shared> payloads, OtMode mode,
                            DreluMuxMaterial material) {
-  v_ = std::move(v);
+  if (payloads.empty() || material.mux.size() != payloads.size()) {
+    throw std::invalid_argument("StagedDreluMux: one mux triple per payload");
+  }
+  v_ = std::move(payloads);
   b2a_t_ = std::move(material.b2a);
   mux_t_ = std::move(material.mux);
   b2a_ = B2aRound{};
-  mux_mul_ = MulRound{};
+  mux_mul_.assign(v_.size(), MulRound{});
   drelu_ = StagedDrelu{};
-  drelu_.begin(ctx, v_, mode, std::move(material.mill));
+  drelu_.begin(ctx, v_.front(), mode, std::move(material.mill));
   phase_ = Phase::drelu;
 }
 
@@ -450,13 +454,17 @@ void StagedDreluMux::step(TwoPartyContext& ctx) {
     }
     case Phase::b2a: {
       const Shared bit = b2a_.finish(rc);
-      // Mux: out = v ⊙ bit (same operand order as crypto::mux).
-      mux_mul_.stage(ctx, v_, bit, std::move(mux_t_));
+      // Mux: out_p = v_p ⊙ bit (same operand order as crypto::mux); every
+      // payload's multiply stages before the flush, so they open together.
+      for (std::size_t p = 0; p < v_.size(); ++p) {
+        mux_mul_[p].stage(ctx, std::move(v_[p]), bit, std::move(mux_t_[p]));
+      }
       phase_ = Phase::mux;
       return;
     }
     case Phase::mux:
-      out_ = mux_mul_.finish(rc);
+      out_.clear();
+      for (MulRound& m : mux_mul_) out_.push_back(m.finish(rc));
       phase_ = Phase::done;
       return;
     case Phase::done:
@@ -517,26 +525,40 @@ Shared mux(TwoPartyContext& ctx, const BitShared& sel, const Shared& x) {
   return mul_elem(ctx, x, b2a(ctx, sel));
 }
 
-Shared relu(TwoPartyContext& ctx, const Shared& x, OtMode mode) {
+namespace {
+
+/// Runs a one-payload gated select to completion: v ⊙ DReLU(v).
+Shared drelu_mux(TwoPartyContext& ctx, Shared v, OtMode mode) {
   StagedDreluMux m;
-  m.begin(ctx, x, mode, draw_drelu_mux_material(ctx, x.size()));
+  DreluMuxMaterial mat = draw_drelu_mux_material(ctx, v.size(), 1);
+  std::vector<Shared> payloads;
+  payloads.push_back(std::move(v));
+  m.begin(ctx, std::move(payloads), mode, std::move(mat));
   while (m.waiting() != CompareWait::done) {
     flush_compare_buffers(ctx, m.waiting());
     m.step(ctx);
   }
-  return std::move(m.result());
+  return std::move(m.result().front());
+}
+
+}  // namespace
+
+Shared relu(TwoPartyContext& ctx, const Shared& x, OtMode mode) {
+  return drelu_mux(ctx, x, mode);
 }
 
 Shared max_elem(TwoPartyContext& ctx, const Shared& a, const Shared& b, OtMode mode) {
   const RingConfig& rc = ctx.ring();
-  const Shared diff = sub(a, b, rc);
-  StagedDreluMux m;
-  m.begin(ctx, diff, mode, draw_drelu_mux_material(ctx, diff.size()));
-  while (m.waiting() != CompareWait::done) {
-    flush_compare_buffers(ctx, m.waiting());
-    m.step(ctx);
+  return add(b, drelu_mux(ctx, sub(a, b, rc), mode), rc);
+}
+
+std::vector<std::size_t> tournament_level_pairs(std::size_t entries) {
+  std::vector<std::size_t> levels;
+  while (entries > 1) {
+    levels.push_back(entries / 2);
+    entries = entries / 2 + entries % 2;
   }
-  return add(b, m.result(), rc);
+  return levels;
 }
 
 }  // namespace pasnet::crypto

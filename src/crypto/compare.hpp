@@ -110,10 +110,9 @@ class AndRound {
 
 /// Staged B2A conversion: b = v0 + v1 - 2·v0·v1 over trivial ring
 /// sharings of the two parties' XOR-share bits (one Beaver multiplication
-/// round).  The single implementation behind crypto::b2a, the staged
-/// comparison phases and secure_argmax — the formula and its draw order
-/// must not fork, or the dealer request stream diverges from
-/// ir::derive_plan.
+/// round).  The single implementation behind crypto::b2a and the staged
+/// comparison phases — the formula and its draw order must not fork, or
+/// the dealer request stream diverges from ir::derive_plan.
 class B2aRound {
  public:
   /// `t` must be an elem triple of v's size (pre-drawn by the caller).
@@ -183,37 +182,51 @@ class StagedDrelu {
 
 [[nodiscard]] MillionaireMaterial draw_drelu_material(TwoPartyContext& ctx, std::size_t n);
 
-/// Pre-drawn randomness for one gated select v·DReLU(v): the DReLU
-/// material plus the B2A and mux Beaver triples, in protocol order.
+/// Pre-drawn randomness for one gated select of P payloads by one DReLU
+/// bit: the DReLU material, the B2A triple and one mux triple per payload,
+/// in protocol order.
 struct DreluMuxMaterial {
   MillionaireMaterial mill;
   ElemTriple b2a;
-  ElemTriple mux;
+  std::vector<ElemTriple> mux;
 };
 
-[[nodiscard]] DreluMuxMaterial draw_drelu_mux_material(TwoPartyContext& ctx, std::size_t n);
+[[nodiscard]] DreluMuxMaterial draw_drelu_mux_material(TwoPartyContext& ctx, std::size_t n,
+                                                       std::size_t payloads);
 
-/// Resumable v ⊙ DReLU(v) — the shared core of 2PC ReLU (v = x) and secure
-/// max (v = a - b; max = b + result).  Phases: DReLU (OT + AND levels),
-/// then the B2A multiplication, then the mux multiplication, each staged
-/// on the context's buffers.
+/// Resumable v_p ⊙ DReLU(v_0) over P payloads v_0..v_{P-1} — the shared
+/// core of 2PC ReLU (P = 1, v_0 = x), secure max (P = 1, v_0 = a - b;
+/// max = b + result) and the argmax tournament (P = 2: the value and index
+/// differences, both gated by the value comparison).  Phases: DReLU (OT +
+/// AND levels), then the B2A multiplication, then the P mux
+/// multiplications, staged together so they share one opening.
 class StagedDreluMux {
  public:
-  void begin(TwoPartyContext& ctx, Shared v, OtMode mode, DreluMuxMaterial material);
+  void begin(TwoPartyContext& ctx, std::vector<Shared> payloads, OtMode mode,
+             DreluMuxMaterial material);
   [[nodiscard]] CompareWait waiting() const noexcept;
   void step(TwoPartyContext& ctx);
-  [[nodiscard]] Shared& result() noexcept { return out_; }
+  /// One gated vector per payload; valid once waiting() == done.
+  [[nodiscard]] std::vector<Shared>& result() noexcept { return out_; }
 
  private:
   enum class Phase : std::uint8_t { drelu, b2a, mux, done };
   Phase phase_ = Phase::done;
   StagedDrelu drelu_;
   B2aRound b2a_;
-  MulRound mux_mul_;
-  ElemTriple b2a_t_, mux_t_;
-  Shared v_;
-  Shared out_;
+  std::vector<MulRound> mux_mul_;
+  ElemTriple b2a_t_;
+  std::vector<ElemTriple> mux_t_;
+  std::vector<Shared> v_;
+  std::vector<Shared> out_;
 };
+
+/// Pairs compared at each level of a pairwise tournament over `entries`
+/// entries, an odd entry carrying up unpaired — the tree max-pool reduces
+/// its window taps with (paper Eq. 13) and argmax its classes with.  The
+/// single definition the tournament protocol, ir::derive_plan and the
+/// analytic cost model share.
+[[nodiscard]] std::vector<std::size_t> tournament_level_pairs(std::size_t entries);
 
 /// Millionaires protocol: party 0 holds `a`, party 1 holds `b`, both lists
 /// of `nbits`-bit non-negative values; returns XOR shares of [a > b].

@@ -9,9 +9,9 @@ namespace pasnet::crypto {
 
 std::int64_t to_signed(std::uint64_t v, const RingConfig& rc) noexcept {
   v &= rc.mask();
-  if (rc.bits < 64 && (v & rc.sign_bit())) {
-    return static_cast<std::int64_t>(v) - static_cast<std::int64_t>(1ULL << rc.bits);
-  }
+  // Sign-extend in unsigned arithmetic and convert once: subtracting 2^bits
+  // as a signed value overflows int64 on a 63-bit ring.
+  if (v & rc.sign_bit()) v |= ~rc.mask();
   return static_cast<std::int64_t>(v);
 }
 

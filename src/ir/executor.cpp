@@ -252,6 +252,13 @@ BatchExecResult execute_batch(const SecureProgram& p, const CompiledParams& para
 
   for (std::size_t i = 0; i < p.ops.size(); ++i) {
     const Op& op = p.ops[i];
+    // Any pending group finishes before the op's span opens — so the
+    // group's flush is charged to its own span, not to this op — when the
+    // op reads a pending output or (if staged) belongs to another group.
+    if (input_pending(op) ||
+        ((op.stages_opens() || op.stages_compare()) && staged_group != op.round_group)) {
+      flush_group();
+    }
     // Per-op span covering all K lanes' instances of this op: staging (and
     // under the eager schedule the whole execution) of the op's work.
     const obs::SpanGuard op_span(tracer, "ir", op_kind_name(op.kind),
@@ -260,7 +267,6 @@ BatchExecResult execute_batch(const SecureProgram& p, const CompiledParams& para
       return acts[q][static_cast<std::size_t>(op.in0)];
     };
     if (op.stages_opens()) {
-      if (staged_group != op.round_group || input_pending(op)) flush_group();
       for (std::size_t q = 0; q < lanes; ++q) {
         if (opts.layer_hook) opts.layer_hook(q, op.layer);
         use_lane(q);
@@ -303,7 +309,6 @@ BatchExecResult execute_batch(const SecureProgram& p, const CompiledParams& para
     }
 
     if (op.stages_compare()) {
-      if (coalesce && (staged_group != op.round_group || input_pending(op))) flush_group();
       for (std::size_t q = 0; q < lanes; ++q) {
         if (opts.layer_hook) opts.layer_hook(q, op.layer);
         use_lane(q);
@@ -315,6 +320,9 @@ BatchExecResult execute_batch(const SecureProgram& p, const CompiledParams& para
           case OpKind::maxpool:
             cop = std::make_unique<proto::StagedMaxPool>(in(q), op.kernel, op.stride, op.pad,
                                                          opts.cfg.ot_mode);
+            break;
+          case OpKind::argmax:
+            cop = std::make_unique<proto::StagedArgmax>(in(q), opts.cfg.ot_mode);
             break;
           default:
             throw std::logic_error("ir::execute: unreachable compare kind");
@@ -333,9 +341,6 @@ BatchExecResult execute_batch(const SecureProgram& p, const CompiledParams& para
       continue;
     }
 
-    // The argmax terminal runs its own exchanges; local ops may read group
-    // outputs.  Either way any pending group finishes first.
-    if (op.multi_round() || input_pending(op)) flush_group();
     for (std::size_t q = 0; q < lanes; ++q) {
       if (opts.layer_hook) opts.layer_hook(q, op.layer);
       use_lane(q);
@@ -360,12 +365,6 @@ BatchExecResult execute_batch(const SecureProgram& p, const CompiledParams& para
                   proto::secure_add(ctx, acts[q][static_cast<std::size_t>(op.in0)],
                                     acts[q][static_cast<std::size_t>(op.in1)]));
           break;
-        case OpKind::argmax:
-          if (static_cast<int>(i) != p.output) {
-            throw std::logic_error("ir::execute: argmax must be the program output");
-          }
-          result.labels.push_back(proto::secure_argmax(ctx, in(q), opts.cfg));
-          break;
         case OpKind::batchnorm:
           throw std::logic_error("ir::execute: unfolded batch-norm (run the pass pipeline)");
         default:
@@ -375,24 +374,28 @@ BatchExecResult execute_batch(const SecureProgram& p, const CompiledParams& para
   }
   flush_group();
 
-  const Op& out_op = p.ops[static_cast<std::size_t>(p.output)];
-  if (out_op.kind == OpKind::argmax) return result;
-
-  // Reveal the logits to the client: every lane's terminal opening stages
-  // on the open buffer, so the coalesced schedule reveals the whole batch
-  // in ONE joint exchange (the eager schedule opens per lane).
-  const obs::SpanGuard reveal_span(tracer, "ir", "reveal_logits",
-                                   static_cast<std::int64_t>(lanes));
+  // Reveal the terminal output to the client — logits, or an argmax
+  // terminal's winning class indices: every lane's opening stages on the
+  // open buffer, so the coalesced schedule reveals the whole batch in ONE
+  // joint exchange (the eager schedule opens per lane).
+  const obs::SpanGuard reveal_span(tracer, "ir", "reveal", static_cast<std::int64_t>(lanes));
   std::vector<crypto::RingVec> revealed(lanes);
   for (std::size_t q = 0; q < lanes; ++q) {
     opens.stage(acts[q][static_cast<std::size_t>(p.output)].shares, &revealed[q]);
   }
   opens.flush();
-  result.logits.reserve(lanes);
+  const bool labels = p.ops[static_cast<std::size_t>(p.output)].kind == OpKind::argmax;
   for (std::size_t q = 0; q < lanes; ++q) {
-    const SecureTensor& final_act = acts[q][static_cast<std::size_t>(p.output)];
-    result.logits.push_back(nn::Tensor::from_doubles(crypto::decode_vec(revealed[q], rc),
-                                                     std::vector<int>(final_act.shape)));
+    if (labels) {
+      std::vector<int>& lane_labels = result.labels.emplace_back();
+      for (const std::uint64_t v : revealed[q]) {
+        lane_labels.push_back(static_cast<int>(crypto::to_signed(v, rc)));
+      }
+    } else {
+      const SecureTensor& final_act = acts[q][static_cast<std::size_t>(p.output)];
+      result.logits.push_back(nn::Tensor::from_doubles(crypto::decode_vec(revealed[q], rc),
+                                                       std::vector<int>(final_act.shape)));
+    }
   }
   return result;
 }

@@ -46,9 +46,9 @@ struct ExecOptions {
   std::function<void(int)> layer_hook;
   /// Invoked with (op index, output tensor) as each op's secret-shared
   /// output lands — after its round group delivers under the coalesced
-  /// schedule.  The differential test harness compares these shares
-  /// request-for-request between schedules; argmax terminals (label
-  /// outputs) are not reported.
+  /// schedule; an argmax terminal reports its winning indices' shares.
+  /// The differential test harness compares these shares
+  /// request-for-request between schedules.
   std::function<void(std::size_t, const proto::SecureTensor&)> op_hook;
 };
 
@@ -106,13 +106,12 @@ struct BatchExecResult {
 
 /// Runs K queries in lockstep inside one context.  Each op stages all K
 /// lanes' instances into the same round group before the group flushes, so
-/// comparison rounds are shared batch-wide (a group costs the rounds of
-/// ONE comparison stack regardless of K) and the terminal logits of all
-/// lanes reveal in one joint opening.  Lane q shares its input with its
-/// own canonical client PRG and draws from lane_sources[q] (when given),
-/// making each lane's transcript values bit-identical to an independent
-/// single-query run.  Argmax terminals run per lane — the tournament is
-/// not a staged op — so label programs pay their terminal rounds K times.
+/// comparison rounds — the argmax tournament's included — are shared
+/// batch-wide (a group costs the rounds of ONE comparison stack regardless
+/// of K), and the terminal logits or labels of all lanes reveal in one
+/// joint opening.  Lane q shares its input with its own canonical client
+/// PRG and draws from lane_sources[q] (when given), making each lane's
+/// transcript values bit-identical to an independent single-query run.
 [[nodiscard]] BatchExecResult execute_batch(const SecureProgram& program,
                                             const CompiledParams& params,
                                             crypto::TwoPartyContext& ctx,

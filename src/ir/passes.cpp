@@ -127,10 +127,8 @@ int schedule_rounds(SecureProgram& p) {
       pending[i] = 1;
     } else {
       op.round_group = -1;
-      // The argmax terminal always flushes first (its internal openings
-      // must not interleave with a pending group); local ops only flush
-      // when they consume a pending output.
-      if (op.multi_round() || in_pending) close();
+      // Local ops only flush when they consume a pending output.
+      if (in_pending) close();
     }
   }
   p.passes_run.emplace_back("schedule_rounds");
@@ -138,8 +136,8 @@ int schedule_rounds(SecureProgram& p) {
 }
 
 int parallelize_instances(SecureProgram& p) {
-  // List-scheduling reorder: repeatedly emit every ready local/multi-round
-  // op (they stage nothing, so hoisting them costs no rounds), then emit
+  // List-scheduling reorder: repeatedly emit every ready local op (they
+  // stage nothing, so hoisting them costs no rounds), then emit
   // ALL currently-ready stageable ops as one contiguous wave.  Ops on
   // parallel branches that program order separated (the ResNet
   // downsample-skip conv vs the main path's first conv, a skip x2act vs a

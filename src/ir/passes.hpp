@@ -34,21 +34,20 @@ int fuse_x2act_coeffs(SecureProgram& program);
 
 /// Assigns open-coalescing round groups: walks the program in order and
 /// greedily grows a group of single-round multiplicative ops whose inputs
-/// are all available (produced before the group opened).  A multi-round op
-/// or a local op that consumes a pending output closes the group — exactly
-/// the executor's flush points, so the analytic model can count one round
-/// per group and match the measured statistics.  Returns the number of
-/// round groups.
+/// are all available (produced before the group opened).  A local op that
+/// consumes a pending output closes the group — exactly the executor's
+/// flush points, so the analytic model can count one round per group and
+/// match the measured statistics.  Returns the number of round groups.
 int schedule_rounds(SecureProgram& program);
 
 /// Instance-parallelism reorder: a topological list-scheduling pass that
 /// makes independent stageable ops (openings and comparisons on parallel
 /// branches — e.g. a residual block's downsample-skip conv next to the
 /// main path's first conv) contiguous, so schedule_rounds afterwards
-/// merges them into shared round groups.  Local and multi-round ops are
-/// emitted as soon as they are ready; stageable ops are emitted in waves
-/// of everything simultaneously ready.  Purely a reorder — every edge
-/// still points backwards and transcript values are unchanged op for op.
+/// merges them into shared round groups.  Local ops are emitted as soon
+/// as they are ready; stageable ops are emitted in waves of everything
+/// simultaneously ready.  Purely a reorder — every edge still points
+/// backwards and transcript values are unchanged op for op.
 /// Returns the number of ops hoisted ahead of an originally-earlier op.
 int parallelize_instances(SecureProgram& program);
 

@@ -65,15 +65,6 @@ void push_drelu(PreprocessingPlan& plan, int layer, std::uint64_t n,
   }
 }
 
-/// One batched secure max over n element pairs: DReLU on the difference,
-/// then mux = B2A (one elem triple) + the selector multiply (one more).
-void push_max(PreprocessingPlan& plan, int layer, std::uint64_t n,
-              const crypto::RingConfig& rc) {
-  push_drelu(plan, layer, n, rc);
-  push_elem(plan, layer, n);  // b2a's Beaver multiply
-  push_elem(plan, layer, n);  // mux selector multiply
-}
-
 void append_op_requests(PreprocessingPlan& plan, const Op& op,
                         const crypto::RingConfig& rc) {
   switch (op.kind) {
@@ -101,38 +92,16 @@ void append_op_requests(PreprocessingPlan& plan, const Op& op,
     case OpKind::x2act:
       push_square(plan, op.layer, static_cast<std::uint64_t>(op.input_elems()));
       break;
-    case OpKind::relu: {
-      const auto n = static_cast<std::uint64_t>(op.input_elems());
-      push_drelu(plan, op.layer, n, rc);
-      push_elem(plan, op.layer, n);  // b2a
-      push_elem(plan, op.layer, n);  // mux
-      break;
-    }
-    case OpKind::maxpool: {
-      // k² window taps reduce level by level; each level batches all its
-      // pairs into one secure max over pairs·out_elems values.
-      const auto out_elems = static_cast<std::uint64_t>(op.output_elems());
-      int taps = op.kernel * op.kernel;
-      while (taps > 1) {
-        const int pairs = taps / 2;
-        push_max(plan, op.layer, static_cast<std::uint64_t>(pairs) * out_elems, rc);
-        taps = pairs + (taps % 2);
-      }
-      break;
-    }
+    case OpKind::relu:
+    case OpKind::maxpool:
     case OpKind::argmax: {
-      // Tournament over (value, index) pairs: per level one DReLU, one B2A
-      // and two selector multiplies (value and index) over pairs·rows.
-      const std::uint64_t rows = 1;  // per-query plans are batch 1
-      int entries = op.in_features;
-      while (entries > 1) {
-        const int pairs = entries / 2;
-        const std::uint64_t n = static_cast<std::uint64_t>(pairs) * rows;
+      // Per comparison level: DReLU on the compared values, then the B2A
+      // multiply and one gated-select multiply per payload.
+      const CompareLevels shape = op.compare_levels();
+      for (const std::uint64_t n : shape.values) {
         push_drelu(plan, op.layer, n, rc);
         push_elem(plan, op.layer, n);  // b2a
-        push_elem(plan, op.layer, n);  // value selector
-        push_elem(plan, op.layer, n);  // index selector
-        entries = pairs + (entries % 2);
+        for (int p = 0; p < shape.payloads; ++p) push_elem(plan, op.layer, n);
       }
       break;
     }

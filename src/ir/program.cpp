@@ -1,7 +1,9 @@
 #include "ir/program.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
+#include "crypto/compare.hpp"
 #include "nn/layers.hpp"
 
 namespace pasnet::ir {
@@ -23,6 +25,32 @@ const char* op_kind_name(OpKind kind) noexcept {
     case OpKind::argmax: return "argmax";
   }
   return "?";
+}
+
+CompareLevels Op::compare_levels() const {
+  CompareLevels c;
+  switch (kind) {
+    case OpKind::relu:
+      c.values.push_back(static_cast<std::uint64_t>(input_elems()));
+      c.payloads = 1;
+      break;
+    case OpKind::maxpool:
+      for (const std::size_t pairs : crypto::tournament_level_pairs(kernel * kernel)) {
+        c.values.push_back(pairs * static_cast<std::uint64_t>(output_elems()));
+      }
+      c.payloads = 1;
+      break;
+    case OpKind::argmax:
+      // One row per query: programs describe a single query.
+      for (const std::size_t pairs : crypto::tournament_level_pairs(in_features)) {
+        c.values.push_back(pairs);
+      }
+      c.payloads = 2;
+      break;
+    default:
+      break;
+  }
+  return c;
 }
 
 namespace {
@@ -155,6 +183,7 @@ void append_argmax(SecureProgram& program) {
   op.in_h = op.in_w = 1;
   op.out_ch = 1;
   op.out_h = op.out_w = 1;
+  for (const Op& o : program.ops) op.round_group = std::max(op.round_group, o.round_group + 1);
   program.ops.push_back(op);
   program.output = static_cast<int>(program.ops.size()) - 1;
 }

@@ -46,6 +46,12 @@ enum class OpKind {
 
 [[nodiscard]] const char* op_kind_name(OpKind kind) noexcept;
 
+/// See Op::compare_levels.
+struct CompareLevels {
+  std::vector<std::uint64_t> values;  ///< values compared, one entry per level
+  int payloads = 0;                   ///< gated mux multiplies per comparison
+};
+
 /// One typed IR operator with explicit graph edges, geometry (batch-1,
 /// propagated from the descriptor) and plaintext parameters.
 struct Op {
@@ -82,12 +88,12 @@ struct Op {
   double a_coeff = 0.0;
   bool coeff_fused = false;
 
-  /// Round group assigned by the schedule_rounds pass.  Single-round ops
-  /// sharing a group id flush their openings in one exchange; staged
-  /// comparison ops (relu/maxpool) in the group advance their resumable
-  /// phases in lockstep, sharing the OT leaf round, each AND-tree level
-  /// and the B2A/mux openings across instances.  -1 for local ops and the
-  /// argmax terminal.
+  /// Round group assigned by the schedule_rounds pass (append_argmax for
+  /// the argmax terminal).  Single-round ops sharing a group id flush their
+  /// openings in one exchange; staged comparison ops (relu/maxpool/argmax)
+  /// in the group advance their resumable phases in lockstep, sharing the
+  /// OT leaf round, each AND-tree level and the B2A/mux openings across
+  /// instances.  -1 for local ops.
   int round_group = -1;
 
   [[nodiscard]] long long input_elems() const noexcept {
@@ -103,15 +109,21 @@ struct Op {
     return kind == OpKind::conv || kind == OpKind::depthwise_conv || kind == OpKind::linear ||
            kind == OpKind::x2act;
   }
-  /// Resumable multi-round comparison op (relu / maxpool): joins round
-  /// groups and advances phase by phase so independent instances share OT
-  /// and AND rounds.
+  /// Resumable multi-round comparison op (relu / maxpool / argmax): joins
+  /// round groups and advances phase by phase so independent instances
+  /// share OT and AND rounds.
   [[nodiscard]] bool stages_compare() const noexcept {
-    return kind == OpKind::relu || kind == OpKind::maxpool;
+    return kind == OpKind::relu || kind == OpKind::maxpool || kind == OpKind::argmax;
   }
-  /// Internally sequential multi-round op that runs its own exchanges
-  /// (the argmax terminal; its phases still coalesce internally).
-  [[nodiscard]] bool multi_round() const noexcept { return kind == OpKind::argmax; }
+  /// The comparison shape of a stages_compare() op (empty otherwise): the
+  /// values compared per level — one DReLU, B2A and gated select each —
+  /// and the payloads every comparison bit gates.  ReLU is one level over
+  /// its input with one payload; max-pool reduces its k² taps and argmax
+  /// its classes pairwise, with one payload (the max) and two (value and
+  /// index).  The single definition derive_plan and the analytic cost
+  /// model read, as crypto::millionaire_and_level_multipliers is for the
+  /// AND tree.
+  [[nodiscard]] CompareLevels compare_levels() const;
 };
 
 /// A whole lowered network.
@@ -133,8 +145,8 @@ struct SecureProgram {
                                   const std::vector<int>& node_of_layer);
 
 /// Appends a secure-argmax terminal consuming the current output (label-only
-/// revelation; paper-level output privacy).  The argmax op becomes the new
-/// program output.
+/// revelation; paper-level output privacy) in a round group of its own.
+/// The argmax op becomes the new program output.
 void append_argmax(SecureProgram& program);
 
 /// Releases every op's plaintext parameters (weights, biases, batch-norm

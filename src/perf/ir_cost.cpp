@@ -10,20 +10,6 @@
 
 namespace pasnet::perf {
 
-namespace {
-
-/// Tournament depth of a t-entry reduction tree with odd carries.
-int tree_levels(int t) noexcept {
-  int levels = 0;
-  while (t > 1) {
-    t = t / 2 + t % 2;
-    ++levels;
-  }
-  return levels;
-}
-
-}  // namespace
-
 int drelu_rounds(int ring_bits) {
   // millionaire_gt: 2 sequential OT messages (receiver blinds, sender
   // masks), then one and_bits exchange per AND-tree combine level — the
@@ -35,6 +21,7 @@ int drelu_rounds(int ring_bits) {
 
 OpCost ir_op_cost(const LatencyModel& m, const ir::Op& op, int ring_bits) {
   using ir::OpKind;
+  OpCost c;
   switch (op.kind) {
     case OpKind::input:
     case OpKind::flatten:
@@ -43,31 +30,19 @@ OpCost ir_op_cost(const LatencyModel& m, const ir::Op& op, int ring_bits) {
       return OpCost{};  // folded away by the pass pipeline
     case OpKind::conv:
     case OpKind::depthwise_conv: {
-      OpCost c = m.conv(op.kernel, static_cast<long long>(op.out_h) * op.out_w, op.in_ch,
-                        op.out_ch, op.input_elems(), op.kind == OpKind::depthwise_conv);
+      c = m.conv(op.kernel, static_cast<long long>(op.out_h) * op.out_w, op.in_ch, op.out_ch,
+                 op.input_elems(), op.kind == OpKind::depthwise_conv);
       c.rounds = 1;  // E and F coalesce into one exchange
       return c;
     }
     case OpKind::linear: {
-      OpCost c = m.linear(op.in_features, op.out_features);
+      c = m.linear(op.in_features, op.out_features);
       c.rounds = 1;
       return c;
     }
     case OpKind::x2act: {
-      OpCost c = m.x2act(op.input_elems());
+      c = m.x2act(op.input_elems());
       c.rounds = 1;  // one square-pair E opening; coefficient scaling is local
-      return c;
-    }
-    case OpKind::relu: {
-      OpCost c = m.relu(op.input_elems());
-      // DReLU + B2A (one coalesced Beaver open) + mux multiply (one more).
-      c.rounds = drelu_rounds(ring_bits) + 2;
-      return c;
-    }
-    case OpKind::maxpool: {
-      OpCost c = m.maxpool(op.input_elems());
-      // Each tournament level is one batched secure max: DReLU + B2A + mux.
-      c.rounds = tree_levels(op.kernel * op.kernel) * (drelu_rounds(ring_bits) + 2);
       return c;
     }
     case OpKind::avgpool:
@@ -75,17 +50,22 @@ OpCost ir_op_cost(const LatencyModel& m, const ir::Op& op, int ring_bits) {
       return m.avgpool(op.input_elems());
     case OpKind::add:
       return m.add(op.output_elems());
-    case OpKind::argmax: {
-      // Tournament over the class entries: per level one DReLU + B2A + two
-      // selector multiplies whose openings share one exchange.
-      // Communication approximated with the relu flow over the widest
-      // level (indices ride in the same exchanges).
-      OpCost c = m.relu(op.in_features);
-      c.rounds = tree_levels(op.in_features) * (drelu_rounds(ring_bits) + 2);
-      return c;
-    }
+    case OpKind::relu:
+      c = m.relu(op.input_elems());
+      break;
+    case OpKind::maxpool:
+      c = m.maxpool(op.input_elems());
+      break;
+    case OpKind::argmax:
+      // Communication approximated with the relu flow over the class
+      // entries (indices ride in the same exchanges).
+      c = m.relu(op.in_features);
+      break;
   }
-  return OpCost{};
+  // Per comparison level: one DReLU, the B2A opening and the gated-select
+  // opening every payload shares.
+  c.rounds = static_cast<int>(op.compare_levels().values.size()) * (drelu_rounds(ring_bits) + 2);
+  return c;
 }
 
 namespace {
@@ -113,12 +93,6 @@ std::uint64_t mul_open_wire_bytes(std::uint64_t n, std::uint64_t wire) {
   return 2 * 2 * n * wire;
 }
 
-/// DReLU + B2A multiply + mux multiply — the v·DReLU(v) flow of ReLU and
-/// each max/argmax tournament level.
-std::uint64_t drelu_mux_wire_bytes(std::uint64_t n, int ring_bits, std::uint64_t wire) {
-  return drelu_wire_bytes(n, ring_bits) + 2 * mul_open_wire_bytes(n, wire);
-}
-
 }  // namespace
 
 std::uint64_t ir_op_wire_bytes(const ir::Op& op, int ring_bits, int wire_bits) {
@@ -144,29 +118,15 @@ std::uint64_t ir_op_wire_bytes(const ir::Op& op, int ring_bits, int wire_bits) {
       // One square-pair E opening.
       return 2 * wire * static_cast<std::uint64_t>(op.input_elems());
     case OpKind::relu:
-      return drelu_mux_wire_bytes(static_cast<std::uint64_t>(op.input_elems()), ring_bits,
-                                  wire);
-    case OpKind::maxpool: {
-      const auto out_elems = static_cast<std::uint64_t>(op.output_elems());
-      std::uint64_t bytes = 0;
-      int taps = op.kernel * op.kernel;
-      while (taps > 1) {
-        const int pairs = taps / 2;
-        bytes += drelu_mux_wire_bytes(static_cast<std::uint64_t>(pairs) * out_elems,
-                                      ring_bits, wire);
-        taps = pairs + taps % 2;
-      }
-      return bytes;
-    }
+    case OpKind::maxpool:
     case OpKind::argmax: {
-      // Per tournament level: DReLU on the value difference plus B2A and
-      // the two selector multiplies (value and index).
+      // Per comparison level: DReLU on the compared values, then the B2A
+      // multiply and one gated-select multiply per payload.
+      const ir::CompareLevels shape = op.compare_levels();
       std::uint64_t bytes = 0;
-      int entries = op.in_features;
-      while (entries > 1) {
-        const auto n = static_cast<std::uint64_t>(entries / 2);
-        bytes += drelu_wire_bytes(n, ring_bits) + 3 * mul_open_wire_bytes(n, wire);
-        entries = entries / 2 + entries % 2;
+      for (const std::uint64_t n : shape.values) {
+        bytes += drelu_wire_bytes(n, ring_bits) +
+                 (1 + static_cast<std::uint64_t>(shape.payloads)) * mul_open_wire_bytes(n, wire);
       }
       return bytes;
     }
@@ -188,23 +148,16 @@ namespace {
 /// level exchange, open = one ring-open exchange (B2A or mux).
 enum class PhaseTok : std::uint8_t { ot, bit, open };
 
-void append_drelu_mux_tokens(std::vector<PhaseTok>& toks, int ring_bits) {
-  toks.push_back(PhaseTok::ot);
-  const std::size_t levels =
-      crypto::millionaire_and_level_multipliers(ring_bits - 1).size();
-  toks.insert(toks.end(), levels, PhaseTok::bit);
-  toks.push_back(PhaseTok::open);  // B2A
-  toks.push_back(PhaseTok::open);  // mux
-}
-
 std::vector<PhaseTok> compare_tokens(const ir::Op& op, int ring_bits) {
+  // Per comparison level: the OT dance, one exchange per AND-tree level,
+  // the B2A opening, then the gated-select opening all payloads share.
+  const std::size_t and_levels = crypto::millionaire_and_level_multipliers(ring_bits - 1).size();
   std::vector<PhaseTok> toks;
-  if (op.kind == ir::OpKind::relu) {
-    append_drelu_mux_tokens(toks, ring_bits);
-  } else if (op.kind == ir::OpKind::maxpool) {
-    for (int level = tree_levels(op.kernel * op.kernel); level > 0; --level) {
-      append_drelu_mux_tokens(toks, ring_bits);
-    }
+  for (std::size_t level = op.compare_levels().values.size(); level > 0; --level) {
+    toks.push_back(PhaseTok::ot);
+    toks.insert(toks.end(), and_levels, PhaseTok::bit);
+    toks.push_back(PhaseTok::open);  // B2A
+    toks.push_back(PhaseTok::open);  // mux
   }
   return toks;
 }
@@ -305,10 +258,6 @@ ProgramCost profile_program(const LatencyModel& m, const ir::SecureProgram& p,
         groups_counted.insert(op.round_group);
         c.rounds = group_rounds[op.round_group];
       }
-    } else if (op.multi_round()) {
-      // Argmax terminals are not staged: each lane's tournament runs its
-      // own exchanges back to back.
-      c.rounds *= static_cast<int>(lanes);
     }
     // per_op stays the single-lane figure (rounds already group-shared);
     // the total scales every additive field by the lane count.
@@ -321,12 +270,9 @@ ProgramCost profile_program(const LatencyModel& m, const ir::SecureProgram& p,
     pc.wire_bytes_eager += lanes * ir_op_wire_bytes(op, ring_bits, wire_bits);
   }
   pc.round_groups = static_cast<int>(groups_counted.size());
-  // Terminal joint opening: all lanes' logits reveal in ONE merged
-  // exchange under the coalesced schedule; an argmax terminal's index
-  // reveal instead happens inside each lane's tournament, once per lane.
-  const bool argmax_terminal =
-      p.output >= 0 && p.ops[static_cast<std::size_t>(p.output)].multi_round();
-  pc.total.rounds += argmax_terminal ? static_cast<int>(lanes) : 1;
+  // Terminal joint opening: all lanes' logits or argmax indices reveal in
+  // ONE merged exchange under the coalesced schedule.
+  pc.total.rounds += 1;
   const auto wire = static_cast<std::uint64_t>((wire_bits + 7) / 8);
   const auto out_elems = static_cast<std::uint64_t>(
       p.output >= 0 ? p.ops[static_cast<std::size_t>(p.output)].output_elems() : 0);

@@ -88,11 +88,11 @@ struct OfflinePhaseCost {
                                                      int batch = 1);
 
 /// `batch` prices a K-lane single-context batched run (ir::execute_batch):
-/// every comparison contributes K identical phase streams to its round
-/// group — so group rounds stay K-invariant while merged-OT savings grow —
-/// per-op compute/communication and eager wire bytes scale by K, the
-/// terminal logits opening stays ONE merged exchange, and argmax terminals
-/// (not staged) pay their tournament and reveal rounds per lane.  per_op
+/// every comparison — the argmax terminal's tournament included —
+/// contributes K identical phase streams to its round group, so group
+/// rounds stay K-invariant while merged-OT savings grow; per-op
+/// compute/communication and eager wire bytes scale by K, and the terminal
+/// opening (logits or argmax indices) stays ONE merged exchange.  per_op
 /// entries remain single-lane figures.
 [[nodiscard]] ProgramCost profile_program(const LatencyModel& model,
                                           const ir::SecureProgram& program,

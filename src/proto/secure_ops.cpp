@@ -24,6 +24,12 @@ RingVec slice_ring(const RingVec& v, std::size_t lo, std::size_t hi) {
   return out;
 }
 
+/// Appends src's shares to dst's.
+void append_shares(Shared& dst, const Shared& src) {
+  dst.s0.insert(dst.s0.end(), src.s0.begin(), src.s0.end());
+  dst.s1.insert(dst.s1.end(), src.s1.begin(), src.s1.end());
+}
+
 /// Gathers a strided window tap into a flat share vector (for pooling).
 /// The valid output-x range is computed once per tap so the inner copy is a
 /// bounds-free strided gather (a memcpy when stride == 1).
@@ -233,8 +239,10 @@ SecureTensor run_compare_op(TwoPartyContext& ctx, StagedCompareOp& op) {
 StagedRelu::StagedRelu(const SecureTensor& x, crypto::OtMode mode) : x_(x), mode_(mode) {}
 
 void StagedRelu::begin(TwoPartyContext& ctx) {
-  core_.begin(ctx, x_.shares, mode_,
-              crypto::draw_drelu_mux_material(ctx, x_.shares.size()));
+  crypto::DreluMuxMaterial mat = crypto::draw_drelu_mux_material(ctx, x_.shares.size(), 1);
+  std::vector<Shared> payloads;
+  payloads.push_back(x_.shares);
+  core_.begin(ctx, std::move(payloads), mode_, std::move(mat));
 }
 
 crypto::CompareWait StagedRelu::waiting() const { return core_.waiting(); }
@@ -245,87 +253,93 @@ SecureTensor StagedRelu::take(TwoPartyContext& ctx) {
   (void)ctx;
   SecureTensor out;
   out.shape = x_.shape;
-  out.shares = std::move(core_.result());
+  out.shares = std::move(core_.result().front());
   return out;
 }
 
-StagedMaxPool::StagedMaxPool(const SecureTensor& x, int kernel, int stride, int pad,
-                             crypto::OtMode mode)
-    : x_(x), kernel_(kernel), stride_(stride), pad_(pad), mode_(mode) {}
-
-void StagedMaxPool::begin(TwoPartyContext& ctx) {
-  // Gather the k² window taps; padding positions hold zero shares (valid
-  // for the non-negative post-activation maps our backbones pool).
-  taps_.clear();
-  taps_.reserve(static_cast<std::size_t>(kernel_) * kernel_);
-  for (int kh = 0; kh < kernel_; ++kh) {
-    for (int kw = 0; kw < kernel_; ++kw) {
-      taps_.push_back(gather_window_tap(x_, kh, kw, kernel_, stride_, pad_, nullptr));
-    }
+void StagedTournament::begin_tournament(TwoPartyContext& ctx,
+                                        std::vector<std::vector<Shared>> entries) {
+  if (entries.empty() || entries.front().empty()) {
+    throw std::invalid_argument("StagedTournament: no entries");
   }
-  elems_ = taps_.empty() ? 0 : taps_[0].size();
-  // Draw every tournament level's material up front, in level order — the
-  // same request stream the level-by-level blocking tournament consumed.
+  entries_ = std::move(entries);
+  // Draw every level's material up front, in level order — the request
+  // stream ir::derive_plan derives from the same level shape.
+  const std::size_t payloads = entries_.front().size();
+  const std::size_t elems = entries_.front().front().size();
   mats_.clear();
-  std::size_t t = taps_.size();
-  while (t > 1) {
-    const std::size_t pairs = t / 2;
-    mats_.push_back(crypto::draw_drelu_mux_material(ctx, pairs * elems_));
-    t = pairs + t % 2;
+  for (const std::size_t pairs : crypto::tournament_level_pairs(entries_.size())) {
+    mats_.push_back(crypto::draw_drelu_mux_material(ctx, pairs * elems, payloads));
   }
   level_ = 0;
-  done_ = taps_.size() <= 1;
+  done_ = entries_.size() <= 1;
   if (!done_) begin_level(ctx);
 }
 
-void StagedMaxPool::begin_level(TwoPartyContext& ctx) {
-  // One batched secure max over all pairs of the level: max(a, b) =
-  // b + (a-b)·DReLU(a-b), with the comparisons, B2A conversions and mux
-  // multiplies of every pair concatenated into single protocol phases.
-  const std::size_t pairs = taps_.size() / 2;
-  Shared a, b;
-  a.s0.reserve(pairs * elems_);
-  a.s1.reserve(pairs * elems_);
-  b.s0.reserve(pairs * elems_);
-  b.s1.reserve(pairs * elems_);
-  for (std::size_t p = 0; p < pairs; ++p) {
-    a.s0.insert(a.s0.end(), taps_[2 * p].s0.begin(), taps_[2 * p].s0.end());
-    a.s1.insert(a.s1.end(), taps_[2 * p].s1.begin(), taps_[2 * p].s1.end());
-    b.s0.insert(b.s0.end(), taps_[2 * p + 1].s0.begin(), taps_[2 * p + 1].s0.end());
-    b.s1.insert(b.s1.end(), taps_[2 * p + 1].s1.begin(), taps_[2 * p + 1].s1.end());
+void StagedTournament::begin_level(TwoPartyContext& ctx) {
+  // One batched gated select over all pairs of the level: per payload,
+  // the a and b sides of every pair concatenate into single protocol
+  // phases, and the value difference drives the one comparison.
+  const std::size_t pairs = entries_.size() / 2;
+  const std::size_t payloads = entries_.front().size();
+  std::vector<Shared> diffs(payloads);
+  level_b_.assign(payloads, Shared{});
+  for (std::size_t j = 0; j < payloads; ++j) {
+    Shared a;
+    for (std::size_t p = 0; p < pairs; ++p) {
+      append_shares(a, entries_[2 * p][j]);
+      append_shares(level_b_[j], entries_[2 * p + 1][j]);
+    }
+    diffs[j] = crypto::sub(a, level_b_[j], ctx.ring());
   }
-  const Shared diff = crypto::sub(a, b, ctx.ring());
-  level_b_ = std::move(b);
   mux_ = crypto::StagedDreluMux{};
-  mux_.begin(ctx, diff, mode_, std::move(mats_[level_]));
+  mux_.begin(ctx, std::move(diffs), mode_, std::move(mats_[level_]));
 }
 
-crypto::CompareWait StagedMaxPool::waiting() const {
+crypto::CompareWait StagedTournament::waiting() const {
   return done_ ? crypto::CompareWait::done : mux_.waiting();
 }
 
-void StagedMaxPool::step(TwoPartyContext& ctx) {
+void StagedTournament::step(TwoPartyContext& ctx) {
   mux_.step(ctx);
   if (mux_.waiting() != crypto::CompareWait::done) return;
-  // Level complete: winners = b + gated, sliced back into per-tap vectors.
-  const Shared win = crypto::add(level_b_, mux_.result(), ctx.ring());
-  const std::size_t pairs = taps_.size() / 2;
-  std::vector<Shared> next;
-  next.reserve(pairs + 1);
-  for (std::size_t p = 0; p < pairs; ++p) {
-    Shared v;
-    v.s0 = slice_ring(win.s0, p * elems_, (p + 1) * elems_);
-    v.s1 = slice_ring(win.s1, p * elems_, (p + 1) * elems_);
-    next.push_back(std::move(v));
+  // Level complete: winners = b + gated, sliced back into per-pair entries.
+  const std::size_t pairs = entries_.size() / 2;
+  const std::size_t payloads = level_b_.size();
+  const std::size_t elems = level_b_.front().size() / pairs;
+  std::vector<std::vector<Shared>> next(pairs, std::vector<Shared>(payloads));
+  for (std::size_t j = 0; j < payloads; ++j) {
+    const Shared win = crypto::add(level_b_[j], mux_.result()[j], ctx.ring());
+    for (std::size_t p = 0; p < pairs; ++p) {
+      next[p][j].s0 = slice_ring(win.s0, p * elems, (p + 1) * elems);
+      next[p][j].s1 = slice_ring(win.s1, p * elems, (p + 1) * elems);
+    }
   }
-  if (taps_.size() % 2 == 1) next.push_back(std::move(taps_.back()));
-  taps_ = std::move(next);
+  if (entries_.size() % 2 == 1) next.push_back(std::move(entries_.back()));
+  entries_ = std::move(next);
   ++level_;
-  if (taps_.size() > 1) {
+  if (entries_.size() > 1) {
     begin_level(ctx);
   } else {
     done_ = true;
   }
+}
+
+StagedMaxPool::StagedMaxPool(const SecureTensor& x, int kernel, int stride, int pad,
+                             crypto::OtMode mode)
+    : StagedTournament(mode), x_(x), kernel_(kernel), stride_(stride), pad_(pad) {}
+
+void StagedMaxPool::begin(TwoPartyContext& ctx) {
+  // One entry per window tap; padding positions hold zero shares (valid
+  // for the non-negative post-activation maps our backbones pool).
+  std::vector<std::vector<Shared>> taps;
+  taps.reserve(static_cast<std::size_t>(kernel_) * kernel_);
+  for (int kh = 0; kh < kernel_; ++kh) {
+    for (int kw = 0; kw < kernel_; ++kw) {
+      taps.emplace_back().push_back(gather_window_tap(x_, kh, kw, kernel_, stride_, pad_, nullptr));
+    }
+  }
+  begin_tournament(ctx, std::move(taps));
 }
 
 SecureTensor StagedMaxPool::take(TwoPartyContext& ctx) {
@@ -334,7 +348,41 @@ SecureTensor StagedMaxPool::take(TwoPartyContext& ctx) {
   const int n = x_.dim(0), c = x_.dim(1);
   out.shape = {n, c, nn::conv_out_size(x_.dim(2), kernel_, stride_, pad_),
                nn::conv_out_size(x_.dim(3), kernel_, stride_, pad_)};
-  out.shares = std::move(taps_[0]);
+  out.shares = std::move(winner().front());
+  return out;
+}
+
+StagedArgmax::StagedArgmax(const SecureTensor& logits, crypto::OtMode mode)
+    : StagedTournament(mode), logits_(logits) {}
+
+void StagedArgmax::begin(TwoPartyContext& ctx) {
+  // One (value, index) entry per class, each over the N rows.  Values
+  // carry the fixed-point scale; indices are raw integers, trivially
+  // shared.
+  const auto n = static_cast<std::size_t>(logits_.dim(0));
+  const int classes = logits_.dim(1);
+  std::vector<std::vector<Shared>> entries(static_cast<std::size_t>(classes));
+  for (int c = 0; c < classes; ++c) {
+    std::vector<Shared>& e = entries[static_cast<std::size_t>(c)];
+    e.resize(2);
+    e[0].s0.resize(n);
+    e[0].s1.resize(n);
+    for (std::size_t r = 0; r < n; ++r) {
+      const std::size_t src = r * static_cast<std::size_t>(classes) + c;
+      e[0].s0[r] = logits_.shares.s0[src];
+      e[0].s1[r] = logits_.shares.s1[src];
+    }
+    e[1].s0.assign(n, static_cast<std::uint64_t>(c));
+    e[1].s1.assign(n, 0);
+  }
+  begin_tournament(ctx, std::move(entries));
+}
+
+SecureTensor StagedArgmax::take(TwoPartyContext& ctx) {
+  (void)ctx;
+  SecureTensor out;
+  out.shape = {logits_.dim(0), 1};
+  out.shares = std::move(winner()[1]);
   return out;
 }
 
@@ -456,99 +504,12 @@ SecureTensor secure_flatten(const SecureTensor& x) {
 
 std::vector<int> secure_argmax(TwoPartyContext& ctx, const SecureTensor& logits,
                                const SecureConfig& cfg) {
-  const RingConfig& rc = ctx.ring();
-  const int n = logits.dim(0);
-  const int classes = logits.dim(1);
-
-  // Per row: a tournament over (value, index) pairs, all rows batched per
-  // level.  Values carry the fixed-point scale; indices are raw integers.
-  std::vector<Shared> values(static_cast<std::size_t>(classes));
-  std::vector<Shared> indices(static_cast<std::size_t>(classes));
-  for (int c = 0; c < classes; ++c) {
-    Shared v, idx;
-    v.s0.resize(static_cast<std::size_t>(n));
-    v.s1.resize(static_cast<std::size_t>(n));
-    idx.s0.assign(static_cast<std::size_t>(n), static_cast<std::uint64_t>(c));
-    idx.s1.assign(static_cast<std::size_t>(n), 0);
-    for (int r = 0; r < n; ++r) {
-      const std::size_t src = static_cast<std::size_t>(r) * classes + c;
-      v.s0[static_cast<std::size_t>(r)] = logits.shares.s0[src];
-      v.s1[static_cast<std::size_t>(r)] = logits.shares.s1[src];
-    }
-    values[static_cast<std::size_t>(c)] = std::move(v);
-    indices[static_cast<std::size_t>(c)] = std::move(idx);
-  }
-
-  while (values.size() > 1) {
-    const std::size_t pairs = values.size() / 2;
-    // Concatenate all pairs of all rows into single protocol calls.
-    Shared va, vb, ia, ib;
-    for (std::size_t p = 0; p < pairs; ++p) {
-      const auto append = [](Shared& dst, const Shared& src) {
-        dst.s0.insert(dst.s0.end(), src.s0.begin(), src.s0.end());
-        dst.s1.insert(dst.s1.end(), src.s1.begin(), src.s1.end());
-      };
-      append(va, values[2 * p]);
-      append(vb, values[2 * p + 1]);
-      append(ia, indices[2 * p]);
-      append(ib, indices[2 * p + 1]);
-    }
-    const Shared vdiff = crypto::sub(va, vb, rc);
-    const Shared idiff = crypto::sub(ia, ib, rc);
-    const std::size_t lvl_n = vdiff.size();
-    // Level material in plan order: DReLU AND-tree, B2A, value selector,
-    // index selector (ir::derive_plan emits the same stream).
-    crypto::MillionaireMaterial mill = crypto::draw_drelu_material(ctx, lvl_n);
-    crypto::ElemTriple t_b2a = ctx.elem_triple(lvl_n);
-    crypto::ElemTriple t_vsel = ctx.elem_triple(lvl_n);
-    crypto::ElemTriple t_isel = ctx.elem_triple(lvl_n);
-    // [a >= b]: on ties the lower-index (a) side wins.
-    crypto::StagedDrelu sd;
-    sd.begin(ctx, vdiff, cfg.ot_mode, std::move(mill));
-    while (sd.waiting() != crypto::CompareWait::done) {
-      crypto::flush_compare_buffers(ctx, sd.waiting());
-      sd.step(ctx);
-    }
-    crypto::B2aRound b2a;
-    b2a.stage(ctx, sd.result(), std::move(t_b2a));
-    ctx.opens().flush();
-    const Shared bit = b2a.finish(rc);
-    // winner = b + (a - b)·[a >= b]; indices follow the same selector.  The
-    // two selector multiplies depend only on the bit, so their openings
-    // share one flush (one exchange under the coalesced schedule).
-    crypto::MulRound vsel, isel;
-    vsel.stage(ctx, vdiff, bit, std::move(t_vsel));
-    isel.stage(ctx, idiff, bit, std::move(t_isel));
-    ctx.opens().flush();
-    const Shared vwin = crypto::add(vb, vsel.finish(rc), rc);
-    const Shared iwin = crypto::add(ib, isel.finish(rc), rc);
-
-    std::vector<Shared> next_v, next_i;
-    next_v.reserve(pairs + 1);
-    next_i.reserve(pairs + 1);
-    for (std::size_t p = 0; p < pairs; ++p) {
-      const auto slice = [n](const Shared& src, std::size_t p_) {
-        Shared out;
-        out.s0 = slice_ring(src.s0, p_ * n, (p_ + 1) * n);
-        out.s1 = slice_ring(src.s1, p_ * n, (p_ + 1) * n);
-        return out;
-      };
-      next_v.push_back(slice(vwin, p));
-      next_i.push_back(slice(iwin, p));
-    }
-    if (values.size() % 2 == 1) {
-      next_v.push_back(std::move(values.back()));
-      next_i.push_back(std::move(indices.back()));
-    }
-    values = std::move(next_v);
-    indices = std::move(next_i);
-  }
-
-  const RingVec revealed = crypto::open(ctx, indices[0]);
-  std::vector<int> out(static_cast<std::size_t>(n));
-  for (int r = 0; r < n; ++r) {
-    out[static_cast<std::size_t>(r)] =
-        static_cast<int>(crypto::to_signed(revealed[static_cast<std::size_t>(r)], rc));
+  StagedArgmax op(logits, cfg.ot_mode);
+  const RingVec revealed = crypto::open(ctx, run_compare_op(ctx, op).shares);
+  std::vector<int> out;
+  out.reserve(revealed.size());
+  for (const std::uint64_t v : revealed) {
+    out.push_back(static_cast<int>(crypto::to_signed(v, ctx.ring())));
   }
   return out;
 }

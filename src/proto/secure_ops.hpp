@@ -149,31 +149,62 @@ class StagedRelu final : public StagedCompareOp {
   crypto::StagedDreluMux core_;
 };
 
-/// Staged 2PC MaxPool: the k²-tap tournament with every level a resumable
-/// batched secure max.  All the tournament's correlated randomness is
-/// drawn at begin() (level order), so a singleton level — one comparison
+/// The pairwise tournament max-pool and argmax share (paper Eq. 13).  Each
+/// entry holds P equal-length payload vectors, payload 0 the compared
+/// value.  Every level pairs adjacent entries (an odd one carries up) and
+/// keeps b + (a - b)·[a_0 >= b_0] of every payload — ties go to the earlier
+/// entry — through one batched StagedDreluMux.  All levels' material is
+/// drawn at begin, in level order, so a singleton level — one comparison
 /// left — rides the shared group flushes instead of paying private ones.
-class StagedMaxPool final : public StagedCompareOp {
+class StagedTournament : public StagedCompareOp {
  public:
-  StagedMaxPool(const SecureTensor& x, int kernel, int stride, int pad,
-                crypto::OtMode mode);
-  void begin(crypto::TwoPartyContext& ctx) override;
   [[nodiscard]] crypto::CompareWait waiting() const override;
   void step(crypto::TwoPartyContext& ctx) override;
-  [[nodiscard]] SecureTensor take(crypto::TwoPartyContext& ctx) override;
+
+ protected:
+  explicit StagedTournament(crypto::OtMode mode) : mode_(mode) {}
+  /// Draws every level's material and stages the first level.
+  void begin_tournament(crypto::TwoPartyContext& ctx,
+                        std::vector<std::vector<crypto::Shared>> entries);
+  /// The winning entry's payloads; valid once waiting() == done.
+  [[nodiscard]] std::vector<crypto::Shared>& winner() noexcept { return entries_.front(); }
 
  private:
   void begin_level(crypto::TwoPartyContext& ctx);
-  const SecureTensor& x_;
-  int kernel_, stride_, pad_;
   crypto::OtMode mode_;
-  std::vector<crypto::Shared> taps_;
-  std::size_t elems_ = 0;
+  std::vector<std::vector<crypto::Shared>> entries_;
   std::vector<crypto::DreluMuxMaterial> mats_;
   std::size_t level_ = 0;
-  crypto::Shared level_b_;
+  std::vector<crypto::Shared> level_b_;  // per payload: the level's b sides
   crypto::StagedDreluMux mux_;
   bool done_ = false;
+};
+
+/// Staged 2PC MaxPool: the tournament over the k² window taps (P = 1).
+class StagedMaxPool final : public StagedTournament {
+ public:
+  StagedMaxPool(const SecureTensor& x, int kernel, int stride, int pad, crypto::OtMode mode);
+  void begin(crypto::TwoPartyContext& ctx) override;
+  [[nodiscard]] SecureTensor take(crypto::TwoPartyContext& ctx) override;
+
+ private:
+  const SecureTensor& x_;
+  int kernel_, stride_, pad_;
+};
+
+/// Staged secure argmax over the class dimension of [N, classes] logits:
+/// the tournament over (value, index) entries (P = 2), so the index follows
+/// the value comparison and stays secret-shared.  take() yields the
+/// winning indices' shares, shape [N, 1]; ties break toward the lowest
+/// class index.
+class StagedArgmax final : public StagedTournament {
+ public:
+  StagedArgmax(const SecureTensor& logits, crypto::OtMode mode);
+  void begin(crypto::TwoPartyContext& ctx) override;
+  [[nodiscard]] SecureTensor take(crypto::TwoPartyContext& ctx) override;
+
+ private:
+  const SecureTensor& logits_;
 };
 
 // --- One-shot operators ----------------------------------------------------
@@ -228,9 +259,8 @@ class StagedMaxPool final : public StagedCompareOp {
 /// Flatten (local reshape).
 [[nodiscard]] SecureTensor secure_flatten(const SecureTensor& x);
 
-/// Secure argmax over the class dimension of [N, classes] logits: a
-/// comparison-tree tournament that keeps (value, one-hot index) pairs
-/// secret-shared throughout; only the winning indices are revealed.
+/// Secure argmax over the class dimension of [N, classes] logits: the
+/// StagedArgmax tournament, then one opening of the winning indices.
 /// Stronger output privacy than revealing logits (the client learns the
 /// label, nothing else).  Ties break toward the lowest class index.
 [[nodiscard]] std::vector<int> secure_argmax(crypto::TwoPartyContext& ctx,

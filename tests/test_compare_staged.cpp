@@ -55,6 +55,7 @@ struct Capture {
 
 struct RunResult {
   nn::Tensor logits;
+  std::vector<int> labels;
   Capture ops;
   std::uint64_t rounds = 0;
   std::uint64_t bytes = 0;
@@ -77,7 +78,9 @@ RunResult run_program(const ir::SecureProgram& p, proto::RoundSchedule schedule,
     r.ops.idx.push_back(i);
     r.ops.shares.push_back(t.shares);
   };
-  r.logits = ir::execute(p, params, ctx, x, opts).logits;
+  ir::ExecResult res = ir::execute(p, params, ctx, x, opts);
+  r.logits = std::move(res.logits);
+  r.labels = std::move(res.labels);
   r.rounds = ctx.stats().rounds;
   r.bytes = ctx.stats().total_bytes();
   return r;
@@ -106,24 +109,31 @@ void expect_bit_identical(const nn::Tensor& a, const nn::Tensor& b, const char* 
 
 TEST(CompareStaged, PerOpSharesBitIdenticalToEagerOnAllModels) {
   // With the ideal-functionality OT the two schedules draw every PRNG and
-  // dealer stream in the same order, so not just the logits but every
-  // intermediate op's secret shares must match bit for bit.
+  // dealer stream in the same order, so not just the logits (or labels)
+  // but every intermediate op's secret shares — an argmax terminal's
+  // index shares included — must match bit for bit.
   std::uint64_t seed = 500;
   for (auto& md : all_test_models()) {
     auto t = train(md, seed += 2);
     ir::SecureProgram p = ir::lower(t.md, *t.graph, t.node_of_layer);
     ir::run_standard_passes(p);
+    ir::SecureProgram classify = p;
+    ir::append_argmax(classify);
     pc::Prng dprng(seed + 1);
     const auto x =
         nn::Tensor::randn({1, t.md.input_ch, t.md.input_h, t.md.input_w}, dprng, 0.5f);
 
-    const RunResult coal = run_program(p, proto::RoundSchedule::coalesced,
-                                       pc::ExecMode::lockstep, x);
-    const RunResult eager = run_program(p, proto::RoundSchedule::eager,
-                                        pc::ExecMode::lockstep, x);
-    expect_bit_identical(coal.logits, eager.logits, t.md.name.c_str());
-    expect_same_shares(coal, eager, t.md.name.c_str());
-    EXPECT_LT(coal.rounds, eager.rounds) << t.md.name;
+    for (const ir::SecureProgram* prog : {&p, &classify}) {
+      const RunResult coal = run_program(*prog, proto::RoundSchedule::coalesced,
+                                         pc::ExecMode::lockstep, x);
+      const RunResult eager = run_program(*prog, proto::RoundSchedule::eager,
+                                          pc::ExecMode::lockstep, x);
+      expect_bit_identical(coal.logits, eager.logits, t.md.name.c_str());
+      EXPECT_EQ(coal.labels, eager.labels) << t.md.name;
+      expect_same_shares(coal, eager, t.md.name.c_str());
+      EXPECT_EQ(coal.ops.idx.size(), prog->ops.size()) << t.md.name;
+      EXPECT_LT(coal.rounds, eager.rounds) << t.md.name;
+    }
   }
 }
 

@@ -184,8 +184,12 @@ TEST(IrPasses, ParallelizeInstancesHoistsIndependentBranchOps) {
   // Purely topological: every edge still points backwards.
   ASSERT_EQ(p.ops.size(), unhoisted.ops.size());
   for (std::size_t i = 0; i < p.ops.size(); ++i) {
-    if (p.ops[i].in0 >= 0) EXPECT_LT(p.ops[i].in0, static_cast<int>(i));
-    if (p.ops[i].in1 >= 0) EXPECT_LT(p.ops[i].in1, static_cast<int>(i));
+    if (p.ops[i].in0 >= 0) {
+      EXPECT_LT(p.ops[i].in0, static_cast<int>(i));
+    }
+    if (p.ops[i].in1 >= 0) {
+      EXPECT_LT(p.ops[i].in1, static_cast<int>(i));
+    }
   }
   EXPECT_NE(std::find(p.passes_run.begin(), p.passes_run.end(), "parallelize_instances"),
             p.passes_run.end());

@@ -14,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <new>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -26,6 +27,7 @@
 #include "proto/workload.hpp"
 #include "support/test_models.hpp"
 
+namespace ir = pasnet::ir;
 namespace nn = pasnet::nn;
 namespace obs = pasnet::obs;
 namespace pc = pasnet::crypto;
@@ -230,6 +232,21 @@ TEST(ObsTracer, SecureInferenceSpansNestPerThread) {
             << "span '" << ev.name << "' on tid " << tid << " partially overlaps its parent";
       }
       open_ends.push_back(end);
+    }
+  }
+
+  // Flush attribution: a round group's flush runs between op spans, never
+  // inside one, so no op is charged for the group staged before it.
+  std::set<std::string> op_names;
+  for (const auto& op : wl.program().ops) op_names.insert(ir::op_kind_name(op.kind));
+  for (const auto& [tid, evs] : by_tid) {
+    for (const obs::TraceEvent& flush : evs) {
+      if (flush.name != "flush_group" || flush.dur_us == 0) continue;
+      for (const obs::TraceEvent& op : evs) {
+        if (std::string(op.cat) != "ir" || op_names.count(op.name) == 0) continue;
+        EXPECT_FALSE(op.ts_us <= flush.ts_us && flush.ts_us + flush.dur_us <= op.ts_us + op.dur_us)
+            << "flush_group on tid " << tid << " lies inside the '" << op.name << "' span";
+      }
     }
   }
 }

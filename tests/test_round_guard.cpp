@@ -39,9 +39,10 @@ perf::LatencyModel model() {
 
 /// Measured vs analytic rounds for one trained model: exact equality under
 /// the coalesced (default) schedule, for a single query AND for a K-lane
-/// batched chunk (profile_program's `batch` parameter prices the chunk).
-void expect_measured_equals_analytic(nn::ModelDescriptor md, std::uint64_t seed,
-                                     int batch = 1) {
+/// batched chunk (profile_program's `batch` parameter prices the chunk),
+/// of the logits or the argmax-terminated classify program.
+void expect_measured_equals_analytic(nn::ModelDescriptor md, std::uint64_t seed, int batch = 1,
+                                     proto::WorkloadKind kind = proto::WorkloadKind::logits) {
   pc::Prng wprng(seed);
   std::vector<int> node_of_layer;
   auto g = nn::build_graph(md, wprng, &node_of_layer);
@@ -51,6 +52,7 @@ void expect_measured_equals_analytic(nn::ModelDescriptor md, std::uint64_t seed,
   proto::SecureNetwork snet(md, *g, node_of_layer, ctx);
   pc::Prng dprng(seed + 2);
   proto::WorkloadOptions wopts;
+  wopts.kind = kind;
   wopts.batch = batch;
   proto::Workload workload(snet, wopts);
   std::vector<nn::Tensor> queries;
@@ -63,7 +65,7 @@ void expect_measured_equals_analytic(nn::ModelDescriptor md, std::uint64_t seed,
   const std::uint64_t measured_bytes = workload.chunk_stats()[0].counters.total_bytes();
 
   const auto m = model();
-  const perf::ProgramCost cost = perf::profile_program(m, snet.program(), ctx.ring().bits,
+  const perf::ProgramCost cost = perf::profile_program(m, workload.program(), ctx.ring().bits,
                                                        ctx.ring().wire_bits, batch);
   ASSERT_GT(measured, 0u) << md.name;
   EXPECT_EQ(measured, static_cast<std::uint64_t>(cost.total.rounds))
@@ -117,10 +119,26 @@ TEST(RoundGuard, BatchedChunksMatchAnalyticRoundsExactly) {
                                   /*batch=*/2);
 }
 
+TEST(RoundGuard, ClassifyChunksMatchAnalyticRoundsExactly) {
+  // Argmax-terminated programs: the tournament is a staged comparison in
+  // a round group of its own, so a K-lane chunk shares its rounds and
+  // merged OT flushes like every other comparison — priced exactly.
+  std::uint64_t seed = 430;
+  for (const auto act : {nn::OpKind::relu, nn::OpKind::x2act}) {
+    for (const auto pool : {nn::OpKind::maxpool, nn::OpKind::avgpool}) {
+      for (const int batch : {1, 4}) {
+        expect_measured_equals_analytic(tiny_cnn(act, pool), seed += 10, batch,
+                                        proto::WorkloadKind::classify);
+      }
+    }
+  }
+}
+
 TEST(RoundGuard, BatchedResNetProxyMeetsRoundReductionTarget) {
   // The PR acceptance bar: a K=16 single-context batch on the scaled
   // ResNet-18 all-ReLU proxy spends at most 1/8 the total comparison
-  // rounds of 16 independent runs.  Group rounds are K-invariant and the
+  // rounds of 16 independent runs, for logits and labels alike.  Group
+  // rounds are K-invariant (the argmax tournament's included) and the
   // terminal regroups to one joint reveal, so the measured ratio lands
   // near 1/16; 1/8 leaves headroom without weakening the bar.
   nn::BackboneOptions opt;
@@ -144,32 +162,43 @@ TEST(RoundGuard, BatchedResNetProxyMeetsRoundReductionTarget) {
     queries.push_back(nn::Tensor::randn({1, md.input_ch, md.input_h, md.input_w}, dprng, 0.5f));
   }
 
-  // 16 independent runs (batch=1 -> 16 unit chunks).
-  proto::Workload unit(snet);
-  const auto unit_res = unit.run(queries);
-  std::uint64_t independent_rounds = 0;
-  for (const auto& cs : unit.chunk_stats()) {
-    independent_rounds += cs.counters[obs::Counter::rounds];
-  }
-
-  // One 16-lane chunk.
-  proto::WorkloadOptions wopts;
-  wopts.batch = kLanes;
-  proto::Workload batched(snet, wopts);
-  const auto batched_res = batched.run(queries);
-  ASSERT_EQ(batched.chunk_stats().size(), 1u);
-  const std::uint64_t batched_rounds = batched.chunk_stats()[0].counters[obs::Counter::rounds];
-
-  EXPECT_LE(batched_rounds * 8, independent_rounds)
-      << "a K=16 chunk must spend at most 1/8 the rounds of 16 independent runs "
-      << "(measured " << batched_rounds << " vs " << independent_rounds << ")";
-
-  // And the batch is not buying speed with different bits.
-  ASSERT_EQ(unit_res.logits.size(), batched_res.logits.size());
-  for (std::size_t q = 0; q < unit_res.logits.size(); ++q) {
-    for (std::size_t i = 0; i < unit_res.logits[q].size(); ++i) {
-      ASSERT_EQ(unit_res.logits[q][i], batched_res.logits[q][i]) << "query " << q;
+  for (const auto kind : {proto::WorkloadKind::logits, proto::WorkloadKind::classify}) {
+    // 16 independent runs (batch=1 -> 16 unit chunks).
+    proto::WorkloadOptions unit_opts;
+    unit_opts.kind = kind;
+    proto::Workload unit(snet, unit_opts);
+    const auto unit_res = unit.run(queries);
+    std::uint64_t independent_rounds = 0;
+    for (const auto& cs : unit.chunk_stats()) {
+      independent_rounds += cs.counters[obs::Counter::rounds];
     }
+
+    // One 16-lane chunk.
+    proto::WorkloadOptions wopts;
+    wopts.kind = kind;
+    wopts.batch = kLanes;
+    proto::Workload batched(snet, wopts);
+    const auto batched_res = batched.run(queries);
+    ASSERT_EQ(batched.chunk_stats().size(), 1u);
+    const std::uint64_t batched_rounds = batched.chunk_stats()[0].counters[obs::Counter::rounds];
+
+    EXPECT_LE(batched_rounds * 8, independent_rounds)
+        << "a K=16 chunk must spend at most 1/8 the rounds of 16 independent runs "
+        << "(measured " << batched_rounds << " vs " << independent_rounds << ")";
+    // The chunk is priced exactly, too.
+    const perf::ProgramCost cost = perf::profile_program(
+        model(), batched.program(), ctx.ring().bits, ctx.ring().wire_bits, kLanes);
+    EXPECT_EQ(batched_rounds, static_cast<std::uint64_t>(cost.total.rounds));
+    EXPECT_EQ(batched.chunk_stats()[0].counters.total_bytes(), cost.wire_bytes);
+
+    // And the batch is not buying speed with different bits.
+    ASSERT_EQ(unit_res.logits.size(), batched_res.logits.size());
+    for (std::size_t q = 0; q < unit_res.logits.size(); ++q) {
+      for (std::size_t i = 0; i < unit_res.logits[q].size(); ++i) {
+        ASSERT_EQ(unit_res.logits[q][i], batched_res.logits[q][i]) << "query " << q;
+      }
+    }
+    EXPECT_EQ(unit_res.labels, batched_res.labels);
   }
 }
 

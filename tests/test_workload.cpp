@@ -349,20 +349,26 @@ TEST(Workload, BatchedChunkSpendsSingleQueryComparisonRounds) {
   proto::SecureNetwork snet(t.md, *t.graph, t.node_of_layer, ctx);
   const auto inputs = make_inputs(t.md, 4, 85);
 
-  proto::Workload unit(snet);
-  (void)unit.run({inputs[0]});
-  const std::uint64_t single_rounds = unit.stats().rounds;
+  for (const auto kind : {proto::WorkloadKind::logits, proto::WorkloadKind::classify}) {
+    proto::WorkloadOptions unit_opts;
+    unit_opts.kind = kind;
+    proto::Workload unit(snet, unit_opts);
+    (void)unit.run({inputs[0]});
+    const std::uint64_t single_rounds = unit.stats().rounds;
 
-  proto::WorkloadOptions opts;
-  opts.batch = 4;
-  proto::Workload batched(snet, opts);
-  (void)batched.run(inputs);
-  ASSERT_EQ(batched.chunk_stats().size(), 1u);
-  // All four lanes ride the same round groups; only the OT dance's merged
-  // flushes change the BYTES, never the rounds — so the 4-query chunk
-  // spends exactly the single-query round count.
-  EXPECT_EQ(batched.stats().rounds, single_rounds);
-  EXPECT_GT(batched.stats().comm_bytes, unit.stats().comm_bytes);
+    proto::WorkloadOptions opts;
+    opts.kind = kind;
+    opts.batch = 4;
+    proto::Workload batched(snet, opts);
+    (void)batched.run(inputs);
+    ASSERT_EQ(batched.chunk_stats().size(), 1u);
+    // All four lanes ride the same round groups — the argmax tournament's
+    // too; only the OT dance's merged flushes change the BYTES, never the
+    // rounds — so the 4-query chunk spends exactly the single-query round
+    // count.
+    EXPECT_EQ(batched.stats().rounds, single_rounds);
+    EXPECT_GT(batched.stats().comm_bytes, unit.stats().comm_bytes);
+  }
 }
 
 TEST(Workload, OnlineBytesDoNotDependOnBatchWidth) {
