@@ -57,39 +57,26 @@ void bm_square(benchmark::State& state) {
 }
 BENCHMARK(bm_square)->Arg(16384);
 
-void bm_drelu_correlated(benchmark::State& state) {
+void bm_drelu(benchmark::State& state) {
   pc::TwoPartyContext ctx;
   pc::Prng prng(4);
   std::vector<double> xs(static_cast<std::size_t>(state.range(0)));
   for (std::size_t i = 0; i < xs.size(); ++i) xs[i] = (i % 2 == 0) ? 1.0 : -1.0;
   const auto x = pc::share_reals(xs, prng, ctx.ring());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(pc::drelu(ctx, x, pc::OtMode::correlated).b0[0]);
+    benchmark::DoNotOptimize(pc::drelu(ctx, x).b0[0]);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(bm_drelu_correlated)->Arg(256)->Arg(4096);
-
-void bm_drelu_dh_masked(benchmark::State& state) {
-  pc::TwoPartyContext ctx;
-  pc::Prng prng(5);
-  std::vector<double> xs(static_cast<std::size_t>(state.range(0)), 0.5);
-  const auto x = pc::share_reals(xs, prng, ctx.ring());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(pc::drelu(ctx, x, pc::OtMode::dh_masked).b0[0]);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(bm_drelu_dh_masked)->Arg(256);
+BENCHMARK(bm_drelu)->Arg(256)->Arg(4096);
 
 void bm_secure_relu(benchmark::State& state) {
   pc::TwoPartyContext ctx;
   pc::Prng prng(6);
   nn::Tensor x = nn::Tensor::randn({1, 16, 16, 16}, prng, 1.0f);
   const auto sx = proto::share_tensor(x, prng, ctx.ring());
-  proto::SecureConfig cfg;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(proto::secure_relu(ctx, sx, cfg).size());
+    benchmark::DoNotOptimize(proto::secure_relu(ctx, sx).size());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<long long>(x.size()));
 }
@@ -316,18 +303,21 @@ void bm_conv_share_kernel(benchmark::State& state) {
 }
 BENCHMARK(bm_conv_share_kernel)->Arg(0)->Arg(1);
 
+// One precomputed (1,4)-OT batch per iteration: the random-OT draw from
+// the context's dealer plus the two messages.
 void bm_ot_1of4(benchmark::State& state) {
   pc::TwoPartyContext ctx;
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   std::vector<std::array<std::uint8_t, 4>> tables(n, {1, 2, 3, 4});
   std::vector<std::uint8_t> choices(n, 2);
-  const auto mode = state.range(1) == 0 ? pc::OtMode::correlated : pc::OtMode::dh_masked;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(pc::ot_1of4(ctx, 1, tables, choices, mode)[0]);
+    benchmark::DoNotOptimize(pc::ot_1of4(ctx, 1, tables, choices)[0]);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.counters["bytes_per_ot"] = static_cast<double>(ctx.stats().total_bytes()) /
+                                   static_cast<double>(state.iterations() * state.range(0));
 }
-BENCHMARK(bm_ot_1of4)->Args({1024, 0})->Args({1024, 1});
+BENCHMARK(bm_ot_1of4)->Arg(1024);
 
 }  // namespace
 

@@ -94,7 +94,7 @@ int main() {
     const auto logits_plain = served->forward(qx, false);
     pc::Prng share_rng(1000 + q);
     const auto shared_logits = proto::share_tensor(logits_plain, share_rng, ctx.ring());
-    const auto label = proto::secure_argmax(ctx, shared_logits, proto::SecureConfig{});
+    const auto label = proto::secure_argmax(ctx, shared_logits);
     correct += (label[0] == qy[0]);
     std::printf("query %d -> private label %d (true %d)\n", q, label[0], qy[0]);
   }

@@ -57,9 +57,6 @@ inline proto::SecureConfig config_from_flags(const FlagSet& flags) {
     std::fprintf(stderr, "unknown --schedule '%s' (coalesced, eager)\n", schedule.c_str());
     std::exit(2);
   }
-  // Two real processes always run the masked-DH OT: the ideal OT is a
-  // single-process simulation, refused across processes.
-  cfg.ot_mode = crypto::OtMode::dh_masked;
   return cfg;
 }
 

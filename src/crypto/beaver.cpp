@@ -80,6 +80,24 @@ BitHalf draw_bit_half(Prng& prng, std::size_t n) {
   return h;
 }
 
+RotHalf draw_rot_half(Prng& prng, bool sender, std::size_t n) {
+  RotHalf h;
+  if (sender) {
+    h.pads.resize(4 * n);
+  } else {
+    h.choice.resize(n);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t r = prng.next_u64();
+    if (sender) {
+      for (int j = 0; j < 4; ++j) h.pads[4 * i + j] = static_cast<std::uint8_t>(r >> (8 * j));
+    } else {
+      h.choice[i] = static_cast<std::uint8_t>(r & 3);
+    }
+  }
+  return h;
+}
+
 ElemTriple TripleDealer::elem_triple(std::size_t n) {
   const ElemHalf h0 = draw_elem_half(prng0_, n, rc_);
   const ElemHalf h1 = draw_elem_half(prng1_, n, rc_);
@@ -143,6 +161,19 @@ BitTriple TripleDealer::bit_triple(std::size_t n) {
     t.c1[i] = (h1.a[i] & h1.b[i]) ^ h1.x[i] ^ (h1.b[i] & h0.a[i]) ^ h0.x[i];
   }
   return t;
+}
+
+RandomOt TripleDealer::random_ot(std::size_t n, int sender) {
+  if (sender != 0 && sender != 1) throw std::invalid_argument("random_ot: sender must be 0 or 1");
+  RotHalf s = draw_rot_half(sender == 0 ? rot_prng0_ : rot_prng1_, true, n);
+  RotHalf r = draw_rot_half(sender == 0 ? rot_prng1_ : rot_prng0_, false, n);
+  RandomOt ot;
+  ot.sender = sender;
+  ot.chosen.resize(n);
+  for (std::size_t i = 0; i < n; ++i) ot.chosen[i] = s.pads[4 * i + r.choice[i]];
+  ot.pads = std::move(s.pads);
+  ot.choice = std::move(r.choice);
+  return ot;
 }
 
 BilinearTriple TripleDealer::assemble_bilinear(const BilinearHalf& h0, const BilinearHalf& h1,

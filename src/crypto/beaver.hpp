@@ -3,7 +3,8 @@
 //
 // Multiplicative 2PC operations consume correlated randomness produced in an
 // offline phase: elementwise triples Z = A ⊙ B, square pairs Z = A ⊙ A,
-// matrix triples Z = A · B, and boolean AND triples over Z2.
+// matrix triples Z = A · B, boolean AND triples over Z2, and the random
+// (1,4)-OTs the comparison leaves spend online (crypto/ot.hpp).
 //
 // Canonical two-stream construction.  Every triple kind is assembled from
 // two *per-party half streams*: party p draws its own mask halves
@@ -54,6 +55,20 @@ struct MatmulTriple {
 /// Boolean triple over Z2: c = a AND b, XOR-shared bits (one byte per bit).
 struct BitTriple {
   std::vector<std::uint8_t> a0, a1, b0, b1, c0, c1;
+};
+
+/// n precomputed random (1,4)-OTs (Beaver, "Precomputing Oblivious
+/// Transfer", CRYPTO 1995): per instance the sender holds four random
+/// one-byte pads P_0..P_3, the receiver a random choice r in [0,4) and the
+/// pad P_r.  Unlike the triples these are not additive shares: the sender's
+/// half is `pads`, the receiver's half is `choice` and `chosen`.
+struct RandomOt {
+  int sender = 1;
+  std::vector<std::uint8_t> pads;    ///< 4 per instance, P_0..P_3 (sender)
+  std::vector<std::uint8_t> choice;  ///< r per instance (receiver)
+  std::vector<std::uint8_t> chosen;  ///< P_r per instance (receiver)
+
+  [[nodiscard]] std::size_t size() const noexcept { return choice.size(); }
 };
 
 /// Generic bilinear triple Z = f(A, B): used for convolution-shaped
@@ -115,17 +130,35 @@ struct BitHalf {
 };
 [[nodiscard]] BitHalf draw_bit_half(Prng& prng, std::size_t n);
 
+/// Seed of party p's random-OT half stream.  Random OTs draw from streams
+/// of their own, so adding them to a request sequence never moves a triple
+/// value.
+[[nodiscard]] inline std::uint64_t rot_half_stream_seed(std::uint64_t seed, int party) noexcept {
+  return splitmix64(half_stream_seed(seed, party) ^ 0x524F5448414C46ULL);
+}
+
+/// Party p's half of n random OTs: the sender's four pads per instance
+/// (the low four bytes of one u64 draw), or the receiver's choice (the low
+/// two bits of one u64 draw).  The other vector stays empty.
+struct RotHalf {
+  std::vector<std::uint8_t> pads, choice;
+};
+[[nodiscard]] RotHalf draw_rot_half(Prng& prng, bool sender, std::size_t n);
+
 /// Trusted dealer: simulates the two-party triple functionality by holding
 /// both half streams and evaluating the cross terms directly.
 class TripleDealer {
  public:
   explicit TripleDealer(RingConfig rc, std::uint64_t seed = 0xDEA1E5ULL)
-      : rc_(rc), prng0_(half_stream_seed(seed, 0)), prng1_(half_stream_seed(seed, 1)) {}
+      : rc_(rc), prng0_(half_stream_seed(seed, 0)), prng1_(half_stream_seed(seed, 1)),
+        rot_prng0_(rot_half_stream_seed(seed, 0)), rot_prng1_(rot_half_stream_seed(seed, 1)) {}
 
   [[nodiscard]] ElemTriple elem_triple(std::size_t n);
   [[nodiscard]] SquarePair square_pair(std::size_t n);
   [[nodiscard]] MatmulTriple matmul_triple(std::size_t m, std::size_t k, std::size_t n);
   [[nodiscard]] BitTriple bit_triple(std::size_t n);
+  /// n random (1,4)-OTs with party `sender` as the sender.
+  [[nodiscard]] RandomOt random_ot(std::size_t n, int sender);
 
   /// Shares Z = f(A, B) for any bilinear map `f` (e.g. B convolved over A),
   /// where A has na elems ("input"-shaped), B has nb ("weight"-shaped) and
@@ -154,6 +187,8 @@ class TripleDealer {
   RingConfig rc_;
   Prng prng0_;
   Prng prng1_;
+  Prng rot_prng0_;
+  Prng rot_prng1_;
 };
 
 /// Plain row-major ring matrix product (local helper, no protocol).

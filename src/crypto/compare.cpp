@@ -220,6 +220,7 @@ MillionaireMaterial draw_millionaire_material(TwoPartyContext& ctx, std::size_t 
     mat.r_lt[idx] = rnd & 1;
     mat.r_eq[idx] = (rnd >> 1) & 1;
   }
+  mat.leaf_ots = ctx.random_ot(n * digits, /*sender=*/1);
   for (const int mult : millionaire_and_level_multipliers(nbits)) {
     mat.levels.push_back(ctx.bit_triple(static_cast<std::size_t>(mult) * n));
   }
@@ -227,7 +228,7 @@ MillionaireMaterial draw_millionaire_material(TwoPartyContext& ctx, std::size_t 
 }
 
 void StagedMillionaire::begin(TwoPartyContext& ctx, const std::vector<std::uint64_t>& a,
-                              const std::vector<std::uint64_t>& b, int nbits, OtMode mode,
+                              const std::vector<std::uint64_t>& b, int nbits,
                               MillionaireMaterial material) {
   if (a.size() != b.size()) throw std::invalid_argument("millionaire_gt: size mismatch");
   if (nbits < 1 || nbits > 63) throw std::invalid_argument("millionaire_gt: bad width");
@@ -259,7 +260,7 @@ void StagedMillionaire::begin(TwoPartyContext& ctx, const std::vector<std::uint6
       choices[idx] = a_dig;
     }
   }
-  ctx.ots().stage(/*sender=*/1, std::move(tables), std::move(choices), &leaf_, mode);
+  ctx.ots().stage(std::move(mat_.leaf_ots), std::move(tables), std::move(choices), &leaf_);
   wait_ = CompareWait::ot;
 }
 
@@ -352,10 +353,10 @@ void StagedMillionaire::step(TwoPartyContext& ctx) {
 }
 
 BitShared millionaire_gt(TwoPartyContext& ctx, const std::vector<std::uint64_t>& a,
-                         const std::vector<std::uint64_t>& b, int nbits, OtMode mode) {
+                         const std::vector<std::uint64_t>& b, int nbits) {
   if (a.size() != b.size()) throw std::invalid_argument("millionaire_gt: size mismatch");
   StagedMillionaire m;
-  m.begin(ctx, a, b, nbits, mode, draw_millionaire_material(ctx, a.size(), nbits));
+  m.begin(ctx, a, b, nbits, draw_millionaire_material(ctx, a.size(), nbits));
   while (m.waiting() != CompareWait::done) {
     flush_compare_buffers(ctx, m.waiting());
     m.step(ctx);
@@ -367,8 +368,7 @@ MillionaireMaterial draw_drelu_material(TwoPartyContext& ctx, std::size_t n) {
   return draw_millionaire_material(ctx, n, ctx.ring().bits - 1);
 }
 
-void StagedDrelu::begin(TwoPartyContext& ctx, const Shared& x, OtMode mode,
-                        MillionaireMaterial material) {
+void StagedDrelu::begin(TwoPartyContext& ctx, const Shared& x, MillionaireMaterial material) {
   const RingConfig& rc = ctx.ring();
   const std::size_t n = x.size();
   const int lo_bits = rc.bits - 1;
@@ -386,7 +386,7 @@ void StagedDrelu::begin(TwoPartyContext& ctx, const Shared& x, OtMode mode,
   }
   folded_ = false;
   mill_ = StagedMillionaire{};
-  mill_.begin(ctx, a, b, lo_bits, mode, std::move(material));
+  mill_.begin(ctx, a, b, lo_bits, std::move(material));
 }
 
 CompareWait StagedDrelu::waiting() const noexcept { return mill_.waiting(); }
@@ -414,7 +414,7 @@ DreluMuxMaterial draw_drelu_mux_material(TwoPartyContext& ctx, std::size_t n,
   return mat;
 }
 
-void StagedDreluMux::begin(TwoPartyContext& ctx, std::vector<Shared> payloads, OtMode mode,
+void StagedDreluMux::begin(TwoPartyContext& ctx, std::vector<Shared> payloads,
                            DreluMuxMaterial material) {
   if (payloads.empty() || material.mux.size() != payloads.size()) {
     throw std::invalid_argument("StagedDreluMux: one mux triple per payload");
@@ -425,7 +425,7 @@ void StagedDreluMux::begin(TwoPartyContext& ctx, std::vector<Shared> payloads, O
   b2a_ = B2aRound{};
   mux_mul_.assign(v_.size(), MulRound{});
   drelu_ = StagedDrelu{};
-  drelu_.begin(ctx, v_.front(), mode, std::move(material.mill));
+  drelu_.begin(ctx, v_.front(), std::move(material.mill));
   phase_ = Phase::drelu;
 }
 
@@ -472,15 +472,15 @@ void StagedDreluMux::step(TwoPartyContext& ctx) {
   }
 }
 
-BitShared drelu(TwoPartyContext& ctx, const Shared& x, OtMode mode) {
+BitShared drelu(TwoPartyContext& ctx, const Shared& x) {
   // One millionaire code path: the free function is the staged phase
   // machine run as a one-instance group (begin + flush-whatever-it-waits-on
   // + step, exactly what the IR executor does for a grouped instance).
-  // The material draw order — leaf masks, then one bit triple per AND
-  // level — matches the historical blocking protocol's, so the dealer
-  // request stream is unchanged.
+  // The material draw order — leaf masks, the leaf random OTs, then one
+  // bit triple per AND level — is the request stream ir::derive_plan
+  // derives.
   StagedDrelu d;
-  d.begin(ctx, x, mode, draw_drelu_material(ctx, x.size()));
+  d.begin(ctx, x, draw_drelu_material(ctx, x.size()));
   while (d.waiting() != CompareWait::done) {
     flush_compare_buffers(ctx, d.waiting());
     d.step(ctx);
@@ -488,10 +488,10 @@ BitShared drelu(TwoPartyContext& ctx, const Shared& x, OtMode mode) {
   return std::move(d.result());
 }
 
-BitShared msb(TwoPartyContext& ctx, const Shared& x, OtMode mode) {
+BitShared msb(TwoPartyContext& ctx, const Shared& x) {
   // DReLU = NOT msb, so msb = NOT DReLU; the double negation costs one
   // local share flip and keeps a single comparison implementation.
-  return not_bits(drelu(ctx, x, mode));
+  return not_bits(drelu(ctx, x));
 }
 
 void B2aRound::stage(TwoPartyContext& ctx, const BitShared& v, ElemTriple t) {
@@ -528,12 +528,12 @@ Shared mux(TwoPartyContext& ctx, const BitShared& sel, const Shared& x) {
 namespace {
 
 /// Runs a one-payload gated select to completion: v ⊙ DReLU(v).
-Shared drelu_mux(TwoPartyContext& ctx, Shared v, OtMode mode) {
+Shared drelu_mux(TwoPartyContext& ctx, Shared v) {
   StagedDreluMux m;
   DreluMuxMaterial mat = draw_drelu_mux_material(ctx, v.size(), 1);
   std::vector<Shared> payloads;
   payloads.push_back(std::move(v));
-  m.begin(ctx, std::move(payloads), mode, std::move(mat));
+  m.begin(ctx, std::move(payloads), std::move(mat));
   while (m.waiting() != CompareWait::done) {
     flush_compare_buffers(ctx, m.waiting());
     m.step(ctx);
@@ -543,13 +543,11 @@ Shared drelu_mux(TwoPartyContext& ctx, Shared v, OtMode mode) {
 
 }  // namespace
 
-Shared relu(TwoPartyContext& ctx, const Shared& x, OtMode mode) {
-  return drelu_mux(ctx, x, mode);
-}
+Shared relu(TwoPartyContext& ctx, const Shared& x) { return drelu_mux(ctx, x); }
 
-Shared max_elem(TwoPartyContext& ctx, const Shared& a, const Shared& b, OtMode mode) {
+Shared max_elem(TwoPartyContext& ctx, const Shared& a, const Shared& b) {
   const RingConfig& rc = ctx.ring();
-  return add(b, drelu_mux(ctx, sub(a, b, rc), mode), rc);
+  return add(b, drelu_mux(ctx, sub(a, b, rc)), rc);
 }
 
 std::vector<std::size_t> tournament_level_pairs(std::size_t entries) {

@@ -125,15 +125,17 @@ class B2aRound {
 };
 
 /// Pre-drawn randomness for one millionaire comparison over n values: the
-/// sender's leaf masks and one bit triple per AND-tree combine level, in
-/// the canonical (protocol-order) sequence.
+/// sender's leaf masks, one random (1,4)-OT per leaf and one bit triple
+/// per AND-tree combine level, in the canonical (protocol-order) sequence.
 struct MillionaireMaterial {
   std::vector<std::uint8_t> r_lt, r_eq;  ///< n·digits leaf masks (party 1)
+  RandomOt leaf_ots;                     ///< n·digits, party 1 sends
   std::vector<BitTriple> levels;         ///< one per AND combine level
 };
 
-/// Draws the material one millionaire_gt(n values, nbits) consumes, in the
-/// same PRNG/dealer order the blocking protocol draws it.
+/// Draws the material one millionaire_gt(n values, nbits) consumes: the
+/// leaf masks from party 1's share stream, then the leaf random OTs and
+/// the AND-tree bit triples from the triple source.
 [[nodiscard]] MillionaireMaterial draw_millionaire_material(TwoPartyContext& ctx,
                                                             std::size_t n, int nbits);
 
@@ -143,8 +145,7 @@ struct MillionaireMaterial {
 class StagedMillionaire {
  public:
   void begin(TwoPartyContext& ctx, const std::vector<std::uint64_t>& a,
-             const std::vector<std::uint64_t>& b, int nbits, OtMode mode,
-             MillionaireMaterial material);
+             const std::vector<std::uint64_t>& b, int nbits, MillionaireMaterial material);
   [[nodiscard]] CompareWait waiting() const noexcept { return wait_; }
   void step(TwoPartyContext& ctx);
   /// XOR shares of [a > b]; valid once waiting() == done.
@@ -168,8 +169,7 @@ class StagedDrelu {
  public:
   /// Material must come from draw_millionaire_material(ctx, x.size(),
   /// ring bits - 1) — use draw_drelu_material().
-  void begin(TwoPartyContext& ctx, const Shared& x, OtMode mode,
-             MillionaireMaterial material);
+  void begin(TwoPartyContext& ctx, const Shared& x, MillionaireMaterial material);
   [[nodiscard]] CompareWait waiting() const noexcept;
   void step(TwoPartyContext& ctx);
   [[nodiscard]] BitShared& result() noexcept { return mill_.result(); }
@@ -202,8 +202,7 @@ struct DreluMuxMaterial {
 /// multiplications, staged together so they share one opening.
 class StagedDreluMux {
  public:
-  void begin(TwoPartyContext& ctx, std::vector<Shared> payloads, OtMode mode,
-             DreluMuxMaterial material);
+  void begin(TwoPartyContext& ctx, std::vector<Shared> payloads, DreluMuxMaterial material);
   [[nodiscard]] CompareWait waiting() const noexcept;
   void step(TwoPartyContext& ctx);
   /// One gated vector per payload; valid once waiting() == done.
@@ -232,8 +231,7 @@ class StagedDreluMux {
 /// of `nbits`-bit non-negative values; returns XOR shares of [a > b].
 [[nodiscard]] BitShared millionaire_gt(TwoPartyContext& ctx,
                                        const std::vector<std::uint64_t>& a,
-                                       const std::vector<std::uint64_t>& b, int nbits,
-                                       OtMode mode = OtMode::dh_masked);
+                                       const std::vector<std::uint64_t>& b, int nbits);
 
 /// Shape of the millionaire reduction for `nbits`-bit inputs — the single
 /// definition the protocol (millionaire_gt), the static preprocessing-plan
@@ -248,12 +246,10 @@ class StagedDreluMux {
 [[nodiscard]] std::vector<int> millionaire_and_level_multipliers(int nbits);
 
 /// XOR shares of the most significant bit of a secret-shared ring value.
-[[nodiscard]] BitShared msb(TwoPartyContext& ctx, const Shared& x,
-                            OtMode mode = OtMode::dh_masked);
+[[nodiscard]] BitShared msb(TwoPartyContext& ctx, const Shared& x);
 
 /// DReLU(x) = [x >= 0] = NOT msb(x), XOR-shared.
-[[nodiscard]] BitShared drelu(TwoPartyContext& ctx, const Shared& x,
-                              OtMode mode = OtMode::dh_masked);
+[[nodiscard]] BitShared drelu(TwoPartyContext& ctx, const Shared& x);
 
 /// Convert an XOR-shared bit to an additive ring sharing of the same 0/1
 /// value (b = v0 + v1 - 2·v0·v1; one Beaver multiplication).
@@ -263,11 +259,9 @@ class StagedDreluMux {
 [[nodiscard]] Shared mux(TwoPartyContext& ctx, const BitShared& sel, const Shared& x);
 
 /// 2PC-ReLU on shares: relu(x) = x · DReLU(x).
-[[nodiscard]] Shared relu(TwoPartyContext& ctx, const Shared& x,
-                          OtMode mode = OtMode::dh_masked);
+[[nodiscard]] Shared relu(TwoPartyContext& ctx, const Shared& x);
 
 /// Elementwise secure max: max(a,b) = b + (a-b)·DReLU(a-b).
-[[nodiscard]] Shared max_elem(TwoPartyContext& ctx, const Shared& a, const Shared& b,
-                              OtMode mode = OtMode::dh_masked);
+[[nodiscard]] Shared max_elem(TwoPartyContext& ctx, const Shared& a, const Shared& b);
 
 }  // namespace pasnet::crypto

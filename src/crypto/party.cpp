@@ -170,7 +170,7 @@ bool os_random_bytes(void* out, std::size_t n) {
 /// OS CSPRNG output folded through splitmix64.  std::random_device alone is
 /// not enough — the standard permits it to be deterministic (historically
 /// true on some MinGW toolchains), and a predictable seed here would make
-/// every "role-private" OT secret derivable by the peer.  When no OS source
+/// every "role-private" OT-extension secret derivable by the peer.  When no OS source
 /// exists we still mix random_device with clocks, ASLR-dependent addresses
 /// and the thread id, so even a deterministic random_device cannot make two
 /// endpoints' streams collide or be precomputable from the binary alone.
@@ -200,7 +200,7 @@ std::uint64_t entropy_seed() {
 }  // namespace
 
 TwoPartyContext::TwoPartyContext(RingConfig rc, std::uint64_t seed, int local_party,
-                                 Channel& channel, RemoteContextOptions options)
+                                 Channel& channel)
     : rc_(rc), mode_(ExecMode::lockstep), local_party_(local_party), remote_chan_(&channel),
       round_delay_(0), dealer_(rc, splitmix64(seed)), dealer_source_(dealer_, rc),
       prng0_(splitmix64(seed ^ 1)), prng1_(splitmix64(seed ^ 2)),
@@ -209,12 +209,6 @@ TwoPartyContext::TwoPartyContext(RingConfig rc, std::uint64_t seed, int local_pa
       ots_(std::make_unique<OtBuffer>(*this)), bit_opens_(std::make_unique<BitOpenBuffer>(*this)) {
   if (local_party != 0 && local_party != 1) {
     throw std::invalid_argument("TwoPartyContext: local_party must be 0 or 1");
-  }
-  if (options.ot_mode == OtMode::correlated) {
-    throw IdealOtError(
-        "TwoPartyContext: OtMode::correlated is an ideal-functionality simulation "
-        "(choices cross the wire in the clear) and is refused between two real "
-        "processes; use OtMode::dh_masked");
   }
   // Only the borrowed local endpoint is addressable; chan() on the peer
   // slot throws.  Both parties' transcript-shaping PRNGs and the dealer

@@ -16,10 +16,10 @@
 //  - threaded: the context owns a TwoPartyRuntime with one dedicated thread
 //    per party and blocking bounded channels; symmetric exchanges (both
 //    parties send, then both receive) fan out so party 0 and party 1
-//    genuinely overlap.  Multi-phase asymmetric flows (e.g. the OT dance,
-//    where the sender's message depends on the receiver's) stay on the
-//    caller's thread: blocking channels make the lockstep schedule a valid
-//    schedule of the same protocol.
+//    genuinely overlap.  Multi-phase asymmetric flows (e.g. the (1,4)-OT,
+//    where the sender's reply depends on the receiver's shifts) stay on
+//    the caller's thread: blocking channels make the lockstep schedule a
+//    valid schedule of the same protocol.
 //
 // Open coalescing: every joint opening is staged on the context's
 // OpenBuffer.  In immediate mode (default) each stage performs its own
@@ -37,13 +37,12 @@
 // PRNG and dealer streams keep advancing identically in both processes
 // (they are seeded from the shared context seed), which is what keeps a
 // two-process run's transcript and logits bit-identical to the in-process
-// modes.  Genuinely secret values — the DH-OT receiver's blinding
-// exponents and sender ephemerals, the OT-extension base secrets, and the
-// OT-extension triple-generation half streams — do NOT come from those
-// shared streams: they are drawn from role_prng(), which in a remote
-// process is a private entropy-seeded stream the peer never sees (in the
-// simulation modes it aliases the shared ot_prng streams, keeping the
-// historical transcripts).  Peer-share slots of local `Shared` values are
+// modes.  Genuinely secret values — the OT-extension base secrets and the
+// OT-extension half streams of the triples and random OTs — do NOT come
+// from those shared streams: they are drawn from role_prng(), which in a
+// remote process is a private entropy-seeded stream the peer never sees
+// (in the simulation modes it aliases the seed-derived ot_prng streams,
+// keeping the historical transcripts).  Peer-share slots of local `Shared` values are
 // garbage in a remote process; protocol code never mixes shares across
 // parties outside channel exchanges, so they are never read.
 //
@@ -79,33 +78,6 @@ class BitOpenBuffer;   // crypto/compare.hpp — staged XOR-share openings
 
 /// How a TwoPartyContext schedules the two parties (see file comment).
 enum class ExecMode { lockstep, threaded };
-
-/// OT instantiation selector (crypto/ot.hpp implements both):
-///  * dh_masked  — Bellare–Micali-style OT over Z_{2^61-1}: a real
-///    (toy-strength) cryptographic instantiation that works across two
-///    mutually distrusting processes.
-///  * correlated — an ideal-functionality simulation with the DH mode's
-///    exact transcript shape and byte counts; choices cross the wire in
-///    the clear, so it is only meaningful when one process plays both
-///    parties.
-enum class OtMode { dh_masked, correlated };
-
-/// Thrown when an ideal-functionality simulation path (OtMode::correlated)
-/// is requested in a remote two-process context: the simulation provides
-/// no obliviousness, so running it between real endpoints would silently
-/// void the threat model.
-class IdealOtError : public std::logic_error {
- public:
-  using std::logic_error::logic_error;
-};
-
-/// Security-relevant knobs of a remote (two-process) context.  The OT mode
-/// the protocols will run with must be declared up front so the context can
-/// refuse ideal-functionality simulation between real endpoints at
-/// construction time.
-struct RemoteContextOptions {
-  OtMode ot_mode = OtMode::dh_masked;
-};
 
 /// A pair of long-lived party executor threads.  `run` dispatches one
 /// closure to each party thread and waits for both to finish; protocol
@@ -184,11 +156,8 @@ class TwoPartyContext {
   /// it, mirroring the in-process batch path's fresh per-query contexts.
   /// Both processes must construct with the same ring and seed so their
   /// transcript-shaping PRNG/dealer streams stay aligned; role-secret
-  /// draws go through role_prng(), which is private per process.  Throws
-  /// IdealOtError when `options` declares OtMode::correlated (see
-  /// RemoteContextOptions).
-  TwoPartyContext(RingConfig rc, std::uint64_t seed, int local_party, Channel& channel,
-                  RemoteContextOptions options = {});
+  /// draws go through role_prng(), which is private per process.
+  TwoPartyContext(RingConfig rc, std::uint64_t seed, int local_party, Channel& channel);
   ~TwoPartyContext();
   TwoPartyContext(const TwoPartyContext&) = delete;
   TwoPartyContext& operator=(const TwoPartyContext&) = delete;
@@ -208,6 +177,9 @@ class TwoPartyContext {
   [[nodiscard]] BitTriple bit_triple(std::size_t n) { return claim().bit_triple(n); }
   [[nodiscard]] BilinearTriple bilinear_triple(const BilinearSpec& spec) {
     return claim().bilinear_triple(spec);
+  }
+  [[nodiscard]] RandomOt random_ot(std::size_t n, int sender) {
+    return claim().random_ot(n, sender);
   }
   /// Installs an external triple source (non-owning; must outlive its use).
   /// Pass nullptr to revert to the dealer-backed default.  Not thread-safe
@@ -255,23 +227,18 @@ class TwoPartyContext {
   [[nodiscard]] Prng* prng_override(int party) const noexcept {
     return party == 0 ? prng_override0_ : prng_override1_;
   }
-  /// Dedicated streams for the DH OT dance (receiver blinding exponents,
-  /// sender ephemerals).  Those values are transcript-only — the derived
-  /// pads cancel, so shares never depend on them — but the dance draws at
-  /// coalesced FLUSH time, where merged batches span comparison instances
-  /// (and, batched, lanes).  Keeping them off the share streams means flush
-  /// scheduling can never shift a share-affecting draw, which is what lets
-  /// eager/coalesced/batched transcripts stay share-identical in dh_masked
-  /// mode too.  Seeded from the context seed, so remote processes agree.
+  /// Seed-derived per-party streams that stand in for role_prng() in the
+  /// in-process simulation modes.  They are kept off the share streams,
+  /// so an OT-extension run can never shift a share-affecting draw.
   [[nodiscard]] Prng& ot_prng(int party) noexcept { return party == 0 ? ot_prng0_ : ot_prng1_; }
-  /// The stream ROLE-SECRET values are drawn from: DH-OT blinding
-  /// exponents / sender ephemerals, OT-extension base secrets, and the
-  /// OT-extension triple-generation half-stream seeds — values whose
-  /// secrecy against the *peer* is what the protocol's security rests on.  In the simulation modes (both parties in one process) this
-  /// aliases ot_prng(party), so transcripts are unchanged there; in a
-  /// remote process it is a private entropy-seeded stream, and asking for
-  /// the PEER's role stream throws — the peer's secrets do not exist in
-  /// this process.
+  /// The stream ROLE-SECRET values are drawn from: the OT-extension base
+  /// secrets and the OT-extension half-stream seeds of the triples and
+  /// random OTs — values whose secrecy against the *peer* is what the
+  /// protocol's security rests on.  In the simulation modes (both parties
+  /// in one process) this aliases ot_prng(party), so transcripts are
+  /// unchanged there; in a remote process it is a private entropy-seeded
+  /// stream, and asking for the PEER's role stream throws — the peer's
+  /// secrets do not exist in this process.
   [[nodiscard]] Prng& role_prng(int party) {
     if (local_party_ < 0) return ot_prng(party);
     if (party != local_party_) {
@@ -280,9 +247,6 @@ class TwoPartyContext {
     }
     return role_prng_;
   }
-  /// Whether the ideal-functionality OT simulation may run on this
-  /// context: only in the in-process simulation modes.
-  [[nodiscard]] bool ideal_ot_allowed() const noexcept { return local_party_ < 0; }
   [[nodiscard]] ExecMode mode() const noexcept { return mode_; }
   [[nodiscard]] std::chrono::microseconds round_delay() const noexcept { return round_delay_; }
 
@@ -303,7 +267,7 @@ class TwoPartyContext {
   /// The context's staged-OT buffer (crypto/ot.hpp) — the comparison
   /// stack's analog of opens(): independent comparison instances stage
   /// their (1,4)-OT leaf batches here and a coalescing flush merges them
-  /// into one two-message round.
+  /// into one two-message exchange.
   [[nodiscard]] OtBuffer& ots() noexcept { return *ots_; }
   /// The context's staged bit-open buffer (crypto/compare.hpp): AND-tree
   /// levels of independent comparisons open their masked (d, e) bits in

@@ -1,10 +1,11 @@
 #pragma once
 // Triple *source* abstraction (paper §II-B offline/online split).
 //
-// Every multiplicative online protocol consumes correlated randomness.  The
-// protocols do not care where it comes from, only that it is a valid triple
-// of the requested shape — so they pull from a TripleSource instead of
-// calling the TripleDealer directly.  Two sources exist:
+// Every multiplicative online protocol, and every (1,4)-OT of the
+// comparisons, consumes correlated randomness.  The protocols do not care
+// where it comes from, only that it is valid material of the requested
+// shape — so they pull from a TripleSource instead of calling the
+// TripleDealer directly.  Two sources exist:
 //
 //  - DealerTripleSource: the fused baseline.  Every request is generated
 //    inline by the trusted dealer, exactly the pre-refactor behaviour.
@@ -88,6 +89,8 @@ class TripleSource {
                                                    std::size_t n) = 0;
   [[nodiscard]] virtual BitTriple bit_triple(std::size_t n) = 0;
   [[nodiscard]] virtual BilinearTriple bilinear_triple(const BilinearSpec& spec) = 0;
+  /// n random (1,4)-OTs whose sender is party `sender`.
+  [[nodiscard]] virtual RandomOt random_ot(std::size_t n, int sender) = 0;
 };
 
 /// The fused offline+online baseline: every request generated inline by the
@@ -105,6 +108,9 @@ class DealerTripleSource final : public TripleSource {
   BilinearTriple bilinear_triple(const BilinearSpec& spec) override {
     return dealer_.bilinear_triple(spec.na(), spec.nb(), spec.nz(),
                                    build_bilinear_map(spec, rc_));
+  }
+  RandomOt random_ot(std::size_t n, int sender) override {
+    return dealer_.random_ot(n, sender);
   }
 
  private:

@@ -177,7 +177,7 @@ BatchExecResult execute_batch(const SecureProgram& p, const CompiledParams& para
   };
   const auto flush_group = [&] {
     if (staged.empty() && comps.empty()) return;
-    // One span per round-group flush: OT dances, AND levels and the
+    // One span per round-group flush: OT exchanges, AND levels and the
     // coalesced openings of the whole group — across ops AND lanes — land
     // inside it, which is where a latency profile shows the round
     // structure the scheduler bought.
@@ -187,7 +187,7 @@ BatchExecResult execute_batch(const SecureProgram& p, const CompiledParams& para
       opens.flush();
     } else {
       // Lockstep phase walk: each iteration flushes every buffer some
-      // comparison waits on (2 rounds for the OT dance, 1 per bit-open or
+      // comparison waits on (2 rounds for the OT messages, 1 per bit-open or
       // ring-open exchange), then advances every unfinished comparison one
       // phase.  Pending single-round openings ride the first open flush.
       for (;;) {
@@ -315,14 +315,13 @@ BatchExecResult execute_batch(const SecureProgram& p, const CompiledParams& para
         std::unique_ptr<proto::StagedCompareOp> cop;
         switch (op.kind) {
           case OpKind::relu:
-            cop = std::make_unique<proto::StagedRelu>(in(q), opts.cfg.ot_mode);
+            cop = std::make_unique<proto::StagedRelu>(in(q));
             break;
           case OpKind::maxpool:
-            cop = std::make_unique<proto::StagedMaxPool>(in(q), op.kernel, op.stride, op.pad,
-                                                         opts.cfg.ot_mode);
+            cop = std::make_unique<proto::StagedMaxPool>(in(q), op.kernel, op.stride, op.pad);
             break;
           case OpKind::argmax:
-            cop = std::make_unique<proto::StagedArgmax>(in(q), opts.cfg.ot_mode);
+            cop = std::make_unique<proto::StagedArgmax>(in(q));
             break;
           default:
             throw std::logic_error("ir::execute: unreachable compare kind");

@@ -12,7 +12,7 @@
 //
 // execute_batch() generalizes the walk to K queries inside ONE context:
 // every op stages all K lanes' instances into the same round group, so
-// each group's OT dance, AND levels and openings are shared across the
+// each group's OT exchange, AND levels and openings are shared across the
 // whole batch and the group rounds are independent of K.  Each lane draws
 // correlated randomness from its own TripleSource and shares its input
 // with its own canonical client PRG, which makes the batched logits

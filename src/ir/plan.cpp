@@ -55,11 +55,18 @@ void push_bilinear(PreprocessingPlan& plan, int layer, const crypto::BilinearSpe
   plan.requests.push_back(r);
 }
 
-/// The AND-tree of one DReLU over n elements: one bit-triple request per
-/// combine level of crypto::millionaire_gt over the low ring bits, sized
-/// by the shared shape helper (the (1,4)-OT leaves consume no triples).
+/// One DReLU over n elements: the random OTs of its (1,4)-OT leaves (one
+/// per 2-bit digit of the low ring bits, party 1 sending), then one
+/// bit-triple request per combine level of crypto::millionaire_gt's AND
+/// tree, sized by the shared shape helpers.
 void push_drelu(PreprocessingPlan& plan, int layer, std::uint64_t n,
                 const crypto::RingConfig& rc) {
+  TripleRequest rot;
+  rot.kind = TripleKind::rot;
+  rot.layer = layer;
+  rot.n = n * static_cast<std::uint64_t>(crypto::millionaire_digits(rc.bits - 1));
+  rot.sender = 1;
+  plan.requests.push_back(rot);
   for (const int mult : crypto::millionaire_and_level_multipliers(rc.bits - 1)) {
     push_bit(plan, layer, static_cast<std::uint64_t>(mult) * n);
   }

@@ -231,7 +231,7 @@ ir::BatchExecResult PartySession::run_batch(const ir::SecureProgram& program,
   // One remote context for the whole chunk, seeded with lane 0's canonical
   // context seed, run by the same chunk runner as Workload::run.
   crypto::TwoPartyContext ctx(rc_, proto::SecureNetwork::query_context_seed(positions[0]),
-                              party_, chan_, crypto::RemoteContextOptions{opts.cfg.ot_mode});
+                              party_, chan_);
   ir::BatchExecOptions bopts;
   bopts.cfg = opts.cfg;
   for (const proto::SecureTensor& share : input_shares) bopts.input_shares.push_back(&share);

@@ -59,7 +59,9 @@ inline constexpr std::uint32_t kMagic = 0x5041534EU;  // 'PASN'
 /// v2: 24-byte hello carrying the run trace id + handshake clock sync.
 /// v3: same hello; the dealer INFO frame has no policy byte and every
 /// party-channel chunk opens with a lane-position setup frame.
-inline constexpr std::uint16_t kProtocolVersion = 3;
+/// v4: same hello; dealer bundles carry the random-OT pool, and every
+/// (1,4)-OT is the precomputed one (packed shifts, then masked tables).
+inline constexpr std::uint16_t kProtocolVersion = 4;
 inline constexpr std::size_t kHelloBytes = 24;
 /// Clock-sync ping rounds run by the connector after the hello; the
 /// minimum-RTT sample wins.

@@ -80,7 +80,7 @@ enum class Counter : int {
   bytes_p0_to_p1,      ///< accounted wire bytes, party 0 -> party 1
   bytes_p1_to_p0,      ///< accounted wire bytes, party 1 -> party 0
   messages,            ///< framed channel messages
-  ot_batches,          ///< merged (1,4)-OT dances (one per OtBuffer flush batch)
+  ot_batches,          ///< (1,4)-OT exchanges (one per OtBuffer flush batch)
   ot_messages,         ///< staged OT instances inside those batches
   and_levels,          ///< coalesced AND-tree level openings (BitOpenBuffer flushes)
   openings,            ///< staged ring-share openings delivered (OpenBuffer stages)

@@ -42,6 +42,9 @@ void generate_bundle(const PreprocessingPlan& plan, QueryBundle& bundle,
             dealer.bilinear_triple(r.bilinear.na(), r.bilinear.nb(), r.bilinear.nz(),
                                    crypto::build_bilinear_map(r.bilinear, plan.ring)));
         break;
+      case TripleKind::rot:
+        bundle.rot.push_back(dealer.random_ot(static_cast<std::size_t>(r.n), r.sender));
+        break;
     }
   }
 }

@@ -62,6 +62,15 @@ struct BitCtx {
   const std::uint8_t* send_x = nullptr;
 };
 
+/// One run of random (1,4)-OT instances (2 COTs per instance, one per
+/// choice bit).
+struct RotCtx {
+  std::size_t n = 0;
+  const std::uint8_t* recv_choice = nullptr;
+  std::uint8_t* recv_chosen = nullptr;
+  const std::uint8_t* send_pads = nullptr;
+};
+
 /// Party-local cross-term shares (x_p) retained per request — they enter
 /// the completed z but are not part of the bundle itself.
 struct PartyLaneMat {
@@ -81,15 +90,15 @@ struct WalkIo {
 
 /// Walks every COT group of one direction in canonical order.  `on_group`
 /// runs once per arithmetic derandomization group, `on_bits` once per bit
-/// request.
-template <typename FGroup, typename FBits>
-void walk_direction(const WalkIo& io, FGroup&& on_group, FBits&& on_bits) {
+/// request, `on_rot` once per random-OT request this direction sends.
+template <typename FGroup, typename FBits, typename FRot>
+void walk_direction(const WalkIo& io, FGroup&& on_group, FBits&& on_bits, FRot&& on_rot) {
   const PreprocessingPlan& plan = *io.plan;
   const int bits = plan.ring.bits;
   const int S = io.sender, R = 1 - io.sender;
   for (std::size_t l = 0; l < io.lanes; ++l) {
     QueryBundle& b = io.bundles[l];
-    std::size_t elem_i = 0, square_i = 0, matmul_i = 0, bit_i = 0, bil_i = 0;
+    std::size_t elem_i = 0, square_i = 0, matmul_i = 0, bit_i = 0, bil_i = 0, rot_i = 0;
     for (std::size_t ri = 0; ri < plan.requests.size(); ++ri) {
       const TripleRequest& r = plan.requests[ri];
       GroupCtx g;
@@ -223,6 +232,19 @@ void walk_direction(const WalkIo& io, FGroup&& on_group, FBits&& on_bits) {
           on_bits(bc);
           break;
         }
+        case TripleKind::rot: {
+          crypto::RandomOt& t = b.rot[rot_i++];
+          if (r.sender != S) break;  // the other direction carries it
+          RotCtx rt;
+          rt.n = r.n;
+          if (io.need_recv) {
+            rt.recv_choice = t.choice.data();
+            rt.recv_chosen = t.chosen.data();
+          }
+          if (io.need_send) rt.send_pads = t.pads.data();
+          on_rot(rt);
+          break;
+        }
       }
     }
   }
@@ -234,6 +256,13 @@ struct DirTotals {
   std::uint64_t arith_cots = 0;
   std::uint64_t arith_elems = 0;  ///< correction-stream ring elements: Σ (J+1)·len
   std::uint64_t bit_cots = 0;
+  std::uint64_t rot_ots = 0;  ///< random (1,4)-OT instances
+
+  [[nodiscard]] std::uint64_t cots() const noexcept { return arith_cots + bit_cots + 2 * rot_ots; }
+  /// Byte-frame corrections: 2 per AND instance, 4 per random OT.
+  [[nodiscard]] std::uint64_t byte_corrections() const noexcept {
+    return 2 * bit_cots + 4 * rot_ots;
+  }
 };
 
 DirTotals direction_totals(const PreprocessingPlan& plan, int sender) {
@@ -269,6 +298,9 @@ DirTotals direction_totals(const PreprocessingPlan& plan, int sender) {
       }
       case TripleKind::bit:
         t.bit_cots += r.n;
+        break;
+      case TripleKind::rot:
+        if (r.sender == sender) t.rot_ots += r.n;
         break;
     }
   }
@@ -329,25 +361,38 @@ void shape_bundle(const PreprocessingPlan& plan, QueryBundle& b) {
         b.bit.push_back(std::move(t));
         break;
       }
+      case TripleKind::rot: {
+        crypto::RandomOt t;
+        t.sender = r.sender;
+        t.pads.assign(4 * r.n, 0);
+        t.choice.assign(r.n, 0);
+        t.chosen.assign(r.n, 0);
+        b.rot.push_back(std::move(t));
+        break;
+      }
     }
   }
 }
 
-/// Draws party p's halves for every request from Prng(half_seed) and
-/// initializes its bundle shares to the LOCAL part of each triple: masks
-/// (a_p, b_p) plus the base z_p = f(a_p, b_p) + x_p — the cross terms o_p
-/// are added by the direction runs.  x_p is retained in `mat` for the
-/// correction pass.  The caller picks half_seed: canonical
-/// half_stream_seed(dealer_seed, p) in the simulation modes (dealer
-/// bit-identity), a role_prng draw in a remote process (peer-private).
+/// Draws party p's halves for every request — triples from
+/// Prng(half_seed), random OTs from Prng(rot_seed) — and initializes its
+/// bundle shares to the LOCAL part of each triple: masks (a_p, b_p) plus
+/// the base z_p = f(a_p, b_p) + x_p — the cross terms o_p are added by the
+/// direction runs — and its half of each random OT (the receiver's chosen
+/// pad arrives in the direction run).  x_p is retained in `mat` for the
+/// correction pass.  The caller picks the seeds: canonical
+/// half_stream_seed / rot_half_stream_seed(dealer_seed, p) in the
+/// simulation modes (dealer bit-identity), role_prng draws in a remote
+/// process (peer-private).
 void fill_halves(const PreprocessingPlan& plan, int p, std::uint64_t half_seed,
-                 QueryBundle& b, PartyLaneMat& mat) {
+                 std::uint64_t rot_seed, QueryBundle& b, PartyLaneMat& mat) {
   const RingConfig& rc = plan.ring;
   const std::uint64_t mask = rc.mask();
   Prng prng(half_seed);
+  Prng rot_prng(rot_seed);
   mat.x.assign(plan.requests.size(), RingVec{});
   mat.xbit.assign(plan.requests.size(), {});
-  std::size_t elem_i = 0, square_i = 0, matmul_i = 0, bit_i = 0, bil_i = 0;
+  std::size_t elem_i = 0, square_i = 0, matmul_i = 0, bit_i = 0, bil_i = 0, rot_i = 0;
   for (std::size_t ri = 0; ri < plan.requests.size(); ++ri) {
     const TripleRequest& r = plan.requests[ri];
     switch (r.kind) {
@@ -407,6 +452,17 @@ void fill_halves(const PreprocessingPlan& plan, int p, std::uint64_t half_seed,
         mat.xbit[ri] = std::move(h.x);
         break;
       }
+      case TripleKind::rot: {
+        const bool sends = r.sender == p;
+        crypto::RotHalf h = crypto::draw_rot_half(rot_prng, sends, r.n);
+        crypto::RandomOt& t = b.rot[rot_i++];
+        if (sends) {
+          t.pads = std::move(h.pads);
+        } else {
+          t.choice = std::move(h.choice);
+        }
+        break;
+      }
     }
   }
 }
@@ -431,6 +487,12 @@ std::vector<std::uint8_t> collect_choices(WalkIo io) {
       },
       [&](const BitCtx& bc) {
         for (std::size_t e = 0; e < bc.n; ++e) choices.push_back(bc.recv_b[e] & 1);
+      },
+      [&](const RotCtx& rt) {
+        for (std::size_t e = 0; e < rt.n; ++e) {
+          choices.push_back(rt.recv_choice[e] & 1);
+          choices.push_back((rt.recv_choice[e] >> 1) & 1);
+        }
       });
   return choices;
 }
@@ -441,7 +503,7 @@ std::vector<std::uint8_t> collect_choices(WalkIo io) {
 /// exactly o_R = Σ b_j·c_j − X_group.  Per COT the wire carries
 /// e1_j = x_j + c_j − pad1_j, plus e0_last = x_last − pad0_last per group.
 void build_corrections(WalkIo io, const crypto::otx::ExtSender& es, std::uint64_t mask,
-                       RingVec* arith, std::vector<std::uint8_t>* bitcorr) {
+                       RingVec* arith, std::vector<std::uint8_t>* bytecorr) {
   io.need_recv = false;
   io.need_send = true;
   std::size_t cot = 0;
@@ -493,15 +555,31 @@ void build_corrections(WalkIo io, const crypto::otx::ExtSender& es, std::uint64_
         // (the choice is what stays private, not the message count).
         for (std::size_t e = 0; e < bc.n; ++e, ++cot) {
           es.pads(cot, 1, &pad0, &pad1);
-          bitcorr->push_back((bc.send_x[e] ^ static_cast<std::uint8_t>(pad0[0] & 1)) & 1);
-          bitcorr->push_back(
+          bytecorr->push_back((bc.send_x[e] ^ static_cast<std::uint8_t>(pad0[0] & 1)) & 1);
+          bytecorr->push_back(
               ((bc.send_x[e] ^ bc.send_a[e]) ^ static_cast<std::uint8_t>(pad1[0] & 1)) & 1);
+        }
+      },
+      [&](const RotCtx& rt) {
+        // Random (1,4)-OT: COT `cot` carries choice bit 0, `cot + 1` bit 1.
+        // Entry v goes out under byte v of the two pads v's bits select,
+        // so no two entries share a mask.
+        for (std::size_t e = 0; e < rt.n; ++e, cot += 2) {
+          es.pads(cot, 1, &pad0, &pad1);
+          const std::uint64_t lo[2] = {pad0[0], pad1[0]};
+          es.pads(cot + 1, 1, &pad0, &pad1);
+          const std::uint64_t hi[2] = {pad0[0], pad1[0]};
+          for (unsigned v = 0; v < 4; ++v) {
+            const std::uint64_t key = lo[v & 1] ^ hi[v >> 1];
+            bytecorr->push_back(rt.send_pads[4 * e + v] ^
+                                static_cast<std::uint8_t>(key >> (8 * v)));
+          }
         }
       });
 }
 
 void apply_outputs(WalkIo io, const crypto::otx::ExtReceiver& er, std::uint64_t mask,
-                   const RingVec& arith, const std::vector<std::uint8_t>& bitcorr) {
+                   const RingVec& arith, const std::vector<std::uint8_t>& bytecorr) {
   io.need_recv = true;
   io.need_send = false;
   std::size_t cot = 0, acur = 0, bcur = 0;
@@ -535,10 +613,21 @@ void apply_outputs(WalkIo io, const crypto::otx::ExtReceiver& er, std::uint64_t 
         for (std::size_t e = 0; e < bc.n; ++e, ++cot) {
           er.pad(cot, 1, &padv);
           const std::uint8_t b = bc.recv_b[e] & 1;
-          const std::uint8_t d = bitcorr[bcur + 2 * e + b];
+          const std::uint8_t d = bytecorr[bcur + 2 * e + b];
           bc.recv_c[e] ^= (d ^ static_cast<std::uint8_t>(padv[0] & 1)) & 1;
         }
         bcur += 2 * bc.n;
+      },
+      [&](const RotCtx& rt) {
+        for (std::size_t e = 0; e < rt.n; ++e, cot += 2) {
+          er.pad(cot, 1, &padv);
+          const std::uint64_t lo = padv[0];
+          er.pad(cot + 1, 1, &padv);
+          const unsigned r = rt.recv_choice[e] & 3U;
+          rt.recv_chosen[e] =
+              bytecorr[bcur + 4 * e + r] ^ static_cast<std::uint8_t>((lo ^ padv[0]) >> (8 * r));
+        }
+        bcur += 4 * rt.n;
       });
 }
 
@@ -549,8 +638,7 @@ void apply_outputs(WalkIo io, const crypto::otx::ExtReceiver& er, std::uint64_t 
 void run_direction(crypto::TwoPartyContext& ctx, const WalkIo& io) {
   const PreprocessingPlan& plan = *io.plan;
   const DirTotals tot = direction_totals(plan, io.sender);
-  const std::size_t m =
-      static_cast<std::size_t>((tot.arith_cots + tot.bit_cots) * io.lanes);
+  const auto m = static_cast<std::size_t>(tot.cots() * io.lanes);
   if (m == 0) return;
   const int S = io.sender, R = 1 - io.sender;
   const int wire = (plan.ring.wire_bits + 7) / 8;
@@ -583,24 +671,24 @@ void run_direction(crypto::TwoPartyContext& ctx, const WalkIo& io) {
     es->extend(ctx.chan(S).recv_bytes(), m);
     RingVec arith;
     arith.reserve(static_cast<std::size_t>(tot.arith_elems * io.lanes));
-    std::vector<std::uint8_t> bitcorr;
-    build_corrections(io, *es, mask, &arith, &bitcorr);
+    std::vector<std::uint8_t> bytecorr;
+    build_corrections(io, *es, mask, &arith, &bytecorr);
     if (tot.arith_cots > 0) ctx.chan(S).send_ring(arith, wire);
-    if (tot.bit_cots > 0) ctx.chan(S).send_bytes(bitcorr);
+    if (tot.byte_corrections() > 0) ctx.chan(S).send_bytes(bytecorr);
   }
   if (ctx.runs(R)) {
     RingVec arith;
-    std::vector<std::uint8_t> bitcorr;
+    std::vector<std::uint8_t> bytecorr;
     if (tot.arith_cots > 0) {
       arith = ctx.chan(R).recv_ring(static_cast<std::size_t>(tot.arith_elems * io.lanes), wire);
     }
-    if (tot.bit_cots > 0) {
-      bitcorr = ctx.chan(R).recv_bytes();
-      if (bitcorr.size() != 2 * tot.bit_cots * io.lanes) {
-        throw crypto::otx::OtExtError("ot_triple_source: bit correction frame has wrong size");
+    if (tot.byte_corrections() > 0) {
+      bytecorr = ctx.chan(R).recv_bytes();
+      if (bytecorr.size() != tot.byte_corrections() * io.lanes) {
+        throw crypto::otx::OtExtError("ot_triple_source: byte correction frame has wrong size");
       }
     }
-    apply_outputs(io, *er, mask, arith, bitcorr);
+    apply_outputs(io, *er, mask, arith, bytecorr);
   }
 }
 
@@ -619,7 +707,7 @@ OtExtCost ot_ext_generation_cost(const PreprocessingPlan& plan, std::size_t lane
   };
   for (int sender = 0; sender < 2; ++sender) {
     const DirTotals tot = direction_totals(plan, sender);
-    const std::uint64_t m = (tot.arith_cots + tot.bit_cots) * lanes;
+    const std::uint64_t m = tot.cots() * lanes;
     if (m == 0) continue;
     c.base_ots += crypto::otx::kBaseOts;
     c.ext_cots += m;
@@ -632,8 +720,8 @@ OtExtCost ot_ext_generation_cost(const PreprocessingPlan& plan, std::size_t lane
       s2r += tot.arith_elems * lanes * static_cast<std::uint64_t>(wire);
       ++c.messages;
     }
-    if (tot.bit_cots > 0) {
-      s2r += 2 * tot.bit_cots * lanes;
+    if (tot.byte_corrections() > 0) {
+      s2r += tot.byte_corrections() * lanes;
       ++c.messages;
     }
     bump(sender);      // chooser frame
@@ -651,8 +739,9 @@ void generate_bundles_ot_ext(const PreprocessingPlan& plan, crypto::TwoPartyCont
   for (std::size_t l = 0; l < lanes; ++l) shape_bundle(plan, bundles[l]);
   // Half-stream seeding is the trust boundary of this generator.  In the
   // in-process simulation modes both halves come from the canonical
-  // half_stream_seed(dealer_seed, p) so the bundles stay bit-identical to
-  // TripleDealer's — the verification contract the differential tests pin.
+  // half_stream_seed / rot_half_stream_seed(dealer_seed, p) so the bundles
+  // stay bit-identical to TripleDealer's — the verification contract the
+  // differential tests pin.
   // In a remote (two-process) context that canonical seed is PUBLIC (both
   // endpoints derive it from the query index), so using it would let the
   // peer recompute this party's halves and with them every triple in the
@@ -670,7 +759,10 @@ void generate_bundles_ot_ext(const PreprocessingPlan& plan, crypto::TwoPartyCont
       const std::uint64_t half_seed = remote
                                           ? ctx.role_prng(p).next_u64()
                                           : crypto::half_stream_seed(dealer_seeds[l], p);
-      fill_halves(plan, p, half_seed, bundles[l], mats[p][l]);
+      const std::uint64_t rot_seed = remote
+                                         ? ctx.role_prng(p).next_u64()
+                                         : crypto::rot_half_stream_seed(dealer_seeds[l], p);
+      fill_halves(plan, p, half_seed, rot_seed, bundles[l], mats[p][l]);
     }
   }
   WalkIo io;

@@ -27,13 +27,18 @@
 // its mask half, S's correlation is 2^i times a slice of its mask half,
 // and a derandomization group per output slice pins Σ_j x_j = −X_group so
 // the OT outputs sum to exactly o_R.  Boolean AND triples use one 1-of-2
-// OT per instance (messages x_S and x_S ⊕ a_S).  The wire schedule is two
-// sequential IKNP dances (direction A: P0 sends, direction B: P1 sends),
-// three rounds each:
+// OT per instance (messages x_S and x_S ⊕ a_S).  A random (1,4)-OT with
+// sender S uses two random 1-of-2 OTs, one per bit of R's random choice r,
+// plus four correction bytes: entry v is S's pad P_v masked by byte v of
+// the two OT pads v's bits select, so R unmasks exactly P_r.  Like the
+// triple halves, S's pads and R's choice come from each party's own
+// random-OT half stream (canonical in simulation, role_prng remotely).
+// The wire schedule is two sequential IKNP dances (direction A: P0 sends,
+// direction B: P1 sends), three rounds each:
 //
 //   S -> R : base-OT chooser frame                     (round 1)
 //   R -> S : base-OT reply, then the IKNP u frame      (round 2)
-//   S -> R : arithmetic + boolean correction frames    (round 3)
+//   S -> R : arithmetic + byte correction frames       (round 3)
 //
 // Everything here is replayable from a PreprocessingPlan, so both the
 // online PartySession path and the OfflineGenerator backend drive one

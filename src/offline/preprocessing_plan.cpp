@@ -41,6 +41,7 @@ std::uint64_t PreprocessingPlan::fingerprint() const noexcept {
       fnv_mix(h, static_cast<std::uint64_t>(s.stride));
       fnv_mix(h, static_cast<std::uint64_t>(s.pad));
     }
+    if (r.kind == TripleKind::rot) fnv_mix(h, static_cast<std::uint64_t>(r.sender));
   }
   return h;
 }
@@ -59,10 +60,20 @@ std::uint64_t PreprocessingPlan::bit_triples_per_query() const noexcept {
   return total;
 }
 
+std::uint64_t PreprocessingPlan::random_ots_per_query() const noexcept {
+  std::uint64_t total = 0;
+  for (const TripleRequest& r : requests) {
+    if (r.kind == TripleKind::rot) total += r.n;
+  }
+  return total;
+}
+
 std::uint64_t PreprocessingPlan::material_bytes_per_query() const noexcept {
   // Each material ring element is stored as two u64 shares; each bit triple
-  // as six share bytes (see TripleStore serialization).
-  return material_elems_per_query() * 16 + bit_triples_per_query() * 6;
+  // as six share bytes; each random OT as four pads, a choice and the
+  // chosen pad (see TripleStore serialization).
+  return material_elems_per_query() * 16 + bit_triples_per_query() * 6 +
+         random_ots_per_query() * 6;
 }
 
 std::vector<LayerTripleSummary> PreprocessingPlan::layer_summaries() const {
@@ -91,6 +102,8 @@ std::vector<LayerTripleSummary> PreprocessingPlan::layer_summaries() const {
       case TripleKind::bit:
         it->bit_triples += r.n;
         break;
+      case TripleKind::rot:
+        break;  // counted per query only: random_ots_per_query()
     }
   }
   return out;
@@ -133,6 +146,16 @@ crypto::BitTriple RecordingTripleSource::bit_triple(std::size_t n) {
   r.n = n;
   plan_.requests.push_back(r);
   return dealer_.bit_triple(n);
+}
+
+crypto::RandomOt RecordingTripleSource::random_ot(std::size_t n, int sender) {
+  TripleRequest r;
+  r.kind = TripleKind::rot;
+  r.layer = layer_;
+  r.n = n;
+  r.sender = sender;
+  plan_.requests.push_back(r);
+  return dealer_.random_ot(n, sender);
 }
 
 crypto::BilinearTriple RecordingTripleSource::bilinear_triple(const crypto::BilinearSpec& spec) {

@@ -21,25 +21,28 @@
 
 namespace pasnet::offline {
 
-/// Which pool a request draws from.
-enum class TripleKind : std::uint8_t { elem, square, matmul, bit, bilinear };
+/// Which pool a request draws from (rot: random (1,4)-OTs).
+enum class TripleKind : std::uint8_t { elem, square, matmul, bit, bilinear, rot };
 
 /// One correlated-randomness request, in consumption order.
 struct TripleRequest {
   TripleKind kind = TripleKind::elem;
   int layer = -1;      ///< descriptor index of the consuming layer (-1 = outside layers)
-  std::uint64_t n = 0; ///< element count (elem/square/bit)
+  std::uint64_t n = 0; ///< element / instance count (elem/square/bit/rot)
   std::uint64_t m = 0, k = 0, cols = 0;  ///< matmul dims (m, k, n)
   crypto::BilinearSpec bilinear{};       ///< bilinear geometry
+  int sender = 1;                        ///< rot: the party that sends
 
   [[nodiscard]] bool operator==(const TripleRequest& o) const noexcept {
     return kind == o.kind && layer == o.layer && n == o.n && m == o.m && k == o.k &&
-           cols == o.cols && (kind != TripleKind::bilinear || bilinear == o.bilinear);
+           cols == o.cols && (kind != TripleKind::bilinear || bilinear == o.bilinear) &&
+           (kind != TripleKind::rot || sender == o.sender);
   }
   [[nodiscard]] bool operator!=(const TripleRequest& o) const noexcept { return !(*this == o); }
 
-  /// Ring elements of material this request produces (0 for bit triples,
-  /// which are counted separately — they are bits, not ring elements).
+  /// Ring elements of material this request produces (0 for bit triples
+  /// and random OTs, which are counted separately — they are bits and
+  /// bytes, not ring elements).
   [[nodiscard]] std::uint64_t material_elems() const noexcept {
     switch (kind) {
       case TripleKind::elem:
@@ -51,6 +54,7 @@ struct TripleRequest {
       case TripleKind::bilinear:
         return bilinear.na() + bilinear.nb() + bilinear.nz();
       case TripleKind::bit:
+      case TripleKind::rot:
         return 0;
     }
     return 0;
@@ -81,8 +85,11 @@ struct PreprocessingPlan {
   [[nodiscard]] std::uint64_t material_elems_per_query() const noexcept;
   /// Boolean AND triples one query consumes.
   [[nodiscard]] std::uint64_t bit_triples_per_query() const noexcept;
+  /// Random (1,4)-OTs one query consumes.
+  [[nodiscard]] std::uint64_t random_ots_per_query() const noexcept;
   /// Serialized bytes of one query's material (8 bytes per ring-element
-  /// share pair side, 6 bytes per bit triple) — sizing for capacity planning.
+  /// share pair side, 6 bytes per bit triple, 6 bytes per random OT) —
+  /// sizing for capacity planning.
   [[nodiscard]] std::uint64_t material_bytes_per_query() const noexcept;
 
   /// Requests grouped by consuming layer, in first-appearance order.
@@ -110,6 +117,7 @@ class RecordingTripleSource final : public crypto::TripleSource {
   crypto::MatmulTriple matmul_triple(std::size_t m, std::size_t k, std::size_t n) override;
   crypto::BitTriple bit_triple(std::size_t n) override;
   crypto::BilinearTriple bilinear_triple(const crypto::BilinearSpec& spec) override;
+  crypto::RandomOt random_ot(std::size_t n, int sender) override;
 
  private:
   crypto::DealerTripleSource dealer_;

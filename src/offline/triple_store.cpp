@@ -9,9 +9,9 @@ namespace pasnet::offline {
 namespace {
 
 constexpr std::uint64_t kMagic = 0x5041534E54525031ULL;  // "PASNTRP1"
-// Version 2 adds the provenance word after the version; version-1 files
-// still load (their material predates the OT-ext generator: dealer).
-constexpr std::uint32_t kVersion = 2;
+// Version 2 added the provenance word after the version, version 3 the
+// random-OT pool.  Only the current version loads.
+constexpr std::uint32_t kVersion = 3;
 
 // --- little-endian primitives ---------------------------------------------
 
@@ -60,7 +60,8 @@ crypto::RingVec read_ring_vec(std::istream& is, std::uint64_t max_elems) {
   std::vector<unsigned char> buf;
   std::uint64_t remaining = n;
   while (remaining > 0) {
-    const std::size_t chunk = static_cast<std::size_t>(std::min<std::uint64_t>(remaining, kChunkElems));
+    const std::size_t chunk =
+        static_cast<std::size_t>(std::min<std::uint64_t>(remaining, kChunkElems));
     buf.resize(chunk * 8);
     is.read(reinterpret_cast<char*>(buf.data()), static_cast<long>(chunk * 8));
     if (!is) throw std::runtime_error("TripleStore: truncated input");
@@ -101,7 +102,8 @@ std::vector<std::uint8_t> read_bytes(std::istream& is, std::uint64_t max_len) {
   v.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(n, kChunkElems)));
   std::uint64_t remaining = n;
   while (remaining > 0) {
-    const std::size_t chunk = static_cast<std::size_t>(std::min<std::uint64_t>(remaining, kChunkElems));
+    const std::size_t chunk =
+        static_cast<std::size_t>(std::min<std::uint64_t>(remaining, kChunkElems));
     const std::size_t old = v.size();
     v.resize(old + chunk);
     is.read(reinterpret_cast<char*>(v.data() + old), static_cast<long>(chunk));
@@ -117,6 +119,10 @@ constexpr std::uint64_t kMaxVecElems = 1ULL << 32;
 
 std::uint64_t shared_bytes(const crypto::Shared& s) noexcept {
   return 16 + 16 * static_cast<std::uint64_t>(s.size());
+}
+
+std::uint64_t bytes_bytes(const std::vector<std::uint8_t>& v) noexcept {
+  return 8 + static_cast<std::uint64_t>(v.size());
 }
 
 }  // namespace
@@ -146,7 +152,7 @@ std::uint64_t TripleStore::material_bytes() const noexcept {
   // Header: magic, version, provenance, ring (3), fingerprint, count.
   std::uint64_t total = 8 * 8;
   for (const QueryBundle& b : bundles_) {
-    total += 5 * 8;
+    total += 6 * 8;
     for (const auto& t : b.elem) total += shared_bytes(t.a) + shared_bytes(t.b) + shared_bytes(t.z);
     for (const auto& p : b.square) total += shared_bytes(p.a) + shared_bytes(p.z);
     for (const auto& t : b.matmul) {
@@ -155,6 +161,9 @@ std::uint64_t TripleStore::material_bytes() const noexcept {
     for (const auto& t : b.bit) total += 6 * (8 + static_cast<std::uint64_t>(t.a0.size()));
     for (const auto& t : b.bilinear) {
       total += shared_bytes(t.a) + shared_bytes(t.b) + shared_bytes(t.z);
+    }
+    for (const auto& t : b.rot) {
+      total += 8 + bytes_bytes(t.pads) + bytes_bytes(t.choice) + bytes_bytes(t.chosen);
     }
   }
   return total;
@@ -166,6 +175,7 @@ void write_bundle(std::ostream& os, const QueryBundle& b) {
   write_u64(os, b.matmul.size());
   write_u64(os, b.bit.size());
   write_u64(os, b.bilinear.size());
+  write_u64(os, b.rot.size());
   for (const auto& t : b.elem) {
     write_shared(os, t.a);
     write_shared(os, t.b);
@@ -196,6 +206,12 @@ void write_bundle(std::ostream& os, const QueryBundle& b) {
     write_shared(os, t.b);
     write_shared(os, t.z);
   }
+  for (const auto& t : b.rot) {
+    write_u64(os, static_cast<std::uint64_t>(t.sender));
+    write_bytes(os, t.pads);
+    write_bytes(os, t.choice);
+    write_bytes(os, t.chosen);
+  }
 }
 
 QueryBundle read_bundle(std::istream& is) {
@@ -205,8 +221,9 @@ QueryBundle read_bundle(std::istream& is) {
   const std::uint64_t n_matmul = read_u64(is);
   const std::uint64_t n_bit = read_u64(is);
   const std::uint64_t n_bilinear = read_u64(is);
+  const std::uint64_t n_rot = read_u64(is);
   if (n_elem > kMaxVecElems || n_square > kMaxVecElems || n_matmul > kMaxVecElems ||
-      n_bit > kMaxVecElems || n_bilinear > kMaxVecElems) {
+      n_bit > kMaxVecElems || n_bilinear > kMaxVecElems || n_rot > kMaxVecElems) {
     throw std::runtime_error("TripleStore: implausible pool size");
   }
   b.elem.resize(static_cast<std::size_t>(n_elem));
@@ -214,11 +231,17 @@ QueryBundle read_bundle(std::istream& is) {
     t.a = read_shared(is, kMaxVecElems);
     t.b = read_shared(is, kMaxVecElems);
     t.z = read_shared(is, kMaxVecElems);
+    if (t.b.size() != t.a.size() || t.z.size() != t.a.size()) {
+      throw std::runtime_error("TripleStore: elem triple shape mismatch");
+    }
   }
   b.square.resize(static_cast<std::size_t>(n_square));
   for (auto& p : b.square) {
     p.a = read_shared(is, kMaxVecElems);
     p.z = read_shared(is, kMaxVecElems);
+    if (p.z.size() != p.a.size()) {
+      throw std::runtime_error("TripleStore: square pair shape mismatch");
+    }
   }
   b.matmul.resize(static_cast<std::size_t>(n_matmul));
   for (auto& t : b.matmul) {
@@ -251,6 +274,22 @@ QueryBundle read_bundle(std::istream& is) {
     t.a = read_shared(is, kMaxVecElems);
     t.b = read_shared(is, kMaxVecElems);
     t.z = read_shared(is, kMaxVecElems);
+  }
+  b.rot.resize(static_cast<std::size_t>(n_rot));
+  for (auto& t : b.rot) {
+    const std::uint64_t sender = read_u64(is);
+    if (sender > 1) throw std::runtime_error("TripleStore: random OT sender is not a party");
+    t.sender = static_cast<int>(sender);
+    t.pads = read_bytes(is, kMaxVecElems);
+    t.choice = read_bytes(is, kMaxVecElems);
+    t.chosen = read_bytes(is, kMaxVecElems);
+    const std::size_t n = t.choice.size();
+    if (t.pads.size() != 4 * n || t.chosen.size() != n) {
+      throw std::runtime_error("TripleStore: random OT shape mismatch");
+    }
+    for (const std::uint8_t c : t.choice) {
+      if (c > 3) throw std::runtime_error("TripleStore: random OT choice out of range");
+    }
   }
   return b;
 }
@@ -293,6 +332,14 @@ QueryBundle slice_bundle_for_party(const QueryBundle& bundle, int party) {
     wipe(t.b);
     wipe(t.z);
   }
+  for (auto& t : out.rot) {
+    if (t.sender == party) {
+      std::fill(t.choice.begin(), t.choice.end(), 0);
+      std::fill(t.chosen.begin(), t.chosen.end(), 0);
+    } else {
+      std::fill(t.pads.begin(), t.pads.end(), 0);
+    }
+  }
   return out;
 }
 
@@ -318,17 +365,16 @@ void TripleStore::save(const std::string& path) const {
 TripleStore TripleStore::load(std::istream& is) {
   if (read_u64(is) != kMagic) throw std::runtime_error("TripleStore: bad magic");
   const std::uint64_t version = read_u64(is);
-  if (version != 1 && version != kVersion) {
-    throw std::runtime_error("TripleStore: unsupported version");
+  if (version != kVersion) {
+    throw std::runtime_error("TripleStore: unsupported version " + std::to_string(version) +
+                             " (this build reads v" + std::to_string(kVersion) +
+                             "; regenerate the store)");
   }
-  TripleProvenance provenance = TripleProvenance::dealer;
-  if (version >= 2) {
-    const std::uint64_t p = read_u64(is);
-    if (p > static_cast<std::uint64_t>(TripleProvenance::ot_ext)) {
-      throw std::runtime_error("TripleStore: unknown provenance tag");
-    }
-    provenance = static_cast<TripleProvenance>(p);
+  const std::uint64_t p = read_u64(is);
+  if (p > static_cast<std::uint64_t>(TripleProvenance::ot_ext)) {
+    throw std::runtime_error("TripleStore: unknown provenance tag");
   }
+  const auto provenance = static_cast<TripleProvenance>(p);
   crypto::RingConfig rc;
   rc.bits = static_cast<int>(read_u64(is));
   rc.frac_bits = static_cast<int>(read_u64(is));
@@ -367,7 +413,7 @@ void StoreTripleSource::throw_exhausted(const char* pool) const {
 crypto::ElemTriple StoreTripleSource::elem_triple(std::size_t n) {
   if (elem_next_ >= bundle_.elem.size()) throw_exhausted("elem");
   crypto::ElemTriple t = std::move(bundle_.elem[elem_next_++]);
-  if (t.a.size() != n) {
+  if (t.a.size() != n || t.b.size() != n || t.z.size() != n) {
     throw std::logic_error("TripleStore: elem triple size mismatch (store/plan drift)");
   }
   return t;
@@ -376,7 +422,7 @@ crypto::ElemTriple StoreTripleSource::elem_triple(std::size_t n) {
 crypto::SquarePair StoreTripleSource::square_pair(std::size_t n) {
   if (square_next_ >= bundle_.square.size()) throw_exhausted("square");
   crypto::SquarePair p = std::move(bundle_.square[square_next_++]);
-  if (p.a.size() != n) {
+  if (p.a.size() != n || p.z.size() != n) {
     throw std::logic_error("TripleStore: square pair size mismatch (store/plan drift)");
   }
   return p;
@@ -386,7 +432,8 @@ crypto::MatmulTriple StoreTripleSource::matmul_triple(std::size_t m, std::size_t
                                                       std::size_t n) {
   if (matmul_next_ >= bundle_.matmul.size()) throw_exhausted("matmul");
   crypto::MatmulTriple t = std::move(bundle_.matmul[matmul_next_++]);
-  if (t.m != m || t.k != k || t.n != n) {
+  if (t.m != m || t.k != k || t.n != n || t.a.size() != m * k || t.b.size() != k * n ||
+      t.z.size() != m * n) {
     throw std::logic_error("TripleStore: matmul triple shape mismatch (store/plan drift)");
   }
   return t;
@@ -395,7 +442,8 @@ crypto::MatmulTriple StoreTripleSource::matmul_triple(std::size_t m, std::size_t
 crypto::BitTriple StoreTripleSource::bit_triple(std::size_t n) {
   if (bit_next_ >= bundle_.bit.size()) throw_exhausted("bit");
   crypto::BitTriple t = std::move(bundle_.bit[bit_next_++]);
-  if (t.a0.size() != n) {
+  if (t.a0.size() != n || t.a1.size() != n || t.b0.size() != n || t.b1.size() != n ||
+      t.c0.size() != n || t.c1.size() != n) {
     throw std::logic_error("TripleStore: bit triple size mismatch (store/plan drift)");
   }
   return t;
@@ -406,6 +454,16 @@ crypto::BilinearTriple StoreTripleSource::bilinear_triple(const crypto::Bilinear
   crypto::BilinearTriple t = std::move(bundle_.bilinear[bilinear_next_++]);
   if (t.a.size() != spec.na() || t.b.size() != spec.nb() || t.z.size() != spec.nz()) {
     throw std::logic_error("TripleStore: bilinear triple shape mismatch (store/plan drift)");
+  }
+  return t;
+}
+
+crypto::RandomOt StoreTripleSource::random_ot(std::size_t n, int sender) {
+  if (rot_next_ >= bundle_.rot.size()) throw_exhausted("random OT");
+  crypto::RandomOt t = std::move(bundle_.rot[rot_next_++]);
+  if (t.sender != sender || t.choice.size() != n || t.chosen.size() != n ||
+      t.pads.size() != 4 * n) {
+    throw std::logic_error("TripleStore: random OT shape mismatch (store/plan drift)");
   }
   return t;
 }

@@ -41,28 +41,30 @@ struct QueryBundle {
   std::vector<crypto::MatmulTriple> matmul;
   std::vector<crypto::BitTriple> bit;
   std::vector<crypto::BilinearTriple> bilinear;
+  std::vector<crypto::RandomOt> rot;
 };
 
 /// Binary (de)serialization of one bundle — the unit the networked dealer
 /// service ships per claim.  Same little-endian layout the whole-store
-/// format uses (TripleStore::save/load are built on these); read_bundle
-/// applies the same structural validation and throws std::runtime_error on
-/// malformed input.
+/// format uses (TripleStore::save/load are built on these).  read_bundle
+/// validates every entry's internal shape — the sides of a triple, the
+/// halves of a random OT — and throws std::runtime_error on malformed
+/// input.
 void write_bundle(std::ostream& os, const QueryBundle& bundle);
 [[nodiscard]] QueryBundle read_bundle(std::istream& is);
 
 /// A copy of `bundle` holding only `party`'s (0 or 1) share halves (the
-/// peer's are zeroed).  Online recombination only ever touches a party's
-/// own halves, so a party-sliced bundle serves a remote process
-/// bit-identically while the dealer never ships one party's randomness to
-/// the other.
+/// peer's are zeroed; for a random OT the sender keeps only the pads, the
+/// receiver only the choice and the chosen pad).  Online recombination
+/// only ever touches a party's own halves, so a party-sliced bundle serves
+/// a remote process bit-identically while the dealer never ships one
+/// party's randomness to the other.
 [[nodiscard]] QueryBundle slice_bundle_for_party(const QueryBundle& bundle, int party);
 
 /// Which machinery realized the triple functionality that filled a store:
 /// the trusted-dealer simulation (one process holds both half streams) or
-/// the genuine 2PC OT-extension generator.  Recorded in the file header
-/// from format version 2 on; version-1 files load as `dealer`.  Both
-/// produce bit-identical material — the tag documents the trust
+/// the genuine 2PC OT-extension generator.  Recorded in the file header.
+/// Both produce bit-identical material — the tag documents the trust
 /// assumption, not the values.
 enum class TripleProvenance : std::uint8_t { dealer = 0, ot_ext = 1 };
 
@@ -107,7 +109,9 @@ class TripleStore {
 
   /// Binary serialization.  The format is little-endian and versioned;
   /// load() validates the magic, version, and structural sizes and throws
-  /// std::runtime_error on malformed input.  Claim state is not persisted —
+  /// std::runtime_error on malformed input.  Only the current version (3,
+  /// which added the random-OT pool) loads: a store is single-use
+  /// material, so regenerate an older one.  Claim state is not persisted —
   /// a loaded store always starts fresh.
   void save(std::ostream& os) const;
   void save(const std::string& path) const;
@@ -133,10 +137,10 @@ class TripleStore {
   mutable std::mutex mu_;
 };
 
-/// TripleSource serving one query from its claimed bundle.  Pops are
-/// validated against the requested shapes (a mismatch means the store was
-/// generated for a different plan and is a logic error); a draw from a dry
-/// pool raises TripleStoreExhausted.
+/// TripleSource serving one query from its claimed bundle.  Every side of
+/// every pop is validated against the requested shape (a mismatch means
+/// the store was generated for a different plan and is a logic error); a
+/// draw from a dry pool raises TripleStoreExhausted.
 class StoreTripleSource final : public crypto::TripleSource {
  public:
   explicit StoreTripleSource(QueryBundle& bundle) : bundle_(bundle) {}
@@ -146,13 +150,14 @@ class StoreTripleSource final : public crypto::TripleSource {
   crypto::MatmulTriple matmul_triple(std::size_t m, std::size_t k, std::size_t n) override;
   crypto::BitTriple bit_triple(std::size_t n) override;
   crypto::BilinearTriple bilinear_triple(const crypto::BilinearSpec& spec) override;
+  crypto::RandomOt random_ot(std::size_t n, int sender) override;
 
  private:
   [[noreturn]] void throw_exhausted(const char* pool) const;
 
   QueryBundle& bundle_;
   std::size_t elem_next_ = 0, square_next_ = 0, matmul_next_ = 0, bit_next_ = 0,
-              bilinear_next_ = 0;
+              bilinear_next_ = 0, rot_next_ = 0;
 };
 
 }  // namespace pasnet::offline

@@ -11,7 +11,7 @@
 namespace pasnet::perf {
 
 int drelu_rounds(int ring_bits) {
-  // millionaire_gt: 2 sequential OT messages (receiver blinds, sender
+  // millionaire_gt: 2 sequential OT messages (receiver shifts, sender
   // masks), then one and_bits exchange per AND-tree combine level — the
   // level count comes from the same shape helper the protocol and the
   // static plan derivation use.
@@ -71,14 +71,14 @@ OpCost ir_op_cost(const LatencyModel& m, const ir::Op& op, int ring_bits) {
 namespace {
 
 /// Exact wire bytes of one DReLU over n values: the two OT messages
-/// (8-byte blinded key per leaf instance; one 8-byte ephemeral sender key
-/// plus kOtFanIn one-byte masked entries per leaf) and the AND tree's
-/// per-level packed (d, e) bit opens, both directions.
+/// (2-bit shifts packed four to a byte; kOtFanIn one-byte masked entries
+/// per leaf) and the AND tree's per-level packed (d, e) bit opens, both
+/// directions.
 std::uint64_t drelu_wire_bytes(std::uint64_t n, int ring_bits) {
   const auto digits = static_cast<std::uint64_t>(crypto::millionaire_digits(ring_bits - 1));
   const std::uint64_t leaves = n * digits;
-  std::uint64_t bytes = leaves * 8            // receiver -> sender: blinded keys
-                        + 8 + leaves * crypto::kOtFanIn;  // sender -> receiver
+  std::uint64_t bytes = (leaves + 3) / 4                  // receiver -> sender: shifts
+                        + leaves * crypto::kOtFanIn;      // sender -> receiver
   for (const int mult : crypto::millionaire_and_level_multipliers(ring_bits - 1)) {
     // One AND over mult·n bits: the 2·mult·n masked (d, e) bits pack to a
     // byte boundary per stage, each direction.
@@ -144,13 +144,14 @@ std::uint64_t ir_op_wire_bytes(const ir::Op& op, int ring_bits, int wire_bits) {
 namespace {
 
 /// Phase tokens of a staged comparison op, mirroring the executor's
-/// lockstep walk: ot = the two-message OT leaf dance, bit = one AND-tree
-/// level exchange, open = one ring-open exchange (B2A or mux).
+/// lockstep walk: ot = the two OT leaf messages, bit = one AND-tree level
+/// exchange, open = one ring-open exchange (B2A or mux).
 enum class PhaseTok : std::uint8_t { ot, bit, open };
 
 std::vector<PhaseTok> compare_tokens(const ir::Op& op, int ring_bits) {
-  // Per comparison level: the OT dance, one exchange per AND-tree level,
-  // the B2A opening, then the gated-select opening all payloads share.
+  // Per comparison level: the OT messages, one exchange per AND-tree
+  // level, the B2A opening, then the gated-select opening all payloads
+  // share.
   const std::size_t and_levels = crypto::millionaire_and_level_multipliers(ring_bits - 1).size();
   std::vector<PhaseTok> toks;
   for (std::size_t level = op.compare_levels().values.size(); level > 0; --level) {
@@ -162,30 +163,22 @@ std::vector<PhaseTok> compare_tokens(const ir::Op& op, int ring_bits) {
   return toks;
 }
 
-struct GroupWalk {
-  int rounds = 0;
-  /// Bytes the coalesced schedule saves versus eager: merging k pending OT
-  /// batches into one flush ships one ephemeral sender key instead of k.
-  std::uint64_t ot_merge_savings = 0;
-};
-
 /// Replays the executor's lockstep phase walk over one round group: each
 /// iteration costs 2 rounds if any instance's head token is an OT, plus 1
 /// per bit-open / ring-open flush any instance waits on; every instance
 /// advances one token.  Identical comparisons therefore cost the same
 /// rounds whether the group holds one instance or four thousand.
-GroupWalk simulate_group_rounds(const std::vector<std::vector<PhaseTok>>& streams,
-                                bool has_single_round_member) {
+int simulate_group_rounds(const std::vector<std::vector<PhaseTok>>& streams,
+                          bool has_single_round_member) {
   std::vector<std::size_t> pos(streams.size(), 0);
-  GroupWalk walk;
+  int rounds = 0;
   for (;;) {
-    bool bit = false, open = false;
-    int ot_count = 0;
+    bool ot = false, bit = false, open = false;
     for (std::size_t i = 0; i < streams.size(); ++i) {
       if (pos[i] >= streams[i].size()) continue;
       switch (streams[i][pos[i]]) {
         case PhaseTok::ot:
-          ++ot_count;
+          ot = true;
           break;
         case PhaseTok::bit:
           bit = true;
@@ -195,17 +188,16 @@ GroupWalk simulate_group_rounds(const std::vector<std::vector<PhaseTok>>& stream
           break;
       }
     }
-    if (ot_count == 0 && !bit && !open) break;
-    walk.rounds += (ot_count > 0 ? 2 : 0) + (bit ? 1 : 0) + (open ? 1 : 0);
-    if (ot_count > 1) walk.ot_merge_savings += 8ULL * (static_cast<std::uint64_t>(ot_count) - 1);
+    if (!ot && !bit && !open) break;
+    rounds += (ot ? 2 : 0) + (bit ? 1 : 0) + (open ? 1 : 0);
     for (std::size_t i = 0; i < streams.size(); ++i) {
       if (pos[i] < streams[i].size()) ++pos[i];
     }
   }
   // A group whose comparisons never open (degenerate 1x1 pools) still pays
   // one exchange for its pending single-round openings.
-  if (walk.rounds == 0 && has_single_round_member) walk.rounds = 1;
-  return walk;
+  if (rounds == 0 && has_single_round_member) rounds = 1;
+  return rounds;
 }
 
 }  // namespace
@@ -219,8 +211,7 @@ ProgramCost profile_program(const LatencyModel& m, const ir::SecureProgram& p,
   // Group composition: token streams of the comparison members plus
   // whether single-round members ride along.  A batched run stages every
   // lane's instance into the same group, so each comparison contributes
-  // `lanes` identical streams — the walk's rounds stay K-invariant while
-  // the merged-OT savings grow with every extra lane.
+  // `lanes` identical streams — the walk's rounds stay K-invariant.
   std::map<int, std::vector<std::vector<PhaseTok>>> group_streams;
   std::map<int, bool> group_has_single;
   for (const ir::Op& op : p.ops) {
@@ -235,15 +226,9 @@ ProgramCost profile_program(const LatencyModel& m, const ir::SecureProgram& p,
     }
   }
   std::map<int, int> group_rounds;
-  std::uint64_t ot_merge_savings = 0;
   for (const auto& [g, streams] : group_streams) {
-    if (streams.empty()) {
-      group_rounds[g] = 1;  // single-round members only: one merged open
-      continue;
-    }
-    const GroupWalk walk = simulate_group_rounds(streams, group_has_single[g]);
-    group_rounds[g] = walk.rounds;
-    ot_merge_savings += walk.ot_merge_savings;
+    // Single-round members only: one merged open.
+    group_rounds[g] = streams.empty() ? 1 : simulate_group_rounds(streams, group_has_single[g]);
   }
 
   std::set<int> groups_counted;
@@ -267,7 +252,7 @@ ProgramCost profile_program(const LatencyModel& m, const ir::SecureProgram& p,
     scaled.comm_s *= static_cast<double>(lanes);
     scaled.comm_bytes *= static_cast<double>(lanes);
     pc.total += scaled;
-    pc.wire_bytes_eager += lanes * ir_op_wire_bytes(op, ring_bits, wire_bits);
+    pc.wire_bytes += lanes * ir_op_wire_bytes(op, ring_bits, wire_bits);
   }
   pc.round_groups = static_cast<int>(groups_counted.size());
   // Terminal joint opening: all lanes' logits or argmax indices reveal in
@@ -278,10 +263,7 @@ ProgramCost profile_program(const LatencyModel& m, const ir::SecureProgram& p,
       p.output >= 0 ? p.ops[static_cast<std::size_t>(p.output)].output_elems() : 0);
   pc.total.comm_bytes +=
       2.0 * static_cast<double>(wire) * static_cast<double>(out_elems * lanes);
-  pc.wire_bytes_eager += 2 * wire * out_elems * lanes;
-  // The coalesced schedule moves the same openings and bit packs; only
-  // merged OT flushes shed their extra ephemeral sender keys.
-  pc.wire_bytes = pc.wire_bytes_eager - ot_merge_savings;
+  pc.wire_bytes += 2 * wire * out_elems * lanes;
   return pc;
 }
 

@@ -22,11 +22,12 @@
 
 namespace pasnet::perf {
 
-/// Rounds of one DReLU (comparison) pass: the 2-message OT leaf exchange
-/// plus the log-depth AND combine tree over the 2-bit digits of the low
-/// ring bits.  `ring_bits` is the *functional* ring width the comparison
-/// actually runs over (RingConfig::bits, 64 by default — the modeled
-/// 32-bit wire width does not change the tree depth).
+/// Rounds of one DReLU (comparison) pass: the two messages of the (1,4)-OT
+/// leaves (receiver shifts, then sender's masked tables) plus the
+/// log-depth AND combine tree over the 2-bit digits of the low ring bits.
+/// `ring_bits` is the *functional* ring width the comparison actually runs
+/// over (RingConfig::bits, 64 by default — the modeled 32-bit wire width
+/// does not change the tree depth).
 [[nodiscard]] int drelu_rounds(int ring_bits = 64);
 
 /// Analytic cost of one IR op with protocol-accurate round counts.  The
@@ -36,13 +37,14 @@ namespace pasnet::perf {
 [[nodiscard]] OpCost ir_op_cost(const LatencyModel& model, const ir::Op& op,
                                 int ring_bits = 64);
 
-/// EXACT on-wire bytes one op's online protocol moves (both directions)
-/// under the per-op (eager) schedule: every opening at `wire_bits` per
-/// ring element, the OT leaf dance's blinded-key and masked-table
-/// messages (8 bytes/key + 1 byte/table entry + one 8-byte ephemeral
-/// sender key per batch), and the AND-tree's per-level packed bit opens.
-/// This is the figure the channel meter measures — OpCost::comm_bytes
-/// stays the paper's Eq. 5-16 estimate used by the NAS latency model.
+/// EXACT on-wire bytes one op's online protocol moves (both directions):
+/// every opening at `wire_bits` per ring element, the (1,4)-OT leaves'
+/// shifts (2 bits per instance, packed to a byte boundary per batch) and
+/// masked tables (4 bytes per instance), and the AND-tree's per-level
+/// packed bit opens.  Every part is packed per op, so the figure holds
+/// under both schedules.  This is what the channel meter measures —
+/// OpCost::comm_bytes stays the paper's Eq. 5-16 estimate used by the NAS
+/// latency model.
 [[nodiscard]] std::uint64_t ir_op_wire_bytes(const ir::Op& op, int ring_bits = 64,
                                              int wire_bits = 32);
 
@@ -51,14 +53,11 @@ struct ProgramCost {
   OpCost total;                ///< includes the terminal opening round
   std::vector<OpCost> per_op;  ///< aligned with program.ops
   int round_groups = 0;        ///< coalesced open groups counted once
-  /// Exact wire bytes of the whole program (terminal opening included)
-  /// under each schedule.  They differ only by the merged-OT flushes of
-  /// the coalesced schedule: merging k pending OT batches into one dance
-  /// ships ONE ephemeral sender key instead of k, saving 8·(k-1) bytes
-  /// per merged flush.  The CI guard asserts the measured channel bytes
-  /// equal these figures exactly.
-  std::uint64_t wire_bytes = 0;        ///< coalesced schedule
-  std::uint64_t wire_bytes_eager = 0;  ///< per-op schedule
+  /// Exact wire bytes of the whole program, terminal opening included.
+  /// Both schedules move the same bytes (coalescing merges messages, not
+  /// their contents); the CI guard asserts the measured channel bytes
+  /// equal this figure exactly.
+  std::uint64_t wire_bytes = 0;
 };
 
 /// Analytic profile of the OFFLINE phase: what it costs the two parties to
@@ -90,10 +89,9 @@ struct OfflinePhaseCost {
 /// `batch` prices a K-lane single-context batched run (ir::execute_batch):
 /// every comparison — the argmax terminal's tournament included —
 /// contributes K identical phase streams to its round group, so group
-/// rounds stay K-invariant while merged-OT savings grow; per-op
-/// compute/communication and eager wire bytes scale by K, and the terminal
-/// opening (logits or argmax indices) stays ONE merged exchange.  per_op
-/// entries remain single-lane figures.
+/// rounds stay K-invariant; per-op compute/communication and wire bytes
+/// scale by K, and the terminal opening (logits or argmax indices) stays
+/// ONE merged exchange.  per_op entries remain single-lane figures.
 [[nodiscard]] ProgramCost profile_program(const LatencyModel& model,
                                           const ir::SecureProgram& program,
                                           int ring_bits = 64, int wire_bits = 32,

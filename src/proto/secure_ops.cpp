@@ -236,13 +236,11 @@ SecureTensor run_compare_op(TwoPartyContext& ctx, StagedCompareOp& op) {
   return op.take(ctx);
 }
 
-StagedRelu::StagedRelu(const SecureTensor& x, crypto::OtMode mode) : x_(x), mode_(mode) {}
-
 void StagedRelu::begin(TwoPartyContext& ctx) {
   crypto::DreluMuxMaterial mat = crypto::draw_drelu_mux_material(ctx, x_.shares.size(), 1);
   std::vector<Shared> payloads;
   payloads.push_back(x_.shares);
-  core_.begin(ctx, std::move(payloads), mode_, std::move(mat));
+  core_.begin(ctx, std::move(payloads), std::move(mat));
 }
 
 crypto::CompareWait StagedRelu::waiting() const { return core_.waiting(); }
@@ -293,7 +291,7 @@ void StagedTournament::begin_level(TwoPartyContext& ctx) {
     diffs[j] = crypto::sub(a, level_b_[j], ctx.ring());
   }
   mux_ = crypto::StagedDreluMux{};
-  mux_.begin(ctx, std::move(diffs), mode_, std::move(mats_[level_]));
+  mux_.begin(ctx, std::move(diffs), std::move(mats_[level_]));
 }
 
 crypto::CompareWait StagedTournament::waiting() const {
@@ -325,10 +323,6 @@ void StagedTournament::step(TwoPartyContext& ctx) {
   }
 }
 
-StagedMaxPool::StagedMaxPool(const SecureTensor& x, int kernel, int stride, int pad,
-                             crypto::OtMode mode)
-    : StagedTournament(mode), x_(x), kernel_(kernel), stride_(stride), pad_(pad) {}
-
 void StagedMaxPool::begin(TwoPartyContext& ctx) {
   // One entry per window tap; padding positions hold zero shares (valid
   // for the non-negative post-activation maps our backbones pool).
@@ -351,9 +345,6 @@ SecureTensor StagedMaxPool::take(TwoPartyContext& ctx) {
   out.shares = std::move(winner().front());
   return out;
 }
-
-StagedArgmax::StagedArgmax(const SecureTensor& logits, crypto::OtMode mode)
-    : StagedTournament(mode), logits_(logits) {}
 
 void StagedArgmax::begin(TwoPartyContext& ctx) {
   // One (value, index) entry per class, each over the N rows.  Values
@@ -423,14 +414,14 @@ SecureTensor secure_x2act(TwoPartyContext& ctx, const SecureTensor& x, double a_
   return op.finish(ctx);
 }
 
-SecureTensor secure_relu(TwoPartyContext& ctx, const SecureTensor& x, const SecureConfig& cfg) {
-  StagedRelu op(x, cfg.ot_mode);
+SecureTensor secure_relu(TwoPartyContext& ctx, const SecureTensor& x) {
+  StagedRelu op(x);
   return run_compare_op(ctx, op);
 }
 
 SecureTensor secure_maxpool(TwoPartyContext& ctx, const SecureTensor& x, int kernel,
-                            int stride, const SecureConfig& cfg, int pad) {
-  StagedMaxPool op(x, kernel, stride, pad, cfg.ot_mode);
+                            int stride, int pad) {
+  StagedMaxPool op(x, kernel, stride, pad);
   return run_compare_op(ctx, op);
 }
 
@@ -502,9 +493,8 @@ SecureTensor secure_flatten(const SecureTensor& x) {
   return out;
 }
 
-std::vector<int> secure_argmax(TwoPartyContext& ctx, const SecureTensor& logits,
-                               const SecureConfig& cfg) {
-  StagedArgmax op(logits, cfg.ot_mode);
+std::vector<int> secure_argmax(TwoPartyContext& ctx, const SecureTensor& logits) {
+  StagedArgmax op(logits);
   const RingVec revealed = crypto::open(ctx, run_compare_op(ctx, op).shares);
   std::vector<int> out;
   out.reserve(revealed.size());

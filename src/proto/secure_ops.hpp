@@ -38,10 +38,9 @@ enum class RoundSchedule {
 
 /// Protocol knobs for the secure executor.
 struct SecureConfig {
-  /// OT instantiation for comparisons: dh_masked is the full cryptographic
-  /// path; correlated is the fast ideal-functionality path with identical
-  /// transcript sizes (use for large tensors).
-  crypto::OtMode ot_mode = crypto::OtMode::correlated;
+  /// Ignored: every comparison runs the precomputed (1,4)-OT
+  /// (crypto/ot.hpp).  Kept only so existing configurations compile.
+  crypto::OtMode ot_mode = crypto::OtMode::dh_masked;
   /// Open scheduling of the program executor (see RoundSchedule).
   RoundSchedule schedule = RoundSchedule::coalesced;
 };
@@ -137,7 +136,7 @@ SecureTensor run_compare_op(crypto::TwoPartyContext& ctx, StagedCompareOp& op);
 /// Staged 2PC ReLU: one resumable v·DReLU(v) over the whole tensor.
 class StagedRelu final : public StagedCompareOp {
  public:
-  StagedRelu(const SecureTensor& x, crypto::OtMode mode);
+  explicit StagedRelu(const SecureTensor& x) : x_(x) {}
   void begin(crypto::TwoPartyContext& ctx) override;
   [[nodiscard]] crypto::CompareWait waiting() const override;
   void step(crypto::TwoPartyContext& ctx) override;
@@ -145,7 +144,6 @@ class StagedRelu final : public StagedCompareOp {
 
  private:
   const SecureTensor& x_;
-  crypto::OtMode mode_;
   crypto::StagedDreluMux core_;
 };
 
@@ -162,7 +160,6 @@ class StagedTournament : public StagedCompareOp {
   void step(crypto::TwoPartyContext& ctx) override;
 
  protected:
-  explicit StagedTournament(crypto::OtMode mode) : mode_(mode) {}
   /// Draws every level's material and stages the first level.
   void begin_tournament(crypto::TwoPartyContext& ctx,
                         std::vector<std::vector<crypto::Shared>> entries);
@@ -171,7 +168,6 @@ class StagedTournament : public StagedCompareOp {
 
  private:
   void begin_level(crypto::TwoPartyContext& ctx);
-  crypto::OtMode mode_;
   std::vector<std::vector<crypto::Shared>> entries_;
   std::vector<crypto::DreluMuxMaterial> mats_;
   std::size_t level_ = 0;
@@ -183,7 +179,8 @@ class StagedTournament : public StagedCompareOp {
 /// Staged 2PC MaxPool: the tournament over the k² window taps (P = 1).
 class StagedMaxPool final : public StagedTournament {
  public:
-  StagedMaxPool(const SecureTensor& x, int kernel, int stride, int pad, crypto::OtMode mode);
+  StagedMaxPool(const SecureTensor& x, int kernel, int stride, int pad)
+      : x_(x), kernel_(kernel), stride_(stride), pad_(pad) {}
   void begin(crypto::TwoPartyContext& ctx) override;
   [[nodiscard]] SecureTensor take(crypto::TwoPartyContext& ctx) override;
 
@@ -199,7 +196,7 @@ class StagedMaxPool final : public StagedTournament {
 /// class index.
 class StagedArgmax final : public StagedTournament {
  public:
-  StagedArgmax(const SecureTensor& logits, crypto::OtMode mode);
+  explicit StagedArgmax(const SecureTensor& logits) : logits_(logits) {}
   void begin(crypto::TwoPartyContext& ctx) override;
   [[nodiscard]] SecureTensor take(crypto::TwoPartyContext& ctx) override;
 
@@ -233,16 +230,14 @@ class StagedArgmax final : public StagedTournament {
                                         double a_coeff, double w2, double b);
 
 /// 2PC ReLU via the OT comparison flow (paper Eq. 11).
-[[nodiscard]] SecureTensor secure_relu(crypto::TwoPartyContext& ctx, const SecureTensor& x,
-                                       const SecureConfig& cfg);
+[[nodiscard]] SecureTensor secure_relu(crypto::TwoPartyContext& ctx, const SecureTensor& x);
 
 /// 2PC MaxPool: log-depth tree of secure max over each window (Eq. 13).
 /// All window pairs of one tournament level are batched into a single
 /// secure-max call, so a level costs one pass through the comparison stack
 /// regardless of how many independent pairs it contains.
 [[nodiscard]] SecureTensor secure_maxpool(crypto::TwoPartyContext& ctx, const SecureTensor& x,
-                                          int kernel, int stride, const SecureConfig& cfg,
-                                          int pad = 0);
+                                          int kernel, int stride, int pad = 0);
 
 /// 2PC AvgPool: local additions and public scaling (Eq. 15).
 [[nodiscard]] SecureTensor secure_avgpool(crypto::TwoPartyContext& ctx, const SecureTensor& x,
@@ -264,7 +259,6 @@ class StagedArgmax final : public StagedTournament {
 /// Stronger output privacy than revealing logits (the client learns the
 /// label, nothing else).  Ties break toward the lowest class index.
 [[nodiscard]] std::vector<int> secure_argmax(crypto::TwoPartyContext& ctx,
-                                             const SecureTensor& logits,
-                                             const SecureConfig& cfg);
+                                             const SecureTensor& logits);
 
 }  // namespace pasnet::proto

@@ -61,7 +61,7 @@ TEST(Millionaire, SmallExhaustive4Bit) {
       b.push_back(j);
     }
   }
-  const auto gt = pc::millionaire_gt(ctx, a, b, 4, pc::OtMode::dh_masked);
+  const auto gt = pc::millionaire_gt(ctx, a, b, 4);
   const auto got = pc::reconstruct_bits(gt);
   for (std::size_t k = 0; k < a.size(); ++k) {
     EXPECT_EQ(got[k], a[k] > b[k] ? 1 : 0) << a[k] << " vs " << b[k];
@@ -74,7 +74,7 @@ TEST(Millionaire, RandomWide31Bit) {
   std::vector<std::uint64_t> a(200), b(200);
   for (auto& v : a) v = prng.next_bits(31);
   for (auto& v : b) v = prng.next_bits(31);
-  const auto gt = pc::millionaire_gt(ctx, a, b, 31, pc::OtMode::correlated);
+  const auto gt = pc::millionaire_gt(ctx, a, b, 31);
   const auto got = pc::reconstruct_bits(gt);
   for (std::size_t k = 0; k < a.size(); ++k) EXPECT_EQ(got[k], a[k] > b[k] ? 1 : 0);
 }
@@ -82,7 +82,7 @@ TEST(Millionaire, RandomWide31Bit) {
 TEST(Millionaire, EqualValuesAreNotGreater) {
   pc::TwoPartyContext ctx;
   std::vector<std::uint64_t> a{0, 5, 12345, (1ULL << 31) - 1};
-  const auto gt = pc::millionaire_gt(ctx, a, a, 31, pc::OtMode::dh_masked);
+  const auto gt = pc::millionaire_gt(ctx, a, a, 31);
   for (const auto bit : pc::reconstruct_bits(gt)) EXPECT_EQ(bit, 0);
 }
 
@@ -95,7 +95,7 @@ TEST(Millionaire, OddDigitCountWidths) {
     std::vector<std::uint64_t> a(50), b(50);
     for (auto& v : a) v = prng.next_bits(bits);
     for (auto& v : b) v = prng.next_bits(bits);
-    const auto gt = pc::millionaire_gt(ctx, a, b, bits, pc::OtMode::correlated);
+    const auto gt = pc::millionaire_gt(ctx, a, b, bits);
     const auto got = pc::reconstruct_bits(gt);
     for (std::size_t k = 0; k < a.size(); ++k) {
       EXPECT_EQ(got[k], a[k] > b[k] ? 1 : 0) << "bits=" << bits;
@@ -109,7 +109,7 @@ TEST(Msb, MatchesPlaintextSign) {
   const auto& rc = ctx.ring();
   std::vector<double> xs{1.0, -1.0, 0.5, -0.5, 100.0, -100.0, 0.0, 3.75, -3.75};
   const auto sx = pc::share_reals(xs, prng, rc);
-  const auto m = pc::msb(ctx, sx, pc::OtMode::dh_masked);
+  const auto m = pc::msb(ctx, sx);
   const auto got = pc::reconstruct_bits(m);
   for (std::size_t i = 0; i < xs.size(); ++i) {
     EXPECT_EQ(got[i], xs[i] < 0 ? 1 : 0) << xs[i];
@@ -121,7 +121,7 @@ TEST(Drelu, IsIndicatorOfNonNegative) {
   pc::Prng prng(7);
   std::vector<double> xs{2.0, -2.0, 0.0, 0.25, -0.25};
   const auto sx = pc::share_reals(xs, prng, ctx.ring());
-  const auto d = pc::drelu(ctx, sx, pc::OtMode::dh_masked);
+  const auto d = pc::drelu(ctx, sx);
   EXPECT_EQ(pc::reconstruct_bits(d), (std::vector<std::uint8_t>{1, 0, 1, 1, 0}));
 }
 
@@ -154,7 +154,7 @@ TEST(Relu, MatchesPlaintextRelu) {
   const auto& rc = ctx.ring();
   std::vector<double> xs{1.5, -1.5, 0.0, 42.0, -0.001, 0.001, -99.0};
   const auto sx = pc::share_reals(xs, prng, rc);
-  const auto out = pc::reconstruct_reals(pc::relu(ctx, sx, pc::OtMode::dh_masked), rc);
+  const auto out = pc::reconstruct_reals(pc::relu(ctx, sx), rc);
   for (std::size_t i = 0; i < xs.size(); ++i) {
     EXPECT_NEAR(out[i], std::max(xs[i], 0.0), 2e-3) << xs[i];
   }
@@ -168,7 +168,7 @@ TEST(MaxElem, MatchesPlaintextMax) {
   std::vector<double> bv{0.5, -1.0, 4.0, 0.0, -7.5};
   const auto sa = pc::share_reals(av, prng, rc);
   const auto sb = pc::share_reals(bv, prng, rc);
-  const auto out = pc::reconstruct_reals(pc::max_elem(ctx, sa, sb, pc::OtMode::correlated), rc);
+  const auto out = pc::reconstruct_reals(pc::max_elem(ctx, sa, sb), rc);
   for (std::size_t i = 0; i < av.size(); ++i) {
     EXPECT_NEAR(out[i], std::max(av[i], bv[i]), 2e-3) << i;
   }
@@ -181,7 +181,7 @@ TEST(Relu, PaperFig2ComparisonExample) {
   pc::TwoPartyContext ctx;
   pc::Prng prng(12);
   const auto sx = pc::share_reals({-1.0}, prng, ctx.ring());  // sum < 0
-  const auto d = pc::drelu(ctx, sx, pc::OtMode::dh_masked);
+  const auto d = pc::drelu(ctx, sx);
   EXPECT_EQ(pc::reconstruct_bits(d)[0], 0);  // "not > 0" => False
 }
 
@@ -196,7 +196,7 @@ TEST_P(DreluProperty, RandomValuesAtScale) {
   std::vector<double> xs(64);
   for (auto& x : xs) x = (prng.next_unit() - 0.5) * scale;
   const auto sx = pc::share_reals(xs, prng, ctx.ring());
-  const auto d = pc::drelu(ctx, sx, pc::OtMode::correlated);
+  const auto d = pc::drelu(ctx, sx);
   const auto got = pc::reconstruct_bits(d);
   for (std::size_t i = 0; i < xs.size(); ++i) {
     // encode() rounds; values that round to exactly 0 are non-negative.

@@ -65,14 +65,12 @@ struct RunResult {
 /// op's output shares.  Context / parameter seeds are fixed so two runs
 /// differ only in their open scheduling.
 RunResult run_program(const ir::SecureProgram& p, proto::RoundSchedule schedule,
-                      pc::ExecMode mode, const nn::Tensor& x,
-                      pc::OtMode ot = pc::OtMode::correlated) {
+                      pc::ExecMode mode, const nn::Tensor& x) {
   pc::TwoPartyContext ctx(pc::RingConfig{}, 42, mode);
   pc::Prng wprng(7);
   const ir::CompiledParams params = ir::share_parameters(p, wprng, ctx.ring());
   ir::ExecOptions opts;
   opts.cfg.schedule = schedule;
-  opts.cfg.ot_mode = ot;
   RunResult r;
   opts.op_hook = [&r](std::size_t i, const proto::SecureTensor& t) {
     r.ops.idx.push_back(i);
@@ -108,10 +106,10 @@ void expect_bit_identical(const nn::Tensor& a, const nn::Tensor& b, const char* 
 // ---------------------------------------------------------------------------
 
 TEST(CompareStaged, PerOpSharesBitIdenticalToEagerOnAllModels) {
-  // With the ideal-functionality OT the two schedules draw every PRNG and
-  // dealer stream in the same order, so not just the logits (or labels)
-  // but every intermediate op's secret shares — an argmax terminal's
-  // index shares included — must match bit for bit.
+  // The two schedules draw every PRNG and dealer stream — random OTs
+  // included — in the same order, so not just the logits (or labels) but
+  // every intermediate op's secret shares — an argmax terminal's index
+  // shares included — must match bit for bit.
   std::uint64_t seed = 500;
   for (auto& md : all_test_models()) {
     auto t = train(md, seed += 2);
@@ -156,21 +154,6 @@ TEST(CompareStaged, ThreadedMatchesLockstepBothSchedules) {
       EXPECT_EQ(lock.bytes, thr.bytes) << t.md.name;
     }
   }
-}
-
-TEST(CompareStaged, DhMaskedOtLogitsBitIdenticalToEager) {
-  // The full cryptographic OT path: blinding-key draws differ per merged
-  // batch, so only the reconstructed values are schedule-invariant.
-  auto t = train(tiny_cnn(nn::OpKind::relu, nn::OpKind::maxpool), 620);
-  ir::SecureProgram p = ir::lower(t.md, *t.graph, t.node_of_layer);
-  ir::run_standard_passes(p);
-  pc::Prng dprng(621);
-  const auto x = nn::Tensor::randn({1, 2, 8, 8}, dprng, 0.5f);
-  const RunResult coal = run_program(p, proto::RoundSchedule::coalesced,
-                                     pc::ExecMode::lockstep, x, pc::OtMode::dh_masked);
-  const RunResult eager = run_program(p, proto::RoundSchedule::eager,
-                                      pc::ExecMode::lockstep, x, pc::OtMode::dh_masked);
-  expect_bit_identical(coal.logits, eager.logits, "dh_masked");
 }
 
 // ---------------------------------------------------------------------------
@@ -259,8 +242,7 @@ TEST(CompareStaged, MillionaireAgreesWithPlaintextOnAdversarialPairs) {
     // Mix in equal and off-by-one pairs (the AND-tree's eq-chain edge).
     for (std::size_t i = 0; i < n; i += 3) b[i] = a[i];
     for (std::size_t i = 1; i < n; i += 4) b[i] = a[i] > 0 ? a[i] - 1 : a[i] + 1;
-    const auto mode = seed % 2 == 0 ? pc::OtMode::dh_masked : pc::OtMode::correlated;
-    const auto gt = pc::millionaire_gt(ctx, a, b, 63, mode);
+    const auto gt = pc::millionaire_gt(ctx, a, b, 63);
     const auto bits = pc::reconstruct_bits(gt);
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_EQ(bits[i], a[i] > b[i] ? 1 : 0)
@@ -286,8 +268,7 @@ TEST(CompareStaged, DreluAgreesWithPlaintextSignOnEdgeValues) {
     pc::RingVec vals = edges;
     while (vals.size() < 32) vals.push_back(prng.next_u64() & rc.mask());
     const pc::Shared x = pc::share(vals, prng, rc);
-    const auto mode = seed % 2 == 0 ? pc::OtMode::dh_masked : pc::OtMode::correlated;
-    const auto d = pc::drelu(ctx, x, mode);
+    const auto d = pc::drelu(ctx, x);
     const auto bits = pc::reconstruct_bits(d);
     for (std::size_t i = 0; i < vals.size(); ++i) {
       EXPECT_EQ(bits[i], pc::to_signed(vals[i], rc) >= 0 ? 1 : 0)
@@ -307,13 +288,13 @@ TEST(CompareStaged, StagedReluMatchesBlockingReluSharewise) {
     for (auto& v : vals) v = prng.next_u64() & rc.mask();
     pc::TwoPartyContext ctx_a(rc, 9000 + seed), ctx_b(rc, 9000 + seed);
     const pc::Shared xa = pc::share(vals, prng, rc);
-    const pc::Shared out_a = pc::relu(ctx_a, xa, pc::OtMode::correlated);
+    const pc::Shared out_a = pc::relu(ctx_a, xa);
 
     // Same context seed, staged drive with coalescing buffers on.
     ctx_b.opens().set_coalescing(true);
     ctx_b.ots().set_coalescing(true);
     ctx_b.bit_opens().set_coalescing(true);
-    const pc::Shared out_b = pc::relu(ctx_b, xa, pc::OtMode::correlated);
+    const pc::Shared out_b = pc::relu(ctx_b, xa);
     ctx_b.opens().set_coalescing(false);
     ctx_b.ots().set_coalescing(false);
     ctx_b.bit_opens().set_coalescing(false);

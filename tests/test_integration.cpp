@@ -127,7 +127,7 @@ TEST(SecureArgmax, MatchesPlaintextArgmax) {
   pc::Prng prng(8);
   const auto logits = nn::Tensor::randn({5, 7}, prng, 2.0f);
   const auto sx = proto::share_tensor(logits, prng, ctx.ring());
-  const auto got = proto::secure_argmax(ctx, sx, proto::SecureConfig{});
+  const auto got = proto::secure_argmax(ctx, sx);
   EXPECT_EQ(got, nn::argmax_rows(logits));
 }
 
@@ -137,7 +137,7 @@ TEST(SecureArgmax, WorksForPowerAndNonPowerOfTwoClasses) {
     pc::Prng prng(100 + classes);
     const auto logits = nn::Tensor::randn({3, classes}, prng, 1.5f);
     const auto sx = proto::share_tensor(logits, prng, ctx.ring());
-    const auto got = proto::secure_argmax(ctx, sx, proto::SecureConfig{});
+    const auto got = proto::secure_argmax(ctx, sx);
     EXPECT_EQ(got, nn::argmax_rows(logits)) << classes << " classes";
   }
 }
@@ -149,7 +149,7 @@ TEST(SecureArgmax, RevealsOnlyTheIndexTraffic) {
   pc::Prng prng(9);
   const auto logits = nn::Tensor::randn({1, 4}, prng, 1.0f);
   const auto sx = proto::share_tensor(logits, prng, ctx.ring());
-  const auto got = proto::secure_argmax(ctx, sx, proto::SecureConfig{});
+  const auto got = proto::secure_argmax(ctx, sx);
   ASSERT_EQ(got.size(), 1u);
   EXPECT_GE(got[0], 0);
   EXPECT_LT(got[0], 4);

@@ -500,6 +500,32 @@ TEST(Dealer, ServesAtomicPartySlicedClaimsAndRefusesDoubleClaims) {
   serve.join();
 }
 
+TEST(Dealer, MalformedBundleClaimFailsWithWireError) {
+  // A store whose n = 64 elem triple or square pair carries a one-element
+  // z side: the client's bundle decoder refuses each claim as a typed
+  // wire error before any protocol could recombine with it.
+  DealerFixture f(2);
+  pc::TripleDealer dealer(pc::RingConfig{}, 7);
+  off::QueryBundle elem, square;
+  elem.elem.push_back(dealer.elem_triple(64));
+  elem.elem[0].z.s0.resize(1);
+  elem.elem[0].z.s1.resize(1);
+  square.square.push_back(dealer.square_pair(64));
+  square.square[0].z.s0.resize(1);
+  square.square[0].z.s1.resize(1);
+  f.store.bundle(0) = elem;
+  f.store.bundle(1) = square;
+  net::DealerServer server(std::move(f.store));
+  net::Listener listener(0);
+  std::thread serve([&] { server.serve(listener, 1, short_opts()); });
+  {
+    net::DealerClient c0("127.0.0.1", listener.port(), 0, f.fingerprint, short_opts());
+    EXPECT_THROW((void)c0.claim(0), net::WireError);
+    EXPECT_THROW((void)c0.claim(1), net::WireError);
+  }
+  serve.join();
+}
+
 TEST(Dealer, BothHalvesClaimsAreRefusedByDefault) {
   // A network client's party id is self-declared; a party-2 hello (both
   // share halves) must be refused.

@@ -372,6 +372,35 @@ std::string serialized_tiny_store() {
   return os.str();
 }
 
+/// A bundle holding one n = 64 elem triple or square pair whose z side has
+/// a single element: the shape Beaver recombination would read past.
+off::QueryBundle short_z_bundle(off::TripleKind kind) {
+  pc::TripleDealer dealer(pc::RingConfig{}, 5);
+  off::QueryBundle b;
+  pc::Shared* z = nullptr;
+  if (kind == off::TripleKind::elem) {
+    b.elem.push_back(dealer.elem_triple(64));
+    z = &b.elem[0].z;
+  } else {
+    b.square.push_back(dealer.square_pair(64));
+    z = &b.square[0].z;
+  }
+  z->s0.resize(1);
+  z->s1.resize(1);
+  return b;
+}
+
+std::string encode(const off::QueryBundle& b) {
+  std::ostringstream os(std::ios::binary);
+  off::write_bundle(os, b);
+  return os.str();
+}
+
+off::QueryBundle decode(const std::string& bytes) {
+  std::istringstream is(bytes, std::ios::binary);
+  return off::read_bundle(is);
+}
+
 }  // namespace
 
 TEST(TripleStoreHostile, LoadRejectsBadMagic) {
@@ -382,10 +411,16 @@ TEST(TripleStoreHostile, LoadRejectsBadMagic) {
 }
 
 TEST(TripleStoreHostile, LoadRejectsVersionSkew) {
-  std::string bytes = serialized_tiny_store();
-  bytes[8] = 0x7F;  // version field (little-endian u64 at offset 8)
-  std::istringstream is(bytes, std::ios::binary);
-  EXPECT_THROW((void)off::TripleStore::load(is), std::runtime_error);
+  // A future version, and every version before the random-OT pool (v3):
+  // a store is single-use material, so older files are regenerated, not
+  // decoded.
+  for (const char version : {'\x7F', '\x02', '\x01'}) {
+    std::string bytes = serialized_tiny_store();
+    ASSERT_EQ(bytes[8], '\x03');
+    bytes[8] = version;  // version field (little-endian u64 at offset 8)
+    std::istringstream is(bytes, std::ios::binary);
+    EXPECT_THROW((void)off::TripleStore::load(is), std::runtime_error) << int(version);
+  }
 }
 
 TEST(TripleStoreHostile, LoadRejectsTruncatedBundle) {
@@ -436,4 +471,63 @@ TEST(TripleStoreHostile, PartySlicingZeroesExactlyThePeerHalves) {
   ASSERT_FALSE(full.bit.empty());
   EXPECT_EQ(p0.bit[0].a0, full.bit[0].a0);
   for (const auto v : p0.bit[0].c1) EXPECT_EQ(v, 0);
+  // Random OTs (party 1 sends in the comparison leaves): the receiver's
+  // slice holds no sender pad, the sender's no choice and no chosen pad.
+  ASSERT_FALSE(full.rot.empty());
+  const pc::RandomOt& rot = full.rot[0];
+  ASSERT_EQ(rot.sender, 1);
+  EXPECT_EQ(p0.rot[0].choice, rot.choice);
+  EXPECT_EQ(p0.rot[0].chosen, rot.chosen);
+  EXPECT_EQ(p0.rot[0].pads, std::vector<std::uint8_t>(rot.pads.size(), 0));
+  EXPECT_EQ(p1.rot[0].pads, rot.pads);
+  EXPECT_EQ(p1.rot[0].choice, std::vector<std::uint8_t>(rot.choice.size(), 0));
+  EXPECT_EQ(p1.rot[0].chosen, std::vector<std::uint8_t>(rot.chosen.size(), 0));
+}
+
+TEST(TripleStoreHostile, ShortTripleSidesAreRefusedBeforeRecombination) {
+  for (const off::TripleKind kind : {off::TripleKind::elem, off::TripleKind::square}) {
+    off::QueryBundle crafted = short_z_bundle(kind);
+    // The codec refuses it, alone or inside a store file...
+    EXPECT_THROW((void)decode(encode(crafted)), std::runtime_error);
+    off::TripleStore store(pc::RingConfig{}, 0, 1);
+    store.bundle(0) = crafted;
+    std::stringstream file(std::ios::in | std::ios::out | std::ios::binary);
+    store.save(file);
+    EXPECT_THROW((void)off::TripleStore::load(file), std::runtime_error);
+    // ...and a store source checks every side against the request.
+    off::StoreTripleSource src(crafted);
+    if (kind == off::TripleKind::elem) {
+      EXPECT_THROW((void)src.elem_triple(64), std::logic_error);
+    } else {
+      EXPECT_THROW((void)src.square_pair(64), std::logic_error);
+    }
+  }
+}
+
+TEST(TripleStoreHostile, BundleCodecRejectsInconsistentRandomOtPool) {
+  pc::TripleDealer dealer(pc::RingConfig{}, 6);
+  off::QueryBundle good;
+  good.rot.push_back(dealer.random_ot(8, 1));
+  const off::QueryBundle rt = decode(encode(good));
+  ASSERT_EQ(rt.rot.size(), 1u);
+  EXPECT_EQ(rt.rot[0].sender, 1);
+  EXPECT_EQ(rt.rot[0].pads, good.rot[0].pads);
+  EXPECT_EQ(rt.rot[0].choice, good.rot[0].choice);
+  EXPECT_EQ(rt.rot[0].chosen, good.rot[0].chosen);
+
+  const auto refused = [&](const auto& corrupt) {
+    off::QueryBundle b = good;
+    corrupt(b.rot[0]);
+    EXPECT_THROW((void)decode(encode(b)), std::runtime_error);
+  };
+  refused([](pc::RandomOt& t) { t.pads.pop_back(); });
+  refused([](pc::RandomOt& t) { t.chosen.pop_back(); });
+  refused([](pc::RandomOt& t) { t.choice.push_back(0); });
+  refused([](pc::RandomOt& t) { t.sender = 2; });
+  refused([](pc::RandomOt& t) { t.choice[0] = 4; });
+  // A store source refuses a random OT of the wrong size or sender.
+  off::QueryBundle b = good;
+  EXPECT_THROW((void)off::StoreTripleSource(b).random_ot(8, 0), std::logic_error);
+  b = good;
+  EXPECT_THROW((void)off::StoreTripleSource(b).random_ot(7, 1), std::logic_error);
 }

@@ -1,9 +1,9 @@
-// IKNP OT extension and the 2PC triple generator built on it: transpose
-// and frame-level properties, COT correlation after derandomization,
-// malformed-frame rejection, dealer-equality of SIMULATION-mode bundles
-// (the bit-identity verification contract), the analytic traffic witness,
-// and the remote trust-gap fixes (role-private half streams and OT
-// secrets, ideal-OT refusal).
+// IKNP OT extension and the 2PC triple and random-OT generator built on
+// it: transpose and frame-level properties, COT correlation after
+// derandomization, malformed-frame rejection, dealer-equality of
+// SIMULATION-mode bundles (the bit-identity verification contract), the
+// analytic traffic witness, and the remote trust-gap fixes (role-private
+// half streams and OT secrets).
 
 #include <gtest/gtest.h>
 
@@ -86,6 +86,15 @@ off::PreprocessingPlan all_kinds_plan() {
   r.bilinear.stride = 2;
   r.bilinear.pad = 0;
   plan.requests.push_back(r);
+  // Random OTs in both directions.
+  r = {};
+  r.kind = off::TripleKind::rot;
+  r.n = 7;
+  r.sender = 1;
+  plan.requests.push_back(r);
+  r.n = 3;
+  r.sender = 0;
+  plan.requests.push_back(r);
   return plan;
 }
 
@@ -112,6 +121,9 @@ off::QueryBundle dealer_bundle(const off::PreprocessingPlan& plan, std::uint64_t
         b.bilinear.push_back(dealer.bilinear_triple(
             r.bilinear.na(), r.bilinear.nb(), r.bilinear.nz(),
             pc::build_bilinear_map(r.bilinear, plan.ring)));
+        break;
+      case off::TripleKind::rot:
+        b.rot.push_back(dealer.random_ot(r.n, r.sender));
         break;
     }
   }
@@ -161,6 +173,25 @@ void expect_bundle_eq(const off::QueryBundle& a, const off::QueryBundle& b) {
     EXPECT_EQ(a.bilinear[i].b.s1, b.bilinear[i].b.s1) << "bilinear " << i;
     EXPECT_EQ(a.bilinear[i].z.s0, b.bilinear[i].z.s0) << "bilinear " << i;
     EXPECT_EQ(a.bilinear[i].z.s1, b.bilinear[i].z.s1) << "bilinear " << i;
+  }
+  ASSERT_EQ(a.rot.size(), b.rot.size());
+  for (std::size_t i = 0; i < a.rot.size(); ++i) {
+    EXPECT_EQ(a.rot[i].sender, b.rot[i].sender) << "rot " << i;
+    EXPECT_EQ(a.rot[i].pads, b.rot[i].pads) << "rot " << i;
+    EXPECT_EQ(a.rot[i].choice, b.rot[i].choice) << "rot " << i;
+    EXPECT_EQ(a.rot[i].chosen, b.rot[i].chosen) << "rot " << i;
+  }
+}
+
+/// Each random OT's receiver holds the sender's pad at its choice.
+void expect_rot_relation(const off::QueryBundle& b) {
+  ASSERT_FALSE(b.rot.empty());
+  for (const auto& t : b.rot) {
+    ASSERT_EQ(t.pads.size(), 4 * t.size());
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      ASSERT_LT(t.choice[i], 4);
+      EXPECT_EQ(t.chosen[i], t.pads[4 * i + t.choice[i]]) << i;
+    }
   }
 }
 
@@ -316,6 +347,7 @@ TEST(OtExtTriples, TripleRelationsHold) {
     for (std::size_t i = 0; i < z.size(); ++i) EXPECT_EQ(rec(t.z, i), z[i]);
   }
   EXPECT_EQ(bi, b.bilinear.size());
+  expect_rot_relation(b);
 }
 
 TEST(OtExtTriples, MeasuredTrafficMatchesAnalyticCost) {
@@ -392,6 +424,16 @@ off::QueryBundle merge_remote(const off::QueryBundle& b0, const off::QueryBundle
     m.bit[i].b1 = b1.bit[i].b1;
     m.bit[i].c1 = b1.bit[i].c1;
   }
+  for (std::size_t i = 0; i < m.rot.size(); ++i) {
+    // Party 1's half of a random OT: the pads when it sends, else the
+    // choice and the chosen pad.
+    if (m.rot[i].sender == 1) {
+      m.rot[i].pads = b1.rot[i].pads;
+    } else {
+      m.rot[i].choice = b1.rot[i].choice;
+      m.rot[i].chosen = b1.rot[i].chosen;
+    }
+  }
   return m;
 }
 
@@ -432,6 +474,7 @@ void expect_relations_hold(const off::PreprocessingPlan& plan, const off::QueryB
     for (std::size_t i = 0; i < z.size(); ++i) EXPECT_EQ(rec(t.z, i), z[i]);
   }
   EXPECT_EQ(bi, b.bilinear.size());
+  expect_rot_relation(b);
 }
 
 }  // namespace
@@ -459,6 +502,7 @@ TEST(OtExtTriples, RemoteEndpointsGenerateRolePrivateTriples) {
   EXPECT_NE(b1.elem[0].a.s1, want.elem[0].a.s1);
   EXPECT_NE(b0.matmul[0].a.s0, want.matmul[0].a.s0);
   EXPECT_NE(b1.bilinear[0].b.s1, want.bilinear[0].b.s1);
+  EXPECT_NE(b1.rot[0].pads, want.rot[0].pads);  // 28 random bytes
   // Fresh entropy per context: a second joint run yields different halves
   // (no replayable stream exists for this material anywhere).
   const auto [c0run, c1run] = remote_generate(plan, seed);
@@ -500,20 +544,6 @@ TEST(RolePrivateRandomness, RemoteStreamsDifferAcrossProcessesAndFromSharedStrea
   EXPECT_EQ(sim2.role_prng(0).next_u64(), shared0[0]);
 }
 
-TEST(IdealOtRefusal, RemoteContextRefusesCorrelatedModeWithoutHatch) {
-  auto [c0, c1] = pc::Channel::make_pair();
-  pc::RemoteContextOptions opts;
-  opts.ot_mode = pc::OtMode::correlated;
-  EXPECT_THROW(pc::TwoPartyContext(pc::RingConfig{}, 42, 0, *c0, opts), pc::IdealOtError);
-  EXPECT_THROW(pc::TwoPartyContext(pc::RingConfig{}, 42, 1, *c1, opts), pc::IdealOtError);
-  // dh_masked is always fine.
-  pc::RemoteContextOptions dh;
-  EXPECT_NO_THROW(pc::TwoPartyContext(pc::RingConfig{}, 42, 1, *c1, dh));
-  // In-process contexts are simulations by definition: always allowed.
-  pc::TwoPartyContext sim;
-  EXPECT_TRUE(sim.ideal_ot_allowed());
-}
-
 TEST(OtExtTriples, OnlineSourceServesPlanOrderAndThrowsWhenDry) {
   const off::PreprocessingPlan plan = all_kinds_plan();
   pc::TwoPartyContext ctx;
@@ -529,6 +559,10 @@ TEST(OtExtTriples, OnlineSourceServesPlanOrderAndThrowsWhenDry) {
   EXPECT_EQ(mm.z.s0, want.matmul[0].z.s0);
   const pc::BitTriple bt = src.bit_triple(9);
   EXPECT_EQ(bt.c0, want.bit[0].c0);
+  const pc::RandomOt rot = src.random_ot(7, 1);
+  EXPECT_EQ(rot.chosen, want.rot[0].chosen);
+  // A random OT drawn for the wrong sender is store/plan drift.
+  EXPECT_THROW((void)src.random_ot(3, 1), std::logic_error);
   // The pool is sized for exactly one query's plan: a second elem draw is
   // strict-accounting exhaustion.
   EXPECT_THROW((void)src.elem_triple(5), off::TripleStoreExhausted);

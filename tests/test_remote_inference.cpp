@@ -168,17 +168,9 @@ void expect_remote_matches_reference(const RemoteFixture& f, const ir::SecurePro
   }
 }
 
-/// Real endpoints run the masked-DH OT (the ideal OT is refused across
-/// processes).  It reveals the same bits over the same transcript shape as
-/// the ideal OT the in-process references default to.
-proto::SecureConfig over_the_wire(proto::SecureConfig cfg) {
-  cfg.ot_mode = pc::OtMode::dh_masked;
-  return cfg;
-}
-
 net::RemoteSessionOptions fused_opts(proto::SecureConfig cfg) {
   net::RemoteSessionOptions o;
-  o.cfg = over_the_wire(cfg);
+  o.cfg = cfg;
   return o;
 }
 
@@ -195,17 +187,6 @@ TEST(RemoteInference, FusedTwoProcessLogitsBitIdenticalAndTrafficEqual) {
 TEST(RemoteInference, EagerScheduleMatchesToo) {
   proto::SecureConfig cfg;
   cfg.schedule = proto::RoundSchedule::eager;
-  RemoteFixture f(nn::OpKind::relu, nn::OpKind::maxpool, 1, cfg);
-  const auto outcome =
-      run_remote(f, f.snet->program(), [&](int) { return fused_opts(cfg); });
-  expect_remote_matches_reference(f, f.snet->program(), cfg, outcome);
-}
-
-TEST(RemoteInference, DhMaskedOtRunsOverTheRealWire) {
-  // The full cryptographic OT path (blinded keys, masked tables) across
-  // the transport — not just the correlated fast path.
-  proto::SecureConfig cfg;
-  cfg.ot_mode = pc::OtMode::dh_masked;
   RemoteFixture f(nn::OpKind::relu, nn::OpKind::maxpool, 1, cfg);
   const auto outcome =
       run_remote(f, f.snet->program(), [&](int) { return fused_opts(cfg); });
@@ -235,7 +216,7 @@ TEST(RemoteInference, StoreServedTwoProcessMatches) {
   }
   const auto outcome = run_remote(f, f.snet->program(), [&](int party) {
     net::RemoteSessionOptions o;
-    o.cfg = over_the_wire(cfg);
+    o.cfg = cfg;
     o.source = net::TripleSourceKind::store;
     o.store = &copy[party];
     return o;
@@ -246,14 +227,13 @@ TEST(RemoteInference, StoreServedTwoProcessMatches) {
 TEST(RemoteInference, OtExtServedTwoProcessMatchesWithNoIdealOtHatch) {
   // The trust-gap acceptance case: two endpoints, --triples=ot-ext, NO
   // dealer daemon, NO shared-seed triple stream, NO ideal-OT escape hatch —
-  // the full dh_masked + OT-extension stack.  The triple halves are
+  // the precomputed OT on OT-extension material.  The triple halves are
   // role-private entropy, so the logits are NOT bit-identical to the
   // dealer-served reference: both endpoints must reveal the SAME result,
   // within truncation tolerance of the reference, with the transcript
   // SHAPE (bytes/rounds/messages) still exactly equal and the online
   // meter untouched by the offline window.
-  proto::SecureConfig cfg;
-  cfg.ot_mode = pc::OtMode::dh_masked;
+  const proto::SecureConfig cfg;
   RemoteFixture f(nn::OpKind::relu, nn::OpKind::maxpool, 2, cfg);
   const off::PreprocessingPlan plan = proto::Workload(*f.snet).plan();
   pc::TrafficStats offline_stats[2];
@@ -344,7 +324,7 @@ TEST(RemoteInference, DealerServedTwoProcessMatches) {
         net::DealerClient("127.0.0.1", dealer_port, 1, fp, test_opts())};
     const auto outcome = run_remote(f, f.snet->program(), [&](int party) {
       net::RemoteSessionOptions o;
-      o.cfg = over_the_wire(cfg);
+      o.cfg = cfg;
       o.source = net::TripleSourceKind::dealer;
       o.dealer = &clients[party];
       return o;
@@ -426,7 +406,7 @@ TEST(RemoteInference, BatchedRemoteStoreServedMatchesIndependentRuns) {
   }
   const auto [p0, p1] = run_remote_batch(f, f.snet->program(), [&](int party) {
     net::RemoteSessionOptions o;
-    o.cfg = over_the_wire(cfg);
+    o.cfg = cfg;
     o.source = net::TripleSourceKind::store;
     o.store = &copy[party];
     return o;
@@ -453,7 +433,7 @@ TEST(RemoteInference, BatchedRemoteDealerServedMatchesIndependentRuns) {
         net::DealerClient("127.0.0.1", dealer_port, 1, fp, test_opts())};
     const auto [p0, p1] = run_remote_batch(f, f.snet->program(), [&](int party) {
       net::RemoteSessionOptions o;
-      o.cfg = over_the_wire(cfg);
+      o.cfg = cfg;
       o.source = net::TripleSourceKind::dealer;
       o.dealer = &clients[party];
       return o;
@@ -470,8 +450,7 @@ TEST(RemoteInference, BatchedRemoteDealerServedMatchesIndependentRuns) {
 }
 
 TEST(RemoteInference, BatchedRemoteOtExtServedMatchesIndependentRuns) {
-  proto::SecureConfig cfg;
-  cfg.ot_mode = pc::OtMode::dh_masked;
+  const proto::SecureConfig cfg;
   RemoteFixture f(nn::OpKind::relu, nn::OpKind::maxpool, /*num_queries=*/2, cfg);
   const off::PreprocessingPlan plan = proto::Workload(*f.snet).plan();
   pc::TrafficStats offline_stats[2];

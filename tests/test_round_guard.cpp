@@ -72,9 +72,8 @@ void expect_measured_equals_analytic(nn::ModelDescriptor md, std::uint64_t seed,
       << md.name << ": measured rounds diverge from the analytic prediction (batch "
       << batch << ")";
   // Byte regression guard: the analytic wire-byte model prices every
-  // opening, OT message and packed bit open exactly — including the one
-  // ephemeral sender key per merged OT batch the coalesced flush ships
-  // (merged across the whole batch in a K-lane chunk).
+  // opening, packed OT shift, masked OT table and packed bit open exactly
+  // — merging a K-lane chunk's flushes changes none of them.
   EXPECT_EQ(measured_bytes, cost.wire_bytes)
       << md.name << ": measured bytes diverge from the analytic prediction (batch "
       << batch << ")";
@@ -109,14 +108,25 @@ TEST(RoundGuard, ResidualReferenceModelsMatchAnalyticRoundsExactly) {
 TEST(RoundGuard, BatchedChunksMatchAnalyticRoundsExactly) {
   // The batched executor's round/byte structure, pinned analytically: a
   // K-lane chunk spends the comparison rounds of ONE query (groups are
-  // K-invariant), one merged terminal reveal, and K-scaled bytes minus the
-  // bigger merged-OT savings — profile_program(batch=K) prices all of it.
+  // K-invariant), one merged terminal reveal, and exactly K-scaled bytes —
+  // profile_program(batch=K) prices all of it.
   expect_measured_equals_analytic(tiny_cnn(nn::OpKind::relu, nn::OpKind::maxpool), 400,
                                   /*batch=*/4);
   expect_measured_equals_analytic(tiny_cnn(nn::OpKind::x2act, nn::OpKind::avgpool), 410,
                                   /*batch=*/3);
   expect_measured_equals_analytic(tiny_cnn(nn::OpKind::relu, nn::OpKind::avgpool), 420,
                                   /*batch=*/2);
+}
+
+TEST(RoundGuard, EveryTestModelMatchesAnalyticAtEveryBatchWidth) {
+  std::uint64_t seed = 700;
+  for (auto& md : pasnet::testing::all_test_models()) {
+    for (const int batch : {1, 4, 16}) {
+      for (const auto kind : {proto::WorkloadKind::logits, proto::WorkloadKind::classify}) {
+        expect_measured_equals_analytic(md, seed += 5, batch, kind);
+      }
+    }
+  }
 }
 
 TEST(RoundGuard, ClassifyChunksMatchAnalyticRoundsExactly) {
@@ -222,16 +232,13 @@ TEST(RoundGuard, ParallelReluRoundsIndependentOfInstanceCount) {
     const perf::ProgramCost cost =
         perf::profile_program(m, p, pc::RingConfig{}.bits, pc::RingConfig{}.wire_bits);
     EXPECT_EQ(coalesced, static_cast<std::uint64_t>(cost.total.rounds)) << p.name;
-    // The merged-OT byte asymmetry, priced exactly: one ephemeral sender
-    // key per merged flush means the coalesced schedule moves 8·(K-1)
-    // fewer bytes than eager for K merged ReLUs — both figures analytic.
+    // Merging the K ReLUs' OT batches saves messages, not bytes: each
+    // batch packs its own shifts, so both schedules move exactly the
+    // analytic figure.
     const pc::TrafficStats eager_traffic =
         pasnet::testing::measured_program_traffic(p, proto::RoundSchedule::eager);
     EXPECT_EQ(coalesced_traffic.total_bytes(), cost.wire_bytes) << p.name;
-    EXPECT_EQ(eager_traffic.total_bytes(), cost.wire_bytes_eager) << p.name;
-    EXPECT_EQ(cost.wire_bytes_eager - cost.wire_bytes,
-              8u * static_cast<std::uint64_t>(k - 1))
-        << p.name;
+    EXPECT_EQ(eager_traffic.total_bytes(), cost.wire_bytes) << p.name;
     if (k == 1) {
       shared_rounds = coalesced;
     } else {

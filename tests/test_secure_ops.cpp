@@ -115,17 +115,15 @@ TEST(SecureX2act, StpaiIdentityPassthrough) {
   EXPECT_LT(max_abs_diff(proto::reconstruct_tensor(out, ctx.ring()), x), 2e-3f);
 }
 
-TEST(SecureRelu, MatchesPlaintextBothOtModes) {
-  for (const auto mode : {pc::OtMode::dh_masked, pc::OtMode::correlated}) {
-    pc::TwoPartyContext ctx;
+TEST(SecureRelu, MatchesPlaintextBothExecModes) {
+  for (const auto mode : {pc::ExecMode::lockstep, pc::ExecMode::threaded}) {
+    pc::TwoPartyContext ctx(pc::RingConfig{}, 42, mode);
     pc::Prng prng(19);
     nn::Relu relu;
     const auto x = random_tensor({1, 2, 4, 4}, 20, 2.0f);
     const auto want = relu.forward(x, false);
     const auto sx = proto::share_tensor(x, prng, ctx.ring());
-    proto::SecureConfig cfg;
-    cfg.ot_mode = mode;
-    const auto out = proto::secure_relu(ctx, sx, cfg);
+    const auto out = proto::secure_relu(ctx, sx);
     EXPECT_LT(max_abs_diff(proto::reconstruct_tensor(out, ctx.ring()), want), 2e-3f);
   }
 }
@@ -138,7 +136,7 @@ TEST(SecureMaxpool, MatchesPlaintextOnPositiveInputs) {
   for (std::size_t i = 0; i < x.size(); ++i) x[i] = std::abs(x[i]);  // post-ReLU regime
   const auto want = pool.forward(x, false);
   const auto sx = proto::share_tensor(x, prng, ctx.ring());
-  const auto out = proto::secure_maxpool(ctx, sx, 2, 2, proto::SecureConfig{});
+  const auto out = proto::secure_maxpool(ctx, sx, 2, 2);
   EXPECT_EQ(out.shape, want.shape());
   EXPECT_LT(max_abs_diff(proto::reconstruct_tensor(out, ctx.ring()), want), 5e-3f);
 }
@@ -151,7 +149,7 @@ TEST(SecureMaxpool, ThreeByThreeWindowTree) {
   for (std::size_t i = 0; i < x.size(); ++i) x[i] = std::abs(x[i]);
   const auto want = pool.forward(x, false);
   const auto sx = proto::share_tensor(x, prng, ctx.ring());
-  const auto out = proto::secure_maxpool(ctx, sx, 3, 2, proto::SecureConfig{}, 1);
+  const auto out = proto::secure_maxpool(ctx, sx, 3, 2, 1);
   EXPECT_EQ(out.shape, want.shape());
   EXPECT_LT(max_abs_diff(proto::reconstruct_tensor(out, ctx.ring()), want), 5e-3f);
 }
@@ -168,7 +166,7 @@ TEST(SecureMaxpool, NonzeroPadMatchesPlaintextBothContexts) {
     for (std::size_t i = 0; i < x.size(); ++i) x[i] = std::abs(x[i]);
     const auto want = pool.forward(x, false);
     const auto sx = proto::share_tensor(x, prng, ctx.ring());
-    const auto out = proto::secure_maxpool(ctx, sx, 2, 2, proto::SecureConfig{}, 1);
+    const auto out = proto::secure_maxpool(ctx, sx, 2, 2, 1);
     EXPECT_EQ(out.shape, want.shape());
     EXPECT_LT(max_abs_diff(proto::reconstruct_tensor(out, ctx.ring()), want), 5e-3f);
   }
@@ -182,7 +180,7 @@ TEST(SecureMaxpool, PadWithStrideOneOverlappingWindows) {
   for (std::size_t i = 0; i < x.size(); ++i) x[i] = std::abs(x[i]);
   const auto want = pool.forward(x, false);
   const auto sx = proto::share_tensor(x, prng, ctx.ring());
-  const auto out = proto::secure_maxpool(ctx, sx, 3, 1, proto::SecureConfig{}, 1);
+  const auto out = proto::secure_maxpool(ctx, sx, 3, 1, 1);
   EXPECT_EQ(out.shape, want.shape());
   EXPECT_LT(max_abs_diff(proto::reconstruct_tensor(out, ctx.ring()), want), 5e-3f);
 }
@@ -204,7 +202,7 @@ TEST(SecureArgmax, TieBreaksToLowestIndexBothContexts) {
       for (int c = 0; c < 6; ++c) logits[static_cast<std::size_t>(r * 6 + c)] = rows[r][c];
     }
     const auto sx = proto::share_tensor(logits, prng, ctx.ring());
-    const auto got = proto::secure_argmax(ctx, sx, proto::SecureConfig{});
+    const auto got = proto::secure_argmax(ctx, sx);
     EXPECT_EQ(got, (std::vector<int>{1, 0, 2}));
   }
 }
@@ -219,7 +217,7 @@ TEST(SecureArgmax, TieAcrossOddTailEntry) {
   const float vals[5] = {0.0f, 3.0f, -1.0f, 0.5f, 3.0f};  // max at 1 and 4 -> 1
   for (int c = 0; c < 5; ++c) logits[static_cast<std::size_t>(c)] = vals[c];
   const auto sx = proto::share_tensor(logits, prng, ctx.ring());
-  EXPECT_EQ(proto::secure_argmax(ctx, sx, proto::SecureConfig{}), (std::vector<int>{1}));
+  EXPECT_EQ(proto::secure_argmax(ctx, sx), (std::vector<int>{1}));
 }
 
 TEST(SecureAvgpool, MatchesPlaintext) {
@@ -292,39 +290,37 @@ TEST(SecureConv, ReluCommunicationDwarfsConvCommunication) {
   const auto conv_bytes = ctx.stats().total_bytes();
 
   ctx.reset_stats();
-  (void)proto::secure_relu(ctx, sx, proto::SecureConfig{});
+  (void)proto::secure_relu(ctx, sx);
   const auto relu_bytes = ctx.stats().total_bytes();
   EXPECT_GT(relu_bytes, 3 * conv_bytes);
 }
 
 // Property sweep: secure ReLU equals plaintext ReLU across magnitudes and
-// both OT modes (the end-to-end correctness invariant of the comparison
-// stack composed with B2A and multiplexing).
+// both execution modes (the end-to-end correctness invariant of the
+// comparison stack composed with B2A and multiplexing).
 struct ReluCase {
   double scale;
-  pc::OtMode mode;
+  pc::ExecMode mode;
 };
 
 class SecureReluProperty : public ::testing::TestWithParam<ReluCase> {};
 
 TEST_P(SecureReluProperty, MatchesPlaintext) {
   const auto param = GetParam();
-  pc::TwoPartyContext ctx;
+  pc::TwoPartyContext ctx(pc::RingConfig{}, 42, param.mode);
   pc::Prng prng(40);
   auto x = random_tensor({1, 64}, 41, static_cast<float>(param.scale));
   nn::Relu relu;
   const auto want = relu.forward(x, false);
   const auto sx = proto::share_tensor(x, prng, ctx.ring());
-  proto::SecureConfig cfg;
-  cfg.ot_mode = param.mode;
-  const auto out = proto::reconstruct_tensor(proto::secure_relu(ctx, sx, cfg), ctx.ring());
+  const auto out = proto::reconstruct_tensor(proto::secure_relu(ctx, sx), ctx.ring());
   EXPECT_LT(max_abs_diff(out, want), 2e-3f);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     ScalesAndModes, SecureReluProperty,
-    ::testing::Values(ReluCase{0.1, pc::OtMode::correlated},
-                      ReluCase{1.0, pc::OtMode::correlated},
-                      ReluCase{10.0, pc::OtMode::correlated},
-                      ReluCase{1.0, pc::OtMode::dh_masked},
-                      ReluCase{100.0, pc::OtMode::dh_masked}));
+    ::testing::Values(ReluCase{0.1, pc::ExecMode::threaded},
+                      ReluCase{1.0, pc::ExecMode::threaded},
+                      ReluCase{10.0, pc::ExecMode::threaded},
+                      ReluCase{1.0, pc::ExecMode::lockstep},
+                      ReluCase{100.0, pc::ExecMode::lockstep}));

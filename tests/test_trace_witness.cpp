@@ -174,7 +174,6 @@ TEST(TraceWitness, RemoteLoopbackBatchSatisfiesThreeWitnessOnBothEndpoints) {
       obs::Tracer tracer;
       session.set_tracer(&tracer);
       net::RemoteSessionOptions ropts;
-      ropts.cfg.ot_mode = pc::OtMode::dh_masked;  // real endpoints: no ideal OT
       if (store_served) {
         ropts.source = net::TripleSourceKind::store;
         ropts.store = &stores[party];

@@ -363,8 +363,7 @@ TEST(Workload, BatchedChunkSpendsSingleQueryComparisonRounds) {
     (void)batched.run(inputs);
     ASSERT_EQ(batched.chunk_stats().size(), 1u);
     // All four lanes ride the same round groups — the argmax tournament's
-    // too; only the OT dance's merged flushes change the BYTES, never the
-    // rounds — so the 4-query chunk spends exactly the single-query round
+    // too — so the 4-query chunk spends exactly the single-query round
     // count.
     EXPECT_EQ(batched.stats().rounds, single_rounds);
     EXPECT_GT(batched.stats().comm_bytes, unit.stats().comm_bytes);
@@ -373,8 +372,7 @@ TEST(Workload, BatchedChunkSpendsSingleQueryComparisonRounds) {
 
 TEST(Workload, OnlineBytesDoNotDependOnBatchWidth) {
   // Every lane opens its own weight-shaped E = W - B, so the query-
-  // dependent share of a K-lane chunk is K single queries' (an
-  // all-polynomial model: no OT framing for batching to amortize).
+  // dependent share of a K-lane chunk is K single queries'.
   auto t = train(tiny_cnn(nn::OpKind::x2act, nn::OpKind::avgpool), 35);
   pc::TwoPartyContext ctx;
   proto::SecureNetwork snet(t.md, *t.graph, t.node_of_layer, ctx);
