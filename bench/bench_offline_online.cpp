@@ -87,7 +87,7 @@ void bm_serve_batch(benchmark::State& state) {
   const bool store_backed = state.range(0) != 0;
   const int workers = static_cast<int>(state.range(1));
   const auto delay = std::chrono::microseconds(state.range(2));
-  pc::TwoPartyContext ctx(pc::RingConfig{}, 42, pc::ExecMode::lockstep, delay);
+  pc::TwoPartyContext ctx(pc::RingConfig{}, 42, delay);
   proto::SecureNetwork snet(f.md, *f.graph, f.node_of_layer, ctx);
 
   proto::Workload wl(snet, {proto::WorkloadKind::logits, /*batch=*/1, workers});

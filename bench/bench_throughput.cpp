@@ -64,7 +64,7 @@ void bm_infer_batch(benchmark::State& state) {
   auto& f = Fixture::instance();
   const int workers = static_cast<int>(state.range(0));
   const auto delay = std::chrono::microseconds(state.range(1));
-  pc::TwoPartyContext ctx(pc::RingConfig{}, 42, pc::ExecMode::lockstep, delay);
+  pc::TwoPartyContext ctx(pc::RingConfig{}, 42, delay);
   proto::SecureNetwork snet(f.md, *f.graph, f.node_of_layer, ctx);
 
   proto::Workload wl(snet, {proto::WorkloadKind::logits, /*batch=*/1, workers});
@@ -112,7 +112,7 @@ void bm_single_context_batch(benchmark::State& state) {
   auto& f = Fixture::instance();
   const int k = static_cast<int>(state.range(0));
   const auto delay = std::chrono::microseconds(state.range(1));
-  pc::TwoPartyContext ctx(pc::RingConfig{}, 42, pc::ExecMode::lockstep, delay);
+  pc::TwoPartyContext ctx(pc::RingConfig{}, 42, delay);
   proto::SecureNetwork snet(f.md, *f.graph, f.node_of_layer, ctx);
   std::vector<nn::Tensor> queries;
   queries.reserve(static_cast<std::size_t>(k));

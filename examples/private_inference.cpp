@@ -138,8 +138,7 @@ int main(int argc, char** argv) {
     // sharded across concurrent party-pair workers, each round paying the
     // modeled wire latency.  A separate context carries the delay so the
     // functional run above stays fast.
-    pc::TwoPartyContext batch_ctx(pc::RingConfig{}, 42, pc::ExecMode::lockstep,
-                                  std::chrono::microseconds(rtt_us));
+    pc::TwoPartyContext batch_ctx(pc::RingConfig{}, 42, std::chrono::microseconds(rtt_us));
     proto::SecureNetwork batch_snet(arch.descriptor, *graph, node_of_layer, batch_ctx);
     std::vector<nn::Tensor> queries;
     queries.reserve(static_cast<std::size_t>(batch));

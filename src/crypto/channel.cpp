@@ -28,7 +28,7 @@ void Channel::send_ring(const RingVec& v, int wire_bytes_per_elem) {
 RingVec Channel::recv_ring(std::size_t n, int /*wire_bytes_per_elem*/) {
   auto buf = do_recv();
   if (buf.size() != n * sizeof(std::uint64_t)) {
-    throw std::logic_error("Channel::recv_ring: message size mismatch");
+    throw FrameLengthError("Channel::recv_ring: message size mismatch");
   }
   RingVec v(n);
   if (n > 0) std::memcpy(v.data(), buf.data(), buf.size());
@@ -111,8 +111,6 @@ class LocalChannel final : public Channel {
     shared_->last_sender = -1;
     shared_->round_counted = false;
   }
-
-  [[nodiscard]] ChannelMode mode() const noexcept override { return shared_->mode; }
 
  protected:
   void do_send(std::vector<std::uint8_t>&& data, std::uint64_t wire_bytes) override {

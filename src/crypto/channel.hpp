@@ -16,15 +16,16 @@
 // Two backends:
 //  - the in-process pair (Channel::make_pair): two endpoints over a shared
 //    pair of bounded byte queues and one shared counter block.  Modes:
-//     * lockstep: the historical single-threaded mode.  Both parties run on
-//       one thread in protocol order; `recv` on an empty inbox is a protocol
-//       ordering bug and throws immediately.  Fully deterministic (used by
-//       the analytical-model cross-check tests).
-//     * threaded: the concurrent runtime mode.  `recv` blocks until the
+//     * lockstep: what every in-process TwoPartyContext runs.  Both parties
+//       run on one thread in protocol order; `recv` on an empty inbox is a
+//       protocol ordering bug and throws immediately.  Fully deterministic
+//       (used by the analytical-model cross-check tests).
+//     * threaded: a blocking pair that stands in for a transport when two
+//       remote contexts run on their own threads.  `recv` blocks until the
 //       peer's message arrives and `send` blocks while the peer's inbox is
-//       at capacity (bounded queue, mutex + condition variable).  Endpoints
-//       may be driven from different threads; a watchdog timeout turns a
-//       deadlocked protocol into a loud ChannelTimeout instead of a hang.
+//       at capacity (bounded queue, mutex + condition variable); a watchdog
+//       timeout turns a deadlocked protocol into a loud ChannelTimeout
+//       instead of a hang.
 //  - net::TransportChannel (src/net): the same endpoint API over a real
 //    socket transport, one endpoint per OS process.  Each endpoint's block
 //    accounts both directions (own sends at send time, the peer's at recv
@@ -68,8 +69,7 @@ struct TrafficStats {
   }
 };
 
-/// Queueing discipline of a channel endpoint (see file comment).  Transport
-/// endpoints report `threaded` — their recv blocks on the wire.
+/// Queueing discipline of an in-process channel pair (see file comment).
 enum class ChannelMode { lockstep, threaded };
 
 struct ChannelOptions;
@@ -82,8 +82,16 @@ class ChannelTimeout : public std::runtime_error {
 };
 
 /// Thrown by blocked/later operations after close() — the "peer hung up"
-/// signal, used to unwind a party thread whose peer failed.
+/// signal, used to unwind an endpoint whose peer failed.
 class ChannelClosed : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+/// A received frame whose length is not the one the protocol expects at
+/// that step (a ring or bit opening, a correction frame): the peer is out
+/// of step or hostile.
+class FrameLengthError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
@@ -116,6 +124,7 @@ class Channel {
   /// Convenience: send/recv a vector of ring elements, 8 bytes each in
   /// memory.  `wire_bytes_per_elem` models the on-wire width (e.g. 4 for a
   /// 32-bit ring) for traffic accounting while keeping u64 storage.
+  /// recv_ring raises FrameLengthError unless the frame holds exactly n.
   void send_ring(const RingVec& v, int wire_bytes_per_elem = 8);
   [[nodiscard]] RingVec recv_ring(std::size_t n, int wire_bytes_per_elem = 8);
 
@@ -125,10 +134,10 @@ class Channel {
 
   /// Brackets one symmetric communication round: every message either
   /// endpoint enqueues between begin_round and end_round counts as a single
-  /// round (both directions are concurrently in flight).  Driven by the
-  /// coordinating thread (TwoPartyContext::exchange), never by a party
-  /// closure.  After end_round the next message starts a fresh round
-  /// regardless of direction.
+  /// round (both directions are concurrently in flight).  Driven by
+  /// TwoPartyContext::exchange around its send and recv closures.  After
+  /// end_round the next message starts a fresh round regardless of
+  /// direction.
   virtual void begin_round() = 0;
   virtual void end_round() = 0;
 
@@ -146,8 +155,6 @@ class Channel {
   /// Zeroes the block and restarts round counting: the start of a metered
   /// window.
   virtual void reset_stats() noexcept = 0;
-
-  [[nodiscard]] virtual ChannelMode mode() const noexcept = 0;
 
   /// Creates a connected in-process pair of endpoints: first element is
   /// party 0's.

@@ -121,7 +121,7 @@ void BitOpenBuffer::open_batch(const Pending* batch, std::size_t count) {
   const bool local_is_1 = ctx_.local_party() == 1;
   const std::vector<std::uint8_t>& peer_msg = local_is_1 ? from0 : from1;
   if (peer_msg.size() != msg0.size()) {
-    throw std::logic_error("BitOpenBuffer::flush: transcript size mismatch");
+    throw FrameLengthError("BitOpenBuffer::flush: bit-opening frame has the wrong length");
   }
   std::size_t byte_off = 0;
   for (std::size_t i = 0; i < count; ++i) {

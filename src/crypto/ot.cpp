@@ -96,12 +96,10 @@ void OtBuffer::flush() {
   pending_.clear();
 }
 
-// Both messages run on the caller's thread in protocol order (the reply
-// depends on the shifts).  That schedule is valid under both channel
-// modes: in threaded mode each recv finds its message already enqueued.
-// In a remote context only the local role's sends, receives and compute
-// run; the peer role's output slots hold zeros a remote process never
-// reads.
+// Both messages run in protocol order (the reply depends on the shifts):
+// in process, each recv finds its message already enqueued.  In a remote
+// context only the local role's sends, receives and compute run; the peer
+// role's output slots hold zeros a remote process never reads.
 void OtBuffer::transfer(Pending* batch, std::size_t count) {
   const int sender = batch[0].rot.sender;
   const int receiver = 1 - sender;

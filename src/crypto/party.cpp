@@ -5,10 +5,6 @@
 #include "crypto/ring_kernels.hpp"
 
 #include <chrono>
-#include <condition_variable>
-#include <cstring>
-#include <exception>
-#include <mutex>
 #include <random>
 #include <stdexcept>
 #include <thread>
@@ -24,119 +20,21 @@
 namespace pasnet::crypto {
 
 // ---------------------------------------------------------------------------
-// TwoPartyRuntime: one long-lived executor thread per party with a
-// single-slot task mailbox.
-// ---------------------------------------------------------------------------
-
-struct TwoPartyRuntime::Worker {
-  std::mutex m;
-  std::condition_variable cv;
-  const std::function<void()>* task = nullptr;  // non-owning; valid until done
-  bool done = false;
-  bool stop = false;
-  std::exception_ptr error;
-  std::thread thread;
-
-  void loop() {
-    std::unique_lock<std::mutex> lk(m);
-    for (;;) {
-      cv.wait(lk, [&] { return stop || task != nullptr; });
-      if (stop) return;
-      const std::function<void()>* t = task;
-      lk.unlock();
-      std::exception_ptr err;
-      try {
-        (*t)();
-      } catch (...) {
-        err = std::current_exception();
-      }
-      lk.lock();
-      task = nullptr;
-      error = err;
-      done = true;
-      cv.notify_all();
-    }
-  }
-
-  void post(const std::function<void()>& f) {
-    // Re-entry guard: the single-slot mailbox assumes exec/exchange is never
-    // entered from a party thread (a nested call would silently drop a
-    // protocol round).  Fail loudly instead.
-    if (std::this_thread::get_id() == thread.get_id()) {
-      throw std::logic_error(
-          "TwoPartyRuntime: nested exec/exchange from a party thread (re-entrant post)");
-    }
-    std::lock_guard<std::mutex> lk(m);
-    if (task != nullptr) {
-      throw std::logic_error("TwoPartyRuntime: post while the worker is still busy");
-    }
-    task = &f;
-    done = false;
-    error = nullptr;
-    cv.notify_all();
-  }
-
-  std::exception_ptr wait() {
-    std::unique_lock<std::mutex> lk(m);
-    cv.wait(lk, [&] { return done; });
-    return error;
-  }
-};
-
-TwoPartyRuntime::TwoPartyRuntime() {
-  for (auto& w : workers_) {
-    w = std::make_unique<Worker>();
-    w->thread = std::thread([worker = w.get()] { worker->loop(); });
-  }
-}
-
-TwoPartyRuntime::~TwoPartyRuntime() {
-  for (auto& w : workers_) {
-    {
-      std::lock_guard<std::mutex> lk(w->m);
-      w->stop = true;
-      w->cv.notify_all();
-    }
-    w->thread.join();
-  }
-}
-
-void TwoPartyRuntime::run(const std::function<void()>& f0, const std::function<void()>& f1) {
-  workers_[0]->post(f0);
-  try {
-    workers_[1]->post(f1);
-  } catch (...) {
-    // The re-entry guard refused the second post (e.g. a nested exec from
-    // party thread 1: worker 0 was idle again and accepted f0).  Drain the
-    // already-posted task before unwinding — f0 and the caller's closure
-    // state must outlive worker 0's use of them.
-    (void)workers_[0]->wait();
-    throw;
-  }
-  const std::exception_ptr e0 = workers_[0]->wait();
-  const std::exception_ptr e1 = workers_[1]->wait();
-  if (e0) std::rethrow_exception(e0);
-  if (e1) std::rethrow_exception(e1);
-}
-
-// ---------------------------------------------------------------------------
 // TwoPartyContext
 // ---------------------------------------------------------------------------
 
-TwoPartyContext::TwoPartyContext(RingConfig rc, std::uint64_t seed, ExecMode mode,
+TwoPartyContext::TwoPartyContext(RingConfig rc, std::uint64_t seed,
                                  std::chrono::microseconds round_delay)
-    : rc_(rc), mode_(mode), round_delay_(round_delay), dealer_(rc, splitmix64(seed)),
+    : rc_(rc), round_delay_(round_delay), dealer_(rc, splitmix64(seed)),
       dealer_source_(dealer_, rc), prng0_(splitmix64(seed ^ 1)), prng1_(splitmix64(seed ^ 2)),
       ot_prng0_(splitmix64(seed ^ 3)), ot_prng1_(splitmix64(seed ^ 4)),
       opens_(*this), ots_(std::make_unique<OtBuffer>(*this)),
       bit_opens_(std::make_unique<BitOpenBuffer>(*this)) {
   ChannelOptions options;
-  options.mode = mode == ExecMode::threaded ? ChannelMode::threaded : ChannelMode::lockstep;
   options.round_delay = round_delay;
   auto [c0, c1] = Channel::make_pair(options);
   chan0_ = std::move(c0);
   chan1_ = std::move(c1);
-  if (mode == ExecMode::threaded) runtime_ = std::make_unique<TwoPartyRuntime>();
 }
 
 namespace {
@@ -201,7 +99,7 @@ std::uint64_t entropy_seed() {
 
 TwoPartyContext::TwoPartyContext(RingConfig rc, std::uint64_t seed, int local_party,
                                  Channel& channel)
-    : rc_(rc), mode_(ExecMode::lockstep), local_party_(local_party), remote_chan_(&channel),
+    : rc_(rc), local_party_(local_party), remote_chan_(&channel),
       round_delay_(0), dealer_(rc, splitmix64(seed)), dealer_source_(dealer_, rc),
       prng0_(splitmix64(seed ^ 1)), prng1_(splitmix64(seed ^ 2)),
       ot_prng0_(splitmix64(seed ^ 3)), ot_prng1_(splitmix64(seed ^ 4)),
@@ -217,48 +115,7 @@ TwoPartyContext::TwoPartyContext(RingConfig rc, std::uint64_t seed, int local_pa
   // which only this process holds.
 }
 
-TwoPartyContext::~TwoPartyContext() {
-  // Wake any party thread still blocked on the channels before the runtime
-  // destructor joins them.  A remote context borrows its endpoint — the
-  // connection outlives the per-query context, so it is left open.
-  if (remote_chan_ == nullptr) chan0_->close();
-}
-
-void TwoPartyContext::exec(const std::function<void()>& f0, const std::function<void()>& f1) {
-  if (local_party_ >= 0) {
-    // Remote context: this process IS one party; its peer runs the other
-    // closure in its own process.
-    (local_party_ == 0 ? f0 : f1)();
-    return;
-  }
-  if (!runtime_) {
-    f0();
-    f1();
-    return;
-  }
-  // A failing party closes the channel pair so its blocked peer unwinds
-  // with ChannelClosed immediately instead of stalling until the watchdog.
-  // The first failure is the root cause and the one rethrown; the poisoned
-  // channels make the context unusable afterwards, which is what a
-  // half-completed protocol step means anyway.
-  std::mutex err_mutex;
-  std::exception_ptr first_error;
-  const auto guarded = [&](std::function<void()> f) {
-    return std::function<void()>([this, &err_mutex, &first_error, f = std::move(f)] {
-      try {
-        f();
-      } catch (...) {
-        {
-          std::lock_guard<std::mutex> lk(err_mutex);
-          if (!first_error) first_error = std::current_exception();
-        }
-        chan0_->close();
-      }
-    });
-  };
-  runtime_->run(guarded(f0), guarded(f1));
-  if (first_error) std::rethrow_exception(first_error);
-}
+TwoPartyContext::~TwoPartyContext() = default;
 
 void TwoPartyContext::exchange(const std::function<void()>& send0,
                                const std::function<void()>& send1,
@@ -280,16 +137,6 @@ void TwoPartyContext::exchange(const std::function<void()>& send0,
         send1();
         recv1();
       }
-    } else if (runtime_) {
-      exec(
-          [&] {
-            send0();
-            recv0();
-          },
-          [&] {
-            send1();
-            recv1();
-          });
     } else {
       send0();
       send1();
@@ -360,10 +207,9 @@ void OpenBuffer::set_coalescing(bool on) {
 
 RingVec open(TwoPartyContext& ctx, const Shared& x) {
   const int wb = ctx.wire_bytes();
-  // Both directions in one parallel round; under the threaded runtime the
-  // two parties' send+recv halves execute concurrently.  In a remote
-  // context only the local half runs: the local share goes out, the peer's
-  // arrives, and the sum is the same public value either process computes.
+  // Both directions in one parallel round.  In a remote context only the
+  // local half runs: the local share goes out, the peer's arrives, and the
+  // sum is the same public value either process computes.
   RingVec from0, from1;
   ctx.exchange([&] { ctx.chan(0).send_ring(x.s0, wb); },
                [&] { ctx.chan(1).send_ring(x.s1, wb); },

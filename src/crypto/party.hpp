@@ -1,6 +1,5 @@
 #pragma once
-// Two-party execution context, party-thread runtime, and the online
-// multiplicative protocols.
+// Two-party execution context and the online multiplicative protocols.
 //
 // The simulation runs both semi-honest servers inside one process
 // (DESIGN.md §5).  A TwoPartyContext bundles the ring, the duplex channel
@@ -9,17 +8,12 @@
 // exchanging masked values over the channels so that traffic statistics
 // match a real deployment message-for-message.
 //
-// Execution modes:
-//  - lockstep (default): both parties run on the caller's thread in
-//    protocol order over throw-on-empty channels.  Bit-for-bit
-//    deterministic, used by the analytical-model cross-check tests.
-//  - threaded: the context owns a TwoPartyRuntime with one dedicated thread
-//    per party and blocking bounded channels; symmetric exchanges (both
-//    parties send, then both receive) fan out so party 0 and party 1
-//    genuinely overlap.  Multi-phase asymmetric flows (e.g. the (1,4)-OT,
-//    where the sender's reply depends on the receiver's shifts) stay on
-//    the caller's thread: blocking channels make the lockstep schedule a
-//    valid schedule of the same protocol.
+// One in-process schedule: both parties run on the caller's thread in
+// protocol order over the lockstep channel pair (throw-on-empty), so an
+// in-process run is bit-for-bit deterministic and its transcript is the
+// one the analytical-model cross-checks pin.  Concurrency lives where it
+// is real: remote endpoints on their own threads or processes, and the
+// worker pools that serve independent chunks on contexts of their own.
 //
 // Open coalescing: every joint opening is staged on the context's
 // OpenBuffer.  In immediate mode (default) each stage performs its own
@@ -32,17 +26,17 @@
 // Remote (two-process) deployment: a context constructed with a local
 // party id and a single channel endpoint (src/net's TransportChannel over
 // TCP) drives ONE party; the peer party runs the same program in another
-// process.  exec/exchange run only the local closure, joint openings
+// process.  exchange runs only the local party's half, joint openings
 // combine the local share with the received peer share, and the per-party
 // PRNG and dealer streams keep advancing identically in both processes
 // (they are seeded from the shared context seed), which is what keeps a
 // two-process run's transcript and logits bit-identical to the in-process
-// modes.  Genuinely secret values — the OT-extension base secrets and the
+// schedule.  Genuinely secret values — the OT-extension base secrets and the
 // OT-extension half streams of the triples and random OTs — do NOT come
 // from those shared streams: they are drawn from role_prng(), which in a
 // remote process is a private entropy-seeded stream the peer never sees
-// (in the simulation modes it aliases the seed-derived ot_prng streams,
-// keeping the historical transcripts).  Peer-share slots of local `Shared` values are
+// (in process it aliases the seed-derived ot_prng streams, keeping the
+// historical transcripts).  Peer-share slots of local `Shared` values are
 // garbage in a remote process; protocol code never mixes shares across
 // parties outside channel exchanges, so they are never read.
 //
@@ -76,33 +70,13 @@ class TwoPartyContext;
 class OtBuffer;        // crypto/ot.hpp — staged (1,4)-OT batches
 class BitOpenBuffer;   // crypto/compare.hpp — staged XOR-share openings
 
-/// How a TwoPartyContext schedules the two parties (see file comment).
+/// Ignored.  Kept only so existing callers of the mode-taking constructor
+/// and mode() still compile; every in-process context runs the one
+/// lockstep schedule (see file comment).
 enum class ExecMode { lockstep, threaded };
 
-/// A pair of long-lived party executor threads.  `run` dispatches one
-/// closure to each party thread and waits for both to finish; protocol
-/// steps queue up on the same two threads for the lifetime of the runtime,
-/// mirroring a deployment where each server is one process.
-class TwoPartyRuntime {
- public:
-  TwoPartyRuntime();
-  ~TwoPartyRuntime();
-  TwoPartyRuntime(const TwoPartyRuntime&) = delete;
-  TwoPartyRuntime& operator=(const TwoPartyRuntime&) = delete;
-
-  /// Runs f0 on the party-0 thread and f1 on the party-1 thread, then waits
-  /// for both.  If a party throws, the exception is rethrown here (party
-  /// 0's first); the other party still runs to completion.
-  void run(const std::function<void()>& f0, const std::function<void()>& f1);
-
- private:
-  struct Worker;
-  std::unique_ptr<Worker> workers_[2];
-};
-
 /// Per-context staging area for joint openings (the round scheduler's
-/// "per-round open buffer").  Driven only from the coordinating thread;
-/// the underlying exchange fans out to the party threads as usual.
+/// "per-round open buffer").
 class OpenBuffer {
  public:
   explicit OpenBuffer(TwoPartyContext& ctx) : ctx_(ctx) {}
@@ -143,12 +117,16 @@ class OpenBuffer {
 /// Everything the online phase of a 2PC evaluation needs.
 class TwoPartyContext {
  public:
+  /// In-process context: both parties on the caller's thread.
   /// `round_delay` simulates wire latency per protocol round (see
   /// ChannelOptions); batched inference inherits it per query, so worker
   /// pairs overlap their modeled network waits.
   explicit TwoPartyContext(RingConfig rc = RingConfig{}, std::uint64_t seed = 42,
-                           ExecMode mode = ExecMode::lockstep,
                            std::chrono::microseconds round_delay = std::chrono::microseconds{0});
+  /// The same context; the mode is ignored (see ExecMode).
+  TwoPartyContext(RingConfig rc, std::uint64_t seed, ExecMode /*mode*/,
+                  std::chrono::microseconds round_delay = std::chrono::microseconds{0})
+      : TwoPartyContext(rc, seed, round_delay) {}
   /// Remote (two-process) context: drives `local_party` only, over the
   /// given channel endpoint (the peer party runs in another process on the
   /// other end).  The channel is borrowed, not owned — a deployment keeps
@@ -219,7 +197,7 @@ class TwoPartyContext {
   /// Installs per-party replacement streams for prng() (non-owning; pass
   /// nullptrs to restore the context's own streams).  Not thread-safe
   /// against in-flight protocol steps — the batched executor swaps lanes
-  /// between staging calls on the coordinating thread.
+  /// between staging calls.
   void set_prng_override(Prng* p0, Prng* p1) noexcept {
     prng_override0_ = p0;
     prng_override1_ = p1;
@@ -247,7 +225,8 @@ class TwoPartyContext {
     }
     return role_prng_;
   }
-  [[nodiscard]] ExecMode mode() const noexcept { return mode_; }
+  /// Always lockstep (see ExecMode).
+  [[nodiscard]] ExecMode mode() const noexcept { return ExecMode::lockstep; }
   [[nodiscard]] std::chrono::microseconds round_delay() const noexcept { return round_delay_; }
 
   /// The party this context drives: -1 when both run in-process (the
@@ -274,19 +253,11 @@ class TwoPartyContext {
   /// one shared exchange per level.
   [[nodiscard]] BitOpenBuffer& bit_opens() noexcept { return *bit_opens_; }
 
-  /// Runs the per-party closures — on the party threads in threaded mode,
-  /// inline (f0 then f1) in lockstep mode.  Callers are responsible for an
-  /// ordering that cannot deadlock under either schedule.  In threaded
-  /// mode a failing party closes the channel pair so its blocked peer
-  /// unwinds immediately (ChannelClosed); the first failure is rethrown
-  /// and the context's channels stay closed.
-  void exec(const std::function<void()>& f0, const std::function<void()>& f1);
-
   /// One symmetric communication round: both parties send, then both
-  /// receive.  Lockstep runs send0, send1, recv0, recv1 on the caller's
-  /// thread; threaded runs (send0; recv0) on party 0's thread concurrently
-  /// with (send1; recv1) on party 1's.  The whole exchange is bracketed as
-  /// ONE round in the traffic stats (both directions in flight together).
+  /// receive.  In process, send0, send1, recv0, recv1 run on the caller's
+  /// thread; a remote context runs only its own party's send and recv.
+  /// The whole exchange is bracketed as ONE round in the traffic stats
+  /// (both directions in flight together).
   void exchange(const std::function<void()>& send0, const std::function<void()>& send1,
                 const std::function<void()>& recv0, const std::function<void()>& recv1);
 
@@ -322,7 +293,6 @@ class TwoPartyContext {
   }
 
   RingConfig rc_;
-  ExecMode mode_;
   int local_party_ = -1;
   Channel* remote_chan_ = nullptr;  // borrowed (remote contexts only)
   std::chrono::microseconds round_delay_;
@@ -341,8 +311,7 @@ class TwoPartyContext {
   OpenBuffer opens_;
   std::unique_ptr<OtBuffer> ots_;
   std::unique_ptr<BitOpenBuffer> bit_opens_;
-  std::unique_ptr<TwoPartyRuntime> runtime_;  // threaded mode only
-  obs::Tracer* tracer_ = nullptr;             // non-owning; see set_tracer
+  obs::Tracer* tracer_ = nullptr;  // non-owning; see set_tracer
 };
 
 /// Jointly reconstruct a shared vector: both parties exchange their shares

@@ -171,7 +171,7 @@ BatchExecResult execute_batch(const SecureProgram& p, const CompiledParams& para
     pending[idx] = 0;
     // Output elements produced by the op's kernelized share arithmetic — a
     // pure function of (program, lane count), so the counter is identical
-    // across lockstep/threaded/remote and sums exactly across chunks.
+    // in process and remote and sums exactly across chunks.
     ctx.counters().add(obs::Counter::kernel_elems, acts[lane][idx].size());
     if (opts.op_hook) opts.op_hook(lane, idx, acts[lane][idx]);
   };

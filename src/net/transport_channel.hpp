@@ -38,10 +38,6 @@ class TransportChannel final : public crypto::Channel {
   void end_round() override;
   void close() override;
   void reset_stats() noexcept override;
-  /// Blocking semantics: recv waits on the wire, like the threaded pair.
-  [[nodiscard]] crypto::ChannelMode mode() const noexcept override {
-    return crypto::ChannelMode::threaded;
-  }
 
   /// Run correlation id / clock offset the underlying transport agreed at
   /// handshake (zero when the transport carries none) — what the hosting

@@ -118,8 +118,8 @@ struct CounterSnapshot {
 };
 
 /// The always-on counter block: one relaxed atomic total per Counter, safe
-/// to bump from any thread (the party threads of a threaded context and
-/// its coordinating thread share one).
+/// to bump from any thread (the two endpoints of an in-process channel
+/// pair share one, also when remote contexts drive them from two threads).
 class CounterBlock {
  public:
   void add(Counter c, std::uint64_t v) noexcept {

@@ -8,8 +8,8 @@
 #include <thread>
 #include <vector>
 
-#include "crypto/party.hpp"
-#include "offline/ot_triple_source.hpp"
+#include "crypto/beaver.hpp"
+#include "crypto/triple_source.hpp"
 
 namespace pasnet::offline {
 
@@ -55,8 +55,6 @@ TripleStore OfflineGenerator::generate(const PreprocessingPlan& plan, std::size_
                                        const DealerSeedFn& dealer_seed,
                                        GenerationReport* report) const {
   TripleStore store(plan.ring, plan.fingerprint(), queries);
-  store.set_provenance(backend_ == GeneratorBackend::ot_ext ? TripleProvenance::ot_ext
-                                                            : TripleProvenance::dealer);
   const obs::SpanGuard span(tracer_, "offline", "generate",
                             static_cast<std::int64_t>(queries));
   const auto t0 = std::chrono::steady_clock::now();
@@ -71,16 +69,7 @@ TripleStore OfflineGenerator::generate(const PreprocessingPlan& plan, std::size_
       const std::size_t q = next.fetch_add(1);
       if (q >= queries) break;
       try {
-        if (backend_ == GeneratorBackend::ot_ext) {
-          // A fresh in-process party pair per query: the two roles run the
-          // genuine OT-extension protocol on this worker thread.  Queries
-          // stay embarrassingly parallel — contexts never share state, and
-          // the bundle values depend only on the canonical dealer seed.
-          crypto::TwoPartyContext ctx(plan.ring);
-          generate_bundles_ot_ext(plan, ctx, {dealer_seed(q)}, &store.bundle(q));
-        } else {
-          generate_bundle(plan, store.bundle(q), dealer_seed(q));
-        }
+        generate_bundle(plan, store.bundle(q), dealer_seed(q));
       } catch (...) {
         std::lock_guard<std::mutex> lk(err_mutex);
         if (!first_error) first_error = std::current_exception();

@@ -35,24 +35,10 @@ struct GenerationReport {
   }
 };
 
-/// Which machinery a generator run realizes the triple functionality with.
-/// Both produce bit-identical stores (the canonical two-stream construction
-/// pins the values); the backend decides the trust assumption baked into
-/// the material and is recorded as the store's TripleProvenance.
-enum class GeneratorBackend : std::uint8_t {
-  dealer,  ///< trusted-dealer simulation: one process holds both half streams
-  ot_ext,  ///< genuine 2PC: per-query in-process party pair over IKNP OT
-           ///< extension (src/offline/ot_triple_source)
-};
-
 class OfflineGenerator {
  public:
   /// `threads` <= 1 generates on the calling thread.
-  explicit OfflineGenerator(int threads = 1,
-                            GeneratorBackend backend = GeneratorBackend::dealer)
-      : threads_(threads), backend_(backend) {}
-
-  [[nodiscard]] GeneratorBackend backend() const noexcept { return backend_; }
+  explicit OfflineGenerator(int threads = 1) : threads_(threads) {}
 
   /// Seed of the dealer that generates query q's bundle.
   using DealerSeedFn = std::function<std::uint64_t(std::size_t)>;
@@ -70,7 +56,6 @@ class OfflineGenerator {
 
  private:
   int threads_;
-  GeneratorBackend backend_;
   obs::Tracer* tracer_ = nullptr;  // non-owning; see set_tracer
 };
 

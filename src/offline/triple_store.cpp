@@ -9,9 +9,10 @@ namespace pasnet::offline {
 namespace {
 
 constexpr std::uint64_t kMagic = 0x5041534E54525031ULL;  // "PASNTRP1"
-// Version 2 added the provenance word after the version, version 3 the
-// random-OT pool.  Only the current version loads.
-constexpr std::uint32_t kVersion = 3;
+// Version 2 added a provenance word after the version, version 3 the
+// random-OT pool, version 4 dropped the provenance word again.  Only the
+// current version loads.
+constexpr std::uint32_t kVersion = 4;
 
 // --- little-endian primitives ---------------------------------------------
 
@@ -127,10 +128,6 @@ std::uint64_t bytes_bytes(const std::vector<std::uint8_t>& v) noexcept {
 
 }  // namespace
 
-const char* provenance_name(TripleProvenance p) noexcept {
-  return p == TripleProvenance::ot_ext ? "ot-ext" : "dealer";
-}
-
 std::size_t TripleStore::remaining_queries() const {
   std::lock_guard<std::mutex> lk(mu_);
   return bundles_.size() - next_;
@@ -149,8 +146,8 @@ std::size_t TripleStore::claim(std::size_t n) {
 }
 
 std::uint64_t TripleStore::material_bytes() const noexcept {
-  // Header: magic, version, provenance, ring (3), fingerprint, count.
-  std::uint64_t total = 8 * 8;
+  // Header: magic, version, ring (3), fingerprint, count.
+  std::uint64_t total = 7 * 8;
   for (const QueryBundle& b : bundles_) {
     total += 6 * 8;
     for (const auto& t : b.elem) total += shared_bytes(t.a) + shared_bytes(t.b) + shared_bytes(t.z);
@@ -346,7 +343,6 @@ QueryBundle slice_bundle_for_party(const QueryBundle& bundle, int party) {
 void TripleStore::save(std::ostream& os) const {
   write_u64(os, kMagic);
   write_u64(os, kVersion);
-  write_u64(os, static_cast<std::uint64_t>(provenance_));
   write_u64(os, static_cast<std::uint64_t>(rc_.bits));
   write_u64(os, static_cast<std::uint64_t>(rc_.frac_bits));
   write_u64(os, static_cast<std::uint64_t>(rc_.wire_bits));
@@ -370,11 +366,6 @@ TripleStore TripleStore::load(std::istream& is) {
                              " (this build reads v" + std::to_string(kVersion) +
                              "; regenerate the store)");
   }
-  const std::uint64_t p = read_u64(is);
-  if (p > static_cast<std::uint64_t>(TripleProvenance::ot_ext)) {
-    throw std::runtime_error("TripleStore: unknown provenance tag");
-  }
-  const auto provenance = static_cast<TripleProvenance>(p);
   crypto::RingConfig rc;
   rc.bits = static_cast<int>(read_u64(is));
   rc.frac_bits = static_cast<int>(read_u64(is));
@@ -388,7 +379,6 @@ TripleStore TripleStore::load(std::istream& is) {
   if (queries > (1ULL << 24)) throw std::runtime_error("TripleStore: implausible query count");
 
   TripleStore store(rc, fingerprint, static_cast<std::size_t>(queries));
-  store.set_provenance(provenance);
   for (std::uint64_t q = 0; q < queries; ++q) {
     store.bundles_[static_cast<std::size_t>(q)] = read_bundle(is);
   }

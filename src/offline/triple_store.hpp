@@ -61,15 +61,6 @@ void write_bundle(std::ostream& os, const QueryBundle& bundle);
 /// party's randomness to the other.
 [[nodiscard]] QueryBundle slice_bundle_for_party(const QueryBundle& bundle, int party);
 
-/// Which machinery realized the triple functionality that filled a store:
-/// the trusted-dealer simulation (one process holds both half streams) or
-/// the genuine 2PC OT-extension generator.  Recorded in the file header.
-/// Both produce bit-identical material — the tag documents the trust
-/// assumption, not the values.
-enum class TripleProvenance : std::uint8_t { dealer = 0, ot_ext = 1 };
-
-[[nodiscard]] const char* provenance_name(TripleProvenance p) noexcept;
-
 /// Typed pools of pregenerated material for N queries of one plan.
 class TripleStore {
  public:
@@ -87,8 +78,6 @@ class TripleStore {
 
   [[nodiscard]] const crypto::RingConfig& ring() const noexcept { return rc_; }
   [[nodiscard]] std::uint64_t plan_fingerprint() const noexcept { return fingerprint_; }
-  [[nodiscard]] TripleProvenance provenance() const noexcept { return provenance_; }
-  void set_provenance(TripleProvenance p) noexcept { provenance_ = p; }
   [[nodiscard]] std::size_t num_queries() const noexcept { return bundles_.size(); }
   [[nodiscard]] std::size_t remaining_queries() const;
 
@@ -109,10 +98,9 @@ class TripleStore {
 
   /// Binary serialization.  The format is little-endian and versioned;
   /// load() validates the magic, version, and structural sizes and throws
-  /// std::runtime_error on malformed input.  Only the current version (3,
-  /// which added the random-OT pool) loads: a store is single-use
-  /// material, so regenerate an older one.  Claim state is not persisted —
-  /// a loaded store always starts fresh.
+  /// std::runtime_error on malformed input.  Only the current version (4)
+  /// loads: a store is single-use material, so regenerate an older one.
+  /// Claim state is not persisted — a loaded store always starts fresh.
   void save(std::ostream& os) const;
   void save(const std::string& path) const;
   [[nodiscard]] static TripleStore load(std::istream& is);
@@ -123,7 +111,6 @@ class TripleStore {
     std::lock_guard<std::mutex> lk(other.mu_);
     rc_ = other.rc_;
     fingerprint_ = other.fingerprint_;
-    provenance_ = other.provenance_;
     bundles_ = std::move(other.bundles_);
     next_ = other.next_;
     other.next_ = 0;
@@ -131,7 +118,6 @@ class TripleStore {
 
   crypto::RingConfig rc_{};
   std::uint64_t fingerprint_ = 0;
-  TripleProvenance provenance_ = TripleProvenance::dealer;
   std::vector<QueryBundle> bundles_;
   std::size_t next_ = 0;
   mutable std::mutex mu_;

@@ -1,8 +1,8 @@
 #include "perf/ir_cost.hpp"
 
+#include <algorithm>
 #include <map>
-#include <set>
-#include <vector>
+#include <utility>
 
 #include "crypto/compare.hpp"
 #include "ir/plan.hpp"
@@ -141,108 +141,33 @@ std::uint64_t ir_op_wire_bytes(const ir::Op& op, int ring_bits, int wire_bits) {
   return 0;
 }
 
-namespace {
-
-/// Phase tokens of a staged comparison op, mirroring the executor's
-/// lockstep walk: ot = the two OT leaf messages, bit = one AND-tree level
-/// exchange, open = one ring-open exchange (B2A or mux).
-enum class PhaseTok : std::uint8_t { ot, bit, open };
-
-std::vector<PhaseTok> compare_tokens(const ir::Op& op, int ring_bits) {
-  // Per comparison level: the OT messages, one exchange per AND-tree
-  // level, the B2A opening, then the gated-select opening all payloads
-  // share.
-  const std::size_t and_levels = crypto::millionaire_and_level_multipliers(ring_bits - 1).size();
-  std::vector<PhaseTok> toks;
-  for (std::size_t level = op.compare_levels().values.size(); level > 0; --level) {
-    toks.push_back(PhaseTok::ot);
-    toks.insert(toks.end(), and_levels, PhaseTok::bit);
-    toks.push_back(PhaseTok::open);  // B2A
-    toks.push_back(PhaseTok::open);  // mux
-  }
-  return toks;
-}
-
-/// Replays the executor's lockstep phase walk over one round group: each
-/// iteration costs 2 rounds if any instance's head token is an OT, plus 1
-/// per bit-open / ring-open flush any instance waits on; every instance
-/// advances one token.  Identical comparisons therefore cost the same
-/// rounds whether the group holds one instance or four thousand.
-int simulate_group_rounds(const std::vector<std::vector<PhaseTok>>& streams,
-                          bool has_single_round_member) {
-  std::vector<std::size_t> pos(streams.size(), 0);
-  int rounds = 0;
-  for (;;) {
-    bool ot = false, bit = false, open = false;
-    for (std::size_t i = 0; i < streams.size(); ++i) {
-      if (pos[i] >= streams[i].size()) continue;
-      switch (streams[i][pos[i]]) {
-        case PhaseTok::ot:
-          ot = true;
-          break;
-        case PhaseTok::bit:
-          bit = true;
-          break;
-        case PhaseTok::open:
-          open = true;
-          break;
-      }
-    }
-    if (!ot && !bit && !open) break;
-    rounds += (ot ? 2 : 0) + (bit ? 1 : 0) + (open ? 1 : 0);
-    for (std::size_t i = 0; i < streams.size(); ++i) {
-      if (pos[i] < streams[i].size()) ++pos[i];
-    }
-  }
-  // A group whose comparisons never open (degenerate 1x1 pools) still pays
-  // one exchange for its pending single-round openings.
-  if (rounds == 0 && has_single_round_member) rounds = 1;
-  return rounds;
-}
-
-}  // namespace
-
 ProgramCost profile_program(const LatencyModel& m, const ir::SecureProgram& p,
                             int ring_bits, int wire_bits, int batch) {
   ProgramCost pc;
   pc.per_op.reserve(p.ops.size());
   const auto lanes = static_cast<std::uint64_t>(batch < 1 ? 1 : batch);
 
-  // Group composition: token streams of the comparison members plus
-  // whether single-round members ride along.  A batched run stages every
-  // lane's instance into the same group, so each comparison contributes
-  // `lanes` identical streams — the walk's rounds stay K-invariant.
-  std::map<int, std::vector<std::vector<PhaseTok>>> group_streams;
-  std::map<int, bool> group_has_single;
-  for (const ir::Op& op : p.ops) {
-    if (op.round_group < 0) continue;
-    if (op.stages_compare()) {
-      const std::vector<PhaseTok> toks = compare_tokens(op, ring_bits);
-      auto& streams = group_streams[op.round_group];
-      for (std::uint64_t q = 0; q < lanes; ++q) streams.push_back(toks);
-    } else if (op.stages_opens()) {
-      group_streams[op.round_group];  // ensure the group exists
-      group_has_single[op.round_group] = true;
-    }
-  }
+  // A round group costs as many rounds as its costliest member.  Every
+  // comparison walks the same per-level phase block (the two OT messages,
+  // one exchange per AND level, the B2A and mux openings), so the
+  // executor's lockstep walk keeps a group's comparisons phase-aligned
+  // and ends with the deepest one; single-round members ride in a shared
+  // opening, or pay the one merged open when no comparison opens.  K lanes
+  // stage K copies of the same instances, so the maximum is K-invariant.
   std::map<int, int> group_rounds;
-  for (const auto& [g, streams] : group_streams) {
-    // Single-round members only: one merged open.
-    group_rounds[g] = streams.empty() ? 1 : simulate_group_rounds(streams, group_has_single[g]);
+  for (const ir::Op& op : p.ops) {
+    if (op.round_group < 0 || !(op.stages_opens() || op.stages_compare())) continue;
+    int& rounds = group_rounds[op.round_group];
+    rounds = std::max(rounds, ir_op_cost(m, op, ring_bits).rounds);
   }
+  pc.round_groups = static_cast<int>(group_rounds.size());
 
-  std::set<int> groups_counted;
   for (const ir::Op& op : p.ops) {
     OpCost c = ir_op_cost(m, op, ring_bits);
     if ((op.stages_opens() || op.stages_compare()) && op.round_group >= 0) {
       // The group's rounds are shared: its first member carries them, the
       // rest contribute zero.
-      if (groups_counted.count(op.round_group) > 0) {
-        c.rounds = 0;
-      } else {
-        groups_counted.insert(op.round_group);
-        c.rounds = group_rounds[op.round_group];
-      }
+      c.rounds = std::exchange(group_rounds[op.round_group], 0);
     }
     // per_op stays the single-lane figure (rounds already group-shared);
     // the total scales every additive field by the lane count.
@@ -254,7 +179,6 @@ ProgramCost profile_program(const LatencyModel& m, const ir::SecureProgram& p,
     pc.total += scaled;
     pc.wire_bytes += lanes * ir_op_wire_bytes(op, ring_bits, wire_bits);
   }
-  pc.round_groups = static_cast<int>(groups_counted.size());
   // Terminal joint opening: all lanes' logits or argmax indices reveal in
   // ONE merged exchange under the coalesced schedule.
   pc.total.rounds += 1;

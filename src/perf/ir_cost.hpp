@@ -7,11 +7,12 @@
 // cost functions, while the `rounds` fields follow the protocol stack's
 // actual round structure (OT phases, AND-tree depth, B2A + mux, coalesced
 // E/F openings) — the same rounds the coalesced executor measures.  Ops
-// sharing a round group count their rounds together: single-round members
-// merge into one exchange, staged comparison members are priced by
-// replaying the executor's lockstep phase walk (shared OT round, shared
-// exchange per AND level and open phase — independent of the instance
-// count).  The terminal opening (logits or argmax indices) adds one more.
+// sharing a round group count their rounds together: the group costs as
+// many rounds as its costliest member, because every comparison walks the
+// same per-level phase block (shared OT round, shared exchange per AND
+// level and open phase — independent of the instance count) and
+// single-round members merge into one exchange.  The terminal opening
+// (logits or argmax indices) adds one more.
 //
 // The CI round-regression guard asserts the coalesced executor's measured
 // rounds exactly equal this model's prediction on the reference models.

@@ -88,10 +88,6 @@ class SecureNetwork {
   [[nodiscard]] std::chrono::microseconds round_delay() const noexcept {
     return ctx_.round_delay();
   }
-  /// Execution mode of the compile context — fresh per-chunk serving
-  /// contexts inherit it (results are mode-independent, a tested
-  /// invariant).
-  [[nodiscard]] crypto::ExecMode exec_mode() const noexcept { return ctx_.mode(); }
   [[nodiscard]] const SecureConfig& config() const noexcept { return cfg_; }
   /// Bytes of one query's weight-shaped E openings — a model constant
   /// (see InferenceStats).

@@ -122,9 +122,8 @@ WorkloadResult Workload::run(const std::vector<nn::Tensor>& inputs) {
     obs::Tracer chunk_tracer(tracing);
     // One fresh context per chunk, seeded with lane 0's canonical context
     // seed.
-    crypto::TwoPartyContext cctx(net_.ring(),
-                                 SecureNetwork::query_context_seed(chunk[0].position),
-                                 net_.exec_mode(), net_.round_delay());
+    crypto::TwoPartyContext cctx(
+        net_.ring(), SecureNetwork::query_context_seed(chunk[0].position), net_.round_delay());
     const std::uint64_t chunk_begin = tracing ? obs::Tracer::now_us() : 0;
     ir::BatchExecOptions bopts;
     bopts.cfg = net_.config();

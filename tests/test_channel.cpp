@@ -88,7 +88,7 @@ TEST(Channel, ResetStatsClearsCounters) {
 TEST(Channel, SizeMismatchOnRecvRingThrows) {
   auto [c0, c1] = pc::Channel::make_pair();
   c0->send_ring(pc::RingVec{1, 2}, 4);
-  EXPECT_THROW((void)c1->recv_ring(3, 4), std::logic_error);
+  EXPECT_THROW((void)c1->recv_ring(3, 4), pc::FrameLengthError);
 }
 
 TEST(Channel, U64Convenience) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <type_traits>
 
 #include "crypto/compare.hpp"
 
@@ -50,6 +52,28 @@ TEST(Bits, AndOnLongRandomVectors) {
   const auto z = pc::and_bits(ctx, make_bits(xv, prng), make_bits(yv, prng));
   const auto got = pc::reconstruct_bits(z);
   for (std::size_t i = 0; i < xv.size(); ++i) EXPECT_EQ(got[i], xv[i] & yv[i]) << i;
+}
+
+TEST(Bits, ShortPeerOpeningFramesRaiseFrameLengthError) {
+  static_assert(std::is_base_of_v<std::runtime_error, pc::FrameLengthError>);
+  // Each remote context runs only its own party, so a hand-written frame
+  // stands in for the peer's half of the opening.
+  pc::Prng prng(4);
+  {
+    auto [c0, c1] = pc::Channel::make_pair();
+    pc::TwoPartyContext ctx(pc::RingConfig{}, 42, 0, *c0);
+    const pc::Shared x = pc::share(pc::RingVec{1, 2, 3}, prng, ctx.ring());
+    c1->send_ring(pc::RingVec{4, 5}, ctx.wire_bytes());  // one element short
+    EXPECT_THROW((void)pc::open(ctx, x), pc::FrameLengthError);
+  }
+  {
+    auto [c0, c1] = pc::Channel::make_pair();
+    pc::TwoPartyContext ctx(pc::RingConfig{}, 42, 1, *c1);
+    const auto x = make_bits({0, 1, 0, 1, 1, 0, 1, 0}, prng);
+    const auto y = make_bits({1, 1, 0, 0, 1, 1, 0, 0}, prng);
+    c0->send_bytes({0});  // the (d, e) bits of 8 ANDs pack to 2 bytes
+    EXPECT_THROW((void)pc::and_bits(ctx, x, y), pc::FrameLengthError);
+  }
 }
 
 TEST(Millionaire, SmallExhaustive4Bit) {

@@ -3,7 +3,7 @@
 // instance of a round group in lockstep through shared OT, AND-tree and
 // open rounds — must reproduce the eager schedule's secret shares
 // request-for-request, op for op, on every support/test_models.hpp model,
-// in lockstep and threaded modes, dealer-backed and TripleStore-backed.
+// dealer-backed and TripleStore-backed (served over worker pools).
 // Plus seeded randomized property tests for millionaire_gt / drelu over
 // adversarial fixed-point edge values.
 
@@ -65,8 +65,8 @@ struct RunResult {
 /// op's output shares.  Context / parameter seeds are fixed so two runs
 /// differ only in their open scheduling.
 RunResult run_program(const ir::SecureProgram& p, proto::RoundSchedule schedule,
-                      pc::ExecMode mode, const nn::Tensor& x) {
-  pc::TwoPartyContext ctx(pc::RingConfig{}, 42, mode);
+                      const nn::Tensor& x) {
+  pc::TwoPartyContext ctx(pc::RingConfig{}, 42);
   pc::Prng wprng(7);
   const ir::CompiledParams params = ir::share_parameters(p, wprng, ctx.ring());
   ir::ExecOptions opts;
@@ -102,7 +102,7 @@ void expect_bit_identical(const nn::Tensor& a, const nn::Tensor& b, const char* 
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Staged vs eager: per-op shares, all models, both execution modes
+// Staged vs eager: per-op shares, all models
 // ---------------------------------------------------------------------------
 
 TEST(CompareStaged, PerOpSharesBitIdenticalToEagerOnAllModels) {
@@ -122,36 +122,13 @@ TEST(CompareStaged, PerOpSharesBitIdenticalToEagerOnAllModels) {
         nn::Tensor::randn({1, t.md.input_ch, t.md.input_h, t.md.input_w}, dprng, 0.5f);
 
     for (const ir::SecureProgram* prog : {&p, &classify}) {
-      const RunResult coal = run_program(*prog, proto::RoundSchedule::coalesced,
-                                         pc::ExecMode::lockstep, x);
-      const RunResult eager = run_program(*prog, proto::RoundSchedule::eager,
-                                          pc::ExecMode::lockstep, x);
+      const RunResult coal = run_program(*prog, proto::RoundSchedule::coalesced, x);
+      const RunResult eager = run_program(*prog, proto::RoundSchedule::eager, x);
       expect_bit_identical(coal.logits, eager.logits, t.md.name.c_str());
       EXPECT_EQ(coal.labels, eager.labels) << t.md.name;
       expect_same_shares(coal, eager, t.md.name.c_str());
       EXPECT_EQ(coal.ops.idx.size(), prog->ops.size()) << t.md.name;
       EXPECT_LT(coal.rounds, eager.rounds) << t.md.name;
-    }
-  }
-}
-
-TEST(CompareStaged, ThreadedMatchesLockstepBothSchedules) {
-  for (auto md : {tiny_cnn(nn::OpKind::relu, nn::OpKind::maxpool),
-                  proxy_resnet(nn::ActKind::relu, nn::PoolKind::maxpool)}) {
-    auto t = train(std::move(md), 600);
-    ir::SecureProgram p = ir::lower(t.md, *t.graph, t.node_of_layer);
-    ir::run_standard_passes(p);
-    pc::Prng dprng(601);
-    const auto x =
-        nn::Tensor::randn({1, t.md.input_ch, t.md.input_h, t.md.input_w}, dprng, 0.5f);
-    for (const auto schedule : {proto::RoundSchedule::coalesced, proto::RoundSchedule::eager}) {
-      const RunResult lock = run_program(p, schedule, pc::ExecMode::lockstep, x);
-      const RunResult thr = run_program(p, schedule, pc::ExecMode::threaded, x);
-      expect_bit_identical(lock.logits, thr.logits, t.md.name.c_str());
-      expect_same_shares(lock, thr, t.md.name.c_str());
-      // Exchange-bracketed round counting is deterministic across modes.
-      EXPECT_EQ(lock.rounds, thr.rounds) << t.md.name;
-      EXPECT_EQ(lock.bytes, thr.bytes) << t.md.name;
     }
   }
 }

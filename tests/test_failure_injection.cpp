@@ -60,7 +60,7 @@ TEST(FailureInjection, ChannelOrderingBugIsCaught) {
   auto [c0, c1] = pc::Channel::make_pair();
   EXPECT_THROW((void)c1->recv_ring(4, 4), std::logic_error);
   c0->send_ring(pc::RingVec{1, 2}, 4);
-  EXPECT_THROW((void)c1->recv_ring(3, 4), std::logic_error);  // size lie
+  EXPECT_THROW((void)c1->recv_ring(3, 4), pc::FrameLengthError);  // size lie
 }
 
 TEST(FailureInjection, LatencyLossRejectsForeignSupernet) {

@@ -301,23 +301,6 @@ TEST(IrExecutor, RoundsDropAtLeast25PercentOnResidualReluModel) {
       << "coalesced " << measured << " vs eager " << baseline << " rounds";
 }
 
-TEST(IrExecutor, ThreadedCoalescedMatchesLockstepBitForBit) {
-  auto t = train(tiny_cnn(nn::OpKind::relu, nn::OpKind::maxpool), 60);
-  pc::TwoPartyContext lockstep(pc::RingConfig{}, 42, pc::ExecMode::lockstep);
-  pc::TwoPartyContext threaded(pc::RingConfig{}, 42, pc::ExecMode::threaded);
-  proto::SecureNetwork snet_lock(t.md, *t.graph, t.node_of_layer, lockstep);
-  proto::SecureNetwork snet_thr(t.md, *t.graph, t.node_of_layer, threaded);
-  pc::Prng dprng(61);
-  const auto x = nn::Tensor::randn({1, 2, 8, 8}, dprng, 1.0f);
-  proto::InferenceStats stats_lock, stats_thr;
-  const auto a = infer_one(snet_lock, x, &stats_lock);
-  const auto b = infer_one(snet_thr, x, &stats_thr);
-  expect_bit_identical(a, b, "threaded");
-  // Coalesced round counting is exchange-bracketed, hence deterministic in
-  // threaded mode too.
-  EXPECT_EQ(stats_lock.rounds, stats_thr.rounds);
-}
-
 // ---------------------------------------------------------------------------
 // Statically derived plan vs the dry-run recorder oracle
 // ---------------------------------------------------------------------------

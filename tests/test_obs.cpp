@@ -254,12 +254,15 @@ TEST(ObsTracer, SecureInferenceSpansNestPerThread) {
 TEST(ObsTracer, CounterTotalsDeterministicAcrossExecModes) {
   ObsFixture f;
   // The attached tracer's totals — or, untraced (no tracer anywhere), the
-  // chunks' summed counter blocks, each chunk checked on the way.
-  const auto run_mode = [&](pc::ExecMode mode, bool traced) {
-    pc::TwoPartyContext ctx(pc::RingConfig{}, 42, mode);
+  // chunks' summed counter blocks, each chunk checked on the way.  Served
+  // on one worker or on a pool of two, whose chunk tracers fold into the
+  // workload tracer from their own threads.
+  const auto run_mode = [&](int worker_pairs, bool traced) {
+    pc::TwoPartyContext ctx;
     proto::SecureNetwork snet(f.md, *f.graph, f.node_of_layer, ctx);
     proto::WorkloadOptions wopts;
     wopts.batch = 2;
+    wopts.worker_pairs = worker_pairs;
     proto::Workload wl(snet, wopts);
     obs::Tracer tracer;
     if (traced) wl.set_tracer(&tracer);
@@ -283,18 +286,18 @@ TEST(ObsTracer, CounterTotalsDeterministicAcrossExecModes) {
     }
     return summed;
   };
-  const obs::CounterSnapshot lockstep = normalized(run_mode(pc::ExecMode::lockstep, true));
-  const obs::CounterSnapshot threaded = normalized(run_mode(pc::ExecMode::threaded, true));
-  const obs::CounterSnapshot untraced = normalized(run_mode(pc::ExecMode::lockstep, false));
-  ASSERT_GT(lockstep[obs::Counter::rounds], 0u);
-  ASSERT_GT(lockstep[obs::Counter::ot_batches], 0u);
-  ASSERT_GT(lockstep[obs::Counter::and_levels], 0u);
-  ASSERT_GT(lockstep[obs::Counter::openings], 0u);
-  ASSERT_GT(lockstep[obs::Counter::triple_claims], 0u);
+  const obs::CounterSnapshot serial = normalized(run_mode(1, true));
+  const obs::CounterSnapshot pooled = normalized(run_mode(2, true));
+  const obs::CounterSnapshot untraced = normalized(run_mode(1, false));
+  ASSERT_GT(serial[obs::Counter::rounds], 0u);
+  ASSERT_GT(serial[obs::Counter::ot_batches], 0u);
+  ASSERT_GT(serial[obs::Counter::and_levels], 0u);
+  ASSERT_GT(serial[obs::Counter::openings], 0u);
+  ASSERT_GT(serial[obs::Counter::triple_claims], 0u);
   for (int i = 0; i < obs::kCounterCount; ++i) {
-    EXPECT_EQ(lockstep.values[i], threaded.values[i])
+    EXPECT_EQ(serial.values[i], pooled.values[i])
         << obs::counter_name(static_cast<obs::Counter>(i));
-    EXPECT_EQ(lockstep.values[i], untraced.values[i])
+    EXPECT_EQ(serial.values[i], untraced.values[i])
         << obs::counter_name(static_cast<obs::Counter>(i));
   }
 }

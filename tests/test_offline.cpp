@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "offline/offline_generator.hpp"
+#include "offline/ot_triple_source.hpp"
 #include "offline/preprocessing_plan.hpp"
 #include "offline/triple_store.hpp"
 #include "proto/secure_network.hpp"
@@ -152,8 +153,8 @@ TEST(TripleStore, LoadRejectsHugeLengthFieldWithoutAllocating) {
   }
   std::string bytes = buf.str();
   // Overwrite the first bundle's first vector length (right after the
-  // 7-u64 header + 5-u64 pool counts) with an enormous value.
-  const std::size_t off_len = (7 + 5) * 8;
+  // 7-u64 header + 6-u64 pool counts) with an enormous value.
+  const std::size_t off_len = (7 + 6) * 8;
   ASSERT_GT(bytes.size(), off_len + 8);
   for (int i = 0; i < 8; ++i) bytes[off_len + i] = static_cast<char>(0xEF);
   std::stringstream corrupt(bytes);
@@ -265,43 +266,32 @@ TEST(OfflineGenerator, ReportSizesMatchPlanArithmetic) {
   EXPECT_EQ(rep.store_bytes, store.material_bytes());
 }
 
-TEST(OfflineGenerator, OtExtBackendProducesIdenticalMaterialTaggedWithItsProvenance) {
-  // The OT-extension backend runs the genuine 2PC generation protocol per
-  // query (an in-process party pair per worker) yet fills the store with
-  // byte-identical material — only the provenance word in the header
-  // differs, recording the trust assumption.
+TEST(OfflineGenerator, DealerStoreEqualsOtExtBundlesOfTheRealPlan) {
+  // The dealer simulation and the genuine 2PC OT-extension protocol (both
+  // roles in process, seeded from the canonical half streams) realize the
+  // same triple functionality: on the tiny model's plan every bundle the
+  // OT-extension run produces equals the dealer generator's byte for byte,
+  // and the store it fills serves bit-identically to the fused dealer path.
   SecureFixture f;
   pc::TwoPartyContext ctx;
   proto::SecureNetwork snet(f.md, *f.graph, f.node_of_layer, ctx);
   proto::Workload wl(snet);
   const off::PreprocessingPlan plan = wl.plan();
-  const auto seed_fn = [](std::size_t q) {
-    return proto::SecureNetwork::query_dealer_seed(q);
-  };
-  const off::TripleStore dealer = off::OfflineGenerator(2).generate(plan, 3, seed_fn);
-  const off::TripleStore otext =
-      off::OfflineGenerator(2, off::GeneratorBackend::ot_ext).generate(plan, 3, seed_fn);
-  EXPECT_EQ(dealer.provenance(), off::TripleProvenance::dealer);
-  EXPECT_EQ(otext.provenance(), off::TripleProvenance::ot_ext);
-  EXPECT_STREQ(off::provenance_name(otext.provenance()), "ot-ext");
+  const std::size_t n = f.queries.size();
+  const off::TripleStore dealer =
+      off::OfflineGenerator(2).generate(plan, n, proto::SecureNetwork::query_dealer_seed);
+  off::TripleStore otext(plan.ring, plan.fingerprint(), n);
+  std::vector<std::uint64_t> seeds;
+  for (std::size_t q = 0; q < n; ++q) seeds.push_back(proto::SecureNetwork::query_dealer_seed(q));
+  pc::TwoPartyContext gctx(plan.ring);
+  off::generate_bundles_ot_ext(plan, gctx, seeds, &otext.bundle(0));
   std::stringstream a, b;
   dealer.save(a);
   otext.save(b);
-  // Header layout: magic(8) version(8) provenance(8) ...; everything but
-  // the provenance word is byte-identical.
-  ASSERT_EQ(a.str().size(), b.str().size());
-  EXPECT_EQ(a.str().substr(0, 16), b.str().substr(0, 16));
-  EXPECT_NE(a.str().substr(16, 8), b.str().substr(16, 8));
-  EXPECT_EQ(a.str().substr(24), b.str().substr(24));
+  EXPECT_EQ(a.str(), b.str());
 
-  // Provenance survives the save/load round trip, and the ot-ext store
-  // serves the workload bit-identically to the fused dealer path.
-  b.clear();
-  b.seekg(0);
-  off::TripleStore loaded = off::TripleStore::load(b);
-  EXPECT_EQ(loaded.provenance(), off::TripleProvenance::ot_ext);
   const auto dealer_logits = proto::Workload(snet).run(f.queries).logits;
-  wl.use_store(&loaded);
+  wl.use_store(&otext);
   expect_bit_identical(dealer_logits, wl.run(f.queries).logits);
 }
 
@@ -411,12 +401,12 @@ TEST(TripleStoreHostile, LoadRejectsBadMagic) {
 }
 
 TEST(TripleStoreHostile, LoadRejectsVersionSkew) {
-  // A future version, and every version before the random-OT pool (v3):
-  // a store is single-use material, so older files are regenerated, not
-  // decoded.
-  for (const char version : {'\x7F', '\x02', '\x01'}) {
+  // A future version, and every earlier one — v3 still carried the
+  // provenance word, v2 also lacked the random-OT pool: a store is
+  // single-use material, so older files are regenerated, not decoded.
+  for (const char version : {'\x7F', '\x03', '\x02', '\x01'}) {
     std::string bytes = serialized_tiny_store();
-    ASSERT_EQ(bytes[8], '\x03');
+    ASSERT_EQ(bytes[8], '\x04');
     bytes[8] = version;  // version field (little-endian u64 at offset 8)
     std::istringstream is(bytes, std::ios::binary);
     EXPECT_THROW((void)off::TripleStore::load(is), std::runtime_error) << int(version);

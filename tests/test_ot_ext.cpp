@@ -293,6 +293,31 @@ TEST(OtExt, MalformedFramesThrowTyped) {
   EXPECT_THROW((void)fresh.make_u_frame({}, rprng), otx::OtExtError);
 }
 
+TEST(OtExtTriples, ShortCorrectionFrameRaisesFrameLengthError) {
+  // A square pair has one direction only: party 0 sends the chooser frame
+  // and then the arithmetic correction frame, so party 1 can run alone as
+  // the receiver while hand-written frames stand in for party 0.
+  off::PreprocessingPlan plan;
+  plan.ring = pc::RingConfig{};
+  off::TripleRequest r;
+  r.kind = off::TripleKind::square;
+  r.n = 2;
+  plan.requests.push_back(r);
+  const auto wire = static_cast<std::size_t>((plan.ring.wire_bits + 7) / 8);
+  const std::size_t arith_elems =
+      (off::ot_ext_generation_cost(plan, 1).bytes_p0_to_p1 - otx::chooser_frame_bytes()) / wire;
+  ASSERT_GT(arith_elems, 0u);
+
+  auto [c0, c1] = pc::Channel::make_pair();
+  pc::Prng prng(9);
+  otx::ExtSender sender(prng);
+  c0->send_bytes(sender.make_chooser_frame(prng));
+  c0->send_ring(pc::RingVec(arith_elems - 1), static_cast<int>(wire));  // one element short
+  pc::TwoPartyContext receiver(plan.ring, 42, 1, *c1);
+  off::QueryBundle b;
+  EXPECT_THROW(off::generate_bundles_ot_ext(plan, receiver, {7}, &b), pc::FrameLengthError);
+}
+
 TEST(OtExtTriples, BundlesMatchDealerBitForBit) {
   const off::PreprocessingPlan plan = all_kinds_plan();
   const std::vector<std::uint64_t> seeds = {0xABCDEF12ULL, 0x5EED5EEDULL};

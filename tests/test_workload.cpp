@@ -196,6 +196,9 @@ TEST(Workload, WorkerShardingDoesNotChangeBits) {
 }
 
 TEST(Workload, ThreadedContextBatchedMatchesLockstep) {
+  // ExecMode is ignored, but e2ebench's WAN workload still constructs its
+  // serving context with ExecMode::threaded: K-lane chunks served from such
+  // a context must reveal the lockstep context's bits.
   auto t = train(tiny_cnn(nn::OpKind::relu, nn::OpKind::maxpool), 27);
   pc::TwoPartyContext lockstep_ctx;
   proto::SecureNetwork lockstep_net(t.md, *t.graph, t.node_of_layer, lockstep_ctx);
