@@ -37,14 +37,26 @@
 
 namespace pasnet::examples {
 
-/// The reference model zoo of the examples (a subset of the test fixtures).
+/// The --model values: the TinyCNN variants and the scaled backbone
+/// proxies of the test fixtures.
+constexpr const char* kModelNames =
+    "tiny_relu, tiny_relu_avg, tiny_x2, tiny_x2_max, proxy_resnet_relu, proxy_resnet_x2, "
+    "proxy_mobilenet";
+
+/// The reference model zoo of the examples (the test fixtures).
 inline nn::ModelDescriptor model_by_name(const std::string& name) {
   if (name == "tiny_relu") return testing::tiny_cnn(nn::OpKind::relu, nn::OpKind::maxpool);
   if (name == "tiny_relu_avg") return testing::tiny_cnn(nn::OpKind::relu, nn::OpKind::avgpool);
   if (name == "tiny_x2") return testing::tiny_cnn(nn::OpKind::x2act, nn::OpKind::avgpool);
   if (name == "tiny_x2_max") return testing::tiny_cnn(nn::OpKind::x2act, nn::OpKind::maxpool);
-  std::fprintf(stderr, "unknown --model '%s' (tiny_relu, tiny_relu_avg, tiny_x2, tiny_x2_max)\n",
-               name.c_str());
+  if (name == "proxy_resnet_relu") {
+    return testing::proxy_resnet(nn::ActKind::relu, nn::PoolKind::maxpool);
+  }
+  if (name == "proxy_resnet_x2") {
+    return testing::proxy_resnet(nn::ActKind::x2act, nn::PoolKind::avgpool);
+  }
+  if (name == "proxy_mobilenet") return testing::proxy_mobilenet();
+  std::fprintf(stderr, "unknown --model '%s' (%s)\n", name.c_str(), kModelNames);
   std::exit(2);
 }
 
@@ -94,7 +106,9 @@ inline int run_party(int party, int argc, char** argv) {
                     : "party_server — party 1 of a two-process secure inference deployment: "
                       "serves the model side of every query over TCP");
   flags.define_string("model", "tiny_relu",
-                      "reference model (tiny_relu, tiny_relu_avg, tiny_x2, tiny_x2_max)");
+                      std::string("reference model (") + kModelNames +
+                          "); under --triples=ot-ext a proxy's offline frames still exceed "
+                          "the transport's max_frame_bytes (ROADMAP item 7)");
   flags.define_int("seed", 300, "deterministic training seed (must match on both parties)");
   flags.define_int("queries", 2, "queries to run (must match on both parties)");
   flags.define_int("batch", 1,

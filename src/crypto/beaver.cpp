@@ -20,18 +20,19 @@ RingVec add_vecs(const RingVec& a, const RingVec& b, const RingConfig& rc) {
   return out;
 }
 
-/// z_p = base_p + x_p − x_peer (the cross-term completion shared by every
-/// arithmetic triple kind).
-RingVec complete_half(const RingVec& base, const RingVec& x_own, const RingVec& x_peer,
-                      const RingConfig& rc) {
+}  // namespace
+
+RingVec TripleDealer::complete_half(const RingVec& base, const RingVec& x_own,
+                                    const RingVec& x_peer) const {
+  if (base.size() != x_own.size()) {
+    throw std::invalid_argument("bilinear_triple: nz does not match f's output size");
+  }
   RingVec out(base.size());
   for (std::size_t i = 0; i < base.size(); ++i) {
-    out[i] = (base[i] + x_own[i] - x_peer[i]) & rc.mask();
+    out[i] = (base[i] + x_own[i] - x_peer[i]) & rc_.mask();
   }
   return out;
 }
-
-}  // namespace
 
 ElemHalf draw_elem_half(Prng& prng, std::size_t n, const RingConfig& rc) {
   ElemHalf h;
@@ -99,66 +100,71 @@ RotHalf draw_rot_half(Prng& prng, bool sender, std::size_t n) {
 }
 
 ElemTriple TripleDealer::elem_triple(std::size_t n) {
-  const ElemHalf h0 = draw_elem_half(prng0_, n, rc_);
-  const ElemHalf h1 = draw_elem_half(prng1_, n, rc_);
-  const RingVec a = add_vecs(h0.a, h1.a, rc_);
+  ElemHalf h[2] = {draw_elem_half(prng0_, n, rc_), draw_elem_half(prng1_, n, rc_)};
+  const RingVec a = add_vecs(h[0].a, h[1].a, rc_);
   ElemTriple t;
-  t.a = Shared{h0.a, h1.a};
-  t.b = Shared{h0.b, h1.b};
-  t.z = Shared{complete_half(mul_vec(a, h0.b, rc_), h0.x, h1.x, rc_),
-               complete_half(mul_vec(a, h1.b, rc_), h1.x, h0.x, rc_)};
+  for (int p = 0; p < 2; ++p) {
+    if (serves(p)) t.z.share(p) = complete_half(mul_vec(a, h[p].b, rc_), h[p].x, h[1 - p].x);
+  }
+  take_masks(h, t.a, t.b);
   return t;
 }
 
 SquarePair TripleDealer::square_pair(std::size_t n) {
-  const SquareHalf h0 = draw_square_half(prng0_, 0, n, rc_);
-  const SquareHalf h1 = draw_square_half(prng1_, 1, n, rc_);
+  SquareHalf h[2] = {draw_square_half(prng0_, 0, n, rc_), draw_square_half(prng1_, 1, n, rc_)};
   // z = (a0+a1)²: party 0 keeps a0² + 2·x0, party 1 keeps
   // a1² + 2·(a0⊙a1 − x0) — a single cross term, so one OT direction
   // suffices in the 2PC generator.
-  const RingVec cross = mul_vec(h0.a, h1.a, rc_);
-  RingVec z0 = mul_vec(h0.a, h0.a, rc_);
-  RingVec z1 = mul_vec(h1.a, h1.a, rc_);
-  for (std::size_t i = 0; i < n; ++i) {
-    z0[i] = (z0[i] + 2 * h0.x[i]) & rc_.mask();
-    z1[i] = (z1[i] + 2 * (cross[i] - h0.x[i])) & rc_.mask();
+  SquarePair sp;
+  for (int p = 0; p < 2; ++p) {
+    if (!serves(p)) continue;
+    const RingVec term = p == 0 ? h[0].x : sub_vec(mul_vec(h[0].a, h[1].a, rc_), h[0].x, rc_);
+    RingVec z = mul_vec(h[p].a, h[p].a, rc_);
+    for (std::size_t i = 0; i < n; ++i) z[i] = (z[i] + 2 * term[i]) & rc_.mask();
+    sp.z.share(p) = std::move(z);
   }
-  SquarePair p;
-  p.a = Shared{h0.a, h1.a};
-  p.z = Shared{std::move(z0), std::move(z1)};
-  return p;
+  for (int p = 0; p < 2; ++p) {
+    if (serves(p)) sp.a.share(p) = std::move(h[p].a);
+  }
+  return sp;
 }
 
 MatmulTriple TripleDealer::matmul_triple(std::size_t m, std::size_t k, std::size_t n) {
-  const MatmulHalf h0 = draw_matmul_half(prng0_, m, k, n, rc_);
-  const MatmulHalf h1 = draw_matmul_half(prng1_, m, k, n, rc_);
-  const RingVec a = add_vecs(h0.a, h1.a, rc_);
+  MatmulHalf h[2] = {draw_matmul_half(prng0_, m, k, n, rc_),
+                     draw_matmul_half(prng1_, m, k, n, rc_)};
+  const RingVec a = add_vecs(h[0].a, h[1].a, rc_);
   MatmulTriple t;
   t.m = m;
   t.k = k;
   t.n = n;
-  t.a = Shared{h0.a, h1.a};
-  t.b = Shared{h0.b, h1.b};
-  t.z = Shared{complete_half(ring_matmul(a, h0.b, m, k, n, rc_), h0.x, h1.x, rc_),
-               complete_half(ring_matmul(a, h1.b, m, k, n, rc_), h1.x, h0.x, rc_)};
+  for (int p = 0; p < 2; ++p) {
+    if (serves(p)) {
+      t.z.share(p) = complete_half(ring_matmul(a, h[p].b, m, k, n, rc_), h[p].x, h[1 - p].x);
+    }
+  }
+  take_masks(h, t.a, t.b);
   return t;
 }
 
 BitTriple TripleDealer::bit_triple(std::size_t n) {
-  const BitHalf h0 = draw_bit_half(prng0_, n);
-  const BitHalf h1 = draw_bit_half(prng1_, n);
+  BitHalf h[2] = {draw_bit_half(prng0_, n), draw_bit_half(prng1_, n)};
   BitTriple t;
-  t.a0 = h0.a;
-  t.a1 = h1.a;
-  t.b0 = h0.b;
-  t.b1 = h1.b;
-  t.c0.resize(n);
-  t.c1.resize(n);
   // c_p = (a_p & b_p) ^ x_p ^ (b_p & a_peer) ^ x_peer; the x's cancel in
   // c0 ^ c1 = (a0^a1) & (b0^b1).
-  for (std::size_t i = 0; i < n; ++i) {
-    t.c0[i] = (h0.a[i] & h0.b[i]) ^ h0.x[i] ^ (h0.b[i] & h1.a[i]) ^ h1.x[i];
-    t.c1[i] = (h1.a[i] & h1.b[i]) ^ h1.x[i] ^ (h1.b[i] & h0.a[i]) ^ h0.x[i];
+  for (int p = 0; p < 2; ++p) {
+    if (!serves(p)) continue;
+    const BitHalf& own = h[p];
+    const BitHalf& peer = h[1 - p];
+    std::vector<std::uint8_t>& c = t.c(p);
+    c.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      c[i] = (own.a[i] & own.b[i]) ^ own.x[i] ^ (own.b[i] & peer.a[i]) ^ peer.x[i];
+    }
+  }
+  for (int p = 0; p < 2; ++p) {
+    if (!serves(p)) continue;
+    t.a(p) = std::move(h[p].a);
+    t.b(p) = std::move(h[p].b);
   }
   return t;
 }
@@ -174,19 +180,6 @@ RandomOt TripleDealer::random_ot(std::size_t n, int sender) {
   ot.pads = std::move(s.pads);
   ot.choice = std::move(r.choice);
   return ot;
-}
-
-BilinearTriple TripleDealer::assemble_bilinear(const BilinearHalf& h0, const BilinearHalf& h1,
-                                               const RingVec& f0, const RingVec& f1,
-                                               std::size_t nz) const {
-  if (f0.size() != nz || f1.size() != nz) {
-    throw std::invalid_argument("bilinear_triple: nz does not match f's output size");
-  }
-  BilinearTriple t;
-  t.a = Shared{h0.a, h1.a};
-  t.b = Shared{h0.b, h1.b};
-  t.z = Shared{complete_half(f0, h0.x, h1.x, rc_), complete_half(f1, h1.x, h0.x, rc_)};
-  return t;
 }
 
 RingVec ring_matmul(const RingVec& a, const RingVec& b, std::size_t m, std::size_t k,

@@ -28,6 +28,7 @@
 // evaluates the cross terms directly.
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "crypto/prng.hpp"
@@ -55,6 +56,14 @@ struct MatmulTriple {
 /// Boolean triple over Z2: c = a AND b, XOR-shared bits (one byte per bit).
 struct BitTriple {
   std::vector<std::uint8_t> a0, a1, b0, b1, c0, c1;
+
+  /// Party p's halves.
+  [[nodiscard]] std::vector<std::uint8_t>& a(int p) { return p == 0 ? a0 : a1; }
+  [[nodiscard]] std::vector<std::uint8_t>& b(int p) { return p == 0 ? b0 : b1; }
+  [[nodiscard]] std::vector<std::uint8_t>& c(int p) { return p == 0 ? c0 : c1; }
+  [[nodiscard]] const std::vector<std::uint8_t>& a(int p) const { return p == 0 ? a0 : a1; }
+  [[nodiscard]] const std::vector<std::uint8_t>& b(int p) const { return p == 0 ? b0 : b1; }
+  [[nodiscard]] const std::vector<std::uint8_t>& c(int p) const { return p == 0 ? c0 : c1; }
 };
 
 /// n precomputed random (1,4)-OTs (Beaver, "Precomputing Oblivious
@@ -146,12 +155,17 @@ struct RotHalf {
 [[nodiscard]] RotHalf draw_rot_half(Prng& prng, bool sender, std::size_t n);
 
 /// Trusted dealer: simulates the two-party triple functionality by holding
-/// both half streams and evaluating the cross terms directly.
+/// both half streams and evaluating the cross terms directly.  A dealer
+/// serving one party of a remote pair (`party` 0 or 1) still draws both
+/// half streams, so the two processes' dealers stay aligned, but completes
+/// only that party's shares and leaves the peer's halves empty; `party` -1
+/// (in process, the default) serves both.
 class TripleDealer {
  public:
-  explicit TripleDealer(RingConfig rc, std::uint64_t seed = 0xDEA1E5ULL)
-      : rc_(rc), prng0_(half_stream_seed(seed, 0)), prng1_(half_stream_seed(seed, 1)),
-        rot_prng0_(rot_half_stream_seed(seed, 0)), rot_prng1_(rot_half_stream_seed(seed, 1)) {}
+  explicit TripleDealer(RingConfig rc, std::uint64_t seed = 0xDEA1E5ULL, int party = -1)
+      : rc_(rc), party_(party), prng0_(half_stream_seed(seed, 0)),
+        prng1_(half_stream_seed(seed, 1)), rot_prng0_(rot_half_stream_seed(seed, 0)),
+        rot_prng1_(rot_half_stream_seed(seed, 1)) {}
 
   [[nodiscard]] ElemTriple elem_triple(std::size_t n);
   [[nodiscard]] SquarePair square_pair(std::size_t n);
@@ -167,24 +181,39 @@ class TripleDealer {
   template <typename F>
   [[nodiscard]] BilinearTriple bilinear_triple(std::size_t na, std::size_t nb,
                                                std::size_t nz, F&& f) {
-    const BilinearHalf h0 = draw_bilinear_half(prng0_, na, nb, nz, rc_);
-    const BilinearHalf h1 = draw_bilinear_half(prng1_, na, nb, nz, rc_);
+    BilinearHalf h[2] = {draw_bilinear_half(prng0_, na, nb, nz, rc_),
+                         draw_bilinear_half(prng1_, na, nb, nz, rc_)};
     RingVec a(na);
-    for (std::size_t i = 0; i < na; ++i) a[i] = (h0.a[i] + h1.a[i]) & rc_.mask();
-    const RingVec f0 = f(a, h0.b);
-    const RingVec f1 = f(a, h1.b);
-    return assemble_bilinear(h0, h1, f0, f1, nz);
+    for (std::size_t i = 0; i < na; ++i) a[i] = (h[0].a[i] + h[1].a[i]) & rc_.mask();
+    BilinearTriple t;
+    for (int p = 0; p < 2; ++p) {
+      if (serves(p)) t.z.share(p) = complete_half(f(a, h[p].b), h[p].x, h[1 - p].x);
+    }
+    take_masks(h, t.a, t.b);
+    return t;
   }
 
   [[nodiscard]] const RingConfig& ring() const noexcept { return rc_; }
 
  private:
-  /// z_p = f(A, b_p) + x_p − x_peer for both parties, with shape checks.
-  [[nodiscard]] BilinearTriple assemble_bilinear(const BilinearHalf& h0,
-                                                 const BilinearHalf& h1, const RingVec& f0,
-                                                 const RingVec& f1, std::size_t nz) const;
+  /// Whether this dealer completes party p's shares.
+  [[nodiscard]] bool serves(int p) const noexcept { return party_ < 0 || party_ == p; }
+  /// z_p = base_p + x_p − x_peer (the cross-term completion shared by every
+  /// arithmetic triple kind); throws when base_p is not x_p's size.
+  [[nodiscard]] RingVec complete_half(const RingVec& base, const RingVec& x_own,
+                                      const RingVec& x_peer) const;
+  /// Moves the served parties' mask halves a_p, b_p into the triple.
+  template <typename Half>
+  void take_masks(Half (&h)[2], Shared& a, Shared& b) const {
+    for (int p = 0; p < 2; ++p) {
+      if (!serves(p)) continue;
+      a.share(p) = std::move(h[p].a);
+      b.share(p) = std::move(h[p].b);
+    }
+  }
 
   RingConfig rc_;
+  int party_;
   Prng prng0_;
   Prng prng1_;
   Prng rot_prng0_;

@@ -40,6 +40,48 @@ void Channel::send_u64(std::uint64_t v) { send_ring(RingVec{v}); }
 std::uint64_t Channel::recv_u64() { return recv_ring(1)[0]; }
 
 // ---------------------------------------------------------------------------
+// The endpoint's meter (shared by every backend)
+// ---------------------------------------------------------------------------
+
+void Channel::begin_round() {
+  std::lock_guard<std::mutex> lk(meter_m_);
+  in_round_ = true;
+  round_counted_ = false;
+}
+
+void Channel::end_round() {
+  std::lock_guard<std::mutex> lk(meter_m_);
+  in_round_ = false;
+  round_counted_ = false;
+  last_sender_ = -1;
+}
+
+void Channel::reset_stats() noexcept {
+  std::lock_guard<std::mutex> lk(meter_m_);
+  counters_.reset();
+  last_sender_ = -1;
+  round_counted_ = false;
+}
+
+void Channel::note_message(int sender, std::uint64_t wire_bytes) noexcept {
+  std::lock_guard<std::mutex> lk(meter_m_);
+  counters_.add(sender == 0 ? obs::Counter::bytes_p0_to_p1 : obs::Counter::bytes_p1_to_p0,
+                wire_bytes);
+  counters_.add(obs::Counter::messages, 1);
+  if (in_round_) {
+    // All messages of a bracketed symmetric exchange are one round.
+    if (!round_counted_) {
+      counters_.add(obs::Counter::rounds, 1);
+      round_counted_ = true;
+    }
+    last_sender_ = sender;
+  } else if (last_sender_ != sender) {
+    counters_.add(obs::Counter::rounds, 1);
+    last_sender_ = sender;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // In-process pair backend
 // ---------------------------------------------------------------------------
 
@@ -49,11 +91,12 @@ using Clock = std::chrono::steady_clock;
 
 struct Message {
   std::vector<std::uint8_t> data;
-  Clock::time_point due;  // in-flight deadline: enqueue time + round_delay
+  std::uint64_t wire_bytes = 0;  // what the sender credited, credited again on receipt
+  Clock::time_point due;         // in-flight deadline: enqueue time + round_delay
 };
 
-/// The historical simulated pair: two endpoints over a shared pair of
-/// bounded byte queues plus one shared counter block.
+/// The simulated pair: two endpoints over a shared pair of bounded byte
+/// queues, each endpoint metering its own view (see Channel).
 class LocalChannel final : public Channel {
  public:
   struct Shared {
@@ -69,30 +112,10 @@ class LocalChannel final : public Channel {
     std::chrono::milliseconds timeout{kDefaultTimeout};
     std::chrono::microseconds round_delay{0};
     bool closed = false;
-    int last_sender = -1;   // for round counting outside brackets
-    bool in_round = false;  // begin_round/end_round bracket open
-    bool round_counted = false;
   };
 
-  LocalChannel(int party, std::shared_ptr<Shared> shared,
-               std::shared_ptr<obs::CounterBlock> counters)
-      : party_(party), shared_(std::move(shared)) {
-    counters_ = std::move(counters);
-  }
-
-  void begin_round() override {
-    std::lock_guard<std::mutex> lk(shared_->m);
-    shared_->in_round = true;
-    shared_->round_counted = false;
-  }
-
-  void end_round() override {
-    std::lock_guard<std::mutex> lk(shared_->m);
-    shared_->in_round = false;
-    shared_->round_counted = false;
-    // The next message starts a fresh round whatever its direction.
-    shared_->last_sender = -1;
-  }
+  LocalChannel(int party, std::shared_ptr<Shared> shared)
+      : party_(party), shared_(std::move(shared)) {}
 
   void close() override {
     {
@@ -103,13 +126,6 @@ class LocalChannel final : public Channel {
       shared_->not_empty[p].notify_all();
       shared_->not_full[p].notify_all();
     }
-  }
-
-  void reset_stats() noexcept override {
-    std::lock_guard<std::mutex> lk(shared_->m);
-    counters_->reset();
-    shared_->last_sender = -1;
-    shared_->round_counted = false;
   }
 
  protected:
@@ -123,7 +139,7 @@ class LocalChannel final : public Channel {
         return shared_->closed || shared_->inbox[peer].size() < shared_->capacity;
       });
       if (back_pressured) {
-        counters_->add(obs::Counter::send_wait_us, obs::Tracer::now_us() - wait_begin);
+        counters().add(obs::Counter::send_wait_us, obs::Tracer::now_us() - wait_begin);
       }
       if (shared_->closed) throw ChannelClosed("Channel::send: channel closed");
       if (!ok) throw ChannelTimeout("Channel::send: peer inbox full past timeout (deadlock?)");
@@ -135,25 +151,13 @@ class LocalChannel final : public Channel {
     // all messages of one round share (roughly) one deadline and overlap.
     Message msg;
     msg.data = std::move(data);
+    msg.wire_bytes = wire_bytes;
     msg.due = shared_->round_delay.count() > 0 ? Clock::now() + shared_->round_delay
                                                : Clock::time_point{};
     shared_->inbox[peer].push_back(std::move(msg));
-    counters_->add(party_ == 0 ? obs::Counter::bytes_p0_to_p1 : obs::Counter::bytes_p1_to_p0,
-                   wire_bytes);
-    counters_->add(obs::Counter::messages, 1);
-    if (shared_->in_round) {
-      // All messages of a bracketed symmetric exchange are one round.
-      if (!shared_->round_counted) {
-        counters_->add(obs::Counter::rounds, 1);
-        shared_->round_counted = true;
-      }
-      shared_->last_sender = party_;
-    } else if (shared_->last_sender != party_) {
-      counters_->add(obs::Counter::rounds, 1);
-      shared_->last_sender = party_;
-    }
     lk.unlock();
     shared_->not_empty[peer].notify_one();
+    note_message(party_, wire_bytes);
   }
 
   [[nodiscard]] std::vector<std::uint8_t> do_recv() override {
@@ -171,7 +175,7 @@ class LocalChannel final : public Channel {
       const std::uint64_t wait_begin = blocked ? obs::Tracer::now_us() : 0;
       const bool ok = shared_->not_empty[party_].wait_for(
           lk, shared_->timeout, [&] { return shared_->closed || !inbox.empty(); });
-      if (blocked) counters_->add(obs::Counter::recv_wait_us, obs::Tracer::now_us() - wait_begin);
+      if (blocked) counters().add(obs::Counter::recv_wait_us, obs::Tracer::now_us() - wait_begin);
       if (inbox.empty()) {
         if (shared_->closed) throw ChannelClosed("Channel::recv_bytes: channel closed");
         if (!ok) throw ChannelTimeout("Channel::recv_bytes: no message past timeout (deadlock?)");
@@ -181,6 +185,7 @@ class LocalChannel final : public Channel {
     inbox.pop_front();
     lk.unlock();
     shared_->not_full[party_].notify_one();
+    note_message(1 - party_, msg.wire_bytes);
     // Honour the in-flight deadline off the lock: the receiver cannot
     // observe a message before its modeled wire delay has elapsed, but
     // concurrent traffic (the other direction, other worker pairs) keeps
@@ -189,7 +194,7 @@ class LocalChannel final : public Channel {
       const auto now = Clock::now();
       if (now < msg.due) {
         std::this_thread::sleep_until(msg.due);
-        counters_->add(obs::Counter::recv_wait_us,
+        counters().add(obs::Counter::recv_wait_us,
                        static_cast<std::uint64_t>(
                            std::chrono::duration_cast<std::chrono::microseconds>(msg.due - now)
                                .count()));
@@ -221,9 +226,8 @@ std::pair<std::unique_ptr<Channel>, std::unique_ptr<Channel>> Channel::make_pair
   shared->capacity = options.capacity > 0 ? options.capacity : 1;
   shared->timeout = options.timeout;
   shared->round_delay = options.round_delay;
-  auto counters = std::make_shared<obs::CounterBlock>();
-  auto c0 = std::unique_ptr<Channel>(new LocalChannel(0, shared, counters));
-  auto c1 = std::unique_ptr<Channel>(new LocalChannel(1, shared, counters));
+  auto c0 = std::unique_ptr<Channel>(new LocalChannel(0, shared));
+  auto c1 = std::unique_ptr<Channel>(new LocalChannel(1, shared));
   return {std::move(c0), std::move(c1)};
 }
 

@@ -15,7 +15,7 @@
 //
 // Two backends:
 //  - the in-process pair (Channel::make_pair): two endpoints over a shared
-//    pair of bounded byte queues and one shared counter block.  Modes:
+//    pair of bounded byte queues.  Modes:
 //     * lockstep: what every in-process TwoPartyContext runs.  Both parties
 //       run on one thread in protocol order; `recv` on an empty inbox is a
 //       protocol ordering bug and throws immediately.  Fully deterministic
@@ -27,15 +27,20 @@
 //       timeout turns a deadlocked protocol into a loud ChannelTimeout
 //       instead of a hang.
 //  - net::TransportChannel (src/net): the same endpoint API over a real
-//    socket transport, one endpoint per OS process.  Each endpoint's block
-//    accounts both directions (own sends at send time, the peer's at recv
-//    time), so a remote endpoint's TrafficStats equal the simulated pair's
-//    for the same protocol run.
+//    socket transport, one endpoint per OS process.
+//
+// Every endpoint meters its own view of the pair in a block of its own:
+// its sends when it sends, the peer's messages when it receives them, and
+// rounds by the rule TrafficStats::rounds states, applied to the order it
+// observes.  So each endpoint of a run reads the same bytes, messages and
+// rounds, in process or over TCP, and an in-process context, which meters
+// party 0's endpoint, sees every message of both parties exactly once.
 
 #include <chrono>
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <vector>
 
@@ -132,29 +137,29 @@ class Channel {
   void send_u64(std::uint64_t v);
   [[nodiscard]] std::uint64_t recv_u64();
 
-  /// Brackets one symmetric communication round: every message either
-  /// endpoint enqueues between begin_round and end_round counts as a single
-  /// round (both directions are concurrently in flight).  Driven by
-  /// TwoPartyContext::exchange around its send and recv closures.  After
-  /// end_round the next message starts a fresh round regardless of
-  /// direction.
-  virtual void begin_round() = 0;
-  virtual void end_round() = 0;
+  /// Brackets one symmetric communication round on this endpoint: every
+  /// message it observes (sends or receives) between begin_round and
+  /// end_round counts as a single round, because both directions are
+  /// concurrently in flight.  Driven by TwoPartyContext::exchange around
+  /// its send and recv closures.  After end_round the next message starts
+  /// a fresh round regardless of direction.
+  void begin_round();
+  void end_round();
 
   /// Marks the endpoint closed: blocked senders/receivers wake and throw
   /// ChannelClosed, as do later blocking operations that would wait.
   virtual void close() = 0;
 
-  /// The endpoint's always-on counter block (shared by both endpoints of
-  /// an in-process pair).  Safe to read and bump from any thread.
-  [[nodiscard]] obs::CounterBlock& counters() const noexcept { return *counters_; }
+  /// The endpoint's always-on counter block.  Safe to read and bump from
+  /// any thread.
+  [[nodiscard]] obs::CounterBlock& counters() const noexcept { return counters_; }
   /// The block's traffic projection.
   [[nodiscard]] TrafficStats stats() const noexcept {
-    return TrafficStats::of(counters_->snapshot());
+    return TrafficStats::of(counters_.snapshot());
   }
   /// Zeroes the block and restarts round counting: the start of a metered
   /// window.
-  virtual void reset_stats() noexcept = 0;
+  void reset_stats() noexcept;
 
   /// Creates a connected in-process pair of endpoints: first element is
   /// party 0's.
@@ -167,16 +172,25 @@ class Channel {
  protected:
   Channel() = default;
 
-  /// Backend primitive: delivers one framed message to the peer, crediting
-  /// `wire_bytes` (the modeled on-wire size, which may differ from
-  /// data.size()) to the counter block.
+  /// Backend primitive: delivers one framed message to the peer and
+  /// credits it with note_message, at `wire_bytes` (the modeled on-wire
+  /// size, which may differ from data.size()).
   virtual void do_send(std::vector<std::uint8_t>&& data, std::uint64_t wire_bytes) = 0;
-  /// Backend primitive: receives the next framed message.
+  /// Backend primitive: receives the next framed message and credits it
+  /// with note_message, at the size its sender accounted.
   [[nodiscard]] virtual std::vector<std::uint8_t> do_recv() = 0;
 
-  /// The endpoint's counter block; backends allocate it (pair-shared in
-  /// process, per-endpoint over a transport).
-  std::shared_ptr<obs::CounterBlock> counters_;
+  /// Meters one message this endpoint observed: `sender`'s direction gets
+  /// `wire_bytes`, and the round rule of TrafficStats::rounds runs on the
+  /// endpoint's own observation order.
+  void note_message(int sender, std::uint64_t wire_bytes) noexcept;
+
+ private:
+  mutable obs::CounterBlock counters_;
+  std::mutex meter_m_;  // guards the round state below
+  int last_sender_ = -1;
+  bool in_round_ = false;
+  bool round_counted_ = false;
 };
 
 /// Construction knobs for an in-process channel pair.

@@ -39,14 +39,14 @@ std::vector<std::uint8_t> reconstruct_bits(const BitShared& v) {
   return out;
 }
 
-BitShared xor_bits(const BitShared& x, const BitShared& y) {
+BitShared xor_bits(const TwoPartyContext& ctx, const BitShared& x, const BitShared& y) {
   if (x.size() != y.size()) throw std::invalid_argument("xor_bits: size mismatch");
   BitShared out;
-  out.b0.resize(x.size());
-  out.b1.resize(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    out.b0[i] = x.b0[i] ^ y.b0[i];
-    out.b1[i] = x.b1[i] ^ y.b1[i];
+  for (int p = 0; p < 2; ++p) {
+    if (!ctx.runs(p)) continue;
+    std::vector<std::uint8_t>& o = out.share(p);
+    o.resize(x.size());
+    for (std::size_t i = 0; i < x.size(); ++i) o[i] = x.share(p)[i] ^ y.share(p)[i];
   }
   return out;
 }
@@ -102,33 +102,28 @@ void BitOpenBuffer::open_batch(const Pending* batch, std::size_t count) {
   // Each batch is one coalesced AND-tree level opening (or one immediate
   // bit opening) — the protocol event the and_levels counter tracks.
   ctx_.counters().add(obs::Counter::and_levels, 1);
-  std::vector<std::uint8_t> msg0, msg1;
-  for (std::size_t i = 0; i < count; ++i) {
-    const auto p0 = pack_bits(batch[i].x.b0);
-    const auto p1 = pack_bits(batch[i].x.b1);
-    msg0.insert(msg0.end(), p0.begin(), p0.end());
-    msg1.insert(msg1.end(), p1.begin(), p1.end());
+  std::vector<std::uint8_t> msg[2], received[2];
+  for (int p = 0; p < 2; ++p) {
+    if (!ctx_.runs(p)) continue;
+    for (std::size_t i = 0; i < count; ++i) {
+      const auto packed = pack_bits(batch[i].x.share(p));
+      msg[p].insert(msg[p].end(), packed.begin(), packed.end());
+    }
   }
-  std::vector<std::uint8_t> from0, from1;
-  ctx_.exchange([&] { ctx_.chan(0).send_bytes(msg0); },
-                [&] { ctx_.chan(1).send_bytes(msg1); },
-                [&] { from1 = ctx_.chan(0).recv_bytes(); },
-                [&] { from0 = ctx_.chan(1).recv_bytes(); });
-  // Reconstruct from the local share and the peer's received packed bits.
-  // In the in-process modes both closures ran, so either pairing works and
-  // we keep the historical (b0, from1) one; a remote context only has its
-  // own half live.
-  const bool local_is_1 = ctx_.local_party() == 1;
-  const std::vector<std::uint8_t>& peer_msg = local_is_1 ? from0 : from1;
-  if (peer_msg.size() != msg0.size()) {
+  ctx_.exchange([&](int p) { ctx_.chan(p).send_bytes(msg[p]); },
+                [&](int p) { received[p] = ctx_.chan(p).recv_bytes(); });
+  // Reconstruct from one party's own share and the peer's packed bits it
+  // received: party 0's in process, the local party's in a remote context.
+  const int p = ctx_.runs(0) ? 0 : 1;
+  if (received[p].size() != msg[p].size()) {
     throw FrameLengthError("BitOpenBuffer::flush: bit-opening frame has the wrong length");
   }
   std::size_t byte_off = 0;
   for (std::size_t i = 0; i < count; ++i) {
     const std::size_t n = batch[i].x.size();
     const std::vector<std::uint8_t> peer =
-        unpack_bits(slice_bytes(peer_msg, byte_off, byte_off + (n + 7) / 8), n);
-    const std::vector<std::uint8_t>& own = local_is_1 ? batch[i].x.b1 : batch[i].x.b0;
+        unpack_bits(slice_bytes(received[p], byte_off, byte_off + (n + 7) / 8), n);
+    const std::vector<std::uint8_t>& own = batch[i].x.share(p);
     std::vector<std::uint8_t>& out = *batch[i].out;
     out.resize(n);
     for (std::size_t j = 0; j < n; ++j) out[j] = own[j] ^ peer[j];
@@ -147,34 +142,37 @@ void AndRound::stage(TwoPartyContext& ctx, const BitShared& x, const BitShared& 
                      BitTriple t) {
   if (x.size() != y.size()) throw std::invalid_argument("and_bits: size mismatch");
   const std::size_t n = x.size();
-  if (t.a0.size() != n) throw std::invalid_argument("and_bits: triple size mismatch");
   t_ = std::move(t);
   // d = x ^ a, e = y ^ b; both parties open (one parallel round once the
   // buffer flushes).  d and e concatenate into one 2n-bit stage, exactly
   // the historical and_bits message.
   BitShared de;
-  de.b0.resize(2 * n);
-  de.b1.resize(2 * n);
-  for (std::size_t i = 0; i < n; ++i) {
-    de.b0[i] = x.b0[i] ^ t_.a0[i];
-    de.b0[n + i] = y.b0[i] ^ t_.b0[i];
-    de.b1[i] = x.b1[i] ^ t_.a1[i];
-    de.b1[n + i] = y.b1[i] ^ t_.b1[i];
+  for (int p = 0; p < 2; ++p) {
+    if (!ctx.runs(p)) continue;
+    if (t_.a(p).size() != n) throw std::invalid_argument("and_bits: triple size mismatch");
+    std::vector<std::uint8_t>& half = de.share(p);
+    half.resize(2 * n);
+    for (std::size_t i = 0; i < n; ++i) {
+      half[i] = x.share(p)[i] ^ t_.a(p)[i];
+      half[n + i] = y.share(p)[i] ^ t_.b(p)[i];
+    }
   }
   ctx.bit_opens().stage(std::move(de), &de_);
 }
 
-BitShared AndRound::finish() {
-  const std::size_t n = t_.a0.size();
+BitShared AndRound::finish(const TwoPartyContext& ctx) {
+  const std::size_t n = de_.size() / 2;
   BitShared out;
-  out.b0.resize(n);
-  out.b1.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint8_t d = de_[i];
-    const std::uint8_t e = de_[n + i];
-    // z_i = [i==0]·(d&e) ^ (d & b_i) ^ (e & a_i) ^ c_i
-    out.b0[i] = (d & e) ^ (d & t_.b0[i]) ^ (e & t_.a0[i]) ^ t_.c0[i];
-    out.b1[i] = (d & t_.b1[i]) ^ (e & t_.a1[i]) ^ t_.c1[i];
+  for (int p = 0; p < 2; ++p) {
+    if (!ctx.runs(p)) continue;
+    std::vector<std::uint8_t>& z = out.share(p);
+    z.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint8_t d = de_[i];
+      const std::uint8_t e = de_[n + i];
+      // z_i = [i==0]·(d&e) ^ (d & b_i) ^ (e & a_i) ^ c_i
+      z[i] = (p == 0 ? (d & e) : 0) ^ (d & t_.b(p)[i]) ^ (e & t_.a(p)[i]) ^ t_.c(p)[i];
+    }
   }
   return out;
 }
@@ -184,7 +182,7 @@ BitShared and_bits(TwoPartyContext& ctx, const BitShared& x, const BitShared& y)
   AndRound r;
   r.stage(ctx, x, y, ctx.bit_triple(x.size()));
   ctx.bit_opens().flush();
-  return r.finish();
+  return r.finish(ctx);
 }
 
 int millionaire_digits(int nbits) noexcept {
@@ -230,34 +228,41 @@ MillionaireMaterial draw_millionaire_material(TwoPartyContext& ctx, std::size_t 
 void StagedMillionaire::begin(TwoPartyContext& ctx, const std::vector<std::uint64_t>& a,
                               const std::vector<std::uint64_t>& b, int nbits,
                               MillionaireMaterial material) {
-  if (a.size() != b.size()) throw std::invalid_argument("millionaire_gt: size mismatch");
   if (nbits < 1 || nbits > 63) throw std::invalid_argument("millionaire_gt: bad width");
-  n_ = a.size();
   digits_ = millionaire_digits(nbits);
   level_ = 0;
   mat_ = std::move(material);
-  if (mat_.r_lt.size() != n_ * static_cast<std::size_t>(digits_)) {
-    throw std::invalid_argument("millionaire_gt: material size mismatch");
+  n_ = mat_.r_lt.size() / static_cast<std::size_t>(digits_);
+  if ((ctx.runs(0) && a.size() != n_) || (ctx.runs(1) && b.size() != n_)) {
+    throw std::invalid_argument("millionaire_gt: input/material size mismatch");
   }
 
   // Leaf layer: one (1,4)-OT per (element, digit).  Party 1 is the sender
   // and keeps the pre-drawn random bits (r_lt, r_eq) as its leaf shares;
   // party 0 receives the masked (lt, eq) pair for its digit value.
-  std::vector<std::array<std::uint8_t, kOtFanIn>> tables(n_ * digits_);
-  std::vector<std::uint8_t> choices(n_ * digits_);
-  for (std::size_t t = 0; t < n_; ++t) {
-    for (int d = 0; d < digits_; ++d) {
-      const std::size_t idx = t * digits_ + d;
-      const auto a_dig = static_cast<std::uint8_t>((a[t] >> (2 * d)) & 3);
-      const auto b_dig = static_cast<std::uint8_t>((b[t] >> (2 * d)) & 3);
-      for (std::uint8_t j = 0; j < kOtFanIn; ++j) {
-        const std::uint8_t gt = (j > b_dig) ? 1 : 0;
-        const std::uint8_t eq = (j == b_dig) ? 1 : 0;
-        tables[idx][j] = static_cast<std::uint8_t>(
-            (gt ^ mat_.r_lt[idx]) |
-            (static_cast<std::uint8_t>(eq ^ mat_.r_eq[idx]) << 1));
+  std::vector<std::array<std::uint8_t, kOtFanIn>> tables;
+  std::vector<std::uint8_t> choices;
+  if (ctx.runs(1)) {
+    tables.resize(n_ * digits_);
+    for (std::size_t t = 0; t < n_; ++t) {
+      for (int d = 0; d < digits_; ++d) {
+        const std::size_t idx = t * digits_ + d;
+        const auto b_dig = static_cast<std::uint8_t>((b[t] >> (2 * d)) & 3);
+        for (std::uint8_t j = 0; j < kOtFanIn; ++j) {
+          const std::uint8_t gt = (j > b_dig) ? 1 : 0;
+          const std::uint8_t eq = (j == b_dig) ? 1 : 0;
+          tables[idx][j] = static_cast<std::uint8_t>(
+              (gt ^ mat_.r_lt[idx]) | (static_cast<std::uint8_t>(eq ^ mat_.r_eq[idx]) << 1));
+        }
       }
-      choices[idx] = a_dig;
+    }
+  }
+  if (ctx.runs(0)) {
+    choices.resize(n_ * digits_);
+    for (std::size_t t = 0; t < n_; ++t) {
+      for (int d = 0; d < digits_; ++d) {
+        choices[t * digits_ + d] = static_cast<std::uint8_t>((a[t] >> (2 * d)) & 3);
+      }
     }
   }
   ctx.ots().stage(std::move(mat_.leaf_ots), std::move(tables), std::move(choices), &leaf_);
@@ -270,22 +275,21 @@ void StagedMillionaire::stage_level(TwoPartyContext& ctx) {
   // Both ANDs of every pair batch into a single staged AND.
   const std::size_t pairs = gts_.size() / 2;
   BitShared lhs, rhs;  // concat of [eq_hi]*2 vs [gt_lo, eq_lo] per pair
-  lhs.b0.reserve(2 * pairs * n_);
-  lhs.b1.reserve(2 * pairs * n_);
-  rhs.b0.reserve(2 * pairs * n_);
-  rhs.b1.reserve(2 * pairs * n_);
-  for (std::size_t p = 0; p < pairs; ++p) {
-    const BitShared& eq_hi = eqs_[2 * p + 1];
-    const BitShared& gt_lo = gts_[2 * p];
-    const BitShared& eq_lo = eqs_[2 * p];
-    lhs.b0.insert(lhs.b0.end(), eq_hi.b0.begin(), eq_hi.b0.end());
-    lhs.b1.insert(lhs.b1.end(), eq_hi.b1.begin(), eq_hi.b1.end());
-    rhs.b0.insert(rhs.b0.end(), gt_lo.b0.begin(), gt_lo.b0.end());
-    rhs.b1.insert(rhs.b1.end(), gt_lo.b1.begin(), gt_lo.b1.end());
-    lhs.b0.insert(lhs.b0.end(), eq_hi.b0.begin(), eq_hi.b0.end());
-    lhs.b1.insert(lhs.b1.end(), eq_hi.b1.begin(), eq_hi.b1.end());
-    rhs.b0.insert(rhs.b0.end(), eq_lo.b0.begin(), eq_lo.b0.end());
-    rhs.b1.insert(rhs.b1.end(), eq_lo.b1.begin(), eq_lo.b1.end());
+  for (int h = 0; h < 2; ++h) {
+    if (!ctx.runs(h)) continue;
+    std::vector<std::uint8_t>& l = lhs.share(h);
+    std::vector<std::uint8_t>& r = rhs.share(h);
+    l.reserve(2 * pairs * n_);
+    r.reserve(2 * pairs * n_);
+    for (std::size_t p = 0; p < pairs; ++p) {
+      const std::vector<std::uint8_t>& eq_hi = eqs_[2 * p + 1].share(h);
+      const std::vector<std::uint8_t>& gt_lo = gts_[2 * p].share(h);
+      const std::vector<std::uint8_t>& eq_lo = eqs_[2 * p].share(h);
+      l.insert(l.end(), eq_hi.begin(), eq_hi.end());
+      r.insert(r.end(), gt_lo.begin(), gt_lo.end());
+      l.insert(l.end(), eq_hi.begin(), eq_hi.end());
+      r.insert(r.end(), eq_lo.begin(), eq_lo.end());
+    }
   }
   and_.stage(ctx, lhs, rhs, std::move(mat_.levels[level_]));
   wait_ = CompareWait::bits;
@@ -294,20 +298,23 @@ void StagedMillionaire::stage_level(TwoPartyContext& ctx) {
 void StagedMillionaire::step(TwoPartyContext& ctx) {
   switch (wait_) {
     case CompareWait::ot: {
-      // Per-digit shared (gt, eq) vectors, index 0 = least significant.
+      // Per-digit shared (gt, eq) vectors, index 0 = least significant:
+      // party 0's leaf shares are its OT outputs, party 1's the masks it
+      // sent its tables under.
       gts_.assign(static_cast<std::size_t>(digits_), BitShared{});
       eqs_.assign(static_cast<std::size_t>(digits_), BitShared{});
-      for (int d = 0; d < digits_; ++d) {
-        gts_[d].b0.resize(n_);
-        gts_[d].b1.resize(n_);
-        eqs_[d].b0.resize(n_);
-        eqs_[d].b1.resize(n_);
-        for (std::size_t t = 0; t < n_; ++t) {
-          const std::size_t idx = t * digits_ + d;
-          gts_[d].b0[t] = leaf_[idx] & 1;
-          gts_[d].b1[t] = mat_.r_lt[idx];
-          eqs_[d].b0[t] = (leaf_[idx] >> 1) & 1;
-          eqs_[d].b1[t] = mat_.r_eq[idx];
+      for (int p = 0; p < 2; ++p) {
+        if (!ctx.runs(p)) continue;
+        for (int d = 0; d < digits_; ++d) {
+          std::vector<std::uint8_t>& gt = gts_[d].share(p);
+          std::vector<std::uint8_t>& eq = eqs_[d].share(p);
+          gt.resize(n_);
+          eq.resize(n_);
+          for (std::size_t t = 0; t < n_; ++t) {
+            const std::size_t idx = t * digits_ + d;
+            gt[t] = p == 0 ? leaf_[idx] & 1 : mat_.r_lt[idx];
+            eq[t] = p == 0 ? (leaf_[idx] >> 1) & 1 : mat_.r_eq[idx];
+          }
         }
       }
       if (gts_.size() > 1) {
@@ -318,18 +325,19 @@ void StagedMillionaire::step(TwoPartyContext& ctx) {
       return;
     }
     case CompareWait::bits: {
-      const BitShared prod = and_.finish();
+      const BitShared prod = and_.finish(ctx);
       const std::size_t pairs = gts_.size() / 2;
       std::vector<BitShared> next_gt, next_eq;
       next_gt.reserve(pairs + 1);
       next_eq.reserve(pairs + 1);
       for (std::size_t p = 0; p < pairs; ++p) {
         BitShared gated_gt, gated_eq;
-        gated_gt.b0 = slice_bytes(prod.b0, 2 * p * n_, (2 * p + 1) * n_);
-        gated_gt.b1 = slice_bytes(prod.b1, 2 * p * n_, (2 * p + 1) * n_);
-        gated_eq.b0 = slice_bytes(prod.b0, (2 * p + 1) * n_, (2 * p + 2) * n_);
-        gated_eq.b1 = slice_bytes(prod.b1, (2 * p + 1) * n_, (2 * p + 2) * n_);
-        next_gt.push_back(xor_bits(gts_[2 * p + 1], gated_gt));
+        for (int h = 0; h < 2; ++h) {
+          if (!ctx.runs(h)) continue;
+          gated_gt.share(h) = slice_bytes(prod.share(h), 2 * p * n_, (2 * p + 1) * n_);
+          gated_eq.share(h) = slice_bytes(prod.share(h), (2 * p + 1) * n_, (2 * p + 2) * n_);
+        }
+        next_gt.push_back(xor_bits(ctx, gts_[2 * p + 1], gated_gt));
         next_eq.push_back(std::move(gated_eq));
       }
       if (gts_.size() % 2 == 1) {  // odd count: most-significant digit carries up
@@ -354,9 +362,9 @@ void StagedMillionaire::step(TwoPartyContext& ctx) {
 
 BitShared millionaire_gt(TwoPartyContext& ctx, const std::vector<std::uint64_t>& a,
                          const std::vector<std::uint64_t>& b, int nbits) {
-  if (a.size() != b.size()) throw std::invalid_argument("millionaire_gt: size mismatch");
   StagedMillionaire m;
-  m.begin(ctx, a, b, nbits, draw_millionaire_material(ctx, a.size(), nbits));
+  m.begin(ctx, a, b, nbits,
+          draw_millionaire_material(ctx, ctx.runs(0) ? a.size() : b.size(), nbits));
   while (m.waiting() != CompareWait::done) {
     flush_compare_buffers(ctx, m.waiting());
     m.step(ctx);
@@ -374,19 +382,23 @@ void StagedDrelu::begin(TwoPartyContext& ctx, const Shared& x, MillionaireMateri
   const int lo_bits = rc.bits - 1;
   const std::uint64_t lo_mask = (1ULL << lo_bits) - 1;
 
-  // carry = [lo(x0) + lo(x1) >= 2^(b-1)] = [lo(x0) > 2^(b-1)-1 - lo(x1)]
-  std::vector<std::uint64_t> a(n), b(n);
-  m0_.resize(n);
-  m1_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    a[i] = x.s0[i] & lo_mask;
-    b[i] = lo_mask - (x.s1[i] & lo_mask);
-    m0_[i] = static_cast<std::uint8_t>((x.s0[i] >> lo_bits) & 1);
-    m1_[i] = static_cast<std::uint8_t>((x.s1[i] >> lo_bits) & 1);
+  // carry = [lo(x0) + lo(x1) >= 2^(b-1)] = [lo(x0) > 2^(b-1)-1 - lo(x1)]:
+  // party 0 compares lo(x0), party 1 the complement of lo(x1).
+  std::vector<std::uint64_t> in[2];
+  for (int p = 0; p < 2; ++p) {
+    top_[p].clear();
+    if (!ctx.runs(p)) continue;
+    in[p].resize(n);
+    top_[p].resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t lo = x.share(p)[i] & lo_mask;
+      in[p][i] = p == 0 ? lo : lo_mask - lo;
+      top_[p][i] = static_cast<std::uint8_t>((x.share(p)[i] >> lo_bits) & 1);
+    }
   }
   folded_ = false;
   mill_ = StagedMillionaire{};
-  mill_.begin(ctx, a, b, lo_bits, std::move(material));
+  mill_.begin(ctx, in[0], in[1], lo_bits, std::move(material));
 }
 
 CompareWait StagedDrelu::waiting() const noexcept { return mill_.waiting(); }
@@ -397,9 +409,11 @@ void StagedDrelu::step(TwoPartyContext& ctx) {
     // msb(x) = msb(x0) ^ msb(x1) ^ carry; DReLU = NOT msb — each party
     // folds its own top bit, party 0 flips for the negation.
     BitShared& carry = mill_.result();
-    for (std::size_t i = 0; i < carry.size(); ++i) {
-      carry.b0[i] ^= m0_[i] ^ 1;
-      carry.b1[i] ^= m1_[i];
+    for (int p = 0; p < 2; ++p) {
+      if (!ctx.runs(p)) continue;
+      for (std::size_t i = 0; i < carry.size(); ++i) {
+        carry.share(p)[i] ^= top_[p][i] ^ (p == 0 ? 1 : 0);
+      }
     }
     folded_ = true;
   }
@@ -443,7 +457,6 @@ CompareWait StagedDreluMux::waiting() const noexcept {
 }
 
 void StagedDreluMux::step(TwoPartyContext& ctx) {
-  const RingConfig& rc = ctx.ring();
   switch (phase_) {
     case Phase::drelu: {
       drelu_.step(ctx);
@@ -453,7 +466,7 @@ void StagedDreluMux::step(TwoPartyContext& ctx) {
       return;
     }
     case Phase::b2a: {
-      const Shared bit = b2a_.finish(rc);
+      const Shared bit = b2a_.finish(ctx);
       // Mux: out_p = v_p ⊙ bit (same operand order as crypto::mux); every
       // payload's multiply stages before the flush, so they open together.
       for (std::size_t p = 0; p < v_.size(); ++p) {
@@ -464,7 +477,7 @@ void StagedDreluMux::step(TwoPartyContext& ctx) {
     }
     case Phase::mux:
       out_.clear();
-      for (MulRound& m : mux_mul_) out_.push_back(m.finish(rc));
+      for (MulRound& m : mux_mul_) out_.push_back(m.finish(ctx));
       phase_ = Phase::done;
       return;
     case Phase::done:
@@ -495,30 +508,26 @@ BitShared msb(TwoPartyContext& ctx, const Shared& x) {
 }
 
 void B2aRound::stage(TwoPartyContext& ctx, const BitShared& v, ElemTriple t) {
+  // The trivial ring sharings of party 0's bit v0 = (v0, 0) and of party
+  // 1's bit v1 = (0, v1) are the multiplicands; together they add to
+  // v_ = (v0, v1).
   const std::size_t n = v.size();
-  v0_.resize(n);
-  v1_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    v0_[i] = v.b0[i];
-    v1_[i] = v.b1[i];
-  }
-  mul_.stage(ctx, trivial_share(v0_, 0), trivial_share(v1_, 1), std::move(t));
+  v_ = per_party(ctx, [&](int p) { return RingVec(v.share(p).begin(), v.share(p).end()); });
+  Shared x = per_party(ctx, [&](int p) { return p == 0 ? v_.s0 : RingVec(n, 0); });
+  Shared y = per_party(ctx, [&](int p) { return p == 1 ? v_.s1 : RingVec(n, 0); });
+  mul_.stage(ctx, std::move(x), std::move(y), std::move(t));
 }
 
-Shared B2aRound::finish(const RingConfig& rc) {
-  // b = v0 + v1 - 2·v0·v1 (the trivial sharings add to (v0, v1)).
-  const Shared p = mul_.finish(rc);
-  Shared sum;
-  sum.s0 = std::move(v0_);
-  sum.s1 = std::move(v1_);
-  return sub(sum, scale(p, 2, rc), rc);
+Shared B2aRound::finish(const TwoPartyContext& ctx) {
+  // b = v0 + v1 - 2·v0·v1.
+  return sub(ctx, v_, scale(ctx, mul_.finish(ctx), 2));
 }
 
 Shared b2a(TwoPartyContext& ctx, const BitShared& v) {
   B2aRound r;
   r.stage(ctx, v, ctx.elem_triple(v.size()));
   ctx.opens().flush();
-  return r.finish(ctx.ring());
+  return r.finish(ctx);
 }
 
 Shared mux(TwoPartyContext& ctx, const BitShared& sel, const Shared& x) {
@@ -546,8 +555,7 @@ Shared drelu_mux(TwoPartyContext& ctx, Shared v) {
 Shared relu(TwoPartyContext& ctx, const Shared& x) { return drelu_mux(ctx, x); }
 
 Shared max_elem(TwoPartyContext& ctx, const Shared& a, const Shared& b) {
-  const RingConfig& rc = ctx.ring();
-  return add(b, drelu_mux(ctx, sub(a, b, rc)), rc);
+  return add(ctx, b, drelu_mux(ctx, sub(ctx, a, b)));
 }
 
 std::vector<std::size_t> tournament_level_pairs(std::size_t entries) {

@@ -3,13 +3,17 @@
 // 2-bit parts via (1,4)-OT, plus the DReLU / ReLU / max building blocks the
 // non-polynomial 2PC operators are made of.
 //
-// Layout of the reduction (for the default 32-bit ring):
-//   x = x0 + x1 mod 2^32                       (additive shares)
-//   msb(x) = msb(x0) ^ msb(x1) ^ carry,        carry = [lo(x0)+lo(x1) >= 2^31]
-//   carry  = millionaire( lo(x0)  >  2^31-1-lo(x1) )
-// and the millionaire comparison decomposes both inputs into U = 16 parts
-// of 2 bits (paper Fig. 4), resolves each part with one (1,4)-OT, and
-// combines (lt, eq) pairs with a log-depth Beaver-AND tree.
+// Layout of the reduction as it runs, on the default 64-bit ring
+// (RingConfig::bits = 64):
+//   x = x0 + x1 mod 2^64                       (additive shares)
+//   msb(x) = msb(x0) ^ msb(x1) ^ carry,        carry = [lo(x0)+lo(x1) >= 2^63]
+//   carry  = millionaire( lo(x0)  >  2^63-1-lo(x1) )
+// where lo() keeps the low 63 bits.  The millionaire comparison splits
+// both 63-bit inputs into 32 digits of 2 bits (millionaire_digits),
+// resolves each digit with one (1,4)-OT, and combines the (gt, eq) pairs
+// with a 5-level Beaver-AND tree (millionaire_and_level_multipliers).
+// The paper compares 32-bit values in U = 16 digits (Fig. 4); narrowing
+// the window to 32 bits is ROADMAP item 12.
 
 #include <cstdint>
 #include <vector>
@@ -20,20 +24,28 @@
 namespace pasnet::crypto {
 
 /// XOR-shared bit vector (one byte per bit in memory; packed on the wire).
+/// Like Shared, a remote context fills only its own party's half.
 struct BitShared {
   std::vector<std::uint8_t> b0;
   std::vector<std::uint8_t> b1;
 
-  [[nodiscard]] std::size_t size() const noexcept { return b0.size(); }
+  /// Bits per half (either half may be the unfilled one).
+  [[nodiscard]] std::size_t size() const noexcept { return b0.empty() ? b1.size() : b0.size(); }
+  [[nodiscard]] const std::vector<std::uint8_t>& share(int party) const {
+    return party == 0 ? b0 : b1;
+  }
+  [[nodiscard]] std::vector<std::uint8_t>& share(int party) { return party == 0 ? b0 : b1; }
 };
 
 /// Reconstruct XOR-shared bits (local; for tests and final outputs).
 [[nodiscard]] std::vector<std::uint8_t> reconstruct_bits(const BitShared& v);
 
-/// Local XOR of two shared bit vectors.
-[[nodiscard]] BitShared xor_bits(const BitShared& x, const BitShared& y);
+/// Local XOR of two shared bit vectors, over the halves `ctx` runs.
+[[nodiscard]] BitShared xor_bits(const TwoPartyContext& ctx, const BitShared& x,
+                                 const BitShared& y);
 
-/// NOT: flips the logical value by flipping party 0's share.
+/// NOT: flips the logical value by flipping party 0's share (a no-op on a
+/// party-1 process, whose party-0 half is empty).
 [[nodiscard]] BitShared not_bits(const BitShared& x);
 
 /// Beaver AND over Z2 (one parallel round; consumes |x| bit triples).
@@ -101,7 +113,7 @@ class AndRound {
   /// `t` must be a bit triple of x's size (pre-drawn by the caller so the
   /// dealer request order is the caller's, not the flush schedule's).
   void stage(TwoPartyContext& ctx, const BitShared& x, const BitShared& y, BitTriple t);
-  [[nodiscard]] BitShared finish();
+  [[nodiscard]] BitShared finish(const TwoPartyContext& ctx);
 
  private:
   BitTriple t_;
@@ -117,11 +129,11 @@ class B2aRound {
  public:
   /// `t` must be an elem triple of v's size (pre-drawn by the caller).
   void stage(TwoPartyContext& ctx, const BitShared& v, ElemTriple t);
-  [[nodiscard]] Shared finish(const RingConfig& rc);
+  [[nodiscard]] Shared finish(const TwoPartyContext& ctx);
 
  private:
   MulRound mul_;
-  RingVec v0_, v1_;
+  Shared v_;  // the bits as a ring sharing (v0, v1)
 };
 
 /// Pre-drawn randomness for one millionaire comparison over n values: the
@@ -141,7 +153,10 @@ struct MillionaireMaterial {
 
 /// Resumable millionaires protocol: begin() stages the per-digit (1,4)-OT
 /// leaf batch on ctx.ots(); each step() after a flush consumes the round's
-/// results and stages the next AND-tree level on ctx.bit_opens().
+/// results and stages the next AND-tree level on ctx.bit_opens().  Party 0
+/// holds `a` and party 1 `b`; a remote context reads only its own party's
+/// input (the other may be empty), and the comparison size comes from the
+/// material.
 class StagedMillionaire {
  public:
   void begin(TwoPartyContext& ctx, const std::vector<std::uint64_t>& a,
@@ -176,7 +191,7 @@ class StagedDrelu {
 
  private:
   StagedMillionaire mill_;
-  std::vector<std::uint8_t> m0_, m1_;
+  std::vector<std::uint8_t> top_[2];  // each party's share msb
   bool folded_ = false;
 };
 
@@ -228,7 +243,8 @@ class StagedDreluMux {
 [[nodiscard]] std::vector<std::size_t> tournament_level_pairs(std::size_t entries);
 
 /// Millionaires protocol: party 0 holds `a`, party 1 holds `b`, both lists
-/// of `nbits`-bit non-negative values; returns XOR shares of [a > b].
+/// of `nbits`-bit non-negative values; returns XOR shares of [a > b].  A
+/// remote context reads only its own party's list.
 [[nodiscard]] BitShared millionaire_gt(TwoPartyContext& ctx,
                                        const std::vector<std::uint64_t>& a,
                                        const std::vector<std::uint64_t>& b, int nbits);

@@ -39,11 +39,7 @@ namespace {
 /// Bytes of one stage's packed shifts: four 2-bit shifts per byte.
 std::size_t shift_bytes(std::size_t n) noexcept { return (n + 3) / 4; }
 
-void check_request(const std::vector<std::array<std::uint8_t, kOtFanIn>>& tables,
-                   const std::vector<std::uint8_t>& choices) {
-  if (tables.size() != choices.size()) {
-    throw std::invalid_argument("ot_1of4: tables/choices size mismatch");
-  }
+void check_choices(const std::vector<std::uint8_t>& choices) {
   for (const auto c : choices) {
     if (c >= kOtFanIn) throw std::invalid_argument("ot_1of4: choice out of range");
   }
@@ -54,7 +50,11 @@ void check_request(const std::vector<std::array<std::uint8_t, kOtFanIn>>& tables
 std::vector<std::uint8_t> ot_1of4(TwoPartyContext& ctx, int sender,
                                   const std::vector<std::array<std::uint8_t, kOtFanIn>>& tables,
                                   const std::vector<std::uint8_t>& choices, OtMode /*mode*/) {
-  check_request(tables, choices);  // before any random OT is claimed
+  // Checked before any random OT is claimed.
+  if (tables.size() != choices.size()) {
+    throw std::invalid_argument("ot_1of4: tables/choices size mismatch");
+  }
+  check_choices(choices);
   if (tables.empty()) return {};
   // An immediate buffer of its own runs the exchange now, whatever the
   // context's buffer holds pending.
@@ -66,12 +66,17 @@ std::vector<std::uint8_t> ot_1of4(TwoPartyContext& ctx, int sender,
 
 void OtBuffer::stage(RandomOt rot, std::vector<std::array<std::uint8_t, kOtFanIn>> tables,
                      std::vector<std::uint8_t> choices, std::vector<std::uint8_t>* out) {
-  check_request(tables, choices);
-  const std::size_t n = choices.size();
-  if ((rot.sender != 0 && rot.sender != 1) || rot.size() != n || rot.chosen.size() != n ||
-      rot.pads.size() != kOtFanIn * n) {
+  // Each role reads only its own input: a remote sender's choices and a
+  // remote receiver's tables may be empty.
+  const std::size_t n = rot.size();
+  const bool sends = ctx_.runs(rot.sender);
+  const bool receives = ctx_.runs(1 - rot.sender);
+  if ((rot.sender != 0 && rot.sender != 1) || rot.chosen.size() != n ||
+      rot.pads.size() != kOtFanIn * n || (sends && tables.size() != n) ||
+      (receives && choices.size() != n)) {
     throw std::invalid_argument("ot_1of4: random OT batch does not match the request");
   }
+  if (receives) check_choices(choices);
   Pending p{std::move(rot), std::move(tables), std::move(choices), out};
   if (!coalescing_) {
     // Immediate mode never parks the stage, so a failed exchange cannot
@@ -105,9 +110,9 @@ void OtBuffer::transfer(Pending* batch, std::size_t count) {
   const int receiver = 1 - sender;
   std::size_t n = 0, frame = 0;
   for (std::size_t i = 0; i < count; ++i) {
-    n += batch[i].choices.size();
-    frame += shift_bytes(batch[i].choices.size());
-    batch[i].out->assign(batch[i].choices.size(), 0);
+    n += batch[i].rot.size();
+    frame += shift_bytes(batch[i].rot.size());
+    batch[i].out->assign(batch[i].rot.size(), 0);
   }
   if (n == 0) return;
   // One exchange = one OT batch; every staged instance inside it is one
@@ -139,13 +144,13 @@ void OtBuffer::transfer(Pending* batch, std::size_t count) {
     std::size_t off = 0, k = 0;
     for (std::size_t i = 0; i < count; ++i) {
       const Pending& p = batch[i];
-      for (std::size_t t = 0; t < p.choices.size(); ++t, ++k) {
+      for (std::size_t t = 0; t < p.rot.size(); ++t, ++k) {
         const unsigned s = (shifts[off + t / 4] >> (2 * (t % 4))) & 3U;
         for (unsigned j = 0; j < 4; ++j) {
           reply[kOtFanIn * k + j] = p.tables[t][j] ^ p.rot.pads[kOtFanIn * t + ((j - s) & 3U)];
         }
       }
-      off += shift_bytes(p.choices.size());
+      off += shift_bytes(p.rot.size());
     }
     ctx_.chan(sender).send_bytes(reply);
   }

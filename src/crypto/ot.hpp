@@ -66,7 +66,9 @@ class OtBuffer {
   OtBuffer& operator=(const OtBuffer&) = delete;
 
   /// Stages one batched OT spending `rot` (sender rot.sender, one random
-  /// OT per instance); `*out` receives the per-instance outputs.
+  /// OT per instance); `*out` receives the per-instance outputs.  Only the
+  /// roles the context runs read their input, so a remote process passes
+  /// its own: the sender's tables or the receiver's choices.
   void stage(RandomOt rot, std::vector<std::array<std::uint8_t, kOtFanIn>> tables,
              std::vector<std::uint8_t> choices, std::vector<std::uint8_t>* out);
 

@@ -100,7 +100,7 @@ std::uint64_t entropy_seed() {
 TwoPartyContext::TwoPartyContext(RingConfig rc, std::uint64_t seed, int local_party,
                                  Channel& channel)
     : rc_(rc), local_party_(local_party), remote_chan_(&channel),
-      round_delay_(0), dealer_(rc, splitmix64(seed)), dealer_source_(dealer_, rc),
+      round_delay_(0), dealer_(rc, splitmix64(seed), local_party), dealer_source_(dealer_, rc),
       prng0_(splitmix64(seed ^ 1)), prng1_(splitmix64(seed ^ 2)),
       ot_prng0_(splitmix64(seed ^ 3)), ot_prng1_(splitmix64(seed ^ 4)),
       role_prng_(entropy_seed()), opens_(*this),
@@ -109,39 +109,30 @@ TwoPartyContext::TwoPartyContext(RingConfig rc, std::uint64_t seed, int local_pa
     throw std::invalid_argument("TwoPartyContext: local_party must be 0 or 1");
   }
   // Only the borrowed local endpoint is addressable; chan() on the peer
-  // slot throws.  Both parties' transcript-shaping PRNGs and the dealer
-  // are still constructed from the shared seed so the two processes'
-  // shared streams coincide; role-secret draws come from role_prng_,
-  // which only this process holds.
+  // slot throws.  Both parties' transcript-shaping PRNGs and the dealer's
+  // half streams are still constructed from the shared seed so the two
+  // processes' shared streams coincide (the dealer completes only the
+  // local party's shares); role-secret draws come from role_prng_, which
+  // only this process holds.
 }
 
 TwoPartyContext::~TwoPartyContext() = default;
 
-void TwoPartyContext::exchange(const std::function<void()>& send0,
-                               const std::function<void()>& send1,
-                               const std::function<void()>& recv0,
-                               const std::function<void()>& recv1) {
+void TwoPartyContext::exchange(const std::function<void(int)>& send,
+                               const std::function<void(int)>& recv) {
   // Both directions are concurrently in flight: the whole exchange is one
   // latency-critical round (matching perf::OpCost::rounds), however many
-  // messages it carries.
+  // messages it carries.  A remote context runs its own party's half; the
+  // peer's executes in the other process, its messages arriving over the
+  // transport.
   const obs::SpanGuard span(tracer_, "crypto", "round");
   local_chan().begin_round();
   try {
-    if (local_party_ >= 0) {
-      // Remote: run the local party's half; the peer's half executes in the
-      // other process, its messages arriving over the transport.
-      if (local_party_ == 0) {
-        send0();
-        recv0();
-      } else {
-        send1();
-        recv1();
-      }
-    } else {
-      send0();
-      send1();
-      recv0();
-      recv1();
+    for (int p = 0; p < 2; ++p) {
+      if (runs(p)) send(p);
+    }
+    for (int p = 0; p < 2; ++p) {
+      if (runs(p)) recv(p);
     }
   } catch (...) {
     local_chan().end_round();
@@ -177,13 +168,14 @@ void OpenBuffer::flush() {
   // bytes on the wire are identical to separate opens, the rounds are not.
   std::size_t total = 0;
   for (const Pending& p : pending_) total += p.x.size();
-  Shared all;
-  all.s0.reserve(total);
-  all.s1.reserve(total);
-  for (const Pending& p : pending_) {
-    all.s0.insert(all.s0.end(), p.x.s0.begin(), p.x.s0.end());
-    all.s1.insert(all.s1.end(), p.x.s1.begin(), p.x.s1.end());
-  }
+  const Shared all = per_party(ctx_, [&](int party) {
+    RingVec half;
+    half.reserve(total);
+    for (const Pending& p : pending_) {
+      half.insert(half.end(), p.x.share(party).begin(), p.x.share(party).end());
+    }
+    return half;
+  });
   const RingVec opened = open(ctx_, all);
   std::size_t off = 0;
   for (const Pending& p : pending_) {
@@ -207,17 +199,15 @@ void OpenBuffer::set_coalescing(bool on) {
 
 RingVec open(TwoPartyContext& ctx, const Shared& x) {
   const int wb = ctx.wire_bytes();
-  // Both directions in one parallel round.  In a remote context only the
-  // local half runs: the local share goes out, the peer's arrives, and the
-  // sum is the same public value either process computes.
-  RingVec from0, from1;
-  ctx.exchange([&] { ctx.chan(0).send_ring(x.s0, wb); },
-               [&] { ctx.chan(1).send_ring(x.s1, wb); },
-               [&] { from1 = ctx.chan(0).recv_ring(x.size(), wb); },
-               [&] { from0 = ctx.chan(1).recv_ring(x.size(), wb); });
-  if (ctx.local_party() == 0) return add_vec(x.s0, from1, ctx.ring());
-  if (ctx.local_party() == 1) return add_vec(from0, x.s1, ctx.ring());
-  return add_vec(from0, from1, ctx.ring());
+  // Both directions in one parallel round: each party the context runs
+  // sends its share and receives the peer's.  The public value is any
+  // such party's own share plus the one it received — party 0's in
+  // process, the local party's in a remote context.
+  RingVec received[2];
+  ctx.exchange([&](int p) { ctx.chan(p).send_ring(x.share(p), wb); },
+               [&](int p) { received[p] = ctx.chan(p).recv_ring(x.size(), wb); });
+  const int p = ctx.runs(0) ? 0 : 1;
+  return add_vec(x.share(p), received[p], ctx.ring());
 }
 
 void MulRound::stage(TwoPartyContext& ctx, Shared x, Shared y) {
@@ -229,47 +219,43 @@ void MulRound::stage(TwoPartyContext& ctx, Shared x, Shared y) {
 void MulRound::stage(TwoPartyContext& ctx, Shared x, Shared y, ElemTriple t) {
   if (x.size() != y.size()) throw std::invalid_argument("mul_elem: size mismatch");
   if (t.a.size() != x.size()) throw std::invalid_argument("mul_elem: triple size mismatch");
-  const RingConfig& rc = ctx.ring();
   t_ = std::move(t);
   x_ = std::move(x);
   y_ = std::move(y);
   // E = X - A, F = Y - B; opened jointly.
-  ctx.opens().stage(sub(x_, t_.a, rc), &e_);
-  ctx.opens().stage(sub(y_, t_.b, rc), &f_);
+  ctx.opens().stage(sub(ctx, x_, t_.a), &e_);
+  ctx.opens().stage(sub(ctx, y_, t_.b), &f_);
 }
 
-Shared MulRound::finish(const RingConfig& rc) {
+Shared MulRound::finish(const TwoPartyContext& ctx) {
   // R_Si = -i·E⊙F + X_Si⊙F + E⊙Y_Si + Z_Si  (paper Eq. 2), one fused
   // kernel pass per share plus the E⊙F correction on party 1's.
   const std::size_t n = x_.size();
-  Shared r;
-  r.s0.resize(n);
-  r.s1.resize(n);
-  kern::beaver_combine(r.s0.data(), x_.s0.data(), f_.data(), e_.data(), y_.s0.data(),
-                       t_.z.s0.data(), n, rc.mask());
-  kern::beaver_combine(r.s1.data(), x_.s1.data(), f_.data(), e_.data(), y_.s1.data(),
-                       t_.z.s1.data(), n, rc.mask());
-  kern::mul_sub(r.s1.data(), e_.data(), f_.data(), n, rc.mask());
-  return r;
+  const std::uint64_t mask = ctx.ring().mask();
+  return per_party(ctx, [&](int p) {
+    RingVec r(n);
+    kern::beaver_combine(r.data(), x_.share(p).data(), f_.data(), e_.data(), y_.share(p).data(),
+                         t_.z.share(p).data(), n, mask);
+    if (p == 1) kern::mul_sub(r.data(), e_.data(), f_.data(), n, mask);
+    return r;
+  });
 }
 
 void SquareRound::stage(TwoPartyContext& ctx, const Shared& x) {
   p_ = ctx.square_pair(x.size());
-  ctx.opens().stage(sub(x, p_.a, ctx.ring()), &e_);
+  ctx.opens().stage(sub(ctx, x, p_.a), &e_);
 }
 
-Shared SquareRound::finish(const RingConfig& rc) {
+Shared SquareRound::finish(const TwoPartyContext& ctx) {
   // R = Z + 2·E⊙A + E⊙E  (paper Eq. 3); the public E⊙E term is added by
   // exactly one party so reconstruction counts it once.
   const std::size_t n = e_.size();
-  Shared r;
-  r.s0.resize(n);
-  r.s1.resize(n);
-  kern::square_combine(r.s0.data(), p_.z.s0.data(), e_.data(), p_.a.s0.data(),
-                       /*add_e2=*/true, n, rc.mask());
-  kern::square_combine(r.s1.data(), p_.z.s1.data(), e_.data(), p_.a.s1.data(),
-                       /*add_e2=*/false, n, rc.mask());
-  return r;
+  return per_party(ctx, [&](int p) {
+    RingVec r(n);
+    kern::square_combine(r.data(), p_.z.share(p).data(), e_.data(), p_.a.share(p).data(),
+                         /*add_e2=*/p == 0, n, ctx.ring().mask());
+    return r;
+  });
 }
 
 void MatmulRound::stage(TwoPartyContext& ctx, Shared x, Shared y, std::size_t m,
@@ -277,68 +263,74 @@ void MatmulRound::stage(TwoPartyContext& ctx, Shared x, Shared y, std::size_t m,
   if (x.size() != m * k || y.size() != k * n) {
     throw std::invalid_argument("matmul: shape mismatch");
   }
-  const RingConfig& rc = ctx.ring();
   t_ = ctx.matmul_triple(m, k, n);
   x_ = std::move(x);
   y_ = std::move(y);
   m_ = m;
   k_ = k;
   n_ = n;
-  ctx.opens().stage(sub(x_, t_.a, rc), &e_);
-  ctx.opens().stage(sub(y_, t_.b, rc), &f_);
+  ctx.opens().stage(sub(ctx, x_, t_.a), &e_);
+  ctx.opens().stage(sub(ctx, y_, t_.b), &f_);
 }
 
-Shared MatmulRound::finish(const RingConfig& rc) {
-  // R_Si = Z_Si + X_Si·F + E·Y_Si [- E·F on party 1]: seed the accumulator
-  // with Z, fuse both GEMMs unreduced into it, and mask once at the end.
-  const std::size_t out = m_ * n_;
-  Shared r;
-  r.s0 = t_.z.s0;
-  kern::gemm_acc(r.s0.data(), x_.s0.data(), f_.data(), m_, k_, n_);
-  kern::gemm_acc(r.s0.data(), e_.data(), y_.s0.data(), m_, k_, n_);
-  kern::reduce(r.s0.data(), r.s0.data(), out, rc.mask());
-  r.s1 = t_.z.s1;
-  kern::gemm_acc(r.s1.data(), x_.s1.data(), f_.data(), m_, k_, n_);
-  kern::gemm_acc(r.s1.data(), e_.data(), y_.s1.data(), m_, k_, n_);
-  RingVec ef(out);
-  kern::gemm(ef.data(), e_.data(), f_.data(), m_, k_, n_, rc.mask());
-  kern::sub(r.s1.data(), r.s1.data(), ef.data(), out, rc.mask());
-  return r;
+Shared MatmulRound::finish(const TwoPartyContext& ctx) {
+  // R_Si = Z_Si + X_Si·F + E·Y_Si [- E·F on party 1], with party 1's E·F
+  // folded in by linearity as E·(Y_S1 - F): two GEMMs per share, fused
+  // unreduced into the Z-seeded accumulator and masked once at the end.
+  const std::uint64_t mask = ctx.ring().mask();
+  return per_party(ctx, [&](int p) {
+    RingVec r = t_.z.share(p);
+    RingVec y_minus_f;
+    const RingVec* y = &y_.share(p);
+    if (p == 1) {
+      y_minus_f.resize(k_ * n_);
+      kern::sub(y_minus_f.data(), y->data(), f_.data(), y_minus_f.size(), mask);
+      y = &y_minus_f;
+    }
+    kern::gemm_acc(r.data(), x_.share(p).data(), f_.data(), m_, k_, n_);
+    kern::gemm_acc(r.data(), e_.data(), y->data(), m_, k_, n_);
+    kern::reduce(r.data(), r.data(), r.size(), mask);
+    return r;
+  });
 }
 
 void BilinearRound::stage(TwoPartyContext& ctx, const Shared& x, const Shared& weight,
                           const BilinearSpec& spec) {
-  const RingConfig& rc = ctx.ring();
-  map_ = build_bilinear_map(spec, rc);
+  map_ = build_bilinear_map(spec, ctx.ring());
   t_ = ctx.bilinear_triple(spec);
   // E = W - B opens in weight space (offline-able for a static model) and
   // F = X - A opens in *input* space — the paper's COMM_conv term.
-  ctx.opens().stage(sub(weight, t_.b, rc), &e_);
-  ctx.opens().stage(sub(x, t_.a, rc), &f_);
+  ctx.opens().stage(sub(ctx, weight, t_.b), &e_);
+  ctx.opens().stage(sub(ctx, x, t_.a), &f_);
 }
 
-Shared BilinearRound::finish(const RingConfig& rc) {
-  // R_i = [i==0]·f(F,E) + f(A_i,E) + f(F,B_i) + Z_i.
-  Shared y;
-  y.s0 = map_(f_, e_);
-  y.s0 = add_vec(add_vec(y.s0, map_(t_.a.s0, e_), rc),
-                 add_vec(map_(f_, t_.b.s0), t_.z.s0, rc), rc);
-  y.s1 = add_vec(map_(t_.a.s1, e_), add_vec(map_(f_, t_.b.s1), t_.z.s1, rc), rc);
-  return y;
+Shared BilinearRound::finish(const TwoPartyContext& ctx) {
+  // R_i = [i==0]·f(F,E) + f(A_i,E) + f(F,B_i) + Z_i, with party 0's public
+  // f(F,E) folded in by bilinearity as f(A_0 + F, E): two maps per share.
+  const RingConfig& rc = ctx.ring();
+  return per_party(ctx, [&](int p) {
+    RingVec a_plus_f;
+    const RingVec* a = &t_.a.share(p);
+    if (p == 0) {
+      a_plus_f = add_vec(*a, f_, rc);
+      a = &a_plus_f;
+    }
+    return add_vec(add_vec(map_(*a, e_), map_(f_, t_.b.share(p)), rc), t_.z.share(p), rc);
+  });
 }
 
 Shared mul_elem(TwoPartyContext& ctx, const Shared& x, const Shared& y) {
   MulRound r;
   r.stage(ctx, x, y);
   ctx.opens().flush();
-  return r.finish(ctx.ring());
+  return r.finish(ctx);
 }
 
 Shared square_elem(TwoPartyContext& ctx, const Shared& x) {
   SquareRound r;
   r.stage(ctx, x);
   ctx.opens().flush();
-  return r.finish(ctx.ring());
+  return r.finish(ctx);
 }
 
 Shared matmul(TwoPartyContext& ctx, const Shared& x, const Shared& y, std::size_t m,
@@ -346,11 +338,11 @@ Shared matmul(TwoPartyContext& ctx, const Shared& x, const Shared& y, std::size_
   MatmulRound r;
   r.stage(ctx, x, y, m, k, n);
   ctx.opens().flush();
-  return r.finish(ctx.ring());
+  return r.finish(ctx);
 }
 
 Shared mul_fixed(TwoPartyContext& ctx, const Shared& x, const Shared& y) {
-  return truncate_shares(mul_elem(ctx, x, y), ctx.ring());
+  return truncate_shares(ctx, mul_elem(ctx, x, y));
 }
 
 }  // namespace pasnet::crypto

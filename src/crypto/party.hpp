@@ -26,19 +26,20 @@
 // Remote (two-process) deployment: a context constructed with a local
 // party id and a single channel endpoint (src/net's TransportChannel over
 // TCP) drives ONE party; the peer party runs the same program in another
-// process.  exchange runs only the local party's half, joint openings
-// combine the local share with the received peer share, and the per-party
-// PRNG and dealer streams keep advancing identically in both processes
-// (they are seeded from the shared context seed), which is what keeps a
-// two-process run's transcript and logits bit-identical to the in-process
-// schedule.  Genuinely secret values — the OT-extension base secrets and the
-// OT-extension half streams of the triples and random OTs — do NOT come
-// from those shared streams: they are drawn from role_prng(), which in a
-// remote process is a private entropy-seeded stream the peer never sees
-// (in process it aliases the seed-derived ot_prng streams, keeping the
-// historical transcripts).  Peer-share slots of local `Shared` values are
-// garbage in a remote process; protocol code never mixes shares across
-// parties outside channel exchanges, so they are never read.
+// process.  Every local step is one per-party loop over the parties the
+// context runs (runs(p)): both in process, only the local one remote, so a
+// remote process computes only the share it owns and leaves the peer's
+// half of every `Shared` it produces empty.  exchange runs only the local
+// party's half, joint openings combine the local share with the received
+// peer share, and the per-party PRNG and dealer streams keep advancing
+// identically in both processes (they are seeded from the shared context
+// seed), which is what keeps a two-process run's transcript and logits
+// bit-identical to the in-process schedule.  Genuinely secret values — the
+// OT-extension base secrets and the OT-extension half streams of the
+// triples and random OTs — do NOT come from those shared streams: they are
+// drawn from role_prng(), which in a remote process is a private
+// entropy-seeded stream the peer never sees (in process it aliases the
+// seed-derived ot_prng streams, keeping the historical transcripts).
 //
 // Honest scope of the remote mode: the share-splitting streams prng(0)/
 // prng(1) and the canonical client input PRG are STILL derived from the
@@ -232,11 +233,12 @@ class TwoPartyContext {
   /// The party this context drives: -1 when both run in-process (the
   /// simulation modes), 0 or 1 for a remote two-process context.
   [[nodiscard]] int local_party() const noexcept { return local_party_; }
-  /// Whether this context executes `party`'s side of the protocol.  The
-  /// protocol implementations gate channel operations and role-specific
-  /// compute on this; transcript-shaping PRNG and dealer draws stay
-  /// ungated so both processes' shared randomness streams remain aligned,
-  /// while role_prng() draws are gated with the compute they feed.
+  /// Whether this context executes `party`'s side of the protocol: the
+  /// condition of every per-party loop.  The protocol implementations
+  /// gate channel operations and all share compute on it; transcript-
+  /// shaping PRNG and dealer draws stay ungated so both processes' shared
+  /// randomness streams remain aligned, while role_prng() draws are gated
+  /// with the compute they feed.
   [[nodiscard]] bool runs(int party) const noexcept {
     return local_party_ < 0 || local_party_ == party;
   }
@@ -253,13 +255,12 @@ class TwoPartyContext {
   /// one shared exchange per level.
   [[nodiscard]] BitOpenBuffer& bit_opens() noexcept { return *bit_opens_; }
 
-  /// One symmetric communication round: both parties send, then both
-  /// receive.  In process, send0, send1, recv0, recv1 run on the caller's
-  /// thread; a remote context runs only its own party's send and recv.
-  /// The whole exchange is bracketed as ONE round in the traffic stats
-  /// (both directions in flight together).
-  void exchange(const std::function<void()>& send0, const std::function<void()>& send1,
-                const std::function<void()>& recv0, const std::function<void()>& recv1);
+  /// One symmetric communication round: every party the context runs
+  /// sends (send(p)), then each receives (recv(p)) — in process party 0
+  /// and 1 on the caller's thread, remote only the local party.  The whole
+  /// exchange is bracketed as ONE round in the traffic stats (both
+  /// directions in flight together).
+  void exchange(const std::function<void(int)>& send, const std::function<void(int)>& recv);
 
   /// Modeled on-wire bytes per ring element (4 for the paper's 32-bit ring).
   [[nodiscard]] int wire_bytes() const noexcept { return (rc_.wire_bits + 7) / 8; }
@@ -285,8 +286,8 @@ class TwoPartyContext {
     return *triple_source_;
   }
 
-  /// The endpoint this context meters: party 0's for the in-process modes
-  /// (the pair shares one counter block), the borrowed endpoint for a
+  /// The endpoint this context meters: party 0's in process (it observes
+  /// every message of both parties once), the borrowed endpoint for a
   /// remote context.
   [[nodiscard]] Channel& local_chan() const noexcept {
     return remote_chan_ != nullptr ? *remote_chan_ : *chan0_;
@@ -314,6 +315,17 @@ class TwoPartyContext {
   obs::Tracer* tracer_ = nullptr;  // non-owning; see set_tracer
 };
 
+/// Builds the Shared whose half p is f(p) for every party `ctx` runs; the
+/// other half stays empty.  The per-party loop of the local share math.
+template <typename F>
+[[nodiscard]] Shared per_party(const TwoPartyContext& ctx, F&& f) {
+  Shared out;
+  for (int p = 0; p < 2; ++p) {
+    if (ctx.runs(p)) out.share(p) = f(p);
+  }
+  return out;
+}
+
 /// Jointly reconstruct a shared vector: both parties exchange their shares
 /// (one parallel round) and locally add.  Returns the public value.
 [[nodiscard]] RingVec open(TwoPartyContext& ctx, const Shared& x);
@@ -322,11 +334,11 @@ class TwoPartyContext {
 //
 // Each *Round splits one multiplicative protocol into stage() — draw the
 // correlated randomness and stage the masked openings on ctx.opens() — and
-// finish() — recombine once the openings are public.  The one-shot
-// functions below are stage + flush + finish; the IR executor stages
-// several independent rounds and flushes them in one exchange.  Both paths
-// share the same arithmetic and the same draw order, which is what makes
-// their results bit-identical.
+// finish() — recombine once the openings are public, for the parties the
+// context runs.  The one-shot functions below are stage + flush + finish;
+// the IR executor stages several independent rounds and flushes them in
+// one exchange.  Both paths share the same arithmetic and the same draw
+// order, which is what makes their results bit-identical.
 
 /// Beaver elementwise multiplication (paper Eq. 2), staged.
 class MulRound {
@@ -337,7 +349,7 @@ class MulRound {
   /// front so the request stream stays program-ordered however the phases
   /// interleave.
   void stage(TwoPartyContext& ctx, Shared x, Shared y, ElemTriple t);
-  [[nodiscard]] Shared finish(const RingConfig& rc);
+  [[nodiscard]] Shared finish(const TwoPartyContext& ctx);
 
  private:
   ElemTriple t_;
@@ -349,7 +361,7 @@ class MulRound {
 class SquareRound {
  public:
   void stage(TwoPartyContext& ctx, const Shared& x);
-  [[nodiscard]] Shared finish(const RingConfig& rc);
+  [[nodiscard]] Shared finish(const TwoPartyContext& ctx);
 
  private:
   SquarePair p_;
@@ -361,7 +373,7 @@ class MatmulRound {
  public:
   void stage(TwoPartyContext& ctx, Shared x, Shared y, std::size_t m, std::size_t k,
              std::size_t n);
-  [[nodiscard]] Shared finish(const RingConfig& rc);
+  [[nodiscard]] Shared finish(const TwoPartyContext& ctx);
 
  private:
   MatmulTriple t_;
@@ -376,7 +388,7 @@ class BilinearRound {
  public:
   void stage(TwoPartyContext& ctx, const Shared& x, const Shared& weight,
              const BilinearSpec& spec);
-  [[nodiscard]] Shared finish(const RingConfig& rc);
+  [[nodiscard]] Shared finish(const TwoPartyContext& ctx);
 
  private:
   BilinearTriple t_;

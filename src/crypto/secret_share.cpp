@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "crypto/party.hpp"
 #include "crypto/ring_kernels.hpp"
 
 namespace pasnet::crypto {
@@ -31,61 +32,41 @@ std::vector<double> reconstruct_reals(const Shared& x, const RingConfig& rc) {
   return decode_vec(reconstruct(x, rc), rc);
 }
 
-Shared trivial_share(const RingVec& x, int party) {
-  Shared out;
-  if (party == 0) {
-    out.s0 = x;
-    out.s1.assign(x.size(), 0);
-  } else {
-    out.s0.assign(x.size(), 0);
-    out.s1 = x;
-  }
-  return out;
-}
-
-Shared linear(std::uint64_t a, const Shared& x, const Shared& y, const RingConfig& rc) {
+Shared linear(const TwoPartyContext& ctx, std::uint64_t a, const Shared& x, const Shared& y) {
   if (x.size() != y.size()) throw std::invalid_argument("linear: size mismatch");
-  Shared out;
-  out.s0 = add_vec(scale_vec(x.s0, a, rc), y.s0, rc);
-  out.s1 = add_vec(scale_vec(x.s1, a, rc), y.s1, rc);
-  return out;
+  return per_party(ctx, [&](int p) {
+    return add_vec(scale_vec(x.share(p), a, ctx.ring()), y.share(p), ctx.ring());
+  });
 }
 
-Shared add(const Shared& x, const Shared& y, const RingConfig& rc) {
-  Shared out;
-  out.s0 = add_vec(x.s0, y.s0, rc);
-  out.s1 = add_vec(x.s1, y.s1, rc);
-  return out;
+Shared add(const TwoPartyContext& ctx, const Shared& x, const Shared& y) {
+  return per_party(ctx, [&](int p) { return add_vec(x.share(p), y.share(p), ctx.ring()); });
 }
 
-Shared sub(const Shared& x, const Shared& y, const RingConfig& rc) {
-  Shared out;
-  out.s0 = sub_vec(x.s0, y.s0, rc);
-  out.s1 = sub_vec(x.s1, y.s1, rc);
-  return out;
+Shared sub(const TwoPartyContext& ctx, const Shared& x, const Shared& y) {
+  return per_party(ctx, [&](int p) { return sub_vec(x.share(p), y.share(p), ctx.ring()); });
 }
 
-Shared scale(const Shared& x, std::uint64_t c, const RingConfig& rc) {
-  Shared out;
-  out.s0 = scale_vec(x.s0, c, rc);
-  out.s1 = scale_vec(x.s1, c, rc);
-  return out;
+Shared scale(const TwoPartyContext& ctx, const Shared& x, std::uint64_t c) {
+  return per_party(ctx, [&](int p) { return scale_vec(x.share(p), c, ctx.ring()); });
 }
 
-Shared add_public(const Shared& x, const RingVec& c, const RingConfig& rc) {
+Shared add_public(const TwoPartyContext& ctx, const Shared& x, const RingVec& c) {
   if (x.size() != c.size()) throw std::invalid_argument("add_public: size mismatch");
-  Shared out = x;
-  out.s0 = add_vec(out.s0, c, rc);
-  return out;
+  return per_party(ctx, [&](int p) { return p == 0 ? add_vec(x.s0, c, ctx.ring()) : x.s1; });
 }
 
-Shared truncate_shares(const Shared& x, const RingConfig& rc) {
-  Shared out;
-  out.s0.resize(x.size());
-  out.s1.resize(x.size());
-  kern::trunc(out.s0.data(), x.s0.data(), x.size(), rc.bits, rc.frac_bits, rc.mask());
-  kern::trunc_neg(out.s1.data(), x.s1.data(), x.size(), rc.bits, rc.frac_bits, rc.mask());
-  return out;
+Shared truncate_shares(const TwoPartyContext& ctx, const Shared& x) {
+  const RingConfig& rc = ctx.ring();
+  return per_party(ctx, [&](int p) {
+    RingVec out(x.size());
+    if (p == 0) {
+      kern::trunc(out.data(), x.s0.data(), x.size(), rc.bits, rc.frac_bits, rc.mask());
+    } else {
+      kern::trunc_neg(out.data(), x.s1.data(), x.size(), rc.bits, rc.frac_bits, rc.mask());
+    }
+    return out;
+  });
 }
 
 }  // namespace pasnet::crypto

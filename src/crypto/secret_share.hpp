@@ -4,9 +4,11 @@
 //   shr(x): sample r uniformly, shares are (r, x - r).
 //   rec(JxK): x = x_S0 + x_S1 mod 2^k.
 //
-// A `Shared` value holds *both* shares because the simulation executes both
-// parties in one process; protocol code only ever combines them through the
-// reconstruction helpers or via channel exchanges, never silently.
+// A `Shared` value holds one half per party.  An in-process context runs
+// both parties, so it fills both halves; a remote context runs one party
+// and fills only that party's half, leaving the peer's empty.  Protocol
+// code never combines halves except through channel exchanges (or the
+// reconstruction helpers, in tests and on the client).
 
 #include <cstdint>
 #include <vector>
@@ -16,12 +18,15 @@
 
 namespace pasnet::crypto {
 
+class TwoPartyContext;  // crypto/party.hpp
+
 /// A secret-shared vector JxK = (s0, s1) with x = s0 + s1 mod 2^k.
 struct Shared {
   RingVec s0;
   RingVec s1;
 
-  [[nodiscard]] std::size_t size() const noexcept { return s0.size(); }
+  /// Elements per half (either half may be the unfilled one).
+  [[nodiscard]] std::size_t size() const noexcept { return s0.empty() ? s1.size() : s0.size(); }
   [[nodiscard]] const RingVec& share(int party) const { return party == 0 ? s0 : s1; }
   [[nodiscard]] RingVec& share(int party) { return party == 0 ? s0 : s1; }
 };
@@ -39,29 +44,28 @@ struct Shared {
 /// Reconstruct and decode to reals.
 [[nodiscard]] std::vector<double> reconstruct_reals(const Shared& x, const RingConfig& rc);
 
-/// A "trivial" sharing of a value known in clear to `party`: that party's
-/// share is the value, the other share is zero.
-[[nodiscard]] Shared trivial_share(const RingVec& x, int party);
-
 // --- Local linear operations (no communication; paper Eq. 1) -------------
+//
+// Each fills the halves of the parties `ctx` runs (TwoPartyContext::runs)
+// and reads only those halves of its operands.
 
 /// JaX + YK computed share-wise.
-[[nodiscard]] Shared linear(std::uint64_t a, const Shared& x, const Shared& y,
-                            const RingConfig& rc);
+[[nodiscard]] Shared linear(const TwoPartyContext& ctx, std::uint64_t a, const Shared& x,
+                            const Shared& y);
 
-[[nodiscard]] Shared add(const Shared& x, const Shared& y, const RingConfig& rc);
-[[nodiscard]] Shared sub(const Shared& x, const Shared& y, const RingConfig& rc);
+[[nodiscard]] Shared add(const TwoPartyContext& ctx, const Shared& x, const Shared& y);
+[[nodiscard]] Shared sub(const TwoPartyContext& ctx, const Shared& x, const Shared& y);
 
 /// Multiply by a public ring constant.
-[[nodiscard]] Shared scale(const Shared& x, std::uint64_t c, const RingConfig& rc);
+[[nodiscard]] Shared scale(const TwoPartyContext& ctx, const Shared& x, std::uint64_t c);
 
 /// Add a public constant vector: only party 0 adjusts its share.
-[[nodiscard]] Shared add_public(const Shared& x, const RingVec& c, const RingConfig& rc);
+[[nodiscard]] Shared add_public(const TwoPartyContext& ctx, const Shared& x, const RingVec& c);
 
 /// SecureML-style local truncation by the fixed-point fraction bits:
 /// party 0 arithmetically shifts its share, party 1 shifts the negation of
 /// its share and negates back.  Introduces at most 1 LSB of error with
 /// overwhelming probability for values far from the ring boundary.
-[[nodiscard]] Shared truncate_shares(const Shared& x, const RingConfig& rc);
+[[nodiscard]] Shared truncate_shares(const TwoPartyContext& ctx, const Shared& x);
 
 }  // namespace pasnet::crypto

@@ -69,11 +69,9 @@ proto::SecureTensor recv_tensor_share(crypto::Channel& chan, int local_party) {
   crypto::RingVec half = r.get_ring_vec();
   r.expect_end();
   if (half.size() != elems) throw WireError("tensor share: element count mismatch");
-  // The peer half stays zero-filled at the same size: protocol math walks
-  // both halves positionally, and a remote process never reads the peer's
-  // values.
-  (local_party == 0 ? t.shares.s0 : t.shares.s1) = std::move(half);
-  (local_party == 0 ? t.shares.s1 : t.shares.s0).assign(elems, 0);
+  // The peer half stays empty: a remote context computes only its own
+  // party's shares, so it never reads the peer's.
+  t.shares.share(local_party) = std::move(half);
   return t;
 }
 

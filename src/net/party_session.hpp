@@ -47,8 +47,9 @@ namespace pasnet::net {
     TransportOptions opts = TransportOptions{});
 
 /// Setup-frame transfer of one party's half of a shared tensor (shape +
-/// that half; the other half arrives zero-filled so share vectors stay
-/// size-aligned).  Runs over the channel BEFORE the metered window.
+/// that half; the received tensor's other half stays empty, as in every
+/// share a remote context computes).  Runs over the channel BEFORE the
+/// metered window.
 void send_tensor_share(crypto::Channel& chan, const proto::SecureTensor& t, int for_party);
 [[nodiscard]] proto::SecureTensor recv_tensor_share(crypto::Channel& chan, int local_party);
 

@@ -1,11 +1,11 @@
 #pragma once
 // Protocol tracing and metrics (the observability layer).
 //
-// Counting is always on and lives outside the tracer: every metered
-// channel endpoint owns one obs::CounterBlock (shared by both endpoints of
-// an in-process pair), and each protocol event — a message, a round, an OT
-// batch, an AND level, an opening, a triple claim, a kernel delivery,
-// blocked send/recv time — is counted there exactly once, traced or not.
+// Counting is always on and lives outside the tracer: every channel
+// endpoint owns one obs::CounterBlock, and each protocol event the
+// endpoint observes — a message, a round, an OT batch, an AND level, an
+// opening, a triple claim, a kernel delivery, blocked send/recv time — is
+// counted there exactly once, traced or not.
 //
 // obs::Tracer is what a traced run adds on top: timestamped *spans* (a
 // named interval with a category and an optional lane count — one round,

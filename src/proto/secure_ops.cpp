@@ -24,48 +24,47 @@ RingVec slice_ring(const RingVec& v, std::size_t lo, std::size_t hi) {
   return out;
 }
 
-/// Appends src's shares to dst's.
-void append_shares(Shared& dst, const Shared& src) {
-  dst.s0.insert(dst.s0.end(), src.s0.begin(), src.s0.end());
-  dst.s1.insert(dst.s1.end(), src.s1.begin(), src.s1.end());
+/// Appends src's shares to dst's, for the parties `ctx` runs.
+void append_shares(const TwoPartyContext& ctx, Shared& dst, const Shared& src) {
+  for (int p = 0; p < 2; ++p) {
+    if (!ctx.runs(p)) continue;
+    dst.share(p).insert(dst.share(p).end(), src.share(p).begin(), src.share(p).end());
+  }
 }
 
 /// Gathers a strided window tap into a flat share vector (for pooling).
 /// The valid output-x range is computed once per tap so the inner copy is a
 /// bounds-free strided gather (a memcpy when stride == 1).
-Shared gather_window_tap(const SecureTensor& x, int kh, int kw, int kernel, int stride,
-                         int pad, long long* valid_mask_out) {
+Shared gather_window_tap(const TwoPartyContext& ctx, const SecureTensor& x, int kh, int kw,
+                         int kernel, int stride, int pad) {
   const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   const int oh = nn::conv_out_size(h, kernel, stride, pad);
   const int ow = nn::conv_out_size(w, kernel, stride, pad);
   const std::size_t out_n = static_cast<std::size_t>(n) * c * oh * ow;
-  Shared tap;
-  tap.s0.assign(out_n, 0);
-  tap.s1.assign(out_n, 0);
-  if (valid_mask_out != nullptr) *valid_mask_out = 1;
   // Valid x range [x0, x1): 0 <= x*stride + kw - pad < w.
   const int off = kw - pad;
   const int x0 = off >= 0 ? 0 : (-off + stride - 1) / stride;
   int x1 = w - off <= 0 ? 0 : (w - off + stride - 1) / stride;
   if (x1 > ow) x1 = ow;
-  if (x1 <= x0) return tap;
-  const std::size_t run = static_cast<std::size_t>(x1 - x0);
-  for (int s = 0; s < n; ++s) {
-    for (int ch = 0; ch < c; ++ch) {
-      const std::size_t plane = static_cast<std::size_t>(s) * c + ch;
-      for (int y = 0; y < oh; ++y) {
-        const int in_y = y * stride + kh - pad;
-        if (in_y < 0 || in_y >= h) continue;
-        const std::size_t src = (plane * h + in_y) * w + x0 * stride + off;
-        const std::size_t dst = (plane * oh + y) * ow + x0;
-        crypto::kern::copy_strided(tap.s0.data() + dst, x.shares.s0.data() + src, run,
-                                   static_cast<std::size_t>(stride));
-        crypto::kern::copy_strided(tap.s1.data() + dst, x.shares.s1.data() + src, run,
-                                   static_cast<std::size_t>(stride));
+  return crypto::per_party(ctx, [&](int p) {
+    RingVec tap(out_n, 0);
+    if (x1 <= x0) return tap;
+    const std::size_t run = static_cast<std::size_t>(x1 - x0);
+    for (int s = 0; s < n; ++s) {
+      for (int ch = 0; ch < c; ++ch) {
+        const std::size_t plane = static_cast<std::size_t>(s) * c + ch;
+        for (int y = 0; y < oh; ++y) {
+          const int in_y = y * stride + kh - pad;
+          if (in_y < 0 || in_y >= h) continue;
+          const std::size_t src = (plane * h + in_y) * w + x0 * stride + off;
+          const std::size_t dst = (plane * oh + y) * ow + x0;
+          crypto::kern::copy_strided(tap.data() + dst, x.shares.share(p).data() + src, run,
+                                     static_cast<std::size_t>(stride));
+        }
       }
     }
-  }
-  return tap;
+    return tap;
+  });
 }
 
 crypto::BilinearSpec conv_spec(const SecureTensor& x, int out_ch, int kernel, int stride,
@@ -128,18 +127,20 @@ SecureTensor StagedConv2d::finish(TwoPartyContext& ctx) {
   const int n = x_.dim(0);
   const int oh = nn::conv_out_size(x_.dim(2), kernel_, stride_, pad_);
   const int ow = nn::conv_out_size(x_.dim(3), kernel_, stride_, pad_);
-  Shared y = crypto::truncate_shares(round_.finish(rc), rc);
+  Shared y = crypto::truncate_shares(ctx, round_.finish(ctx));
   if (bias_ != nullptr) {
     // Broadcast-add the per-channel bias over the spatial output.
     const std::size_t spatial = static_cast<std::size_t>(oh) * ow;
-    const std::uint64_t mask = rc.mask();
-    for (int s = 0; s < n; ++s) {
-      for (int oc = 0; oc < out_ch_; ++oc) {
-        const std::size_t base = (static_cast<std::size_t>(s) * out_ch_ + oc) * spatial;
-        crypto::kern::add_const(y.s0.data() + base, y.s0.data() + base,
-                                bias_->s0[static_cast<std::size_t>(oc)], spatial, mask);
-        crypto::kern::add_const(y.s1.data() + base, y.s1.data() + base,
-                                bias_->s1[static_cast<std::size_t>(oc)], spatial, mask);
+    for (int p = 0; p < 2; ++p) {
+      if (!ctx.runs(p)) continue;
+      std::uint64_t* const yp = y.share(p).data();
+      for (int s = 0; s < n; ++s) {
+        for (int oc = 0; oc < out_ch_; ++oc) {
+          const std::size_t base = (static_cast<std::size_t>(s) * out_ch_ + oc) * spatial;
+          crypto::kern::add_const(yp + base, yp + base,
+                                  bias_->share(p)[static_cast<std::size_t>(oc)], spatial,
+                                  rc.mask());
+        }
       }
     }
   }
@@ -168,9 +169,8 @@ void StagedLinear::stage(TwoPartyContext& ctx) {
   const std::size_t in_f = x_.size() / static_cast<std::size_t>(n);
   rounds_.resize(static_cast<std::size_t>(n));
   for (int s = 0; s < n; ++s) {
-    Shared xs;
-    xs.s0 = slice_ring(x_.shares.s0, s * in_f, (s + 1) * in_f);
-    xs.s1 = slice_ring(x_.shares.s1, s * in_f, (s + 1) * in_f);
+    Shared xs = crypto::per_party(
+        ctx, [&](int p) { return slice_ring(x_.shares.share(p), s * in_f, (s + 1) * in_f); });
     rounds_[static_cast<std::size_t>(s)].stage(ctx, weight_, std::move(xs),
                                                static_cast<std::size_t>(out_features_), in_f,
                                                1);
@@ -182,20 +182,21 @@ SecureTensor StagedLinear::finish(TwoPartyContext& ctx) {
   const int n = x_.dim(0);
   SecureTensor out;
   out.shape = {n, out_features_};
-  out.shares.s0.resize(static_cast<std::size_t>(n) * out_features_);
-  out.shares.s1.resize(out.shares.s0.size());
   const std::size_t of = static_cast<std::size_t>(out_features_);
+  out.shares =
+      crypto::per_party(ctx, [&](int) { return RingVec(static_cast<std::size_t>(n) * of); });
   for (int s = 0; s < n; ++s) {
-    const Shared y = crypto::truncate_shares(rounds_[static_cast<std::size_t>(s)].finish(rc), rc);
+    const Shared y =
+        crypto::truncate_shares(ctx, rounds_[static_cast<std::size_t>(s)].finish(ctx));
     const std::size_t base = static_cast<std::size_t>(s) * of;
-    if (bias_ != nullptr) {
-      crypto::kern::add(out.shares.s0.data() + base, y.s0.data(), bias_->s0.data(), of,
-                        rc.mask());
-      crypto::kern::add(out.shares.s1.data() + base, y.s1.data(), bias_->s1.data(), of,
-                        rc.mask());
-    } else {
-      std::memcpy(out.shares.s0.data() + base, y.s0.data(), of * sizeof(std::uint64_t));
-      std::memcpy(out.shares.s1.data() + base, y.s1.data(), of * sizeof(std::uint64_t));
+    for (int p = 0; p < 2; ++p) {
+      if (!ctx.runs(p)) continue;
+      std::uint64_t* const dst = out.shares.share(p).data() + base;
+      if (bias_ != nullptr) {
+        crypto::kern::add(dst, y.share(p).data(), bias_->share(p).data(), of, rc.mask());
+      } else {
+        std::memcpy(dst, y.share(p).data(), of * sizeof(std::uint64_t));
+      }
     }
   }
   return out;
@@ -209,17 +210,17 @@ void StagedX2act::stage(TwoPartyContext& ctx) { round_.stage(ctx, x_.shares); }
 SecureTensor StagedX2act::finish(TwoPartyContext& ctx) {
   const RingConfig& rc = ctx.ring();
   // x²: the square protocol (Eq. 3) + truncation back to scale f.
-  Shared sq = crypto::truncate_shares(round_.finish(rc), rc);
+  Shared sq = crypto::truncate_shares(ctx, round_.finish(ctx));
   // Public-coefficient scaling: local multiply + truncation each.
   const std::uint64_t a_enc = crypto::encode(a_, rc);
   const std::uint64_t w2_enc = crypto::encode(w2_, rc);
-  Shared quad = crypto::truncate_shares(crypto::scale(sq, a_enc, rc), rc);
-  Shared lin = crypto::truncate_shares(crypto::scale(x_.shares, w2_enc, rc), rc);
-  Shared sum = crypto::add(quad, lin, rc);
+  Shared quad = crypto::truncate_shares(ctx, crypto::scale(ctx, sq, a_enc));
+  Shared lin = crypto::truncate_shares(ctx, crypto::scale(ctx, x_.shares, w2_enc));
+  Shared sum = crypto::add(ctx, quad, lin);
   const RingVec bias(x_.size(), crypto::encode(b_, rc));
   SecureTensor out;
   out.shape = x_.shape;
-  out.shares = crypto::add_public(sum, bias, rc);
+  out.shares = crypto::add_public(ctx, sum, bias);
   return out;
 }
 
@@ -285,10 +286,10 @@ void StagedTournament::begin_level(TwoPartyContext& ctx) {
   for (std::size_t j = 0; j < payloads; ++j) {
     Shared a;
     for (std::size_t p = 0; p < pairs; ++p) {
-      append_shares(a, entries_[2 * p][j]);
-      append_shares(level_b_[j], entries_[2 * p + 1][j]);
+      append_shares(ctx, a, entries_[2 * p][j]);
+      append_shares(ctx, level_b_[j], entries_[2 * p + 1][j]);
     }
-    diffs[j] = crypto::sub(a, level_b_[j], ctx.ring());
+    diffs[j] = crypto::sub(ctx, a, level_b_[j]);
   }
   mux_ = crypto::StagedDreluMux{};
   mux_.begin(ctx, std::move(diffs), std::move(mats_[level_]));
@@ -307,10 +308,10 @@ void StagedTournament::step(TwoPartyContext& ctx) {
   const std::size_t elems = level_b_.front().size() / pairs;
   std::vector<std::vector<Shared>> next(pairs, std::vector<Shared>(payloads));
   for (std::size_t j = 0; j < payloads; ++j) {
-    const Shared win = crypto::add(level_b_[j], mux_.result()[j], ctx.ring());
+    const Shared win = crypto::add(ctx, level_b_[j], mux_.result()[j]);
     for (std::size_t p = 0; p < pairs; ++p) {
-      next[p][j].s0 = slice_ring(win.s0, p * elems, (p + 1) * elems);
-      next[p][j].s1 = slice_ring(win.s1, p * elems, (p + 1) * elems);
+      next[p][j] = crypto::per_party(
+          ctx, [&](int h) { return slice_ring(win.share(h), p * elems, (p + 1) * elems); });
     }
   }
   if (entries_.size() % 2 == 1) next.push_back(std::move(entries_.back()));
@@ -330,7 +331,7 @@ void StagedMaxPool::begin(TwoPartyContext& ctx) {
   taps.reserve(static_cast<std::size_t>(kernel_) * kernel_);
   for (int kh = 0; kh < kernel_; ++kh) {
     for (int kw = 0; kw < kernel_; ++kw) {
-      taps.emplace_back().push_back(gather_window_tap(x_, kh, kw, kernel_, stride_, pad_, nullptr));
+      taps.emplace_back().push_back(gather_window_tap(ctx, x_, kh, kw, kernel_, stride_, pad_));
     }
   }
   begin_tournament(ctx, std::move(taps));
@@ -355,16 +356,15 @@ void StagedArgmax::begin(TwoPartyContext& ctx) {
   std::vector<std::vector<Shared>> entries(static_cast<std::size_t>(classes));
   for (int c = 0; c < classes; ++c) {
     std::vector<Shared>& e = entries[static_cast<std::size_t>(c)];
-    e.resize(2);
-    e[0].s0.resize(n);
-    e[0].s1.resize(n);
-    for (std::size_t r = 0; r < n; ++r) {
-      const std::size_t src = r * static_cast<std::size_t>(classes) + c;
-      e[0].s0[r] = logits_.shares.s0[src];
-      e[0].s1[r] = logits_.shares.s1[src];
-    }
-    e[1].s0.assign(n, static_cast<std::uint64_t>(c));
-    e[1].s1.assign(n, 0);
+    e.push_back(crypto::per_party(ctx, [&](int p) {
+      RingVec column(n);
+      for (std::size_t r = 0; r < n; ++r) {
+        column[r] = logits_.shares.share(p)[r * static_cast<std::size_t>(classes) + c];
+      }
+      return column;
+    }));
+    e.push_back(crypto::per_party(
+        ctx, [&](int p) { return RingVec(n, p == 0 ? static_cast<std::uint64_t>(c) : 0); }));
   }
   begin_tournament(ctx, std::move(entries));
 }
@@ -428,23 +428,21 @@ SecureTensor secure_maxpool(TwoPartyContext& ctx, const SecureTensor& x, int ker
 SecureTensor secure_avgpool(TwoPartyContext& ctx, const SecureTensor& x, int kernel,
                             int stride, int pad) {
   const RingConfig& rc = ctx.ring();
-  std::vector<Shared> taps;
-  for (int kh = 0; kh < kernel; ++kh) {
-    for (int kw = 0; kw < kernel; ++kw) {
-      taps.push_back(gather_window_tap(x, kh, kw, kernel, stride, pad, nullptr));
+  Shared sum = gather_window_tap(ctx, x, 0, 0, kernel, stride, pad);
+  for (int t = 1; t < kernel * kernel; ++t) {
+    const Shared tap = gather_window_tap(ctx, x, t / kernel, t % kernel, kernel, stride, pad);
+    for (int p = 0; p < 2; ++p) {
+      if (!ctx.runs(p)) continue;
+      std::uint64_t* const acc = sum.share(p).data();
+      crypto::kern::add(acc, acc, tap.share(p).data(), tap.size(), rc.mask());
     }
-  }
-  Shared sum = std::move(taps[0]);
-  for (std::size_t i = 1; i < taps.size(); ++i) {
-    crypto::kern::add(sum.s0.data(), sum.s0.data(), taps[i].s0.data(), sum.s0.size(), rc.mask());
-    crypto::kern::add(sum.s1.data(), sum.s1.data(), taps[i].s1.data(), sum.s1.size(), rc.mask());
   }
   const std::uint64_t inv = crypto::encode(1.0 / (kernel * kernel), rc);
   SecureTensor out;
   const int n = x.dim(0), c = x.dim(1);
   out.shape = {n, c, nn::conv_out_size(x.dim(2), kernel, stride, pad),
                nn::conv_out_size(x.dim(3), kernel, stride, pad)};
-  out.shares = crypto::truncate_shares(crypto::scale(sum, inv, rc), rc);
+  out.shares = crypto::truncate_shares(ctx, crypto::scale(ctx, sum, inv));
   return out;
 }
 
@@ -453,28 +451,21 @@ SecureTensor secure_global_avgpool(TwoPartyContext& ctx, const SecureTensor& x) 
   const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   SecureTensor out;
   out.shape = {n, c, 1, 1};
-  out.shares.s0.resize(static_cast<std::size_t>(n) * c);
-  out.shares.s1.resize(out.shares.s0.size());
+  const std::size_t planes = static_cast<std::size_t>(n) * c;
   const std::size_t plane = static_cast<std::size_t>(h) * w;
-  for (int s = 0; s < n; ++s) {
-    for (int ch = 0; ch < c; ++ch) {
+  const Shared sums = crypto::per_party(ctx, [&](int p) {
+    RingVec sum(planes);
+    for (std::size_t i = 0; i < planes; ++i) {
       // Lazy reduction: accumulate mod 2^64 over the plane, mask once.
-      const std::uint64_t* const p0 =
-          x.shares.s0.data() + (static_cast<std::size_t>(s) * c + ch) * plane;
-      const std::uint64_t* const p1 =
-          x.shares.s1.data() + (static_cast<std::size_t>(s) * c + ch) * plane;
-      std::uint64_t acc0 = 0, acc1 = 0;
-      for (std::size_t i = 0; i < plane; ++i) {
-        acc0 += p0[i];
-        acc1 += p1[i];
-      }
-      out.shares.s0[static_cast<std::size_t>(s) * c + ch] = acc0 & rc.mask();
-      out.shares.s1[static_cast<std::size_t>(s) * c + ch] = acc1 & rc.mask();
+      const std::uint64_t* const src = x.shares.share(p).data() + i * plane;
+      std::uint64_t acc = 0;
+      for (std::size_t j = 0; j < plane; ++j) acc += src[j];
+      sum[i] = acc & rc.mask();
     }
-  }
+    return sum;
+  });
   const std::uint64_t inv = crypto::encode(1.0 / (h * w), rc);
-  out.shares = crypto::truncate_shares(crypto::scale(out.shares, inv, rc), rc);
-  (void)ctx;
+  out.shares = crypto::truncate_shares(ctx, crypto::scale(ctx, sums, inv));
   return out;
 }
 
@@ -482,7 +473,7 @@ SecureTensor secure_add(TwoPartyContext& ctx, const SecureTensor& a, const Secur
   if (a.shape != b.shape) throw std::invalid_argument("secure_add: shape mismatch");
   SecureTensor out;
   out.shape = a.shape;
-  out.shares = crypto::add(a.shares, b.shares, ctx.ring());
+  out.shares = crypto::add(ctx, a.shares, b.shares);
   return out;
 }
 

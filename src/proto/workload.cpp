@@ -61,7 +61,7 @@ ChunkRun run_chunk(crypto::TwoPartyContext& ctx, const ir::SecureProgram& progra
       sources.push_back(std::make_unique<offline::StoreTripleSource>(*lane.bundle));
     } else {
       dealers.push_back(std::make_unique<crypto::TripleDealer>(
-          rc, SecureNetwork::query_dealer_seed(lane.position)));
+          rc, SecureNetwork::query_dealer_seed(lane.position), ctx.local_party()));
       sources.push_back(std::make_unique<crypto::DealerTripleSource>(*dealers.back(), rc));
     }
     opts.lane_sources.push_back(sources.back().get());

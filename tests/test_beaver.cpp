@@ -89,7 +89,7 @@ TEST(SquareProtocol, MatchesPlaintextSquare) {
   pc::Prng prng(13);
   std::vector<double> xs{0.0, 1.0, -1.0, 2.5, -3.5, 10.0};
   const auto sx = pc::share_reals(xs, prng, ctx.ring());
-  const auto sq = pc::truncate_shares(pc::square_elem(ctx, sx), ctx.ring());
+  const auto sq = pc::truncate_shares(ctx, pc::square_elem(ctx, sx));
   const auto got = pc::reconstruct_reals(sq, ctx.ring());
   for (std::size_t i = 0; i < xs.size(); ++i) {
     EXPECT_NEAR(got[i], xs[i] * xs[i], 2e-2) << i;
@@ -119,7 +119,7 @@ TEST(MatmulProtocol, MatchesPlaintext) {
   const auto sx = pc::share_reals(xs, prng, rc);
   const auto sy = pc::share_reals(ys, prng, rc);
   auto prod = pc::matmul(ctx, sx, sy, 2, 3, 2);
-  prod = pc::truncate_shares(prod, rc);
+  prod = pc::truncate_shares(ctx, prod);
   const auto got = pc::reconstruct_reals(prod, rc);
   // Expected: [[1*0.5+2*2+3*-0.5, 1*-1+2*0.25+3*3], [...]]
   const std::vector<double> want{3.0, 8.5, 9.0, 15.25};

@@ -51,13 +51,23 @@ TEST(Channel, StatsCountWireBytesNotMemoryBytes) {
   (void)c1->recv_ring(10, 4);
 }
 
-TEST(Channel, StatsSharedBetweenEndpoints) {
+TEST(Channel, EachEndpointMetersItsOwnView) {
+  // An endpoint credits its own sends when it sends and the peer's when it
+  // receives them, in a block of its own.
   auto [c0, c1] = pc::Channel::make_pair();
   c0->send_bytes({1, 2});
   c1->send_bytes({3});
-  EXPECT_EQ(c0->stats().total_bytes(), 3u);
-  EXPECT_EQ(c1->stats().total_bytes(), 3u);
-  EXPECT_EQ(c0->stats().messages, 2u);
+  EXPECT_EQ(c0->stats().bytes_p0_to_p1, 2u);
+  EXPECT_EQ(c0->stats().messages, 1u);
+  EXPECT_EQ(c1->stats().bytes_p1_to_p0, 1u);
+  EXPECT_EQ(c1->stats().messages, 1u);
+  (void)c0->recv_bytes();
+  (void)c1->recv_bytes();
+  for (const auto* c : {c0.get(), c1.get()}) {
+    EXPECT_EQ(c->stats().bytes_p0_to_p1, 2u);
+    EXPECT_EQ(c->stats().bytes_p1_to_p0, 1u);
+    EXPECT_EQ(c->stats().messages, 2u);
+  }
 }
 
 TEST(Channel, RoundCountingTracksDirectionFlips) {
@@ -67,12 +77,13 @@ TEST(Channel, RoundCountingTracksDirectionFlips) {
   EXPECT_EQ(c0->stats().rounds, 1u);
   (void)c1->recv_bytes();
   (void)c1->recv_bytes();
-  c1->send_bytes({3});  // direction flip -> round 2
-  EXPECT_EQ(c0->stats().rounds, 2u);
+  c1->send_bytes({3});  // direction flip -> round 2, seen by c0 on receipt
   (void)c0->recv_bytes();
+  EXPECT_EQ(c0->stats().rounds, 2u);
   c0->send_bytes({4});  // flip again -> round 3
   EXPECT_EQ(c0->stats().rounds, 3u);
   (void)c1->recv_bytes();
+  EXPECT_EQ(c1->stats().rounds, 3u);  // the peer observed the same flips
 }
 
 TEST(Channel, ResetStatsClearsCounters) {
@@ -99,16 +110,21 @@ TEST(Channel, U64Convenience) {
 
 TEST(Channel, RoundBracketCountsSymmetricExchangeOnce) {
   // Messages of one begin_round/end_round bracket are concurrently in
-  // flight: however many either endpoint sends, the bracket is one round.
+  // flight: however many an endpoint sends and receives inside its
+  // bracket, the bracket is one round.
   auto [c0, c1] = pc::Channel::make_pair();
   c0->begin_round();
+  c1->begin_round();
   c0->send_bytes({1});
   c1->send_bytes({2});
-  c0->end_round();
   (void)c1->recv_bytes();
   (void)c0->recv_bytes();
-  EXPECT_EQ(c0->stats().rounds, 1u);
-  EXPECT_EQ(c0->stats().messages, 2u);
+  c0->end_round();
+  c1->end_round();
+  for (const auto* c : {c0.get(), c1.get()}) {
+    EXPECT_EQ(c->stats().rounds, 1u);
+    EXPECT_EQ(c->stats().messages, 2u);
+  }
   // The first message after the bracket starts a fresh round even without
   // a direction flip.
   c1->send_bytes({3});

@@ -25,10 +25,11 @@ pc::BitShared make_bits(const std::vector<int>& vals, pc::Prng& prng) {
 }  // namespace
 
 TEST(Bits, XorAndNotAreLocal) {
+  const pc::TwoPartyContext ctx;
   pc::Prng prng(1);
   const auto x = make_bits({0, 1, 0, 1}, prng);
   const auto y = make_bits({0, 0, 1, 1}, prng);
-  EXPECT_EQ(pc::reconstruct_bits(pc::xor_bits(x, y)),
+  EXPECT_EQ(pc::reconstruct_bits(pc::xor_bits(ctx, x, y)),
             (std::vector<std::uint8_t>{0, 1, 1, 0}));
   EXPECT_EQ(pc::reconstruct_bits(pc::not_bits(x)),
             (std::vector<std::uint8_t>{1, 0, 1, 0}));

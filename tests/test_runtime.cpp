@@ -156,6 +156,29 @@ TEST(ThreadedChannel, RoundDelayDelaysDelivery) {
   EXPECT_GE(std::chrono::steady_clock::now() - t0, kDelay);
 }
 
+TEST(ThreadedChannel, RemoteEndpointsMeterEachOpenOnce) {
+  // Two remote contexts on their own threads, each metering its own
+  // endpoint: 100 staged opens read 100 rounds and 100 openings on BOTH
+  // endpoints, as each endpoint of a TCP pair does.
+  constexpr int kOpens = 100;
+  auto [c0, c1] = pc::Channel::make_pair(pc::ChannelMode::threaded);
+  pc::TwoPartyContext party0(pc::RingConfig{}, 42, 0, *c0);
+  pc::TwoPartyContext party1(pc::RingConfig{}, 42, 1, *c1);
+  pc::Prng prng(11);
+  const pc::Shared sh = pc::share(pc::RingVec{1, 2, 3}, prng, party0.ring());
+  const auto opens = [&sh](pc::TwoPartyContext& ctx) {
+    pc::RingVec out;
+    for (int i = 0; i < kOpens; ++i) ctx.opens().stage(sh, &out);
+  };
+  run_parties([&] { opens(party0); }, [&] { opens(party1); });
+  for (const pc::TwoPartyContext* ctx : {&party0, &party1}) {
+    EXPECT_EQ(ctx->stats().rounds, static_cast<std::uint64_t>(kOpens));
+    EXPECT_EQ(ctx->stats().messages, 2u * kOpens);
+    EXPECT_EQ(ctx->counters()[obs::Counter::openings], static_cast<std::uint64_t>(kOpens));
+  }
+  EXPECT_EQ(party0.stats().total_bytes(), party1.stats().total_bytes());
+}
+
 TEST(ThreadedChannel, SymmetricExchangeCostsOneDelayInThreadedMode) {
   // With per-message in-flight deadlines both directions overlap, so a
   // symmetric exchange between two endpoints on their own threads costs

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "crypto/party.hpp"
 #include "crypto/secret_share.hpp"
 
 namespace pc = pasnet::crypto;
@@ -36,16 +37,6 @@ TEST(SecretShare, RealsRoundTripWithinFixedPointError) {
   for (std::size_t i = 0; i < xs.size(); ++i) EXPECT_NEAR(back[i], xs[i], 1e-3);
 }
 
-TEST(SecretShare, TrivialShareHoldsValueOnOneSide) {
-  pc::RingVec x{7, 8, 9};
-  const auto sh0 = pc::trivial_share(x, 0);
-  EXPECT_EQ(sh0.s0, x);
-  EXPECT_EQ(sh0.s1, pc::RingVec(3, 0));
-  const auto sh1 = pc::trivial_share(x, 1);
-  EXPECT_EQ(sh1.s1, x);
-  EXPECT_EQ(pc::reconstruct(sh1, rc32()), x);
-}
-
 TEST(SecretShare, LinearCombination) {
   pc::Prng prng(4);
   const auto rc = rc32();
@@ -53,7 +44,8 @@ TEST(SecretShare, LinearCombination) {
   const auto sx = pc::share(x, prng, rc);
   const auto sy = pc::share(y, prng, rc);
   // a·X + Y with a = 5  (paper Eq. 1)
-  const auto r = pc::linear(5, sx, sy, rc);
+  const pc::TwoPartyContext ctx(rc);
+  const auto r = pc::linear(ctx, 5, sx, sy);
   EXPECT_EQ(pc::reconstruct(r, rc), (pc::RingVec{51, 102, 153}));
 }
 
@@ -63,9 +55,10 @@ TEST(SecretShare, AddSubScale) {
   pc::RingVec x{100, 200}, y{1, 2};
   const auto sx = pc::share(x, prng, rc);
   const auto sy = pc::share(y, prng, rc);
-  EXPECT_EQ(pc::reconstruct(pc::add(sx, sy, rc), rc), (pc::RingVec{101, 202}));
-  EXPECT_EQ(pc::reconstruct(pc::sub(sx, sy, rc), rc), (pc::RingVec{99, 198}));
-  EXPECT_EQ(pc::reconstruct(pc::scale(sx, 3, rc), rc), (pc::RingVec{300, 600}));
+  const pc::TwoPartyContext ctx(rc);
+  EXPECT_EQ(pc::reconstruct(pc::add(ctx, sx, sy), rc), (pc::RingVec{101, 202}));
+  EXPECT_EQ(pc::reconstruct(pc::sub(ctx, sx, sy), rc), (pc::RingVec{99, 198}));
+  EXPECT_EQ(pc::reconstruct(pc::scale(ctx, sx, 3), rc), (pc::RingVec{300, 600}));
 }
 
 TEST(SecretShare, AddPublicOnlyAdjustsPartyZero) {
@@ -73,7 +66,8 @@ TEST(SecretShare, AddPublicOnlyAdjustsPartyZero) {
   const auto rc = rc32();
   pc::RingVec x{5, 6};
   const auto sx = pc::share(x, prng, rc);
-  const auto r = pc::add_public(sx, pc::RingVec{10, 10}, rc);
+  const pc::TwoPartyContext ctx(rc);
+  const auto r = pc::add_public(ctx, sx, pc::RingVec{10, 10});
   EXPECT_EQ(r.s1, sx.s1);
   EXPECT_EQ(pc::reconstruct(r, rc), (pc::RingVec{15, 16}));
 }
@@ -81,11 +75,12 @@ TEST(SecretShare, AddPublicOnlyAdjustsPartyZero) {
 TEST(SecretShare, TruncationErrorAtMostOneLsb) {
   pc::Prng prng(7);
   const auto rc = rc32();
+  const pc::TwoPartyContext ctx(rc);
   // Values with 2f fraction bits (as after a fixed-point multiply).
   for (double x : {1.5, -1.5, 100.125, -37.875, 0.0}) {
     const std::uint64_t wide = pc::encode(x * rc.scale(), rc);
     const auto sh = pc::share(pc::RingVec{wide}, prng, rc);
-    const auto tr = pc::truncate_shares(sh, rc);
+    const auto tr = pc::truncate_shares(ctx, sh);
     const double got = pc::decode(pc::reconstruct(tr, rc)[0], rc);
     EXPECT_NEAR(got, x, 2.0 / rc.scale()) << "x=" << x;
   }
@@ -96,8 +91,9 @@ TEST(SecretShare, SizeMismatchThrows) {
   const auto rc = rc32();
   const auto a = pc::share(pc::RingVec{1, 2}, prng, rc);
   const auto b = pc::share(pc::RingVec{1}, prng, rc);
-  EXPECT_THROW((void)pc::add(a, b, rc), std::invalid_argument);
-  EXPECT_THROW((void)pc::add_public(a, pc::RingVec{1}, rc), std::invalid_argument);
+  const pc::TwoPartyContext ctx(rc);
+  EXPECT_THROW((void)pc::add(ctx, a, b), std::invalid_argument);
+  EXPECT_THROW((void)pc::add_public(ctx, a, pc::RingVec{1}), std::invalid_argument);
 }
 
 // Property: share/reconstruct is the identity for random vectors across
@@ -107,6 +103,7 @@ class ShareProperty : public ::testing::TestWithParam<int> {};
 TEST_P(ShareProperty, HomomorphismUnderLinearOps) {
   const int bits = GetParam();
   pc::RingConfig rc{bits, 4};
+  const pc::TwoPartyContext ctx(rc);
   pc::Prng prng(bits);
   for (int trial = 0; trial < 50; ++trial) {
     pc::RingVec x(16), y(16);
@@ -115,7 +112,7 @@ TEST_P(ShareProperty, HomomorphismUnderLinearOps) {
     const auto sx = pc::share(x, prng, rc);
     const auto sy = pc::share(y, prng, rc);
     const std::uint64_t a = prng.next_u64() & rc.mask();
-    const auto lhs = pc::reconstruct(pc::linear(a, sx, sy, rc), rc);
+    const auto lhs = pc::reconstruct(pc::linear(ctx, a, sx, sy), rc);
     pc::RingVec rhs(16);
     for (std::size_t i = 0; i < 16; ++i) {
       rhs[i] = pc::ring_add(pc::ring_mul(a, x[i], rc), y[i], rc);
