@@ -14,33 +14,7 @@ RingVec random_ring_vec(Prng& prng, std::size_t n, const RingConfig& rc) {
   return v;
 }
 
-RingVec add_vecs(const RingVec& a, const RingVec& b, const RingConfig& rc) {
-  RingVec out(a.size());
-  kern::add(out.data(), a.data(), b.data(), a.size(), rc.mask());
-  return out;
-}
-
 }  // namespace
-
-RingVec TripleDealer::complete_half(const RingVec& base, const RingVec& x_own,
-                                    const RingVec& x_peer) const {
-  if (base.size() != x_own.size()) {
-    throw std::invalid_argument("bilinear_triple: nz does not match f's output size");
-  }
-  RingVec out(base.size());
-  for (std::size_t i = 0; i < base.size(); ++i) {
-    out[i] = (base[i] + x_own[i] - x_peer[i]) & rc_.mask();
-  }
-  return out;
-}
-
-ElemHalf draw_elem_half(Prng& prng, std::size_t n, const RingConfig& rc) {
-  ElemHalf h;
-  h.a = random_ring_vec(prng, n, rc);
-  h.b = random_ring_vec(prng, n, rc);
-  h.x = random_ring_vec(prng, n, rc);
-  return h;
-}
 
 SquareHalf draw_square_half(Prng& prng, int party, std::size_t n, const RingConfig& rc) {
   SquareHalf h;
@@ -49,21 +23,11 @@ SquareHalf draw_square_half(Prng& prng, int party, std::size_t n, const RingConf
   return h;
 }
 
-MatmulHalf draw_matmul_half(Prng& prng, std::size_t m, std::size_t k, std::size_t n,
-                            const RingConfig& rc) {
-  MatmulHalf h;
-  h.a = random_ring_vec(prng, m * k, rc);
-  h.b = random_ring_vec(prng, k * n, rc);
-  h.x = random_ring_vec(prng, m * n, rc);
-  return h;
-}
-
-BilinearHalf draw_bilinear_half(Prng& prng, std::size_t na, std::size_t nb, std::size_t nz,
-                                const RingConfig& rc) {
+BilinearHalf draw_bilinear_half(Prng& prng, const BilinearSpec& spec, const RingConfig& rc) {
   BilinearHalf h;
-  h.a = random_ring_vec(prng, na, rc);
-  h.b = random_ring_vec(prng, nb, rc);
-  h.x = random_ring_vec(prng, nz, rc);
+  h.a = random_ring_vec(prng, spec.na(), rc);
+  h.b = random_ring_vec(prng, spec.nb(), rc);
+  h.x = random_ring_vec(prng, spec.nz(), rc);
   return h;
 }
 
@@ -99,14 +63,24 @@ RotHalf draw_rot_half(Prng& prng, bool sender, std::size_t n) {
   return h;
 }
 
-ElemTriple TripleDealer::elem_triple(std::size_t n) {
-  ElemHalf h[2] = {draw_elem_half(prng0_, n, rc_), draw_elem_half(prng1_, n, rc_)};
-  const RingVec a = add_vecs(h[0].a, h[1].a, rc_);
-  ElemTriple t;
+BilinearTriple TripleDealer::bilinear_triple(const BilinearSpec& spec) {
+  BilinearHalf h[2] = {draw_bilinear_half(prng0_, spec, rc_),
+                       draw_bilinear_half(prng1_, spec, rc_)};
+  const RingVec a = add_vec(h[0].a, h[1].a, rc_);
+  const BilinearMap f = build_bilinear_map(spec, rc_);
+  BilinearTriple t;
+  t.spec = spec;
   for (int p = 0; p < 2; ++p) {
-    if (serves(p)) t.z.share(p) = complete_half(mul_vec(a, h[p].b, rc_), h[p].x, h[1 - p].x);
+    if (!serves(p)) continue;
+    // z_p = f(a, b_p) + x_p − x_peer: the cross terms cancel in z0 + z1.
+    RingVec z = f(a, h[p].b);
+    for (std::size_t i = 0; i < z.size(); ++i) {
+      z[i] = (z[i] + h[p].x[i] - h[1 - p].x[i]) & rc_.mask();
+    }
+    t.z.share(p) = std::move(z);
+    t.a.share(p) = std::move(h[p].a);
+    t.b.share(p) = std::move(h[p].b);
   }
-  take_masks(h, t.a, t.b);
   return t;
 }
 
@@ -127,23 +101,6 @@ SquarePair TripleDealer::square_pair(std::size_t n) {
     if (serves(p)) sp.a.share(p) = std::move(h[p].a);
   }
   return sp;
-}
-
-MatmulTriple TripleDealer::matmul_triple(std::size_t m, std::size_t k, std::size_t n) {
-  MatmulHalf h[2] = {draw_matmul_half(prng0_, m, k, n, rc_),
-                     draw_matmul_half(prng1_, m, k, n, rc_)};
-  const RingVec a = add_vecs(h[0].a, h[1].a, rc_);
-  MatmulTriple t;
-  t.m = m;
-  t.k = k;
-  t.n = n;
-  for (int p = 0; p < 2; ++p) {
-    if (serves(p)) {
-      t.z.share(p) = complete_half(ring_matmul(a, h[p].b, m, k, n, rc_), h[p].x, h[1 - p].x);
-    }
-  }
-  take_masks(h, t.a, t.b);
-  return t;
 }
 
 BitTriple TripleDealer::bit_triple(std::size_t n) {
@@ -190,6 +147,55 @@ RingVec ring_matmul(const RingVec& a, const RingVec& b, std::size_t m, std::size
   RingVec out(m * n);
   kern::gemm(out.data(), a.data(), b.data(), m, k, n, rc.mask());
   return out;
+}
+
+BilinearMap build_bilinear_map(const BilinearSpec& spec, const RingConfig& rc) {
+  if (spec.kind == BilinearKind::hadamard) {
+    return [rc](const RingVec& a, const RingVec& b) { return mul_vec(a, b, rc); };
+  }
+  if (spec.kind == BilinearKind::matmul) {
+    const auto m = static_cast<std::size_t>(spec.batch);
+    const auto k = static_cast<std::size_t>(spec.in_ch);
+    const auto n = static_cast<std::size_t>(spec.out_ch);
+    return [=](const RingVec& a, const RingVec& b) { return ring_matmul(a, b, m, k, n, rc); };
+  }
+
+  const int n = spec.batch, c = spec.in_ch, h = spec.in_h, w = spec.in_w;
+  const int out_ch = spec.out_ch, kernel = spec.kernel, stride = spec.stride, pad = spec.pad;
+  const int oh = spec.out_h(), ow = spec.out_w();
+  const std::size_t spatial = static_cast<std::size_t>(oh) * ow;
+  const std::size_t k2 = static_cast<std::size_t>(kernel) * kernel;
+
+  if (spec.kind == BilinearKind::depthwise_conv2d) {
+    // Per sample and channel: weight_row(ch) · im2col_channel(input, ch) —
+    // a 1 × k2 × spatial GEMM over the channel's slice of the patch matrix.
+    return [=](const RingVec& input, const RingVec& wmat) {
+      RingVec out(static_cast<std::size_t>(n) * c * spatial);
+      RingVec cols(static_cast<std::size_t>(c) * k2 * spatial);
+      for (int s = 0; s < n; ++s) {
+        kern::im2col(cols.data(), input.data(), c, h, w, s, kernel, stride, pad, oh, ow);
+        for (int ch = 0; ch < c; ++ch) {
+          kern::gemm(out.data() + (static_cast<std::size_t>(s) * c + ch) * spatial,
+                     wmat.data() + ch * k2, cols.data() + ch * k2 * spatial, 1, k2, spatial,
+                     rc.mask());
+        }
+      }
+      return out;
+    };
+  }
+
+  // Full convolution: per sample, wmat · im2col(input_s) as a blocked GEMM.
+  const std::size_t k_dim = static_cast<std::size_t>(c) * k2;
+  return [=](const RingVec& input, const RingVec& wmat) {
+    RingVec out(static_cast<std::size_t>(n) * out_ch * spatial);
+    RingVec cols(k_dim * spatial);
+    for (int s = 0; s < n; ++s) {
+      kern::im2col(cols.data(), input.data(), c, h, w, s, kernel, stride, pad, oh, ow);
+      kern::gemm(out.data() + static_cast<std::size_t>(s) * out_ch * spatial, wmat.data(),
+                 cols.data(), static_cast<std::size_t>(out_ch), k_dim, spatial, rc.mask());
+    }
+    return out;
+  };
 }
 
 }  // namespace pasnet::crypto

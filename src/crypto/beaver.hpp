@@ -2,19 +2,21 @@
 // Beaver-triple machinery (paper §II-B).
 //
 // Multiplicative 2PC operations consume correlated randomness produced in an
-// offline phase: elementwise triples Z = A ⊙ B, square pairs Z = A ⊙ A,
-// matrix triples Z = A · B, boolean AND triples over Z2, and the random
-// (1,4)-OTs the comparison leaves spend online (crypto/ot.hpp).
+// offline phase: product triples Z = f(A, B) for a bilinear map f — the
+// elementwise product (paper Eq. 2), the matrix product and the
+// convolutions behind COMM_conv are one correlation, told apart only by the
+// BilinearSpec that names f — square pairs Z = A ⊙ A, boolean AND triples
+// over Z2, and the random (1,4)-OTs the comparison leaves spend online
+// (crypto/ot.hpp).
 //
 // Canonical two-stream construction.  Every triple kind is assembled from
 // two *per-party half streams*: party p draws its own mask halves
 // (a_p, b_p) and its cross-term sender share x_p from
 // Prng(half_stream_seed(seed, p)), and the completed shares are
 //
-//   z_p = a_p ⊙ b_p + x_p + o_p,   o_p = a_peer ⊙ b_p − x_peer,
+//   z_p = f(a_p, b_p) + x_p + o_p,   o_p = f(a_peer, b_p) − x_peer,
 //
-// i.e. z0 = (a0+a1) ⊙ b0 + x0 − x1 and symmetrically for z1 (matrix /
-// bilinear kinds substitute the appropriate product for ⊙).  The point of
+// i.e. z0 = f(a0+a1, b0) + x0 − x1 and symmetrically for z1.  The point of
 // this factoring is that o_p is exactly what a correlated-OT cross-term
 // protocol hands the receiver, so the 2PC OT-extension generator
 // (src/crypto/ot_ext, src/offline/ot_triple_source) reproduces *identical*
@@ -28,7 +30,7 @@
 // evaluates the cross terms directly.
 
 #include <cstdint>
-#include <utility>
+#include <functional>
 #include <vector>
 
 #include "crypto/prng.hpp"
@@ -37,20 +39,9 @@
 
 namespace pasnet::crypto {
 
-/// Elementwise triple: Z = A ⊙ B, all secret-shared.
-struct ElemTriple {
-  Shared a, b, z;
-};
-
 /// Square pair: Z = A ⊙ A.
 struct SquarePair {
   Shared a, z;
-};
-
-/// Matrix triple for an (m×k)·(k×n) product: Z = A·B.
-struct MatmulTriple {
-  Shared a, b, z;  // row-major m×k, k×n, m×n
-  std::size_t m = 0, k = 0, n = 0;
 };
 
 /// Boolean triple over Z2: c = a AND b, XOR-shared bits (one byte per bit).
@@ -80,12 +71,89 @@ struct RandomOt {
   [[nodiscard]] std::size_t size() const noexcept { return choice.size(); }
 };
 
-/// Generic bilinear triple Z = f(A, B): used for convolution-shaped
-/// correlations where the online phase opens X - A in *input* space, which
-/// is what the paper's COMM_conv = 32·FI²·IC models (the weight-side
-/// opening E = W - B is weight-shaped and precomputable offline for a
-/// static model).
+/// Which bilinear map f a product correlation Z = f(A, B) evaluates.
+enum class BilinearKind : std::uint8_t { conv2d, depthwise_conv2d, hadamard, matmul };
+
+/// Serializable description of a bilinear map f: enough geometry to
+/// rebuild f with build_bilinear_map() and to validate that a pregenerated
+/// triple has the right shape.  A is f's left operand, B its right:
+///  - conv2d / depthwise_conv2d: A is the [batch, in_ch, in_h, in_w]
+///    input, B the [out_ch, in_ch·k²] weight ([in_ch, k²] depthwise).
+///  - hadamard: A ⊙ B over in_ch elements, a depthwise 1×1 map over
+///    in_ch channels of one pixel each (hadamard(n)).
+///  - matmul: A·B with A m×k and B k×n, row-major: a 1×1 convolution of
+///    batch = m samples from in_ch = k to out_ch = n channels up to B's
+///    layout (matmul(m, k, n)).
+struct BilinearSpec {
+  BilinearKind kind = BilinearKind::conv2d;
+  int batch = 1;
+  int in_ch = 0, in_h = 0, in_w = 0;
+  int out_ch = 0;  ///< == in_ch for depthwise and hadamard
+  int kernel = 1, stride = 1, pad = 0;
+
+  [[nodiscard]] static BilinearSpec hadamard(std::size_t n) noexcept {
+    BilinearSpec s;
+    s.kind = BilinearKind::hadamard;
+    s.in_ch = s.out_ch = static_cast<int>(n);
+    s.in_h = s.in_w = 1;
+    return s;
+  }
+  [[nodiscard]] static BilinearSpec matmul(std::size_t m, std::size_t k, std::size_t n) noexcept {
+    BilinearSpec s;
+    s.kind = BilinearKind::matmul;
+    s.batch = static_cast<int>(m);
+    s.in_ch = static_cast<int>(k);
+    s.out_ch = static_cast<int>(n);
+    s.in_h = s.in_w = 1;
+    return s;
+  }
+
+  /// Whether each output channel reads only its own input channel, so B
+  /// holds one kernel per channel (depthwise and hadamard).
+  [[nodiscard]] bool channelwise() const noexcept {
+    return kind == BilinearKind::depthwise_conv2d || kind == BilinearKind::hadamard;
+  }
+  [[nodiscard]] int out_h() const noexcept { return (in_h + 2 * pad - kernel) / stride + 1; }
+  [[nodiscard]] int out_w() const noexcept { return (in_w + 2 * pad - kernel) / stride + 1; }
+  /// Elements of A.
+  [[nodiscard]] std::size_t na() const noexcept {
+    return static_cast<std::size_t>(batch) * in_ch * in_h * in_w;
+  }
+  /// Elements of B.
+  [[nodiscard]] std::size_t nb() const noexcept {
+    const std::size_t k2 = static_cast<std::size_t>(kernel) * kernel;
+    return channelwise() ? static_cast<std::size_t>(in_ch) * k2
+                         : static_cast<std::size_t>(out_ch) * in_ch * k2;
+  }
+  /// Elements of Z = f(A, B).
+  [[nodiscard]] std::size_t nz() const noexcept {
+    return static_cast<std::size_t>(batch) * out_ch * out_h() * out_w();
+  }
+
+  [[nodiscard]] bool operator==(const BilinearSpec& o) const noexcept {
+    return kind == o.kind && batch == o.batch && in_ch == o.in_ch && in_h == o.in_h &&
+           in_w == o.in_w && out_ch == o.out_ch && kernel == o.kernel && stride == o.stride &&
+           pad == o.pad;
+  }
+  [[nodiscard]] bool operator!=(const BilinearSpec& o) const noexcept { return !(*this == o); }
+};
+
+/// A bilinear map over ring vectors: z = f(a, b).
+using BilinearMap = std::function<RingVec(const RingVec&, const RingVec&)>;
+
+/// Rebuilds the bilinear map a spec describes: mul_vec for hadamard,
+/// ring_matmul for matmul, im2col + ring matmul for conv2d and the
+/// per-channel variant for depthwise.  Identical arithmetic to what the
+/// online rounds evaluate.
+[[nodiscard]] BilinearMap build_bilinear_map(const BilinearSpec& spec, const RingConfig& rc);
+
+/// The one product correlation Z = f(A, B), all secret-shared, for the map
+/// its spec describes.  A convolution opens X − A in *input* space, which
+/// is what the paper's COMM_conv = 32·FI²·IC models; the opening of the
+/// weight-shaped operand (B for a convolution, A for the linear layer's
+/// W·x) is precomputable offline for a static model.
 struct BilinearTriple {
+  BilinearSpec spec;
   Shared a, b, z;
 };
 
@@ -102,13 +170,6 @@ struct BilinearTriple {
   return splitmix64(seed ^ (party == 0 ? 0x9E3779B97F4A7C15ULL : 0xC2B2AE3D27D4EB4FULL));
 }
 
-/// Party p's half of an elementwise triple: masks a_p, b_p and cross-term
-/// sender share x_p (draw order a, b, x).
-struct ElemHalf {
-  RingVec a, b, x;
-};
-[[nodiscard]] ElemHalf draw_elem_half(Prng& prng, std::size_t n, const RingConfig& rc);
-
 /// Party p's half of a square pair.  Only party 0 holds a cross-term share
 /// (one OT direction suffices for z = a² cross terms): x is empty for
 /// party 1.
@@ -118,19 +179,13 @@ struct SquareHalf {
 [[nodiscard]] SquareHalf draw_square_half(Prng& prng, int party, std::size_t n,
                                           const RingConfig& rc);
 
-/// Party p's half of a matmul triple (draw order a (m·k), b (k·n), x (m·n)).
-struct MatmulHalf {
-  RingVec a, b, x;
-};
-[[nodiscard]] MatmulHalf draw_matmul_half(Prng& prng, std::size_t m, std::size_t k,
-                                          std::size_t n, const RingConfig& rc);
-
-/// Party p's half of a bilinear triple (draw order a (na), b (nb), x (nz)).
+/// Party p's half of a product triple: masks a_p, b_p and cross-term
+/// sender share x_p (draw order a (na), b (nb), x (nz)).
 struct BilinearHalf {
   RingVec a, b, x;
 };
-[[nodiscard]] BilinearHalf draw_bilinear_half(Prng& prng, std::size_t na, std::size_t nb,
-                                              std::size_t nz, const RingConfig& rc);
+[[nodiscard]] BilinearHalf draw_bilinear_half(Prng& prng, const BilinearSpec& spec,
+                                              const RingConfig& rc);
 
 /// Party p's half of n AND triples: per instance one u64 draw whose bits
 /// 0/1/2 are a_p / b_p / x_p.
@@ -167,50 +222,18 @@ class TripleDealer {
         prng1_(half_stream_seed(seed, 1)), rot_prng0_(rot_half_stream_seed(seed, 0)),
         rot_prng1_(rot_half_stream_seed(seed, 1)) {}
 
-  [[nodiscard]] ElemTriple elem_triple(std::size_t n);
   [[nodiscard]] SquarePair square_pair(std::size_t n);
-  [[nodiscard]] MatmulTriple matmul_triple(std::size_t m, std::size_t k, std::size_t n);
   [[nodiscard]] BitTriple bit_triple(std::size_t n);
   /// n random (1,4)-OTs with party `sender` as the sender.
   [[nodiscard]] RandomOt random_ot(std::size_t n, int sender);
-
-  /// Shares Z = f(A, B) for any bilinear map `f` (e.g. B convolved over A),
-  /// where A has na elems ("input"-shaped), B has nb ("weight"-shaped) and
-  /// the result has nz.  `nz` must match f's output size; it is explicit so
-  /// each party can draw its x_p half without evaluating f.
-  template <typename F>
-  [[nodiscard]] BilinearTriple bilinear_triple(std::size_t na, std::size_t nb,
-                                               std::size_t nz, F&& f) {
-    BilinearHalf h[2] = {draw_bilinear_half(prng0_, na, nb, nz, rc_),
-                         draw_bilinear_half(prng1_, na, nb, nz, rc_)};
-    RingVec a(na);
-    for (std::size_t i = 0; i < na; ++i) a[i] = (h[0].a[i] + h[1].a[i]) & rc_.mask();
-    BilinearTriple t;
-    for (int p = 0; p < 2; ++p) {
-      if (serves(p)) t.z.share(p) = complete_half(f(a, h[p].b), h[p].x, h[1 - p].x);
-    }
-    take_masks(h, t.a, t.b);
-    return t;
-  }
+  /// Shares Z = f(A, B) for the bilinear map `spec` describes.
+  [[nodiscard]] BilinearTriple bilinear_triple(const BilinearSpec& spec);
 
   [[nodiscard]] const RingConfig& ring() const noexcept { return rc_; }
 
  private:
   /// Whether this dealer completes party p's shares.
   [[nodiscard]] bool serves(int p) const noexcept { return party_ < 0 || party_ == p; }
-  /// z_p = base_p + x_p − x_peer (the cross-term completion shared by every
-  /// arithmetic triple kind); throws when base_p is not x_p's size.
-  [[nodiscard]] RingVec complete_half(const RingVec& base, const RingVec& x_own,
-                                      const RingVec& x_peer) const;
-  /// Moves the served parties' mask halves a_p, b_p into the triple.
-  template <typename Half>
-  void take_masks(Half (&h)[2], Shared& a, Shared& b) const {
-    for (int p = 0; p < 2; ++p) {
-      if (!serves(p)) continue;
-      a.share(p) = std::move(h[p].a);
-      b.share(p) = std::move(h[p].b);
-    }
-  }
 
   RingConfig rc_;
   int party_;

@@ -423,8 +423,10 @@ DreluMuxMaterial draw_drelu_mux_material(TwoPartyContext& ctx, std::size_t n,
                                          std::size_t payloads) {
   DreluMuxMaterial mat;
   mat.mill = draw_drelu_material(ctx, n);
-  mat.b2a = ctx.elem_triple(n);
-  for (std::size_t p = 0; p < payloads; ++p) mat.mux.push_back(ctx.elem_triple(n));
+  mat.b2a = ctx.bilinear_triple(BilinearSpec::hadamard(n));
+  for (std::size_t p = 0; p < payloads; ++p) {
+    mat.mux.push_back(ctx.bilinear_triple(BilinearSpec::hadamard(n)));
+  }
   return mat;
 }
 
@@ -507,7 +509,7 @@ BitShared msb(TwoPartyContext& ctx, const Shared& x) {
   return not_bits(drelu(ctx, x));
 }
 
-void B2aRound::stage(TwoPartyContext& ctx, const BitShared& v, ElemTriple t) {
+void B2aRound::stage(TwoPartyContext& ctx, const BitShared& v, BilinearTriple t) {
   // The trivial ring sharings of party 0's bit v0 = (v0, 0) and of party
   // 1's bit v1 = (0, v1) are the multiplicands; together they add to
   // v_ = (v0, v1).
@@ -525,7 +527,7 @@ Shared B2aRound::finish(const TwoPartyContext& ctx) {
 
 Shared b2a(TwoPartyContext& ctx, const BitShared& v) {
   B2aRound r;
-  r.stage(ctx, v, ctx.elem_triple(v.size()));
+  r.stage(ctx, v, ctx.bilinear_triple(BilinearSpec::hadamard(v.size())));
   ctx.opens().flush();
   return r.finish(ctx);
 }

@@ -127,8 +127,8 @@ class AndRound {
 /// the dealer request stream diverges from ir::derive_plan.
 class B2aRound {
  public:
-  /// `t` must be an elem triple of v's size (pre-drawn by the caller).
-  void stage(TwoPartyContext& ctx, const BitShared& v, ElemTriple t);
+  /// `t` must be a hadamard triple of v's size (pre-drawn by the caller).
+  void stage(TwoPartyContext& ctx, const BitShared& v, BilinearTriple t);
   [[nodiscard]] Shared finish(const TwoPartyContext& ctx);
 
  private:
@@ -202,8 +202,8 @@ class StagedDrelu {
 /// in protocol order.
 struct DreluMuxMaterial {
   MillionaireMaterial mill;
-  ElemTriple b2a;
-  std::vector<ElemTriple> mux;
+  BilinearTriple b2a;
+  std::vector<BilinearTriple> mux;
 };
 
 [[nodiscard]] DreluMuxMaterial draw_drelu_mux_material(TwoPartyContext& ctx, std::size_t n,
@@ -229,8 +229,8 @@ class StagedDreluMux {
   StagedDrelu drelu_;
   B2aRound b2a_;
   std::vector<MulRound> mux_mul_;
-  ElemTriple b2a_t_;
-  std::vector<ElemTriple> mux_t_;
+  BilinearTriple b2a_t_;
+  std::vector<BilinearTriple> mux_t_;
   std::vector<Shared> v_;
   std::vector<Shared> out_;
 };

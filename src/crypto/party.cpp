@@ -26,7 +26,7 @@ namespace pasnet::crypto {
 TwoPartyContext::TwoPartyContext(RingConfig rc, std::uint64_t seed,
                                  std::chrono::microseconds round_delay)
     : rc_(rc), round_delay_(round_delay), dealer_(rc, splitmix64(seed)),
-      dealer_source_(dealer_, rc), prng0_(splitmix64(seed ^ 1)), prng1_(splitmix64(seed ^ 2)),
+      dealer_source_(dealer_), prng0_(splitmix64(seed ^ 1)), prng1_(splitmix64(seed ^ 2)),
       ot_prng0_(splitmix64(seed ^ 3)), ot_prng1_(splitmix64(seed ^ 4)),
       opens_(*this), ots_(std::make_unique<OtBuffer>(*this)),
       bit_opens_(std::make_unique<BitOpenBuffer>(*this)) {
@@ -100,7 +100,7 @@ std::uint64_t entropy_seed() {
 TwoPartyContext::TwoPartyContext(RingConfig rc, std::uint64_t seed, int local_party,
                                  Channel& channel)
     : rc_(rc), local_party_(local_party), remote_chan_(&channel),
-      round_delay_(0), dealer_(rc, splitmix64(seed), local_party), dealer_source_(dealer_, rc),
+      round_delay_(0), dealer_(rc, splitmix64(seed), local_party), dealer_source_(dealer_),
       prng0_(splitmix64(seed ^ 1)), prng1_(splitmix64(seed ^ 2)),
       ot_prng0_(splitmix64(seed ^ 3)), ot_prng1_(splitmix64(seed ^ 4)),
       role_prng_(entropy_seed()), opens_(*this),
@@ -212,13 +212,15 @@ RingVec open(TwoPartyContext& ctx, const Shared& x) {
 
 void MulRound::stage(TwoPartyContext& ctx, Shared x, Shared y) {
   if (x.size() != y.size()) throw std::invalid_argument("mul_elem: size mismatch");
-  ElemTriple t = ctx.elem_triple(x.size());
+  BilinearTriple t = ctx.bilinear_triple(BilinearSpec::hadamard(x.size()));
   stage(ctx, std::move(x), std::move(y), std::move(t));
 }
 
-void MulRound::stage(TwoPartyContext& ctx, Shared x, Shared y, ElemTriple t) {
+void MulRound::stage(TwoPartyContext& ctx, Shared x, Shared y, BilinearTriple t) {
   if (x.size() != y.size()) throw std::invalid_argument("mul_elem: size mismatch");
-  if (t.a.size() != x.size()) throw std::invalid_argument("mul_elem: triple size mismatch");
+  if (t.spec != BilinearSpec::hadamard(x.size())) {
+    throw std::invalid_argument("mul_elem: not a hadamard triple of the operands' size");
+  }
   t_ = std::move(t);
   x_ = std::move(x);
   y_ = std::move(y);
@@ -258,18 +260,18 @@ Shared SquareRound::finish(const TwoPartyContext& ctx) {
   });
 }
 
-void MatmulRound::stage(TwoPartyContext& ctx, Shared x, Shared y, std::size_t m,
+void MatmulRound::stage(TwoPartyContext& ctx, const Shared& x, Shared y, std::size_t m,
                         std::size_t k, std::size_t n) {
   if (x.size() != m * k || y.size() != k * n) {
     throw std::invalid_argument("matmul: shape mismatch");
   }
-  t_ = ctx.matmul_triple(m, k, n);
-  x_ = std::move(x);
+  t_ = ctx.bilinear_triple(BilinearSpec::matmul(m, k, n));
+  x_ = &x;
   y_ = std::move(y);
   m_ = m;
   k_ = k;
   n_ = n;
-  ctx.opens().stage(sub(ctx, x_, t_.a), &e_);
+  ctx.opens().stage(sub(ctx, x, t_.a), &e_);
   ctx.opens().stage(sub(ctx, y_, t_.b), &f_);
 }
 
@@ -287,7 +289,7 @@ Shared MatmulRound::finish(const TwoPartyContext& ctx) {
       kern::sub(y_minus_f.data(), y->data(), f_.data(), y_minus_f.size(), mask);
       y = &y_minus_f;
     }
-    kern::gemm_acc(r.data(), x_.share(p).data(), f_.data(), m_, k_, n_);
+    kern::gemm_acc(r.data(), x_->share(p).data(), f_.data(), m_, k_, n_);
     kern::gemm_acc(r.data(), e_.data(), y->data(), m_, k_, n_);
     kern::reduce(r.data(), r.data(), r.size(), mask);
     return r;

@@ -148,11 +148,7 @@ class TwoPartyContext {
   /// own dealer by default — the fused baseline; a preprocessing layer
   /// installs a store-backed source instead).  Every draw counts one
   /// obs::Counter::triple_claims.
-  [[nodiscard]] ElemTriple elem_triple(std::size_t n) { return claim().elem_triple(n); }
   [[nodiscard]] SquarePair square_pair(std::size_t n) { return claim().square_pair(n); }
-  [[nodiscard]] MatmulTriple matmul_triple(std::size_t m, std::size_t k, std::size_t n) {
-    return claim().matmul_triple(m, k, n);
-  }
   [[nodiscard]] BitTriple bit_triple(std::size_t n) { return claim().bit_triple(n); }
   [[nodiscard]] BilinearTriple bilinear_triple(const BilinearSpec& spec) {
     return claim().bilinear_triple(spec);
@@ -340,19 +336,20 @@ template <typename F>
 // one exchange.  Both paths share the same arithmetic and the same draw
 // order, which is what makes their results bit-identical.
 
-/// Beaver elementwise multiplication (paper Eq. 2), staged.
+/// Beaver elementwise multiplication (paper Eq. 2) over a hadamard
+/// product triple, staged.
 class MulRound {
  public:
   void stage(TwoPartyContext& ctx, Shared x, Shared y);
-  /// Same, with a caller-drawn triple — used by the staged comparison
-  /// phases, which draw all of an instance's correlated randomness up
-  /// front so the request stream stays program-ordered however the phases
-  /// interleave.
-  void stage(TwoPartyContext& ctx, Shared x, Shared y, ElemTriple t);
+  /// Same, with a caller-drawn hadamard triple — used by the staged
+  /// comparison phases, which draw all of an instance's correlated
+  /// randomness up front so the request stream stays program-ordered
+  /// however the phases interleave.
+  void stage(TwoPartyContext& ctx, Shared x, Shared y, BilinearTriple t);
   [[nodiscard]] Shared finish(const TwoPartyContext& ctx);
 
  private:
-  ElemTriple t_;
+  BilinearTriple t_;
   Shared x_, y_;
   RingVec e_, f_;
 };
@@ -368,16 +365,19 @@ class SquareRound {
   RingVec e_;
 };
 
-/// Beaver matrix product (m×k)·(k×n), staged.
+/// Beaver matrix product (m×k)·(k×n) over a matmul product triple,
+/// staged.  The left operand x is borrowed, not copied (the linear layer
+/// passes its weight once per sample): it must outlive finish().
 class MatmulRound {
  public:
-  void stage(TwoPartyContext& ctx, Shared x, Shared y, std::size_t m, std::size_t k,
+  void stage(TwoPartyContext& ctx, const Shared& x, Shared y, std::size_t m, std::size_t k,
              std::size_t n);
   [[nodiscard]] Shared finish(const TwoPartyContext& ctx);
 
  private:
-  MatmulTriple t_;
-  Shared x_, y_;
+  BilinearTriple t_;
+  const Shared* x_ = nullptr;
+  Shared y_;
   RingVec e_, f_;
   std::size_t m_ = 0, k_ = 0, n_ = 0;
 };

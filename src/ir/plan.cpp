@@ -12,14 +12,6 @@ using offline::PreprocessingPlan;
 using offline::TripleKind;
 using offline::TripleRequest;
 
-void push_elem(PreprocessingPlan& plan, int layer, std::uint64_t n) {
-  TripleRequest r;
-  r.kind = TripleKind::elem;
-  r.layer = layer;
-  r.n = n;
-  plan.requests.push_back(r);
-}
-
 void push_square(PreprocessingPlan& plan, int layer, std::uint64_t n) {
   TripleRequest r;
   r.kind = TripleKind::square;
@@ -33,17 +25,6 @@ void push_bit(PreprocessingPlan& plan, int layer, std::uint64_t n) {
   r.kind = TripleKind::bit;
   r.layer = layer;
   r.n = n;
-  plan.requests.push_back(r);
-}
-
-void push_matmul(PreprocessingPlan& plan, int layer, std::uint64_t m, std::uint64_t k,
-                 std::uint64_t cols) {
-  TripleRequest r;
-  r.kind = TripleKind::matmul;
-  r.layer = layer;
-  r.m = m;
-  r.k = k;
-  r.cols = cols;
   plan.requests.push_back(r);
 }
 
@@ -91,11 +72,13 @@ void append_op_requests(PreprocessingPlan& plan, const Op& op,
       push_bilinear(plan, op.layer, spec);
       break;
     }
-    case OpKind::linear:
+    case OpKind::linear: {
       // One W·xᵀ matrix triple per sample; plans are per-query (batch 1).
-      push_matmul(plan, op.layer, static_cast<std::uint64_t>(op.out_features),
-                  static_cast<std::uint64_t>(op.in_features), 1);
+      const auto out = static_cast<std::size_t>(op.out_features);
+      const auto in = static_cast<std::size_t>(op.in_features);
+      push_bilinear(plan, op.layer, crypto::BilinearSpec::matmul(out, in, 1));
       break;
+    }
     case OpKind::x2act:
       push_square(plan, op.layer, static_cast<std::uint64_t>(op.input_elems()));
       break;
@@ -107,8 +90,9 @@ void append_op_requests(PreprocessingPlan& plan, const Op& op,
       const CompareLevels shape = op.compare_levels();
       for (const std::uint64_t n : shape.values) {
         push_drelu(plan, op.layer, n, rc);
-        push_elem(plan, op.layer, n);  // b2a
-        for (int p = 0; p < shape.payloads; ++p) push_elem(plan, op.layer, n);
+        const crypto::BilinearSpec mul = crypto::BilinearSpec::hadamard(n);
+        push_bilinear(plan, op.layer, mul);  // b2a
+        for (int p = 0; p < shape.payloads; ++p) push_bilinear(plan, op.layer, mul);
       }
       break;
     }

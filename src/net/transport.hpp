@@ -61,7 +61,9 @@ inline constexpr std::uint32_t kMagic = 0x5041534EU;  // 'PASN'
 /// party-channel chunk opens with a lane-position setup frame.
 /// v4: same hello; dealer bundles carry the random-OT pool, and every
 /// (1,4)-OT is the precomputed one (packed shifts, then masked tables).
-inline constexpr std::uint16_t kProtocolVersion = 4;
+/// v5: same hello; dealer bundles carry one product pool whose entries
+/// lead with their spec record (store format v5).
+inline constexpr std::uint16_t kProtocolVersion = 5;
 inline constexpr std::size_t kHelloBytes = 24;
 /// Clock-sync ping rounds run by the connector after the hello; the
 /// minimum-RTT sample wins.

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "crypto/beaver.hpp"
-#include "crypto/triple_source.hpp"
 
 namespace pasnet::offline {
 
@@ -23,24 +22,14 @@ void generate_bundle(const PreprocessingPlan& plan, QueryBundle& bundle,
   crypto::TripleDealer dealer(plan.ring, dealer_seed);
   for (const TripleRequest& r : plan.requests) {
     switch (r.kind) {
-      case TripleKind::elem:
-        bundle.elem.push_back(dealer.elem_triple(static_cast<std::size_t>(r.n)));
+      case TripleKind::bilinear:
+        bundle.bilinear.push_back(dealer.bilinear_triple(r.bilinear));
         break;
       case TripleKind::square:
         bundle.square.push_back(dealer.square_pair(static_cast<std::size_t>(r.n)));
         break;
-      case TripleKind::matmul:
-        bundle.matmul.push_back(dealer.matmul_triple(static_cast<std::size_t>(r.m),
-                                                     static_cast<std::size_t>(r.k),
-                                                     static_cast<std::size_t>(r.cols)));
-        break;
       case TripleKind::bit:
         bundle.bit.push_back(dealer.bit_triple(static_cast<std::size_t>(r.n)));
-        break;
-      case TripleKind::bilinear:
-        bundle.bilinear.push_back(
-            dealer.bilinear_triple(r.bilinear.na(), r.bilinear.nb(), r.bilinear.nz(),
-                                   crypto::build_bilinear_map(r.bilinear, plan.ring)));
         break;
       case TripleKind::rot:
         bundle.rot.push_back(dealer.random_ot(static_cast<std::size_t>(r.n), r.sender));

@@ -23,9 +23,10 @@ using crypto::RingVec;
 // column / output channel), containing one COT per (choice element t, ring
 // bit i).  Both parties must enumerate the exact same groups in the exact
 // same order — lanes outermost, then plan requests, then the kind's
-// canonical nesting — so the geometry below is the single source of truth
-// shared by the choice-collection, correction-building and output passes
-// (and, in aggregate form, by the analytic cost model).
+// canonical nesting — so product_geometry below is the single source of
+// truth shared by the choice-collection, correction-building and output
+// passes (and, in aggregate form, by the analytic cost model).  A square
+// pair groups like a hadamard product of its size.
 // ---------------------------------------------------------------------------
 
 /// One derandomization group, fully resolved against the local party's
@@ -52,6 +53,79 @@ struct GroupCtx {
   std::uint64_t* z = nullptr;        // receiver's accumulation target
   std::size_t t_start = 0, t_rows = 1, t_len = 1, t_stride = 0;
 };
+
+/// The COT grouping of one product spec: `groups` derandomization groups,
+/// group k's choice, correlation and output slices starting at
+/// k·choice_group, k·corr_group and k·t_group, with the layout inside a
+/// group in `layout` (its pointers and bases unset).
+struct ProductGeometry {
+  std::size_t groups = 0;
+  std::size_t choice_group = 0, corr_group = 0, t_group = 0;
+  GroupCtx layout;
+  bool im2col = false;  ///< the correlation source is im2col(a_S), not a_S itself
+};
+
+ProductGeometry product_geometry(const crypto::BilinearSpec& sp) {
+  ProductGeometry geo;
+  GroupCtx& g = geo.layout;
+  if (sp.kind == crypto::BilinearKind::matmul) {
+    // (m×k)·(k×n): one group per output column j; choice t is B[t][j], its
+    // correlation A's column t, its output Z's column j.
+    const auto m = static_cast<std::size_t>(sp.batch);
+    const auto k = static_cast<std::size_t>(sp.in_ch);
+    const auto n = static_cast<std::size_t>(sp.out_ch);
+    geo.groups = n;
+    geo.choice_group = 1;
+    geo.t_group = 1;
+    g.len = m;
+    g.sub = k;
+    g.choice_step = n;
+    g.corr_step = 1;
+    g.corr_rows = m;
+    g.corr_stride = k;
+    g.t_rows = m;
+    g.t_stride = n;
+    return geo;
+  }
+  // Convolutions, and hadamard as a depthwise 1×1 over its n channels: one
+  // group per output channel, one choice per weight of its kernel, whose
+  // correlation is the matching row of the SENDER's patch matrix — exactly
+  // what build_bilinear_map multiplies, so Σ_j b_j·c_j reproduces
+  // f(a_S, b_R) slice for slice.  A hadamard's patch matrix is A itself.
+  const auto spatial = static_cast<std::size_t>(sp.out_h()) * sp.out_w();
+  const auto k2 = static_cast<std::size_t>(sp.kernel) * sp.kernel;
+  const std::size_t k_dim = static_cast<std::size_t>(sp.in_ch) * k2;
+  const bool cw = sp.channelwise();
+  geo.groups = static_cast<std::size_t>(cw ? sp.in_ch : sp.out_ch);
+  geo.choice_group = cw ? k2 : k_dim;
+  geo.corr_group = cw ? k2 * spatial : 0;
+  geo.t_group = spatial;
+  geo.im2col = sp.kind != crypto::BilinearKind::hadamard;
+  g.len = static_cast<std::size_t>(sp.batch) * spatial;
+  g.sub = geo.choice_group;
+  g.choice_step = 1;
+  g.corr_step = spatial;
+  g.corr_rows = static_cast<std::size_t>(sp.batch);
+  g.corr_len = spatial;
+  g.corr_stride = k_dim * spatial;
+  g.t_rows = static_cast<std::size_t>(sp.batch);
+  g.t_len = spatial;
+  g.t_stride = geo.groups * spatial;
+  return geo;
+}
+
+/// The sender's patch matrix im2col(a) of a convolution spec, laid out
+/// [sample][in_ch·k²][spatial].
+RingVec patch_matrix(const crypto::BilinearSpec& sp, const RingVec& a) {
+  const int oh = sp.out_h(), ow = sp.out_w();
+  const std::size_t block = static_cast<std::size_t>(sp.in_ch) * sp.kernel * sp.kernel * oh * ow;
+  RingVec cols(static_cast<std::size_t>(sp.batch) * block);
+  for (int s = 0; s < sp.batch; ++s) {
+    crypto::kern::im2col(cols.data() + static_cast<std::size_t>(s) * block, a.data(), sp.in_ch,
+                         sp.in_h, sp.in_w, s, sp.kernel, sp.stride, sp.pad, oh, ow);
+  }
+  return cols;
+}
 
 /// One run of boolean AND-triple OT instances (1 COT per instance).
 struct BitCtx {
@@ -94,37 +168,45 @@ struct WalkIo {
 template <typename FGroup, typename FBits, typename FRot>
 void walk_direction(const WalkIo& io, FGroup&& on_group, FBits&& on_bits, FRot&& on_rot) {
   const PreprocessingPlan& plan = *io.plan;
-  const int bits = plan.ring.bits;
   const int S = io.sender, R = 1 - io.sender;
+  // Every group of `geo`, read through g's pointers.
+  const auto run_groups = [&](const ProductGeometry& geo, GroupCtx g) {
+    g.nbits = plan.ring.bits;
+    for (std::size_t k = 0; k < geo.groups; ++k) {
+      g.choice_base = k * geo.choice_group;
+      g.corr_base = k * geo.corr_group;
+      g.t_start = k * geo.t_group;
+      on_group(g);
+    }
+  };
   for (std::size_t l = 0; l < io.lanes; ++l) {
     QueryBundle& b = io.bundles[l];
-    std::size_t elem_i = 0, square_i = 0, matmul_i = 0, bit_i = 0, bil_i = 0, rot_i = 0;
+    std::size_t square_i = 0, bit_i = 0, bil_i = 0, rot_i = 0;
     for (std::size_t ri = 0; ri < plan.requests.size(); ++ri) {
       const TripleRequest& r = plan.requests[ri];
-      GroupCtx g;
-      g.nbits = bits;
       switch (r.kind) {
-        case TripleKind::elem: {
-          crypto::ElemTriple& t = b.elem[elem_i++];
+        case TripleKind::bilinear: {
+          crypto::BilinearTriple& t = b.bilinear[bil_i++];
+          const ProductGeometry geo = product_geometry(r.bilinear);
+          GroupCtx g = geo.layout;
           if (io.need_recv) {
             g.choice = t.b.share(R).data();
             g.z = t.z.share(R).data();
           }
+          RingVec cols;
           if (io.need_send) {
-            g.corr = t.a.share(S).data();
+            if (geo.im2col) cols = patch_matrix(r.bilinear, t.a.share(S));
+            g.corr = geo.im2col ? cols.data() : t.a.share(S).data();
             g.x = io.mats[S][l].x[ri].data();
           }
-          for (std::size_t e = 0; e < r.n; ++e) {
-            g.choice_base = e;
-            g.corr_base = e;
-            g.t_start = e;
-            on_group(g);
-          }
+          run_groups(geo, g);
           break;
         }
         case TripleKind::square: {
           crypto::SquarePair& t = b.square[square_i++];
           if (S != 0) break;  // one direction suffices: P0 sends, P1 receives
+          const ProductGeometry geo = product_geometry(crypto::BilinearSpec::hadamard(r.n));
+          GroupCtx g = geo.layout;
           g.shift0 = 1;
           g.x_shift = 1;
           if (io.need_recv) {
@@ -135,86 +217,7 @@ void walk_direction(const WalkIo& io, FGroup&& on_group, FBits&& on_bits, FRot&&
             g.corr = t.a.share(0).data();
             g.x = io.mats[0][l].x[ri].data();
           }
-          for (std::size_t e = 0; e < r.n; ++e) {
-            g.choice_base = e;
-            g.corr_base = e;
-            g.t_start = e;
-            on_group(g);
-          }
-          break;
-        }
-        case TripleKind::matmul: {
-          crypto::MatmulTriple& t = b.matmul[matmul_i++];
-          g.len = r.m;
-          g.sub = r.k;
-          if (io.need_recv) {
-            g.choice = t.b.share(R).data();
-            g.z = t.z.share(R).data();
-          }
-          if (io.need_send) {
-            g.corr = t.a.share(S).data();
-            g.x = io.mats[S][l].x[ri].data();
-          }
-          g.choice_step = r.cols;
-          g.corr_step = 1;  // A column t: elements t, t+k, ...
-          g.corr_rows = r.m;
-          g.corr_stride = r.k;
-          g.t_rows = r.m;
-          g.t_stride = r.cols;
-          for (std::size_t j = 0; j < r.cols; ++j) {
-            g.choice_base = j;
-            g.corr_base = 0;
-            g.t_start = j;
-            on_group(g);
-          }
-          break;
-        }
-        case TripleKind::bilinear: {
-          crypto::BilinearTriple& t = b.bilinear[bil_i++];
-          const crypto::BilinearSpec& sp = r.bilinear;
-          const auto spatial = static_cast<std::size_t>(sp.out_h()) * sp.out_w();
-          const auto k2 = static_cast<std::size_t>(sp.kernel) * sp.kernel;
-          const std::size_t k_dim = static_cast<std::size_t>(sp.in_ch) * k2;
-          const auto batch = static_cast<std::size_t>(sp.batch);
-          const bool dw = sp.kind == crypto::BilinearKind::depthwise_conv2d;
-          g.len = batch * spatial;
-          g.sub = dw ? k2 : k_dim;
-          if (io.need_recv) {
-            g.choice = t.b.share(R).data();
-            g.z = t.z.share(R).data();
-          }
-          // The correlation source is the im2col lowering of the SENDER's
-          // input-mask half — exactly the patch matrix build_bilinear_map
-          // multiplies, so Σ_j b_j·c_j reproduces f(a_S, b_R) slice for
-          // slice.  Laid out [sample][k_dim][spatial].
-          RingVec colall;
-          if (io.need_send) {
-            const RingVec& a_s = t.a.share(S);
-            colall.resize(batch * k_dim * spatial);
-            for (std::size_t s = 0; s < batch; ++s) {
-              crypto::kern::im2col(colall.data() + s * k_dim * spatial, a_s.data(), sp.in_ch,
-                                   sp.in_h, sp.in_w, static_cast<int>(s), sp.kernel, sp.stride,
-                                   sp.pad, sp.out_h(), sp.out_w());
-            }
-            g.corr = colall.data();
-            g.x = io.mats[S][l].x[ri].data();
-          }
-          g.choice_step = 1;
-          g.corr_step = spatial;
-          g.corr_rows = batch;
-          g.corr_len = spatial;
-          g.corr_stride = k_dim * spatial;
-          g.t_rows = batch;
-          g.t_len = spatial;
-          const std::size_t out_ch = dw ? static_cast<std::size_t>(sp.in_ch)
-                                        : static_cast<std::size_t>(sp.out_ch);
-          g.t_stride = out_ch * spatial;
-          for (std::size_t oc = 0; oc < out_ch; ++oc) {
-            g.choice_base = oc * g.sub;
-            g.corr_base = dw ? oc * k2 * spatial : 0;
-            g.t_start = oc * spatial;
-            on_group(g);
-          }
+          run_groups(geo, g);
           break;
         }
         case TripleKind::bit: {
@@ -263,6 +266,12 @@ struct DirTotals {
   [[nodiscard]] std::uint64_t byte_corrections() const noexcept {
     return 2 * bit_cots + 4 * rot_ots;
   }
+  /// Counts the groups of one product geometry over `bits`-bit choices.
+  void add_groups(const ProductGeometry& geo, std::uint64_t bits) noexcept {
+    const std::uint64_t sub = geo.layout.sub;
+    arith_cots += geo.groups * sub * bits;
+    arith_elems += geo.groups * (sub * bits + 1) * geo.layout.len;
+  }
 };
 
 DirTotals direction_totals(const PreprocessingPlan& plan, int sender) {
@@ -270,32 +279,12 @@ DirTotals direction_totals(const PreprocessingPlan& plan, int sender) {
   DirTotals t;
   for (const TripleRequest& r : plan.requests) {
     switch (r.kind) {
-      case TripleKind::elem:
-        t.arith_cots += r.n * bits;
-        t.arith_elems += r.n * (bits + 1);
+      case TripleKind::bilinear:
+        t.add_groups(product_geometry(r.bilinear), bits);
         break;
       case TripleKind::square:
-        if (sender == 0) {
-          t.arith_cots += r.n * bits;
-          t.arith_elems += r.n * (bits + 1);
-        }
+        if (sender == 0) t.add_groups(product_geometry(crypto::BilinearSpec::hadamard(r.n)), bits);
         break;
-      case TripleKind::matmul:
-        t.arith_cots += r.cols * r.k * bits;
-        t.arith_elems += r.cols * (r.k * bits + 1) * r.m;
-        break;
-      case TripleKind::bilinear: {
-        const crypto::BilinearSpec& sp = r.bilinear;
-        const auto spatial = static_cast<std::uint64_t>(sp.out_h()) * sp.out_w();
-        const auto k2 = static_cast<std::uint64_t>(sp.kernel) * sp.kernel;
-        const bool dw = sp.kind == crypto::BilinearKind::depthwise_conv2d;
-        const std::uint64_t groups = static_cast<std::uint64_t>(dw ? sp.in_ch : sp.out_ch);
-        const std::uint64_t sub = dw ? k2 : static_cast<std::uint64_t>(sp.in_ch) * k2;
-        const std::uint64_t len = static_cast<std::uint64_t>(sp.batch) * spatial;
-        t.arith_cots += groups * sub * bits;
-        t.arith_elems += groups * (sub * bits + 1) * len;
-        break;
-      }
       case TripleKind::bit:
         t.bit_cots += r.n;
         break;
@@ -314,43 +303,19 @@ DirTotals direction_totals(const PreprocessingPlan& plan, int sender) {
 void shape_bundle(const PreprocessingPlan& plan, QueryBundle& b) {
   for (const TripleRequest& r : plan.requests) {
     switch (r.kind) {
-      case TripleKind::elem: {
-        crypto::ElemTriple t;
-        for (RingVec* v : {&t.a.s0, &t.a.s1, &t.b.s0, &t.b.s1, &t.z.s0, &t.z.s1}) {
-          v->assign(r.n, 0);
-        }
-        b.elem.push_back(std::move(t));
+      case TripleKind::bilinear: {
+        crypto::BilinearTriple t;
+        t.spec = r.bilinear;
+        for (RingVec* v : {&t.a.s0, &t.a.s1}) v->assign(r.bilinear.na(), 0);
+        for (RingVec* v : {&t.b.s0, &t.b.s1}) v->assign(r.bilinear.nb(), 0);
+        for (RingVec* v : {&t.z.s0, &t.z.s1}) v->assign(r.bilinear.nz(), 0);
+        b.bilinear.push_back(std::move(t));
         break;
       }
       case TripleKind::square: {
         crypto::SquarePair t;
         for (RingVec* v : {&t.a.s0, &t.a.s1, &t.z.s0, &t.z.s1}) v->assign(r.n, 0);
         b.square.push_back(std::move(t));
-        break;
-      }
-      case TripleKind::matmul: {
-        crypto::MatmulTriple t;
-        t.m = r.m;
-        t.k = r.k;
-        t.n = r.cols;
-        t.a.s0.assign(r.m * r.k, 0);
-        t.a.s1.assign(r.m * r.k, 0);
-        t.b.s0.assign(r.k * r.cols, 0);
-        t.b.s1.assign(r.k * r.cols, 0);
-        t.z.s0.assign(r.m * r.cols, 0);
-        t.z.s1.assign(r.m * r.cols, 0);
-        b.matmul.push_back(std::move(t));
-        break;
-      }
-      case TripleKind::bilinear: {
-        crypto::BilinearTriple t;
-        t.a.s0.assign(r.bilinear.na(), 0);
-        t.a.s1.assign(r.bilinear.na(), 0);
-        t.b.s0.assign(r.bilinear.nb(), 0);
-        t.b.s1.assign(r.bilinear.nb(), 0);
-        t.z.s0.assign(r.bilinear.nz(), 0);
-        t.z.s1.assign(r.bilinear.nz(), 0);
-        b.bilinear.push_back(std::move(t));
         break;
       }
       case TripleKind::bit: {
@@ -392,15 +357,16 @@ void fill_halves(const PreprocessingPlan& plan, int p, std::uint64_t half_seed,
   Prng rot_prng(rot_seed);
   mat.x.assign(plan.requests.size(), RingVec{});
   mat.xbit.assign(plan.requests.size(), {});
-  std::size_t elem_i = 0, square_i = 0, matmul_i = 0, bit_i = 0, bil_i = 0, rot_i = 0;
+  std::size_t square_i = 0, bit_i = 0, bil_i = 0, rot_i = 0;
   for (std::size_t ri = 0; ri < plan.requests.size(); ++ri) {
     const TripleRequest& r = plan.requests[ri];
     switch (r.kind) {
-      case TripleKind::elem: {
-        crypto::ElemHalf h = crypto::draw_elem_half(prng, r.n, rc);
-        crypto::ElemTriple& t = b.elem[elem_i++];
-        RingVec& z = t.z.share(p);
-        for (std::size_t i = 0; i < r.n; ++i) z[i] = (h.a[i] * h.b[i] + h.x[i]) & mask;
+      case TripleKind::bilinear: {
+        crypto::BilinearHalf h = crypto::draw_bilinear_half(prng, r.bilinear, rc);
+        crypto::BilinearTriple& t = b.bilinear[bil_i++];
+        RingVec z = crypto::build_bilinear_map(r.bilinear, rc)(h.a, h.b);
+        for (std::size_t i = 0; i < z.size(); ++i) z[i] = (z[i] + h.x[i]) & mask;
+        t.z.share(p) = std::move(z);
         t.a.share(p) = std::move(h.a);
         t.b.share(p) = std::move(h.b);
         mat.x[ri] = std::move(h.x);
@@ -414,31 +380,6 @@ void fill_halves(const PreprocessingPlan& plan, int p, std::uint64_t half_seed,
           z[i] = (h.a[i] * h.a[i] + (p == 0 ? 2 * h.x[i] : 0)) & mask;
         }
         t.a.share(p) = std::move(h.a);
-        mat.x[ri] = std::move(h.x);
-        break;
-      }
-      case TripleKind::matmul: {
-        crypto::MatmulHalf h = crypto::draw_matmul_half(prng, r.m, r.k, r.cols, rc);
-        crypto::MatmulTriple& t = b.matmul[matmul_i++];
-        RingVec z = crypto::ring_matmul(h.a, h.b, r.m, r.k, r.cols, rc);
-        for (std::size_t i = 0; i < z.size(); ++i) z[i] = (z[i] + h.x[i]) & mask;
-        t.z.share(p) = std::move(z);
-        t.a.share(p) = std::move(h.a);
-        t.b.share(p) = std::move(h.b);
-        mat.x[ri] = std::move(h.x);
-        break;
-      }
-      case TripleKind::bilinear: {
-        const crypto::BilinearSpec& sp = r.bilinear;
-        crypto::BilinearHalf h =
-            crypto::draw_bilinear_half(prng, sp.na(), sp.nb(), sp.nz(), rc);
-        crypto::BilinearTriple& t = b.bilinear[bil_i++];
-        const crypto::BilinearMap f = crypto::build_bilinear_map(sp, rc);
-        RingVec z = f(h.a, h.b);
-        for (std::size_t i = 0; i < z.size(); ++i) z[i] = (z[i] + h.x[i]) & mask;
-        t.z.share(p) = std::move(z);
-        t.a.share(p) = std::move(h.a);
-        t.b.share(p) = std::move(h.b);
         mat.x[ri] = std::move(h.x);
         break;
       }

@@ -1,7 +1,5 @@
 #include "offline/preprocessing_plan.hpp"
 
-#include <algorithm>
-
 namespace pasnet::offline {
 
 namespace {
@@ -26,9 +24,6 @@ std::uint64_t PreprocessingPlan::fingerprint() const noexcept {
   for (const TripleRequest& r : requests) {
     fnv_mix(h, static_cast<std::uint64_t>(r.kind));
     fnv_mix(h, r.n);
-    fnv_mix(h, r.m);
-    fnv_mix(h, r.k);
-    fnv_mix(h, r.cols);
     if (r.kind == TripleKind::bilinear) {
       const crypto::BilinearSpec& s = r.bilinear;
       fnv_mix(h, static_cast<std::uint64_t>(s.kind));
@@ -76,48 +71,6 @@ std::uint64_t PreprocessingPlan::material_bytes_per_query() const noexcept {
          random_ots_per_query() * 6;
 }
 
-std::vector<LayerTripleSummary> PreprocessingPlan::layer_summaries() const {
-  std::vector<LayerTripleSummary> out;
-  for (const TripleRequest& r : requests) {
-    auto it = std::find_if(out.begin(), out.end(),
-                           [&](const LayerTripleSummary& s) { return s.layer == r.layer; });
-    if (it == out.end()) {
-      out.push_back(LayerTripleSummary{});
-      it = out.end() - 1;
-      it->layer = r.layer;
-    }
-    switch (r.kind) {
-      case TripleKind::elem:
-        it->elem_triples += r.n;
-        break;
-      case TripleKind::square:
-        it->square_pairs += r.n;
-        break;
-      case TripleKind::matmul:
-        it->matmul_triple_elems += r.m * r.k + r.k * r.cols + r.m * r.cols;
-        break;
-      case TripleKind::bilinear:
-        it->bilinear_triple_elems += r.bilinear.na() + r.bilinear.nb() + r.bilinear.nz();
-        break;
-      case TripleKind::bit:
-        it->bit_triples += r.n;
-        break;
-      case TripleKind::rot:
-        break;  // counted per query only: random_ots_per_query()
-    }
-  }
-  return out;
-}
-
-crypto::ElemTriple RecordingTripleSource::elem_triple(std::size_t n) {
-  TripleRequest r;
-  r.kind = TripleKind::elem;
-  r.layer = layer_;
-  r.n = n;
-  plan_.requests.push_back(r);
-  return dealer_.elem_triple(n);
-}
-
 crypto::SquarePair RecordingTripleSource::square_pair(std::size_t n) {
   TripleRequest r;
   r.kind = TripleKind::square;
@@ -125,18 +78,6 @@ crypto::SquarePair RecordingTripleSource::square_pair(std::size_t n) {
   r.n = n;
   plan_.requests.push_back(r);
   return dealer_.square_pair(n);
-}
-
-crypto::MatmulTriple RecordingTripleSource::matmul_triple(std::size_t m, std::size_t k,
-                                                          std::size_t n) {
-  TripleRequest r;
-  r.kind = TripleKind::matmul;
-  r.layer = layer_;
-  r.m = m;
-  r.k = k;
-  r.cols = n;
-  plan_.requests.push_back(r);
-  return dealer_.matmul_triple(m, k, n);
 }
 
 crypto::BitTriple RecordingTripleSource::bit_triple(std::size_t n) {

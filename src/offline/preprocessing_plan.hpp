@@ -21,21 +21,22 @@
 
 namespace pasnet::offline {
 
-/// Which pool a request draws from (rot: random (1,4)-OTs).
-enum class TripleKind : std::uint8_t { elem, square, matmul, bit, bilinear, rot };
+/// Which pool a request draws from: product triples Z = f(A, B) (every
+/// elementwise, matrix and convolution product — the spec names f), square
+/// pairs, boolean AND triples, or random (1,4)-OTs.
+enum class TripleKind : std::uint8_t { bilinear, square, bit, rot };
 
 /// One correlated-randomness request, in consumption order.
 struct TripleRequest {
-  TripleKind kind = TripleKind::elem;
+  TripleKind kind = TripleKind::bilinear;
   int layer = -1;      ///< descriptor index of the consuming layer (-1 = outside layers)
-  std::uint64_t n = 0; ///< element / instance count (elem/square/bit/rot)
-  std::uint64_t m = 0, k = 0, cols = 0;  ///< matmul dims (m, k, n)
-  crypto::BilinearSpec bilinear{};       ///< bilinear geometry
-  int sender = 1;                        ///< rot: the party that sends
+  std::uint64_t n = 0; ///< element / instance count (square/bit/rot)
+  crypto::BilinearSpec bilinear{};  ///< product geometry
+  int sender = 1;                   ///< rot: the party that sends
 
   [[nodiscard]] bool operator==(const TripleRequest& o) const noexcept {
-    return kind == o.kind && layer == o.layer && n == o.n && m == o.m && k == o.k &&
-           cols == o.cols && (kind != TripleKind::bilinear || bilinear == o.bilinear) &&
+    return kind == o.kind && layer == o.layer && n == o.n &&
+           (kind != TripleKind::bilinear || bilinear == o.bilinear) &&
            (kind != TripleKind::rot || sender == o.sender);
   }
   [[nodiscard]] bool operator!=(const TripleRequest& o) const noexcept { return !(*this == o); }
@@ -45,30 +46,16 @@ struct TripleRequest {
   /// bytes, not ring elements).
   [[nodiscard]] std::uint64_t material_elems() const noexcept {
     switch (kind) {
-      case TripleKind::elem:
-        return 3 * n;
-      case TripleKind::square:
-        return 2 * n;
-      case TripleKind::matmul:
-        return m * k + k * cols + m * cols;
       case TripleKind::bilinear:
         return bilinear.na() + bilinear.nb() + bilinear.nz();
+      case TripleKind::square:
+        return 2 * n;
       case TripleKind::bit:
       case TripleKind::rot:
         return 0;
     }
     return 0;
   }
-};
-
-/// Per-layer consumption summary (for reporting and byte-split accounting).
-struct LayerTripleSummary {
-  int layer = -1;
-  std::uint64_t elem_triples = 0;
-  std::uint64_t square_pairs = 0;
-  std::uint64_t matmul_triple_elems = 0;
-  std::uint64_t bilinear_triple_elems = 0;
-  std::uint64_t bit_triples = 0;
 };
 
 /// The compiled offline requirements of one query of one model.
@@ -87,13 +74,11 @@ struct PreprocessingPlan {
   [[nodiscard]] std::uint64_t bit_triples_per_query() const noexcept;
   /// Random (1,4)-OTs one query consumes.
   [[nodiscard]] std::uint64_t random_ots_per_query() const noexcept;
-  /// Serialized bytes of one query's material (8 bytes per ring-element
-  /// share pair side, 6 bytes per bit triple, 6 bytes per random OT) —
-  /// sizing for capacity planning.
+  /// Bytes of one query's material values: 16 per ring element (both
+  /// shares), 6 per bit triple, 6 per random OT — sizing for capacity
+  /// planning.  The serialized bundle adds length prefixes, pool counts
+  /// and one spec record per product triple (TripleStore::material_bytes).
   [[nodiscard]] std::uint64_t material_bytes_per_query() const noexcept;
-
-  /// Requests grouped by consuming layer, in first-appearance order.
-  [[nodiscard]] std::vector<LayerTripleSummary> layer_summaries() const;
 };
 
 /// A TripleSource decorator that records every request under the layer the
@@ -105,16 +90,14 @@ struct PreprocessingPlan {
 class RecordingTripleSource final : public crypto::TripleSource {
  public:
   RecordingTripleSource(crypto::TripleDealer& dealer, const crypto::RingConfig& rc)
-      : dealer_(dealer, rc) {
+      : dealer_(dealer) {
     plan_.ring = rc;
   }
 
   void begin_layer(int layer) noexcept { layer_ = layer; }
   [[nodiscard]] PreprocessingPlan take_plan() { return std::move(plan_); }
 
-  crypto::ElemTriple elem_triple(std::size_t n) override;
   crypto::SquarePair square_pair(std::size_t n) override;
-  crypto::MatmulTriple matmul_triple(std::size_t m, std::size_t k, std::size_t n) override;
   crypto::BitTriple bit_triple(std::size_t n) override;
   crypto::BilinearTriple bilinear_triple(const crypto::BilinearSpec& spec) override;
   crypto::RandomOt random_ot(std::size_t n, int sender) override;

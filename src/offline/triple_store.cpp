@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <initializer_list>
 #include <ostream>
 
 namespace pasnet::offline {
@@ -10,9 +11,10 @@ namespace {
 
 constexpr std::uint64_t kMagic = 0x5041534E54525031ULL;  // "PASNTRP1"
 // Version 2 added a provenance word after the version, version 3 the
-// random-OT pool, version 4 dropped the provenance word again.  Only the
-// current version loads.
-constexpr std::uint32_t kVersion = 4;
+// random-OT pool, version 4 dropped the provenance word again, version 5
+// folded the elem and matmul pools into the product pool, every product
+// triple led by its spec record.  Only the current version loads.
+constexpr std::uint32_t kVersion = 5;
 
 // --- little-endian primitives ---------------------------------------------
 
@@ -118,6 +120,63 @@ std::vector<std::uint8_t> read_bytes(std::istream& is, std::uint64_t max_len) {
 // field must not turn into a multi-terabyte allocation.
 constexpr std::uint64_t kMaxVecElems = 1ULL << 32;
 
+// A product triple's spec record: its kind and eight geometry fields.
+constexpr std::uint64_t kSpecBytes = 9 * 8;
+// Cap on one geometry field: no sum of them overflows an int, and no
+// product of four (capped_product) overflows 64 bits.
+constexpr std::uint64_t kMaxSpecField = 1ULL << 28;
+
+void write_spec(std::ostream& os, const crypto::BilinearSpec& s) {
+  write_u64(os, static_cast<std::uint64_t>(s.kind));
+  for (const int v : {s.batch, s.in_ch, s.in_h, s.in_w, s.out_ch, s.kernel, s.stride, s.pad}) {
+    write_u64(os, static_cast<std::uint64_t>(v));
+  }
+}
+
+/// The product of `factors`, saturated just past kMaxVecElems.
+std::uint64_t capped_product(std::initializer_list<int> factors) {
+  std::uint64_t p = 1;
+  for (const int f : factors) p = std::min(p * static_cast<std::uint64_t>(f), kMaxVecElems + 1);
+  return p;
+}
+
+/// Reads a spec record, refusing an unknown kind or an out-of-range field —
+/// a stride or kernel below 1, an empty output, a side over kMaxVecElems —
+/// before out_h() divides by the stride or na()/nb()/nz() can overflow.
+crypto::BilinearSpec read_spec(std::istream& is) {
+  const std::uint64_t kind = read_u64(is);
+  if (kind > static_cast<std::uint64_t>(crypto::BilinearKind::matmul)) {
+    throw std::runtime_error("TripleStore: unknown product kind");
+  }
+  crypto::BilinearSpec s;
+  s.kind = static_cast<crypto::BilinearKind>(kind);
+  for (int* v : {&s.batch, &s.in_ch, &s.in_h, &s.in_w, &s.out_ch, &s.kernel, &s.stride, &s.pad}) {
+    const std::uint64_t field = read_u64(is);
+    if (field > kMaxSpecField) throw std::runtime_error("TripleStore: product spec out of range");
+    *v = static_cast<int>(field);
+  }
+  if (s.kernel < 1 || s.stride < 1 || s.in_h + 2 * s.pad < s.kernel ||
+      s.in_w + 2 * s.pad < s.kernel) {
+    throw std::runtime_error("TripleStore: product spec out of range");
+  }
+  // na(), nb() and nz(), each bounded without overflow.
+  if (capped_product({s.batch, s.in_ch, s.in_h, s.in_w}) > kMaxVecElems ||
+      capped_product({s.channelwise() ? 1 : s.out_ch, s.in_ch, s.kernel, s.kernel}) >
+          kMaxVecElems ||
+      capped_product({s.batch, s.out_ch, s.out_h(), s.out_w()}) > kMaxVecElems) {
+    throw std::runtime_error("TripleStore: implausible product spec size");
+  }
+  return s;
+}
+
+/// Reads one side of a product triple, which must hold exactly n elements
+/// per share half.
+crypto::Shared read_side(std::istream& is, std::size_t n) {
+  crypto::Shared s = read_shared(is, n);
+  if (s.size() != n) throw std::runtime_error("TripleStore: product triple shape mismatch");
+  return s;
+}
+
 std::uint64_t shared_bytes(const crypto::Shared& s) noexcept {
   return 16 + 16 * static_cast<std::uint64_t>(s.size());
 }
@@ -149,15 +208,11 @@ std::uint64_t TripleStore::material_bytes() const noexcept {
   // Header: magic, version, ring (3), fingerprint, count.
   std::uint64_t total = 7 * 8;
   for (const QueryBundle& b : bundles_) {
-    total += 6 * 8;
-    for (const auto& t : b.elem) total += shared_bytes(t.a) + shared_bytes(t.b) + shared_bytes(t.z);
+    total += 4 * 8;
     for (const auto& p : b.square) total += shared_bytes(p.a) + shared_bytes(p.z);
-    for (const auto& t : b.matmul) {
-      total += 24 + shared_bytes(t.a) + shared_bytes(t.b) + shared_bytes(t.z);
-    }
     for (const auto& t : b.bit) total += 6 * (8 + static_cast<std::uint64_t>(t.a0.size()));
     for (const auto& t : b.bilinear) {
-      total += shared_bytes(t.a) + shared_bytes(t.b) + shared_bytes(t.z);
+      total += kSpecBytes + shared_bytes(t.a) + shared_bytes(t.b) + shared_bytes(t.z);
     }
     for (const auto& t : b.rot) {
       total += 8 + bytes_bytes(t.pads) + bytes_bytes(t.choice) + bytes_bytes(t.chosen);
@@ -167,28 +222,13 @@ std::uint64_t TripleStore::material_bytes() const noexcept {
 }
 
 void write_bundle(std::ostream& os, const QueryBundle& b) {
-  write_u64(os, b.elem.size());
   write_u64(os, b.square.size());
-  write_u64(os, b.matmul.size());
   write_u64(os, b.bit.size());
   write_u64(os, b.bilinear.size());
   write_u64(os, b.rot.size());
-  for (const auto& t : b.elem) {
-    write_shared(os, t.a);
-    write_shared(os, t.b);
-    write_shared(os, t.z);
-  }
   for (const auto& p : b.square) {
     write_shared(os, p.a);
     write_shared(os, p.z);
-  }
-  for (const auto& t : b.matmul) {
-    write_u64(os, t.m);
-    write_u64(os, t.k);
-    write_u64(os, t.n);
-    write_shared(os, t.a);
-    write_shared(os, t.b);
-    write_shared(os, t.z);
   }
   for (const auto& t : b.bit) {
     write_bytes(os, t.a0);
@@ -199,6 +239,7 @@ void write_bundle(std::ostream& os, const QueryBundle& b) {
     write_bytes(os, t.c1);
   }
   for (const auto& t : b.bilinear) {
+    write_spec(os, t.spec);
     write_shared(os, t.a);
     write_shared(os, t.b);
     write_shared(os, t.z);
@@ -213,24 +254,13 @@ void write_bundle(std::ostream& os, const QueryBundle& b) {
 
 QueryBundle read_bundle(std::istream& is) {
   QueryBundle b;
-  const std::uint64_t n_elem = read_u64(is);
   const std::uint64_t n_square = read_u64(is);
-  const std::uint64_t n_matmul = read_u64(is);
   const std::uint64_t n_bit = read_u64(is);
   const std::uint64_t n_bilinear = read_u64(is);
   const std::uint64_t n_rot = read_u64(is);
-  if (n_elem > kMaxVecElems || n_square > kMaxVecElems || n_matmul > kMaxVecElems ||
-      n_bit > kMaxVecElems || n_bilinear > kMaxVecElems || n_rot > kMaxVecElems) {
+  if (n_square > kMaxVecElems || n_bit > kMaxVecElems || n_bilinear > kMaxVecElems ||
+      n_rot > kMaxVecElems) {
     throw std::runtime_error("TripleStore: implausible pool size");
-  }
-  b.elem.resize(static_cast<std::size_t>(n_elem));
-  for (auto& t : b.elem) {
-    t.a = read_shared(is, kMaxVecElems);
-    t.b = read_shared(is, kMaxVecElems);
-    t.z = read_shared(is, kMaxVecElems);
-    if (t.b.size() != t.a.size() || t.z.size() != t.a.size()) {
-      throw std::runtime_error("TripleStore: elem triple shape mismatch");
-    }
   }
   b.square.resize(static_cast<std::size_t>(n_square));
   for (auto& p : b.square) {
@@ -238,18 +268,6 @@ QueryBundle read_bundle(std::istream& is) {
     p.z = read_shared(is, kMaxVecElems);
     if (p.z.size() != p.a.size()) {
       throw std::runtime_error("TripleStore: square pair shape mismatch");
-    }
-  }
-  b.matmul.resize(static_cast<std::size_t>(n_matmul));
-  for (auto& t : b.matmul) {
-    t.m = static_cast<std::size_t>(read_u64(is));
-    t.k = static_cast<std::size_t>(read_u64(is));
-    t.n = static_cast<std::size_t>(read_u64(is));
-    t.a = read_shared(is, kMaxVecElems);
-    t.b = read_shared(is, kMaxVecElems);
-    t.z = read_shared(is, kMaxVecElems);
-    if (t.a.size() != t.m * t.k || t.b.size() != t.k * t.n || t.z.size() != t.m * t.n) {
-      throw std::runtime_error("TripleStore: matmul triple shape mismatch");
     }
   }
   b.bit.resize(static_cast<std::size_t>(n_bit));
@@ -268,9 +286,10 @@ QueryBundle read_bundle(std::istream& is) {
   }
   b.bilinear.resize(static_cast<std::size_t>(n_bilinear));
   for (auto& t : b.bilinear) {
-    t.a = read_shared(is, kMaxVecElems);
-    t.b = read_shared(is, kMaxVecElems);
-    t.z = read_shared(is, kMaxVecElems);
+    t.spec = read_spec(is);
+    t.a = read_side(is, t.spec.na());
+    t.b = read_side(is, t.spec.nb());
+    t.z = read_side(is, t.spec.nz());
   }
   b.rot.resize(static_cast<std::size_t>(n_rot));
   for (auto& t : b.rot) {
@@ -309,19 +328,9 @@ QueryBundle slice_bundle_for_party(const QueryBundle& bundle, int party) {
     }
     for (auto* v : peer) std::fill(v->begin(), v->end(), 0);
   };
-  for (auto& t : out.elem) {
-    wipe(t.a);
-    wipe(t.b);
-    wipe(t.z);
-  }
   for (auto& p : out.square) {
     wipe(p.a);
     wipe(p.z);
-  }
-  for (auto& t : out.matmul) {
-    wipe(t.a);
-    wipe(t.b);
-    wipe(t.z);
   }
   for (auto& t : out.bit) wipe_bits(t);
   for (auto& t : out.bilinear) {
@@ -400,15 +409,6 @@ void StoreTripleSource::throw_exhausted(const char* pool) const {
                              " pool): pregenerate more queries");
 }
 
-crypto::ElemTriple StoreTripleSource::elem_triple(std::size_t n) {
-  if (elem_next_ >= bundle_.elem.size()) throw_exhausted("elem");
-  crypto::ElemTriple t = std::move(bundle_.elem[elem_next_++]);
-  if (t.a.size() != n || t.b.size() != n || t.z.size() != n) {
-    throw std::logic_error("TripleStore: elem triple size mismatch (store/plan drift)");
-  }
-  return t;
-}
-
 crypto::SquarePair StoreTripleSource::square_pair(std::size_t n) {
   if (square_next_ >= bundle_.square.size()) throw_exhausted("square");
   crypto::SquarePair p = std::move(bundle_.square[square_next_++]);
@@ -416,17 +416,6 @@ crypto::SquarePair StoreTripleSource::square_pair(std::size_t n) {
     throw std::logic_error("TripleStore: square pair size mismatch (store/plan drift)");
   }
   return p;
-}
-
-crypto::MatmulTriple StoreTripleSource::matmul_triple(std::size_t m, std::size_t k,
-                                                      std::size_t n) {
-  if (matmul_next_ >= bundle_.matmul.size()) throw_exhausted("matmul");
-  crypto::MatmulTriple t = std::move(bundle_.matmul[matmul_next_++]);
-  if (t.m != m || t.k != k || t.n != n || t.a.size() != m * k || t.b.size() != k * n ||
-      t.z.size() != m * n) {
-    throw std::logic_error("TripleStore: matmul triple shape mismatch (store/plan drift)");
-  }
-  return t;
 }
 
 crypto::BitTriple StoreTripleSource::bit_triple(std::size_t n) {
@@ -440,10 +429,11 @@ crypto::BitTriple StoreTripleSource::bit_triple(std::size_t n) {
 }
 
 crypto::BilinearTriple StoreTripleSource::bilinear_triple(const crypto::BilinearSpec& spec) {
-  if (bilinear_next_ >= bundle_.bilinear.size()) throw_exhausted("bilinear");
+  if (bilinear_next_ >= bundle_.bilinear.size()) throw_exhausted("product");
   crypto::BilinearTriple t = std::move(bundle_.bilinear[bilinear_next_++]);
-  if (t.a.size() != spec.na() || t.b.size() != spec.nb() || t.z.size() != spec.nz()) {
-    throw std::logic_error("TripleStore: bilinear triple shape mismatch (store/plan drift)");
+  if (t.spec != spec || t.a.size() != spec.na() || t.b.size() != spec.nb() ||
+      t.z.size() != spec.nz()) {
+    throw std::logic_error("TripleStore: product triple shape mismatch (store/plan drift)");
   }
   return t;
 }

@@ -34,22 +34,22 @@ class TripleStoreExhausted : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// All the correlated randomness one query consumes, in plan order per pool.
+/// All the correlated randomness one query consumes, in plan order per
+/// pool (one pool per TripleKind).
 struct QueryBundle {
-  std::vector<crypto::ElemTriple> elem;
   std::vector<crypto::SquarePair> square;
-  std::vector<crypto::MatmulTriple> matmul;
   std::vector<crypto::BitTriple> bit;
-  std::vector<crypto::BilinearTriple> bilinear;
+  std::vector<crypto::BilinearTriple> bilinear;  ///< product triples, each with its spec
   std::vector<crypto::RandomOt> rot;
 };
 
 /// Binary (de)serialization of one bundle — the unit the networked dealer
 /// service ships per claim.  Same little-endian layout the whole-store
 /// format uses (TripleStore::save/load are built on these).  read_bundle
-/// validates every entry's internal shape — the sides of a triple, the
-/// halves of a random OT — and throws std::runtime_error on malformed
-/// input.
+/// validates every entry's internal shape — each product triple's spec
+/// record and its sides against that spec, the sides of a square pair or
+/// bit triple, the halves of a random OT — and throws std::runtime_error
+/// on malformed input.
 void write_bundle(std::ostream& os, const QueryBundle& bundle);
 [[nodiscard]] QueryBundle read_bundle(std::istream& is);
 
@@ -98,7 +98,7 @@ class TripleStore {
 
   /// Binary serialization.  The format is little-endian and versioned;
   /// load() validates the magic, version, and structural sizes and throws
-  /// std::runtime_error on malformed input.  Only the current version (4)
+  /// std::runtime_error on malformed input.  Only the current version (5)
   /// loads: a store is single-use material, so regenerate an older one.
   /// Claim state is not persisted — a loaded store always starts fresh.
   void save(std::ostream& os) const;
@@ -123,17 +123,16 @@ class TripleStore {
   mutable std::mutex mu_;
 };
 
-/// TripleSource serving one query from its claimed bundle.  Every side of
-/// every pop is validated against the requested shape (a mismatch means
-/// the store was generated for a different plan and is a logic error); a
-/// draw from a dry pool raises TripleStoreExhausted.
+/// TripleSource serving one query from its claimed bundle.  Every pop is
+/// validated against the request — a product triple's stored spec against
+/// the requested one, and every side against the requested shape (a
+/// mismatch means the store was generated for a different plan and is a
+/// logic error); a draw from a dry pool raises TripleStoreExhausted.
 class StoreTripleSource final : public crypto::TripleSource {
  public:
   explicit StoreTripleSource(QueryBundle& bundle) : bundle_(bundle) {}
 
-  crypto::ElemTriple elem_triple(std::size_t n) override;
   crypto::SquarePair square_pair(std::size_t n) override;
-  crypto::MatmulTriple matmul_triple(std::size_t m, std::size_t k, std::size_t n) override;
   crypto::BitTriple bit_triple(std::size_t n) override;
   crypto::BilinearTriple bilinear_triple(const crypto::BilinearSpec& spec) override;
   crypto::RandomOt random_ot(std::size_t n, int sender) override;
@@ -142,8 +141,7 @@ class StoreTripleSource final : public crypto::TripleSource {
   [[noreturn]] void throw_exhausted(const char* pool) const;
 
   QueryBundle& bundle_;
-  std::size_t elem_next_ = 0, square_next_ = 0, matmul_next_ = 0, bit_next_ = 0,
-              bilinear_next_ = 0, rot_next_ = 0;
+  std::size_t square_next_ = 0, bit_next_ = 0, bilinear_next_ = 0, rot_next_ = 0;
 };
 
 }  // namespace pasnet::offline

@@ -64,19 +64,21 @@ struct ProgramCost {
 /// Analytic profile of the OFFLINE phase: what it costs the two parties to
 /// produce one batch's correlated randomness themselves via the IKNP
 /// OT-extension generator (`--triples=ot-ext`), versus shipping the same
-/// material from a pregenerated dealer store.  All figures are exact: the
-/// ot_ext fields reproduce offline::ot_ext_generation_cost on the
-/// program's derived plan (the analytic witness the generation-traffic
-/// tests pin channel stats against), and store_bytes_shipped is the
-/// serialized bundle payload a dealer daemon would move for `batch`
-/// claims.
+/// material from a pregenerated dealer store.  The ot_ext fields are exact:
+/// they reproduce offline::ot_ext_generation_cost on the program's derived
+/// plan (the analytic witness the generation-traffic tests pin channel
+/// stats against).  store_bytes_shipped counts the material values of
+/// `batch` bundles, PreprocessingPlan::material_bytes_per_query() each;
+/// a serialized bundle adds length prefixes, pool counts and a spec record
+/// per product triple (tiny_relu: 307,120 B of values, 308,928 B
+/// serialized).
 struct OfflinePhaseCost {
   std::uint64_t ot_ext_wire_bytes = 0;  ///< both directions, `batch` lanes
   std::uint64_t ot_ext_rounds = 0;
   std::uint64_t ot_ext_messages = 0;
   std::uint64_t base_ots = 0;            ///< public-key base OTs (128/direction)
   std::uint64_t ext_cots = 0;            ///< extended correlated OTs, all lanes
-  std::uint64_t store_bytes_shipped = 0; ///< dealer-store alternative, `batch` bundles
+  std::uint64_t store_bytes_shipped = 0; ///< dealer-store alternative: material values only
   std::uint64_t material_elems = 0;      ///< ring elements generated, all lanes
   std::uint64_t bit_triples = 0;         ///< AND triples generated, all lanes
 };

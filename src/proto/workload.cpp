@@ -62,7 +62,7 @@ ChunkRun run_chunk(crypto::TwoPartyContext& ctx, const ir::SecureProgram& progra
     } else {
       dealers.push_back(std::make_unique<crypto::TripleDealer>(
           rc, SecureNetwork::query_dealer_seed(lane.position), ctx.local_party()));
-      sources.push_back(std::make_unique<crypto::DealerTripleSource>(*dealers.back(), rc));
+      sources.push_back(std::make_unique<crypto::DealerTripleSource>(*dealers.back()));
     }
     opts.lane_sources.push_back(sources.back().get());
     const std::uint64_t cseed = SecureNetwork::query_context_seed(lane.position);

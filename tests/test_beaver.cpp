@@ -7,7 +7,8 @@ namespace pc = pasnet::crypto;
 TEST(Beaver, DealerElemTripleIsConsistent) {
   pc::RingConfig rc{32, 12};
   pc::TripleDealer dealer(rc, 1);
-  const auto t = dealer.elem_triple(32);
+  const auto t = dealer.bilinear_triple(pc::BilinearSpec::hadamard(32));
+  EXPECT_EQ(t.spec, pc::BilinearSpec::hadamard(32));
   const auto a = pc::reconstruct(t.a, rc);
   const auto b = pc::reconstruct(t.b, rc);
   const auto z = pc::reconstruct(t.z, rc);
@@ -25,7 +26,9 @@ TEST(Beaver, DealerSquarePairIsConsistent) {
 TEST(Beaver, DealerMatmulTripleIsConsistent) {
   pc::RingConfig rc{32, 12};
   pc::TripleDealer dealer(rc, 3);
-  const auto t = dealer.matmul_triple(3, 4, 5);
+  const auto t = dealer.bilinear_triple(pc::BilinearSpec::matmul(3, 4, 5));
+  ASSERT_EQ(t.a.size(), 12u);
+  ASSERT_EQ(t.b.size(), 20u);
   const auto a = pc::reconstruct(t.a, rc);
   const auto b = pc::reconstruct(t.b, rc);
   EXPECT_EQ(pc::reconstruct(t.z, rc), pc::ring_matmul(a, b, 3, 4, 5, rc));

@@ -483,11 +483,12 @@ TEST(Dealer, ServesAtomicPartySlicedClaimsAndRefusesDoubleClaims) {
     net::DealerClient c0("127.0.0.1", listener.port(), 0, f.fingerprint, short_opts());
     EXPECT_EQ(c0.info().num_queries, 2u);
     const off::QueryBundle bundle = c0.claim(0);
-    ASSERT_EQ(bundle.elem.size(), reference.elem.size());
-    ASSERT_FALSE(bundle.elem.empty());
-    EXPECT_EQ(bundle.elem[0].a.s0, reference.elem[0].a.s0);
-    for (const auto v : bundle.elem[0].a.s1) EXPECT_EQ(v, 0u);  // peer half withheld
-    EXPECT_THROW((void)c0.claim(0), net::DealerError);          // atomic per (party, index)
+    ASSERT_EQ(bundle.bilinear.size(), reference.bilinear.size());
+    ASSERT_FALSE(bundle.bilinear.empty());
+    EXPECT_EQ(bundle.bilinear[0].spec, reference.bilinear[0].spec);
+    EXPECT_EQ(bundle.bilinear[0].a.s0, reference.bilinear[0].a.s0);
+    for (const auto v : bundle.bilinear[0].a.s1) EXPECT_EQ(v, 0u);  // peer half withheld
+    EXPECT_THROW((void)c0.claim(0), net::DealerError);              // atomic per (party, index)
     // Exhaustion is the store's typed error.
     EXPECT_THROW((void)c0.claim(7), off::TripleStoreExhausted);
   }
@@ -495,33 +496,40 @@ TEST(Dealer, ServesAtomicPartySlicedClaimsAndRefusesDoubleClaims) {
     // The other party may still claim the same index — its own half.
     net::DealerClient c1("127.0.0.1", listener.port(), 1, f.fingerprint, short_opts());
     const off::QueryBundle bundle = c1.claim(0);
-    for (const auto v : bundle.elem[0].a.s0) EXPECT_EQ(v, 0u);
+    for (const auto v : bundle.bilinear[0].a.s0) EXPECT_EQ(v, 0u);
   }
   serve.join();
 }
 
 TEST(Dealer, MalformedBundleClaimFailsWithWireError) {
-  // A store whose n = 64 elem triple or square pair carries a one-element
-  // z side: the client's bundle decoder refuses each claim as a typed
-  // wire error before any protocol could recombine with it.
-  DealerFixture f(2);
+  // A store whose n = 64 hadamard triple, n = 64 square pair or conv2d
+  // triple (2×4×4 input, 3 outputs, 3×3 kernel, pad 1) carries a
+  // one-element z side: the client's bundle decoder refuses each claim as
+  // a typed wire error before any protocol could recombine with it.
+  DealerFixture f(3);
   pc::TripleDealer dealer(pc::RingConfig{}, 7);
-  off::QueryBundle elem, square;
-  elem.elem.push_back(dealer.elem_triple(64));
-  elem.elem[0].z.s0.resize(1);
-  elem.elem[0].z.s1.resize(1);
-  square.square.push_back(dealer.square_pair(64));
-  square.square[0].z.s0.resize(1);
-  square.square[0].z.s1.resize(1);
-  f.store.bundle(0) = elem;
-  f.store.bundle(1) = square;
+  pc::BilinearSpec conv;
+  conv.in_ch = 2;
+  conv.in_h = conv.in_w = 4;
+  conv.out_ch = 3;
+  conv.kernel = 3;
+  conv.pad = 1;
+  off::QueryBundle bundles[3];
+  bundles[0].bilinear.push_back(dealer.bilinear_triple(pc::BilinearSpec::hadamard(64)));
+  bundles[1].square.push_back(dealer.square_pair(64));
+  bundles[2].bilinear.push_back(dealer.bilinear_triple(conv));
+  for (int q = 0; q < 3; ++q) {
+    pc::Shared& z = q == 1 ? bundles[q].square[0].z : bundles[q].bilinear[0].z;
+    z.s0.resize(1);
+    z.s1.resize(1);
+    f.store.bundle(static_cast<std::size_t>(q)) = bundles[q];
+  }
   net::DealerServer server(std::move(f.store));
   net::Listener listener(0);
   std::thread serve([&] { server.serve(listener, 1, short_opts()); });
   {
     net::DealerClient c0("127.0.0.1", listener.port(), 0, f.fingerprint, short_opts());
-    EXPECT_THROW((void)c0.claim(0), net::WireError);
-    EXPECT_THROW((void)c0.claim(1), net::WireError);
+    for (std::size_t q = 0; q < 3; ++q) EXPECT_THROW((void)c0.claim(q), net::WireError) << q;
   }
   serve.join();
 }

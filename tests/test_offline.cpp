@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <sstream>
@@ -72,17 +73,15 @@ TEST(PreprocessingPlan, CountsMatchDealerConsumption) {
   ASSERT_EQ(workload.chunk_stats().size(), 1u);
   EXPECT_EQ(workload.chunk_stats()[0].counters[obs::Counter::triple_claims],
             plan.requests.size());
-  std::uint64_t bilinear = 0, bits = 0;
-  for (const auto& s : plan.layer_summaries()) {
-    bilinear += s.bilinear_triple_elems;
-    bits += s.bit_triples;
-  }
-
-  // The tiny model's conv consumes a bilinear triple and ReLU consumes bit
-  // triples; both must be layer-tagged.
-  EXPECT_GT(bilinear, 0u);
-  EXPECT_GT(bits, 0u);
-  for (const auto& s : plan.layer_summaries()) EXPECT_GE(s.layer, 0);
+  // The tiny model's conv consumes a product triple and ReLU consumes bit
+  // triples; every request must be layer-tagged.
+  const auto has = [&](off::TripleKind kind) {
+    return std::any_of(plan.requests.begin(), plan.requests.end(),
+                       [&](const off::TripleRequest& r) { return r.kind == kind; });
+  };
+  EXPECT_TRUE(has(off::TripleKind::bilinear));
+  EXPECT_TRUE(has(off::TripleKind::bit));
+  for (const off::TripleRequest& r : plan.requests) EXPECT_GE(r.layer, 0);
 }
 
 TEST(PreprocessingPlan, FingerprintDiscriminatesModels) {
@@ -145,17 +144,27 @@ TEST(TripleStore, LoadRejectsHugeLengthFieldWithoutAllocating) {
   // A corrupt length field must surface as runtime_error (truncated input),
   // not as a multi-gigabyte allocation attempt.
   std::stringstream buf;
+  std::size_t first_len = 0;
   {
     SecureFixture f(nn::OpKind::x2act, nn::OpKind::avgpool, 1);
     pc::TwoPartyContext ctx;
     proto::SecureNetwork snet(f.md, *f.graph, f.node_of_layer, ctx);
-    proto::Workload(snet).preprocess(1).save(buf);
+    const off::TripleStore store = proto::Workload(snet).preprocess(1);
+    ASSERT_FALSE(store.bundle(0).square.empty());
+    first_len = store.bundle(0).square[0].a.s0.size();
+    store.save(buf);
   }
   std::string bytes = buf.str();
-  // Overwrite the first bundle's first vector length (right after the
-  // 7-u64 header + 6-u64 pool counts) with an enormous value.
-  const std::size_t off_len = (7 + 6) * 8;
+  // Overwrite the first bundle's first vector length — its first square
+  // pair's, right after the 7-u64 header and the 4-u64 pool counts — with
+  // an enormous value.
+  const std::size_t off_len = (7 + 4) * 8;
   ASSERT_GT(bytes.size(), off_len + 8);
+  std::uint64_t len = 0;
+  for (int i = 0; i < 8; ++i) {
+    len |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes[off_len + i])) << (8 * i);
+  }
+  ASSERT_EQ(len, first_len);
   for (int i = 0; i < 8; ++i) bytes[off_len + i] = static_cast<char>(0xEF);
   std::stringstream corrupt(bytes);
   EXPECT_THROW((void)off::TripleStore::load(corrupt), std::runtime_error);
@@ -362,21 +371,25 @@ std::string serialized_tiny_store() {
   return os.str();
 }
 
-/// A bundle holding one n = 64 elem triple or square pair whose z side has
-/// a single element: the shape Beaver recombination would read past.
-off::QueryBundle short_z_bundle(off::TripleKind kind) {
+/// A conv2d spec: 2×4×4 input, 3 outputs, 3×3 kernel, pad 1.
+pc::BilinearSpec small_conv() {
+  pc::BilinearSpec s;
+  s.in_ch = 2;
+  s.in_h = s.in_w = 4;
+  s.out_ch = 3;
+  s.kernel = 3;
+  s.pad = 1;
+  return s;
+}
+
+/// A bundle holding one product triple of `spec` whose z side has a single
+/// element: the shape Beaver recombination would read past.
+off::QueryBundle short_z_bundle(const pc::BilinearSpec& spec) {
   pc::TripleDealer dealer(pc::RingConfig{}, 5);
   off::QueryBundle b;
-  pc::Shared* z = nullptr;
-  if (kind == off::TripleKind::elem) {
-    b.elem.push_back(dealer.elem_triple(64));
-    z = &b.elem[0].z;
-  } else {
-    b.square.push_back(dealer.square_pair(64));
-    z = &b.square[0].z;
-  }
-  z->s0.resize(1);
-  z->s1.resize(1);
+  b.bilinear.push_back(dealer.bilinear_triple(spec));
+  b.bilinear[0].z.s0.resize(1);
+  b.bilinear[0].z.s1.resize(1);
   return b;
 }
 
@@ -401,12 +414,13 @@ TEST(TripleStoreHostile, LoadRejectsBadMagic) {
 }
 
 TEST(TripleStoreHostile, LoadRejectsVersionSkew) {
-  // A future version, and every earlier one — v3 still carried the
-  // provenance word, v2 also lacked the random-OT pool: a store is
-  // single-use material, so older files are regenerated, not decoded.
-  for (const char version : {'\x7F', '\x03', '\x02', '\x01'}) {
+  // A future version, and every earlier one — v4 still kept elem and
+  // matmul pools, v3 the provenance word, v2 also lacked the random-OT
+  // pool: a store is single-use material, so older files are regenerated,
+  // not decoded.
+  for (const char version : {'\x7F', '\x04', '\x03', '\x02', '\x01'}) {
     std::string bytes = serialized_tiny_store();
-    ASSERT_EQ(bytes[8], '\x04');
+    ASSERT_EQ(bytes[8], '\x05');
     bytes[8] = version;  // version field (little-endian u64 at offset 8)
     std::istringstream is(bytes, std::ios::binary);
     EXPECT_THROW((void)off::TripleStore::load(is), std::runtime_error) << int(version);
@@ -435,9 +449,12 @@ TEST(TripleStoreHostile, BundleCodecRoundTripsAndRejectsTruncation) {
   {
     std::istringstream is(bytes, std::ios::binary);
     const off::QueryBundle rt = off::read_bundle(is);
-    EXPECT_EQ(rt.elem.size(), store.bundle(0).elem.size());
     EXPECT_EQ(rt.bit.size(), store.bundle(0).bit.size());
-    EXPECT_EQ(rt.bilinear.size(), store.bundle(0).bilinear.size());
+    ASSERT_EQ(rt.bilinear.size(), store.bundle(0).bilinear.size());
+    for (std::size_t i = 0; i < rt.bilinear.size(); ++i) {
+      EXPECT_EQ(rt.bilinear[i].spec, store.bundle(0).bilinear[i].spec) << i;
+      EXPECT_EQ(rt.bilinear[i].z.s1, store.bundle(0).bilinear[i].z.s1) << i;
+    }
   }
   std::istringstream is(bytes.substr(0, bytes.size() / 2), std::ios::binary);
   EXPECT_THROW((void)off::read_bundle(is), std::runtime_error);
@@ -451,13 +468,14 @@ TEST(TripleStoreHostile, PartySlicingZeroesExactlyThePeerHalves) {
   const off::QueryBundle& full = store.bundle(0);
   const off::QueryBundle p0 = off::slice_bundle_for_party(full, 0);
   const off::QueryBundle p1 = off::slice_bundle_for_party(full, 1);
-  ASSERT_FALSE(full.elem.empty());
+  ASSERT_FALSE(full.bilinear.empty());
   // Own halves survive verbatim; peer halves are zero at equal length.
-  EXPECT_EQ(p0.elem[0].a.s0, full.elem[0].a.s0);
-  EXPECT_EQ(p1.elem[0].a.s1, full.elem[0].a.s1);
-  EXPECT_EQ(p0.elem[0].a.s1.size(), full.elem[0].a.s1.size());
-  for (const auto v : p0.elem[0].a.s1) EXPECT_EQ(v, 0u);
-  for (const auto v : p1.elem[0].a.s0) EXPECT_EQ(v, 0u);
+  EXPECT_EQ(p0.bilinear[0].spec, full.bilinear[0].spec);
+  EXPECT_EQ(p0.bilinear[0].a.s0, full.bilinear[0].a.s0);
+  EXPECT_EQ(p1.bilinear[0].a.s1, full.bilinear[0].a.s1);
+  EXPECT_EQ(p0.bilinear[0].a.s1.size(), full.bilinear[0].a.s1.size());
+  for (const auto v : p0.bilinear[0].a.s1) EXPECT_EQ(v, 0u);
+  for (const auto v : p1.bilinear[0].a.s0) EXPECT_EQ(v, 0u);
   ASSERT_FALSE(full.bit.empty());
   EXPECT_EQ(p0.bit[0].a0, full.bit[0].a0);
   for (const auto v : p0.bit[0].c1) EXPECT_EQ(v, 0);
@@ -475,23 +493,62 @@ TEST(TripleStoreHostile, PartySlicingZeroesExactlyThePeerHalves) {
 }
 
 TEST(TripleStoreHostile, ShortTripleSidesAreRefusedBeforeRecombination) {
-  for (const off::TripleKind kind : {off::TripleKind::elem, off::TripleKind::square}) {
-    off::QueryBundle crafted = short_z_bundle(kind);
+  // A square pair and three product kinds whose z side has one element.
+  off::QueryBundle square;
+  square.square.push_back(pc::TripleDealer(pc::RingConfig{}, 5).square_pair(64));
+  square.square[0].z.s0.resize(1);
+  square.square[0].z.s1.resize(1);
+  const pc::BilinearSpec specs[] = {pc::BilinearSpec::hadamard(64),
+                                    pc::BilinearSpec::matmul(4, 5, 3), small_conv()};
+  std::vector<off::QueryBundle> crafted{square};
+  for (const pc::BilinearSpec& spec : specs) crafted.push_back(short_z_bundle(spec));
+  for (std::size_t c = 0; c < crafted.size(); ++c) {
+    SCOPED_TRACE(c);
     // The codec refuses it, alone or inside a store file...
-    EXPECT_THROW((void)decode(encode(crafted)), std::runtime_error);
+    EXPECT_THROW((void)decode(encode(crafted[c])), std::runtime_error);
     off::TripleStore store(pc::RingConfig{}, 0, 1);
-    store.bundle(0) = crafted;
+    store.bundle(0) = crafted[c];
     std::stringstream file(std::ios::in | std::ios::out | std::ios::binary);
     store.save(file);
     EXPECT_THROW((void)off::TripleStore::load(file), std::runtime_error);
     // ...and a store source checks every side against the request.
-    off::StoreTripleSource src(crafted);
-    if (kind == off::TripleKind::elem) {
-      EXPECT_THROW((void)src.elem_triple(64), std::logic_error);
-    } else {
+    off::StoreTripleSource src(crafted[c]);
+    if (c == 0) {
       EXPECT_THROW((void)src.square_pair(64), std::logic_error);
+    } else {
+      EXPECT_THROW((void)src.bilinear_triple(specs[c - 1]), std::logic_error);
     }
   }
+}
+
+TEST(TripleStoreHostile, BundleCodecRefusesOutOfRangeProductSpecs) {
+  pc::TripleDealer dealer(pc::RingConfig{}, 8);
+  off::QueryBundle good;
+  good.bilinear.push_back(dealer.bilinear_triple(small_conv()));
+  const off::QueryBundle rt = decode(encode(good));
+  ASSERT_EQ(rt.bilinear.size(), 1u);
+  EXPECT_EQ(rt.bilinear[0].spec, small_conv());
+  EXPECT_EQ(rt.bilinear[0].z.s0, good.bilinear[0].z.s0);
+
+  const auto refused = [&](const auto& corrupt) {
+    off::QueryBundle b = good;
+    corrupt(b.bilinear[0].spec);
+    EXPECT_THROW((void)decode(encode(b)), std::runtime_error);
+  };
+  // Stride 0 is refused before out_h() would divide by it.
+  refused([](pc::BilinearSpec& s) { s.stride = 0; });
+  refused([](pc::BilinearSpec& s) { s.kernel = 0; });
+  refused([](pc::BilinearSpec& s) { s.kernel = 7; });  // no output pixel
+  refused([](pc::BilinearSpec& s) { s.pad = -1; });
+  refused([](pc::BilinearSpec& s) { s.kind = static_cast<pc::BilinearKind>(9); });
+  // Sizes past the codec's cap, and a spec that disagrees with the sides.
+  refused([](pc::BilinearSpec& s) { s.batch = s.in_ch = s.in_h = s.in_w = 1 << 20; });
+  refused([](pc::BilinearSpec& s) { s.out_ch = 4; });
+  // A store source compares the stored spec with the requested one.
+  pc::BilinearSpec other = small_conv();
+  other.stride = 2;
+  off::QueryBundle b = good;
+  EXPECT_THROW((void)off::StoreTripleSource(b).bilinear_triple(other), std::logic_error);
 }
 
 TEST(TripleStoreHostile, BundleCodecRejectsInconsistentRandomOtPool) {

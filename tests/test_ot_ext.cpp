@@ -40,61 +40,46 @@ std::vector<std::uint8_t> naive_transpose(const std::vector<std::uint8_t>& in,
   return out;
 }
 
-/// A synthetic plan touching every triple kind (both bilinear variants).
+/// A synthetic plan touching every material kind and every product kind.
 off::PreprocessingPlan all_kinds_plan() {
+  pc::BilinearSpec conv;
+  conv.batch = 2;
+  conv.in_ch = 2;
+  conv.in_h = conv.in_w = 4;
+  conv.out_ch = 3;
+  conv.kernel = 3;
+  conv.pad = 1;
+  pc::BilinearSpec dw;
+  dw.kind = pc::BilinearKind::depthwise_conv2d;
+  dw.in_ch = dw.out_ch = 2;
+  dw.in_h = dw.in_w = 4;
+  dw.kernel = 2;
+  dw.stride = 2;
+
   off::PreprocessingPlan plan;
   plan.ring = pc::RingConfig{};
-  off::TripleRequest r;
-  r.kind = off::TripleKind::elem;
-  r.n = 5;
-  plan.requests.push_back(r);
-  r = {};
-  r.kind = off::TripleKind::square;
-  r.n = 4;
-  plan.requests.push_back(r);
-  r = {};
-  r.kind = off::TripleKind::matmul;
-  r.m = 3;
-  r.k = 2;
-  r.cols = 4;
-  plan.requests.push_back(r);
-  r = {};
-  r.kind = off::TripleKind::bit;
-  r.n = 9;
-  plan.requests.push_back(r);
-  r = {};
-  r.kind = off::TripleKind::bilinear;
-  r.bilinear.kind = pc::BilinearKind::conv2d;
-  r.bilinear.batch = 2;
-  r.bilinear.in_ch = 2;
-  r.bilinear.in_h = 4;
-  r.bilinear.in_w = 4;
-  r.bilinear.out_ch = 3;
-  r.bilinear.kernel = 3;
-  r.bilinear.stride = 1;
-  r.bilinear.pad = 1;
-  plan.requests.push_back(r);
-  r = {};
-  r.kind = off::TripleKind::bilinear;
-  r.bilinear.kind = pc::BilinearKind::depthwise_conv2d;
-  r.bilinear.batch = 1;
-  r.bilinear.in_ch = 2;
-  r.bilinear.in_h = 4;
-  r.bilinear.in_w = 4;
-  r.bilinear.out_ch = 2;
-  r.bilinear.kernel = 2;
-  r.bilinear.stride = 2;
-  r.bilinear.pad = 0;
-  plan.requests.push_back(r);
+  const auto product = [&](const pc::BilinearSpec& spec) {
+    off::TripleRequest r;
+    r.kind = off::TripleKind::bilinear;
+    r.bilinear = spec;
+    plan.requests.push_back(r);
+  };
+  const auto sized = [&](off::TripleKind kind, std::uint64_t n, int sender) {
+    off::TripleRequest r;
+    r.kind = kind;
+    r.n = n;
+    r.sender = sender;
+    plan.requests.push_back(r);
+  };
+  product(pc::BilinearSpec::hadamard(5));
+  sized(off::TripleKind::square, 4, 1);
+  product(pc::BilinearSpec::matmul(3, 2, 4));
+  sized(off::TripleKind::bit, 9, 1);
+  product(conv);
+  product(dw);
   // Random OTs in both directions.
-  r = {};
-  r.kind = off::TripleKind::rot;
-  r.n = 7;
-  r.sender = 1;
-  plan.requests.push_back(r);
-  r.n = 3;
-  r.sender = 0;
-  plan.requests.push_back(r);
+  sized(off::TripleKind::rot, 7, 1);
+  sized(off::TripleKind::rot, 3, 0);
   return plan;
 }
 
@@ -105,22 +90,14 @@ off::QueryBundle dealer_bundle(const off::PreprocessingPlan& plan, std::uint64_t
   off::QueryBundle b;
   for (const off::TripleRequest& r : plan.requests) {
     switch (r.kind) {
-      case off::TripleKind::elem:
-        b.elem.push_back(dealer.elem_triple(r.n));
+      case off::TripleKind::bilinear:
+        b.bilinear.push_back(dealer.bilinear_triple(r.bilinear));
         break;
       case off::TripleKind::square:
         b.square.push_back(dealer.square_pair(r.n));
         break;
-      case off::TripleKind::matmul:
-        b.matmul.push_back(dealer.matmul_triple(r.m, r.k, r.cols));
-        break;
       case off::TripleKind::bit:
         b.bit.push_back(dealer.bit_triple(r.n));
-        break;
-      case off::TripleKind::bilinear:
-        b.bilinear.push_back(dealer.bilinear_triple(
-            r.bilinear.na(), r.bilinear.nb(), r.bilinear.nz(),
-            pc::build_bilinear_map(r.bilinear, plan.ring)));
         break;
       case off::TripleKind::rot:
         b.rot.push_back(dealer.random_ot(r.n, r.sender));
@@ -131,30 +108,12 @@ off::QueryBundle dealer_bundle(const off::PreprocessingPlan& plan, std::uint64_t
 }
 
 void expect_bundle_eq(const off::QueryBundle& a, const off::QueryBundle& b) {
-  ASSERT_EQ(a.elem.size(), b.elem.size());
-  for (std::size_t i = 0; i < a.elem.size(); ++i) {
-    EXPECT_EQ(a.elem[i].a.s0, b.elem[i].a.s0) << "elem " << i;
-    EXPECT_EQ(a.elem[i].a.s1, b.elem[i].a.s1) << "elem " << i;
-    EXPECT_EQ(a.elem[i].b.s0, b.elem[i].b.s0) << "elem " << i;
-    EXPECT_EQ(a.elem[i].b.s1, b.elem[i].b.s1) << "elem " << i;
-    EXPECT_EQ(a.elem[i].z.s0, b.elem[i].z.s0) << "elem " << i;
-    EXPECT_EQ(a.elem[i].z.s1, b.elem[i].z.s1) << "elem " << i;
-  }
   ASSERT_EQ(a.square.size(), b.square.size());
   for (std::size_t i = 0; i < a.square.size(); ++i) {
     EXPECT_EQ(a.square[i].a.s0, b.square[i].a.s0) << "square " << i;
     EXPECT_EQ(a.square[i].a.s1, b.square[i].a.s1) << "square " << i;
     EXPECT_EQ(a.square[i].z.s0, b.square[i].z.s0) << "square " << i;
     EXPECT_EQ(a.square[i].z.s1, b.square[i].z.s1) << "square " << i;
-  }
-  ASSERT_EQ(a.matmul.size(), b.matmul.size());
-  for (std::size_t i = 0; i < a.matmul.size(); ++i) {
-    EXPECT_EQ(a.matmul[i].a.s0, b.matmul[i].a.s0) << "matmul " << i;
-    EXPECT_EQ(a.matmul[i].a.s1, b.matmul[i].a.s1) << "matmul " << i;
-    EXPECT_EQ(a.matmul[i].b.s0, b.matmul[i].b.s0) << "matmul " << i;
-    EXPECT_EQ(a.matmul[i].b.s1, b.matmul[i].b.s1) << "matmul " << i;
-    EXPECT_EQ(a.matmul[i].z.s0, b.matmul[i].z.s0) << "matmul " << i;
-    EXPECT_EQ(a.matmul[i].z.s1, b.matmul[i].z.s1) << "matmul " << i;
   }
   ASSERT_EQ(a.bit.size(), b.bit.size());
   for (std::size_t i = 0; i < a.bit.size(); ++i) {
@@ -167,6 +126,7 @@ void expect_bundle_eq(const off::QueryBundle& a, const off::QueryBundle& b) {
   }
   ASSERT_EQ(a.bilinear.size(), b.bilinear.size());
   for (std::size_t i = 0; i < a.bilinear.size(); ++i) {
+    EXPECT_EQ(a.bilinear[i].spec, b.bilinear[i].spec) << "bilinear " << i;
     EXPECT_EQ(a.bilinear[i].a.s0, b.bilinear[i].a.s0) << "bilinear " << i;
     EXPECT_EQ(a.bilinear[i].a.s1, b.bilinear[i].a.s1) << "bilinear " << i;
     EXPECT_EQ(a.bilinear[i].b.s0, b.bilinear[i].b.s0) << "bilinear " << i;
@@ -193,6 +153,36 @@ void expect_rot_relation(const off::QueryBundle& b) {
       EXPECT_EQ(t.chosen[i], t.pads[4 * i + t.choice[i]]) << i;
     }
   }
+}
+
+/// Asserts the algebraic triple relations on a reconstructed bundle.
+void expect_relations_hold(const off::PreprocessingPlan& plan, const off::QueryBundle& b) {
+  const pc::RingConfig rc = plan.ring;
+  const std::uint64_t mask = rc.mask();
+  const auto rec = [&](const pc::Shared& s, std::size_t i) {
+    return (s.s0[i] + s.s1[i]) & mask;
+  };
+  for (const auto& t : b.square) {
+    for (std::size_t i = 0; i < t.a.size(); ++i) {
+      EXPECT_EQ(rec(t.z, i), (rec(t.a, i) * rec(t.a, i)) & mask);
+    }
+  }
+  for (const auto& t : b.bit) {
+    for (std::size_t i = 0; i < t.a0.size(); ++i) {
+      EXPECT_EQ(t.c0[i] ^ t.c1[i], (t.a0[i] ^ t.a1[i]) & (t.b0[i] ^ t.b1[i]));
+    }
+  }
+  std::size_t bi = 0;
+  for (const off::TripleRequest& r : plan.requests) {
+    if (r.kind != off::TripleKind::bilinear) continue;
+    const auto& t = b.bilinear[bi++];
+    EXPECT_EQ(t.spec, r.bilinear);
+    const auto f = pc::build_bilinear_map(r.bilinear, rc);
+    const pc::RingVec z = f(pc::reconstruct(t.a, rc), pc::reconstruct(t.b, rc));
+    for (std::size_t i = 0; i < z.size(); ++i) EXPECT_EQ(rec(t.z, i), z[i]);
+  }
+  EXPECT_EQ(bi, b.bilinear.size());
+  expect_rot_relation(b);
 }
 
 /// Runs the base-OT + extension dance between an ExtSender and ExtReceiver
@@ -334,45 +324,10 @@ TEST(OtExtTriples, TripleRelationsHold) {
   // Independent of dealer equality: the generated material satisfies the
   // algebraic triple relations after reconstruction.
   const off::PreprocessingPlan plan = all_kinds_plan();
-  const pc::RingConfig rc = plan.ring;
-  const std::uint64_t mask = rc.mask();
   pc::TwoPartyContext ctx;
   off::QueryBundle b;
   off::generate_bundles_ot_ext(plan, ctx, {0x715EEDULL}, &b);
-  const auto rec = [&](const pc::Shared& s, std::size_t i) {
-    return (s.s0[i] + s.s1[i]) & mask;
-  };
-  for (const auto& t : b.elem) {
-    for (std::size_t i = 0; i < t.a.size(); ++i) {
-      EXPECT_EQ(rec(t.z, i), (rec(t.a, i) * rec(t.b, i)) & mask);
-    }
-  }
-  for (const auto& t : b.square) {
-    for (std::size_t i = 0; i < t.a.size(); ++i) {
-      EXPECT_EQ(rec(t.z, i), (rec(t.a, i) * rec(t.a, i)) & mask);
-    }
-  }
-  for (const auto& t : b.matmul) {
-    const pc::RingVec a = pc::reconstruct(t.a, rc);
-    const pc::RingVec bb = pc::reconstruct(t.b, rc);
-    const pc::RingVec z = pc::ring_matmul(a, bb, t.m, t.k, t.n, rc);
-    for (std::size_t i = 0; i < z.size(); ++i) EXPECT_EQ(rec(t.z, i), z[i]);
-  }
-  for (const auto& t : b.bit) {
-    for (std::size_t i = 0; i < t.a0.size(); ++i) {
-      EXPECT_EQ(t.c0[i] ^ t.c1[i], (t.a0[i] ^ t.a1[i]) & (t.b0[i] ^ t.b1[i]));
-    }
-  }
-  std::size_t bi = 0;
-  for (const off::TripleRequest& r : plan.requests) {
-    if (r.kind != off::TripleKind::bilinear) continue;
-    const auto& t = b.bilinear[bi++];
-    const auto f = pc::build_bilinear_map(r.bilinear, rc);
-    const pc::RingVec z = f(pc::reconstruct(t.a, rc), pc::reconstruct(t.b, rc));
-    for (std::size_t i = 0; i < z.size(); ++i) EXPECT_EQ(rec(t.z, i), z[i]);
-  }
-  EXPECT_EQ(bi, b.bilinear.size());
-  expect_rot_relation(b);
+  expect_relations_hold(plan, b);
 }
 
 TEST(OtExtTriples, MeasuredTrafficMatchesAnalyticCost) {
@@ -425,19 +380,9 @@ std::pair<off::QueryBundle, off::QueryBundle> remote_generate(
 /// outside verifier holding both processes' outputs would reassemble.
 off::QueryBundle merge_remote(const off::QueryBundle& b0, const off::QueryBundle& b1) {
   off::QueryBundle m = b0;
-  for (std::size_t i = 0; i < m.elem.size(); ++i) {
-    m.elem[i].a.s1 = b1.elem[i].a.s1;
-    m.elem[i].b.s1 = b1.elem[i].b.s1;
-    m.elem[i].z.s1 = b1.elem[i].z.s1;
-  }
   for (std::size_t i = 0; i < m.square.size(); ++i) {
     m.square[i].a.s1 = b1.square[i].a.s1;
     m.square[i].z.s1 = b1.square[i].z.s1;
-  }
-  for (std::size_t i = 0; i < m.matmul.size(); ++i) {
-    m.matmul[i].a.s1 = b1.matmul[i].a.s1;
-    m.matmul[i].b.s1 = b1.matmul[i].b.s1;
-    m.matmul[i].z.s1 = b1.matmul[i].z.s1;
   }
   for (std::size_t i = 0; i < m.bilinear.size(); ++i) {
     m.bilinear[i].a.s1 = b1.bilinear[i].a.s1;
@@ -462,46 +407,6 @@ off::QueryBundle merge_remote(const off::QueryBundle& b0, const off::QueryBundle
   return m;
 }
 
-/// Asserts the algebraic triple relations on a reconstructed bundle.
-void expect_relations_hold(const off::PreprocessingPlan& plan, const off::QueryBundle& b) {
-  const pc::RingConfig rc = plan.ring;
-  const std::uint64_t mask = rc.mask();
-  const auto rec = [&](const pc::Shared& s, std::size_t i) {
-    return (s.s0[i] + s.s1[i]) & mask;
-  };
-  for (const auto& t : b.elem) {
-    for (std::size_t i = 0; i < t.a.size(); ++i) {
-      EXPECT_EQ(rec(t.z, i), (rec(t.a, i) * rec(t.b, i)) & mask);
-    }
-  }
-  for (const auto& t : b.square) {
-    for (std::size_t i = 0; i < t.a.size(); ++i) {
-      EXPECT_EQ(rec(t.z, i), (rec(t.a, i) * rec(t.a, i)) & mask);
-    }
-  }
-  for (const auto& t : b.matmul) {
-    const pc::RingVec a = pc::reconstruct(t.a, rc);
-    const pc::RingVec bb = pc::reconstruct(t.b, rc);
-    const pc::RingVec z = pc::ring_matmul(a, bb, t.m, t.k, t.n, rc);
-    for (std::size_t i = 0; i < z.size(); ++i) EXPECT_EQ(rec(t.z, i), z[i]);
-  }
-  for (const auto& t : b.bit) {
-    for (std::size_t i = 0; i < t.a0.size(); ++i) {
-      EXPECT_EQ(t.c0[i] ^ t.c1[i], (t.a0[i] ^ t.a1[i]) & (t.b0[i] ^ t.b1[i]));
-    }
-  }
-  std::size_t bi = 0;
-  for (const off::TripleRequest& r : plan.requests) {
-    if (r.kind != off::TripleKind::bilinear) continue;
-    const auto& t = b.bilinear[bi++];
-    const auto f = pc::build_bilinear_map(r.bilinear, rc);
-    const pc::RingVec z = f(pc::reconstruct(t.a, rc), pc::reconstruct(t.b, rc));
-    for (std::size_t i = 0; i < z.size(); ++i) EXPECT_EQ(rec(t.z, i), z[i]);
-  }
-  EXPECT_EQ(bi, b.bilinear.size());
-  expect_rot_relation(b);
-}
-
 }  // namespace
 
 TEST(OtExtTriples, RemoteEndpointsGenerateRolePrivateTriples) {
@@ -514,25 +419,25 @@ TEST(OtExtTriples, RemoteEndpointsGenerateRolePrivateTriples) {
   const std::uint64_t seed = 0xFACEFEEDULL;
   const auto [b0, b1] = remote_generate(plan, seed);
   // Peer slots stay zero in each process.
-  for (std::size_t i = 0; i < b0.elem.size(); ++i) {
-    EXPECT_EQ(b0.elem[i].a.s1, pc::RingVec(b0.elem[i].a.s1.size(), 0));
-    EXPECT_EQ(b1.elem[i].a.s0, pc::RingVec(b1.elem[i].a.s0.size(), 0));
+  for (std::size_t i = 0; i < b0.bilinear.size(); ++i) {
+    EXPECT_EQ(b0.bilinear[i].a.s1, pc::RingVec(b0.bilinear[i].a.s1.size(), 0));
+    EXPECT_EQ(b1.bilinear[i].a.s0, pc::RingVec(b1.bilinear[i].a.s0.size(), 0));
   }
   // The reassembled material is a correct triple set...
   expect_relations_hold(plan, merge_remote(b0, b1));
   // ...but no half equals the canonical (publicly derivable) dealer draw:
   // with 64-bit elements a collision is overwhelmingly unlikely.
   const off::QueryBundle want = dealer_bundle(plan, seed);
-  EXPECT_NE(b0.elem[0].a.s0, want.elem[0].a.s0);
-  EXPECT_NE(b1.elem[0].a.s1, want.elem[0].a.s1);
-  EXPECT_NE(b0.matmul[0].a.s0, want.matmul[0].a.s0);
-  EXPECT_NE(b1.bilinear[0].b.s1, want.bilinear[0].b.s1);
-  EXPECT_NE(b1.rot[0].pads, want.rot[0].pads);  // 28 random bytes
+  EXPECT_NE(b0.bilinear[0].a.s0, want.bilinear[0].a.s0);  // hadamard
+  EXPECT_NE(b1.bilinear[0].a.s1, want.bilinear[0].a.s1);
+  EXPECT_NE(b0.bilinear[1].a.s0, want.bilinear[1].a.s0);  // matmul
+  EXPECT_NE(b1.bilinear[2].b.s1, want.bilinear[2].b.s1);  // conv2d
+  EXPECT_NE(b1.rot[0].pads, want.rot[0].pads);            // 28 random bytes
   // Fresh entropy per context: a second joint run yields different halves
   // (no replayable stream exists for this material anywhere).
   const auto [c0run, c1run] = remote_generate(plan, seed);
-  EXPECT_NE(c0run.elem[0].a.s0, b0.elem[0].a.s0);
-  EXPECT_NE(c1run.elem[0].a.s1, b1.elem[0].a.s1);
+  EXPECT_NE(c0run.bilinear[0].a.s0, b0.bilinear[0].a.s0);
+  EXPECT_NE(c1run.bilinear[0].a.s1, b1.bilinear[0].a.s1);
   expect_relations_hold(plan, merge_remote(c0run, c1run));
 }
 
@@ -576,19 +481,23 @@ TEST(OtExtTriples, OnlineSourceServesPlanOrderAndThrowsWhenDry) {
   off::generate_bundles_ot_ext(plan, ctx, {0xD00DULL}, &bundle);
   off::StoreTripleSource src(bundle);
   const off::QueryBundle want = dealer_bundle(plan, 0xD00DULL);
-  const pc::ElemTriple e = src.elem_triple(5);
-  EXPECT_EQ(e.z.s0, want.elem[0].z.s0);
+  const pc::BilinearTriple e = src.bilinear_triple(pc::BilinearSpec::hadamard(5));
+  EXPECT_EQ(e.z.s0, want.bilinear[0].z.s0);
   const pc::SquarePair sq = src.square_pair(4);
   EXPECT_EQ(sq.z.s1, want.square[0].z.s1);
-  const pc::MatmulTriple mm = src.matmul_triple(3, 2, 4);
-  EXPECT_EQ(mm.z.s0, want.matmul[0].z.s0);
+  // A product drawn for another spec than the plan's next one is drift.
+  EXPECT_THROW((void)src.bilinear_triple(pc::BilinearSpec::matmul(3, 4, 2)), std::logic_error);
   const pc::BitTriple bt = src.bit_triple(9);
   EXPECT_EQ(bt.c0, want.bit[0].c0);
   const pc::RandomOt rot = src.random_ot(7, 1);
   EXPECT_EQ(rot.chosen, want.rot[0].chosen);
   // A random OT drawn for the wrong sender is store/plan drift.
   EXPECT_THROW((void)src.random_ot(3, 1), std::logic_error);
-  // The pool is sized for exactly one query's plan: a second elem draw is
+  // The pool is sized for exactly one query's plan: once the conv and
+  // depthwise triples are drawn too, another product draw is
   // strict-accounting exhaustion.
-  EXPECT_THROW((void)src.elem_triple(5), off::TripleStoreExhausted);
+  for (std::size_t i = 2; i < want.bilinear.size(); ++i) {
+    EXPECT_EQ(src.bilinear_triple(want.bilinear[i].spec).z.s1, want.bilinear[i].z.s1);
+  }
+  EXPECT_THROW((void)src.bilinear_triple(pc::BilinearSpec::hadamard(5)), off::TripleStoreExhausted);
 }
