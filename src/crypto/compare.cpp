@@ -16,19 +16,20 @@ std::vector<std::uint8_t> slice_bytes(const std::vector<std::uint8_t>& v, std::s
   return out;
 }
 
-std::vector<std::uint8_t> pack_bits(const std::vector<std::uint8_t>& bits) {
-  std::vector<std::uint8_t> bytes((bits.size() + 7) / 8, 0);
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    bytes[i / 8] |= static_cast<std::uint8_t>((bits[i] & 1) << (i % 8));
+/// Appends `bits` (one byte per bit) to `out` packed eight to a byte,
+/// least significant bit first, the last byte zero-padded.
+void append_packed_bits(std::vector<std::uint8_t>& out, const std::vector<std::uint8_t>& bits) {
+  const std::size_t n = bits.size();
+  const std::size_t off = out.size();
+  out.resize(off + (n + 7) / 8, 0);
+  const std::uint8_t* in = bits.data();
+  std::uint8_t* o = out.data() + off;
+  for (std::size_t i = 0; i < n; i += 8) {
+    std::uint8_t byte = 0;
+    const std::size_t m = n - i < 8 ? n - i : 8;
+    for (std::size_t k = 0; k < m; ++k) byte |= static_cast<std::uint8_t>((in[i + k] & 1) << k);
+    o[i / 8] = byte;
   }
-  return bytes;
-}
-
-std::vector<std::uint8_t> unpack_bits(const std::vector<std::uint8_t>& bytes,
-                                      std::size_t n) {
-  std::vector<std::uint8_t> bits(n);
-  for (std::size_t i = 0; i < n; ++i) bits[i] = (bytes[i / 8] >> (i % 8)) & 1;
-  return bits;
 }
 
 }  // namespace
@@ -105,10 +106,7 @@ void BitOpenBuffer::open_batch(const Pending* batch, std::size_t count) {
   std::vector<std::uint8_t> msg[2], received[2];
   for (int p = 0; p < 2; ++p) {
     if (!ctx_.runs(p)) continue;
-    for (std::size_t i = 0; i < count; ++i) {
-      const auto packed = pack_bits(batch[i].x.share(p));
-      msg[p].insert(msg[p].end(), packed.begin(), packed.end());
-    }
+    for (std::size_t i = 0; i < count; ++i) append_packed_bits(msg[p], batch[i].x.share(p));
   }
   ctx_.exchange([&](int p) { ctx_.chan(p).send_bytes(msg[p]); },
                 [&](int p) { received[p] = ctx_.chan(p).recv_bytes(); });
@@ -121,12 +119,12 @@ void BitOpenBuffer::open_batch(const Pending* batch, std::size_t count) {
   std::size_t byte_off = 0;
   for (std::size_t i = 0; i < count; ++i) {
     const std::size_t n = batch[i].x.size();
-    const std::vector<std::uint8_t> peer =
-        unpack_bits(slice_bytes(received[p], byte_off, byte_off + (n + 7) / 8), n);
-    const std::vector<std::uint8_t>& own = batch[i].x.share(p);
+    const std::uint8_t* peer = received[p].data() + byte_off;
+    const std::uint8_t* own = batch[i].x.share(p).data();
     std::vector<std::uint8_t>& out = *batch[i].out;
     out.resize(n);
-    for (std::size_t j = 0; j < n; ++j) out[j] = own[j] ^ peer[j];
+    std::uint8_t* o = out.data();
+    for (std::size_t j = 0; j < n; ++j) o[j] = own[j] ^ ((peer[j / 8] >> (j % 8)) & 1);
     byte_off += (n + 7) / 8;
   }
 }
@@ -152,9 +150,17 @@ void AndRound::stage(TwoPartyContext& ctx, const BitShared& x, const BitShared& 
     if (t_.a(p).size() != n) throw std::invalid_argument("and_bits: triple size mismatch");
     std::vector<std::uint8_t>& half = de.share(p);
     half.resize(2 * n);
+    // Raw pointers: byte stores may alias any vector's bookkeeping, so
+    // indexing through the vectors would reload them every iteration.
+    const std::uint8_t* xs = x.share(p).data();
+    const std::uint8_t* ys = y.share(p).data();
+    const std::uint8_t* a = t_.a(p).data();
+    const std::uint8_t* b = t_.b(p).data();
+    std::uint8_t* d = half.data();
+    std::uint8_t* e = d + n;
     for (std::size_t i = 0; i < n; ++i) {
-      half[i] = x.share(p)[i] ^ t_.a(p)[i];
-      half[n + i] = y.share(p)[i] ^ t_.b(p)[i];
+      d[i] = xs[i] ^ a[i];
+      e[i] = ys[i] ^ b[i];
     }
   }
   ctx.bit_opens().stage(std::move(de), &de_);
@@ -165,13 +171,18 @@ BitShared AndRound::finish(const TwoPartyContext& ctx) {
   BitShared out;
   for (int p = 0; p < 2; ++p) {
     if (!ctx.runs(p)) continue;
-    std::vector<std::uint8_t>& z = out.share(p);
-    z.resize(n);
+    std::vector<std::uint8_t>& zv = out.share(p);
+    zv.resize(n);
+    const std::uint8_t* d = de_.data();
+    const std::uint8_t* e = d + n;
+    const std::uint8_t* a = t_.a(p).data();
+    const std::uint8_t* b = t_.b(p).data();
+    const std::uint8_t* c = t_.c(p).data();
+    const std::uint8_t de_mask = p == 0 ? 1 : 0;
+    std::uint8_t* z = zv.data();
     for (std::size_t i = 0; i < n; ++i) {
-      const std::uint8_t d = de_[i];
-      const std::uint8_t e = de_[n + i];
       // z_i = [i==0]·(d&e) ^ (d & b_i) ^ (e & a_i) ^ c_i
-      z[i] = (p == 0 ? (d & e) : 0) ^ (d & t_.b(p)[i]) ^ (e & t_.a(p)[i]) ^ t_.c(p)[i];
+      z[i] = (d[i] & e[i] & de_mask) ^ (d[i] & b[i]) ^ (e[i] & a[i]) ^ c[i];
     }
   }
   return out;
@@ -373,16 +384,17 @@ BitShared millionaire_gt(TwoPartyContext& ctx, const std::vector<std::uint64_t>&
 }
 
 MillionaireMaterial draw_drelu_material(TwoPartyContext& ctx, std::size_t n) {
-  return draw_millionaire_material(ctx, n, ctx.ring().bits - 1);
+  return draw_millionaire_material(ctx, n, drelu_millionaire_bits(ctx.ring().bits));
 }
 
 void StagedDrelu::begin(TwoPartyContext& ctx, const Shared& x, MillionaireMaterial material) {
-  const RingConfig& rc = ctx.ring();
   const std::size_t n = x.size();
-  const int lo_bits = rc.bits - 1;
+  const int lo_bits = drelu_millionaire_bits(ctx.ring().bits);
   const std::uint64_t lo_mask = (1ULL << lo_bits) - 1;
 
-  // carry = [lo(x0) + lo(x1) >= 2^(b-1)] = [lo(x0) > 2^(b-1)-1 - lo(x1)]:
+  // Each party reduces its share to the w = lo_bits + 1 window: lo() keeps
+  // the bits below the window's sign bit, top_ holds that sign bit.
+  // carry = [lo(x0) + lo(x1) >= 2^(w-1)] = [lo(x0) > 2^(w-1)-1 - lo(x1)]:
   // party 0 compares lo(x0), party 1 the complement of lo(x1).
   std::vector<std::uint64_t> in[2];
   for (int p = 0; p < 2; ++p) {
@@ -406,8 +418,8 @@ CompareWait StagedDrelu::waiting() const noexcept { return mill_.waiting(); }
 void StagedDrelu::step(TwoPartyContext& ctx) {
   mill_.step(ctx);
   if (mill_.waiting() == CompareWait::done && !folded_) {
-    // msb(x) = msb(x0) ^ msb(x1) ^ carry; DReLU = NOT msb — each party
-    // folds its own top bit, party 0 flips for the negation.
+    // msb_w(x) = msb_w(x0) ^ msb_w(x1) ^ carry; DReLU = NOT msb_w — each
+    // party folds its own window sign bit, party 0 flips for the negation.
     BitShared& carry = mill_.result();
     for (int p = 0; p < 2; ++p) {
       if (!ctx.runs(p)) continue;

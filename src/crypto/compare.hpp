@@ -3,17 +3,27 @@
 // 2-bit parts via (1,4)-OT, plus the DReLU / ReLU / max building blocks the
 // non-polynomial 2PC operators are made of.
 //
-// Layout of the reduction as it runs, on the default 64-bit ring
-// (RingConfig::bits = 64):
-//   x = x0 + x1 mod 2^64                       (additive shares)
-//   msb(x) = msb(x0) ^ msb(x1) ^ carry,        carry = [lo(x0)+lo(x1) >= 2^63]
-//   carry  = millionaire( lo(x0)  >  2^63-1-lo(x1) )
-// where lo() keeps the low 63 bits.  The millionaire comparison splits
-// both 63-bit inputs into 32 digits of 2 bits (millionaire_digits),
-// resolves each digit with one (1,4)-OT, and combines the (gt, eq) pairs
-// with a 5-level Beaver-AND tree (millionaire_and_level_multipliers).
-// The paper compares 32-bit values in U = 16 digits (Fig. 4); narrowing
-// the window to 32 bits is ROADMAP item 12.
+// Every DReLU compares inside a window of w = kCompareBits = 32 bits, the
+// paper's comparison width (U = 16 two-bit parts, Fig. 4), on a ring of
+// k >= 32 bits (RingConfig::bits = 64 by default); a narrower ring is its
+// own window, w = k.  Layout of the reduction as it runs:
+//   x = x0 + x1 mod 2^k                        (additive shares)
+//   y = x mod 2^w = x0 mod 2^w + x1 mod 2^w    (each party reduces locally)
+//   msb_w(y) = bit_{w-1}(x0) ^ bit_{w-1}(x1) ^ carry,
+//   carry    = [lo(x0) + lo(x1) >= 2^(w-1)] = millionaire( lo(x0) > 2^(w-1)-1-lo(x1) )
+// where lo() keeps the low w-1 = 31 bits (drelu_millionaire_bits).  The
+// millionaire splits both 31-bit inputs into 16 digits of 2 bits
+// (millionaire_digits), resolves each digit with one (1,4)-OT, and
+// combines the (gt, eq) pairs with a 4-level Beaver-AND tree,
+// 16 -> 8 -> 4 -> 2 -> 1 (millionaire_and_level_multipliers).  B2A and
+// the mux stay in Z_2^k.
+//
+// Exactness: if |x| < 2^(w-1) ring units, y read as a signed w-bit value
+// is x itself, so bit w-1 of y is the sign of x and DReLU(x) = NOT
+// msb_w(y).  At f = 12 fraction bits that is |x| < 2^19 in real units.
+// A larger |x| wraps the window and gets a meaningless sign, so every
+// comparison entry point below states |x| < 2^31 ring units as its
+// precondition.  A ring of k <= 32 bits is exact over the whole ring.
 
 #include <cstdint>
 #include <vector>
@@ -22,6 +32,18 @@
 #include "crypto/party.hpp"
 
 namespace pasnet::crypto {
+
+/// Width of every DReLU's comparison window, in bits: the paper's 32.
+inline constexpr int kCompareBits = 32;
+
+/// Bits the millionaire inside a DReLU on a `ring_bits`-bit ring compares:
+/// the window's bits below its sign bit (31; a ring narrower than the
+/// window is its own window).  The one width the protocol, the static
+/// preprocessing plan (ir::derive_plan) and the analytic cost model
+/// (perf::drelu_rounds, perf::ir_op_wire_bytes) size a comparison by.
+[[nodiscard]] constexpr int drelu_millionaire_bits(int ring_bits) noexcept {
+  return (ring_bits < kCompareBits ? ring_bits : kCompareBits) - 1;
+}
 
 /// XOR-shared bit vector (one byte per bit in memory; packed on the wire).
 /// Like Shared, a remote context fills only its own party's half.
@@ -178,12 +200,13 @@ class StagedMillionaire {
   CompareWait wait_ = CompareWait::done;
 };
 
-/// Resumable DReLU: the millionaire carry over the low ring bits plus the
-/// local top-bit fold and negation.
+/// Resumable DReLU: each party reduces its share to the comparison
+/// window, then the millionaire carry over the window's low bits plus the
+/// local fold of the window's sign bit and the negation.  Exact when every
+/// |x| < 2^31 ring units (see the top of this file).
 class StagedDrelu {
  public:
-  /// Material must come from draw_millionaire_material(ctx, x.size(),
-  /// ring bits - 1) — use draw_drelu_material().
+  /// Material must come from draw_drelu_material(ctx, x.size()).
   void begin(TwoPartyContext& ctx, const Shared& x, MillionaireMaterial material);
   [[nodiscard]] CompareWait waiting() const noexcept;
   void step(TwoPartyContext& ctx);
@@ -214,7 +237,8 @@ struct DreluMuxMaterial {
 /// max = b + result) and the argmax tournament (P = 2: the value and index
 /// differences, both gated by the value comparison).  Phases: DReLU (OT +
 /// AND levels), then the B2A multiplication, then the P mux
-/// multiplications, staged together so they share one opening.
+/// multiplications, staged together so they share one opening.  Exact
+/// when every |v_0| < 2^31 ring units; the payloads may span the ring.
 class StagedDreluMux {
  public:
   void begin(TwoPartyContext& ctx, std::vector<Shared> payloads, DreluMuxMaterial material);
@@ -261,10 +285,12 @@ class StagedDreluMux {
 [[nodiscard]] int millionaire_digits(int nbits) noexcept;
 [[nodiscard]] std::vector<int> millionaire_and_level_multipliers(int nbits);
 
-/// XOR shares of the most significant bit of a secret-shared ring value.
+/// XOR shares of the sign bit of a secret-shared ring value.  Requires
+/// |x| < 2^31 ring units (the comparison window).
 [[nodiscard]] BitShared msb(TwoPartyContext& ctx, const Shared& x);
 
-/// DReLU(x) = [x >= 0] = NOT msb(x), XOR-shared.
+/// DReLU(x) = [x >= 0] = NOT msb(x), XOR-shared.  Requires |x| < 2^31
+/// ring units (the comparison window).
 [[nodiscard]] BitShared drelu(TwoPartyContext& ctx, const Shared& x);
 
 /// Convert an XOR-shared bit to an additive ring sharing of the same 0/1
@@ -274,10 +300,12 @@ class StagedDreluMux {
 /// Oblivious select: returns J sel ? x : 0 K with `sel` an XOR-shared bit.
 [[nodiscard]] Shared mux(TwoPartyContext& ctx, const BitShared& sel, const Shared& x);
 
-/// 2PC-ReLU on shares: relu(x) = x · DReLU(x).
+/// 2PC-ReLU on shares: relu(x) = x · DReLU(x).  Requires |x| < 2^31 ring
+/// units (the comparison window).
 [[nodiscard]] Shared relu(TwoPartyContext& ctx, const Shared& x);
 
-/// Elementwise secure max: max(a,b) = b + (a-b)·DReLU(a-b).
+/// Elementwise secure max: max(a,b) = b + (a-b)·DReLU(a-b).  Requires
+/// |a - b| < 2^31 ring units (the comparison window).
 [[nodiscard]] Shared max_elem(TwoPartyContext& ctx, const Shared& a, const Shared& b);
 
 }  // namespace pasnet::crypto

@@ -37,18 +37,19 @@ void push_bilinear(PreprocessingPlan& plan, int layer, const crypto::BilinearSpe
 }
 
 /// One DReLU over n elements: the random OTs of its (1,4)-OT leaves (one
-/// per 2-bit digit of the low ring bits, party 1 sending), then one
-/// bit-triple request per combine level of crypto::millionaire_gt's AND
-/// tree, sized by the shared shape helpers.
+/// per 2-bit digit of the comparison window's low bits, party 1 sending),
+/// then one bit-triple request per combine level of
+/// crypto::millionaire_gt's AND tree, sized by the shared shape helpers.
 void push_drelu(PreprocessingPlan& plan, int layer, std::uint64_t n,
                 const crypto::RingConfig& rc) {
+  const int nbits = crypto::drelu_millionaire_bits(rc.bits);
   TripleRequest rot;
   rot.kind = TripleKind::rot;
   rot.layer = layer;
-  rot.n = n * static_cast<std::uint64_t>(crypto::millionaire_digits(rc.bits - 1));
+  rot.n = n * static_cast<std::uint64_t>(crypto::millionaire_digits(nbits));
   rot.sender = 1;
   plan.requests.push_back(rot);
-  for (const int mult : crypto::millionaire_and_level_multipliers(rc.bits - 1)) {
+  for (const int mult : crypto::millionaire_and_level_multipliers(nbits)) {
     push_bit(plan, layer, static_cast<std::uint64_t>(mult) * n);
   }
 }

@@ -13,10 +13,10 @@ namespace pasnet::perf {
 int drelu_rounds(int ring_bits) {
   // millionaire_gt: 2 sequential OT messages (receiver shifts, sender
   // masks), then one and_bits exchange per AND-tree combine level — the
-  // level count comes from the same shape helper the protocol and the
+  // level count comes from the same shape helpers the protocol and the
   // static plan derivation use.
-  return 2 + static_cast<int>(
-                 crypto::millionaire_and_level_multipliers(ring_bits - 1).size());
+  const int nbits = crypto::drelu_millionaire_bits(ring_bits);
+  return 2 + static_cast<int>(crypto::millionaire_and_level_multipliers(nbits).size());
 }
 
 OpCost ir_op_cost(const LatencyModel& m, const ir::Op& op, int ring_bits) {
@@ -75,11 +75,12 @@ namespace {
 /// per leaf) and the AND tree's per-level packed (d, e) bit opens, both
 /// directions.
 std::uint64_t drelu_wire_bytes(std::uint64_t n, int ring_bits) {
-  const auto digits = static_cast<std::uint64_t>(crypto::millionaire_digits(ring_bits - 1));
+  const int nbits = crypto::drelu_millionaire_bits(ring_bits);
+  const auto digits = static_cast<std::uint64_t>(crypto::millionaire_digits(nbits));
   const std::uint64_t leaves = n * digits;
   std::uint64_t bytes = (leaves + 3) / 4                  // receiver -> sender: shifts
                         + leaves * crypto::kOtFanIn;      // sender -> receiver
-  for (const int mult : crypto::millionaire_and_level_multipliers(ring_bits - 1)) {
+  for (const int mult : crypto::millionaire_and_level_multipliers(nbits)) {
     // One AND over mult·n bits: the 2·mult·n masked (d, e) bits pack to a
     // byte boundary per stage, each direction.
     bytes += 2 * ((2 * static_cast<std::uint64_t>(mult) * n + 7) / 8);

@@ -25,10 +25,11 @@ namespace pasnet::perf {
 
 /// Rounds of one DReLU (comparison) pass: the two messages of the (1,4)-OT
 /// leaves (receiver shifts, then sender's masked tables) plus the
-/// log-depth AND combine tree over the 2-bit digits of the low ring bits.
-/// `ring_bits` is the *functional* ring width the comparison actually runs
-/// over (RingConfig::bits, 64 by default — the modeled 32-bit wire width
-/// does not change the tree depth).
+/// log-depth AND combine tree over the 2-bit digits of the comparison
+/// window's low bits.  `ring_bits` is the *functional* ring width
+/// (RingConfig::bits, 64 by default); the 32-bit comparison window
+/// (crypto::kCompareBits) sets the tree depth on any ring at least that
+/// wide, so drelu_rounds(64) == drelu_rounds(32) == 6.
 [[nodiscard]] int drelu_rounds(int ring_bits = 64);
 
 /// Analytic cost of one IR op with protocol-accurate round counts.  The
@@ -70,7 +71,7 @@ struct ProgramCost {
 /// stats against).  store_bytes_shipped counts the material values of
 /// `batch` bundles, PreprocessingPlan::material_bytes_per_query() each;
 /// a serialized bundle adds length prefixes, pool counts and a spec record
-/// per product triple (tiny_relu: 307,120 B of values, 308,928 B
+/// per product triple (tiny_relu: 178,096 B of values, 179,760 B
 /// serialized).
 struct OfflinePhaseCost {
   std::uint64_t ot_ext_wire_bytes = 0;  ///< both directions, `batch` lanes

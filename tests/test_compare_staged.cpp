@@ -228,30 +228,55 @@ TEST(CompareStaged, MillionaireAgreesWithPlaintextOnAdversarialPairs) {
   }
 }
 
-TEST(CompareStaged, DreluAgreesWithPlaintextSignOnEdgeValues) {
-  const pc::RingConfig rc{};
-  // Fixed-point edge ring values: 0, ±1 LSB, ±(2^31 - 1), the two's
-  // complement sign boundary and its neighbours, plus seeded randoms.
-  const std::uint64_t sign = rc.sign_bit();
-  std::vector<std::uint64_t> edges = {
-      0,        1,        rc.mask(),          // 0, +eps, -eps
-      (1ULL << 31) - 1,   pc::ring_neg((1ULL << 31) - 1, rc),
-      sign - 1, sign,     sign + 1,           // most-positive, most-negative
-      pc::encode(1.0, rc),  pc::encode(-1.0, rc),
-  };
+namespace {
+
+/// A ring value with |x| < 2^31 (inside the comparison window), uniform in
+/// [-(2^31 - 1), 2^31 - 1].
+std::uint64_t in_window(pc::Prng& prng, const pc::RingConfig& rc) {
+  const auto mag = static_cast<std::int64_t>(prng.next_u64() & ((1ULL << 31) - 1));
+  return pc::from_signed((prng.next_u64() & 1) ? -mag : mag, rc);
+}
+
+/// DReLU of `edges` (padded to 32 values with `fill` draws) against the
+/// plaintext sign, over six context seeds.
+template <typename Fill>
+void expect_drelu_matches_sign(const pc::RingConfig& rc, const pc::RingVec& edges, Fill fill) {
   for (std::uint64_t seed = 11; seed <= 16; ++seed) {
     pc::TwoPartyContext ctx(rc, seed);
     pc::Prng prng(seed * 31);
     pc::RingVec vals = edges;
-    while (vals.size() < 32) vals.push_back(prng.next_u64() & rc.mask());
+    while (vals.size() < 32) vals.push_back(fill(prng));
     const pc::Shared x = pc::share(vals, prng, rc);
     const auto d = pc::drelu(ctx, x);
     const auto bits = pc::reconstruct_bits(d);
     for (std::size_t i = 0; i < vals.size(); ++i) {
       EXPECT_EQ(bits[i], pc::to_signed(vals[i], rc) >= 0 ? 1 : 0)
-          << "seed " << seed << " value " << vals[i];
+          << rc.bits << "-bit ring, seed " << seed << " value " << vals[i];
     }
   }
+}
+
+}  // namespace
+
+TEST(CompareStaged, DreluAgreesWithPlaintextSignOnEdgeValues) {
+  // The 64-bit ring compares in the 32-bit window: every |x| < 2^31 ring
+  // units.  Edge values: 0, ±1 LSB, ±1.0 in fixed point, ±(2^31 - 1) and
+  // -2^31 (the window's extremes), plus seeded randoms in the window.
+  const pc::RingConfig rc{};
+  const std::uint64_t max31 = (1ULL << 31) - 1;
+  pc::RingVec edges = {0, 1, rc.mask(), pc::encode(1.0, rc), pc::encode(-1.0, rc)};
+  edges.insert(edges.end(), {max31, pc::ring_neg(max31, rc), pc::ring_neg(max31 + 1, rc)});
+  expect_drelu_matches_sign(rc, edges, [&](pc::Prng& p) { return in_window(p, rc); });
+}
+
+TEST(CompareStaged, DreluOnA32BitRingIsExactOverTheWholeRing) {
+  // A ring no wider than the window is its own window: DReLU is exact on
+  // every ring value, the ring's own sign boundary included.
+  const pc::RingConfig rc{32, 12};
+  const std::uint64_t sign = rc.sign_bit();
+  pc::RingVec edges = {0, 1, rc.mask(), pc::encode(1.0, rc), pc::encode(-1.0, rc)};
+  edges.insert(edges.end(), {sign - 1, sign, sign + 1});  // most-positive, most-negative
+  expect_drelu_matches_sign(rc, edges, [&](pc::Prng& p) { return p.next_u64() & rc.mask(); });
 }
 
 TEST(CompareStaged, StagedReluMatchesBlockingReluSharewise) {
@@ -262,7 +287,7 @@ TEST(CompareStaged, StagedReluMatchesBlockingReluSharewise) {
   for (std::uint64_t seed = 21; seed <= 23; ++seed) {
     pc::Prng prng(seed);
     pc::RingVec vals(40);
-    for (auto& v : vals) v = prng.next_u64() & rc.mask();
+    for (auto& v : vals) v = in_window(prng, rc);
     pc::TwoPartyContext ctx_a(rc, 9000 + seed), ctx_b(rc, 9000 + seed);
     const pc::Shared xa = pc::share(vals, prng, rc);
     const pc::Shared out_a = pc::relu(ctx_a, xa);

@@ -286,12 +286,20 @@ TEST(RoundGuard, MixedCompareGroupSharesHeterogeneousPhases) {
 }
 
 TEST(RoundGuard, AnalyticPerOpRoundsMatchProtocolStructure) {
-  // Spot-check the per-op round formulas against hand counts for the
-  // 64-bit functional ring: DReLU = 2 OT messages + 5 AND-tree levels.
-  EXPECT_EQ(perf::drelu_rounds(64), 7);
+  // Spot-check the per-op round formulas against hand counts.  Every
+  // DReLU compares in the 32-bit window, on the 64-bit functional ring as
+  // on a 32-bit one: DReLU = 2 OT messages + 4 AND-tree levels.
+  EXPECT_EQ(perf::drelu_rounds(64), 6);
   EXPECT_EQ(perf::drelu_rounds(32), 6);
-  // The shared millionaire shape helper behind them: 63 low bits split
-  // into 32 digits that combine 32->16->8->4->2->1.
+  EXPECT_EQ(pc::drelu_millionaire_bits(64), 31);
+  EXPECT_EQ(pc::drelu_millionaire_bits(32), 31);
+  EXPECT_EQ(pc::drelu_millionaire_bits(16), 15);
+  // The shared millionaire shape helper behind them: the window's 31 low
+  // bits split into 16 digits that combine 16->8->4->2->1.
+  EXPECT_EQ(pc::millionaire_digits(31), 16);
+  EXPECT_EQ(pc::millionaire_and_level_multipliers(31), (std::vector<int>{16, 8, 4, 2}));
+  // The helpers stay generic: 63 bits split into 32 digits that combine
+  // 32->16->8->4->2->1.
   EXPECT_EQ(pc::millionaire_digits(63), 32);
   EXPECT_EQ(pc::millionaire_and_level_multipliers(63),
             (std::vector<int>{32, 16, 8, 4, 2}));
@@ -300,7 +308,7 @@ TEST(RoundGuard, AnalyticPerOpRoundsMatchProtocolStructure) {
   relu.kind = ir::OpKind::relu;
   relu.in_ch = 4;
   relu.in_h = relu.in_w = 8;
-  EXPECT_EQ(perf::ir_op_cost(m, relu, 64).rounds, 9);  // drelu + b2a + mux
+  EXPECT_EQ(perf::ir_op_cost(m, relu, 64).rounds, 8);  // drelu + b2a + mux
   ir::Op conv;
   conv.kind = ir::OpKind::conv;
   conv.in_ch = conv.out_ch = 4;
@@ -314,13 +322,13 @@ TEST(RoundGuard, AnalyticPerOpRoundsMatchProtocolStructure) {
   pool.in_h = pool.in_w = 8;
   pool.out_ch = 4;
   pool.out_h = pool.out_w = 4;
-  EXPECT_EQ(perf::ir_op_cost(m, pool, 64).rounds, 2 * 9);  // two tournament levels
+  EXPECT_EQ(perf::ir_op_cost(m, pool, 64).rounds, 2 * 8);  // two tournament levels
   ir::Op argmax;
   argmax.kind = ir::OpKind::argmax;
   argmax.in_features = 10;
   // Four tournament levels; per level the two selector multiplies share
-  // one opening: drelu + b2a + selectors = 9.
-  EXPECT_EQ(perf::ir_op_cost(m, argmax, 64).rounds, 4 * 9);
+  // one opening: drelu + b2a + selectors = 8.
+  EXPECT_EQ(perf::ir_op_cost(m, argmax, 64).rounds, 4 * 8);
 }
 
 TEST(RoundGuard, OfflinePhaseProfileMatchesMeasuredOtExtGeneration) {
