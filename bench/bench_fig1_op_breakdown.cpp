@@ -7,8 +7,8 @@
 //                              Add   0.1 ms   ReLU3 772.2 ms
 // The reproduction prints the analytic-model values next to these and the
 // resulting ReLU share of total block latency (paper: >99%), plus the IR
-// round scheduler's measured rounds-before/after table (the README's
-// round-coalescing numbers come from here).
+// round scheduler's measured rounds against the per-op program's (the
+// README's round-scheduling numbers come from here).
 
 #include <benchmark/benchmark.h>
 
@@ -91,14 +91,15 @@ void print_table(pasnet::benchutil::JsonReport* json) {
   }
 }
 
-/// Measured rounds of one secure query under both open schedules, the
-/// analytic prediction for the coalesced one, and the measured + analytic
-/// rounds of one K=4 single-context batched chunk (all four lanes share
-/// every round group, so rounds/query is a quarter of the chunk figure).
+/// Measured rounds of one secure query for the per-op program
+/// (testing::one_group_per_op) and the scheduled one, the analytic
+/// prediction for the scheduled one, and the measured + analytic rounds of
+/// one K=4 single-context batched chunk (all four lanes share every round
+/// group, so rounds/query is a quarter of the chunk figure).
 struct RoundRow {
   const char* name;
-  std::uint64_t eager;
-  std::uint64_t coalesced;
+  std::uint64_t per_op;
+  std::uint64_t scheduled;
   int analytic;
   std::uint64_t batched4;
   int batched4_analytic;
@@ -109,26 +110,22 @@ RoundRow measure_rounds(const char* name, nn::ModelDescriptor md, std::uint64_t 
   std::vector<int> node_of_layer;
   auto g = nn::build_graph(md, wprng, &node_of_layer);
   pasnet::testing::warm_up(*g, md.input_ch, md.input_h, seed + 1);
-  pc::TwoPartyContext ctx_c, ctx_e;
-  proto::SecureConfig eager_cfg;
-  eager_cfg.schedule = proto::RoundSchedule::eager;
-  proto::SecureNetwork coalesced(md, *g, node_of_layer, ctx_c);
-  proto::SecureNetwork eager(md, *g, node_of_layer, ctx_e, eager_cfg);
+  pc::TwoPartyContext ctx, ctx_p;
+  proto::SecureNetwork snet(md, *g, node_of_layer, ctx);
   pc::Prng dprng(seed + 2);
   const auto x = nn::Tensor::randn({1, md.input_ch, md.input_h, md.input_w}, dprng, 0.5f);
-  proto::Workload wl_c(coalesced);
-  proto::Workload wl_e(eager);
-  (void)wl_c.run({x});
-  (void)wl_e.run({x});
-  proto::Workload wl_b(coalesced, {proto::WorkloadKind::logits, /*batch=*/4, /*worker_pairs=*/1});
+  proto::Workload wl(snet);
+  (void)wl.run({x});
+  (void)ir::execute(pasnet::testing::one_group_per_op(snet.program()), snet.params(), ctx_p, x);
+  proto::Workload wl_b(snet, {proto::WorkloadKind::logits, /*batch=*/4, /*worker_pairs=*/1});
   (void)wl_b.run({x, x, x, x});
   const auto m = model();
-  const auto cost = perf::profile_program(m, coalesced.program(), ctx_c.ring().bits);
-  const auto bcost = perf::profile_program(m, coalesced.program(), ctx_c.ring().bits,
+  const auto cost = perf::profile_program(m, snet.program(), ctx.ring().bits);
+  const auto bcost = perf::profile_program(m, snet.program(), ctx.ring().bits,
                                            /*wire_bits=*/32, /*batch=*/4);
   return RoundRow{name,
-                  wl_e.stats().rounds,
-                  wl_c.stats().rounds,
+                  ctx_p.stats().rounds,
+                  wl.stats().rounds,
                   cost.total.rounds,
                   wl_b.chunk_stats().front().counters[pasnet::obs::Counter::rounds],
                   bcost.total.rounds};
@@ -158,21 +155,21 @@ void print_round_table(pasnet::benchutil::JsonReport* json) {
                                                         nn::PoolKind::avgpool)),
           100),
   };
-  std::printf("== IR round scheduler: measured rounds before/after coalescing ==\n\n");
-  std::printf("%-24s %8s %10s %6s %10s %8s %8s\n", "model", "eager", "coalesced", "drop",
+  std::printf("== IR round scheduler: measured rounds, per-op program vs scheduled ==\n\n");
+  std::printf("%-24s %8s %10s %6s %10s %8s %8s\n", "model", "per-op", "scheduled", "drop",
               "analytic", "K=4", "K=4 anl");
-  if (json != nullptr) json->begin_section("round_coalescing");
+  if (json != nullptr) json->begin_section("round_scheduling");
   for (const auto& r : rows) {
     std::printf("%-24s %8llu %10llu %5.1f%% %10d %8llu %8d\n", r.name,
-                static_cast<unsigned long long>(r.eager),
-                static_cast<unsigned long long>(r.coalesced),
-                100.0 * (1.0 - static_cast<double>(r.coalesced) / static_cast<double>(r.eager)),
+                static_cast<unsigned long long>(r.per_op),
+                static_cast<unsigned long long>(r.scheduled),
+                100.0 * (1.0 - static_cast<double>(r.scheduled) / static_cast<double>(r.per_op)),
                 r.analytic, static_cast<unsigned long long>(r.batched4), r.batched4_analytic);
     if (json != nullptr) {
       json->begin_row();
       json->field("model", r.name);
-      json->field("eager_rounds", r.eager);
-      json->field("coalesced_rounds", r.coalesced);
+      json->field("per_op_rounds", r.per_op);
+      json->field("scheduled_rounds", r.scheduled);
       json->field("analytic_rounds", r.analytic);
       json->field("batched4_rounds", r.batched4);
       json->field("batched4_analytic_rounds", r.batched4_analytic);
@@ -180,38 +177,40 @@ void print_round_table(pasnet::benchutil::JsonReport* json) {
     }
   }
   if (json != nullptr) json->end_section();
-  std::printf("\n(analytic = perf::profile_program on the same IR; K=4 = measured rounds of\n"
-              " ONE 4-lane single-context chunk — its lanes share every round group, so\n"
-              " rounds/query is a quarter of it.  The CI round guard fails unless both\n"
-              " measured columns equal the analytic model exactly)\n\n");
+  std::printf("\n(per-op = the same program with every stageable op in its own round group;\n"
+              " a multiply's E and F openings share one exchange in both.  analytic =\n"
+              " perf::profile_program on the scheduled IR; K=4 = measured rounds of ONE\n"
+              " 4-lane single-context chunk — its lanes share every round group, so\n"
+              " rounds/query is a quarter of it.  The CI round guard fails unless each\n"
+              " measured column equals profile_program of its program exactly)\n\n");
 }
 
 void print_staged_comparison_table(pasnet::benchutil::JsonReport* json) {
   using pasnet::testing::measured_program_rounds;
   const auto m = model();
-  std::printf("== Staged comparison coalescing: K independent ReLUs, one round group ==\n\n");
-  std::printf("%-6s %8s %10s %10s\n", "K", "eager", "coalesced", "analytic");
+  std::printf("== Staged comparison grouping: K independent ReLUs, one round group ==\n\n");
+  std::printf("%-6s %8s %10s %10s\n", "K", "per-op", "scheduled", "analytic");
   if (json != nullptr) json->begin_section("staged_comparison");
   for (const int k : {1, 4, 16, 64}) {
     const ir::SecureProgram p = pasnet::testing::parallel_relu_program(k);
     const auto cost = perf::profile_program(m, p, pc::RingConfig{}.bits);
-    const std::uint64_t eager = measured_program_rounds(p, proto::RoundSchedule::eager);
-    const std::uint64_t coalesced = measured_program_rounds(p, proto::RoundSchedule::coalesced);
-    std::printf("%-6d %8llu %10llu %10d\n", k, static_cast<unsigned long long>(eager),
-                static_cast<unsigned long long>(coalesced), cost.total.rounds);
+    const std::uint64_t per_op = measured_program_rounds(pasnet::testing::one_group_per_op(p));
+    const std::uint64_t scheduled = measured_program_rounds(p);
+    std::printf("%-6d %8llu %10llu %10d\n", k, static_cast<unsigned long long>(per_op),
+                static_cast<unsigned long long>(scheduled), cost.total.rounds);
     if (json != nullptr) {
       json->begin_row();
       json->field("k", k);
-      json->field("eager_rounds", eager);
-      json->field("coalesced_rounds", coalesced);
+      json->field("per_op_rounds", per_op);
+      json->field("scheduled_rounds", scheduled);
       json->field("analytic_rounds", cost.total.rounds);
       json->end_row();
     }
   }
   if (json != nullptr) json->end_section();
-  std::printf("\n(coalesced rounds are independent of K: all instances share the per-digit\n"
-              " OT round, each AND-tree level and the B2A/mux openings; eager pays the\n"
-              " full millionaire + AND-tree stack per instance)\n\n");
+  std::printf("\n(scheduled rounds are independent of K: all instances share the per-digit\n"
+              " OT round, each AND-tree level and the B2A/mux openings; the per-op program\n"
+              " pays the full millionaire + AND-tree stack per instance)\n\n");
 }
 
 void bm_relu_model_eval(benchmark::State& state) {

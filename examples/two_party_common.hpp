@@ -60,18 +60,6 @@ inline nn::ModelDescriptor model_by_name(const std::string& name) {
   std::exit(2);
 }
 
-inline proto::SecureConfig config_from_flags(const FlagSet& flags) {
-  proto::SecureConfig cfg;
-  const std::string schedule = flags.get_string("schedule");
-  if (schedule == "eager") {
-    cfg.schedule = proto::RoundSchedule::eager;
-  } else if (schedule != "coalesced") {
-    std::fprintf(stderr, "unknown --schedule '%s' (coalesced, eager)\n", schedule.c_str());
-    std::exit(2);
-  }
-  return cfg;
-}
-
 /// Deterministic query input: both --verify and the remote run derive the
 /// same tensor from (seed, q) on the client.
 inline nn::Tensor query_input(const nn::ModelDescriptor& md, long long seed, std::size_t q) {
@@ -86,14 +74,13 @@ struct CompiledExample {
   std::unique_ptr<crypto::TwoPartyContext> ctx;  // in-process (compile + verify)
   std::unique_ptr<proto::SecureNetwork> snet;
 
-  CompiledExample(const std::string& model, long long seed, proto::SecureConfig cfg)
-      : md(model_by_name(model)) {
+  CompiledExample(const std::string& model, long long seed) : md(model_by_name(model)) {
     crypto::Prng wprng(static_cast<std::uint64_t>(seed));
     std::vector<int> node_of_layer;
     auto g = nn::build_graph(md, wprng, &node_of_layer);
     testing::warm_up(*g, md.input_ch, md.input_h, static_cast<std::uint64_t>(seed) + 1);
     ctx = std::make_unique<crypto::TwoPartyContext>();
-    snet = std::make_unique<proto::SecureNetwork>(md, *g, node_of_layer, *ctx, cfg);
+    snet = std::make_unique<proto::SecureNetwork>(md, *g, node_of_layer, *ctx);
   }
 };
 
@@ -118,7 +105,6 @@ inline int run_party(int party, int argc, char** argv) {
   flags.define_string("host", "127.0.0.1", "party_server host (client only)");
   flags.define_string("bind", "127.0.0.1",
                       "listen address (server only; 0.0.0.0 accepts cross-machine peers)");
-  flags.define_string("schedule", "coalesced", "round schedule (coalesced, eager)");
   flags.define_string("triples", "dealer",
                       "who produces the correlated randomness: 'dealer' trusts a third party "
                       "(--source picks fused/store/dealer-daemon delivery), 'ot-ext' makes the "
@@ -156,9 +142,8 @@ inline int run_party(int party, int argc, char** argv) {
                    "(lets an external scraper collect the final totals)");
   flags.parse(argc, argv);
 
-  const proto::SecureConfig cfg = config_from_flags(flags);
   const long long seed = flags.get_int("seed");
-  CompiledExample ex(flags.get_string("model"), seed, cfg);
+  CompiledExample ex(flags.get_string("model"), seed);
   const bool label_only = flags.get_switch("label-only");
   const int batch = flags.get_int("batch") > 0 ? static_cast<int>(flags.get_int("batch")) : 1;
   // The workload is the single source of program + plan + preprocess for
@@ -229,7 +214,6 @@ inline int run_party(int party, int argc, char** argv) {
 
   // Correlated-randomness source.
   net::RemoteSessionOptions ropts;
-  ropts.cfg = cfg;
   offline::TripleStore store;
   std::unique_ptr<net::DealerClient> dealer;
   const std::string triples = flags.get_string("triples");

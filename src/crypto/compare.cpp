@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 namespace pasnet::crypto {
 
@@ -79,34 +80,23 @@ void flush_compare_buffers(TwoPartyContext& ctx, CompareWait w) {
 }
 
 void BitOpenBuffer::stage(BitShared x, std::vector<std::uint8_t>* out) {
-  if (!coalescing_) {
-    // Immediate mode never parks the stage, so a failed exchange cannot
-    // leave a dangling output pointer behind (same contract as OpenBuffer).
-    const Pending p{std::move(x), out};
-    open_batch(&p, 1);
-    return;
-  }
   pending_.push_back(Pending{std::move(x), out});
 }
 
 void BitOpenBuffer::flush() {
   if (pending_.empty()) return;
-  open_batch(pending_.data(), pending_.size());
-  pending_.clear();
-}
-
-void BitOpenBuffer::open_batch(const Pending* batch, std::size_t count) {
-  // One symmetric exchange for every stage of the batch; each stage's bits
-  // pack into their own byte-aligned chunk so coalescing never changes the
+  // One symmetric exchange for every pending stage; each stage's bits pack
+  // into their own byte-aligned chunk so merging never changes the
   // transcript size, only the exchange count.
   //
-  // Each batch is one coalesced AND-tree level opening (or one immediate
-  // bit opening) — the protocol event the and_levels counter tracks.
+  // Each flush is one AND-tree level opening — the protocol event the
+  // and_levels counter tracks.
+  const std::vector<Pending> batch = std::exchange(pending_, {});
   ctx_.counters().add(obs::Counter::and_levels, 1);
   std::vector<std::uint8_t> msg[2], received[2];
   for (int p = 0; p < 2; ++p) {
     if (!ctx_.runs(p)) continue;
-    for (std::size_t i = 0; i < count; ++i) append_packed_bits(msg[p], batch[i].x.share(p));
+    for (const Pending& st : batch) append_packed_bits(msg[p], st.x.share(p));
   }
   ctx_.exchange([&](int p) { ctx_.chan(p).send_bytes(msg[p]); },
                 [&](int p) { received[p] = ctx_.chan(p).recv_bytes(); });
@@ -117,23 +107,16 @@ void BitOpenBuffer::open_batch(const Pending* batch, std::size_t count) {
     throw FrameLengthError("BitOpenBuffer::flush: bit-opening frame has the wrong length");
   }
   std::size_t byte_off = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t n = batch[i].x.size();
+  for (const Pending& st : batch) {
+    const std::size_t n = st.x.size();
     const std::uint8_t* peer = received[p].data() + byte_off;
-    const std::uint8_t* own = batch[i].x.share(p).data();
-    std::vector<std::uint8_t>& out = *batch[i].out;
+    const std::uint8_t* own = st.x.share(p).data();
+    std::vector<std::uint8_t>& out = *st.out;
     out.resize(n);
     std::uint8_t* o = out.data();
     for (std::size_t j = 0; j < n; ++j) o[j] = own[j] ^ ((peer[j / 8] >> (j % 8)) & 1);
     byte_off += (n + 7) / 8;
   }
-}
-
-void BitOpenBuffer::set_coalescing(bool on) {
-  if (!pending_.empty()) {
-    throw std::logic_error("BitOpenBuffer::set_coalescing: stages pending (flush first)");
-  }
-  coalescing_ = on;
 }
 
 void AndRound::stage(TwoPartyContext& ctx, const BitShared& x, const BitShared& y,
@@ -374,12 +357,8 @@ void StagedMillionaire::step(TwoPartyContext& ctx) {
 BitShared millionaire_gt(TwoPartyContext& ctx, const std::vector<std::uint64_t>& a,
                          const std::vector<std::uint64_t>& b, int nbits) {
   StagedMillionaire m;
-  m.begin(ctx, a, b, nbits,
-          draw_millionaire_material(ctx, ctx.runs(0) ? a.size() : b.size(), nbits));
-  while (m.waiting() != CompareWait::done) {
-    flush_compare_buffers(ctx, m.waiting());
-    m.step(ctx);
-  }
+  run_staged(ctx, m, a, b, nbits,
+             draw_millionaire_material(ctx, ctx.runs(0) ? a.size() : b.size(), nbits));
   return std::move(m.result());
 }
 
@@ -501,17 +480,11 @@ void StagedDreluMux::step(TwoPartyContext& ctx) {
 
 BitShared drelu(TwoPartyContext& ctx, const Shared& x) {
   // One millionaire code path: the free function is the staged phase
-  // machine run as a one-instance group (begin + flush-whatever-it-waits-on
-  // + step, exactly what the IR executor does for a grouped instance).
-  // The material draw order — leaf masks, the leaf random OTs, then one
-  // bit triple per AND level — is the request stream ir::derive_plan
-  // derives.
+  // machine run as a one-instance group.  The material draw order — leaf
+  // masks, the leaf random OTs, then one bit triple per AND level — is the
+  // request stream ir::derive_plan derives.
   StagedDrelu d;
-  d.begin(ctx, x, draw_drelu_material(ctx, x.size()));
-  while (d.waiting() != CompareWait::done) {
-    flush_compare_buffers(ctx, d.waiting());
-    d.step(ctx);
-  }
+  run_staged(ctx, d, x, draw_drelu_material(ctx, x.size()));
   return std::move(d.result());
 }
 
@@ -556,11 +529,7 @@ Shared drelu_mux(TwoPartyContext& ctx, Shared v) {
   DreluMuxMaterial mat = draw_drelu_mux_material(ctx, v.size(), 1);
   std::vector<Shared> payloads;
   payloads.push_back(std::move(v));
-  m.begin(ctx, std::move(payloads), std::move(mat));
-  while (m.waiting() != CompareWait::done) {
-    flush_compare_buffers(ctx, m.waiting());
-    m.step(ctx);
-  }
+  run_staged(ctx, m, std::move(payloads), std::move(mat));
   return std::move(m.result().front());
 }
 

@@ -26,6 +26,7 @@
 // precondition.  A ring of k <= 32 bits is exact over the whole ring.
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "crypto/ot.hpp"
@@ -91,40 +92,48 @@ struct BitShared {
 /// or nothing (the result is ready).
 enum class CompareWait : std::uint8_t { ot, bits, opens, done };
 
-/// Flushes the context buffer `w` names (no-op for done).  The standalone
-/// drivers (one-shot protocol functions) use this to run a staged machine
-/// to completion under either buffer mode.
+/// Flushes the context buffer `w` names (no-op for done).
 void flush_compare_buffers(TwoPartyContext& ctx, CompareWait w);
 
+/// Runs a staged machine as a group of one: begin(ctx, begin_args...),
+/// then flush whichever buffer it waits on and step it until it is done.
+/// The one drive loop of the one-shot protocol functions; the IR executor
+/// walks a whole round group the same way.
+template <typename Staged, typename... BeginArgs>
+void run_staged(TwoPartyContext& ctx, Staged& machine, BeginArgs&&... begin_args) {
+  machine.begin(ctx, std::forward<BeginArgs>(begin_args)...);
+  while (machine.waiting() != CompareWait::done) {
+    flush_compare_buffers(ctx, machine.waiting());
+    machine.step(ctx);
+  }
+}
+
 /// Per-context staging area for joint XOR-share openings — the Z2 analog
-/// of OpenBuffer.  Immediate mode opens each stage in its own symmetric
-/// exchange (the historical and_bits transcript); coalescing mode defers
-/// and flush() opens everything pending in ONE exchange.  Each stage's
-/// bits are packed to a byte boundary separately, so the on-wire bytes are
-/// identical to separate opens.
+/// of OpenBuffer: flush() opens everything pending in ONE exchange.  Each
+/// stage's bits are packed to a byte boundary separately, so the on-wire
+/// bytes are identical to separate opens.
 class BitOpenBuffer {
  public:
   explicit BitOpenBuffer(TwoPartyContext& ctx) : ctx_(ctx) {}
   BitOpenBuffer(const BitOpenBuffer&) = delete;
   BitOpenBuffer& operator=(const BitOpenBuffer&) = delete;
 
-  /// Stages x for opening; the reconstructed public bits land in *out.
+  /// Stages x for opening; the next flush() writes the reconstructed
+  /// public bits to *out, which must outlive it.
   void stage(BitShared x, std::vector<std::uint8_t>* out);
+  /// Opens every pending stage in one exchange.  The stages leave the
+  /// buffer before the exchange, so a throwing exchange parks nothing.
   void flush();
   void discard() noexcept { pending_.clear(); }
   [[nodiscard]] bool has_pending() const noexcept { return !pending_.empty(); }
-  void set_coalescing(bool on);
-  [[nodiscard]] bool coalescing() const noexcept { return coalescing_; }
 
  private:
   struct Pending {
     BitShared x;
     std::vector<std::uint8_t>* out;
   };
-  void open_batch(const Pending* batch, std::size_t count);
   TwoPartyContext& ctx_;
   std::vector<Pending> pending_;
-  bool coalescing_ = false;
 };
 
 /// Staged Beaver AND over Z2: stage() defers the (d, e) opening onto the

@@ -1,6 +1,7 @@
 #include "crypto/ot.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 namespace pasnet::crypto {
 
@@ -56,11 +57,12 @@ std::vector<std::uint8_t> ot_1of4(TwoPartyContext& ctx, int sender,
   }
   check_choices(choices);
   if (tables.empty()) return {};
-  // An immediate buffer of its own runs the exchange now, whatever the
-  // context's buffer holds pending.
+  // A buffer of its own runs the exchange now, whatever the context's
+  // buffer holds pending.
   std::vector<std::uint8_t> out;
   OtBuffer once(ctx);
   once.stage(ctx.random_ot(tables.size(), sender), tables, choices, &out);
+  once.flush();
   return out;
 }
 
@@ -77,28 +79,21 @@ void OtBuffer::stage(RandomOt rot, std::vector<std::array<std::uint8_t, kOtFanIn
     throw std::invalid_argument("ot_1of4: random OT batch does not match the request");
   }
   if (receives) check_choices(choices);
-  Pending p{std::move(rot), std::move(tables), std::move(choices), out};
-  if (!coalescing_) {
-    // Immediate mode never parks the stage, so a failed exchange cannot
-    // leave a dangling output pointer behind (same contract as OpenBuffer).
-    transfer(&p, 1);
-    return;
-  }
-  pending_.push_back(std::move(p));
+  pending_.push_back(Pending{std::move(rot), std::move(tables), std::move(choices), out});
 }
 
 void OtBuffer::flush() {
   // Merge runs of stages that share a sender into one exchange each: the
   // shifts and masked tables of every merged request ride in the same two
   // messages, so the run pays the leaf round once.
+  std::vector<Pending> batch = std::exchange(pending_, {});
   std::size_t lo = 0;
-  while (lo < pending_.size()) {
+  while (lo < batch.size()) {
     std::size_t hi = lo + 1;
-    while (hi < pending_.size() && pending_[hi].rot.sender == pending_[lo].rot.sender) ++hi;
-    transfer(pending_.data() + lo, hi - lo);
+    while (hi < batch.size() && batch[hi].rot.sender == batch[lo].rot.sender) ++hi;
+    transfer(batch.data() + lo, hi - lo);
     lo = hi;
   }
-  pending_.clear();
 }
 
 // Both messages run in protocol order (the reply depends on the shifts):
@@ -167,13 +162,6 @@ void OtBuffer::transfer(Pending* batch, std::size_t count) {
       }
     }
   }
-}
-
-void OtBuffer::set_coalescing(bool on) {
-  if (!pending_.empty()) {
-    throw std::logic_error("OtBuffer::set_coalescing: stages pending (flush first)");
-  }
-  coalescing_ = on;
 }
 
 }  // namespace pasnet::crypto

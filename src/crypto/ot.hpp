@@ -52,13 +52,11 @@ enum class OtMode { dh_masked, correlated };
     const std::vector<std::uint8_t>& choices, OtMode mode = OtMode::dh_masked);
 
 /// Per-context staging area for (1,4)-OT batches — the OT analog of
-/// OpenBuffer.  In immediate mode (default) every stage runs its own two
-/// messages.  In coalescing mode — enabled by the IR executor for
-/// staged-comparison round groups — stages accumulate and flush() merges
-/// every run of pending requests with the same sender into ONE
-/// two-message exchange, so independent comparison instances share the
-/// leaf round.  Each stage keeps its own random OTs and its own byte-packed
-/// shifts, so merging changes the message count, never the bytes.
+/// OpenBuffer.  Stages accumulate and flush() merges every run of pending
+/// requests with the same sender into ONE two-message exchange, so
+/// independent comparison instances share the leaf round.  Each stage
+/// keeps its own random OTs and its own byte-packed shifts, so merging
+/// changes the message count, never the bytes.
 class OtBuffer {
  public:
   explicit OtBuffer(TwoPartyContext& ctx) : ctx_(ctx) {}
@@ -68,22 +66,20 @@ class OtBuffer {
   /// Stages one batched OT spending `rot` (sender rot.sender, one random
   /// OT per instance); `*out` receives the per-instance outputs.  Only the
   /// roles the context runs read their input, so a remote process passes
-  /// its own: the sender's tables or the receiver's choices.
+  /// its own: the sender's tables or the receiver's choices.  `*out` must
+  /// outlive the next flush().
   void stage(RandomOt rot, std::vector<std::array<std::uint8_t, kOtFanIn>> tables,
              std::vector<std::uint8_t> choices, std::vector<std::uint8_t>* out);
 
   /// Runs every pending stage: consecutive stages sharing a sender merge
-  /// into one exchange.  No-op when nothing is pending.
+  /// into one exchange.  No-op when nothing is pending.  The pending stages
+  /// leave the buffer before the first exchange, so a throwing exchange
+  /// parks nothing.
   void flush();
 
   /// Drops every pending stage (error-path cleanup; see OpenBuffer).
   void discard() noexcept { pending_.clear(); }
   [[nodiscard]] bool has_pending() const noexcept { return !pending_.empty(); }
-
-  /// Switches between immediate and coalescing staging.  Must not be
-  /// called with stages pending.
-  void set_coalescing(bool on);
-  [[nodiscard]] bool coalescing() const noexcept { return coalescing_; }
 
  private:
   struct Pending {
@@ -97,7 +93,6 @@ class OtBuffer {
 
   TwoPartyContext& ctx_;
   std::vector<Pending> pending_;
-  bool coalescing_ = false;
 };
 
 /// 61-bit Mersenne-prime modular helpers: the group of the IKNP base OTs

@@ -146,51 +146,37 @@ void TwoPartyContext::exchange(const std::function<void(int)>& send,
 // ---------------------------------------------------------------------------
 
 void OpenBuffer::stage(Shared x, RingVec* out) {
-  if (!coalescing_) {
-    ctx_.counters().add(obs::Counter::openings, 1);
-    ctx_.counters().add(obs::Counter::open_flushes, 1);
-    *out = open(ctx_, x);
-    return;
-  }
   pending_.push_back(Pending{std::move(x), out});
 }
 
 void OpenBuffer::flush() {
   if (pending_.empty()) return;
-  ctx_.counters().add(obs::Counter::openings, pending_.size());
+  const std::vector<Pending> batch = std::exchange(pending_, {});
+  ctx_.counters().add(obs::Counter::openings, batch.size());
   ctx_.counters().add(obs::Counter::open_flushes, 1);
-  if (pending_.size() == 1) {
-    *pending_[0].out = open(ctx_, pending_[0].x);
-    pending_.clear();
+  if (batch.size() == 1) {
+    *batch[0].out = open(ctx_, batch[0].x);
     return;
   }
   // Concatenate every staged vector and open the lot in one exchange; the
   // bytes on the wire are identical to separate opens, the rounds are not.
   std::size_t total = 0;
-  for (const Pending& p : pending_) total += p.x.size();
+  for (const Pending& p : batch) total += p.x.size();
   const Shared all = per_party(ctx_, [&](int party) {
     RingVec half;
     half.reserve(total);
-    for (const Pending& p : pending_) {
+    for (const Pending& p : batch) {
       half.insert(half.end(), p.x.share(party).begin(), p.x.share(party).end());
     }
     return half;
   });
   const RingVec opened = open(ctx_, all);
   std::size_t off = 0;
-  for (const Pending& p : pending_) {
+  for (const Pending& p : batch) {
     p.out->assign(opened.begin() + static_cast<long>(off),
                   opened.begin() + static_cast<long>(off + p.x.size()));
     off += p.x.size();
   }
-  pending_.clear();
-}
-
-void OpenBuffer::set_coalescing(bool on) {
-  if (!pending_.empty()) {
-    throw std::logic_error("OpenBuffer::set_coalescing: stages pending (flush first)");
-  }
-  coalescing_ = on;
 }
 
 // ---------------------------------------------------------------------------

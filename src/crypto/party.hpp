@@ -15,13 +15,11 @@
 // is real: remote endpoints on their own threads or processes, and the
 // worker pools that serve independent chunks on contexts of their own.
 //
-// Open coalescing: every joint opening is staged on the context's
-// OpenBuffer.  In immediate mode (default) each stage performs its own
-// exchange — the historical transcript.  In coalescing mode (enabled by
-// the IR round scheduler) stages accumulate and flush() opens everything
-// pending in ONE symmetric exchange — same values, same dealer/PRNG draw
-// order, fewer rounds.  That is what keeps the coalesced executor's logits
-// bit-identical to the eager path while its round count drops.
+// Open staging: every joint opening is staged on the context's
+// OpenBuffer, and flush() opens everything pending in ONE symmetric
+// exchange.  Staging never draws randomness, so where the flushes fall
+// changes the round count, never the values: a program with every op in
+// its own round group reveals the same bits as the scheduled one.
 //
 // Remote (two-process) deployment: a context constructed with a local
 // party id and a single channel endpoint (src/net's TransportChannel over
@@ -85,12 +83,12 @@ class OpenBuffer {
   OpenBuffer& operator=(const OpenBuffer&) = delete;
 
   /// Stages x for opening; the reconstructed public value is written to
-  /// *out.  Immediate mode opens right away (one exchange per stage, the
-  /// historical transcript); coalescing mode defers until flush().
+  /// *out by the next flush(), which *out must outlive.
   void stage(Shared x, RingVec* out);
 
   /// Opens everything staged since the last flush in one symmetric
-  /// exchange.  No-op when nothing is pending (always in immediate mode).
+  /// exchange.  No-op when nothing is pending.  The pending stages leave
+  /// the buffer before the exchange, so a throwing exchange parks nothing.
   void flush();
 
   /// Drops every pending stage without opening it (error-path cleanup:
@@ -100,11 +98,6 @@ class OpenBuffer {
   void discard() noexcept { pending_.clear(); }
   [[nodiscard]] bool has_pending() const noexcept { return !pending_.empty(); }
 
-  /// Switches between immediate and coalescing staging.  Must not be
-  /// called with stages pending.
-  void set_coalescing(bool on);
-  [[nodiscard]] bool coalescing() const noexcept { return coalescing_; }
-
  private:
   struct Pending {
     Shared x;
@@ -112,7 +105,6 @@ class OpenBuffer {
   };
   TwoPartyContext& ctx_;
   std::vector<Pending> pending_;
-  bool coalescing_ = false;
 };
 
 /// Everything the online phase of a 2PC evaluation needs.

@@ -14,34 +14,23 @@ using crypto::RingConfig;
 using crypto::Shared;
 using proto::SecureTensor;
 
-/// Restores the context buffers' staging modes on scope exit
+/// Discards the context buffers' pending stages on scope exit
 /// (exception-safe).  An exception mid-round-group leaves stages pending
-/// whose output pointers refer to ops this frame owns — discard them first
-/// so the unwind never throws from a destructor and the reused context
-/// cannot write through dangling pointers.
-class CoalescingScope {
+/// whose output pointers refer to ops this frame owns — discarding them
+/// keeps the reused context from writing through dangling pointers.
+class DiscardScope {
  public:
-  CoalescingScope(crypto::TwoPartyContext& ctx, bool on)
-      : ctx_(ctx), prev_opens_(ctx.opens().coalescing()), prev_ots_(ctx.ots().coalescing()),
-        prev_bits_(ctx.bit_opens().coalescing()) {
-    ctx_.opens().set_coalescing(on);
-    ctx_.ots().set_coalescing(on);
-    ctx_.bit_opens().set_coalescing(on);
-  }
-  ~CoalescingScope() {
+  explicit DiscardScope(crypto::TwoPartyContext& ctx) : ctx_(ctx) {}
+  ~DiscardScope() {
     ctx_.opens().discard();
     ctx_.ots().discard();
     ctx_.bit_opens().discard();
-    ctx_.opens().set_coalescing(prev_opens_);
-    ctx_.ots().set_coalescing(prev_ots_);
-    ctx_.bit_opens().set_coalescing(prev_bits_);
   }
-  CoalescingScope(const CoalescingScope&) = delete;
-  CoalescingScope& operator=(const CoalescingScope&) = delete;
+  DiscardScope(const DiscardScope&) = delete;
+  DiscardScope& operator=(const DiscardScope&) = delete;
 
  private:
   crypto::TwoPartyContext& ctx_;
-  bool prev_opens_, prev_ots_, prev_bits_;
 };
 
 /// Restores the context's installed triple source on scope exit — a lane
@@ -122,12 +111,11 @@ BatchExecResult execute_batch(const SecureProgram& p, const CompiledParams& para
   }
 
   const RingConfig& rc = ctx.ring();
-  const bool coalesce = opts.cfg.schedule == proto::RoundSchedule::coalesced;
   obs::Tracer* const tracer = ctx.tracer();
   const obs::SpanGuard run_span(tracer, "ir", "execute_batch",
                                 static_cast<std::int64_t>(lanes));
   crypto::OpenBuffer& opens = ctx.opens();
-  CoalescingScope mode(ctx, coalesce);
+  DiscardScope discard_guard(ctx);
   SourceScope source_guard(ctx, !opts.lane_sources.empty());
   PrngScope prng_guard(ctx, !opts.lane_prngs.empty());
   const auto use_lane = [&](std::size_t q) {
@@ -178,7 +166,7 @@ BatchExecResult execute_batch(const SecureProgram& p, const CompiledParams& para
   const auto flush_group = [&] {
     if (staged.empty() && comps.empty()) return;
     // One span per round-group flush: OT exchanges, AND levels and the
-    // coalesced openings of the whole group — across ops AND lanes — land
+    // merged openings of the whole group — across ops AND lanes — land
     // inside it, which is where a latency profile shows the round
     // structure the scheduler bought.
     const obs::SpanGuard flush_span(tracer, "ir", "flush_group",
@@ -259,8 +247,8 @@ BatchExecResult execute_batch(const SecureProgram& p, const CompiledParams& para
         ((op.stages_opens() || op.stages_compare()) && staged_group != op.round_group)) {
       flush_group();
     }
-    // Per-op span covering all K lanes' instances of this op: staging (and
-    // under the eager schedule the whole execution) of the op's work.
+    // Per-op span covering the staging of all K lanes' instances of this
+    // op (a local op's whole work).
     const obs::SpanGuard op_span(tracer, "ir", op_kind_name(op.kind),
                                  static_cast<std::int64_t>(lanes));
     const auto in = [&](std::size_t q) -> const SecureTensor& {
@@ -294,17 +282,10 @@ BatchExecResult execute_batch(const SecureProgram& p, const CompiledParams& para
             throw std::logic_error("ir::execute: unreachable staged kind");
         }
         sop->stage(ctx);
-        if (coalesce) {
-          staged.push_back(StagedInst{std::move(sop), i, q});
-          staged_group = op.round_group;
-          pending[i] = 1;
-        } else {
-          // Eager schedule: every staged opening already ran its own
-          // exchange; the lane's instance completes on the spot.
-          opens.flush();
-          deliver(q, i, sop->finish(ctx));
-        }
+        staged.push_back(StagedInst{std::move(sop), i, q});
       }
+      staged_group = op.round_group;
+      pending[i] = 1;
       continue;
     }
 
@@ -326,17 +307,11 @@ BatchExecResult execute_batch(const SecureProgram& p, const CompiledParams& para
           default:
             throw std::logic_error("ir::execute: unreachable compare kind");
         }
-        if (coalesce) {
-          cop->begin(ctx);
-          comps.push_back(CompInst{std::move(cop), i, q});
-          staged_group = op.round_group;
-          pending[i] = 1;
-        } else {
-          // Eager schedule: the comparison's phases run their own exchanges
-          // back to back (immediate buffers make every flush a no-op).
-          deliver(q, i, proto::run_compare_op(ctx, *cop));
-        }
+        cop->begin(ctx);
+        comps.push_back(CompInst{std::move(cop), i, q});
       }
+      staged_group = op.round_group;
+      pending[i] = 1;
       continue;
     }
 
@@ -375,8 +350,7 @@ BatchExecResult execute_batch(const SecureProgram& p, const CompiledParams& para
 
   // Reveal the terminal output to the client — logits, or an argmax
   // terminal's winning class indices: every lane's opening stages on the
-  // open buffer, so the coalesced schedule reveals the whole batch in ONE
-  // joint exchange (the eager schedule opens per lane).
+  // open buffer, so the whole batch reveals in ONE joint exchange.
   const obs::SpanGuard reveal_span(tracer, "ir", "reveal", static_cast<std::int64_t>(lanes));
   std::vector<crypto::RingVec> revealed(lanes);
   for (std::size_t q = 0; q < lanes; ++q) {
@@ -403,7 +377,6 @@ ExecResult execute(const SecureProgram& p, const CompiledParams& params,
                    crypto::TwoPartyContext& ctx, const nn::Tensor& input,
                    const ExecOptions& opts) {
   BatchExecOptions bopts;
-  bopts.cfg = opts.cfg;
   if (opts.layer_hook) {
     const auto& hook = opts.layer_hook;
     bopts.layer_hook = [&hook](std::size_t, int layer) { hook(layer); };

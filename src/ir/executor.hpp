@@ -4,11 +4,11 @@
 //
 // Parameters are secret-shared once (share_parameters) and reused across
 // queries; execute() walks the program in order, staging the openings of
-// every round group on the context's OpenBuffer and flushing each group in
-// one exchange.  Because staging preserves the program-order dealer and
-// PRNG draw sequence, the coalesced schedule produces logits bit-identical
-// to the eager (open-per-exchange) schedule — only the round count and
-// message count drop.
+// every round group on the context's buffers and flushing each group in
+// one exchange per phase.  Staging preserves the program-order dealer and
+// PRNG draw sequence, so the round groups a program carries decide its
+// round and message counts, never its bits: the same ops with every
+// stageable op in a group of its own reveal bit-identical logits.
 //
 // execute_batch() generalizes the walk to K queries inside ONE context:
 // every op stages all K lanes' instances into the same round group, so
@@ -40,15 +40,13 @@ struct CompiledParams {
 
 /// Execution knobs.
 struct ExecOptions {
-  proto::SecureConfig cfg;
   /// Invoked with each op's descriptor-layer tag right before the op draws
   /// its correlated randomness (the preprocessing-plan oracle hook).
   std::function<void(int)> layer_hook;
   /// Invoked with (op index, output tensor) as each op's secret-shared
-  /// output lands — after its round group delivers under the coalesced
-  /// schedule; an argmax terminal reports its winning indices' shares.
-  /// The differential test harness compares these shares
-  /// request-for-request between schedules.
+  /// output lands — after its round group delivers; an argmax terminal
+  /// reports its winning indices' shares.  The differential test harness
+  /// compares these shares request-for-request between groupings.
   std::function<void(std::size_t, const proto::SecureTensor&)> op_hook;
 };
 
@@ -67,7 +65,6 @@ struct ExecResult {
 
 /// Knobs of a K-lane batched run.  All hooks receive the lane index first.
 struct BatchExecOptions {
-  proto::SecureConfig cfg;
   /// (lane, descriptor-layer tag), right before that lane's instance draws
   /// its correlated randomness.
   std::function<void(std::size_t, int)> layer_hook;

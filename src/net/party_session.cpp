@@ -231,7 +231,6 @@ ir::BatchExecResult PartySession::run_batch(const ir::SecureProgram& program,
   crypto::TwoPartyContext ctx(rc_, proto::SecureNetwork::query_context_seed(positions[0]),
                               party_, chan_);
   ir::BatchExecOptions bopts;
-  bopts.cfg = opts.cfg;
   for (const proto::SecureTensor& share : input_shares) bopts.input_shares.push_back(&share);
   proto::ChunkRun run = proto::run_chunk(ctx, program, params, chunk_lanes, {}, bopts,
                                          tracing ? &chunk_tracer : nullptr);

@@ -66,7 +66,7 @@ enum class TripleSourceKind {
 
 /// Per-session execution knobs.
 struct RemoteSessionOptions {
-  proto::SecureConfig cfg;
+  proto::SecureConfig cfg;  ///< ignored (see proto::SecureConfig)
   TripleSourceKind source = TripleSourceKind::fused;
   offline::TripleStore* store = nullptr;  ///< TripleSourceKind::store (borrowed)
   DealerClient* dealer = nullptr;         ///< TripleSourceKind::dealer (borrowed)

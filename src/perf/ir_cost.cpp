@@ -181,7 +181,7 @@ ProgramCost profile_program(const LatencyModel& m, const ir::SecureProgram& p,
     pc.wire_bytes += lanes * ir_op_wire_bytes(op, ring_bits, wire_bits);
   }
   // Terminal joint opening: all lanes' logits or argmax indices reveal in
-  // ONE merged exchange under the coalesced schedule.
+  // ONE merged exchange.
   pc.total.rounds += 1;
   const auto wire = static_cast<std::uint64_t>((wire_bits + 7) / 8);
   const auto out_elems = static_cast<std::uint64_t>(

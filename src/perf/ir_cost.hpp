@@ -5,17 +5,18 @@
 // model so analytic and measured statistics are comparable on the same
 // object: per-op compute/communication come from the paper's Eq. 5-16
 // cost functions, while the `rounds` fields follow the protocol stack's
-// actual round structure (OT phases, AND-tree depth, B2A + mux, coalesced
-// E/F openings) — the same rounds the coalesced executor measures.  Ops
-// sharing a round group count their rounds together: the group costs as
-// many rounds as its costliest member, because every comparison walks the
+// actual round structure (OT phases, AND-tree depth, B2A + mux, merged
+// E/F openings) — the same rounds the executor measures.  Ops sharing a
+// round group count their rounds together: the group costs as many
+// rounds as its costliest member, because every comparison walks the
 // same per-level phase block (shared OT round, shared exchange per AND
 // level and open phase — independent of the instance count) and
 // single-round members merge into one exchange.  The terminal opening
-// (logits or argmax indices) adds one more.
+// (logits or argmax indices) adds one more.  Whatever round groups a
+// program carries are priced this way, one op per group included.
 //
-// The CI round-regression guard asserts the coalesced executor's measured
-// rounds exactly equal this model's prediction on the reference models.
+// The CI round-regression guard asserts the executor's measured rounds
+// exactly equal this model's prediction on the reference models.
 
 #include "crypto/ring.hpp"
 #include "ir/program.hpp"
@@ -32,10 +33,9 @@ namespace pasnet::perf {
 /// wide, so drelu_rounds(64) == drelu_rounds(32) == 6.
 [[nodiscard]] int drelu_rounds(int ring_bits = 64);
 
-/// Analytic cost of one IR op with protocol-accurate round counts.  The
-/// round count assumes the coalesced schedule (each multiplication's E and
-/// F open together); group merging across ops is applied by
-/// profile_program, not here.
+/// Analytic cost of one IR op with protocol-accurate round counts (each
+/// multiplication's E and F open together); group merging across ops is
+/// applied by profile_program, not here.
 [[nodiscard]] OpCost ir_op_cost(const LatencyModel& model, const ir::Op& op,
                                 int ring_bits = 64);
 
@@ -44,7 +44,7 @@ namespace pasnet::perf {
 /// shifts (2 bits per instance, packed to a byte boundary per batch) and
 /// masked tables (4 bytes per instance), and the AND-tree's per-level
 /// packed bit opens.  Every part is packed per op, so the figure holds
-/// under both schedules.  This is what the channel meter measures —
+/// however the ops are grouped.  This is what the channel meter measures —
 /// OpCost::comm_bytes stays the paper's Eq. 5-16 estimate used by the NAS
 /// latency model.
 [[nodiscard]] std::uint64_t ir_op_wire_bytes(const ir::Op& op, int ring_bits = 64,
@@ -56,9 +56,9 @@ struct ProgramCost {
   std::vector<OpCost> per_op;  ///< aligned with program.ops
   int round_groups = 0;        ///< coalesced open groups counted once
   /// Exact wire bytes of the whole program, terminal opening included.
-  /// Both schedules move the same bytes (coalescing merges messages, not
-  /// their contents); the CI guard asserts the measured channel bytes
-  /// equal this figure exactly.
+  /// Every grouping moves the same bytes (merging a group's exchanges
+  /// merges messages, not their contents); the CI guard asserts the
+  /// measured channel bytes equal this figure exactly.
   std::uint64_t wire_bytes = 0;
 };
 

@@ -6,8 +6,8 @@ namespace pasnet::proto {
 
 SecureNetwork::SecureNetwork(const nn::ModelDescriptor& md, nn::Graph& trained,
                              const std::vector<int>& node_of_layer,
-                             crypto::TwoPartyContext& ctx, SecureConfig cfg)
-    : md_(md), ctx_(ctx), cfg_(cfg) {
+                             crypto::TwoPartyContext& ctx, SecureConfig /*ignored*/)
+    : md_(md), ctx_(ctx) {
   // Lower to the IR and run the standard pass pipeline: batch-norm folding,
   // x2act coefficient fusion, open-coalescing round scheduling.
   program_ = ir::lower(md, trained, node_of_layer);

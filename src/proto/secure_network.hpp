@@ -25,7 +25,7 @@ struct InferenceStats {
   /// traffic is comm_bytes - weight_open_bytes.
   std::uint64_t weight_open_bytes = 0;
   std::uint64_t messages = 0;
-  /// Latency-critical message exchanges.  A coalesced multi-open exchange
+  /// Latency-critical message exchanges.  A merged multi-open exchange
   /// counts as ONE round (both directions, all staged openings together) —
   /// the same unit perf::OpCost::rounds models, so measured and analytic
   /// counts are directly comparable.
@@ -51,10 +51,11 @@ class SecureNetwork {
   /// Compiles from a descriptor and the trained plaintext graph built by
   /// nn::build_graph (node_of_layer is the mapping that builder returned).
   /// Lowering + the standard IR pass pipeline run here; weights are
-  /// fixed-point encoded and secret-shared once.
+  /// fixed-point encoded and secret-shared once.  The SecureConfig is
+  /// ignored (see SecureConfig).
   SecureNetwork(const nn::ModelDescriptor& md, nn::Graph& trained,
                 const std::vector<int>& node_of_layer, crypto::TwoPartyContext& ctx,
-                SecureConfig cfg = SecureConfig{});
+                SecureConfig /*ignored*/ = SecureConfig{});
 
   [[nodiscard]] const nn::ModelDescriptor& descriptor() const noexcept { return md_; }
 
@@ -88,7 +89,6 @@ class SecureNetwork {
   [[nodiscard]] std::chrono::microseconds round_delay() const noexcept {
     return ctx_.round_delay();
   }
-  [[nodiscard]] const SecureConfig& config() const noexcept { return cfg_; }
   /// Bytes of one query's weight-shaped E openings — a model constant
   /// (see InferenceStats).
   [[nodiscard]] std::uint64_t weight_open_bytes() const noexcept { return weight_open_bytes_; }
@@ -99,7 +99,6 @@ class SecureNetwork {
 
   nn::ModelDescriptor md_;
   crypto::TwoPartyContext& ctx_;
-  SecureConfig cfg_;
   ir::SecureProgram program_;
   ir::CompiledParams params_;
   std::uint64_t weight_open_bytes_ = 0;  // model constant, computed once

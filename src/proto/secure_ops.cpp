@@ -228,15 +228,6 @@ SecureTensor StagedX2act::finish(TwoPartyContext& ctx) {
 // Staged comparison operators
 // ---------------------------------------------------------------------------
 
-SecureTensor run_compare_op(TwoPartyContext& ctx, StagedCompareOp& op) {
-  op.begin(ctx);
-  while (op.waiting() != crypto::CompareWait::done) {
-    crypto::flush_compare_buffers(ctx, op.waiting());
-    op.step(ctx);
-  }
-  return op.take(ctx);
-}
-
 void StagedRelu::begin(TwoPartyContext& ctx) {
   crypto::DreluMuxMaterial mat = crypto::draw_drelu_mux_material(ctx, x_.shares.size(), 1);
   std::vector<Shared> payloads;
@@ -380,6 +371,16 @@ SecureTensor StagedArgmax::take(TwoPartyContext& ctx) {
 // ---------------------------------------------------------------------------
 // One-shot operators (stage + flush + finish)
 // ---------------------------------------------------------------------------
+
+namespace {
+
+/// Runs one staged comparison op as a group of one and takes its output.
+SecureTensor run_compare_op(TwoPartyContext& ctx, StagedCompareOp& op) {
+  crypto::run_staged(ctx, op);
+  return op.take(ctx);
+}
+
+}  // namespace
 
 SecureTensor secure_conv2d(TwoPartyContext& ctx, const SecureTensor& x, const Shared& weight,
                            const Shared* bias, int out_ch, int kernel, int stride, int pad) {

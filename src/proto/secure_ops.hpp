@@ -25,32 +25,20 @@
 
 namespace pasnet::proto {
 
-/// How the executor schedules joint openings.
-enum class RoundSchedule {
-  /// The IR round scheduler: each multiplication's E and F openings merge
-  /// into one exchange, and independent openings across parallel branches
-  /// batch into a single round-trip.  Same values and transcripts bytes,
-  /// fewer rounds.
-  coalesced,
-  /// The historical op-at-a-time path: every opening is its own exchange.
-  eager,
-};
-
-/// Protocol knobs for the secure executor.
+/// Ignored: nothing reads it.  Kept only so existing configurations that
+/// set ot_mode still compile; every comparison runs the precomputed
+/// (1,4)-OT (crypto/ot.hpp) and the executor flushes whatever round groups
+/// the program carries.
 struct SecureConfig {
-  /// Ignored: every comparison runs the precomputed (1,4)-OT
-  /// (crypto/ot.hpp).  Kept only so existing configurations compile.
   crypto::OtMode ot_mode = crypto::OtMode::dh_masked;
-  /// Open scheduling of the program executor (see RoundSchedule).
-  RoundSchedule schedule = RoundSchedule::coalesced;
 };
 
 // --- Staged (two-phase) operator forms -------------------------------------
 
 /// Interface the IR executor drives: stage() draws the op's correlated
-/// randomness and stages its openings (no communication of its own in
-/// coalescing mode), finish() computes the result locally.  Referenced
-/// inputs (activation tensors, weights) must outlive the op.
+/// randomness and stages its openings (no communication of its own),
+/// finish() computes the result locally once they are flushed.
+/// Referenced inputs (activation tensors, weights) must outlive the op.
 class StagedSecureOp {
  public:
   virtual ~StagedSecureOp() = default;
@@ -126,12 +114,6 @@ class StagedCompareOp {
   /// The op's output; valid once waiting() == done.
   [[nodiscard]] virtual SecureTensor take(crypto::TwoPartyContext& ctx) = 0;
 };
-
-/// Runs one staged comparison op to completion on the calling thread,
-/// flushing whichever buffer it waits on (no-ops under immediate buffers —
-/// the eager schedule).  The one-shot secure_relu / secure_maxpool /
-/// secure_argmax drive their staged forms through this.
-SecureTensor run_compare_op(crypto::TwoPartyContext& ctx, StagedCompareOp& op);
 
 /// Staged 2PC ReLU: one resumable v·DReLU(v) over the whole tensor.
 class StagedRelu final : public StagedCompareOp {

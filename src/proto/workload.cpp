@@ -125,12 +125,10 @@ WorkloadResult Workload::run(const std::vector<nn::Tensor>& inputs) {
     crypto::TwoPartyContext cctx(
         net_.ring(), SecureNetwork::query_context_seed(chunk[0].position), net_.round_delay());
     const std::uint64_t chunk_begin = tracing ? obs::Tracer::now_us() : 0;
-    ir::BatchExecOptions bopts;
-    bopts.cfg = net_.config();
     ChunkRun run = run_chunk(cctx, program(), net_.params(), chunk,
                              {inputs.begin() + static_cast<long>(lo),
                               inputs.begin() + static_cast<long>(hi)},
-                             bopts, tracing ? &chunk_tracer : nullptr);
+                             {}, tracing ? &chunk_tracer : nullptr);
     for (std::size_t j = 0; j < chunk.size(); ++j) {
       if (opts_.kind == WorkloadKind::logits) {
         out.logits[lo + j] = std::move(run.results.logits[j]);

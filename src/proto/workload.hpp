@@ -81,8 +81,8 @@ struct ChunkRun {
 /// block (the metered window starts), runs ir::execute_batch with
 /// `tracer` (nullable; the caller's per-chunk tracer) attached for spans,
 /// and folds the window's block into `tracer` once at the end.  `opts`
-/// carries the config and, on the remote path, the per-lane input shares
-/// (with `inputs` empty); its lane sources and PRNGs are filled in here.
+/// carries, on the remote path, the per-lane input shares (with `inputs`
+/// empty); its lane sources and PRNGs are filled in here.
 [[nodiscard]] ChunkRun run_chunk(crypto::TwoPartyContext& ctx, const ir::SecureProgram& program,
                                  const ir::CompiledParams& params,
                                  const std::vector<ChunkLane>& lanes,

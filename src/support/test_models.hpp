@@ -1,7 +1,8 @@
 #pragma once
 // Shared tiny-model fixtures used by the test suites and benches: a tiny
 // conv-bn-act-pool-fc model, a short training warm-up so batch-norm has
-// meaningful running statistics, and a tensor diff helper.
+// meaningful running statistics, the per-op program oracle and a tensor
+// diff helper.
 
 #include <algorithm>
 #include <cmath>
@@ -98,7 +99,7 @@ inline nn::ModelDescriptor proxy_mobilenet() {
 
 /// Every fixture model the acceptance criteria cover: the four TinyCNN
 /// activation/pooling variants plus the scaled backbone proxies.  The
-/// differential (staged-vs-eager) and plan-oracle suites iterate this
+/// differential (scheduled-vs-per-op) and plan-oracle suites iterate this
 /// list, so a new fixture added here is picked up by both.
 inline std::vector<nn::ModelDescriptor> all_test_models() {
   return {
@@ -113,10 +114,10 @@ inline std::vector<nn::ModelDescriptor> all_test_models() {
 }
 
 /// A hand-built IR program with K independent ReLU instances over one
-/// input, reduced by local adds — the cross-instance comparison-coalescing
+/// input, reduced by local adds — the cross-instance comparison-grouping
 /// fixture shared by the round guard and bench_fig1: the scheduler puts
-/// all K in one round group, so the coalesced executor pays the
-/// comparison stack once however large K is.
+/// all K in one round group, so the executor pays the comparison stack
+/// once however large K is.
 inline ir::SecureProgram parallel_relu_program(int k) {
   ir::SecureProgram p;
   p.name = "ParallelRelu" + std::to_string(k);
@@ -152,22 +153,33 @@ inline ir::SecureProgram parallel_relu_program(int k) {
   return p;
 }
 
+/// The per-op oracle of a scheduled program: the same ops in the same
+/// order with every stageable op in a round group of its own, so the
+/// executor flushes after each op.  Only what one op stages together
+/// still shares an exchange — a multiply's E and F openings, and an op's
+/// instances across the lanes of a batch.  The draws are the scheduled
+/// program's, so it reveals the same bits; perf::profile_program prices
+/// it like any other program.
+inline ir::SecureProgram one_group_per_op(ir::SecureProgram p) {
+  int group = 0;
+  for (ir::Op& op : p.ops) {
+    if (op.stages_opens() || op.stages_compare()) op.round_group = group++;
+  }
+  return p;
+}
+
 /// Measured traffic of one execution of `p` on a fresh context, zero input.
-inline crypto::TrafficStats measured_program_traffic(const ir::SecureProgram& p,
-                                                     proto::RoundSchedule schedule) {
+inline crypto::TrafficStats measured_program_traffic(const ir::SecureProgram& p) {
   crypto::TwoPartyContext ctx;
   crypto::Prng wprng(1);
   const ir::CompiledParams params = ir::share_parameters(p, wprng, ctx.ring());
-  ir::ExecOptions opts;
-  opts.cfg.schedule = schedule;
-  (void)ir::execute(p, params, ctx, nn::Tensor({1, p.input_ch, p.input_h, p.input_w}), opts);
+  (void)ir::execute(p, params, ctx, nn::Tensor({1, p.input_ch, p.input_h, p.input_w}));
   return ctx.stats();
 }
 
 /// Measured rounds of one execution of `p` on a fresh context, zero input.
-inline std::uint64_t measured_program_rounds(const ir::SecureProgram& p,
-                                             proto::RoundSchedule schedule) {
-  return measured_program_traffic(p, schedule).rounds;
+inline std::uint64_t measured_program_rounds(const ir::SecureProgram& p) {
+  return measured_program_traffic(p).rounds;
 }
 
 /// A few steps of training so BN has meaningful running statistics.

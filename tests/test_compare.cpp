@@ -58,14 +58,19 @@ TEST(Bits, AndOnLongRandomVectors) {
 TEST(Bits, ShortPeerOpeningFramesRaiseFrameLengthError) {
   static_assert(std::is_base_of_v<std::runtime_error, pc::FrameLengthError>);
   // Each remote context runs only its own party, so a hand-written frame
-  // stands in for the peer's half of the opening.
+  // stands in for the peer's half of the opening.  Each stages on the
+  // context's own buffer and flushes into the short frame: the failed
+  // flush leaves no stage, and no output pointer, parked.
   pc::Prng prng(4);
   {
     auto [c0, c1] = pc::Channel::make_pair();
     pc::TwoPartyContext ctx(pc::RingConfig{}, 42, 0, *c0);
     const pc::Shared x = pc::share(pc::RingVec{1, 2, 3}, prng, ctx.ring());
     c1->send_ring(pc::RingVec{4, 5}, ctx.wire_bytes());  // one element short
-    EXPECT_THROW((void)pc::open(ctx, x), pc::FrameLengthError);
+    pc::RingVec out;
+    ctx.opens().stage(x, &out);
+    EXPECT_THROW(ctx.opens().flush(), pc::FrameLengthError);
+    EXPECT_FALSE(ctx.opens().has_pending());
   }
   {
     auto [c0, c1] = pc::Channel::make_pair();
@@ -74,6 +79,7 @@ TEST(Bits, ShortPeerOpeningFramesRaiseFrameLengthError) {
     const auto y = make_bits({1, 1, 0, 0, 1, 1, 0, 0}, prng);
     c0->send_bytes({0});  // the (d, e) bits of 8 ANDs pack to 2 bytes
     EXPECT_THROW((void)pc::and_bits(ctx, x, y), pc::FrameLengthError);
+    EXPECT_FALSE(ctx.bit_opens().has_pending());
   }
 }
 

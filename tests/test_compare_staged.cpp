@@ -1,19 +1,22 @@
 // Differential bit-identity harness for the staged (resumable) comparison
-// stack: the coalesced schedule — which advances every ReLU/maxpool
-// instance of a round group in lockstep through shared OT, AND-tree and
-// open rounds — must reproduce the eager schedule's secret shares
-// request-for-request, op for op, on every support/test_models.hpp model,
-// dealer-backed and TripleStore-backed (served over worker pools).
-// Plus seeded randomized property tests for millionaire_gt / drelu over
-// adversarial fixed-point edge values.
+// stack: the scheduled program — whose round groups advance every
+// ReLU/maxpool instance in lockstep through shared OT, AND-tree and open
+// rounds — must reproduce the per-op program's (testing::one_group_per_op,
+// the eager op-at-a-time order) secret shares request for request, op for
+// op, on every support/test_models.hpp model, dealer-backed and
+// TripleStore-backed (served over worker pools).  Plus the one-shot ReLU
+// against its composed protocols, and seeded randomized property tests for
+// millionaire_gt / drelu over adversarial fixed-point edge values.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "ir/passes.hpp"
+#include "ir/plan.hpp"
 #include "offline/triple_store.hpp"
 #include "proto/secure_network.hpp"
 #include "proto/workload.hpp"
@@ -26,6 +29,7 @@ namespace pc = pasnet::crypto;
 namespace proto = pasnet::proto;
 
 using pasnet::testing::all_test_models;
+using pasnet::testing::one_group_per_op;
 using pasnet::testing::proxy_resnet;
 using pasnet::testing::tiny_cnn;
 using pasnet::testing::warm_up;
@@ -47,69 +51,47 @@ Trained train(nn::ModelDescriptor md, std::uint64_t seed) {
   return t;
 }
 
-/// Captured per-op output shares of one execution.
-struct Capture {
-  std::vector<std::size_t> idx;
-  std::vector<pc::Shared> shares;
-};
-
-struct RunResult {
-  nn::Tensor logits;
-  std::vector<int> labels;
-  Capture ops;
-  std::uint64_t rounds = 0;
-  std::uint64_t bytes = 0;
-};
-
-/// One query through ir::execute with the given schedule, capturing every
-/// op's output shares.  Context / parameter seeds are fixed so two runs
-/// differ only in their open scheduling.
-RunResult run_program(const ir::SecureProgram& p, proto::RoundSchedule schedule,
-                      const nn::Tensor& x) {
-  pc::TwoPartyContext ctx(pc::RingConfig{}, 42);
-  pc::Prng wprng(7);
-  const ir::CompiledParams params = ir::share_parameters(p, wprng, ctx.ring());
-  ir::ExecOptions opts;
-  opts.cfg.schedule = schedule;
-  RunResult r;
-  opts.op_hook = [&r](std::size_t i, const proto::SecureTensor& t) {
-    r.ops.idx.push_back(i);
-    r.ops.shares.push_back(t.shares);
-  };
-  ir::ExecResult res = ir::execute(p, params, ctx, x, opts);
-  r.logits = std::move(res.logits);
-  r.labels = std::move(res.labels);
-  r.rounds = ctx.stats().rounds;
-  r.bytes = ctx.stats().total_bytes();
-  return r;
-}
-
-void expect_same_shares(const RunResult& a, const RunResult& b, const char* what) {
-  ASSERT_EQ(a.ops.idx, b.ops.idx) << what;
-  for (std::size_t j = 0; j < a.ops.shares.size(); ++j) {
-    ASSERT_EQ(a.ops.shares[j].s0, b.ops.shares[j].s0)
-        << what << ": op " << a.ops.idx[j] << " share 0 diverged";
-    ASSERT_EQ(a.ops.shares[j].s1, b.ops.shares[j].s1)
-        << what << ": op " << a.ops.idx[j] << " share 1 diverged";
-  }
-}
-
 void expect_bit_identical(const nn::Tensor& a, const nn::Tensor& b, const char* what) {
   ASSERT_EQ(a.size(), b.size()) << what;
   for (std::size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a[i], b[i]) << what << " logit " << i;
 }
 
+/// One K-lane run of a program: what it reveals and every op's output
+/// shares per lane.  Context and parameter seeds are fixed, so two runs
+/// differ only in their round grouping.
+struct LaneRun {
+  ir::BatchExecResult out;
+  std::vector<std::vector<pc::Shared>> shares;  ///< [op][lane]
+  std::size_t delivered = 0;
+};
+
+LaneRun run_lanes(const ir::SecureProgram& p, const std::vector<nn::Tensor>& xs) {
+  pc::TwoPartyContext ctx(pc::RingConfig{}, 42);
+  pc::Prng wprng(7);
+  const ir::CompiledParams params = ir::share_parameters(p, wprng, ctx.ring());
+  LaneRun r;
+  r.shares.assign(p.ops.size(), std::vector<pc::Shared>(xs.size()));
+  ir::BatchExecOptions opts;
+  opts.op_hook = [&r](std::size_t lane, std::size_t op, const proto::SecureTensor& t) {
+    r.shares[op][lane] = t.shares;
+    ++r.delivered;
+  };
+  r.out = ir::execute_batch(p, params, ctx, xs, opts);
+  return r;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Staged vs eager: per-op shares, all models
+// Scheduled vs per-op program: per-op shares, all models
 // ---------------------------------------------------------------------------
 
 TEST(CompareStaged, PerOpSharesBitIdenticalToEagerOnAllModels) {
-  // The two schedules draw every PRNG and dealer stream — random OTs
+  // The two programs draw every PRNG and dealer stream — random OTs
   // included — in the same order, so not just the logits (or labels) but
-  // every intermediate op's secret shares — an argmax terminal's index
-  // shares included — must match bit for bit.
+  // every intermediate op's secret shares on every lane — an argmax
+  // terminal's index shares included — must match bit for bit, for a
+  // single query and a 4-lane batch.
   std::uint64_t seed = 500;
   for (auto& md : all_test_models()) {
     auto t = train(md, seed += 2);
@@ -117,18 +99,35 @@ TEST(CompareStaged, PerOpSharesBitIdenticalToEagerOnAllModels) {
     ir::run_standard_passes(p);
     ir::SecureProgram classify = p;
     ir::append_argmax(classify);
-    pc::Prng dprng(seed + 1);
-    const auto x =
-        nn::Tensor::randn({1, t.md.input_ch, t.md.input_h, t.md.input_w}, dprng, 0.5f);
-
     for (const ir::SecureProgram* prog : {&p, &classify}) {
-      const RunResult coal = run_program(*prog, proto::RoundSchedule::coalesced, x);
-      const RunResult eager = run_program(*prog, proto::RoundSchedule::eager, x);
-      expect_bit_identical(coal.logits, eager.logits, t.md.name.c_str());
-      EXPECT_EQ(coal.labels, eager.labels) << t.md.name;
-      expect_same_shares(coal, eager, t.md.name.c_str());
-      EXPECT_EQ(coal.ops.idx.size(), prog->ops.size()) << t.md.name;
-      EXPECT_LT(coal.rounds, eager.rounds) << t.md.name;
+      const ir::SecureProgram per_op = one_group_per_op(*prog);
+      for (const std::size_t lanes : {1, 4}) {
+        const std::string at = t.md.name + (prog == &p ? " logits K=" : " classify K=") +
+                               std::to_string(lanes);
+        pc::Prng dprng(seed + 1);
+        std::vector<nn::Tensor> xs;
+        for (std::size_t q = 0; q < lanes; ++q) {
+          xs.push_back(
+              nn::Tensor::randn({1, t.md.input_ch, t.md.input_h, t.md.input_w}, dprng, 0.5f));
+        }
+        const LaneRun grouped = run_lanes(*prog, xs);
+        const LaneRun separate = run_lanes(per_op, xs);
+        ASSERT_EQ(grouped.delivered, prog->ops.size() * lanes) << at;
+        ASSERT_EQ(separate.delivered, grouped.delivered) << at;
+        for (std::size_t op = 0; op < prog->ops.size(); ++op) {
+          for (std::size_t q = 0; q < lanes; ++q) {
+            ASSERT_EQ(grouped.shares[op][q].s0, separate.shares[op][q].s0)
+                << at << ": op " << op << " lane " << q << " share 0 diverged";
+            ASSERT_EQ(grouped.shares[op][q].s1, separate.shares[op][q].s1)
+                << at << ": op " << op << " lane " << q << " share 1 diverged";
+          }
+        }
+        ASSERT_EQ(grouped.out.logits.size(), separate.out.logits.size()) << at;
+        for (std::size_t q = 0; q < grouped.out.logits.size(); ++q) {
+          expect_bit_identical(grouped.out.logits[q], separate.out.logits[q], at.c_str());
+        }
+        EXPECT_EQ(grouped.out.labels, separate.out.labels) << at;
+      }
     }
   }
 }
@@ -141,18 +140,15 @@ TEST(CompareStaged, StoreBackedStagedServingBitIdenticalAcrossSchedules) {
   for (auto md : {tiny_cnn(nn::OpKind::relu, nn::OpKind::maxpool),
                   proxy_resnet(nn::ActKind::relu, nn::PoolKind::maxpool)}) {
     auto t = train(std::move(md), 640);
-    pc::TwoPartyContext ctx_c, ctx_e, ctx_d;
-    proto::SecureConfig eager_cfg;
-    eager_cfg.schedule = proto::RoundSchedule::eager;
-    proto::SecureNetwork coalesced(t.md, *t.graph, t.node_of_layer, ctx_c);
-    proto::SecureNetwork eager(t.md, *t.graph, t.node_of_layer, ctx_e, eager_cfg);
-    proto::SecureNetwork dealer(t.md, *t.graph, t.node_of_layer, ctx_d);
-    proto::Workload wl_c(coalesced, {proto::WorkloadKind::logits, /*batch=*/1, /*worker_pairs=*/2});
-    proto::Workload wl_e(eager, {proto::WorkloadKind::logits, /*batch=*/1, /*worker_pairs=*/2});
-    proto::Workload wl_d(dealer);
-    // The staged comparison phases consume the identical request stream,
-    // so one plan fingerprint covers both schedules.
-    ASSERT_EQ(wl_c.plan().fingerprint(), wl_e.plan().fingerprint()) << t.md.name;
+    pc::TwoPartyContext ctx;
+    proto::SecureNetwork net(t.md, *t.graph, t.node_of_layer, ctx);
+    proto::Workload wl_s(net, {proto::WorkloadKind::logits, /*batch=*/1, /*worker_pairs=*/2});
+    proto::Workload wl_d(net);
+    const ir::SecureProgram per_op = one_group_per_op(net.program());
+    // The staged comparison phases consume the identical request stream
+    // however the ops are grouped, so one plan fingerprint covers both.
+    ASSERT_EQ(ir::derive_plan(per_op, net.ring()).fingerprint(), wl_s.plan().fingerprint())
+        << t.md.name;
 
     pc::Prng dprng(641);
     std::vector<nn::Tensor> queries;
@@ -160,16 +156,20 @@ TEST(CompareStaged, StoreBackedStagedServingBitIdenticalAcrossSchedules) {
       queries.push_back(
           nn::Tensor::randn({1, t.md.input_ch, t.md.input_h, t.md.input_w}, dprng, 0.8f));
     }
-    off::TripleStore store_c = wl_c.preprocess(queries.size());
-    off::TripleStore store_e = wl_e.preprocess(queries.size());
-    wl_c.use_store(&store_c);
-    wl_e.use_store(&store_e);
-    const auto out_c = wl_c.run(queries).logits;
-    const auto out_e = wl_e.run(queries).logits;
+    off::TripleStore store_s = wl_s.preprocess(queries.size());
+    off::TripleStore store_p = wl_s.preprocess(queries.size());
+    wl_s.use_store(&store_s);
+    const auto out_s = wl_s.run(queries).logits;
     const auto out_d = wl_d.run(queries).logits;  // fused dealer path
     for (std::size_t q = 0; q < queries.size(); ++q) {
-      expect_bit_identical(out_c[q], out_e[q], "store coalesced vs eager");
-      expect_bit_identical(out_c[q], out_d[q], "store vs dealer");
+      // The per-op program served from its own store through the chunk
+      // runner Workload::run uses, on the query's canonical context.
+      pc::TwoPartyContext cctx(net.ring(), proto::SecureNetwork::query_context_seed(q));
+      const proto::ChunkRun per_op_run =
+          proto::run_chunk(cctx, per_op, net.params(), {proto::ChunkLane{q, &store_p.bundle(q)}},
+                           {queries[q]}, {}, nullptr);
+      expect_bit_identical(out_s[q], per_op_run.results.logits[0], "store scheduled vs per-op");
+      expect_bit_identical(out_s[q], out_d[q], "store vs dealer");
     }
   }
 }
@@ -280,9 +280,11 @@ TEST(CompareStaged, DreluOnA32BitRingIsExactOverTheWholeRing) {
 }
 
 TEST(CompareStaged, StagedReluMatchesBlockingReluSharewise) {
-  // The one-shot relu drives the same staged machine the executor groups;
-  // under immediate buffers its transcript must equal the coalesced staged
-  // run's values exactly (same material, same arithmetic).
+  // The one-shot relu drives the staged DReLU-mux the executor groups; it
+  // must equal the blocking protocols it is made of, run one after the
+  // other on a context of the same seed — DReLU, then the B2A and the mux
+  // multiply — share for share and exchange for exchange (same material in
+  // the same order, same arithmetic).
   const pc::RingConfig rc{};
   for (std::uint64_t seed = 21; seed <= 23; ++seed) {
     pc::Prng prng(seed);
@@ -291,17 +293,11 @@ TEST(CompareStaged, StagedReluMatchesBlockingReluSharewise) {
     pc::TwoPartyContext ctx_a(rc, 9000 + seed), ctx_b(rc, 9000 + seed);
     const pc::Shared xa = pc::share(vals, prng, rc);
     const pc::Shared out_a = pc::relu(ctx_a, xa);
-
-    // Same context seed, staged drive with coalescing buffers on.
-    ctx_b.opens().set_coalescing(true);
-    ctx_b.ots().set_coalescing(true);
-    ctx_b.bit_opens().set_coalescing(true);
-    const pc::Shared out_b = pc::relu(ctx_b, xa);
-    ctx_b.opens().set_coalescing(false);
-    ctx_b.ots().set_coalescing(false);
-    ctx_b.bit_opens().set_coalescing(false);
+    const pc::Shared out_b = pc::mux(ctx_b, pc::drelu(ctx_b, xa), xa);
     ASSERT_EQ(out_a.s0, out_b.s0);
     ASSERT_EQ(out_a.s1, out_b.s1);
+    EXPECT_EQ(ctx_a.stats().rounds, ctx_b.stats().rounds);
+    EXPECT_EQ(ctx_a.stats().total_bytes(), ctx_b.stats().total_bytes());
     // Reconstruction matches plaintext ReLU of the signed values.
     const auto r = pc::reconstruct(out_a, rc);
     for (std::size_t i = 0; i < vals.size(); ++i) {

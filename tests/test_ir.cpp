@@ -1,16 +1,22 @@
 // Tests for the secure-inference IR: lowering, the pass pipeline
 // (batch-norm folding, x2act coefficient fusion, round scheduling), the
-// round-coalescing executor's bit-identity with the eager path, the
-// statically derived preprocessing plan against the dry-run recorder
-// oracle, and label-only classify().
+// scheduled (coalesced) program's bit-identity with the per-op program
+// (testing::one_group_per_op, the eager op-at-a-time order) when served
+// like a query, the executor's error-path cleanup, the statically derived
+// preprocessing plan against the dry-run recorder oracle, and label-only
+// classify().
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <set>
+#include <stdexcept>
 
 #include "ir/passes.hpp"
 #include "ir/plan.hpp"
+#include "offline/offline_generator.hpp"
 #include "offline/preprocessing_plan.hpp"
 #include "proto/secure_network.hpp"
 #include "proto/workload.hpp"
@@ -18,6 +24,7 @@
 
 namespace ir = pasnet::ir;
 namespace nn = pasnet::nn;
+namespace obs = pasnet::obs;
 namespace off = pasnet::offline;
 namespace pc = pasnet::crypto;
 namespace proto = pasnet::proto;
@@ -44,6 +51,7 @@ Trained train(nn::ModelDescriptor md, std::uint64_t seed) {
 }
 
 using pasnet::testing::all_test_models;
+using pasnet::testing::one_group_per_op;
 using pasnet::testing::proxy_resnet;
 
 void expect_bit_identical(const nn::Tensor& a, const nn::Tensor& b, const char* what) {
@@ -53,14 +61,24 @@ void expect_bit_identical(const nn::Tensor& a, const nn::Tensor& b, const char* 
   }
 }
 
-/// One query through the unified Workload API (batch 1), returning the
-/// logits and optionally the run's merged statistics.
-nn::Tensor infer_one(proto::SecureNetwork& snet, const nn::Tensor& x,
-                     proto::InferenceStats* stats = nullptr) {
-  proto::Workload w(snet);
-  proto::WorkloadResult res = w.run({x});
-  if (stats != nullptr) *stats = w.stats();
-  return std::move(res.logits[0]);
+/// Serves `program` (net's program or a regrouping of it) for query
+/// position q through the chunk runner Workload::run uses, on the query's
+/// canonical context, from `bundle` or (nullptr) the position's dealer.
+proto::ChunkRun serve_query(const proto::SecureNetwork& net, const ir::SecureProgram& program,
+                            std::size_t q, const nn::Tensor& x,
+                            off::QueryBundle* bundle = nullptr) {
+  pc::TwoPartyContext ctx(net.ring(), proto::SecureNetwork::query_context_seed(q));
+  return proto::run_chunk(ctx, program, net.params(), {proto::ChunkLane{q, bundle}}, {x}, {},
+                          nullptr);
+}
+
+/// Distinct round groups among a program's stageable ops.
+std::size_t round_groups(const ir::SecureProgram& p) {
+  std::set<int> groups;
+  for (const ir::Op& op : p.ops) {
+    if (op.stages_opens() || op.stages_compare()) groups.insert(op.round_group);
+  }
+  return groups.size();
 }
 
 }  // namespace
@@ -198,8 +216,7 @@ TEST(IrPasses, ParallelizeInstancesHoistsIndependentBranchOps) {
   // program (all-relu towers are truncation-free, so both orders open the
   // same values).
   using pasnet::testing::measured_program_rounds;
-  EXPECT_LT(measured_program_rounds(p, proto::RoundSchedule::coalesced),
-            measured_program_rounds(unhoisted, proto::RoundSchedule::coalesced));
+  EXPECT_LT(measured_program_rounds(p), measured_program_rounds(unhoisted));
 }
 
 TEST(IrPasses, ParallelizeInstancesIsANoOpOnAChain) {
@@ -225,80 +242,101 @@ TEST(IrPasses, ScheduleRejectsUnfoldedBatchnorm) {
 }
 
 // ---------------------------------------------------------------------------
-// Round-coalescing executor vs eager path
+// Scheduled (coalesced) program vs per-op program
 // ---------------------------------------------------------------------------
 
 TEST(IrExecutor, CoalescedLogitsBitIdenticalToEagerOnAllModels) {
+  // Served like a query, the scheduled program reveals the per-op
+  // program's logits and moves the same payload bytes in no more rounds or
+  // messages — in strictly fewer rounds wherever the scheduler merged
+  // stageable ops into a shared group.
   std::uint64_t seed = 20;
   for (auto& md : all_test_models()) {
     auto t = train(md, seed += 2);
-    pc::TwoPartyContext ctx_c, ctx_e;
-    proto::SecureConfig eager_cfg;
-    eager_cfg.schedule = proto::RoundSchedule::eager;
-    proto::SecureNetwork coalesced(t.md, *t.graph, t.node_of_layer, ctx_c);
-    proto::SecureNetwork eager(t.md, *t.graph, t.node_of_layer, ctx_e, eager_cfg);
+    pc::TwoPartyContext ctx;
+    proto::SecureNetwork net(t.md, *t.graph, t.node_of_layer, ctx);
+    const ir::SecureProgram per_op = one_group_per_op(net.program());
 
     pc::Prng dprng(seed + 1);
     const auto x =
         nn::Tensor::randn({1, t.md.input_ch, t.md.input_h, t.md.input_w}, dprng, 0.5f);
-    proto::InferenceStats stats_c, stats_e;
-    const auto logits_c = infer_one(coalesced, x, &stats_c);
-    const auto logits_e = infer_one(eager, x, &stats_e);
-    expect_bit_identical(logits_c, logits_e, t.md.name.c_str());
-    // Identical payloads, fewer exchanges.
-    EXPECT_EQ(stats_c.comm_bytes, stats_e.comm_bytes) << t.md.name;
-    EXPECT_LT(stats_c.rounds, stats_e.rounds) << t.md.name;
-    EXPECT_LT(stats_c.messages, stats_e.messages) << t.md.name;
+    proto::Workload wl(net);
+    const nn::Tensor logits = wl.run({x}).logits[0];
+    const obs::CounterSnapshot& c = wl.chunk_stats()[0].counters;
+    const proto::ChunkRun eager = serve_query(net, per_op, 0, x);
+    const obs::CounterSnapshot& e = eager.counters;
+    expect_bit_identical(logits, eager.results.logits[0], t.md.name.c_str());
+    EXPECT_EQ(c.total_bytes(), e.total_bytes()) << t.md.name;
+    EXPECT_LE(c[obs::Counter::rounds], e[obs::Counter::rounds]) << t.md.name;
+    EXPECT_LE(c[obs::Counter::messages], e[obs::Counter::messages]) << t.md.name;
+    if (round_groups(net.program()) < round_groups(per_op)) {
+      EXPECT_LT(c[obs::Counter::rounds], e[obs::Counter::rounds]) << t.md.name;
+    }
   }
 }
 
 TEST(IrExecutor, CoalescedStoreBackedServingBitIdenticalToEager) {
   auto t = train(tiny_cnn(nn::OpKind::relu, nn::OpKind::maxpool), 40);
-  pc::TwoPartyContext ctx_c, ctx_e;
-  proto::SecureConfig eager_cfg;
-  eager_cfg.schedule = proto::RoundSchedule::eager;
-  proto::SecureNetwork coalesced(t.md, *t.graph, t.node_of_layer, ctx_c);
-  proto::SecureNetwork eager(t.md, *t.graph, t.node_of_layer, ctx_e, eager_cfg);
-  proto::Workload wl_c(coalesced);
-  proto::Workload wl_e(eager);
-  // Both schedules consume the identical request stream, so one plan feeds
+  pc::TwoPartyContext ctx;
+  proto::SecureNetwork net(t.md, *t.graph, t.node_of_layer, ctx);
+  proto::Workload wl(net);
+  const ir::SecureProgram per_op = one_group_per_op(net.program());
+  // Both programs consume the identical request stream, so one plan feeds
   // both stores.
-  EXPECT_EQ(wl_c.plan().fingerprint(), wl_e.plan().fingerprint());
+  const off::PreprocessingPlan per_op_plan = ir::derive_plan(per_op, net.ring());
+  EXPECT_EQ(wl.plan().fingerprint(), per_op_plan.fingerprint());
 
   pc::Prng dprng(41);
   std::vector<nn::Tensor> queries;
   for (int q = 0; q < 3; ++q) queries.push_back(nn::Tensor::randn({1, 2, 8, 8}, dprng, 1.0f));
 
-  off::TripleStore store_c = wl_c.preprocess(queries.size());
-  off::TripleStore store_e = wl_e.preprocess(queries.size());
-  wl_c.use_store(&store_c);
-  wl_e.use_store(&store_e);
-  const auto out_c = wl_c.run(queries);
-  const auto out_e = wl_e.run(queries);
+  off::TripleStore store_c = wl.preprocess(queries.size());
+  off::TripleStore store_e = off::OfflineGenerator().generate(
+      per_op_plan, queries.size(),
+      [](std::size_t q) { return proto::SecureNetwork::query_dealer_seed(q); });
+  wl.use_store(&store_c);
+  const auto out_c = wl.run(queries);
   for (std::size_t q = 0; q < queries.size(); ++q) {
-    expect_bit_identical(out_c.logits[q], out_e.logits[q], "store-backed");
+    const proto::ChunkRun eager = serve_query(net, per_op, q, queries[q], &store_e.bundle(q));
+    expect_bit_identical(out_c.logits[q], eager.results.logits[0], "store-backed");
   }
 }
 
-TEST(IrExecutor, RoundsDropAtLeast25PercentOnResidualReluModel) {
-  // The acceptance bar: on a residual model with ReLU layers the coalesced
-  // scheduler must cut measured rounds by >= 25% vs the eager path.
-  auto t = train(proxy_resnet(nn::ActKind::relu, nn::PoolKind::maxpool), 50);
-  pc::TwoPartyContext ctx_c, ctx_e;
-  proto::SecureConfig eager_cfg;
-  eager_cfg.schedule = proto::RoundSchedule::eager;
-  proto::SecureNetwork coalesced(t.md, *t.graph, t.node_of_layer, ctx_c);
-  proto::SecureNetwork eager(t.md, *t.graph, t.node_of_layer, ctx_e, eager_cfg);
+// ---------------------------------------------------------------------------
+// Executor error paths
+// ---------------------------------------------------------------------------
 
-  pc::Prng dprng(51);
-  const auto x = nn::Tensor::randn({1, 3, 8, 8}, dprng, 0.5f);
-  proto::InferenceStats stats_c, stats_e;
-  (void)infer_one(coalesced, x, &stats_c);
-  (void)infer_one(eager, x, &stats_e);
-  const auto measured = stats_c.rounds;
-  const auto baseline = stats_e.rounds;
-  EXPECT_LE(4 * measured, 3 * baseline)
-      << "coalesced " << measured << " vs eager " << baseline << " rounds";
+TEST(IrExecutor, ThrowingHookLeavesNoStageParked) {
+  // A 2-lane batch whose layer hook throws on lane 1 of an op: lane 0's
+  // instance is staged at that point — the first conv's openings on the
+  // open buffer, the first relu's OT leaves on the OT buffer.  The error
+  // propagates and every buffer is empty, so the context can never write
+  // through the unwound frame's output pointers.
+  auto t = train(tiny_cnn(nn::OpKind::relu, nn::OpKind::maxpool), 60);
+  ir::SecureProgram p = ir::lower(t.md, *t.graph, t.node_of_layer);
+  ir::run_standard_passes(p);
+  pc::Prng dprng(61);
+  const std::vector<nn::Tensor> xs(2, nn::Tensor::randn({1, 2, 8, 8}, dprng, 0.5f));
+  for (const ir::OpKind kind : {ir::OpKind::conv, ir::OpKind::relu}) {
+    const auto op = std::find_if(p.ops.begin(), p.ops.end(),
+                                 [&](const ir::Op& o) { return o.kind == kind; });
+    ASSERT_NE(op, p.ops.end());
+    pc::TwoPartyContext ctx;
+    pc::Prng wprng(62);
+    const ir::CompiledParams params = ir::share_parameters(p, wprng, ctx.ring());
+    bool parked = false;
+    ir::BatchExecOptions opts;
+    opts.layer_hook = [&](std::size_t lane, int layer) {
+      if (lane != 1 || layer != op->layer) return;
+      parked = kind == ir::OpKind::conv ? ctx.opens().has_pending() : ctx.ots().has_pending();
+      throw std::runtime_error("hook failure");
+    };
+    EXPECT_THROW((void)ir::execute_batch(p, params, ctx, xs, opts), std::runtime_error);
+    EXPECT_TRUE(parked) << ir::op_kind_name(kind) << ": lane 0 staged nothing";
+    EXPECT_FALSE(ctx.opens().has_pending()) << ir::op_kind_name(kind);
+    EXPECT_FALSE(ctx.ots().has_pending()) << ir::op_kind_name(kind);
+    EXPECT_FALSE(ctx.bit_opens().has_pending()) << ir::op_kind_name(kind);
+  }
 }
 
 // ---------------------------------------------------------------------------

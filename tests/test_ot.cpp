@@ -139,22 +139,22 @@ TEST(Ot, TwoRoundsExactly) {
 }
 
 TEST(Ot, BothModesProduceSameTraffic) {
-  // Immediate and coalescing buffers move the same bytes: each stage packs
-  // its shifts to its own byte boundary, so merging saves messages and
-  // rounds, never bytes.
+  // A flush per stage and one merged flush move the same bytes: each stage
+  // packs its shifts to its own byte boundary, so merging saves messages
+  // and rounds, never bytes.
   const std::vector<std::size_t> sizes = {3, 5, 8};
   pc::TrafficStats st[2];
-  for (const bool coalesce : {false, true}) {
+  for (const bool merged : {false, true}) {
     pc::TwoPartyContext ctx;
     pc::Prng prng(7);
-    ctx.ots().set_coalescing(coalesce);
     std::vector<std::vector<std::uint8_t>> outs(sizes.size());
     for (std::size_t i = 0; i < sizes.size(); ++i) {
       ctx.ots().stage(ctx.random_ot(sizes[i], 1), random_tables(sizes[i], prng),
                       random_choices(sizes[i], prng), &outs[i]);
+      if (!merged) ctx.ots().flush();
     }
     ctx.ots().flush();
-    st[coalesce ? 1 : 0] = ctx.stats();
+    st[merged ? 1 : 0] = ctx.stats();
   }
   std::uint64_t want = 0;
   for (const std::size_t n : sizes) want += 4 * n + (n + 3) / 4;
@@ -172,7 +172,6 @@ TEST(Ot, MergedFlushUnmasksEachLaneWithItsOwnPads) {
   constexpr std::size_t kLanes = 4;
   pc::TwoPartyContext ctx;
   pc::Prng prng(21);
-  ctx.ots().set_coalescing(true);
   std::vector<Tables> tables(kLanes);
   std::vector<std::vector<std::uint8_t>> choices(kLanes), outs(kLanes);
   for (std::size_t l = 0; l < kLanes; ++l) {
@@ -184,7 +183,6 @@ TEST(Ot, MergedFlushUnmasksEachLaneWithItsOwnPads) {
     ctx.ots().stage(rot, tables[l], choices[l], &outs[l]);
   }
   ctx.ots().flush();
-  ctx.ots().set_coalescing(false);
   EXPECT_EQ(ctx.counters()[pasnet::obs::Counter::ot_batches], 1u);
   for (std::size_t l = 0; l < kLanes; ++l) {
     ASSERT_EQ(outs[l].size(), choices[l].size()) << "lane " << l;
@@ -200,18 +198,26 @@ TEST(Ot, WrongLengthFramesRaiseTypedErrors) {
                       {17, 18, 19, 20}};
   const std::vector<std::uint8_t> choices{0, 1, 2, 3, 0};
   // Party 1 sends, party 0 receives; each remote context runs only its own
-  // role, so a hand-written frame stands in for the peer.
+  // role, so a hand-written frame stands in for the peer.  Each stages on
+  // the context's own buffer and flushes into the bad frame: the failed
+  // flush leaves no stage, and no output pointer, parked.
   {
     auto [c0, c1] = pc::Channel::make_pair();
     pc::TwoPartyContext sender(pc::RingConfig{}, 42, 1, *c1);
     c0->send_bytes(std::vector<std::uint8_t>(3));  // 5 shifts pack to 2 bytes
-    EXPECT_THROW((void)pc::ot_1of4(sender, 1, tables, choices), pc::OtError);
+    std::vector<std::uint8_t> out;
+    sender.ots().stage(sender.random_ot(choices.size(), 1), tables, {}, &out);
+    EXPECT_THROW(sender.ots().flush(), pc::OtError);
+    EXPECT_FALSE(sender.ots().has_pending());
   }
   {
     auto [c0, c1] = pc::Channel::make_pair();
     pc::TwoPartyContext receiver(pc::RingConfig{}, 42, 0, *c0);
     c1->send_bytes(std::vector<std::uint8_t>(4 * 5 - 1));  // one table byte short
-    EXPECT_THROW((void)pc::ot_1of4(receiver, 1, tables, choices), pc::OtError);
+    std::vector<std::uint8_t> out;
+    receiver.ots().stage(receiver.random_ot(choices.size(), 1), {}, choices, &out);
+    EXPECT_THROW(receiver.ots().flush(), pc::OtError);
+    EXPECT_FALSE(receiver.ots().has_pending());
   }
   // The well-formed exchange between the same two roles delivers the
   // chosen entries (threaded endpoints: each side blocks on the other).
@@ -242,6 +248,7 @@ TEST_P(OtExhaustive, AllChoices) {
       pc::TwoPartyContext ctx;
       std::vector<std::uint8_t> out;
       ctx.ots().stage(make_rot(sender, {r}, 100), tables, {c}, &out);
+      ctx.ots().flush();
       ASSERT_EQ(out.size(), 1u);
       EXPECT_EQ(out[0], tables[0][c]) << "sender " << sender << " r " << int(r);
     }

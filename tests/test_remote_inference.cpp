@@ -51,17 +51,18 @@ struct RemoteFixture {
   std::vector<nn::Tensor> queries;
 
   explicit RemoteFixture(nn::OpKind act = nn::OpKind::relu,
-                         nn::OpKind pool = nn::OpKind::maxpool, int num_queries = 2,
-                         proto::SecureConfig cfg = proto::SecureConfig{})
-      : md(pasnet::testing::tiny_cnn(act, pool)) {
+                         nn::OpKind pool = nn::OpKind::maxpool, int num_queries = 2)
+      : RemoteFixture(pasnet::testing::tiny_cnn(act, pool), num_queries) {}
+
+  RemoteFixture(nn::ModelDescriptor model, int num_queries) : md(std::move(model)) {
     pc::Prng wprng(91);
     graph = nn::build_graph(md, wprng, &node_of_layer);
-    pasnet::testing::warm_up(*graph, 2, 8, 92);
+    pasnet::testing::warm_up(*graph, md.input_ch, md.input_h, 92);
     compile_ctx = std::make_unique<pc::TwoPartyContext>();
-    snet = std::make_unique<proto::SecureNetwork>(md, *graph, node_of_layer, *compile_ctx, cfg);
+    snet = std::make_unique<proto::SecureNetwork>(md, *graph, node_of_layer, *compile_ctx);
     pc::Prng qprng(93);
     for (int q = 0; q < num_queries; ++q) {
-      queries.push_back(nn::Tensor::randn({1, 2, 8, 8}, qprng, 0.5f));
+      queries.push_back(nn::Tensor::randn({1, md.input_ch, md.input_h, md.input_w}, qprng, 0.5f));
     }
   }
 };
@@ -108,12 +109,9 @@ std::pair<PartyOutcome, PartyOutcome> run_remote(
 /// In-process reference transcript: fresh per-query context with the
 /// canonical seed, in the requested exec mode.
 ir::ExecResult reference_query(const RemoteFixture& f, const ir::SecureProgram& program,
-                               std::size_t q, pc::ExecMode mode, proto::SecureConfig cfg,
-                               pc::TrafficStats* stats_out) {
+                               std::size_t q, pc::ExecMode mode, pc::TrafficStats* stats_out) {
   pc::TwoPartyContext qctx(pc::RingConfig{}, proto::SecureNetwork::query_context_seed(q), mode);
-  ir::ExecOptions opts;
-  opts.cfg = cfg;
-  ir::ExecResult res = ir::execute(program, f.snet->params(), qctx, f.queries[q], opts);
+  ir::ExecResult res = ir::execute(program, f.snet->params(), qctx, f.queries[q]);
   if (stats_out != nullptr) *stats_out = qctx.stats();
   return res;
 }
@@ -140,13 +138,12 @@ void expect_close_logits(const nn::Tensor& a, const nn::Tensor& b, const char* w
 }
 
 void expect_remote_matches_reference(const RemoteFixture& f, const ir::SecureProgram& program,
-                                     proto::SecureConfig cfg,
                                      const std::pair<PartyOutcome, PartyOutcome>& outcome) {
   const auto& [p0, p1] = outcome;
   for (std::size_t q = 0; q < f.queries.size(); ++q) {
     pc::TrafficStats ref_stats;
     const ir::ExecResult ref =
-        reference_query(f, program, q, pc::ExecMode::threaded, cfg, &ref_stats);
+        reference_query(f, program, q, pc::ExecMode::threaded, &ref_stats);
     // Both processes reveal the same result...
     expect_same_logits(p0.results[q].logits, ref.logits, "party0 vs threaded reference");
     expect_same_logits(p1.results[q].logits, ref.logits, "party1 vs threaded reference");
@@ -163,47 +160,48 @@ void expect_remote_matches_reference(const RemoteFixture& f, const ir::SecurePro
     // Lockstep reference agrees too (threaded == lockstep bit-identity is
     // re-pinned here on the same transcript).
     const ir::ExecResult lockstep =
-        reference_query(f, program, q, pc::ExecMode::lockstep, cfg, nullptr);
+        reference_query(f, program, q, pc::ExecMode::lockstep, nullptr);
     expect_same_logits(lockstep.logits, ref.logits, "lockstep vs threaded");
   }
 }
 
-net::RemoteSessionOptions fused_opts(proto::SecureConfig cfg) {
-  net::RemoteSessionOptions o;
-  o.cfg = cfg;
-  return o;
+net::RemoteSessionOptions fused_opts() {
+  return net::RemoteSessionOptions{};
 }
 
 }  // namespace
 
 TEST(RemoteInference, FusedTwoProcessLogitsBitIdenticalAndTrafficEqual) {
   RemoteFixture f;
-  const proto::SecureConfig cfg;
-  const auto outcome =
-      run_remote(f, f.snet->program(), [&](int) { return fused_opts(cfg); });
-  expect_remote_matches_reference(f, f.snet->program(), cfg, outcome);
+  const auto outcome = run_remote(f, f.snet->program(), [](int) { return fused_opts(); });
+  expect_remote_matches_reference(f, f.snet->program(), outcome);
 }
 
-TEST(RemoteInference, EagerScheduleMatchesToo) {
-  proto::SecureConfig cfg;
-  cfg.schedule = proto::RoundSchedule::eager;
-  RemoteFixture f(nn::OpKind::relu, nn::OpKind::maxpool, 1, cfg);
-  const auto outcome =
-      run_remote(f, f.snet->program(), [&](int) { return fused_opts(cfg); });
-  expect_remote_matches_reference(f, f.snet->program(), cfg, outcome);
+TEST(RemoteInference, PerOpProgramMatchesToo) {
+  // The per-op program (every stageable op in a round group of its own)
+  // over the two-endpoint pair, on the ResNet proxy, where it pays more
+  // rounds than the scheduled program: both endpoints reveal the
+  // in-process bits — the scheduled program's — and meter the in-process
+  // transcript.
+  RemoteFixture f(pasnet::testing::proxy_resnet(nn::ActKind::relu, nn::PoolKind::maxpool), 1);
+  const ir::SecureProgram per_op = pasnet::testing::one_group_per_op(f.snet->program());
+  const auto outcome = run_remote(f, per_op, [](int) { return fused_opts(); });
+  expect_remote_matches_reference(f, per_op, outcome);
+  pc::TrafficStats scheduled_stats;
+  const ir::ExecResult scheduled =
+      reference_query(f, f.snet->program(), 0, pc::ExecMode::lockstep, &scheduled_stats);
+  expect_same_logits(outcome.first.results[0].logits, scheduled.logits, "per-op vs scheduled");
+  EXPECT_GT(outcome.first.stats[0].rounds, scheduled_stats.rounds);
 }
 
 TEST(RemoteInference, PolynomialModelMatches) {
   RemoteFixture f(nn::OpKind::x2act, nn::OpKind::avgpool, 1);
-  const proto::SecureConfig cfg;
-  const auto outcome =
-      run_remote(f, f.snet->program(), [&](int) { return fused_opts(cfg); });
-  expect_remote_matches_reference(f, f.snet->program(), cfg, outcome);
+  const auto outcome = run_remote(f, f.snet->program(), [](int) { return fused_opts(); });
+  expect_remote_matches_reference(f, f.snet->program(), outcome);
 }
 
 TEST(RemoteInference, StoreServedTwoProcessMatches) {
   RemoteFixture f;
-  const proto::SecureConfig cfg;
   // Each party process loads its own copy of the same store file — here,
   // via serialize + reload, exactly what the binaries do with --store.
   std::stringstream file(std::ios::in | std::ios::out | std::ios::binary);
@@ -216,12 +214,11 @@ TEST(RemoteInference, StoreServedTwoProcessMatches) {
   }
   const auto outcome = run_remote(f, f.snet->program(), [&](int party) {
     net::RemoteSessionOptions o;
-    o.cfg = cfg;
     o.source = net::TripleSourceKind::store;
     o.store = &copy[party];
     return o;
   });
-  expect_remote_matches_reference(f, f.snet->program(), cfg, outcome);
+  expect_remote_matches_reference(f, f.snet->program(), outcome);
 }
 
 TEST(RemoteInference, OtExtServedTwoProcessMatchesWithNoIdealOtHatch) {
@@ -233,13 +230,11 @@ TEST(RemoteInference, OtExtServedTwoProcessMatchesWithNoIdealOtHatch) {
   // within truncation tolerance of the reference, with the transcript
   // SHAPE (bytes/rounds/messages) still exactly equal and the online
   // meter untouched by the offline window.
-  const proto::SecureConfig cfg;
-  RemoteFixture f(nn::OpKind::relu, nn::OpKind::maxpool, 2, cfg);
+  RemoteFixture f(nn::OpKind::relu, nn::OpKind::maxpool, 2);
   const off::PreprocessingPlan plan = proto::Workload(*f.snet).plan();
   pc::TrafficStats offline_stats[2];
   const auto outcome = run_remote(f, f.snet->program(), [&](int party) {
     net::RemoteSessionOptions o;
-    o.cfg = cfg;
     o.source = net::TripleSourceKind::ot_ext;
     o.plan = &plan;
     o.offline_stats_out = &offline_stats[party];
@@ -249,7 +244,7 @@ TEST(RemoteInference, OtExtServedTwoProcessMatchesWithNoIdealOtHatch) {
   for (std::size_t q = 0; q < f.queries.size(); ++q) {
     pc::TrafficStats ref_stats;
     const ir::ExecResult ref =
-        reference_query(f, f.snet->program(), q, pc::ExecMode::threaded, cfg, &ref_stats);
+        reference_query(f, f.snet->program(), q, pc::ExecMode::threaded, &ref_stats);
     // The joint opening reveals one value: both endpoints agree exactly.
     expect_same_logits(p0.results[q].logits, p1.results[q].logits, "party0 vs party1");
     EXPECT_EQ(p0.results[q].labels, p1.results[q].labels) << "query " << q;
@@ -283,11 +278,10 @@ TEST(RemoteInference, OtExtInProcessLockstepAndThreadedMatchDealerPath) {
   for (const bool poly : {false, true}) {
     RemoteFixture f(poly ? nn::OpKind::x2act : nn::OpKind::relu,
                     poly ? nn::OpKind::avgpool : nn::OpKind::maxpool, 2);
-    const proto::SecureConfig cfg;
     const off::PreprocessingPlan plan = proto::Workload(*f.snet).plan();
     for (std::size_t q = 0; q < f.queries.size(); ++q) {
       const ir::ExecResult ref =
-          reference_query(f, f.snet->program(), q, pc::ExecMode::lockstep, cfg, nullptr);
+          reference_query(f, f.snet->program(), q, pc::ExecMode::lockstep, nullptr);
       for (const pc::ExecMode mode : {pc::ExecMode::lockstep, pc::ExecMode::threaded}) {
         pc::TwoPartyContext qctx(pc::RingConfig{}, proto::SecureNetwork::query_context_seed(q),
                                  mode);
@@ -296,10 +290,8 @@ TEST(RemoteInference, OtExtInProcessLockstepAndThreadedMatchDealerPath) {
                                      &bundle);
         off::StoreTripleSource src(bundle);
         qctx.set_triple_source(&src);
-        ir::ExecOptions opts;
-        opts.cfg = cfg;
         const ir::ExecResult res =
-            ir::execute(f.snet->program(), f.snet->params(), qctx, f.queries[q], opts);
+            ir::execute(f.snet->program(), f.snet->params(), qctx, f.queries[q]);
         expect_same_logits(res.logits, ref.logits,
                            poly ? "ot-ext poly model" : "ot-ext relu model");
       }
@@ -309,7 +301,6 @@ TEST(RemoteInference, OtExtInProcessLockstepAndThreadedMatchDealerPath) {
 
 TEST(RemoteInference, DealerServedTwoProcessMatches) {
   RemoteFixture f;  // 2 queries, both pregenerated
-  const proto::SecureConfig cfg;
   net::DealerServer server(proto::Workload(*f.snet).preprocess(2));
   net::Listener dealer_listener(0);
   const std::uint16_t dealer_port = dealer_listener.port();
@@ -324,12 +315,11 @@ TEST(RemoteInference, DealerServedTwoProcessMatches) {
         net::DealerClient("127.0.0.1", dealer_port, 1, fp, test_opts())};
     const auto outcome = run_remote(f, f.snet->program(), [&](int party) {
       net::RemoteSessionOptions o;
-      o.cfg = cfg;
       o.source = net::TripleSourceKind::dealer;
       o.dealer = &clients[party];
       return o;
     });
-    expect_remote_matches_reference(f, f.snet->program(), cfg, outcome);
+    expect_remote_matches_reference(f, f.snet->program(), outcome);
   }
   dealer_thread.join();
   EXPECT_EQ(server.bundles_served(), 4u);  // 2 queries x both parties
@@ -337,10 +327,9 @@ TEST(RemoteInference, DealerServedTwoProcessMatches) {
 
 TEST(RemoteInference, LabelOnlyClassifyProgramMatches) {
   RemoteFixture f(nn::OpKind::relu, nn::OpKind::maxpool, 2);
-  const proto::SecureConfig cfg;
   const ir::SecureProgram& program = f.snet->classify_program();
-  const auto outcome = run_remote(f, program, [&](int) { return fused_opts(cfg); });
-  expect_remote_matches_reference(f, program, cfg, outcome);
+  const auto outcome = run_remote(f, program, [](int) { return fused_opts(); });
+  expect_remote_matches_reference(f, program, outcome);
   for (std::size_t q = 0; q < f.queries.size(); ++q) {
     ASSERT_EQ(outcome.first.results[q].labels.size(), 1u);
     EXPECT_EQ(outcome.first.results[q].labels, outcome.second.results[q].labels);
@@ -374,15 +363,13 @@ run_remote_batch(const RemoteFixture& f, const ir::SecureProgram& program,
 
 TEST(RemoteInference, BatchedRemoteChunkBitIdenticalToPerQueryRunsWithFewerRounds) {
   RemoteFixture f(nn::OpKind::relu, nn::OpKind::maxpool, /*num_queries=*/3);
-  const proto::SecureConfig cfg;
-  const auto [p0, p1] = run_remote_batch(f, f.snet->program(),
-                                         [&](int) { return fused_opts(cfg); });
+  const auto [p0, p1] = run_remote_batch(f, f.snet->program(), [](int) { return fused_opts(); });
   ASSERT_EQ(p0.first.logits.size(), f.queries.size());
   std::uint64_t per_query_rounds = 0;
   for (std::size_t q = 0; q < f.queries.size(); ++q) {
     pc::TrafficStats ref_stats;
     const ir::ExecResult ref =
-        reference_query(f, f.snet->program(), q, pc::ExecMode::lockstep, cfg, &ref_stats);
+        reference_query(f, f.snet->program(), q, pc::ExecMode::lockstep, &ref_stats);
     expect_same_logits(p0.first.logits[q], ref.logits, "party0 batched vs independent");
     expect_same_logits(p1.first.logits[q], ref.logits, "party1 batched vs independent");
     per_query_rounds += ref_stats.rounds;
@@ -395,7 +382,6 @@ TEST(RemoteInference, BatchedRemoteChunkBitIdenticalToPerQueryRunsWithFewerRound
 
 TEST(RemoteInference, BatchedRemoteStoreServedMatchesIndependentRuns) {
   RemoteFixture f(nn::OpKind::relu, nn::OpKind::maxpool, /*num_queries=*/2);
-  const proto::SecureConfig cfg;
   std::stringstream file(std::ios::in | std::ios::out | std::ios::binary);
   proto::Workload(*f.snet).preprocess(2).save(file);
   off::TripleStore copy[2];
@@ -406,14 +392,13 @@ TEST(RemoteInference, BatchedRemoteStoreServedMatchesIndependentRuns) {
   }
   const auto [p0, p1] = run_remote_batch(f, f.snet->program(), [&](int party) {
     net::RemoteSessionOptions o;
-    o.cfg = cfg;
     o.source = net::TripleSourceKind::store;
     o.store = &copy[party];
     return o;
   });
   for (std::size_t q = 0; q < f.queries.size(); ++q) {
     const ir::ExecResult ref =
-        reference_query(f, f.snet->program(), q, pc::ExecMode::lockstep, cfg, nullptr);
+        reference_query(f, f.snet->program(), q, pc::ExecMode::lockstep, nullptr);
     expect_same_logits(p0.first.logits[q], ref.logits, "party0 store batched");
     expect_same_logits(p1.first.logits[q], ref.logits, "party1 store batched");
   }
@@ -421,7 +406,6 @@ TEST(RemoteInference, BatchedRemoteStoreServedMatchesIndependentRuns) {
 
 TEST(RemoteInference, BatchedRemoteDealerServedMatchesIndependentRuns) {
   RemoteFixture f(nn::OpKind::relu, nn::OpKind::maxpool, /*num_queries=*/2);
-  const proto::SecureConfig cfg;
   net::DealerServer server(proto::Workload(*f.snet).preprocess(2));
   net::Listener dealer_listener(0);
   const std::uint16_t dealer_port = dealer_listener.port();
@@ -433,14 +417,13 @@ TEST(RemoteInference, BatchedRemoteDealerServedMatchesIndependentRuns) {
         net::DealerClient("127.0.0.1", dealer_port, 1, fp, test_opts())};
     const auto [p0, p1] = run_remote_batch(f, f.snet->program(), [&](int party) {
       net::RemoteSessionOptions o;
-      o.cfg = cfg;
       o.source = net::TripleSourceKind::dealer;
       o.dealer = &clients[party];
       return o;
     });
     for (std::size_t q = 0; q < f.queries.size(); ++q) {
       const ir::ExecResult ref =
-          reference_query(f, f.snet->program(), q, pc::ExecMode::lockstep, cfg, nullptr);
+          reference_query(f, f.snet->program(), q, pc::ExecMode::lockstep, nullptr);
       expect_same_logits(p0.first.logits[q], ref.logits, "party0 dealer batched");
       expect_same_logits(p1.first.logits[q], ref.logits, "party1 dealer batched");
     }
@@ -450,13 +433,11 @@ TEST(RemoteInference, BatchedRemoteDealerServedMatchesIndependentRuns) {
 }
 
 TEST(RemoteInference, BatchedRemoteOtExtServedMatchesIndependentRuns) {
-  const proto::SecureConfig cfg;
-  RemoteFixture f(nn::OpKind::relu, nn::OpKind::maxpool, /*num_queries=*/2, cfg);
+  RemoteFixture f(nn::OpKind::relu, nn::OpKind::maxpool, /*num_queries=*/2);
   const off::PreprocessingPlan plan = proto::Workload(*f.snet).plan();
   pc::TrafficStats offline_stats[2];
   const auto [p0, p1] = run_remote_batch(f, f.snet->program(), [&](int party) {
     net::RemoteSessionOptions o;
-    o.cfg = cfg;
     o.source = net::TripleSourceKind::ot_ext;
     o.plan = &plan;
     o.offline_stats_out = &offline_stats[party];
@@ -464,7 +445,7 @@ TEST(RemoteInference, BatchedRemoteOtExtServedMatchesIndependentRuns) {
   });
   for (std::size_t q = 0; q < f.queries.size(); ++q) {
     const ir::ExecResult ref =
-        reference_query(f, f.snet->program(), q, pc::ExecMode::lockstep, cfg, nullptr);
+        reference_query(f, f.snet->program(), q, pc::ExecMode::lockstep, nullptr);
     // Endpoints reveal identically; role-private triples keep the result
     // only truncation-close to the canonical independent runs.
     expect_same_logits(p0.first.logits[q], p1.first.logits[q],
@@ -507,7 +488,6 @@ TEST(RemoteInference, ChunkPositionMismatchIsRefusedOnBothSides) {
   // 2: party 1 refuses the chunk naming both sides' positions, party 0
   // fails with a typed net error, and neither side returns results.
   RemoteFixture f(nn::OpKind::relu, nn::OpKind::maxpool, 2);
-  const proto::SecureConfig cfg;
   struct Case {
     std::size_t q0, lanes0, q1, lanes1;
     const char* names;
@@ -520,14 +500,14 @@ TEST(RemoteInference, ChunkPositionMismatchIsRefusedOnBothSides) {
       auto chan = net::serve_party_channel(listener, 1, test_opts());
       net::PartySession session(1, *chan, pc::RingConfig{});
       return session.run_batch(f.snet->program(), f.snet->params(), c.q1, nullptr, c.lanes1,
-                               fused_opts(cfg));
+                               fused_opts());
     });
     auto chan = net::dial_party_channel("127.0.0.1", port, 0, test_opts());
     net::PartySession session(0, *chan, pc::RingConfig{});
     const std::vector<nn::Tensor> inputs(f.queries.begin(),
                                          f.queries.begin() + static_cast<long>(c.lanes0));
     EXPECT_THROW((void)session.run_batch(f.snet->program(), f.snet->params(), c.q0, &inputs,
-                                         c.lanes0, fused_opts(cfg)),
+                                         c.lanes0, fused_opts()),
                  net::NetError);
     try {
       (void)side1.get();

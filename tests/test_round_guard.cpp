@@ -2,14 +2,18 @@
 // executor and fails unless the measured round count EXACTLY equals the
 // analytic model's prediction (perf::profile_program).  The analytic
 // rounds encode the protocol stack's actual round structure — OT phases,
-// AND-tree depth, B2A + mux, coalesced E/F openings, the staged-comparison
+// AND-tree depth, B2A + mux, merged E/F openings, the staged-comparison
 // lockstep walk — so a mismatch in either direction means the executor
 // spends different exchanges than the model prices; both drifts should
-// fail loudly.
+// fail loudly.  The per-op program (testing::one_group_per_op) is priced
+// the same way, which pins what cross-op grouping buys; the benchmark's
+// three transcripts are pinned exactly.
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <memory>
+#include <string>
 
 #include "ir/passes.hpp"
 #include "ir/plan.hpp"
@@ -27,7 +31,10 @@ namespace perf = pasnet::perf;
 namespace proto = pasnet::proto;
 
 using pasnet::testing::measured_program_rounds;
+using pasnet::testing::measured_program_traffic;
+using pasnet::testing::one_group_per_op;
 using pasnet::testing::parallel_relu_program;
+using pasnet::testing::proxy_resnet;
 using pasnet::testing::tiny_cnn;
 using pasnet::testing::warm_up;
 
@@ -37,10 +44,10 @@ perf::LatencyModel model() {
   return perf::LatencyModel(perf::HardwareConfig::zcu104(), perf::NetworkConfig::lan_1gbps());
 }
 
-/// Measured vs analytic rounds for one trained model: exact equality under
-/// the coalesced (default) schedule, for a single query AND for a K-lane
-/// batched chunk (profile_program's `batch` parameter prices the chunk),
-/// of the logits or the argmax-terminated classify program.
+/// Measured vs analytic rounds for one trained model: exact equality for a
+/// single query AND for a K-lane batched chunk (profile_program's `batch`
+/// parameter prices the chunk), of the logits or the argmax-terminated
+/// classify program.
 void expect_measured_equals_analytic(nn::ModelDescriptor md, std::uint64_t seed, int batch = 1,
                                      proto::WorkloadKind kind = proto::WorkloadKind::logits) {
   pc::Prng wprng(seed);
@@ -213,12 +220,14 @@ TEST(RoundGuard, BatchedResNetProxyMeetsRoundReductionTarget) {
 }
 
 TEST(RoundGuard, ParallelReluRoundsIndependentOfInstanceCount) {
-  // The cross-instance coalescing acceptance bar: K independent ReLUs in
-  // one round group cost the rounds of ONE comparison stack (shared OT
-  // digits + shared AND levels + shared B2A/mux openings), exactly as the
-  // analytic walk predicts — while the eager schedule pays per instance.
+  // The cross-instance grouping acceptance bar: K independent ReLUs in one
+  // round group cost the rounds of ONE comparison stack (shared OT digits
+  // + shared AND levels + shared B2A/mux openings) plus the reveal — 9 —
+  // exactly as the analytic walk predicts, while the per-op program pays
+  // the 8-round stack per instance: 8K + 1.
   const auto m = model();
-  std::uint64_t shared_rounds = 0;
+  const int bits = pc::RingConfig{}.bits;
+  const int wire_bits = pc::RingConfig{}.wire_bits;
   for (const int k : {1, 2, 4, 16}) {
     const ir::SecureProgram p = parallel_relu_program(k);
     for (const auto& op : p.ops) {
@@ -226,26 +235,21 @@ TEST(RoundGuard, ParallelReluRoundsIndependentOfInstanceCount) {
         EXPECT_EQ(op.round_group, 0) << p.name;
       }
     }
-    const pc::TrafficStats coalesced_traffic =
-        pasnet::testing::measured_program_traffic(p, proto::RoundSchedule::coalesced);
-    const std::uint64_t coalesced = coalesced_traffic.rounds;
-    const perf::ProgramCost cost =
-        perf::profile_program(m, p, pc::RingConfig{}.bits, pc::RingConfig{}.wire_bits);
-    EXPECT_EQ(coalesced, static_cast<std::uint64_t>(cost.total.rounds)) << p.name;
+    const ir::SecureProgram per_op = one_group_per_op(p);
+    const pc::TrafficStats scheduled = measured_program_traffic(p);
+    const pc::TrafficStats separate = measured_program_traffic(per_op);
+    const perf::ProgramCost cost = perf::profile_program(m, p, bits, wire_bits);
+    const perf::ProgramCost per_op_cost = perf::profile_program(m, per_op, bits, wire_bits);
+    EXPECT_EQ(scheduled.rounds, 9u) << p.name;
+    EXPECT_EQ(separate.rounds, 8u * static_cast<std::uint64_t>(k) + 1) << p.name;
+    EXPECT_EQ(scheduled.rounds, static_cast<std::uint64_t>(cost.total.rounds)) << p.name;
+    EXPECT_EQ(separate.rounds, static_cast<std::uint64_t>(per_op_cost.total.rounds)) << p.name;
     // Merging the K ReLUs' OT batches saves messages, not bytes: each
-    // batch packs its own shifts, so both schedules move exactly the
+    // batch packs its own shifts, so both programs move exactly the
     // analytic figure.
-    const pc::TrafficStats eager_traffic =
-        pasnet::testing::measured_program_traffic(p, proto::RoundSchedule::eager);
-    EXPECT_EQ(coalesced_traffic.total_bytes(), cost.wire_bytes) << p.name;
-    EXPECT_EQ(eager_traffic.total_bytes(), cost.wire_bytes) << p.name;
-    if (k == 1) {
-      shared_rounds = coalesced;
-    } else {
-      EXPECT_EQ(coalesced, shared_rounds)
-          << p.name << ": grouped comparison rounds must not depend on K";
-      EXPECT_GT(eager_traffic.rounds, coalesced) << p.name;
-    }
+    EXPECT_EQ(scheduled.total_bytes(), cost.wire_bytes) << p.name;
+    EXPECT_EQ(separate.total_bytes(), cost.wire_bytes) << p.name;
+    EXPECT_EQ(per_op_cost.wire_bytes, cost.wire_bytes) << p.name;
   }
 }
 
@@ -272,17 +276,119 @@ TEST(RoundGuard, MixedCompareGroupSharesHeterogeneousPhases) {
     }
   }
   const auto m = model();
-  const std::uint64_t coalesced = measured_program_rounds(p, proto::RoundSchedule::coalesced);
+  const std::uint64_t grouped = measured_program_rounds(p);
   const perf::ProgramCost cost = perf::profile_program(m, p, pc::RingConfig{}.bits);
-  EXPECT_EQ(coalesced, static_cast<std::uint64_t>(cost.total.rounds));
+  EXPECT_EQ(grouped, static_cast<std::uint64_t>(cost.total.rounds));
 
   ir::SecureProgram pool_only = p;
   pool_only.ops.erase(pool_only.ops.begin() + 1, pool_only.ops.begin() + 3);
   pool_only.ops[1].in0 = 0;
   pool_only.output = 1;
   ir::schedule_rounds(pool_only);
-  EXPECT_EQ(coalesced, measured_program_rounds(pool_only, proto::RoundSchedule::coalesced))
+  EXPECT_EQ(grouped, measured_program_rounds(pool_only))
       << "relus must ride the pool's first-level phases for free";
+}
+
+namespace {
+
+/// Measured traffic of one batch of `lanes` zero inputs through `p`, on a
+/// fresh context; inputs do not move a transcript.
+pc::TrafficStats batch_traffic(const ir::SecureProgram& p, const ir::CompiledParams& params,
+                               int lanes) {
+  pc::TwoPartyContext ctx;
+  const nn::Tensor zero({1, p.input_ch, p.input_h, p.input_w});
+  (void)ir::execute_batch(p, params, ctx,
+                          std::vector<nn::Tensor>(static_cast<std::size_t>(lanes), zero));
+  return ctx.stats();
+}
+
+}  // namespace
+
+TEST(RoundGuard, PerOpProgramIsPricedExactlyOnEveryModel) {
+  // The per-op program — every stageable op in a round group of its own —
+  // pays exactly the rounds and bytes profile_program prices.  A
+  // multiply's E and F openings share one exchange in both programs, so
+  // cross-op grouping buys 3 rounds on each ResNet proxy (its parallel
+  // downsample branches) and none on the chains, for the same bytes.
+  // Pinned as {per-op, scheduled} rounds per all_test_models() entry,
+  // logits then classify; neither depends on the lane count K.  (That the
+  // two reveal the same bits is CompareStaged's per-op shares test.)
+  struct Pin {
+    std::uint64_t per_op, scheduled;
+  };
+  const Pin pins[][2] = {
+      {{27, 27}, {43, 43}},      // TinyCNN ReLU + maxpool
+      {{4, 4}, {20, 20}},        // TinyCNN x2act + avgpool
+      {{11, 11}, {27, 27}},      // TinyCNN ReLU + avgpool
+      {{20, 20}, {36, 36}},      // TinyCNN x2act + maxpool
+      {{158, 155}, {190, 187}},  // ResNet-18 proxy, ReLU + maxpool
+      {{39, 36}, {71, 68}},      // ResNet-18 proxy, x2act + avgpool
+      {{89, 89}, {121, 121}},    // MobileNetV2 proxy
+  };
+  const auto models = pasnet::testing::all_test_models();
+  ASSERT_EQ(models.size(), std::size(pins));
+  const char* const kinds[] = {" logits K=", " classify K="};
+  const auto m = model();
+  const pc::RingConfig rc{};
+  for (std::size_t i = 0; i < models.size(); ++i) {
+    const nn::ModelDescriptor& md = models[i];
+    pc::Prng wprng(800 + i);
+    std::vector<int> node_of_layer;
+    auto g = nn::build_graph(md, wprng, &node_of_layer);
+    pc::TwoPartyContext ctx;
+    proto::SecureNetwork snet(md, *g, node_of_layer, ctx);
+    for (const int kind : {0, 1}) {
+      const ir::SecureProgram& p = kind == 0 ? snet.program() : snet.classify_program();
+      const ir::SecureProgram per_op = one_group_per_op(p);
+      for (const int lanes : {1, 4}) {
+        const std::string at = "model " + std::to_string(i) + kinds[kind] + std::to_string(lanes);
+        const pc::TrafficStats grouped = batch_traffic(p, snet.params(), lanes);
+        const pc::TrafficStats separate = batch_traffic(per_op, snet.params(), lanes);
+        const perf::ProgramCost cost =
+            perf::profile_program(m, per_op, rc.bits, rc.wire_bits, lanes);
+        EXPECT_EQ(separate.rounds, static_cast<std::uint64_t>(cost.total.rounds)) << at;
+        EXPECT_EQ(separate.total_bytes(), cost.wire_bytes) << at;
+        EXPECT_EQ(separate.rounds, pins[i][kind].per_op) << at;
+        EXPECT_EQ(grouped.rounds, pins[i][kind].scheduled) << at;
+        EXPECT_EQ(separate.total_bytes(), grouped.total_bytes()) << at;
+        EXPECT_LE(grouped.messages, separate.messages) << at;
+      }
+    }
+  }
+}
+
+TEST(RoundGuard, BenchmarkTranscriptsArePinned) {
+  // The chunk transcripts of the end-to-end benchmark's three programs,
+  // exact: the benchmark bounds their rounds and wire bytes per query at
+  // zero, so a drift fails here first.  Weights and inputs do not move a
+  // transcript.  A change that moves one on purpose updates its pin and
+  // says why.
+  struct Pin {
+    const char* name;
+    nn::ModelDescriptor md;
+    int lanes;
+    std::uint64_t rounds, bytes, messages;
+  };
+  const Pin pins[] = {
+      {"relu-k1", proxy_resnet(nn::ActKind::relu, nn::PoolKind::maxpool), 1, 155, 624944, 276},
+      {"poly-k16", proxy_resnet(nn::ActKind::x2act, nn::PoolKind::avgpool), 16, 36, 6273792, 72},
+      {"mobilenet-k1", pasnet::testing::proxy_mobilenet(), 1, 89, 541472, 178},
+  };
+  for (const Pin& pin : pins) {
+    pc::Prng wprng(1);
+    std::vector<int> node_of_layer;
+    auto g = nn::build_graph(pin.md, wprng, &node_of_layer);
+    pc::TwoPartyContext ctx;
+    proto::SecureNetwork snet(pin.md, *g, node_of_layer, ctx);
+    proto::Workload wl(snet, {proto::WorkloadKind::logits, pin.lanes, /*worker_pairs=*/1});
+    const nn::Tensor zero({1, pin.md.input_ch, pin.md.input_h, pin.md.input_w});
+    (void)wl.run(std::vector<nn::Tensor>(static_cast<std::size_t>(pin.lanes), zero));
+    ASSERT_EQ(wl.chunk_stats().size(), 1u) << pin.name;
+    const obs::CounterSnapshot& c = wl.chunk_stats()[0].counters;
+    EXPECT_EQ(c[obs::Counter::rounds], pin.rounds) << pin.name;
+    EXPECT_EQ(c.total_bytes(), pin.bytes) << pin.name;
+    EXPECT_EQ(c[obs::Counter::messages], pin.messages) << pin.name;
+  }
 }
 
 TEST(RoundGuard, AnalyticPerOpRoundsMatchProtocolStructure) {

@@ -158,8 +158,8 @@ TEST(ThreadedChannel, RoundDelayDelaysDelivery) {
 
 TEST(ThreadedChannel, RemoteEndpointsMeterEachOpenOnce) {
   // Two remote contexts on their own threads, each metering its own
-  // endpoint: 100 staged opens read 100 rounds and 100 openings on BOTH
-  // endpoints, as each endpoint of a TCP pair does.
+  // endpoint: 100 opens, each staged and flushed, read 100 rounds and 100
+  // openings on BOTH endpoints, as each endpoint of a TCP pair does.
   constexpr int kOpens = 100;
   auto [c0, c1] = pc::Channel::make_pair(pc::ChannelMode::threaded);
   pc::TwoPartyContext party0(pc::RingConfig{}, 42, 0, *c0);
@@ -168,7 +168,10 @@ TEST(ThreadedChannel, RemoteEndpointsMeterEachOpenOnce) {
   const pc::Shared sh = pc::share(pc::RingVec{1, 2, 3}, prng, party0.ring());
   const auto opens = [&sh](pc::TwoPartyContext& ctx) {
     pc::RingVec out;
-    for (int i = 0; i < kOpens; ++i) ctx.opens().stage(sh, &out);
+    for (int i = 0; i < kOpens; ++i) {
+      ctx.opens().stage(sh, &out);
+      ctx.opens().flush();
+    }
   };
   run_parties([&] { opens(party0); }, [&] { opens(party1); });
   for (const pc::TwoPartyContext* ctx : {&party0, &party1}) {
@@ -204,7 +207,7 @@ TEST(ThreadedChannel, SymmetricExchangeCostsOneDelayInThreadedMode) {
 }
 
 // ---------------------------------------------------------------------------
-// Round accounting (one coalesced multi-open exchange == one round)
+// Round accounting (one merged multi-open exchange == one round)
 // ---------------------------------------------------------------------------
 
 TEST(RoundAccounting, OneOpenIsOneRoundInBothModes) {
@@ -225,7 +228,6 @@ TEST(RoundAccounting, CoalescedMultiOpenFlushIsOneRound) {
   const auto a = pc::share(pc::RingVec{1, 2}, prng, ctx.ring());
   const auto b = pc::share(pc::RingVec{3, 4, 5}, prng, ctx.ring());
   const auto c = pc::share(pc::RingVec{6}, prng, ctx.ring());
-  ctx.opens().set_coalescing(true);
   ctx.reset_stats();
   pc::RingVec ra, rb, rc_;
   ctx.opens().stage(a, &ra);
@@ -238,10 +240,11 @@ TEST(RoundAccounting, CoalescedMultiOpenFlushIsOneRound) {
   EXPECT_EQ(ra, pc::reconstruct(a, ctx.ring()));
   EXPECT_EQ(rb, pc::reconstruct(b, ctx.ring()));
   EXPECT_EQ(rc_, pc::reconstruct(c, ctx.ring()));
-  ctx.opens().set_coalescing(false);
 }
 
-TEST(RoundAccounting, ImmediateModeOpensPerStage) {
+TEST(RoundAccounting, FlushPerStageOpensPerStage) {
+  // A flush after every stage opens each stage in its own exchange: one
+  // round and one message per direction each, with the right values.
   pc::TwoPartyContext ctx;
   pc::Prng prng(13);
   const auto a = pc::share(pc::RingVec{1, 2}, prng, ctx.ring());
@@ -249,9 +252,11 @@ TEST(RoundAccounting, ImmediateModeOpensPerStage) {
   ctx.reset_stats();
   pc::RingVec ra, rb;
   ctx.opens().stage(a, &ra);
+  ctx.opens().flush();
   ctx.opens().stage(b, &rb);
-  ctx.opens().flush();  // no-op: everything already opened
+  ctx.opens().flush();
   EXPECT_EQ(ctx.stats().rounds, 2u);
+  EXPECT_EQ(ctx.stats().messages, 4u);
   EXPECT_EQ(ra, pc::reconstruct(a, ctx.ring()));
   EXPECT_EQ(rb, pc::reconstruct(b, ctx.ring()));
 }
@@ -259,43 +264,37 @@ TEST(RoundAccounting, ImmediateModeOpensPerStage) {
 TEST(RoundAccounting, DiscardDropsPendingStagesAndKeepsBufferUsable) {
   // Error-path contract: an unwound protocol step discards its pending
   // stages (no dangling output pointers), after which the buffer accepts
-  // mode switches and fresh work.
+  // fresh work.
   pc::TwoPartyContext ctx;
   pc::Prng prng(16);
   const auto a = pc::share(pc::RingVec{7, 8}, prng, ctx.ring());
-  ctx.opens().set_coalescing(true);
   pc::RingVec ra;
   ctx.opens().stage(a, &ra);
   EXPECT_TRUE(ctx.opens().has_pending());
-  EXPECT_THROW(ctx.opens().set_coalescing(false), std::logic_error);
   ctx.opens().discard();
   EXPECT_FALSE(ctx.opens().has_pending());
-  ctx.opens().set_coalescing(false);  // no throw once drained
   ctx.reset_stats();
   ctx.opens().flush();  // nothing pending: no traffic
   EXPECT_EQ(ctx.stats().messages, 0u);
+  EXPECT_TRUE(ra.empty());  // the discarded stage was never written
   pc::RingVec rb;
-  ctx.opens().stage(a, &rb);  // immediate mode still works
+  ctx.opens().stage(a, &rb);
+  ctx.opens().flush();
   EXPECT_EQ(rb, pc::reconstruct(a, ctx.ring()));
 }
 
 TEST(RoundAccounting, MeasuredConvRoundsMatchAnalyticUnderCoalescing) {
-  // The analytic model prices a conv at ONE round (E and F in the same
-  // exchange); the coalesced executor must measure exactly that.
+  // The analytic model prices a conv at ONE round: its E and F openings
+  // share one exchange, which the one-shot conv measures exactly.
   pc::TwoPartyContext ctx;
   pc::Prng prng(14), wprng(15);
   nn::Conv2d conv(2, 4, 3, 1, 1, wprng);
   const auto x = nn::Tensor::randn({1, 2, 6, 6}, prng, 0.5f);
   const auto sx = proto::share_tensor(x, prng, ctx.ring());
   const auto sw = pc::share_reals(conv.weight().to_doubles(), prng, ctx.ring());
-  ctx.opens().set_coalescing(true);
   ctx.reset_stats();
   (void)proto::secure_conv2d(ctx, sx, sw, nullptr, 4, 3, 1, 1);
   EXPECT_EQ(ctx.stats().rounds, 1u);
-  ctx.opens().set_coalescing(false);
-  ctx.reset_stats();
-  (void)proto::secure_conv2d(ctx, sx, sw, nullptr, 4, 3, 1, 1);
-  EXPECT_EQ(ctx.stats().rounds, 2u);  // eager: E then F
 }
 
 // ---------------------------------------------------------------------------
