@@ -1,7 +1,7 @@
 #pragma once
 // Shared helpers for the figure-regeneration benches: the scaled-proxy
-// search + finetune pipeline (DESIGN.md substitution 2 — accuracy comes
-// from width/input-scaled backbones trained on synthetic data, while
+// search + finetune pipeline (a substitution: accuracy comes from
+// width/input-scaled backbones trained on synthetic data, while
 // latency is always computed on the full-size CIFAR/ImageNet descriptors),
 // plus the `--json=PATH` machine-readable output mode every bench shares
 // (take_json_flag / run_benchmarks_with_json_flag / JsonReport) so the

@@ -4,7 +4,7 @@
 // Paper shape to reproduce: accuracy decreases as λ grows (more polynomial
 // operators); ResNets lose the least from full polynomial replacement
 // (paper: 0.26-0.34%), VGG-16 the most (3.2%), MobileNetV2 in between.
-// Absolute numbers here are synthetic-data proxies (see EXPERIMENTS.md).
+// Absolute numbers here are synthetic-data proxies (see src/data/synthetic.hpp).
 
 #include <benchmark/benchmark.h>
 

@@ -55,7 +55,7 @@ void print_table() {
   }
   std::printf("\nShape checks: all-poly is the fastest column; larger lambda gives\n"
               "lower latency; speedups land in the paper's 15-26x band (see\n"
-              "EXPERIMENTS.md for calibration notes).\n\n");
+              "src/perf/hardware.hpp for calibration notes).\n\n");
 }
 
 void bm_profile_cifar_backbones(benchmark::State& state) {

@@ -24,7 +24,7 @@ namespace proto = pasnet::proto;
 int main() {
   std::printf("== PASNet quickstart ==\n\n");
 
-  // 1. Synthetic dataset (stands in for CIFAR-10; see DESIGN.md).
+  // 1. Synthetic dataset (stands in for CIFAR-10, which this repo does not ship).
   data::SyntheticSpec spec;
   spec.num_classes = 4;
   spec.size = 8;

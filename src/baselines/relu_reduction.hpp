@@ -1,7 +1,8 @@
 #pragma once
 // ReLU-reduction baselines for the Fig. 7 comparison.  Each reimplements
 // the *placement rule* of the corresponding paper at activation-site
-// granularity (hence the "-like" suffix; DESIGN.md substitution 6):
+// granularity (hence the "-like" suffix: only the placement rule is
+// reproduced, not the rest of each method):
 //
 //  * DeepReDuce-like — stage-level ReLU dropping: whole stages keep or
 //    lose their ReLUs, most-critical stages retained first.

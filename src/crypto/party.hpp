@@ -1,12 +1,12 @@
 #pragma once
 // Two-party execution context and the online multiplicative protocols.
 //
-// The simulation runs both semi-honest servers inside one process
-// (DESIGN.md §5).  A TwoPartyContext bundles the ring, the duplex channel
-// pair, per-party local randomness, and the trusted dealer.  The protocol
-// functions below implement the paper's §II-B equations verbatim,
-// exchanging masked values over the channels so that traffic statistics
-// match a real deployment message-for-message.
+// The simulation runs both semi-honest servers inside one process (README.md,
+// "Runtime model: one in-process schedule").  A TwoPartyContext bundles the
+// ring, the duplex channel pair, per-party local randomness, and the trusted
+// dealer.  The protocol functions below implement the paper's §II-B
+// equations verbatim, exchanging masked values over the channels so that
+// traffic statistics match a real deployment message-for-message.
 //
 // One in-process schedule: both parties run on the caller's thread in
 // protocol order over the lockstep channel pair (throw-on-empty), so an

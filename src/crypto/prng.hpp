@@ -7,8 +7,8 @@
 // which is how the trusted dealer and share-generation helpers derive
 // common masks without communication.
 //
-// This is a reproducibility-grade generator, not a CSPRNG; see DESIGN.md §3
-// for the security caveats of the whole simulation.
+// This is a reproducibility-grade generator, not a CSPRNG; see README.md,
+// "Honest scope", for the security caveats of the whole simulation.
 
 #include <array>
 #include <cstdint>

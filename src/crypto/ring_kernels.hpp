@@ -1,29 +1,11 @@
 #pragma once
-// Vectorized ring-kernel layer: the local share-arithmetic hot path.
+// Ring-kernel layer: the local share-arithmetic hot path.
 //
 // Every multiplicative 2PC operator ends in *local* uint64 ring arithmetic —
 // Beaver recombination, share truncation, im2col + matrix products for the
-// convolution-shaped correlations.  Those inner loops dominate online
-// latency once rounds and bytes are already optimal (the protocol layer
-// coalesces them), so they live here as flat-span kernels with
-// runtime-dispatched SIMD backends:
-//
-//  - scalar: portable C++ loops, always compiled, the reference semantics.
-//  - avx2:   x86-64 intrinsics compiled via the GCC/Clang `target("avx2")`
-//            function attribute and selected at runtime with
-//            __builtin_cpu_supports, so no global -march flag is needed.
-//            64-bit lane products are synthesized from 32x32 multiplies.
-//  - avx512: 8-lane kernels using the native 64-bit multiply (vpmullq,
-//            AVX-512DQ) and masked tails; preferred over avx2 when the CPU
-//            has it.
-//  - neon:   aarch64 intrinsics for the additive kernels (64x64 multiplies
-//            stay scalar on NEON — there is no 64-bit lane multiply).
-//
-// Build-time gate: configuring with -DPASNET_NATIVE=OFF defines
-// PASNET_FORCE_SCALAR and compiles the portable path only.  Runtime gate:
-// the PASNET_KERNEL environment variable (scalar|avx2|avx512|neon|auto) or
-// set_backend() forces a backend, which is how CI proves the vectorized
-// and scalar builds produce bit-identical logits.
+// convolution-shaped correlations.  Those loops live here as flat-span
+// kernels with one portable implementation each (see README "Performance:
+// the ring-kernel layer" for why there is no hand-written SIMD path).
 //
 // Bit-identity contract: Z_{2^k} arithmetic is the image of native uint64
 // (mod 2^64) arithmetic under masking, and wrapping addition is associative
@@ -39,20 +21,6 @@
 #include <cstdint>
 
 namespace pasnet::crypto::kern {
-
-enum class Backend : std::uint8_t { scalar = 0, avx2 = 1, neon = 2, avx512 = 3 };
-
-/// The backend the dispatcher currently resolves to.  First use reads the
-/// PASNET_KERNEL environment variable (scalar|avx2|avx512|neon|auto; auto
-/// picks the best ISA the CPU supports).
-[[nodiscard]] Backend active_backend() noexcept;
-[[nodiscard]] const char* backend_name(Backend b) noexcept;
-
-/// Forces a backend (tests/benches compare paths head-to-head).  Returns
-/// false — leaving the selection unchanged — when this build or CPU cannot
-/// run `b`.  Not thread-safe against concurrently running kernels; flip it
-/// only between protocol runs.
-bool set_backend(Backend b) noexcept;
 
 // --- element-wise kernels ---------------------------------------------------
 // `mask` is RingConfig::mask(): kernels reduce once per element on the way

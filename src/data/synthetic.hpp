@@ -1,5 +1,6 @@
 #pragma once
-// Synthetic class-conditional image datasets (DESIGN.md substitution 1).
+// Synthetic class-conditional image datasets, standing in for CIFAR-10 and
+// ImageNet.
 //
 // CIFAR-10/ImageNet are unavailable offline, so experiments train on
 // generated images: each class k owns a spatial-frequency/orientation
@@ -9,7 +10,7 @@
 // The property the PASNet experiments rely on — accuracy degrades smoothly
 // as network capacity/non-linearity is removed — is preserved; absolute
 // accuracies are not comparable to the paper's CIFAR numbers and are
-// labelled "synthetic" in EXPERIMENTS.md.
+// labelled "synthetic" wherever they are reported.
 
 #include <vector>
 

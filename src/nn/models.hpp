@@ -78,7 +78,9 @@ enum class Backbone { vgg16, resnet18, resnet34, resnet50, mobilenet_v2 };
 [[nodiscard]] const char* backbone_name(Backbone b) noexcept;
 
 /// Construction options: geometry, classes, and a width multiplier used to
-/// build CPU-trainable scaled variants (DESIGN.md substitution 2).
+/// build CPU-trainable scaled variants: accuracy experiments train them on
+/// synthetic data in place of the full-size backbones, whose descriptors
+/// still give every latency.
 struct BackboneOptions {
   int input_size = 32;
   int input_ch = 3;

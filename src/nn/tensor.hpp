@@ -4,7 +4,7 @@
 // The NAS training loop (src/core) and the secure executor's reference path
 // (src/proto) both run on this tensor.  Layout is row-major; 4-D tensors
 // use NCHW.  It deliberately has no autograd — layers implement explicit
-// forward/backward (DESIGN.md §5).
+// forward/backward.
 
 #include <cstddef>
 #include <vector>

@@ -3,11 +3,12 @@
 // model (paper §IV "Hardware setup": two ZCU104 MPSoCs over a 1 GB/s LAN,
 // 200 MHz, 128-bit bus processing four 32-bit words per cycle).
 //
-// Calibration note (DESIGN.md substitution 3): the paper's Eq. 5-16 use a
-// single computational-parallelism term PP.  A ZCU104 accelerator has
-// distinct datapaths, so this model exposes three parallelism knobs
-// (comparison/OT, convolution MAC array, elementwise), calibrated so the
-// published Fig. 1 per-operator numbers are reproduced within ~10-20%.
+// Calibration note (this substitutes three knobs for the paper's one): the
+// paper's Eq. 5-16 use a single computational-parallelism term PP.  A
+// ZCU104 accelerator has distinct datapaths, so this model exposes three
+// parallelism knobs (comparison/OT, convolution MAC array, elementwise),
+// calibrated so the published Fig. 1 per-operator numbers are reproduced
+// within ~10-20%.
 // Communication numerators in the paper's equations are interpreted as
 // bits over an 8 Gbit/s link, which reproduces Table I's communication
 // volumes (e.g. ResNet-18 all-poly ~= 0.035 GB on ImageNet).

@@ -76,8 +76,8 @@ TEST(Synthetic, SliceRangeChecks) {
 }
 
 TEST(Synthetic, ClassesAreLearnableBySmallCnn) {
-  // The substitution requirement (DESIGN.md §3.1): a modest conv net must
-  // beat chance clearly, i.e. the generated classes carry real signal.
+  // The synthetic data may stand in for CIFAR-10 only if a modest conv net
+  // beats chance clearly, i.e. the generated classes carry real signal.
   data::SyntheticSpec spec;
   spec.num_classes = 4;
   spec.size = 8;

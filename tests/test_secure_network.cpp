@@ -156,7 +156,7 @@ TEST(SecureNetwork, ResidualNetworkEndToEnd) {
 }
 
 TEST(SecureNetwork, MeasuredBytesTrackAnalyticModelForPolyNet) {
-  // Cross-check (DESIGN.md): measured X2act bytes = 2 openings x 4 bytes
+  // Cross-check with the analytic model: measured X2act bytes = 2 openings x 4 bytes
   // per element (square protocol E openings both directions).
   pc::TwoPartyContext ctx;
   pc::Prng prng(20);
