@@ -209,7 +209,7 @@ void print_staged_comparison_table(pasnet::benchutil::JsonReport* json) {
   }
   if (json != nullptr) json->end_section();
   std::printf("\n(scheduled rounds are independent of K: all instances share the per-digit\n"
-              " OT round, each AND-tree level and the B2A/mux openings; the per-op program\n"
+              " OT round, each AND-tree level and the mux tail's opening; the per-op program\n"
               " pays the full millionaire + AND-tree stack per instance)\n\n");
 }
 

@@ -16,6 +16,23 @@ RingVec random_ring_vec(Prng& prng, std::size_t n, const RingConfig& rc) {
 
 }  // namespace
 
+std::vector<std::uint8_t> random_bits(Prng& prng, std::size_t n, int width) {
+  if (width != 1 && width != 2 && width != 8) {
+    throw std::invalid_argument("random_bits: width must be 1, 2 or 8");
+  }
+  const std::size_t per_word = 64 / static_cast<std::size_t>(width);
+  const std::uint64_t field = (1ULL << width) - 1;
+  std::vector<std::uint8_t> v(n);
+  for (std::size_t i = 0; i < n; i += per_word) {
+    std::uint64_t w = prng.next_u64();
+    const std::size_t end = n - i < per_word ? n : i + per_word;
+    for (std::size_t k = i; k < end; ++k, w >>= width) {
+      v[k] = static_cast<std::uint8_t>(w & field);
+    }
+  }
+  return v;
+}
+
 SquareHalf draw_square_half(Prng& prng, int party, std::size_t n, const RingConfig& rc) {
   SquareHalf h;
   h.a = random_ring_vec(prng, n, rc);
@@ -23,8 +40,17 @@ SquareHalf draw_square_half(Prng& prng, int party, std::size_t n, const RingConf
   return h;
 }
 
-BilinearHalf draw_bilinear_half(Prng& prng, const BilinearSpec& spec, const RingConfig& rc) {
+BilinearHalf draw_bilinear_half(Prng& prng, int party, const BilinearSpec& spec,
+                                const RingConfig& rc) {
   BilinearHalf h;
+  if (spec.bit_b) {
+    const std::vector<std::uint8_t> bits = random_bits(prng, spec.nb());
+    h.b.assign(bits.begin(), bits.end());
+    h.a = random_ring_vec(prng, spec.na(), rc);
+    h.x = random_ring_vec(prng, spec.nz(), rc);
+    if (party == 0) h.xr = random_ring_vec(prng, spec.nb(), rc);
+    return h;
+  }
   h.a = random_ring_vec(prng, spec.na(), rc);
   h.b = random_ring_vec(prng, spec.nb(), rc);
   h.x = random_ring_vec(prng, spec.nz(), rc);
@@ -33,39 +59,26 @@ BilinearHalf draw_bilinear_half(Prng& prng, const BilinearSpec& spec, const Ring
 
 BitHalf draw_bit_half(Prng& prng, std::size_t n) {
   BitHalf h;
-  h.a.resize(n);
-  h.b.resize(n);
-  h.x.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t r = prng.next_u64();
-    h.a[i] = r & 1;
-    h.b[i] = (r >> 1) & 1;
-    h.x[i] = (r >> 2) & 1;
-  }
+  h.a = random_bits(prng, n);
+  h.b = random_bits(prng, n);
+  h.x = random_bits(prng, n);
   return h;
 }
 
 RotHalf draw_rot_half(Prng& prng, bool sender, std::size_t n) {
   RotHalf h;
   if (sender) {
-    h.pads.resize(4 * n);
+    h.pads = random_bits(prng, 4 * n, 8);
   } else {
-    h.choice.resize(n);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t r = prng.next_u64();
-    if (sender) {
-      for (int j = 0; j < 4; ++j) h.pads[4 * i + j] = static_cast<std::uint8_t>(r >> (8 * j));
-    } else {
-      h.choice[i] = static_cast<std::uint8_t>(r & 3);
-    }
+    h.choice = random_bits(prng, n, 2);
   }
   return h;
 }
 
 BilinearTriple TripleDealer::bilinear_triple(const BilinearSpec& spec) {
-  BilinearHalf h[2] = {draw_bilinear_half(prng0_, spec, rc_),
-                       draw_bilinear_half(prng1_, spec, rc_)};
+  BilinearHalf h[2] = {draw_bilinear_half(prng0_, 0, spec, rc_),
+                       draw_bilinear_half(prng1_, 1, spec, rc_)};
+  if (spec.bit_b) return bit_injection(spec, h);
   const RingVec a = add_vec(h[0].a, h[1].a, rc_);
   const BilinearMap f = build_bilinear_map(spec, rc_);
   BilinearTriple t;
@@ -80,6 +93,42 @@ BilinearTriple TripleDealer::bilinear_triple(const BilinearSpec& spec) {
     t.z.share(p) = std::move(z);
     t.a.share(p) = std::move(h[p].a);
     t.b.share(p) = std::move(h[p].b);
+  }
+  return t;
+}
+
+BilinearTriple TripleDealer::bit_injection(const BilinearSpec& spec, BilinearHalf (&h)[2]) {
+  // B: r = r0 ⊕ r1 = r0 + r1 − 2·r0·r1, its one cross term split as
+  // (xr0, r0·r1 − xr0), so b_p = r_p − 2·(its part) keeps r_p as its low
+  // bit.  Z: r·a_q = r_q·a_q + r_peer·(1 − 2·r_q)·a_q, the second term
+  // party q's cross term, split as (x_q, · − x_q) — what the OT-extension
+  // generator's one-bit COTs deliver.
+  const std::uint64_t mask = rc_.mask();
+  const std::size_t n = spec.nb();
+  BilinearTriple t;
+  t.spec = spec;
+  for (int p = 0; p < 2; ++p) {
+    if (!serves(p)) continue;
+    const BilinearHalf& own = h[p];
+    const BilinearHalf& peer = h[1 - p];
+    RingVec z(spec.nz());
+    for (std::size_t off = 0; off < z.size(); off += n) {
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t k = off + i;
+        const std::uint64_t cross = own.b[i] * (1 - 2 * peer.b[i]) * peer.a[k];
+        z[k] = (own.a[k] * own.b[i] + own.x[k] + cross - peer.x[k]) & mask;
+      }
+    }
+    RingVec b(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t xr = p == 0 ? h[0].xr[i] : h[0].b[i] * h[1].b[i] - h[0].xr[i];
+      b[i] = (own.b[i] - 2 * xr) & mask;
+    }
+    t.z.share(p) = std::move(z);
+    t.b.share(p) = std::move(b);
+  }
+  for (int p = 0; p < 2; ++p) {
+    if (serves(p)) t.a.share(p) = std::move(h[p].a);
   }
   return t;
 }
@@ -151,7 +200,19 @@ RingVec ring_matmul(const RingVec& a, const RingVec& b, std::size_t m, std::size
 
 BilinearMap build_bilinear_map(const BilinearSpec& spec, const RingConfig& rc) {
   if (spec.kind == BilinearKind::hadamard) {
-    return [rc](const RingVec& a, const RingVec& b) { return mul_vec(a, b, rc); };
+    // Each of A's `batch` vectors times the one B, elementwise.
+    const auto n = static_cast<std::size_t>(spec.in_ch);
+    const auto batch = static_cast<std::size_t>(spec.batch);
+    return [=](const RingVec& a, const RingVec& b) {
+      if (a.size() != batch * n || b.size() != n) {
+        throw std::invalid_argument("hadamard: operand size mismatch");
+      }
+      RingVec out(batch * n);
+      for (std::size_t s = 0; s < batch; ++s) {
+        kern::mul(out.data() + s * n, a.data() + s * n, b.data(), n, rc.mask());
+      }
+      return out;
+    };
   }
   if (spec.kind == BilinearKind::matmul) {
     const auto m = static_cast<std::size_t>(spec.batch);

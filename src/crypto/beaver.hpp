@@ -7,7 +7,9 @@
 // convolutions behind COMM_conv are one correlation, told apart only by the
 // BilinearSpec that names f — square pairs Z = A ⊙ A, boolean AND triples
 // over Z2, and the random (1,4)-OTs the comparison leaves spend online
-// (crypto/ot.hpp).
+// (crypto/ot.hpp).  A product request may flag its B side as a random bit:
+// that is the bit-injection correlation the comparison tail consumes
+// (BilinearSpec::bit_injection).
 //
 // Canonical two-stream construction.  Every triple kind is assembled from
 // two *per-party half streams*: party p draws its own mask halves
@@ -80,7 +82,8 @@ enum class BilinearKind : std::uint8_t { conv2d, depthwise_conv2d, hadamard, mat
 ///  - conv2d / depthwise_conv2d: A is the [batch, in_ch, in_h, in_w]
 ///    input, B the [out_ch, in_ch·k²] weight ([in_ch, k²] depthwise).
 ///  - hadamard: A ⊙ B over in_ch elements, a depthwise 1×1 map over
-///    in_ch channels of one pixel each (hadamard(n)).
+///    in_ch channels of one pixel each (hadamard(n)); with batch > 1, A
+///    holds `batch` such vectors and each is multiplied by the one B.
 ///  - matmul: A·B with A m×k and B k×n, row-major: a 1×1 convolution of
 ///    batch = m samples from in_ch = k to out_ch = n channels up to B's
 ///    layout (matmul(m, k, n)).
@@ -90,12 +93,28 @@ struct BilinearSpec {
   int in_ch = 0, in_h = 0, in_w = 0;
   int out_ch = 0;  ///< == in_ch for depthwise and hadamard
   int kernel = 1, stride = 1, pad = 0;
+  /// B is a random bit r (hadamard only): the bit-injection flag.  Its
+  /// additive shares are r_p minus an even cross term, so the low bits of
+  /// b0 and b1 are r's XOR shares: r = (b0 & 1) ⊕ (b1 & 1).
+  bool bit_b = false;
 
   [[nodiscard]] static BilinearSpec hadamard(std::size_t n) noexcept {
     BilinearSpec s;
     s.kind = BilinearKind::hadamard;
     s.in_ch = s.out_ch = static_cast<int>(n);
     s.in_h = s.in_w = 1;
+    return s;
+  }
+  /// The comparison tail's correlation over n compared values and P
+  /// payloads: a random bit r per value (B, n elements, shared both
+  /// additively and, in the shares' low bits, by XOR), a random mask a per
+  /// payload element (A, P·n, payload-major) and Z = r·a.  A daBit
+  /// (Rotaru and Wood, INDOCRYPT 2019) used as ABY2.0's bit injection
+  /// (Patra et al., USENIX Security 2021).
+  [[nodiscard]] static BilinearSpec bit_injection(std::size_t n, std::size_t payloads) noexcept {
+    BilinearSpec s = hadamard(n);
+    s.batch = static_cast<int>(payloads);
+    s.bit_b = true;
     return s;
   }
   [[nodiscard]] static BilinearSpec matmul(std::size_t m, std::size_t k, std::size_t n) noexcept {
@@ -133,7 +152,7 @@ struct BilinearSpec {
   [[nodiscard]] bool operator==(const BilinearSpec& o) const noexcept {
     return kind == o.kind && batch == o.batch && in_ch == o.in_ch && in_h == o.in_h &&
            in_w == o.in_w && out_ch == o.out_ch && kernel == o.kernel && stride == o.stride &&
-           pad == o.pad;
+           pad == o.pad && bit_b == o.bit_b;
   }
   [[nodiscard]] bool operator!=(const BilinearSpec& o) const noexcept { return !(*this == o); }
 };
@@ -141,10 +160,10 @@ struct BilinearSpec {
 /// A bilinear map over ring vectors: z = f(a, b).
 using BilinearMap = std::function<RingVec(const RingVec&, const RingVec&)>;
 
-/// Rebuilds the bilinear map a spec describes: mul_vec for hadamard,
-/// ring_matmul for matmul, im2col + ring matmul for conv2d and the
-/// per-channel variant for depthwise.  Identical arithmetic to what the
-/// online rounds evaluate.
+/// Rebuilds the bilinear map a spec describes: an elementwise product per
+/// A vector for hadamard, ring_matmul for matmul, im2col + ring matmul for
+/// conv2d and the per-channel variant for depthwise.  Identical arithmetic
+/// to what the online rounds evaluate.
 [[nodiscard]] BilinearMap build_bilinear_map(const BilinearSpec& spec, const RingConfig& rc);
 
 /// The one product correlation Z = f(A, B), all secret-shared, for the map
@@ -165,6 +184,11 @@ struct BilinearTriple {
 // bit-identity contract between the two backends: party p's (a_p, b_p, x_p)
 // depend only on Prng(half_stream_seed(seed, p)) and the request sequence.
 
+/// n random values of `width` bits each (width 1, 2 or 8), one byte per
+/// value, drawn 64 / width to a PRNG word, least significant bits first:
+/// the one way the half streams and the comparison leaf masks draw bits.
+[[nodiscard]] std::vector<std::uint8_t> random_bits(Prng& prng, std::size_t n, int width = 1);
+
 /// Seed of party p's half stream for a dealer stream seeded with `seed`.
 [[nodiscard]] inline std::uint64_t half_stream_seed(std::uint64_t seed, int party) noexcept {
   return splitmix64(seed ^ (party == 0 ? 0x9E3779B97F4A7C15ULL : 0xC2B2AE3D27D4EB4FULL));
@@ -180,15 +204,20 @@ struct SquareHalf {
                                           const RingConfig& rc);
 
 /// Party p's half of a product triple: masks a_p, b_p and cross-term
-/// sender share x_p (draw order a (na), b (nb), x (nz)).
+/// sender share x_p (draw order a (na), b (nb), x (nz)).  A bit-injection
+/// spec draws B's XOR half r_p first instead (nb random_bits, b as 0/1),
+/// then a and x; party 0 also draws xr (nb), its share of the one cross
+/// term r0·r1 of B's additive sharing r = r0 + r1 − 2·r0·r1 (party 1's xr
+/// stays empty).
 struct BilinearHalf {
   RingVec a, b, x;
+  RingVec xr;
 };
-[[nodiscard]] BilinearHalf draw_bilinear_half(Prng& prng, const BilinearSpec& spec,
+[[nodiscard]] BilinearHalf draw_bilinear_half(Prng& prng, int party, const BilinearSpec& spec,
                                               const RingConfig& rc);
 
-/// Party p's half of n AND triples: per instance one u64 draw whose bits
-/// 0/1/2 are a_p / b_p / x_p.
+/// Party p's half of n AND triples: a_p, b_p and x_p, each n random_bits
+/// in that order.
 struct BitHalf {
   std::vector<std::uint8_t> a, b, x;
 };
@@ -201,9 +230,9 @@ struct BitHalf {
   return splitmix64(half_stream_seed(seed, party) ^ 0x524F5448414C46ULL);
 }
 
-/// Party p's half of n random OTs: the sender's four pads per instance
-/// (the low four bytes of one u64 draw), or the receiver's choice (the low
-/// two bits of one u64 draw).  The other vector stays empty.
+/// Party p's half of n random OTs: the sender's four one-byte pads per
+/// instance (4n random_bits of width 8), or the receiver's choice (n of
+/// width 2).  The other vector stays empty.
 struct RotHalf {
   std::vector<std::uint8_t> pads, choice;
 };
@@ -234,6 +263,8 @@ class TripleDealer {
  private:
   /// Whether this dealer completes party p's shares.
   [[nodiscard]] bool serves(int p) const noexcept { return party_ < 0 || party_ == p; }
+  /// Completes a bit-injection triple from both parties' halves.
+  [[nodiscard]] BilinearTriple bit_injection(const BilinearSpec& spec, BilinearHalf (&h)[2]);
 
   RingConfig rc_;
   int party_;

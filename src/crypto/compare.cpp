@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "crypto/ring_kernels.hpp"
+
 namespace pasnet::crypto {
 
 namespace {
@@ -15,22 +17,6 @@ std::vector<std::uint8_t> slice_bytes(const std::vector<std::uint8_t>& v, std::s
   std::vector<std::uint8_t> out(hi - lo);
   if (hi > lo) std::memcpy(out.data(), v.data() + lo, hi - lo);
   return out;
-}
-
-/// Appends `bits` (one byte per bit) to `out` packed eight to a byte,
-/// least significant bit first, the last byte zero-padded.
-void append_packed_bits(std::vector<std::uint8_t>& out, const std::vector<std::uint8_t>& bits) {
-  const std::size_t n = bits.size();
-  const std::size_t off = out.size();
-  out.resize(off + (n + 7) / 8, 0);
-  const std::uint8_t* in = bits.data();
-  std::uint8_t* o = out.data() + off;
-  for (std::size_t i = 0; i < n; i += 8) {
-    std::uint8_t byte = 0;
-    const std::size_t m = n - i < 8 ? n - i : 8;
-    for (std::size_t k = 0; k < m; ++k) byte |= static_cast<std::uint8_t>((in[i + k] & 1) << k);
-    o[i / 8] = byte;
-  }
 }
 
 }  // namespace
@@ -80,7 +66,7 @@ void flush_compare_buffers(TwoPartyContext& ctx, CompareWait w) {
 }
 
 void BitOpenBuffer::stage(BitShared x, std::vector<std::uint8_t>* out) {
-  pending_.push_back(Pending{std::move(x), out});
+  pending_.push_back(BitStage{std::move(x), out});
 }
 
 void BitOpenBuffer::flush() {
@@ -91,32 +77,19 @@ void BitOpenBuffer::flush() {
   //
   // Each flush is one AND-tree level opening — the protocol event the
   // and_levels counter tracks.
-  const std::vector<Pending> batch = std::exchange(pending_, {});
+  const std::vector<BitStage> batch = std::exchange(pending_, {});
   ctx_.counters().add(obs::Counter::and_levels, 1);
   std::vector<std::uint8_t> msg[2], received[2];
   for (int p = 0; p < 2; ++p) {
-    if (!ctx_.runs(p)) continue;
-    for (const Pending& st : batch) append_packed_bits(msg[p], st.x.share(p));
+    if (ctx_.runs(p)) msg[p] = pack_bit_stages(batch, p);
   }
   ctx_.exchange([&](int p) { ctx_.chan(p).send_bytes(msg[p]); },
                 [&](int p) { received[p] = ctx_.chan(p).recv_bytes(); });
   // Reconstruct from one party's own share and the peer's packed bits it
   // received: party 0's in process, the local party's in a remote context.
   const int p = ctx_.runs(0) ? 0 : 1;
-  if (received[p].size() != msg[p].size()) {
-    throw FrameLengthError("BitOpenBuffer::flush: bit-opening frame has the wrong length");
-  }
-  std::size_t byte_off = 0;
-  for (const Pending& st : batch) {
-    const std::size_t n = st.x.size();
-    const std::uint8_t* peer = received[p].data() + byte_off;
-    const std::uint8_t* own = st.x.share(p).data();
-    std::vector<std::uint8_t>& out = *st.out;
-    out.resize(n);
-    std::uint8_t* o = out.data();
-    for (std::size_t j = 0; j < n; ++j) o[j] = own[j] ^ ((peer[j / 8] >> (j % 8)) & 1);
-    byte_off += (n + 7) / 8;
-  }
+  reveal_bit_stages(batch, p, received[p],
+                    "BitOpenBuffer::flush: bit-opening frame has the wrong length");
 }
 
 void AndRound::stage(TwoPartyContext& ctx, const BitShared& x, const BitShared& y,
@@ -205,13 +178,8 @@ MillionaireMaterial draw_millionaire_material(TwoPartyContext& ctx, std::size_t 
   if (nbits < 1 || nbits > 63) throw std::invalid_argument("millionaire_gt: bad width");
   const int digits = millionaire_digits(nbits);
   MillionaireMaterial mat;
-  mat.r_lt.resize(n * digits);
-  mat.r_eq.resize(n * digits);
-  for (std::size_t idx = 0; idx < n * static_cast<std::size_t>(digits); ++idx) {
-    const std::uint64_t rnd = ctx.prng(1).next_u64();
-    mat.r_lt[idx] = rnd & 1;
-    mat.r_eq[idx] = (rnd >> 1) & 1;
-  }
+  mat.r_lt = random_bits(ctx.prng(1), n * digits);
+  mat.r_eq = random_bits(ctx.prng(1), n * digits);
   mat.leaf_ots = ctx.random_ot(n * digits, /*sender=*/1);
   for (const int mult : millionaire_and_level_multipliers(nbits)) {
     mat.levels.push_back(ctx.bit_triple(static_cast<std::size_t>(mult) * n));
@@ -414,23 +382,80 @@ DreluMuxMaterial draw_drelu_mux_material(TwoPartyContext& ctx, std::size_t n,
                                          std::size_t payloads) {
   DreluMuxMaterial mat;
   mat.mill = draw_drelu_material(ctx, n);
-  mat.b2a = ctx.bilinear_triple(BilinearSpec::hadamard(n));
-  for (std::size_t p = 0; p < payloads; ++p) {
-    mat.mux.push_back(ctx.bilinear_triple(BilinearSpec::hadamard(n)));
-  }
+  mat.tail = ctx.bilinear_triple(BilinearSpec::bit_injection(n, payloads));
   return mat;
+}
+
+void MuxRound::stage(TwoPartyContext& ctx, const BitShared& sel,
+                     const std::vector<Shared>& payloads, BilinearTriple t) {
+  const std::size_t n = sel.size();
+  if (payloads.empty() || t.spec != BilinearSpec::bit_injection(n, payloads.size())) {
+    throw std::invalid_argument("mux: not a bit-injection triple of the selector's shape");
+  }
+  t_ = std::move(t);
+  // c = sel ⊕ r opens as packed bits — r's XOR half is the low bit of its
+  // additive share — and e = v − a (payload-major, like A) as ring
+  // elements, in one exchange.
+  const std::uint64_t mask = ctx.ring().mask();
+  BitShared c;
+  Shared e;
+  for (int p = 0; p < 2; ++p) {
+    if (!ctx.runs(p)) continue;
+    const RingVec& r = t_.b.share(p);
+    if (r.size() != n) throw std::invalid_argument("mux: bit-injection triple size mismatch");
+    std::vector<std::uint8_t>& cp = c.share(p);
+    cp.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      cp[i] = sel.share(p)[i] ^ static_cast<std::uint8_t>(r[i] & 1);
+    }
+    RingVec& ep = e.share(p);
+    ep.resize(payloads.size() * n);
+    for (std::size_t j = 0; j < payloads.size(); ++j) {
+      if (payloads[j].size() != n) throw std::invalid_argument("mux: payload size mismatch");
+      kern::sub(ep.data() + j * n, payloads[j].share(p).data(), t_.a.share(p).data() + j * n, n,
+                mask);
+    }
+  }
+  ctx.opens().stage(std::move(c), &c_);
+  ctx.opens().stage(std::move(e), &e_);
+}
+
+std::vector<Shared> MuxRound::finish(const TwoPartyContext& ctx) {
+  // b = c ⊕ r = c + (1 − 2c)·r, so with v = e + a:
+  //   [b·v] = [i==0]·c·e + c·[a] + (1 − 2c)·(e·[r] + [r·a]).
+  // c = 0 leaves e·[r] + [r·a]; c = 1 gives [i==0]·e + [a] − e·[r] − [r·a].
+  const std::size_t n = c_.size();
+  const auto payloads = static_cast<std::size_t>(t_.spec.batch);
+  const std::uint64_t mask = ctx.ring().mask();
+  std::vector<Shared> out(payloads);
+  for (int p = 0; p < 2; ++p) {
+    if (!ctx.runs(p)) continue;
+    const std::uint64_t* a = t_.a.share(p).data();
+    const std::uint64_t* r = t_.b.share(p).data();
+    const std::uint64_t* ra = t_.z.share(p).data();
+    for (std::size_t j = 0; j < payloads; ++j) {
+      RingVec& o = out[j].share(p);
+      o.resize(n);
+      const std::size_t off = j * n;
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t e = e_[off + i];
+        const std::uint64_t gated = e * r[i] + ra[off + i];
+        const std::uint64_t flipped = (p == 0 ? e : 0) + a[off + i] - gated;
+        o[i] = (c_[i] != 0 ? flipped : gated) & mask;
+      }
+    }
+  }
+  return out;
 }
 
 void StagedDreluMux::begin(TwoPartyContext& ctx, std::vector<Shared> payloads,
                            DreluMuxMaterial material) {
-  if (payloads.empty() || material.mux.size() != payloads.size()) {
-    throw std::invalid_argument("StagedDreluMux: one mux triple per payload");
+  if (payloads.empty() || material.tail.spec.batch != static_cast<int>(payloads.size())) {
+    throw std::invalid_argument("StagedDreluMux: one tail mask per payload");
   }
   v_ = std::move(payloads);
-  b2a_t_ = std::move(material.b2a);
-  mux_t_ = std::move(material.mux);
-  b2a_ = B2aRound{};
-  mux_mul_.assign(v_.size(), MulRound{});
+  tail_t_ = std::move(material.tail);
+  tail_ = MuxRound{};
   drelu_ = StagedDrelu{};
   drelu_.begin(ctx, v_.front(), std::move(material.mill));
   phase_ = Phase::drelu;
@@ -440,7 +465,6 @@ CompareWait StagedDreluMux::waiting() const noexcept {
   switch (phase_) {
     case Phase::drelu:
       return drelu_.waiting();
-    case Phase::b2a:
     case Phase::mux:
       return CompareWait::opens;
     case Phase::done:
@@ -454,23 +478,12 @@ void StagedDreluMux::step(TwoPartyContext& ctx) {
     case Phase::drelu: {
       drelu_.step(ctx);
       if (drelu_.waiting() != CompareWait::done) return;
-      b2a_.stage(ctx, drelu_.result(), std::move(b2a_t_));
-      phase_ = Phase::b2a;
-      return;
-    }
-    case Phase::b2a: {
-      const Shared bit = b2a_.finish(ctx);
-      // Mux: out_p = v_p ⊙ bit (same operand order as crypto::mux); every
-      // payload's multiply stages before the flush, so they open together.
-      for (std::size_t p = 0; p < v_.size(); ++p) {
-        mux_mul_[p].stage(ctx, std::move(v_[p]), bit, std::move(mux_t_[p]));
-      }
+      tail_.stage(ctx, drelu_.result(), v_, std::move(tail_t_));
       phase_ = Phase::mux;
       return;
     }
     case Phase::mux:
-      out_.clear();
-      for (MulRound& m : mux_mul_) out_.push_back(m.finish(ctx));
+      out_ = tail_.finish(ctx);
       phase_ = Phase::done;
       return;
     case Phase::done:
@@ -494,31 +507,11 @@ BitShared msb(TwoPartyContext& ctx, const Shared& x) {
   return not_bits(drelu(ctx, x));
 }
 
-void B2aRound::stage(TwoPartyContext& ctx, const BitShared& v, BilinearTriple t) {
-  // The trivial ring sharings of party 0's bit v0 = (v0, 0) and of party
-  // 1's bit v1 = (0, v1) are the multiplicands; together they add to
-  // v_ = (v0, v1).
-  const std::size_t n = v.size();
-  v_ = per_party(ctx, [&](int p) { return RingVec(v.share(p).begin(), v.share(p).end()); });
-  Shared x = per_party(ctx, [&](int p) { return p == 0 ? v_.s0 : RingVec(n, 0); });
-  Shared y = per_party(ctx, [&](int p) { return p == 1 ? v_.s1 : RingVec(n, 0); });
-  mul_.stage(ctx, std::move(x), std::move(y), std::move(t));
-}
-
-Shared B2aRound::finish(const TwoPartyContext& ctx) {
-  // b = v0 + v1 - 2·v0·v1.
-  return sub(ctx, v_, scale(ctx, mul_.finish(ctx), 2));
-}
-
-Shared b2a(TwoPartyContext& ctx, const BitShared& v) {
-  B2aRound r;
-  r.stage(ctx, v, ctx.bilinear_triple(BilinearSpec::hadamard(v.size())));
-  ctx.opens().flush();
-  return r.finish(ctx);
-}
-
 Shared mux(TwoPartyContext& ctx, const BitShared& sel, const Shared& x) {
-  return mul_elem(ctx, x, b2a(ctx, sel));
+  MuxRound r;
+  r.stage(ctx, sel, {x}, ctx.bilinear_triple(BilinearSpec::bit_injection(x.size(), 1)));
+  ctx.opens().flush();
+  return std::move(r.finish(ctx).front());
 }
 
 namespace {

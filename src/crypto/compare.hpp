@@ -15,8 +15,16 @@
 // millionaire splits both 31-bit inputs into 16 digits of 2 bits
 // (millionaire_digits), resolves each digit with one (1,4)-OT, and
 // combines the (gt, eq) pairs with a 4-level Beaver-AND tree,
-// 16 -> 8 -> 4 -> 2 -> 1 (millionaire_and_level_multipliers).  B2A and
-// the mux stay in Z_2^k.
+// 16 -> 8 -> 4 -> 2 -> 1 (millionaire_and_level_multipliers).
+//
+// The tail that turns the XOR-shared DReLU bit b into b·v_j over Z_2^k
+// for P payloads is one exchange (MuxRound): a bit-injection triple
+// supplies a random bit r, additively shared — the shares' low bits are
+// its XOR shares — and per payload a random [a_j] with [r·a_j].  Party i
+// opens c = b ⊕ r (packed bits) and e_j = v_j − a_j together, then
+//   [b·v_j]_i = [i==0]·c·e_j + c·[a_j]_i + (1 − 2c)·(e_j·[r]_i + [r·a_j]_i)
+// is local.  It multiplies by a 0/1 bit, so no truncation follows and the
+// gated payloads stay exact over the whole ring.
 //
 // Exactness: if |x| < 2^(w-1) ring units, y read as a signed w-bit value
 // is x itself, so bit w-1 of y is the sign of x and DReLU(x) = NOT
@@ -46,20 +54,6 @@ inline constexpr int kCompareBits = 32;
   return (ring_bits < kCompareBits ? ring_bits : kCompareBits) - 1;
 }
 
-/// XOR-shared bit vector (one byte per bit in memory; packed on the wire).
-/// Like Shared, a remote context fills only its own party's half.
-struct BitShared {
-  std::vector<std::uint8_t> b0;
-  std::vector<std::uint8_t> b1;
-
-  /// Bits per half (either half may be the unfilled one).
-  [[nodiscard]] std::size_t size() const noexcept { return b0.empty() ? b1.size() : b0.size(); }
-  [[nodiscard]] const std::vector<std::uint8_t>& share(int party) const {
-    return party == 0 ? b0 : b1;
-  }
-  [[nodiscard]] std::vector<std::uint8_t>& share(int party) { return party == 0 ? b0 : b1; }
-};
-
 /// Reconstruct XOR-shared bits (local; for tests and final outputs).
 [[nodiscard]] std::vector<std::uint8_t> reconstruct_bits(const BitShared& v);
 
@@ -77,13 +71,13 @@ struct BitShared {
 
 // --- Staged (resumable) comparison phases ----------------------------------
 //
-// The blocking comparison stack (millionaire + AND tree + B2A + mux) is
+// The blocking comparison stack (millionaire + AND tree + the mux tail) is
 // built from resumable phase machines so the IR executor can advance every
 // independent comparison instance of a round group in lockstep: one shared
 // (1,4)-OT leaf round, one shared exchange per AND-tree level, one shared
-// opening for the B2A and mux multiplications.  Each machine draws ALL of
-// its correlated randomness up front at begin() — in the exact order the
-// historical blocking protocol consumed it — so the dealer/TripleSource
+// opening for the tail.  Each machine draws ALL of its correlated
+// randomness up front at begin() — in the exact order the historical
+// blocking protocol consumed it — so the dealer/TripleSource
 // request stream stays program-ordered (and store-backed replay stays
 // bit-identical) no matter how phases interleave across instances.
 
@@ -128,12 +122,8 @@ class BitOpenBuffer {
   [[nodiscard]] bool has_pending() const noexcept { return !pending_.empty(); }
 
  private:
-  struct Pending {
-    BitShared x;
-    std::vector<std::uint8_t>* out;
-  };
   TwoPartyContext& ctx_;
-  std::vector<Pending> pending_;
+  std::vector<BitStage> pending_;
 };
 
 /// Staged Beaver AND over Z2: stage() defers the (d, e) opening onto the
@@ -151,20 +141,24 @@ class AndRound {
   std::vector<std::uint8_t> de_;  // opened d||e (2n public bits)
 };
 
-/// Staged B2A conversion: b = v0 + v1 - 2·v0·v1 over trivial ring
-/// sharings of the two parties' XOR-share bits (one Beaver multiplication
-/// round).  The single implementation behind crypto::b2a and the staged
-/// comparison phases — the formula and its draw order must not fork, or
-/// the dealer request stream diverges from ir::derive_plan.
-class B2aRound {
+/// Staged oblivious select of P payloads by one XOR-shared bit, the
+/// comparison tail: stage() opens c = sel ⊕ r and e = v − a over a
+/// bit-injection triple in one exchange on ctx.opens(), finish()
+/// recombines sel · v_j locally (file comment).  crypto::mux is stage +
+/// flush + finish.
+class MuxRound {
  public:
-  /// `t` must be a hadamard triple of v's size (pre-drawn by the caller).
-  void stage(TwoPartyContext& ctx, const BitShared& v, BilinearTriple t);
-  [[nodiscard]] Shared finish(const TwoPartyContext& ctx);
+  /// `t` must be a BilinearSpec::bit_injection(sel.size(), P) triple for
+  /// the P payloads (pre-drawn by the caller).
+  void stage(TwoPartyContext& ctx, const BitShared& sel, const std::vector<Shared>& payloads,
+             BilinearTriple t);
+  /// sel · v_j per payload, exact over the whole ring.
+  [[nodiscard]] std::vector<Shared> finish(const TwoPartyContext& ctx);
 
  private:
-  MulRound mul_;
-  Shared v_;  // the bits as a ring sharing (v0, v1)
+  BilinearTriple t_;
+  std::vector<std::uint8_t> c_;  // opened sel ⊕ r
+  RingVec e_;                    // opened v − a, payload-major
 };
 
 /// Pre-drawn randomness for one millionaire comparison over n values: the
@@ -230,12 +224,11 @@ class StagedDrelu {
 [[nodiscard]] MillionaireMaterial draw_drelu_material(TwoPartyContext& ctx, std::size_t n);
 
 /// Pre-drawn randomness for one gated select of P payloads by one DReLU
-/// bit: the DReLU material, the B2A triple and one mux triple per payload,
-/// in protocol order.
+/// bit: the DReLU material, then the tail's one bit-injection triple
+/// (BilinearSpec::bit_injection(n, P)), in protocol order.
 struct DreluMuxMaterial {
   MillionaireMaterial mill;
-  BilinearTriple b2a;
-  std::vector<BilinearTriple> mux;
+  BilinearTriple tail;
 };
 
 [[nodiscard]] DreluMuxMaterial draw_drelu_mux_material(TwoPartyContext& ctx, std::size_t n,
@@ -245,9 +238,9 @@ struct DreluMuxMaterial {
 /// core of 2PC ReLU (P = 1, v_0 = x), secure max (P = 1, v_0 = a - b;
 /// max = b + result) and the argmax tournament (P = 2: the value and index
 /// differences, both gated by the value comparison).  Phases: DReLU (OT +
-/// AND levels), then the B2A multiplication, then the P mux
-/// multiplications, staged together so they share one opening.  Exact
-/// when every |v_0| < 2^31 ring units; the payloads may span the ring.
+/// AND levels), then the one-exchange mux tail over all P payloads
+/// (MuxRound).  Exact when every |v_0| < 2^31 ring units; the payloads
+/// may span the ring.
 class StagedDreluMux {
  public:
   void begin(TwoPartyContext& ctx, std::vector<Shared> payloads, DreluMuxMaterial material);
@@ -257,13 +250,11 @@ class StagedDreluMux {
   [[nodiscard]] std::vector<Shared>& result() noexcept { return out_; }
 
  private:
-  enum class Phase : std::uint8_t { drelu, b2a, mux, done };
+  enum class Phase : std::uint8_t { drelu, mux, done };
   Phase phase_ = Phase::done;
   StagedDrelu drelu_;
-  B2aRound b2a_;
-  std::vector<MulRound> mux_mul_;
-  BilinearTriple b2a_t_;
-  std::vector<BilinearTriple> mux_t_;
+  MuxRound tail_;
+  BilinearTriple tail_t_;
   std::vector<Shared> v_;
   std::vector<Shared> out_;
 };
@@ -302,11 +293,8 @@ class StagedDreluMux {
 /// ring units (the comparison window).
 [[nodiscard]] BitShared drelu(TwoPartyContext& ctx, const Shared& x);
 
-/// Convert an XOR-shared bit to an additive ring sharing of the same 0/1
-/// value (b = v0 + v1 - 2·v0·v1; one Beaver multiplication).
-[[nodiscard]] Shared b2a(TwoPartyContext& ctx, const BitShared& v);
-
-/// Oblivious select: returns J sel ? x : 0 K with `sel` an XOR-shared bit.
+/// Oblivious select: returns J sel ? x : 0 K with `sel` an XOR-shared bit
+/// — the MuxRound tail run one-shot (one exchange, exact for any x).
 [[nodiscard]] Shared mux(TwoPartyContext& ctx, const BitShared& sel, const Shared& x);
 
 /// 2PC-ReLU on shares: relu(x) = x · DReLU(x).  Requires |x| < 2^31 ring

@@ -145,17 +145,58 @@ void TwoPartyContext::exchange(const std::function<void(int)>& send,
 // Open buffer
 // ---------------------------------------------------------------------------
 
+std::vector<std::uint8_t> pack_bit_stages(const std::vector<BitStage>& stages, int party) {
+  std::size_t bytes = 0;
+  for (const BitStage& st : stages) bytes += (st.x.size() + 7) / 8;
+  std::vector<std::uint8_t> out(bytes);
+  std::uint8_t* o = out.data();
+  for (const BitStage& st : stages) {
+    const std::size_t n = st.x.size();
+    const std::uint8_t* in = st.x.share(party).data();
+    for (std::size_t i = 0; i < n; i += 8) {
+      std::uint8_t byte = 0;
+      const std::size_t m = n - i < 8 ? n - i : 8;
+      for (std::size_t k = 0; k < m; ++k) byte |= static_cast<std::uint8_t>((in[i + k] & 1) << k);
+      o[i / 8] = byte;
+    }
+    o += (n + 7) / 8;
+  }
+  return out;
+}
+
+void reveal_bit_stages(const std::vector<BitStage>& stages, int party,
+                       const std::vector<std::uint8_t>& peer, const char* what) {
+  std::size_t bytes = 0;
+  for (const BitStage& st : stages) bytes += (st.x.size() + 7) / 8;
+  if (peer.size() != bytes) throw FrameLengthError(what);
+  const std::uint8_t* in = peer.data();
+  for (const BitStage& st : stages) {
+    const std::size_t n = st.x.size();
+    const std::uint8_t* own = st.x.share(party).data();
+    std::vector<std::uint8_t>& out = *st.out;
+    out.resize(n);
+    std::uint8_t* o = out.data();
+    for (std::size_t j = 0; j < n; ++j) o[j] = own[j] ^ ((in[j / 8] >> (j % 8)) & 1);
+    in += (n + 7) / 8;
+  }
+}
+
 void OpenBuffer::stage(Shared x, RingVec* out) {
   pending_.push_back(Pending{std::move(x), out});
 }
 
+void OpenBuffer::stage(BitShared x, std::vector<std::uint8_t>* out) {
+  pending_bits_.push_back(BitStage{std::move(x), out});
+}
+
 void OpenBuffer::flush() {
-  if (pending_.empty()) return;
+  if (pending_.empty() && pending_bits_.empty()) return;
   const std::vector<Pending> batch = std::exchange(pending_, {});
-  ctx_.counters().add(obs::Counter::openings, batch.size());
+  const std::vector<BitStage> bits = std::exchange(pending_bits_, {});
+  ctx_.counters().add(obs::Counter::openings, batch.size() + bits.size());
   ctx_.counters().add(obs::Counter::open_flushes, 1);
   if (batch.size() == 1) {
-    *batch[0].out = open(ctx_, batch[0].x);
+    *batch[0].out = open(ctx_, batch[0].x, bits);
     return;
   }
   // Concatenate every staged vector and open the lot in one exchange; the
@@ -170,7 +211,7 @@ void OpenBuffer::flush() {
     }
     return half;
   });
-  const RingVec opened = open(ctx_, all);
+  const RingVec opened = open(ctx_, all, bits);
   std::size_t off = 0;
   for (const Pending& p : batch) {
     p.out->assign(opened.begin() + static_cast<long>(off),
@@ -183,31 +224,37 @@ void OpenBuffer::flush() {
 // Online protocols
 // ---------------------------------------------------------------------------
 
-RingVec open(TwoPartyContext& ctx, const Shared& x) {
+RingVec open(TwoPartyContext& ctx, const Shared& x, const std::vector<BitStage>& bits) {
   const int wb = ctx.wire_bytes();
   // Both directions in one parallel round: each party the context runs
-  // sends its share and receives the peer's.  The public value is any
-  // such party's own share plus the one it received — party 0's in
-  // process, the local party's in a remote context.
+  // sends its share (then its packed bits, if any) and receives the
+  // peer's.  The public value is any such party's own share plus the one
+  // it received — party 0's in process, the local party's in a remote
+  // context.
   RingVec received[2];
-  ctx.exchange([&](int p) { ctx.chan(p).send_ring(x.share(p), wb); },
-               [&](int p) { received[p] = ctx.chan(p).recv_ring(x.size(), wb); });
+  std::vector<std::uint8_t> packed[2], peer_bits[2];
+  for (int p = 0; p < 2; ++p) {
+    if (ctx.runs(p) && !bits.empty()) packed[p] = pack_bit_stages(bits, p);
+  }
+  ctx.exchange(
+      [&](int p) {
+        ctx.chan(p).send_ring(x.share(p), wb);
+        if (!bits.empty()) ctx.chan(p).send_bytes(packed[p]);
+      },
+      [&](int p) {
+        received[p] = ctx.chan(p).recv_ring(x.size(), wb);
+        if (!bits.empty()) peer_bits[p] = ctx.chan(p).recv_bytes();
+      });
   const int p = ctx.runs(0) ? 0 : 1;
+  if (!bits.empty()) {
+    reveal_bit_stages(bits, p, peer_bits[p], "open: bit-opening frame has the wrong length");
+  }
   return add_vec(x.share(p), received[p], ctx.ring());
 }
 
 void MulRound::stage(TwoPartyContext& ctx, Shared x, Shared y) {
   if (x.size() != y.size()) throw std::invalid_argument("mul_elem: size mismatch");
-  BilinearTriple t = ctx.bilinear_triple(BilinearSpec::hadamard(x.size()));
-  stage(ctx, std::move(x), std::move(y), std::move(t));
-}
-
-void MulRound::stage(TwoPartyContext& ctx, Shared x, Shared y, BilinearTriple t) {
-  if (x.size() != y.size()) throw std::invalid_argument("mul_elem: size mismatch");
-  if (t.spec != BilinearSpec::hadamard(x.size())) {
-    throw std::invalid_argument("mul_elem: not a hadamard triple of the operands' size");
-  }
-  t_ = std::move(t);
+  t_ = ctx.bilinear_triple(BilinearSpec::hadamard(x.size()));
   x_ = std::move(x);
   y_ = std::move(y);
   // E = X - A, F = Y - B; opened jointly.

@@ -74,6 +74,25 @@ class BitOpenBuffer;   // crypto/compare.hpp — staged XOR-share openings
 /// lockstep schedule (see file comment).
 enum class ExecMode { lockstep, threaded };
 
+/// One staged XOR-share opening: the shares and where the public bits go.
+struct BitStage {
+  BitShared x;
+  std::vector<std::uint8_t>* out;
+};
+
+/// Party `party`'s halves of every stage packed eight bits to a byte,
+/// least significant first, each stage padded to its own byte boundary:
+/// the wire form of a bit opening, so merging stages never changes its
+/// size.
+[[nodiscard]] std::vector<std::uint8_t> pack_bit_stages(const std::vector<BitStage>& stages,
+                                                        int party);
+
+/// Writes each stage's public bits: party `party`'s own half XOR the
+/// peer's packed bits.  Throws FrameLengthError(`what`) unless `peer` has
+/// exactly the packed length.
+void reveal_bit_stages(const std::vector<BitStage>& stages, int party,
+                       const std::vector<std::uint8_t>& peer, const char* what);
+
 /// Per-context staging area for joint openings (the round scheduler's
 /// "per-round open buffer").
 class OpenBuffer {
@@ -85,6 +104,9 @@ class OpenBuffer {
   /// Stages x for opening; the reconstructed public value is written to
   /// *out by the next flush(), which *out must outlive.
   void stage(Shared x, RingVec* out);
+  /// Stages XOR-shared bits for opening in the same exchange as the ring
+  /// stages (see open()); the next flush() writes the public bits to *out.
+  void stage(BitShared x, std::vector<std::uint8_t>* out);
 
   /// Opens everything staged since the last flush in one symmetric
   /// exchange.  No-op when nothing is pending.  The pending stages leave
@@ -95,8 +117,13 @@ class OpenBuffer {
   /// the staged Shared copies are destroyed and the output pointers are
   /// forgotten, so an unwound protocol step cannot leave the buffer
   /// pointing into dead stack frames).
-  void discard() noexcept { pending_.clear(); }
-  [[nodiscard]] bool has_pending() const noexcept { return !pending_.empty(); }
+  void discard() noexcept {
+    pending_.clear();
+    pending_bits_.clear();
+  }
+  [[nodiscard]] bool has_pending() const noexcept {
+    return !pending_.empty() || !pending_bits_.empty();
+  }
 
  private:
   struct Pending {
@@ -105,6 +132,7 @@ class OpenBuffer {
   };
   TwoPartyContext& ctx_;
   std::vector<Pending> pending_;
+  std::vector<BitStage> pending_bits_;
 };
 
 /// Everything the online phase of a 2PC evaluation needs.
@@ -315,8 +343,11 @@ template <typename F>
 }
 
 /// Jointly reconstruct a shared vector: both parties exchange their shares
-/// (one parallel round) and locally add.  Returns the public value.
-[[nodiscard]] RingVec open(TwoPartyContext& ctx, const Shared& x);
+/// (one parallel round) and locally add.  Returns the public value.  Bit
+/// stages, if any, open in the same exchange: their packed bits travel as
+/// a second message, and each stage's public bits land in its output.
+[[nodiscard]] RingVec open(TwoPartyContext& ctx, const Shared& x,
+                           const std::vector<BitStage>& bits = {});
 
 // --- Staged (two-phase) protocol rounds ------------------------------------
 //
@@ -333,11 +364,6 @@ template <typename F>
 class MulRound {
  public:
   void stage(TwoPartyContext& ctx, Shared x, Shared y);
-  /// Same, with a caller-drawn hadamard triple — used by the staged
-  /// comparison phases, which draw all of an instance's correlated
-  /// randomness up front so the request stream stays program-ordered
-  /// however the phases interleave.
-  void stage(TwoPartyContext& ctx, Shared x, Shared y, BilinearTriple t);
   [[nodiscard]] Shared finish(const TwoPartyContext& ctx);
 
  private:

@@ -31,6 +31,20 @@ struct Shared {
   [[nodiscard]] RingVec& share(int party) { return party == 0 ? s0 : s1; }
 };
 
+/// XOR-shared bit vector (one byte per bit in memory; packed on the wire).
+/// Like Shared, a remote context fills only its own party's half.
+struct BitShared {
+  std::vector<std::uint8_t> b0;
+  std::vector<std::uint8_t> b1;
+
+  /// Bits per half (either half may be the unfilled one).
+  [[nodiscard]] std::size_t size() const noexcept { return b0.empty() ? b1.size() : b0.size(); }
+  [[nodiscard]] const std::vector<std::uint8_t>& share(int party) const {
+    return party == 0 ? b0 : b1;
+  }
+  [[nodiscard]] std::vector<std::uint8_t>& share(int party) { return party == 0 ? b0 : b1; }
+};
+
 /// Share generation shr(x): x is a vector of ring elements.
 [[nodiscard]] Shared share(const RingVec& x, Prng& prng, const RingConfig& rc);
 

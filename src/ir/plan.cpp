@@ -86,14 +86,13 @@ void append_op_requests(PreprocessingPlan& plan, const Op& op,
     case OpKind::relu:
     case OpKind::maxpool:
     case OpKind::argmax: {
-      // Per comparison level: DReLU on the compared values, then the B2A
-      // multiply and one gated-select multiply per payload.
+      // Per comparison level: DReLU on the compared values, then the mux
+      // tail's one bit-injection triple over every payload.
       const CompareLevels shape = op.compare_levels();
       for (const std::uint64_t n : shape.values) {
         push_drelu(plan, op.layer, n, rc);
-        const crypto::BilinearSpec mul = crypto::BilinearSpec::hadamard(n);
-        push_bilinear(plan, op.layer, mul);  // b2a
-        for (int p = 0; p < shape.payloads; ++p) push_bilinear(plan, op.layer, mul);
+        const auto payloads = static_cast<std::size_t>(shape.payloads);
+        push_bilinear(plan, op.layer, crypto::BilinearSpec::bit_injection(n, payloads));
       }
       break;
     }

@@ -92,7 +92,7 @@ struct Op {
   /// the argmax terminal).  Single-round ops sharing a group id flush their
   /// openings in one exchange; staged comparison ops (relu/maxpool/argmax)
   /// in the group advance their resumable phases in lockstep, sharing the
-  /// OT leaf round, each AND-tree level and the B2A/mux openings across
+  /// OT leaf round, each AND-tree level and the mux tail's opening across
   /// instances.  -1 for local ops.
   int round_group = -1;
 
@@ -116,8 +116,8 @@ struct Op {
     return kind == OpKind::relu || kind == OpKind::maxpool || kind == OpKind::argmax;
   }
   /// The comparison shape of a stages_compare() op (empty otherwise): the
-  /// values compared per level — one DReLU, B2A and gated select each —
-  /// and the payloads every comparison bit gates.  ReLU is one level over
+  /// values compared per level — one DReLU and mux tail each — and the
+  /// payloads every comparison bit gates.  ReLU is one level over
   /// its input with one payload; max-pool reduces its k² taps and argmax
   /// its classes pairwise, with one payload (the max) and two (value and
   /// index).  The single definition derive_plan and the analytic cost

@@ -83,7 +83,7 @@ enum class Counter : int {
   ot_batches,          ///< (1,4)-OT exchanges (one per OtBuffer flush batch)
   ot_messages,         ///< staged OT instances inside those batches
   and_levels,          ///< coalesced AND-tree level openings (BitOpenBuffer flushes)
-  openings,            ///< staged ring-share openings delivered (OpenBuffer stages)
+  openings,            ///< staged ring or bit openings delivered (OpenBuffer stages)
   open_flushes,        ///< coalesced opening exchanges (OpenBuffer flushes)
   triple_claims,       ///< TripleSource draws (any backend)
   store_claims,        ///< TripleStore bundle claims

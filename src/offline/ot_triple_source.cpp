@@ -146,10 +146,12 @@ struct RotCtx {
 };
 
 /// Party-local cross-term shares (x_p) retained per request — they enter
-/// the completed z but are not part of the bundle itself.
+/// the completed z but are not part of the bundle itself.  xr is party 0's
+/// −2·xr0, its share of a bit-injection B's r0·r1 term.
 struct PartyLaneMat {
   std::vector<RingVec> x;
   std::vector<std::vector<std::uint8_t>> xbit;
+  std::vector<RingVec> xr;
 };
 
 struct WalkIo {
@@ -169,9 +171,10 @@ template <typename FGroup, typename FBits, typename FRot>
 void walk_direction(const WalkIo& io, FGroup&& on_group, FBits&& on_bits, FRot&& on_rot) {
   const PreprocessingPlan& plan = *io.plan;
   const int S = io.sender, R = 1 - io.sender;
-  // Every group of `geo`, read through g's pointers.
-  const auto run_groups = [&](const ProductGeometry& geo, GroupCtx g) {
-    g.nbits = plan.ring.bits;
+  const std::uint64_t mask = plan.ring.mask();
+  // Every group of `geo` over `nbits`-bit choices, read through g's pointers.
+  const auto run_groups = [&](const ProductGeometry& geo, GroupCtx g, int nbits) {
+    g.nbits = nbits;
     for (std::size_t k = 0; k < geo.groups; ++k) {
       g.choice_base = k * geo.choice_group;
       g.corr_base = k * geo.corr_group;
@@ -189,6 +192,48 @@ void walk_direction(const WalkIo& io, FGroup&& on_group, FBits&& on_bits, FRot&&
           crypto::BilinearTriple& t = b.bilinear[bil_i++];
           const ProductGeometry geo = product_geometry(r.bilinear);
           GroupCtx g = geo.layout;
+          if (r.bilinear.bit_b) {
+            // Bit injection: every cross term is one COT with a one-bit
+            // choice, r_p being the low bit of B's share b_p.  The payload
+            // terms r_R·(1 − 2·r_S)·a_S: R chooses with r_R, S correlates
+            // the P payload masks of each value.  Then, P0 -> P1 only, B's
+            // r0·r1 term: P1 chooses with r1, P0 correlates −2·r0, into B.
+            const std::size_t n = r.bilinear.nb();
+            RingVec choice, corr;
+            if (io.need_recv) {
+              choice = t.b.share(R);
+              for (std::uint64_t& v : choice) v &= 1;
+              g.choice = choice.data();
+              g.z = t.z.share(R).data();
+            }
+            if (io.need_send) {
+              const RingVec& rs = t.b.share(S);
+              const RingVec& a = t.a.share(S);
+              corr.resize(a.size());
+              for (std::size_t k = 0; k < a.size(); ++k) {
+                corr[k] = ((1 - 2 * (rs[k % n] & 1)) * a[k]) & mask;
+              }
+              g.corr = corr.data();
+              g.x = io.mats[S][l].x[ri].data();
+            }
+            run_groups(geo, g, 1);
+            if (S != 0) break;
+            const ProductGeometry rgeo = product_geometry(crypto::BilinearSpec::hadamard(n));
+            GroupCtx rg = rgeo.layout;
+            RingVec rcorr;
+            if (io.need_recv) {
+              rg.choice = choice.data();
+              rg.z = t.b.share(1).data();
+            }
+            if (io.need_send) {
+              rcorr.resize(n);
+              for (std::size_t i = 0; i < n; ++i) rcorr[i] = (0 - 2 * (t.b.s0[i] & 1)) & mask;
+              rg.corr = rcorr.data();
+              rg.x = io.mats[0][l].xr[ri].data();
+            }
+            run_groups(rgeo, rg, 1);
+            break;
+          }
           if (io.need_recv) {
             g.choice = t.b.share(R).data();
             g.z = t.z.share(R).data();
@@ -199,7 +244,7 @@ void walk_direction(const WalkIo& io, FGroup&& on_group, FBits&& on_bits, FRot&&
             g.corr = geo.im2col ? cols.data() : t.a.share(S).data();
             g.x = io.mats[S][l].x[ri].data();
           }
-          run_groups(geo, g);
+          run_groups(geo, g, plan.ring.bits);
           break;
         }
         case TripleKind::square: {
@@ -217,7 +262,7 @@ void walk_direction(const WalkIo& io, FGroup&& on_group, FBits&& on_bits, FRot&&
             g.corr = t.a.share(0).data();
             g.x = io.mats[0][l].x[ri].data();
           }
-          run_groups(geo, g);
+          run_groups(geo, g, plan.ring.bits);
           break;
         }
         case TripleKind::bit: {
@@ -280,7 +325,15 @@ DirTotals direction_totals(const PreprocessingPlan& plan, int sender) {
   for (const TripleRequest& r : plan.requests) {
     switch (r.kind) {
       case TripleKind::bilinear:
-        t.add_groups(product_geometry(r.bilinear), bits);
+        if (r.bilinear.bit_b) {
+          // One-bit choices; B's r0·r1 term runs P0 -> P1 only.
+          t.add_groups(product_geometry(r.bilinear), 1);
+          if (sender == 0) {
+            t.add_groups(product_geometry(crypto::BilinearSpec::hadamard(r.bilinear.nb())), 1);
+          }
+        } else {
+          t.add_groups(product_geometry(r.bilinear), bits);
+        }
         break;
       case TripleKind::square:
         if (sender == 0) t.add_groups(product_geometry(crypto::BilinearSpec::hadamard(r.n)), bits);
@@ -344,9 +397,10 @@ void shape_bundle(const PreprocessingPlan& plan, QueryBundle& b) {
 /// bundle shares to the LOCAL part of each triple: masks (a_p, b_p) plus
 /// the base z_p = f(a_p, b_p) + x_p — the cross terms o_p are added by the
 /// direction runs — and its half of each random OT (the receiver's chosen
-/// pad arrives in the direction run).  x_p is retained in `mat` for the
-/// correction pass.  The caller picks the seeds: canonical
-/// half_stream_seed / rot_half_stream_seed(dealer_seed, p) in the
+/// pad arrives in the direction run).  A bit-injection B starts at r_p
+/// (party 0: r0 − 2·xr0), and f(a_p, r_p) seeds z_p.  x_p (and xr) are
+/// retained in `mat` for the correction pass.  The caller picks the seeds:
+/// canonical half_stream_seed / rot_half_stream_seed(dealer_seed, p) in the
 /// simulation modes (dealer bit-identity), role_prng draws in a remote
 /// process (peer-private).
 void fill_halves(const PreprocessingPlan& plan, int p, std::uint64_t half_seed,
@@ -357,19 +411,31 @@ void fill_halves(const PreprocessingPlan& plan, int p, std::uint64_t half_seed,
   Prng rot_prng(rot_seed);
   mat.x.assign(plan.requests.size(), RingVec{});
   mat.xbit.assign(plan.requests.size(), {});
+  mat.xr.assign(plan.requests.size(), RingVec{});
   std::size_t square_i = 0, bit_i = 0, bil_i = 0, rot_i = 0;
   for (std::size_t ri = 0; ri < plan.requests.size(); ++ri) {
     const TripleRequest& r = plan.requests[ri];
     switch (r.kind) {
       case TripleKind::bilinear: {
-        crypto::BilinearHalf h = crypto::draw_bilinear_half(prng, r.bilinear, rc);
+        crypto::BilinearHalf h = crypto::draw_bilinear_half(prng, p, r.bilinear, rc);
         crypto::BilinearTriple& t = b.bilinear[bil_i++];
         RingVec z = crypto::build_bilinear_map(r.bilinear, rc)(h.a, h.b);
         for (std::size_t i = 0; i < z.size(); ++i) z[i] = (z[i] + h.x[i]) & mask;
         t.z.share(p) = std::move(z);
         t.a.share(p) = std::move(h.a);
-        t.b.share(p) = std::move(h.b);
         mat.x[ri] = std::move(h.x);
+        if (!r.bilinear.bit_b) {
+          t.b.share(p) = std::move(h.b);
+          break;
+        }
+        RingVec& bp = t.b.share(p);
+        for (std::size_t i = 0; i < bp.size(); ++i) {
+          bp[i] = (h.b[i] - (p == 0 ? 2 * h.xr[i] : 0)) & mask;
+        }
+        if (p == 0) {
+          for (std::uint64_t& v : h.xr) v = (0 - 2 * v) & mask;
+          mat.xr[ri] = std::move(h.xr);
+        }
         break;
       }
       case TripleKind::square: {

@@ -26,10 +26,16 @@
 // correlated OT per (choice element, ring bit): R's choice bit is bit i of
 // its mask half, S's correlation is 2^i times a slice of its mask half,
 // and a derandomization group per output slice pins Σ_j x_j = −X_group so
-// the OT outputs sum to exactly o_R.  Boolean AND triples use one 1-of-2
-// OT per instance (messages x_S and x_S ⊕ a_S).  A random (1,4)-OT with
-// sender S uses two random 1-of-2 OTs, one per bit of R's random choice r,
-// plus four correction bytes: entry v is S's pad P_v masked by byte v of
+// the OT outputs sum to exactly o_R.  A bit-injection product
+// (BilinearSpec::bit_b) needs only one-bit choices: r·a_q = r_q·a_q +
+// r_peer·(1 − 2·r_q)·a_q, so per compared value each direction runs one
+// COT whose P-element message carries the payload terms, and B's additive
+// sharing adds one more for its single cross term r0·r1 (P0 -> P1): 3
+// COTs per value where a 64-bit product spends 128 per element.  Boolean
+// AND triples use one 1-of-2 OT per instance (messages x_S and
+// x_S ⊕ a_S).  A random (1,4)-OT with sender S uses two random 1-of-2
+// OTs, one per bit of R's random choice r, plus four correction bytes:
+// entry v is S's pad P_v masked by byte v of
 // the two OT pads v's bits select, so R unmasks exactly P_r.  Like the
 // triple halves, S's pads and R's choice come from each party's own
 // random-OT half stream (canonical in simulation, role_prng remotely).

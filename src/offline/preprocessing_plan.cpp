@@ -35,6 +35,7 @@ std::uint64_t PreprocessingPlan::fingerprint() const noexcept {
       fnv_mix(h, static_cast<std::uint64_t>(s.kernel));
       fnv_mix(h, static_cast<std::uint64_t>(s.stride));
       fnv_mix(h, static_cast<std::uint64_t>(s.pad));
+      if (s.bit_b) fnv_mix(h, 1);
     }
     if (r.kind == TripleKind::rot) fnv_mix(h, static_cast<std::uint64_t>(r.sender));
   }

@@ -13,8 +13,9 @@ constexpr std::uint64_t kMagic = 0x5041534E54525031ULL;  // "PASNTRP1"
 // Version 2 added a provenance word after the version, version 3 the
 // random-OT pool, version 4 dropped the provenance word again, version 5
 // folded the elem and matmul pools into the product pool, every product
-// triple led by its spec record.  Only the current version loads.
-constexpr std::uint32_t kVersion = 5;
+// triple led by its spec record, version 6 added the bit-injection flag
+// (bit 8 of the spec record's kind word).  Only the current version loads.
+constexpr std::uint32_t kVersion = 6;
 
 // --- little-endian primitives ---------------------------------------------
 
@@ -120,14 +121,16 @@ std::vector<std::uint8_t> read_bytes(std::istream& is, std::uint64_t max_len) {
 // field must not turn into a multi-terabyte allocation.
 constexpr std::uint64_t kMaxVecElems = 1ULL << 32;
 
-// A product triple's spec record: its kind and eight geometry fields.
+// A product triple's spec record: its kind word and eight geometry fields.
 constexpr std::uint64_t kSpecBytes = 9 * 8;
+// The kind word's bit-injection flag (BilinearSpec::bit_b).
+constexpr std::uint64_t kBitBFlag = 1ULL << 8;
 // Cap on one geometry field: no sum of them overflows an int, and no
 // product of four (capped_product) overflows 64 bits.
 constexpr std::uint64_t kMaxSpecField = 1ULL << 28;
 
 void write_spec(std::ostream& os, const crypto::BilinearSpec& s) {
-  write_u64(os, static_cast<std::uint64_t>(s.kind));
+  write_u64(os, static_cast<std::uint64_t>(s.kind) | (s.bit_b ? kBitBFlag : 0));
   for (const int v : {s.batch, s.in_ch, s.in_h, s.in_w, s.out_ch, s.kernel, s.stride, s.pad}) {
     write_u64(os, static_cast<std::uint64_t>(v));
   }
@@ -141,15 +144,21 @@ std::uint64_t capped_product(std::initializer_list<int> factors) {
 }
 
 /// Reads a spec record, refusing an unknown kind or an out-of-range field —
-/// a stride or kernel below 1, an empty output, a side over kMaxVecElems —
-/// before out_h() divides by the stride or na()/nb()/nz() can overflow.
+/// a stride or kernel below 1, an empty output, a side over kMaxVecElems,
+/// a bit-injection flag off a hadamard spec — before out_h() divides by
+/// the stride or na()/nb()/nz() can overflow.
 crypto::BilinearSpec read_spec(std::istream& is) {
-  const std::uint64_t kind = read_u64(is);
+  const std::uint64_t word = read_u64(is);
+  const std::uint64_t kind = word & ~kBitBFlag;
   if (kind > static_cast<std::uint64_t>(crypto::BilinearKind::matmul)) {
     throw std::runtime_error("TripleStore: unknown product kind");
   }
   crypto::BilinearSpec s;
   s.kind = static_cast<crypto::BilinearKind>(kind);
+  s.bit_b = (word & kBitBFlag) != 0;
+  if (s.bit_b && s.kind != crypto::BilinearKind::hadamard) {
+    throw std::runtime_error("TripleStore: bit-injection flag off a hadamard spec");
+  }
   for (int* v : {&s.batch, &s.in_ch, &s.in_h, &s.in_w, &s.out_ch, &s.kernel, &s.stride, &s.pad}) {
     const std::uint64_t field = read_u64(is);
     if (field > kMaxSpecField) throw std::runtime_error("TripleStore: product spec out of range");

@@ -98,7 +98,7 @@ class TripleStore {
 
   /// Binary serialization.  The format is little-endian and versioned;
   /// load() validates the magic, version, and structural sizes and throws
-  /// std::runtime_error on malformed input.  Only the current version (5)
+  /// std::runtime_error on malformed input.  Only the current version (6)
   /// loads: a store is single-use material, so regenerate an older one.
   /// Claim state is not persisted — a loaded store always starts fresh.
   void save(std::ostream& os) const;

@@ -62,9 +62,9 @@ OpCost ir_op_cost(const LatencyModel& m, const ir::Op& op, int ring_bits) {
       c = m.relu(op.in_features);
       break;
   }
-  // Per comparison level: one DReLU, the B2A opening and the gated-select
-  // opening every payload shares.
-  c.rounds = static_cast<int>(op.compare_levels().values.size()) * (drelu_rounds(ring_bits) + 2);
+  // Per comparison level: one DReLU, then the mux tail's one opening that
+  // every payload shares.
+  c.rounds = static_cast<int>(op.compare_levels().values.size()) * (drelu_rounds(ring_bits) + 1);
   return c;
 }
 
@@ -88,10 +88,11 @@ std::uint64_t drelu_wire_bytes(std::uint64_t n, int ring_bits) {
   return bytes;
 }
 
-/// One Beaver-multiply opening pair (E and F, n elements each, both
-/// directions) at the modeled wire width.
-std::uint64_t mul_open_wire_bytes(std::uint64_t n, std::uint64_t wire) {
-  return 2 * 2 * n * wire;
+/// Exact wire bytes of the mux tail over n compared values and P payloads,
+/// both directions: c = b ⊕ r packed to a byte boundary, and one ring
+/// element per payload element at the modeled wire width.
+std::uint64_t mux_tail_wire_bytes(std::uint64_t n, std::uint64_t payloads, std::uint64_t wire) {
+  return 2 * ((n + 7) / 8) + 2 * wire * n * payloads;
 }
 
 }  // namespace
@@ -121,13 +122,13 @@ std::uint64_t ir_op_wire_bytes(const ir::Op& op, int ring_bits, int wire_bits) {
     case OpKind::relu:
     case OpKind::maxpool:
     case OpKind::argmax: {
-      // Per comparison level: DReLU on the compared values, then the B2A
-      // multiply and one gated-select multiply per payload.
+      // Per comparison level: DReLU on the compared values, then the mux
+      // tail over every payload.
       const ir::CompareLevels shape = op.compare_levels();
       std::uint64_t bytes = 0;
       for (const std::uint64_t n : shape.values) {
         bytes += drelu_wire_bytes(n, ring_bits) +
-                 (1 + static_cast<std::uint64_t>(shape.payloads)) * mul_open_wire_bytes(n, wire);
+                 mux_tail_wire_bytes(n, static_cast<std::uint64_t>(shape.payloads), wire);
       }
       return bytes;
     }
@@ -150,7 +151,7 @@ ProgramCost profile_program(const LatencyModel& m, const ir::SecureProgram& p,
 
   // A round group costs as many rounds as its costliest member.  Every
   // comparison walks the same per-level phase block (the two OT messages,
-  // one exchange per AND level, the B2A and mux openings), so the
+  // one exchange per AND level, the mux tail's opening), so the
   // executor's lockstep walk keeps a group's comparisons phase-aligned
   // and ends with the deepest one; single-round members ride in a shared
   // opening, or pay the one merged open when no comparison opens.  K lanes

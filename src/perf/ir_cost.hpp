@@ -5,10 +5,10 @@
 // model so analytic and measured statistics are comparable on the same
 // object: per-op compute/communication come from the paper's Eq. 5-16
 // cost functions, while the `rounds` fields follow the protocol stack's
-// actual round structure (OT phases, AND-tree depth, B2A + mux, merged
-// E/F openings) — the same rounds the executor measures.  Ops sharing a
-// round group count their rounds together: the group costs as many
-// rounds as its costliest member, because every comparison walks the
+// actual round structure (OT phases, AND-tree depth, the one-exchange mux
+// tail, merged E/F openings) — the same rounds the executor measures.
+// Ops sharing a round group count their rounds together: the group costs
+// as many rounds as its costliest member, because every comparison walks the
 // same per-level phase block (shared OT round, shared exchange per AND
 // level and open phase — independent of the instance count) and
 // single-round members merge into one exchange.  The terminal opening
@@ -42,8 +42,9 @@ namespace pasnet::perf {
 /// EXACT on-wire bytes one op's online protocol moves (both directions):
 /// every opening at `wire_bits` per ring element, the (1,4)-OT leaves'
 /// shifts (2 bits per instance, packed to a byte boundary per batch) and
-/// masked tables (4 bytes per instance), and the AND-tree's per-level
-/// packed bit opens.  Every part is packed per op, so the figure holds
+/// masked tables (4 bytes per instance), the AND-tree's per-level packed
+/// bit opens, and each mux tail's packed c bits beside its payload
+/// openings.  Every part is packed per op, so the figure holds
 /// however the ops are grouped.  This is what the channel meter measures —
 /// OpCost::comm_bytes stays the paper's Eq. 5-16 estimate used by the NAS
 /// latency model.

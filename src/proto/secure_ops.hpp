@@ -104,7 +104,7 @@ class StagedX2act final : public StagedSecureOp {
 /// the op needs flushed; step() consumes the flushed round and stages the
 /// next phase.  All instances of one round group share each flush — one
 /// (1,4)-OT round per digit batch, one exchange per AND-tree level, one
-/// opening per B2A/mux phase — however many instances the group holds.
+/// opening for the mux tail — however many instances the group holds.
 class StagedCompareOp {
  public:
   virtual ~StagedCompareOp() = default;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <future>
 #include <stdexcept>
 #include <type_traits>
 
@@ -156,15 +157,6 @@ TEST(Drelu, IsIndicatorOfNonNegative) {
   EXPECT_EQ(pc::reconstruct_bits(d), (std::vector<std::uint8_t>{1, 0, 1, 1, 0}));
 }
 
-TEST(B2A, ConvertsBitsToArithmetic) {
-  pc::TwoPartyContext ctx;
-  pc::Prng prng(8);
-  const auto v = make_bits({1, 0, 1, 1, 0, 0}, prng);
-  const auto a = pc::b2a(ctx, v);
-  const auto rec = pc::reconstruct(a, ctx.ring());
-  EXPECT_EQ(rec, (pc::RingVec{1, 0, 1, 1, 0, 0}));
-}
-
 TEST(Mux, SelectsOrZeroes) {
   pc::TwoPartyContext ctx;
   pc::Prng prng(9);
@@ -177,6 +169,114 @@ TEST(Mux, SelectsOrZeroes) {
   EXPECT_NEAR(out[1], 0.0, 1e-3);
   EXPECT_NEAR(out[2], 0.0, 1e-3);
   EXPECT_NEAR(out[3], 2.25, 1e-3);
+}
+
+namespace {
+
+/// What the comparison tail reveals in each of its four uses.
+struct TailRun {
+  pc::Shared relu, max, mux, gated_x, gated_v;
+};
+
+/// relu(x), max(v + x, v) = v + x·DReLU(x), mux(sel, v) and the argmax-
+/// style two-payload tail (x, v) gated by DReLU(x), in that order.
+TailRun run_tails(pc::TwoPartyContext& ctx, const pc::Shared& x, const pc::Shared& v,
+                  const pc::BitShared& sel) {
+  TailRun out;
+  out.relu = pc::relu(ctx, x);
+  out.max = pc::max_elem(ctx, pc::add(ctx, v, x), v);
+  out.mux = pc::mux(ctx, sel, v);
+  pc::StagedDreluMux two;
+  pc::run_staged(ctx, two, std::vector<pc::Shared>{x, v},
+                 pc::draw_drelu_mux_material(ctx, x.size(), 2));
+  out.gated_x = std::move(two.result()[0]);
+  out.gated_v = std::move(two.result()[1]);
+  return out;
+}
+
+/// Party p's halves only, as a remote endpoint holds them.
+pc::Shared own_half(const pc::Shared& x, int p) {
+  pc::Shared out;
+  out.share(p) = x.share(p);
+  return out;
+}
+pc::BitShared own_half(const pc::BitShared& x, int p) {
+  pc::BitShared out;
+  out.share(p) = x.share(p);
+  return out;
+}
+
+}  // namespace
+
+TEST(MuxTail, GatedPayloadsAreExactOverTheWholeRing) {
+  // The tail multiplies by a 0/1 bit with no truncation, so every payload
+  // must come back exactly, full-ring words included, whether both parties
+  // run in process or each endpoint holds only its own shares.
+  const pc::RingConfig rc{};
+  pc::Prng prng(31);
+  pc::RingVec v = {0, 1, ~0ULL, 1ULL << 62, 0 - (1ULL << 62), (1ULL << 63) - 1, 1ULL << 63};
+  pc::RingVec x = {0, 1, ~0ULL, (1ULL << 31) - 1, 0 - ((1ULL << 31) - 1), 5, 0 - 5ULL};
+  std::vector<int> sel_bits = {1, 0, 1, 1, 0, 1, 0};
+  while (v.size() < 48) {
+    v.push_back(prng.next_u64());
+    x.push_back(prng.next_below((1ULL << 32) - 1) - ((1ULL << 31) - 1));
+    sel_bits.push_back(static_cast<int>(prng.next_u64() & 1));
+  }
+  const pc::Shared sx = pc::share(x, prng, rc);
+  const pc::Shared sv = pc::share(v, prng, rc);
+  const pc::BitShared sel = make_bits(sel_bits, prng);
+
+  const auto expect_exact = [&](const TailRun& run, const char* where) {
+    const pc::RingVec relu = pc::reconstruct(run.relu, rc);
+    const pc::RingVec max = pc::reconstruct(run.max, rc);
+    const pc::RingVec mux = pc::reconstruct(run.mux, rc);
+    const pc::RingVec gx = pc::reconstruct(run.gated_x, rc);
+    const pc::RingVec gv = pc::reconstruct(run.gated_v, rc);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      const std::uint64_t b = pc::to_signed(x[i], rc) >= 0 ? 1 : 0;
+      EXPECT_EQ(relu[i], x[i] * b) << where << " relu " << i;
+      EXPECT_EQ(max[i], v[i] + x[i] * b) << where << " max " << i;
+      EXPECT_EQ(mux[i], v[i] * static_cast<std::uint64_t>(sel_bits[i])) << where << " mux " << i;
+      EXPECT_EQ(gx[i], x[i] * b) << where << " payload 0, " << i;
+      EXPECT_EQ(gv[i], v[i] * b) << where << " payload 1, " << i;
+    }
+  };
+
+  pc::TwoPartyContext ctx(rc, 77);
+  const TailRun in_process = run_tails(ctx, sx, sv, sel);
+  expect_exact(in_process, "in process");
+
+  // Two endpoints of the same seed on two threads, each holding only its
+  // own halves; their halves together must reveal the same values, and
+  // each must equal the in-process party's share.
+  auto [c0, c1] = pc::Channel::make_pair(pc::ChannelMode::threaded);
+  pc::Channel* chans[2] = {c0.get(), c1.get()};
+  const auto endpoint = [&](int p) {
+    try {
+      pc::TwoPartyContext remote(rc, 77, p, *chans[p]);
+      return run_tails(remote, own_half(sx, p), own_half(sv, p), own_half(sel, p));
+    } catch (...) {
+      chans[p]->close();
+      throw;
+    }
+  };
+  auto side1 = std::async(std::launch::async, endpoint, 1);
+  const TailRun p0 = endpoint(0);
+  const TailRun p1 = side1.get();
+  TailRun joint;
+  pc::Shared TailRun::*const fields[] = {&TailRun::relu, &TailRun::max, &TailRun::mux,
+                                         &TailRun::gated_x, &TailRun::gated_v};
+  for (pc::Shared TailRun::*f : fields) {
+    (joint.*f).s0 = (p0.*f).s0;
+    (joint.*f).s1 = (p1.*f).s1;
+    EXPECT_EQ((joint.*f).s0, (in_process.*f).s0);
+    EXPECT_EQ((joint.*f).s1, (in_process.*f).s1);
+  }
+  expect_exact(joint, "party-local");
+
+  // Zero compared values: every tail runs and gates nothing.
+  const TailRun none = run_tails(ctx, pc::Shared{}, pc::Shared{}, pc::BitShared{});
+  for (pc::Shared TailRun::*f : fields) EXPECT_EQ((none.*f).size(), 0u);
 }
 
 TEST(Relu, MatchesPlaintextRelu) {

@@ -282,8 +282,8 @@ TEST(CompareStaged, DreluOnA32BitRingIsExactOverTheWholeRing) {
 TEST(CompareStaged, StagedReluMatchesBlockingReluSharewise) {
   // The one-shot relu drives the staged DReLU-mux the executor groups; it
   // must equal the blocking protocols it is made of, run one after the
-  // other on a context of the same seed — DReLU, then the B2A and the mux
-  // multiply — share for share and exchange for exchange (same material in
+  // other on a context of the same seed — DReLU, then the one-shot mux
+  // tail — share for share and exchange for exchange (same material in
   // the same order, same arithmetic).
   const pc::RingConfig rc{};
   for (std::uint64_t seed = 21; seed <= 23; ++seed) {

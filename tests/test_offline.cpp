@@ -278,30 +278,44 @@ TEST(OfflineGenerator, ReportSizesMatchPlanArithmetic) {
 TEST(OfflineGenerator, DealerStoreEqualsOtExtBundlesOfTheRealPlan) {
   // The dealer simulation and the genuine 2PC OT-extension protocol (both
   // roles in process, seeded from the canonical half streams) realize the
-  // same triple functionality: on the tiny model's plan every bundle the
-  // OT-extension run produces equals the dealer generator's byte for byte,
-  // and the store it fills serves bit-identically to the fused dealer path.
-  SecureFixture f;
-  pc::TwoPartyContext ctx;
-  proto::SecureNetwork snet(f.md, *f.graph, f.node_of_layer, ctx);
-  proto::Workload wl(snet);
-  const off::PreprocessingPlan plan = wl.plan();
-  const std::size_t n = f.queries.size();
-  const off::TripleStore dealer =
-      off::OfflineGenerator(2).generate(plan, n, proto::SecureNetwork::query_dealer_seed);
-  off::TripleStore otext(plan.ring, plan.fingerprint(), n);
-  std::vector<std::uint64_t> seeds;
-  for (std::size_t q = 0; q < n; ++q) seeds.push_back(proto::SecureNetwork::query_dealer_seed(q));
-  pc::TwoPartyContext gctx(plan.ring);
-  off::generate_bundles_ot_ext(plan, gctx, seeds, &otext.bundle(0));
-  std::stringstream a, b;
-  dealer.save(a);
-  otext.save(b);
-  EXPECT_EQ(a.str(), b.str());
+  // same triple functionality: on every tiny model's logits and label-only
+  // plans — the comparisons' bit-injection tails included, with two
+  // payloads in the argmax tournament — every bundle the OT-extension run
+  // produces equals the dealer generator's byte for byte, and the store it
+  // fills serves bit-identically to the fused dealer path.
+  for (const nn::OpKind act : {nn::OpKind::relu, nn::OpKind::x2act}) {
+    for (const nn::OpKind pool : {nn::OpKind::maxpool, nn::OpKind::avgpool}) {
+      SecureFixture f(act, pool);
+      pc::TwoPartyContext ctx;
+      proto::SecureNetwork snet(f.md, *f.graph, f.node_of_layer, ctx);
+      for (const proto::WorkloadKind kind :
+           {proto::WorkloadKind::logits, proto::WorkloadKind::classify}) {
+        SCOPED_TRACE(f.md.name + (kind == proto::WorkloadKind::logits ? " logits" : " classify"));
+        proto::Workload wl(snet, {kind});
+        const off::PreprocessingPlan plan = wl.plan();
+        const std::size_t n = f.queries.size();
+        const off::TripleStore dealer =
+            off::OfflineGenerator(2).generate(plan, n, proto::SecureNetwork::query_dealer_seed);
+        off::TripleStore otext(plan.ring, plan.fingerprint(), n);
+        std::vector<std::uint64_t> seeds;
+        for (std::size_t q = 0; q < n; ++q) {
+          seeds.push_back(proto::SecureNetwork::query_dealer_seed(q));
+        }
+        pc::TwoPartyContext gctx(plan.ring);
+        off::generate_bundles_ot_ext(plan, gctx, seeds, &otext.bundle(0));
+        std::stringstream a, b;
+        dealer.save(a);
+        otext.save(b);
+        EXPECT_EQ(a.str(), b.str());
 
-  const auto dealer_logits = proto::Workload(snet).run(f.queries).logits;
-  wl.use_store(&otext);
-  expect_bit_identical(dealer_logits, wl.run(f.queries).logits);
+        const proto::WorkloadResult fused = proto::Workload(snet, {kind}).run(f.queries);
+        wl.use_store(&otext);
+        const proto::WorkloadResult served = wl.run(f.queries);
+        expect_bit_identical(fused.logits, served.logits);
+        EXPECT_EQ(fused.labels, served.labels);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -414,13 +428,13 @@ TEST(TripleStoreHostile, LoadRejectsBadMagic) {
 }
 
 TEST(TripleStoreHostile, LoadRejectsVersionSkew) {
-  // A future version, and every earlier one — v4 still kept elem and
-  // matmul pools, v3 the provenance word, v2 also lacked the random-OT
-  // pool: a store is single-use material, so older files are regenerated,
-  // not decoded.
-  for (const char version : {'\x7F', '\x04', '\x03', '\x02', '\x01'}) {
+  // A future version, and every earlier one — v5 lacked the bit-injection
+  // flag, v4 still kept elem and matmul pools, v3 the provenance word, v2
+  // also lacked the random-OT pool: a store is single-use material, so
+  // older files are regenerated, not decoded.
+  for (const char version : {'\x7F', '\x05', '\x04', '\x03', '\x02', '\x01'}) {
     std::string bytes = serialized_tiny_store();
-    ASSERT_EQ(bytes[8], '\x05');
+    ASSERT_EQ(bytes[8], '\x06');
     bytes[8] = version;  // version field (little-endian u64 at offset 8)
     std::istringstream is(bytes, std::ios::binary);
     EXPECT_THROW((void)off::TripleStore::load(is), std::runtime_error) << int(version);
@@ -479,6 +493,17 @@ TEST(TripleStoreHostile, PartySlicingZeroesExactlyThePeerHalves) {
   ASSERT_FALSE(full.bit.empty());
   EXPECT_EQ(p0.bit[0].a0, full.bit[0].a0);
   for (const auto v : p0.bit[0].c1) EXPECT_EQ(v, 0);
+  // A comparison tail's bit-injection triple: each slice keeps its own
+  // share of the bit — whose low bit is its XOR half — and zeroes the
+  // peer's.
+  std::size_t inj = 0;
+  while (inj < full.bilinear.size() && !full.bilinear[inj].spec.bit_b) ++inj;
+  ASSERT_LT(inj, full.bilinear.size());
+  const pc::Shared& bit = full.bilinear[inj].b;
+  EXPECT_EQ(p0.bilinear[inj].b.s0, bit.s0);
+  EXPECT_EQ(p1.bilinear[inj].b.s1, bit.s1);
+  EXPECT_EQ(p0.bilinear[inj].b.s1, pc::RingVec(bit.s1.size(), 0));
+  EXPECT_EQ(p1.bilinear[inj].b.s0, pc::RingVec(bit.s0.size(), 0));
   // Random OTs (party 1 sends in the comparison leaves): the receiver's
   // slice holds no sender pad, the sender's no choice and no chosen pad.
   ASSERT_FALSE(full.rot.empty());
@@ -493,13 +518,15 @@ TEST(TripleStoreHostile, PartySlicingZeroesExactlyThePeerHalves) {
 }
 
 TEST(TripleStoreHostile, ShortTripleSidesAreRefusedBeforeRecombination) {
-  // A square pair and three product kinds whose z side has one element.
+  // A square pair and four product kinds whose z side has one element, a
+  // comparison tail's bit-injection triple among them.
   off::QueryBundle square;
   square.square.push_back(pc::TripleDealer(pc::RingConfig{}, 5).square_pair(64));
   square.square[0].z.s0.resize(1);
   square.square[0].z.s1.resize(1);
   const pc::BilinearSpec specs[] = {pc::BilinearSpec::hadamard(64),
-                                    pc::BilinearSpec::matmul(4, 5, 3), small_conv()};
+                                    pc::BilinearSpec::matmul(4, 5, 3), small_conv(),
+                                    pc::BilinearSpec::bit_injection(64, 2)};
   std::vector<off::QueryBundle> crafted{square};
   for (const pc::BilinearSpec& spec : specs) crafted.push_back(short_z_bundle(spec));
   for (std::size_t c = 0; c < crafted.size(); ++c) {
@@ -541,6 +568,7 @@ TEST(TripleStoreHostile, BundleCodecRefusesOutOfRangeProductSpecs) {
   refused([](pc::BilinearSpec& s) { s.kernel = 7; });  // no output pixel
   refused([](pc::BilinearSpec& s) { s.pad = -1; });
   refused([](pc::BilinearSpec& s) { s.kind = static_cast<pc::BilinearKind>(9); });
+  refused([](pc::BilinearSpec& s) { s.bit_b = true; });  // bit injection is hadamard-only
   // Sizes past the codec's cap, and a spec that disagrees with the sides.
   refused([](pc::BilinearSpec& s) { s.batch = s.in_ch = s.in_h = s.in_w = 1 << 20; });
   refused([](pc::BilinearSpec& s) { s.out_ch = 4; });

@@ -40,7 +40,8 @@ std::vector<std::uint8_t> naive_transpose(const std::vector<std::uint8_t>& in,
   return out;
 }
 
-/// A synthetic plan touching every material kind and every product kind.
+/// A synthetic plan touching every material kind and every product kind,
+/// bit-injection products with one and two payloads included.
 off::PreprocessingPlan all_kinds_plan() {
   pc::BilinearSpec conv;
   conv.batch = 2;
@@ -77,6 +78,8 @@ off::PreprocessingPlan all_kinds_plan() {
   sized(off::TripleKind::bit, 9, 1);
   product(conv);
   product(dw);
+  product(pc::BilinearSpec::bit_injection(70, 1));
+  product(pc::BilinearSpec::bit_injection(5, 2));
   // Random OTs in both directions.
   sized(off::TripleKind::rot, 7, 1);
   sized(off::TripleKind::rot, 3, 0);
@@ -180,6 +183,13 @@ void expect_relations_hold(const off::PreprocessingPlan& plan, const off::QueryB
     const auto f = pc::build_bilinear_map(r.bilinear, rc);
     const pc::RingVec z = f(pc::reconstruct(t.a, rc), pc::reconstruct(t.b, rc));
     for (std::size_t i = 0; i < z.size(); ++i) EXPECT_EQ(rec(t.z, i), z[i]);
+    if (!r.bilinear.bit_b) continue;
+    // Bit injection: B is one bit, whose shares' low bits XOR-share it,
+    // r0 ⊕ r1 = [r] ∈ {0, 1}; with Z = f(A, B) above, [r·a] opens to r·a.
+    for (std::size_t i = 0; i < t.b.size(); ++i) {
+      EXPECT_LE(rec(t.b, i), 1u) << i;
+      EXPECT_EQ((t.b.s0[i] ^ t.b.s1[i]) & 1, rec(t.b, i)) << i;
+    }
   }
   EXPECT_EQ(bi, b.bilinear.size());
   expect_rot_relation(b);

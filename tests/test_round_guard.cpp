@@ -2,12 +2,13 @@
 // executor and fails unless the measured round count EXACTLY equals the
 // analytic model's prediction (perf::profile_program).  The analytic
 // rounds encode the protocol stack's actual round structure — OT phases,
-// AND-tree depth, B2A + mux, merged E/F openings, the staged-comparison
-// lockstep walk — so a mismatch in either direction means the executor
-// spends different exchanges than the model prices; both drifts should
-// fail loudly.  The per-op program (testing::one_group_per_op) is priced
-// the same way, which pins what cross-op grouping buys; the benchmark's
-// three transcripts are pinned exactly.
+// AND-tree depth, the one-exchange mux tail, merged E/F openings, the
+// staged-comparison lockstep walk — so a mismatch in either direction
+// means the executor spends different exchanges than the model prices;
+// both drifts should fail loudly.  The per-op program
+// (testing::one_group_per_op) is priced the same way, which pins what
+// cross-op grouping buys; the benchmark's three transcripts are pinned
+// exactly.
 
 #include <gtest/gtest.h>
 
@@ -222,9 +223,9 @@ TEST(RoundGuard, BatchedResNetProxyMeetsRoundReductionTarget) {
 TEST(RoundGuard, ParallelReluRoundsIndependentOfInstanceCount) {
   // The cross-instance grouping acceptance bar: K independent ReLUs in one
   // round group cost the rounds of ONE comparison stack (shared OT digits
-  // + shared AND levels + shared B2A/mux openings) plus the reveal — 9 —
-  // exactly as the analytic walk predicts, while the per-op program pays
-  // the 8-round stack per instance: 8K + 1.
+  // + shared AND levels + the shared mux-tail opening) plus the reveal — 8
+  // — exactly as the analytic walk predicts, while the per-op program pays
+  // the 7-round stack per instance: 7K + 1.
   const auto m = model();
   const int bits = pc::RingConfig{}.bits;
   const int wire_bits = pc::RingConfig{}.wire_bits;
@@ -240,8 +241,8 @@ TEST(RoundGuard, ParallelReluRoundsIndependentOfInstanceCount) {
     const pc::TrafficStats separate = measured_program_traffic(per_op);
     const perf::ProgramCost cost = perf::profile_program(m, p, bits, wire_bits);
     const perf::ProgramCost per_op_cost = perf::profile_program(m, per_op, bits, wire_bits);
-    EXPECT_EQ(scheduled.rounds, 9u) << p.name;
-    EXPECT_EQ(separate.rounds, 8u * static_cast<std::uint64_t>(k) + 1) << p.name;
+    EXPECT_EQ(scheduled.rounds, 8u) << p.name;
+    EXPECT_EQ(separate.rounds, 7u * static_cast<std::uint64_t>(k) + 1) << p.name;
     EXPECT_EQ(scheduled.rounds, static_cast<std::uint64_t>(cost.total.rounds)) << p.name;
     EXPECT_EQ(separate.rounds, static_cast<std::uint64_t>(per_op_cost.total.rounds)) << p.name;
     // Merging the K ReLUs' OT batches saves messages, not bytes: each
@@ -317,13 +318,13 @@ TEST(RoundGuard, PerOpProgramIsPricedExactlyOnEveryModel) {
     std::uint64_t per_op, scheduled;
   };
   const Pin pins[][2] = {
-      {{27, 27}, {43, 43}},      // TinyCNN ReLU + maxpool
-      {{4, 4}, {20, 20}},        // TinyCNN x2act + avgpool
-      {{11, 11}, {27, 27}},      // TinyCNN ReLU + avgpool
-      {{20, 20}, {36, 36}},      // TinyCNN x2act + maxpool
-      {{158, 155}, {190, 187}},  // ResNet-18 proxy, ReLU + maxpool
-      {{39, 36}, {71, 68}},      // ResNet-18 proxy, x2act + avgpool
-      {{89, 89}, {121, 121}},    // MobileNetV2 proxy
+      {{24, 24}, {38, 38}},      // TinyCNN ReLU + maxpool
+      {{4, 4}, {18, 18}},        // TinyCNN x2act + avgpool
+      {{10, 10}, {24, 24}},      // TinyCNN ReLU + avgpool
+      {{18, 18}, {32, 32}},      // TinyCNN x2act + maxpool
+      {{141, 138}, {169, 166}},  // ResNet-18 proxy, ReLU + maxpool
+      {{39, 36}, {67, 64}},      // ResNet-18 proxy, x2act + avgpool
+      {{89, 89}, {117, 117}},    // MobileNetV2 proxy
   };
   const auto models = pasnet::testing::all_test_models();
   ASSERT_EQ(models.size(), std::size(pins));
@@ -370,7 +371,7 @@ TEST(RoundGuard, BenchmarkTranscriptsArePinned) {
     std::uint64_t rounds, bytes, messages;
   };
   const Pin pins[] = {
-      {"relu-k1", proxy_resnet(nn::ActKind::relu, nn::PoolKind::maxpool), 1, 155, 624944, 276},
+      {"relu-k1", proxy_resnet(nn::ActKind::relu, nn::PoolKind::maxpool), 1, 138, 573264, 276},
       {"poly-k16", proxy_resnet(nn::ActKind::x2act, nn::PoolKind::avgpool), 16, 36, 6273792, 72},
       {"mobilenet-k1", pasnet::testing::proxy_mobilenet(), 1, 89, 541472, 178},
   };
@@ -414,7 +415,7 @@ TEST(RoundGuard, AnalyticPerOpRoundsMatchProtocolStructure) {
   relu.kind = ir::OpKind::relu;
   relu.in_ch = 4;
   relu.in_h = relu.in_w = 8;
-  EXPECT_EQ(perf::ir_op_cost(m, relu, 64).rounds, 8);  // drelu + b2a + mux
+  EXPECT_EQ(perf::ir_op_cost(m, relu, 64).rounds, 7);  // drelu + the mux tail
   ir::Op conv;
   conv.kind = ir::OpKind::conv;
   conv.in_ch = conv.out_ch = 4;
@@ -428,13 +429,13 @@ TEST(RoundGuard, AnalyticPerOpRoundsMatchProtocolStructure) {
   pool.in_h = pool.in_w = 8;
   pool.out_ch = 4;
   pool.out_h = pool.out_w = 4;
-  EXPECT_EQ(perf::ir_op_cost(m, pool, 64).rounds, 2 * 8);  // two tournament levels
+  EXPECT_EQ(perf::ir_op_cost(m, pool, 64).rounds, 2 * 7);  // two tournament levels
   ir::Op argmax;
   argmax.kind = ir::OpKind::argmax;
   argmax.in_features = 10;
-  // Four tournament levels; per level the two selector multiplies share
-  // one opening: drelu + b2a + selectors = 8.
-  EXPECT_EQ(perf::ir_op_cost(m, argmax, 64).rounds, 4 * 8);
+  // Four tournament levels; per level both payloads share the one
+  // mux-tail opening: drelu + tail = 7.
+  EXPECT_EQ(perf::ir_op_cost(m, argmax, 64).rounds, 4 * 7);
 }
 
 TEST(RoundGuard, OfflinePhaseProfileMatchesMeasuredOtExtGeneration) {
@@ -471,4 +472,22 @@ TEST(RoundGuard, OfflinePhaseProfileMatchesMeasuredOtExtGeneration) {
     EXPECT_GT(c.ext_cots, 0u);
     EXPECT_EQ(c.base_ots, 2u * 128u * static_cast<std::uint64_t>(1));  // both directions, once
   }
+}
+
+TEST(RoundGuard, TinyReluOfflineVolumeIsPinned) {
+  // The offline phase's volume per tiny_relu query, exact: ot-ext traffic
+  // and store material.  Each comparison level's tail is one bit-injection
+  // triple, three one-bit-choice COTs per compared value in ot-ext.  A
+  // change that moves them on purpose updates the pins and says why.
+  auto md = tiny_cnn(nn::OpKind::relu, nn::OpKind::maxpool);
+  pc::Prng wprng(77);
+  std::vector<int> node_of_layer;
+  auto g = nn::build_graph(md, wprng, &node_of_layer);
+  pc::TwoPartyContext ctx;
+  proto::SecureNetwork snet(md, *g, node_of_layer, ctx);
+  const perf::OfflinePhaseCost c = perf::profile_offline_phase(snet.program(), ctx.ring(), 1);
+  EXPECT_EQ(c.ot_ext_wire_bytes, 3522600u);
+  EXPECT_EQ(c.ext_cots, 59968u);
+  EXPECT_EQ(c.store_bytes_shipped, 156592u);
+  EXPECT_EQ(ir::derive_plan(snet.program(), ctx.ring()).material_bytes_per_query(), 156592u);
 }

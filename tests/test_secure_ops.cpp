@@ -297,7 +297,7 @@ TEST(SecureConv, ReluCommunicationDwarfsConvCommunication) {
 
 // Property sweep: secure ReLU equals plaintext ReLU across magnitudes and
 // both execution modes (the end-to-end correctness invariant of the
-// comparison stack composed with B2A and multiplexing).
+// comparison stack composed with the bit-injection mux tail).
 struct ReluCase {
   double scale;
   pc::ExecMode mode;
